@@ -183,6 +183,10 @@ fn run_ablations(scale: &Scale) {
         "  paper Lemma 4.1/4.2 model:          {:.3}",
         cm.paper_correlation
     );
+    println!(
+        "  locality-aware vs counted work:     {:.3}",
+        cm.local_work_correlation
+    );
 
     section("Ablation: sampling rate Y (result set must be invariant)");
     println!(

@@ -199,6 +199,8 @@ the next run with the same arguments.
 SERVE OPTIONS:
     --workers <int>         engine worker threads                         [2]
     --queue <int>           submission-queue bound (excess rejected)     [64]
+                            (both size the engine's queue; the stdin loop
+                            has one request in flight and runs it itself)
     --deadline-ms <int>     default per-request deadline          [unbounded]
     --metrics-addr <addr>   serve Prometheus /metrics and /healthz over
                             HTTP on this address (e.g. 127.0.0.1:9100)

@@ -73,6 +73,7 @@
 //! the request grammar is tiny); the writer side shares
 //! [`dod_obs::json`] with the trace recorder.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, Read, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -524,13 +525,10 @@ fn parse_count(request: &Json, key: &str) -> Result<Option<u64>, ServeError> {
     }
 }
 
-/// Submits one engine request and waits for its response.
+/// Runs one engine request on this thread: the loop has one request in
+/// flight, so a hand-off to the engine's queue would buy nothing.
 fn run_request(engine: &Engine, req: Request) -> Result<Response, ServeError> {
-    engine
-        .submit(req)
-        .map_err(engine_error)?
-        .wait()
-        .map_err(engine_error)
+    engine.execute(req).map_err(engine_error)
 }
 
 /// Answers one parsed request. `Ok(None)` means `quit`.
@@ -546,19 +544,20 @@ fn dispatch(ctx: &ServeContext, request: &Json) -> Result<Option<String>, ServeE
             let scores = run_request(engine, Request::Score { points })?
                 .into_score()
                 .expect("score request answers with scores");
-            let results: Vec<String> = scores
-                .iter()
-                .map(|s| {
-                    format!(
-                        "{{\"neighbors\":{},\"outlier\":{}}}",
-                        s.neighbors, s.outlier
-                    )
-                })
-                .collect();
-            Ok(Some(format!(
-                "{{\"v\":1,\"ok\":true,\"op\":\"score\",\"results\":[{}]}}",
-                results.join(",")
-            )))
+            // One buffer for the whole line: ~34 bytes per result.
+            let mut line = String::with_capacity(48 + 36 * scores.len());
+            line.push_str("{\"v\":1,\"ok\":true,\"op\":\"score\",\"results\":[");
+            for (i, s) in scores.iter().enumerate() {
+                let sep = if i == 0 { "" } else { "," };
+                write!(
+                    line,
+                    "{sep}{{\"neighbors\":{},\"outlier\":{}}}",
+                    s.neighbors, s.outlier
+                )
+                .expect("writing to a String cannot fail");
+            }
+            line.push_str("]}");
+            Ok(Some(line))
         }
         "detect" => {
             let outliers = run_request(engine, Request::Detect)?
@@ -690,20 +689,22 @@ pub fn serve_streams(
         let response = parse_json(&line)
             .map_err(|e| ServeError::bad(format!("bad request: {e}")))
             .and_then(|request| dispatch(ctx, &request));
-        match response {
-            Ok(Some(answer)) => {
-                writeln!(output, "{answer}").map_err(|e| e.to_string())?;
-            }
-            Ok(None) => {
-                writeln!(output, "{{\"v\":1,\"ok\":true,\"op\":\"quit\"}}")
-                    .map_err(|e| e.to_string())?;
-                break;
-            }
-            Err(e) => {
-                writeln!(output, "{}", error_line(&e)).map_err(|e| e.to_string())?;
-            }
+        let quit = matches!(response, Ok(None));
+        let mut answer = match response {
+            Ok(Some(answer)) => answer,
+            Ok(None) => "{\"v\":1,\"ok\":true,\"op\":\"quit\"}".to_string(),
+            Err(e) => error_line(&e),
+        };
+        // The line and its terminator leave in one write: a reader woken
+        // by the body alone would find no newline and go back to sleep.
+        answer.push('\n');
+        output
+            .write_all(answer.as_bytes())
+            .and_then(|()| output.flush())
+            .map_err(|e| e.to_string())?;
+        if quit {
+            break;
         }
-        output.flush().map_err(|e| e.to_string())?;
     }
     Ok(())
 }
@@ -1052,6 +1053,36 @@ mod tests {
             assert!(bad.contains("\"code\":\"bad_request\""), "{bad}");
         }
         assert!(responses[7].contains("\"outliers\":[40]"));
+    }
+
+    /// Behind a line-buffered writer — what standard output is — each
+    /// response reaches the pipe as one write, terminator included, however
+    /// long it is: the client is woken once per response, not once for the
+    /// body and again for the newline.
+    #[test]
+    fn each_response_is_one_write() {
+        struct Writes(Vec<usize>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let (args, ctx, path) = test_context();
+        // Longer than any line buffer: 600 results, ~20 KB.
+        let big = vec!["[0.7,0.7]"; 600].join(",");
+        let requests = format!(
+            "{{\"op\":\"stats\"}}\n{{\"op\":\"score\",\"points\":[{big}]}}\nnot json\n{{\"op\":\"quit\"}}\n"
+        );
+        let mut out = std::io::LineWriter::new(Writes(Vec::new()));
+        serve_streams(&args, &ctx, requests.as_bytes(), &mut out).unwrap();
+        std::fs::remove_file(&path).ok();
+        let writes = &out.get_ref().0;
+        assert_eq!(writes.len(), 4, "{writes:?}");
+        assert!(writes[1] > 16 * 1024, "{writes:?}");
     }
 
     /// A dimension mismatch surfaces the engine's typed error code.

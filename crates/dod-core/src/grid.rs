@@ -9,10 +9,64 @@
 use crate::error::CoreError;
 use crate::rect::Rect;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a grid cell: the row-major linearization of its
 /// per-dimension indices.
 pub type CellId = usize;
+
+/// A hash map keyed by [`CellId`] through [`CellIdHasher`].
+pub type CellMap<V> = HashMap<CellId, V, BuildHasherDefault<CellIdHasher>>;
+
+/// The hasher behind [`CellMap`]: one multiply by an odd 64-bit constant,
+/// then the high half folded onto the low half.
+///
+/// Row-major cell ids are strided — neighbours along the last dimension
+/// differ by 1, along the others by a product of `cells_per_dim`, often a
+/// power of two. The multiply alone spreads any stride over the *top*
+/// bits (hashbrown's 7 control bits), but leaves the low bits of a
+/// power-of-two stride zero; the fold brings the well-mixed top half down
+/// onto the bits hashbrown takes its bucket index from.
+///
+/// **Not HashDoS-resistant, deliberately.** Keys are cell ids the engine
+/// computes from a [`GridSpec`] (bounded by `num_cells()`), never strings
+/// or numbers a client chooses, so there is no adversary to pick colliding
+/// keys; keep the default hasher for any map keyed by outside input.
+/// Iteration order of a [`CellMap`] is unspecified, as with any hash map:
+/// consumers that need a deterministic order sort the keys.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct CellIdHasher(u64);
+
+impl CellIdHasher {
+    /// 2^64 / φ, odd.
+    const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    fn mix(&mut self, word: u64) {
+        let h = (self.0 ^ word).wrapping_mul(Self::MULTIPLIER);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+impl Hasher for CellIdHasher {
+    fn write_usize(&mut self, id: usize) {
+        self.mix(id as u64);
+    }
+
+    /// Not reached for [`CellId`] keys (`usize` hashes through
+    /// [`Hasher::write_usize`]); present so the hasher is total.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// An equi-width grid over a rectangular domain.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -132,25 +186,33 @@ impl GridSpec {
         self.widths[i]
     }
 
+    /// Index along dimension `i` of the cell containing coordinate `v`,
+    /// clamped into the grid so that upper-boundary (and out-of-domain)
+    /// coordinates land in the nearest edge cell.
+    pub fn index_in_dim(&self, i: usize, v: f64) -> usize {
+        if self.widths[i] == 0.0 {
+            0
+        } else {
+            let raw = ((v - self.domain.min()[i]) / self.widths[i]).floor();
+            (raw.max(0.0) as usize).min(self.cells_per_dim[i] - 1)
+        }
+    }
+
     /// Per-dimension index of the cell containing `x`, clamped into the
     /// grid so that upper-boundary points land in the last cell.
     pub fn coords_of(&self, x: &[f64]) -> Vec<usize> {
         debug_assert_eq!(x.len(), self.dim());
         (0..self.dim())
-            .map(|i| {
-                if self.widths[i] == 0.0 {
-                    0
-                } else {
-                    let raw = ((x[i] - self.domain.min()[i]) / self.widths[i]).floor();
-                    (raw.max(0.0) as usize).min(self.cells_per_dim[i] - 1)
-                }
-            })
+            .map(|i| self.index_in_dim(i, x[i]))
             .collect()
     }
 
-    /// Linear id of the cell containing `x` (row-major).
+    /// Linear id of the cell containing `x` (row-major). Allocation-free.
     pub fn cell_of(&self, x: &[f64]) -> CellId {
-        self.linearize(&self.coords_of(x))
+        debug_assert_eq!(x.len(), self.dim());
+        x.iter().enumerate().fold(0, |id, (i, &v)| {
+            id * self.cells_per_dim[i] + self.index_in_dim(i, v)
+        })
     }
 
     /// Row-major linearization of per-dimension cell indices.
@@ -195,49 +257,93 @@ impl GridSpec {
         Rect::new(min, max).expect("cell bounds are valid by construction")
     }
 
+    /// Visits, in ascending id order, every cell whose index along each
+    /// dimension `i` lies in the inclusive range `range_of(i)`, for as long
+    /// as `visit` returns `true`; returns whether the walk ran to the end
+    /// (the contract of [`Iterator::all`]). The one odometer over an index
+    /// box: every other block enumeration in the workspace goes through
+    /// it. Allocation-free.
+    ///
+    /// `range_of(i)` must return `lo <= hi < cells_in_dim(i)`; it is asked
+    /// again for each prefix of the outer dimensions, so keep it cheap.
+    pub fn visit_block<R, V>(&self, range_of: R, mut visit: V) -> bool
+    where
+        R: Fn(usize) -> (usize, usize),
+        V: FnMut(CellId) -> bool,
+    {
+        self.visit_block_from(0, 0, &range_of, &mut visit)
+    }
+
+    fn visit_block_from<R, V>(&self, i: usize, prefix: CellId, range_of: &R, visit: &mut V) -> bool
+    where
+        R: Fn(usize) -> (usize, usize),
+        V: FnMut(CellId) -> bool,
+    {
+        let (lo, hi) = range_of(i);
+        debug_assert!(lo <= hi && hi < self.cells_per_dim[i]);
+        let row = prefix * self.cells_per_dim[i];
+        if i + 1 == self.dim() {
+            (row + lo..=row + hi).all(visit)
+        } else {
+            (row + lo..=row + hi).all(|id| self.visit_block_from(i + 1, id, range_of, visit))
+        }
+    }
+
+    /// [`GridSpec::visit_block`] over the cells within `radius_of(i)`
+    /// index steps of `center_of(i)` along each dimension, clamped to the
+    /// grid — the Cell-Based detector's `3^d` ring and candidate block.
+    pub fn visit_around<C, R, V>(&self, center_of: C, radius_of: R, visit: V) -> bool
+    where
+        C: Fn(usize) -> usize,
+        R: Fn(usize) -> usize,
+        V: FnMut(CellId) -> bool,
+    {
+        self.visit_block(
+            |i| {
+                let (c, radius) = (center_of(i), radius_of(i));
+                (
+                    c.saturating_sub(radius),
+                    (c + radius).min(self.cells_per_dim[i] - 1),
+                )
+            },
+            visit,
+        )
+    }
+
+    /// [`GridSpec::visit_block`] over the cells whose rectangle intersects
+    /// the closed box with per-dimension bounds `bounds_of(i) = (min, max)`;
+    /// visits nothing when the box is disjoint from the domain.
+    pub fn visit_box<B, V>(&self, bounds_of: B, visit: V) -> bool
+    where
+        B: Fn(usize) -> (f64, f64),
+        V: FnMut(CellId) -> bool,
+    {
+        let disjoint = (0..self.dim()).any(|i| {
+            let (min, max) = bounds_of(i);
+            max < self.domain.min()[i] || min > self.domain.max()[i]
+        });
+        disjoint
+            || self.visit_block(
+                |i| {
+                    let (min, max) = bounds_of(i);
+                    (self.index_in_dim(i, min), self.index_in_dim(i, max))
+                },
+                visit,
+            )
+    }
+
     /// Ids of all cells whose rectangle intersects `query` (closed test).
     pub fn cells_intersecting(&self, query: &Rect) -> Vec<CellId> {
         debug_assert_eq!(query.dim(), self.dim());
-        let d = self.dim();
-        // Per-dimension index range of candidate cells.
-        let mut lo = vec![0usize; d];
-        let mut hi = vec![0usize; d];
-        for i in 0..d {
-            if query.max()[i] < self.domain.min()[i] || query.min()[i] > self.domain.max()[i] {
-                return Vec::new(); // disjoint from the domain
-            }
-            let w = self.widths[i];
-            let n = self.cells_per_dim[i];
-            if w == 0.0 {
-                lo[i] = 0;
-                hi[i] = 0;
-                continue;
-            }
-            let lo_raw = ((query.min()[i] - self.domain.min()[i]) / w).floor();
-            let hi_raw = ((query.max()[i] - self.domain.min()[i]) / w).floor();
-            lo[i] = (lo_raw.max(0.0) as usize).min(n - 1);
-            hi[i] = (hi_raw.max(0.0) as usize).min(n - 1);
-        }
         let mut out = Vec::new();
-        let mut cursor = lo.clone();
-        loop {
-            out.push(self.linearize(&cursor));
-            // advance odometer
-            let mut i = d;
-            loop {
-                if i == 0 {
-                    return out;
-                }
-                i -= 1;
-                if cursor[i] < hi[i] {
-                    cursor[i] += 1;
-                    for (j, c) in cursor.iter_mut().enumerate().skip(i + 1) {
-                        *c = lo[j];
-                    }
-                    break;
-                }
-            }
-        }
+        self.visit_box(
+            |i| (query.min()[i], query.max()[i]),
+            |id| {
+                out.push(id);
+                true
+            },
+        );
+        out
     }
 
     /// Ids of the cells within `radius_cells` grid steps of cell `id`
@@ -246,35 +352,18 @@ impl GridSpec {
     /// neighborhoods.
     pub fn neighborhood(&self, id: CellId, radius_cells: usize, include_self: bool) -> Vec<CellId> {
         let idx = self.delinearize(id);
-        let d = self.dim();
-        let mut lo = vec![0usize; d];
-        let mut hi = vec![0usize; d];
-        for i in 0..d {
-            lo[i] = idx[i].saturating_sub(radius_cells);
-            hi[i] = (idx[i] + radius_cells).min(self.cells_per_dim[i] - 1);
-        }
         let mut out = Vec::new();
-        let mut cursor = lo.clone();
-        loop {
-            let cid = self.linearize(&cursor);
-            if include_self || cid != id {
-                out.push(cid);
-            }
-            let mut i = d;
-            loop {
-                if i == 0 {
-                    return out;
+        self.visit_around(
+            |i| idx[i],
+            |_| radius_cells,
+            |cid| {
+                if include_self || cid != id {
+                    out.push(cid);
                 }
-                i -= 1;
-                if cursor[i] < hi[i] {
-                    cursor[i] += 1;
-                    for (j, c) in cursor.iter_mut().enumerate().skip(i + 1) {
-                        *c = lo[j];
-                    }
-                    break;
-                }
-            }
-        }
+                true
+            },
+        );
+        out
     }
 }
 
@@ -425,6 +514,127 @@ mod tests {
         let g =
             GridSpec::for_cell_based(&domain, 1.0, crate::metric::Metric::Euclidean, 64).unwrap();
         assert_eq!(g.cells_in_dim(0), 64);
+    }
+
+    #[test]
+    fn visit_block_is_row_major_and_stops_when_told() {
+        let domain = Rect::new(vec![0.0; 3], vec![1.0; 3]).unwrap();
+        let g = GridSpec::new(domain, vec![4, 5, 6]).unwrap();
+        let (lo, hi) = ([1, 0, 2], [2, 3, 4]);
+        let mut seen = Vec::new();
+        let finished = g.visit_block(
+            |i| (lo[i], hi[i]),
+            |id| {
+                seen.push(id);
+                true
+            },
+        );
+        assert!(finished);
+        let mut expected = Vec::new();
+        for a in lo[0]..=hi[0] {
+            for b in lo[1]..=hi[1] {
+                for c in lo[2]..=hi[2] {
+                    expected.push(g.linearize(&[a, b, c]));
+                }
+            }
+        }
+        assert_eq!(seen, expected);
+        assert!(seen.windows(2).all(|w| w[0] < w[1]), "ascending ids");
+
+        let mut visited = 0;
+        let finished = g.visit_block(
+            |i| (lo[i], hi[i]),
+            |_| {
+                visited += 1;
+                visited < 7
+            },
+        );
+        assert!(!finished);
+        assert_eq!(visited, 7);
+    }
+
+    #[test]
+    fn visit_around_clamps_and_takes_per_dimension_radii() {
+        let g = unit_grid(10, 10);
+        let count = |center: [usize; 2], radii: [usize; 2]| {
+            let mut n = 0;
+            g.visit_around(
+                |i| center[i],
+                |i| radii[i],
+                |_| {
+                    n += 1;
+                    true
+                },
+            );
+            n
+        };
+        assert_eq!(count([5, 5], [1, 1]), 9);
+        // The paper's 2-d outlier block.
+        assert_eq!(count([5, 5], [3, 3]), 49);
+        assert_eq!(count([5, 5], [0, 2]), 5);
+        assert_eq!(count([0, 0], [1, 1]), 4);
+        assert_eq!(count([9, 0], [3, 1]), 8);
+    }
+
+    /// Largest bin count over the mean bin count when `ids` are hashed and
+    /// binned by `bin_of(hash)` into `bins` bins.
+    fn worst_over_uniform(
+        ids: impl Iterator<Item = CellId>,
+        bins: usize,
+        bin_of: impl Fn(u64) -> usize,
+    ) -> f64 {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<CellIdHasher>::default();
+        let mut counts = vec![0u32; bins];
+        let mut n = 0usize;
+        for id in ids {
+            counts[bin_of(build.hash_one(id))] += 1;
+            n += 1;
+        }
+        let worst = *counts.iter().max().unwrap() as f64;
+        worst / (n as f64 / bins as f64)
+    }
+
+    #[test]
+    fn cell_id_hasher_spreads_strided_ids_over_index_and_control_bits() {
+        // hashbrown indexes buckets by the low bits and tags them with the
+        // top 7. One million ids — consecutive (a walk along the last
+        // dimension) and strided by `cells_per_dim` = 1024 (a walk along
+        // the first dimension at the default cell cap, a power of two
+        // whose products have ten zero low bits before the fold) — must
+        // fill both within these factors of uniform occupancy: the 65,536
+        // index bins (mean ~15.3) stay under 3x, where a uniformly random
+        // hash reaches ~2.6x; the 128 control bins (mean 7,812) under 1.05x.
+        const N: usize = 1_000_000;
+        for stride in [1usize, 1024] {
+            let ids = || (0..N).map(move |i| i * stride);
+            let low16 = worst_over_uniform(ids(), 1 << 16, |h| (h & 0xFFFF) as usize);
+            let top7 = worst_over_uniform(ids(), 1 << 7, |h| (h >> 57) as usize);
+            assert!(
+                low16 < 3.0,
+                "stride {stride}: low 16 bits {low16:.2}x uniform"
+            );
+            assert!(
+                top7 < 1.05,
+                "stride {stride}: top 7 bits {top7:.2}x uniform"
+            );
+        }
+    }
+
+    #[test]
+    fn cell_map_round_trips_and_hasher_is_total() {
+        let mut m: CellMap<u32> = CellMap::default();
+        for id in (0..5000).map(|i| i * 1024) {
+            m.insert(id, id as u32);
+        }
+        assert_eq!(m.len(), 5000);
+        assert!((0..5000).all(|i| m.get(&(i * 1024)) == Some(&((i * 1024) as u32))));
+        assert_eq!(m.get(&7), None);
+        // Byte-slice keys take the `write` path and still hash by content.
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<CellIdHasher>::default();
+        assert_eq!(build.hash_one("abc"), build.hash_one("abc"));
+        assert_ne!(build.hash_one("abc"), build.hash_one("abd"));
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod support;
 
 pub use dataset::{PointId, PointSet};
 pub use error::CoreError;
-pub use grid::{CellId, GridSpec};
+pub use grid::{CellId, CellIdHasher, CellMap, GridSpec};
 pub use kernel::{active_backend, FilterTile, KernelBackend, NeighborPredicate, TileOutcome};
 pub use metric::Metric;
 pub use params::OutlierParams;

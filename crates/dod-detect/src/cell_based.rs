@@ -26,11 +26,10 @@
 use crate::detector::{Detection, DetectionStats, Detector};
 use crate::partition::Partition;
 use crate::scan::{count_tile_excluding, PermutedScan};
-use dod_core::{GridSpec, OutlierParams, Rect};
+use dod_core::{CellId, CellMap, GridSpec, OutlierParams};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// The build-phase product of the Cell-Based detector: the grid plus the
 /// hash of every point into its non-empty cell.
@@ -43,8 +42,13 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct CellIndex {
     grid: GridSpec,
-    buckets: HashMap<usize, Bucket>,
+    buckets: CellMap<Bucket>,
     build_ops: u64,
+    /// Soundness guard of the inlier rule for this grid: every pair of
+    /// points inside a `3^d` block of cells is within `r` — the metric
+    /// distance across a 2-cell-per-dimension span does not exceed it.
+    /// False when the cell cap forced cells wider than `r/(2√d)`.
+    inlier_rule_valid: bool,
 }
 
 impl CellIndex {
@@ -64,11 +68,11 @@ impl CellIndex {
         let bounds = partition.bounding_rect().expect("non-empty partition");
         let grid = GridSpec::for_cell_based(&bounds, params.r, params.metric, max_cells_per_dim)
             .expect("validated params");
+        let mut index = CellIndex::empty(grid, params);
         let n_core = partition.core().len();
-        let mut buckets: HashMap<usize, Bucket> = HashMap::new();
         for idx in 0..partition.total_len() {
             let p = partition.point(idx);
-            let bucket = buckets.entry(grid.cell_of(p)).or_default();
+            let bucket = index.buckets.entry(index.grid.cell_of(p)).or_default();
             // Indices arrive ascending, so each sub-tile's index list is
             // sorted at build time and the per-bucket scan order (core
             // tile, then support tile) matches the unified
@@ -81,11 +85,21 @@ impl CellIndex {
                 bucket.support_coords.extend_from_slice(p);
             }
         }
-        Some(CellIndex {
+        index.build_ops = partition.total_len() as u64;
+        Some(index)
+    }
+
+    /// An index over `grid` holding no points yet.
+    fn empty(grid: GridSpec, params: OutlierParams) -> CellIndex {
+        let dim = grid.dim();
+        let span: Vec<f64> = (0..dim).map(|i| 2.0 * grid.width(i)).collect();
+        let inlier_rule_valid = params.metric.dist(&vec![0.0; dim], &span) <= params.r + 1e-12;
+        CellIndex {
             grid,
-            buckets,
-            build_ops: partition.total_len() as u64,
-        })
+            buckets: CellMap::default(),
+            build_ops: 0,
+            inlier_rule_valid,
+        }
     }
 
     /// Number of points hashed during the build (the `index_operations`
@@ -181,10 +195,7 @@ impl CellIndex {
     /// arbitrary query point `q` (which need not belong to the partition),
     /// stopping early once `cap` neighbors are found.
     ///
-    /// Only cells intersecting the `[q − r, q + r]` box are visited; that
-    /// box contains every possible neighbor under any supported `Lp`
-    /// metric because a single-coordinate difference lower-bounds the
-    /// distance.
+    /// See [`CellIndex::count_core_neighbors_traced`] for how.
     pub fn count_core_neighbors(
         &self,
         partition: &Partition,
@@ -199,6 +210,20 @@ impl CellIndex {
     /// [`CellIndex::count_core_neighbors`] that also returns the work
     /// performed: the number of candidate points examined across all
     /// visited buckets, directly chargeable to `distance_evaluations`.
+    ///
+    /// The paper's inlier rule (Section IV-B) decides first, with no
+    /// distance computation: when `q` lies inside the grid's domain and
+    /// the grid passes the rule's soundness guard, every core point of
+    /// `q`'s own cell and of its `3^d` ring is within `r` of `q`, so as
+    /// soon as those cells — own cell first — hold `cap` core points the
+    /// answer is `(cap, 0)`. Support copies never count. Outside the
+    /// domain `cell_of` clamps, so the cell says nothing about `q` and the
+    /// rule stays off.
+    ///
+    /// Otherwise only cells intersecting the `[q − r, q + r]` box are
+    /// scanned, in ascending cell id; that box contains every possible
+    /// neighbor under any supported `Lp` metric because a
+    /// single-coordinate difference lower-bounds the distance.
     pub fn count_core_neighbors_traced(
         &self,
         partition: &Partition,
@@ -210,24 +235,41 @@ impl CellIndex {
             return (0, 0);
         }
         debug_assert_eq!(q.len(), partition.dim());
-        let pred = params.predicate();
-        let lo: Vec<f64> = q.iter().map(|&v| v - params.r).collect();
-        let hi: Vec<f64> = q.iter().map(|&v| v + params.r).collect();
-        let query = Rect::new(lo, hi).expect("r > 0 makes a valid box");
-        let mut count = 0usize;
-        let mut work = 0u64;
-        for cell in self.grid.cells_intersecting(&query) {
-            let Some(bucket) = self.buckets.get(&cell) else {
-                continue;
-            };
-            let tile: &[f64] = &bucket.core_coords;
-            let outcome = pred.count_within_tile(q, tile, cap - count);
-            count += outcome.found;
-            work += outcome.scanned as u64;
-            if count >= cap {
-                return (count, work);
+        let grid = &self.grid;
+        if self.inlier_rule_valid && grid.domain().contains_closed(q) {
+            let core_in = |cell: CellId| self.buckets.get(&cell).map_or(0, |b| b.core.len());
+            let own = grid.cell_of(q);
+            let mut certain = core_in(own);
+            if certain < cap {
+                grid.visit_around(
+                    |i| grid.index_in_dim(i, q[i]),
+                    |_| 1,
+                    |cell| {
+                        if cell != own {
+                            certain += core_in(cell);
+                        }
+                        certain < cap
+                    },
+                );
+            }
+            if certain >= cap {
+                return (cap, 0);
             }
         }
+        let pred = params.predicate();
+        let mut count = 0usize;
+        let mut work = 0u64;
+        grid.visit_box(
+            |i| (q[i] - params.r, q[i] + params.r),
+            |cell| {
+                if let Some(bucket) = self.buckets.get(&cell) {
+                    let outcome = pred.count_within_tile(q, &bucket.core_coords, cap - count);
+                    count += outcome.found;
+                    work += outcome.scanned as u64;
+                }
+                count < cap
+            },
+        );
         (count, work)
     }
 }
@@ -367,13 +409,6 @@ impl CellBased {
             ..Default::default()
         };
 
-        // Soundness guard for the inlier rule: every pair within the
-        // 3^d block around C (one point inside C) must be within r —
-        // the metric distance across a 2-cell-per-dimension span.
-        let origin = vec![0.0; dim];
-        let span: Vec<f64> = (0..dim).map(|i| 2.0 * grid.width(i)).collect();
-        let inlier_rule_valid = params.metric.dist(&origin, &span) <= params.r + 1e-12;
-
         // Per-dimension radius of the exact candidate block: a neighbor
         // differs by at most ceil(r / width) cell indices per dimension.
         let radii: Vec<usize> = (0..dim)
@@ -415,11 +450,16 @@ impl CellBased {
             let idx = grid.delinearize(cid);
 
             // Inlier rule over the 3^d block.
-            if inlier_rule_valid {
-                let w1: usize = block_cells(grid, &idx, &vec![1; dim])
-                    .into_iter()
-                    .map(count_of)
-                    .sum();
+            if index.inlier_rule_valid {
+                let mut w1 = 0usize;
+                grid.visit_around(
+                    |i| idx[i],
+                    |_| 1,
+                    |c| {
+                        w1 += count_of(c);
+                        true
+                    },
+                );
                 if w1 > params.k {
                     stats.pruned_points += core_in_cell.len() as u64;
                     continue;
@@ -427,7 +467,15 @@ impl CellBased {
             }
 
             // Exact candidate block (outlier rule + per-point fallback).
-            let candidate_cells = block_cells(grid, &idx, &radii);
+            let mut candidate_cells = Vec::new();
+            grid.visit_around(
+                |i| idx[i],
+                |i| radii[i],
+                |c| {
+                    candidate_cells.push(c);
+                    true
+                },
+            );
             let w2: usize = candidate_cells.iter().copied().map(count_of).sum();
             if w2 <= params.k {
                 // Even counting itself, no point in C can reach k neighbors.
@@ -501,37 +549,6 @@ impl CellBased {
         }
         outliers.sort_unstable();
         Detection { outliers, stats }
-    }
-}
-
-/// Ids of all grid cells whose per-dimension index differs from `center`
-/// by at most `radii[i]` in dimension `i` (clamped to the grid).
-fn block_cells(grid: &GridSpec, center: &[usize], radii: &[usize]) -> Vec<usize> {
-    let d = center.len();
-    let mut lo = vec![0usize; d];
-    let mut hi = vec![0usize; d];
-    for i in 0..d {
-        lo[i] = center[i].saturating_sub(radii[i]);
-        hi[i] = (center[i] + radii[i]).min(grid.cells_in_dim(i) - 1);
-    }
-    let mut out = Vec::new();
-    let mut cursor = lo.clone();
-    loop {
-        out.push(grid.linearize(&cursor));
-        let mut i = d;
-        loop {
-            if i == 0 {
-                return out;
-            }
-            i -= 1;
-            if cursor[i] < hi[i] {
-                cursor[i] += 1;
-                for (j, c) in cursor.iter_mut().enumerate().skip(i + 1) {
-                    *c = lo[j];
-                }
-                break;
-            }
-        }
     }
 }
 
@@ -665,18 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn block_cells_counts() {
-        let domain = dod_core::Rect::new(vec![0.0, 0.0], vec![10.0, 10.0]).unwrap();
-        let grid = GridSpec::uniform(domain, 10).unwrap();
-        // interior cell, radius 1 per dim -> 9 cells
-        assert_eq!(block_cells(&grid, &[5, 5], &[1, 1]).len(), 9);
-        // radius 3 -> 49 cells (the paper's 2-d outlier block)
-        assert_eq!(block_cells(&grid, &[5, 5], &[3, 3]).len(), 49);
-        // corner clamps
-        assert_eq!(block_cells(&grid, &[0, 0], &[1, 1]).len(), 4);
-    }
-
-    #[test]
     fn block_restricted_is_exact_and_cheaper_in_fallback_regime() {
         // Intermediate density: neither pruning rule fires for most
         // cells, so the fallback scan dominates. The block-restricted
@@ -694,6 +699,116 @@ mod tests {
             "restricted {} vs full {}",
             restricted.stats.distance_evaluations,
             full.stats.distance_evaluations
+        );
+    }
+
+    /// Checks `count_core_neighbors_traced` against a linear scan over the
+    /// core set (`found == min(true, cap)`) for every `cap` in `1..=k+2`,
+    /// and returns how many probes the inlier rule decided — the ones
+    /// that found neighbors without examining a single candidate.
+    fn rule_decided_probes_after_checking_exactness(
+        index: &CellIndex,
+        part: &Partition,
+        prm: OutlierParams,
+        queries: &[[f64; 2]],
+    ) -> usize {
+        let mut decided = 0;
+        for q in queries {
+            let truth = part.core().iter().filter(|p| prm.neighbors(q, p)).count();
+            for cap in 1..=prm.k + 2 {
+                let (found, work) = index.count_core_neighbors_traced(part, q, prm, cap);
+                assert_eq!(found, truth.min(cap), "query {q:?} cap {cap}");
+                if found > 0 && work == 0 {
+                    assert_eq!(found, cap, "only the rule answers without work");
+                    decided += 1;
+                } else {
+                    assert!(work >= found as u64, "query {q:?} cap {cap}");
+                }
+            }
+        }
+        decided
+    }
+
+    /// 120 core points in a 0.3-wide blob at the origin corner plus a far
+    /// core point that stretches the bounding box to `[0, 10]²`.
+    fn blob_partition(support: &[(f64, f64)]) -> Partition {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut pts: Vec<(f64, f64)> = (0..120)
+            .map(|_| (rng.gen_range(0.0..0.3), rng.gen_range(0.0..0.3)))
+            .collect();
+        pts.push((10.0, 10.0));
+        let ids = (0..pts.len() as u64).collect();
+        Partition::new(PointSet::from_xy(&pts), ids, PointSet::from_xy(support)).unwrap()
+    }
+
+    #[test]
+    fn inlier_rule_is_exact_and_fires_on_a_dense_blob() {
+        let part = blob_partition(&[]);
+        let prm = params(1.0, 4);
+        let index = CellIndex::build(&part, prm, CellBased::DEFAULT_MAX_CELLS_PER_DIM).unwrap();
+        assert!(index.inlier_rule_valid);
+        let queries = [
+            [0.1, 0.1],   // own cell decides
+            [0.5, 0.5],   // empty own cell, the ring decides
+            [0.9, 0.2],   // blob within r but beyond the ring: box walk
+            [5.0, 5.0],   // nothing near
+            [10.0, 10.0], // upper domain corner: its cell holds one point
+        ];
+        let decided = rule_decided_probes_after_checking_exactness(&index, &part, prm, &queries);
+        // Both blob-side queries at every cap in 1..=k+2, the corner at cap 1.
+        assert_eq!(decided, 2 * (prm.k + 2) + 1);
+    }
+
+    #[test]
+    fn inlier_rule_stays_off_when_the_cell_cap_widens_cells() {
+        // Three cells per dimension over a 10-wide box: cells are 3.3 wide,
+        // far beyond r/(2√2), so a full ring says nothing about distance.
+        let part = blob_partition(&[]);
+        let prm = params(1.0, 4);
+        let index = CellIndex::build(&part, prm, 3).unwrap();
+        assert!(!index.inlier_rule_valid);
+        let queries = [[0.1, 0.1], [0.5, 0.5], [2.0, 2.0], [3.2, 0.1], [10.0, 10.0]];
+        let decided = rule_decided_probes_after_checking_exactness(&index, &part, prm, &queries);
+        assert_eq!(decided, 0);
+    }
+
+    #[test]
+    fn inlier_rule_stays_off_outside_the_bounding_box() {
+        // Outside the grid `cell_of` clamps into an edge cell; its count
+        // says nothing about the query, however close the blob is.
+        let part = blob_partition(&[]);
+        let prm = params(1.0, 4);
+        let index = CellIndex::build(&part, prm, CellBased::DEFAULT_MAX_CELLS_PER_DIM).unwrap();
+        let queries = [
+            [-0.05, 0.1], // a hair outside, the whole blob within r
+            [-0.9, 0.1],  // part of the blob within r
+            [0.1, -1.2],  // beyond r of everything, clamps into the blob's cell
+            [-30.0, -30.0],
+            [10.5, 10.0],
+        ];
+        let decided = rule_decided_probes_after_checking_exactness(&index, &part, prm, &queries);
+        assert_eq!(decided, 0);
+    }
+
+    #[test]
+    fn inlier_rule_never_counts_support_copies() {
+        // A cell packed with support copies only, two core points in the
+        // ring: the rule may count the two, never the copies.
+        let support: Vec<(f64, f64)> = (0..40).map(|i| (5.0 + 0.001 * i as f64, 5.0)).collect();
+        let core = PointSet::from_xy(&[(5.4, 5.0), (5.0, 5.4), (0.0, 0.0), (10.0, 10.0)]);
+        let part = Partition::new(core, vec![0, 1, 2, 3], PointSet::from_xy(&support)).unwrap();
+        let prm = params(1.0, 4);
+        let index = CellIndex::build(&part, prm, CellBased::DEFAULT_MAX_CELLS_PER_DIM).unwrap();
+        assert!(index.inlier_rule_valid);
+        let own = &index.buckets[&index.grid.cell_of(&[5.02, 5.0])];
+        assert!(own.core.is_empty() && own.support.len() == 40);
+        let queries = [[5.02, 5.0], [5.3, 5.3]];
+        rule_decided_probes_after_checking_exactness(&index, &part, prm, &queries);
+        assert_eq!(
+            index
+                .count_core_neighbors_traced(&part, &[5.02, 5.0], prm, 6)
+                .0,
+            2
         );
     }
 
@@ -723,24 +838,13 @@ mod tests {
             CellBased::DEFAULT_MAX_CELLS_PER_DIM,
         )
         .unwrap();
-        let mut index = CellIndex::build(&part, prm, CellBased::DEFAULT_MAX_CELLS_PER_DIM).unwrap();
-        index.grid = grid;
-        let rebuilt = {
-            // Rehash under the wider grid: build from the same partition.
-            let mut idx = CellIndex {
-                grid: index.grid.clone(),
-                buckets: HashMap::new(),
-                build_ops: 0,
-            };
-            for i in 0..part.core().len() {
-                assert!(idx.insert_core(i as u32, part.core().point(i)));
-            }
-            for i in 0..part.support().len() {
-                assert!(idx.insert_support(i as u32, part.support().point(i)));
-            }
-            idx
-        };
-        let mut index = rebuilt;
+        let mut index = CellIndex::empty(grid, prm);
+        for i in 0..part.core().len() {
+            assert!(index.insert_core(i as u32, part.core().point(i)));
+        }
+        for i in 0..part.support().len() {
+            assert!(index.insert_support(i as u32, part.support().point(i)));
+        }
         for i in 40..60 {
             let p: Vec<f64> = full.core().point(i).to_vec();
             let ci = part.push_core(&p, i as u64).unwrap();

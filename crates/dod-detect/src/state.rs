@@ -317,7 +317,8 @@ impl PartitionState {
     /// kernel work performed (candidate points examined, plus tree nodes
     /// visited on the index-based path) — the per-request counterpart of
     /// [`crate::DetectionStats::total_work`], feeding the engine's
-    /// per-partition work counters.
+    /// per-partition work counters. A probe a cell-indexed state decides
+    /// by the inlier rule examines no candidate and reports `(cap, 0)`.
     pub fn count_core_neighbors_traced(&self, q: &[f64], cap: usize) -> (usize, u64) {
         match &self.index {
             StateIndex::Cells(cells) => {
@@ -449,23 +450,32 @@ mod tests {
     }
 
     #[test]
-    fn traced_counts_match_and_report_positive_work() {
+    fn traced_counts_match_and_charge_work_unless_the_inlier_rule_decides() {
         let partition = sample_partition();
         let params = OutlierParams::new(1.0, 2).unwrap();
         for kind in ALL_KINDS {
             let state = PartitionState::build(kind, Arc::clone(&partition), params);
+            // Uncapped, nothing can be decided early: every kind examines
+            // at least the neighbors it reports.
             let (found, work) = state.count_core_neighbors_traced(&[0.1, 0.1], usize::MAX);
             assert_eq!(found, state.count_core_neighbors(&[0.1, 0.1], usize::MAX));
+            assert_eq!(found, 3, "kind {}", kind.name());
             assert!(
                 work >= found as u64,
                 "kind {}: work {work} < found {found}",
                 kind.name()
             );
-            assert!(
-                work > 0,
-                "kind {}: query near the cluster does work",
-                kind.name()
-            );
+            // Capped at k, the query's own grid cell already holds the
+            // three cluster points: cell-indexed states answer by the
+            // inlier rule with no candidate examined, the others scan.
+            let (found, work) = state.count_core_neighbors_traced(&[0.1, 0.1], params.k);
+            assert_eq!(found, params.k, "kind {}", kind.name());
+            match kind {
+                AlgorithmKind::CellBased | AlgorithmKind::CellBasedFullScan => {
+                    assert_eq!(work, 0, "kind {}", kind.name());
+                }
+                _ => assert!(work >= found as u64, "kind {}: work {work}", kind.name()),
+            }
         }
     }
 
@@ -531,6 +541,63 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn capped_counts_stay_exact_through_interleaved_mutations_and_a_compaction() {
+        // A dense blob the inlier rule decides, churned by interleaved
+        // core/support inserts and removals past the compaction threshold:
+        // after every step each capped count must equal the linear scan
+        // over the surviving core set — the rule reads live bucket sizes.
+        let params = OutlierParams::new(1.0, 3).unwrap();
+        let blob = |i: u64| [0.01 * (i % 17) as f64, 0.013 * (i % 11) as f64];
+        let mut core = PointSet::new(2).unwrap();
+        for i in 0..20 {
+            core.push(&blob(i)).unwrap();
+        }
+        core.push(&[6.0, 6.0]).unwrap();
+        let partition = Partition::new(core, (0..21).collect(), PointSet::new(2).unwrap());
+        let mut state = PartitionState::build(
+            AlgorithmKind::CellBased,
+            Arc::new(partition.unwrap()),
+            params,
+        );
+        let queries = [
+            [0.05, 0.05],
+            [0.5, 0.5],
+            [3.0, 3.0],
+            [6.0, 6.0],
+            [-0.2, 0.0],
+        ];
+        let mut compacted = false;
+        let mut decided = 0;
+        for step in 0..60u64 {
+            let before = state.pending_mutations();
+            match step % 4 {
+                0 => state.insert_core(&blob(step + 3), 100 + step).unwrap(),
+                1 => state.insert_support(&blob(step)).unwrap(),
+                // Odd original blob ids first, then the oldest streamed ones.
+                2 if step < 40 => assert!(state.remove_core(step / 2)),
+                2 => assert!(state.remove_core(100 + step - 42)),
+                _ => assert!(state.remove_support_matching(&blob(step - 2))),
+            }
+            compacted |= state.pending_mutations() <= before;
+            for q in &queries {
+                let truth = state
+                    .partition()
+                    .core()
+                    .iter()
+                    .filter(|p| params.neighbors(q, p))
+                    .count();
+                for cap in 1..=params.k + 2 {
+                    let (found, work) = state.count_core_neighbors_traced(q, cap);
+                    assert_eq!(found, truth.min(cap), "step {step} query {q:?} cap {cap}");
+                    decided += usize::from(found > 0 && work == 0);
+                }
+            }
+        }
+        assert!(compacted, "60 mutations cross the 32-mutation threshold");
+        assert!(decided > 0, "the blob queries are rule-decided");
     }
 
     #[test]

@@ -532,14 +532,13 @@ impl Shared {
         let mut cores: Vec<PointSet> = (0..n_parts).map(|_| new_set()).collect();
         let mut core_ids: Vec<Vec<PointId>> = vec![Vec::new(); n_parts];
         let mut supports: Vec<PointSet> = (0..n_parts).map(|_| new_set()).collect();
+        let mut support = Vec::new();
         for (i, &point_id) in point_ids.iter().enumerate() {
             let p = data.point(i);
-            let routing = pre.router.route(p);
-            cores[routing.core as usize]
-                .push(p)
-                .expect("same dimension");
-            core_ids[routing.core as usize].push(point_id);
-            for &pid in &routing.support {
+            let core = pre.router.route_into(p, &mut support) as usize;
+            cores[core].push(p).expect("same dimension");
+            core_ids[core].push(point_id);
+            for &pid in &support {
                 supports[pid as usize].push(p).expect("same dimension");
             }
         }
@@ -701,16 +700,49 @@ impl Shared {
         }
     }
 
+    /// Answers one request of any kind; `budget_at` turns a score into
+    /// degraded-mode scoring.
+    fn answer(
+        &self,
+        req: Request,
+        budget_at: Option<Instant>,
+        deadline: Option<Instant>,
+        rid: RequestId,
+    ) -> Result<Response, EngineError> {
+        match req {
+            Request::Score { points } => match budget_at {
+                Some(at) => self
+                    .score_degraded(&points, at, rid)
+                    .map(Response::ScoreDegraded),
+                None => self.score(&points, deadline, rid).map(Response::Score),
+            },
+            Request::Detect => self.detect_all(deadline, rid).map(Response::Outliers),
+            Request::Insert { points } => self.insert(&points, deadline, rid).map(Response::Insert),
+            Request::Remove { ids } => self.remove(&ids, deadline, rid).map(Response::Remove),
+            Request::Window { config } => self.window(config, deadline, rid).map(Response::Window),
+        }
+    }
+
     /// Scores a batch against the resident state (the `score` op).
     ///
+    /// Each query's partitions come from the plan's [`Router`]: exactly
+    /// the partitions whose rectangle is within `r` of it, ascending, for
+    /// queries inside the plan's domain or not (the router's documentation
+    /// carries the argument). Core sets partition the dataset (Lemma 3.1
+    /// replicates only support copies), so no other partition can hold a
+    /// core neighbor.
+    ///
     /// Queries run in groups of [`SCORE_GROUP`] with the partition loop
-    /// outside the group: every partition's core tile is visited once
-    /// per group through the kernel layer's query-blocked entry point
-    /// rather than once per query. The visit order swap is exact — a
-    /// query's early-exit cap at partition `pid` depends only on its
-    /// neighbors found in partitions before `pid`, which both orders
-    /// accumulate identically — so per-query results, per-partition work,
-    /// and traffic counters all match the query-at-a-time loop.
+    /// outside the group: the union of the group's lists is walked in
+    /// ascending partition id, and each partition is visited once per
+    /// group — through the kernel layer's query-blocked entry point —
+    /// with the queries that list it and still need neighbors. The order
+    /// swap is exact: a query meets its own partitions in ascending id
+    /// either way, and its early-exit cap at partition `pid` depends only
+    /// on the neighbors it found in its partitions before `pid`, which
+    /// both orders accumulate identically — so per-query results,
+    /// per-partition work, and traffic counters all match scoring one
+    /// query at a time against every partition within `r` of it.
     fn score(
         &self,
         points: &[Vec<f64>],
@@ -719,13 +751,21 @@ impl Shared {
     ) -> Result<Vec<ScorePoint>, EngineError> {
         let _serving = read_recover(&self.ingest);
         let resident = Arc::clone(&read_recover(&self.resident));
-        let params = self.runner.config().params;
-        let (r, k, metric) = (params.r, params.k, params.metric);
+        let k = self.runner.config().params.k;
         let mut out = Vec::with_capacity(points.len());
         let n_parts = resident.plan.as_ref().map_or(0, |p| p.mt.num_partitions());
         let mut traffic = vec![0u64; n_parts];
         let mut work = vec![0u64; n_parts];
-        for group in points.chunks(SCORE_GROUP.max(1)) {
+        // Every query's partition list laid end to end (`lists[..ends[0]]`
+        // is the first query's), and a read cursor into each.
+        let mut lists: Vec<u32> = Vec::new();
+        let mut ends = [0usize; SCORE_GROUP];
+        let mut cursors = [0usize; SCORE_GROUP];
+        let mut neighbors = [0usize; SCORE_GROUP];
+        let mut qrefs: Vec<&[f64]> = Vec::with_capacity(SCORE_GROUP);
+        let mut caps: Vec<usize> = Vec::with_capacity(SCORE_GROUP);
+        let mut members: Vec<usize> = Vec::with_capacity(SCORE_GROUP);
+        for group in points.chunks(SCORE_GROUP) {
             if let Some(d) = deadline {
                 if Instant::now() > d {
                     return Err(EngineError::DeadlineExceeded);
@@ -747,36 +787,34 @@ impl Shared {
                 }));
                 continue;
             };
-            for q in group {
+            lists.clear();
+            for (j, q) in group.iter().enumerate() {
                 traffic[plan.mt.plan.locate(q) as usize] += 1;
+                cursors[j] = lists.len();
+                plan.router.within_r_into(q, &mut lists);
+                ends[j] = lists.len();
+                neighbors[j] = 0;
             }
-            let mut neighbors = vec![0usize; group.len()];
-            let mut qrefs: Vec<&[f64]> = Vec::with_capacity(group.len());
-            let mut caps: Vec<usize> = Vec::with_capacity(group.len());
-            let mut members: Vec<usize> = Vec::with_capacity(group.len());
-            for (pid, slot) in plan.states.iter().enumerate() {
-                if neighbors.iter().all(|&nb| nb >= k) {
-                    break;
-                }
-                // Core sets partition the dataset (Lemma 3.1 replicates
-                // only support copies), so partitions whose rectangle is
-                // farther than `r` cannot contribute core neighbors.
-                let rect = plan.mt.plan.rect(pid);
+            loop {
+                // The lowest partition some unsatisfied query still lists.
+                let next = (0..group.len())
+                    .filter(|&j| neighbors[j] < k && cursors[j] < ends[j])
+                    .map(|j| lists[cursors[j]])
+                    .min();
+                let Some(pid) = next else { break };
                 qrefs.clear();
                 caps.clear();
                 members.clear();
                 for (j, q) in group.iter().enumerate() {
-                    if neighbors[j] >= k || metric.min_dist_to_rect(rect.min(), rect.max(), q) > r {
-                        continue;
+                    if neighbors[j] < k && cursors[j] < ends[j] && lists[cursors[j]] == pid {
+                        cursors[j] += 1;
+                        members.push(j);
+                        qrefs.push(q.as_slice());
+                        caps.push(k - neighbors[j]);
                     }
-                    members.push(j);
-                    qrefs.push(q.as_slice());
-                    caps.push(k - neighbors[j]);
                 }
-                if members.is_empty() {
-                    continue;
-                }
-                let state = read_recover(slot);
+                let pid = pid as usize;
+                let state = read_recover(&plan.states[pid]);
                 if state.core_len() == 0 {
                     continue;
                 }
@@ -786,7 +824,7 @@ impl Shared {
                     work[pid] += w;
                 }
             }
-            out.extend(neighbors.iter().map(|&nb| ScorePoint {
+            out.extend(neighbors[..group.len()].iter().map(|&nb| ScorePoint {
                 neighbors: nb,
                 outlier: nb < k,
             }));
@@ -818,11 +856,11 @@ impl Shared {
     ) -> Result<Vec<DegradedScore>, EngineError> {
         let _serving = read_recover(&self.ingest);
         let resident = Arc::clone(&read_recover(&self.resident));
-        let params = self.runner.config().params;
-        let (r, k, metric) = (params.r, params.k, params.metric);
+        let k = self.runner.config().params.k;
         let mut out = Vec::with_capacity(points.len());
         let mut work = vec![0u64; resident.plan.as_ref().map_or(0, |p| p.mt.num_partitions())];
         let mut over_budget = false;
+        let mut within_r: Vec<u32> = Vec::new();
         for q in points {
             if q.len() != self.dim {
                 return Err(EngineError::Dimension {
@@ -841,7 +879,9 @@ impl Shared {
             let mut neighbors = 0usize;
             let mut degraded = over_budget;
             if !degraded {
-                for (pid, slot) in plan.states.iter().enumerate() {
+                within_r.clear();
+                plan.router.within_r_into(q, &mut within_r);
+                for &pid in &within_r {
                     if Instant::now() > budget_at {
                         over_budget = true;
                         degraded = true;
@@ -850,17 +890,13 @@ impl Shared {
                     if neighbors >= k {
                         break;
                     }
-                    let rect = plan.mt.plan.rect(pid);
-                    if metric.min_dist_to_rect(rect.min(), rect.max(), q) > r {
-                        continue;
-                    }
-                    let state = read_recover(slot);
+                    let state = read_recover(&plan.states[pid as usize]);
                     if state.core_len() == 0 {
                         continue;
                     }
                     let (found, w) = state.count_core_neighbors_traced(q, k - neighbors);
                     neighbors += found;
-                    work[pid] += w;
+                    work[pid as usize] += w;
                 }
             }
             out.push(DegradedScore {
@@ -958,25 +994,26 @@ impl Shared {
                     // partition's rectangle (then any resident y within
                     // r of p already has p's partition in its support
                     // set, so no existing membership changes).
-                    let domain = plan.mt.plan.domain();
-                    let routings: Vec<_> = points.iter().map(|p| plan.router.route(p)).collect();
-                    let exact = points.iter().zip(&routings).all(|(p, routing)| {
-                        domain.contains_closed(p)
-                            && plan.mt.plan.rect(routing.core as usize).contains_closed(p)
+                    let rects = &plan.mt.plan;
+                    let exact = points.iter().all(|p| {
+                        rects.domain().contains_closed(p)
+                            && rects.rect(rects.locate(p) as usize).contains_closed(p)
                     });
                     if exact {
                         {
                             let mut observed = lock_recover(&self.observed);
-                            for ((p, &id), routing) in points.iter().zip(&ids).zip(&routings) {
-                                write_recover(&plan.states[routing.core as usize])
+                            let mut support = Vec::new();
+                            for (p, &id) in points.iter().zip(&ids) {
+                                let core = plan.router.route_into(p, &mut support) as usize;
+                                write_recover(&plan.states[core])
                                     .insert_core(p, id)
                                     .expect("dimension validated above");
-                                for &pid in &routing.support {
+                                for &pid in &support {
                                     write_recover(&plan.states[pid as usize])
                                         .insert_support(p)
                                         .expect("dimension validated above");
                                 }
-                                if let Some(slot) = observed.get_mut(routing.core as usize) {
+                                if let Some(slot) = observed.get_mut(core) {
                                     *slot += 1.0;
                                 }
                             }
@@ -1090,13 +1127,14 @@ impl Shared {
             return;
         }
         let mut observed = lock_recover(&self.observed);
+        let mut support = Vec::new();
         for (id, coords) in removed {
-            let routing = plan.router.route(coords);
-            write_recover(&plan.states[routing.core as usize]).remove_core(*id);
-            for &pid in &routing.support {
+            let core = plan.router.route_into(coords, &mut support) as usize;
+            write_recover(&plan.states[core]).remove_core(*id);
+            for &pid in &support {
                 write_recover(&plan.states[pid as usize]).remove_support_matching(coords);
             }
-            if let Some(slot) = observed.get_mut(routing.core as usize) {
+            if let Some(slot) = observed.get_mut(core) {
                 *slot += 1.0;
             }
         }
@@ -1314,9 +1352,11 @@ impl EngineBuilder {
 /// Preprocessing (sampling, partition planning, per-partition algorithm
 /// selection) and detector-state materialization run **once**, at
 /// [`EngineBuilder::build`]; every subsequent request is served from the
-/// resident [`PartitionState`]s on a bounded worker pool. All requests
-/// go through one entry point, [`Engine::submit`] (or
-/// [`Engine::submit_with`] for per-request [`RequestOptions`]):
+/// resident [`PartitionState`]s. All requests go through one entry
+/// point, [`Engine::submit`] (or [`Engine::submit_with`] for per-request
+/// [`RequestOptions`]), which queues them for a bounded worker pool;
+/// [`Engine::execute`] is the same entry point for a caller that would
+/// only wait, and runs the request on the caller's thread:
 ///
 /// * [`Request::Score`] — classify external query points against the
 ///   resident dataset (exact, or degraded under a time budget);
@@ -1473,46 +1513,69 @@ impl Engine {
         req: Request,
         opts: RequestOptions,
     ) -> Result<Pending<Response>, EngineError> {
+        let (op, items, deadline, budget_at) = self.describe(&req, &opts);
+        self.submit_job(op, items, deadline, move |shared, d, rid| {
+            shared.answer(req, budget_at, d, rid)
+        })
+    }
+
+    /// Runs a request to completion on the calling thread, with default
+    /// options.
+    ///
+    /// For a caller that would [`submit`](Engine::submit) and
+    /// [`wait`](Pending::wait) at once — `dod serve`'s one-request-at-a-time
+    /// loop is one. Everything a submitted request gets applies: request
+    /// id, deadline, panic containment, the in-flight gauge, the request
+    /// span, the flight dump on error. What it skips is the queue, and
+    /// with it two thread wake-ups per request: on a small virtual
+    /// machine each costs what scoring fifty to a hundred points costs,
+    /// and how much depends on where the scheduler puts the woken thread,
+    /// which changes from one second to the next. Nothing is rejected
+    /// with [`EngineError::Overloaded`] here — the callers' own threads
+    /// bound the concurrency — and the worker threads stay free for
+    /// submitted requests.
+    pub fn execute(&self, req: Request) -> Result<Response, EngineError> {
+        self.execute_with(req, RequestOptions::default())
+    }
+
+    /// [`Engine::execute`] with explicit per-request [`RequestOptions`].
+    pub fn execute_with(
+        &self,
+        req: Request,
+        opts: RequestOptions,
+    ) -> Result<Response, EngineError> {
+        let (op, items, deadline, budget_at) = self.describe(&req, &opts);
+        let shared = &*self.shared;
+        self.ticket(op, items, deadline)
+            .run(shared, |d, rid| shared.answer(req, budget_at, d, rid))
+    }
+
+    /// A request's op label, size and deadline, and the instant its
+    /// degraded budget (scores only) runs out.
+    fn describe(
+        &self,
+        req: &Request,
+        opts: &RequestOptions,
+    ) -> (&'static str, usize, Option<Duration>, Option<Instant>) {
         let deadline = opts.deadline.or(self.default_deadline);
         match req {
-            Request::Score { points } => {
-                let items = points.len();
-                if let Some(budget) = opts.degraded {
-                    let budget_at = Instant::now() + budget;
-                    self.submit_job("score_degraded", items, None, move |shared, _, rid| {
-                        shared
-                            .score_degraded(&points, budget_at, rid)
-                            .map(Response::ScoreDegraded)
-                    })
-                } else {
-                    self.submit_job("score", items, deadline, move |shared, d, rid| {
-                        shared.score(&points, d, rid).map(Response::Score)
-                    })
-                }
-            }
+            Request::Score { points } => match opts.degraded {
+                // A degraded score answers late instead of failing late.
+                Some(budget) => (
+                    "score_degraded",
+                    points.len(),
+                    None,
+                    Some(Instant::now() + budget),
+                ),
+                None => ("score", points.len(), deadline, None),
+            },
             Request::Detect => {
                 let items = lock_recover(&self.shared.dataset).alive_len;
-                self.submit_job("detect", items, deadline, move |shared, d, rid| {
-                    shared.detect_all(d, rid).map(Response::Outliers)
-                })
+                ("detect", items, deadline, None)
             }
-            Request::Insert { points } => {
-                let items = points.len();
-                self.submit_job("insert", items, deadline, move |shared, d, rid| {
-                    shared.insert(&points, d, rid).map(Response::Insert)
-                })
-            }
-            Request::Remove { ids } => {
-                let items = ids.len();
-                self.submit_job("remove", items, deadline, move |shared, d, rid| {
-                    shared.remove(&ids, d, rid).map(Response::Remove)
-                })
-            }
-            Request::Window { config } => {
-                self.submit_job("window", 0, deadline, move |shared, d, rid| {
-                    shared.window(config, d, rid).map(Response::Window)
-                })
-            }
+            Request::Insert { points } => ("insert", points.len(), deadline, None),
+            Request::Remove { ids } => ("remove", ids.len(), deadline, None),
+            Request::Window { .. } => ("window", 0, deadline, None),
         }
     }
 
@@ -1589,6 +1652,18 @@ impl Engine {
         })
     }
 
+    /// Numbers a request and starts its deadline clock. Ids are minted
+    /// at submission so queued-but-unstarted requests are already
+    /// attributable.
+    fn ticket(&self, op: &'static str, items: usize, deadline: Option<Duration>) -> Ticket {
+        Ticket {
+            op,
+            items,
+            deadline_at: deadline.map(|d| Instant::now() + d),
+            rid: self.shared.requests.fetch_add(1, Ordering::AcqRel) + 1,
+        }
+    }
+
     fn submit_job<T: Send + 'static>(
         &self,
         op: &'static str,
@@ -1596,70 +1671,11 @@ impl Engine {
         deadline: Option<Duration>,
         f: impl FnOnce(&Shared, Option<Instant>, RequestId) -> Result<T, EngineError> + Send + 'static,
     ) -> Result<Pending<T>, EngineError> {
-        let deadline_at = deadline.map(|d| Instant::now() + d);
+        let ticket = self.ticket(op, items, deadline);
         let shared = Arc::clone(&self.shared);
-        // Mint the request id at submission so queued-but-unstarted
-        // requests are already attributable.
-        let rid = self.shared.requests.fetch_add(1, Ordering::AcqRel) + 1;
         let (tx, pending) = Pending::channel();
         let job: Job = Box::new(move || {
-            let obs = shared.obs.clone();
-            let epoch = read_recover(&shared.resident).epoch;
-            let t0 = Instant::now();
-            let result = if deadline_at.is_some_and(|d| Instant::now() > d) {
-                // Expired while queued: never executed.
-                Err(EngineError::DeadlineExceeded)
-            } else {
-                // Contain a panicking request to this request: the
-                // Pending resolves to `TaskPanicked` and the worker
-                // thread survives to serve the next request. The
-                // in-flight gauge covers exactly the execution (released
-                // before the result is sent, so a caller who just
-                // observed completion sees a consistent snapshot).
-                let _in_flight = InFlightGuard::new(&shared.in_flight);
-                match catch_unwind(AssertUnwindSafe(|| f(&shared, deadline_at, rid))) {
-                    Ok(result) => result,
-                    Err(payload) => {
-                        shared.panics.fetch_add(1, Ordering::AcqRel);
-                        obs.counter(
-                            names::ENGINE_PANICS,
-                            1,
-                            &[("op", Value::from(op)), ("request", Value::from(rid))],
-                        );
-                        Err(EngineError::TaskPanicked {
-                            message: panic_message(payload.as_ref()),
-                        })
-                    }
-                }
-            };
-            // The request span is emitted for failures too, tagged with
-            // the error kind, so the flight recorder's dump always
-            // contains the offending request's span.
-            let error = result.as_ref().err().map(error_reason);
-            let mut labels = vec![
-                ("op", Value::from(op)),
-                ("items", Value::from(items)),
-                ("epoch", Value::from(epoch)),
-                ("request", Value::from(rid)),
-            ];
-            if let Some(reason) = error {
-                labels.push(("error", Value::from(reason)));
-            }
-            obs.record_duration(names::ENGINE_REQUEST, t0.elapsed(), &labels);
-            match &result {
-                Ok(_) => {
-                    // Served entirely from resident state — no rebuild.
-                    obs.counter(names::ENGINE_CACHE_HITS, 1, &[("op", Value::from(op))]);
-                }
-                Err(EngineError::DeadlineExceeded) => {
-                    obs.counter(names::ENGINE_DEADLINE_MISSES, 1, &[("op", Value::from(op))]);
-                }
-                Err(_) => {}
-            }
-            if let Some(reason) = error {
-                shared.dump_flight(reason, rid, op);
-            }
-            let _ = tx.send(result);
+            let _ = tx.send(ticket.run(&shared, |d, rid| f(&shared, d, rid)));
         });
         match self.pool.try_submit(job) {
             Ok(depth) => {
@@ -1793,6 +1809,84 @@ impl Gate {
     fn open(&self) {
         *lock_recover(&self.released) = true;
         self.cv.notify_all();
+    }
+}
+
+/// One admitted request: what the request span and the counters say
+/// about it, and when it stops being worth running.
+struct Ticket {
+    op: &'static str,
+    items: usize,
+    deadline_at: Option<Instant>,
+    rid: RequestId,
+}
+
+impl Ticket {
+    /// Runs the request on the calling thread — a pool worker for a
+    /// submitted request, the caller's own for [`Engine::execute`] — and
+    /// accounts for it.
+    fn run<T>(
+        &self,
+        shared: &Shared,
+        f: impl FnOnce(Option<Instant>, RequestId) -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        let (op, rid) = (self.op, self.rid);
+        let obs = &shared.obs;
+        let epoch = read_recover(&shared.resident).epoch;
+        let t0 = Instant::now();
+        let result = if self.deadline_at.is_some_and(|d| t0 > d) {
+            // Expired while queued: never executed.
+            Err(EngineError::DeadlineExceeded)
+        } else {
+            // Contain a panicking request to this request: it resolves
+            // to `TaskPanicked` and the thread survives to serve the
+            // next one. The in-flight gauge covers exactly the execution
+            // (released before the result is handed over, so a caller
+            // who just observed completion sees a consistent snapshot).
+            let _in_flight = InFlightGuard::new(&shared.in_flight);
+            match catch_unwind(AssertUnwindSafe(|| f(self.deadline_at, rid))) {
+                Ok(result) => result,
+                Err(payload) => {
+                    shared.panics.fetch_add(1, Ordering::AcqRel);
+                    obs.counter(
+                        names::ENGINE_PANICS,
+                        1,
+                        &[("op", Value::from(op)), ("request", Value::from(rid))],
+                    );
+                    Err(EngineError::TaskPanicked {
+                        message: panic_message(payload.as_ref()),
+                    })
+                }
+            }
+        };
+        // The request span is emitted for failures too, tagged with the
+        // error kind, so the flight recorder's dump always contains the
+        // offending request's span.
+        let error = result.as_ref().err().map(error_reason);
+        let mut labels = vec![
+            ("op", Value::from(op)),
+            ("items", Value::from(self.items)),
+            ("epoch", Value::from(epoch)),
+            ("request", Value::from(rid)),
+        ];
+        if let Some(reason) = error {
+            labels.push(("error", Value::from(reason)));
+        }
+        obs.record_duration(names::ENGINE_REQUEST, t0.elapsed(), &labels);
+        match &result {
+            Ok(_) => {
+                // Served entirely from resident state — no rebuild.
+                obs.counter(names::ENGINE_CACHE_HITS, 1, &[("op", Value::from(op))]);
+            }
+            Err(EngineError::DeadlineExceeded) => {
+                obs.counter(names::ENGINE_DEADLINE_MISSES, 1, &[("op", Value::from(op))]);
+            }
+            Err(_) => {}
+        }
+        if let Some(reason) = error {
+            shared.dump_flight(reason, rid, op);
+        }
+        result
     }
 }
 

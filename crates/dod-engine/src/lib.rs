@@ -39,6 +39,9 @@
 //! queue: when the queue is full, [`EngineError::Overloaded`] is
 //! returned immediately instead of queueing without bound, and each
 //! request may carry a deadline ([`EngineError::DeadlineExceeded`]).
+//! A caller with one request in flight at a time can skip the queue
+//! and its two thread wake-ups: [`Engine::execute`] runs the same
+//! request, with the same accounting, on the caller's own thread.
 //! Mutations interleave safely with in-flight scoring: a reader–writer
 //! gate serializes them, so a score never observes a half-applied
 //! insert.
@@ -674,7 +677,12 @@ mod tests {
             .unwrap();
         let runner = DodRunner::builder().config(config).multi_tactic().build();
         let engine = Engine::builder(runner).build(&data).unwrap();
-        score(&engine, vec![vec![0.7, 0.7]]);
+        // Off the cluster's edge: five cluster points lie within r, but
+        // none in the query's own grid cell or its ring, so no state can
+        // answer by the inlier rule — a rule-decided probe examines no
+        // candidate, reports zero work, and emits no counter at all.
+        let scores = score(&engine, vec![vec![2.0, 0.4]]);
+        assert_eq!(scores[0].neighbors, 4, "capped at k");
         let events = memory.events();
         let span = events
             .iter()
@@ -688,7 +696,7 @@ mod tests {
             .collect();
         assert!(
             !work.is_empty(),
-            "scoring near the cluster does kernel work"
+            "scoring off the cluster's edge examines candidates"
         );
         for w in &work {
             assert_eq!(w.label("request").and_then(|v| v.as_u64()), Some(rid));
@@ -801,6 +809,56 @@ mod tests {
         let text = metrics.render_prometheus();
         assert!(text.contains("dod_engine_cost_calibration"));
         assert!(text.contains("algorithm="));
+    }
+
+    /// `execute` answers what `submit` answers, on the caller's thread:
+    /// the only worker is parked behind the pause gate throughout.
+    #[test]
+    fn execute_answers_on_the_calling_thread() {
+        let (data, params) = cluster_with_outlier();
+        let engine = Engine::builder(runner(params))
+            .workers(1)
+            .build(&data)
+            .unwrap();
+        let probes = vec![vec![0.7, 0.7], vec![50.0, 49.9], vec![-20.0, 3.0]];
+        let outliers = detect(&engine);
+        let scores = score(&engine, probes.clone());
+        let before = engine.health().requests;
+
+        let _parked = engine.pause();
+        let got = engine.execute(Request::Detect).unwrap();
+        assert_eq!(got.into_outliers().unwrap(), outliers);
+        let got = engine.execute(Request::Score { points: probes }).unwrap();
+        assert_eq!(got.into_score().unwrap(), scores);
+        let budget = RequestOptions::new().degraded(std::time::Duration::from_secs(60));
+        let got = engine
+            .execute_with(
+                Request::Score {
+                    points: vec![vec![0.7, 0.7]],
+                },
+                budget,
+            )
+            .unwrap();
+        assert!(!got.into_degraded().unwrap()[0].degraded);
+        let receipt = engine
+            .execute(Request::Insert {
+                points: vec![vec![49.9, 50.0]],
+            })
+            .unwrap()
+            .into_insert()
+            .unwrap();
+        assert_eq!(receipt.ids, vec![41]);
+        // Errors are the request's own, typed, and counted like any other.
+        let err = engine
+            .execute(Request::Score {
+                points: vec![vec![1.0]],
+            })
+            .unwrap_err();
+        assert!(matches!(err, EngineError::Dimension { .. }));
+        let health = engine.health();
+        assert_eq!(health.requests, before + 5);
+        assert_eq!(health.in_flight, 0);
+        assert_eq!(health.queue_depth, 0);
     }
 
     #[test]

@@ -122,34 +122,24 @@ impl PartitionPlan {
         for (pid, cluster) in clusters.iter().enumerate() {
             rects.push(buckets.to_real_rect(&cluster.rect));
             // Paint every bucket of the cluster.
-            let d = grid.dim();
-            let mut cursor: Vec<usize> = cluster.rect.lo().iter().map(|&v| v as usize).collect();
-            let hi: Vec<usize> = cluster.rect.hi().iter().map(|&v| v as usize).collect();
-            loop {
-                let cell = grid.linearize(&cursor);
-                if lut[cell] != u32::MAX {
-                    return Err(CoreError::InvalidParameter {
-                        name: "clusters",
-                        reason: format!("bucket {cell} covered twice"),
-                    });
-                }
-                lut[cell] = pid as u32;
-                let mut i = d;
-                let mut done = true;
-                while i > 0 {
-                    i -= 1;
-                    if cursor[i] < hi[i] {
-                        cursor[i] += 1;
-                        for (j, c) in cursor.iter_mut().enumerate().take(d).skip(i + 1) {
-                            *c = cluster.rect.lo()[j] as usize;
-                        }
-                        done = false;
-                        break;
+            let (lo, hi) = (cluster.rect.lo(), cluster.rect.hi());
+            let mut covered_twice = None;
+            grid.visit_block(
+                |i| (lo[i] as usize, hi[i] as usize),
+                |cell| {
+                    if lut[cell] != u32::MAX {
+                        covered_twice = Some(cell);
+                        return false;
                     }
-                }
-                if done {
-                    break;
-                }
+                    lut[cell] = pid as u32;
+                    true
+                },
+            );
+            if let Some(cell) = covered_twice {
+                return Err(CoreError::InvalidParameter {
+                    name: "clusters",
+                    reason: format!("bucket {cell} covered twice"),
+                });
             }
         }
         if lut.contains(&u32::MAX) {
@@ -240,35 +230,48 @@ pub struct Routing {
 /// A coarse uniform grid maps each coarse cell to the candidate partitions
 /// whose r-expanded rectangle intersects it, so routing a point tests only
 /// a handful of partitions instead of all `m`.
+///
+/// The candidate list is complete for **any** `x`, inside the plan's
+/// domain or not: if a partition's rectangle is within `r` of `x` under
+/// any supported metric, every per-coordinate gap is at most `r`, so `x`
+/// lies in the rectangle's r-expanded box. `coarse.cell_of(x)` is the cell
+/// of `x` clamped onto the domain, and that projection stays inside every
+/// r-expanded box that contains `x` — per dimension, clamping moves `x`
+/// to a domain bound, which lies between `x` and the rectangle because the
+/// rectangle is inside the domain. So the partition was painted into the
+/// projection's cell at build time. (The per-dimension cell index is a
+/// monotone function of the coordinate, computed by the same expression
+/// when painting and when looking up, so this holds in floating point; the
+/// few-ulp slack at build time covers the rounding of `bound ∓ r` against
+/// the rounding of the gap.) The exact `min_dist_to_rect ≤ r` test then
+/// keeps only true members, so [`Router::within_r_into`] equals the
+/// brute-force `{pid : min_dist_to_rect(rect(pid), x) ≤ r}` everywhere.
 #[derive(Debug, Clone)]
 pub struct Router {
     plan: PartitionPlan,
     r: f64,
     metric: dod_core::Metric,
     coarse: GridSpec,
+    /// Candidate partitions per coarse cell, ascending.
     candidates: Vec<Vec<u32>>,
 }
 
 impl Router {
     fn build(plan: &PartitionPlan, r: f64, metric: dod_core::Metric) -> Router {
-        let dim = plan.domain().dim();
+        let domain = plan.domain();
+        let dim = domain.dim();
         // Aim for ~4 coarse cells per partition, capped for memory.
         let target = (plan.num_partitions() * 4).clamp(1, 65_536);
         let per_dim = ((target as f64).powf(1.0 / dim as f64).ceil() as usize).clamp(1, 64);
         let counts: Vec<usize> = (0..dim)
-            .map(|i| {
-                if plan.domain().extent(i) == 0.0 {
-                    1
-                } else {
-                    per_dim
-                }
-            })
+            .map(|i| if domain.extent(i) == 0.0 { 1 } else { per_dim })
             .collect();
-        let coarse = GridSpec::new(plan.domain().clone(), counts).expect("valid coarse grid");
+        let coarse = GridSpec::new(domain.clone(), counts).expect("valid coarse grid");
+        let magnitude = (domain.min().iter().chain(domain.max())).fold(r, |m, v| m.max(v.abs()));
+        let reach = r + 4.0 * f64::EPSILON * magnitude;
         let mut candidates: Vec<Vec<u32>> = vec![Vec::new(); coarse.num_cells()];
         for (pid, rect) in plan.rects().iter().enumerate() {
-            let grown = rect.expanded(r);
-            for cell in coarse.cells_intersecting(&grown) {
+            for cell in coarse.cells_intersecting(&rect.expanded(reach)) {
                 candidates[cell].push(pid as u32);
             }
         }
@@ -286,20 +289,42 @@ impl Router {
         self.r
     }
 
+    /// The ascending candidate partitions of `x`'s coarse cell that pass
+    /// `keep` and whose rectangle is within `r` of `x` (the exact test).
+    fn within_r<'a>(
+        &'a self,
+        x: &'a [f64],
+        keep: impl Fn(u32) -> bool + 'a,
+    ) -> impl Iterator<Item = u32> + 'a {
+        let candidates = &self.candidates[self.coarse.cell_of(x)];
+        candidates.iter().copied().filter(move |&pid| {
+            let rect = self.plan.rect(pid as usize);
+            keep(pid) && self.metric.min_dist_to_rect(rect.min(), rect.max(), x) <= self.r
+        })
+    }
+
+    /// Appends to `out`, in ascending id order, every partition whose
+    /// rectangle is within `r` of `x` — the partitions that can hold a
+    /// neighbor of `x`, for any `x` (see the type's documentation).
+    /// Allocation-free once `out` has grown to the longest list.
+    pub fn within_r_into(&self, x: &[f64], out: &mut Vec<u32>) {
+        out.extend(self.within_r(x, |_| true));
+    }
+
+    /// Routes one point into a caller-owned buffer: returns its core
+    /// partition and overwrites `support` with the ascending ids of the
+    /// partitions it supports.
+    pub fn route_into(&self, x: &[f64], support: &mut Vec<u32>) -> u32 {
+        let core = self.plan.locate(x);
+        support.clear();
+        support.extend(self.within_r(x, |pid| pid != core));
+        core
+    }
+
     /// Routes one point.
     pub fn route(&self, x: &[f64]) -> Routing {
-        let core = self.plan.locate(x);
         let mut support = Vec::new();
-        for &pid in &self.candidates[self.coarse.cell_of(x)] {
-            if pid == core {
-                continue;
-            }
-            let rect = self.plan.rect(pid as usize);
-            if self.metric.min_dist_to_rect(rect.min(), rect.max(), x) <= self.r {
-                support.push(pid);
-            }
-        }
-        support.sort_unstable();
+        let core = self.route_into(x, &mut support);
         Routing { core, support }
     }
 }
@@ -818,6 +843,74 @@ mod tests {
                 .collect();
             expected.sort_unstable();
             assert_eq!(routing.support, expected);
+        }
+    }
+
+    #[test]
+    fn within_r_matches_brute_force_inside_on_and_outside_the_domain() {
+        use dod_core::Metric;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // An uneven DSHC plan (rectangles of different sizes) and a grid.
+        let sample = PointSet::from_xy(
+            &(0..400)
+                .map(|i| (0.02 * (i % 97) as f64, 8.0 - 0.05 * (i % 61) as f64))
+                .collect::<Vec<_>>(),
+        );
+        let buckets = MiniBucketGrid::build(&domain(), 8, &sample).unwrap();
+        let clusters = Dshc::cluster(&buckets, &DshcConfig::relative(&buckets, 0.5, 60));
+        let plans = [
+            PartitionPlan::from_clusters(&buckets, &clusters).unwrap(),
+            PartitionPlan::from_grid(GridSpec::uniform(domain(), 5).unwrap()),
+        ];
+        let r = 0.7;
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut got = Vec::new();
+        for plan in &plans {
+            assert!(plan.num_partitions() > 1);
+            for metric in [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev] {
+                let router = plan.router_with_metric(r, metric);
+                let mut nonempty_outside = 0;
+                for case in 0..2000 {
+                    let mut x = [rng.gen_range(0.0..=8.0), rng.gen_range(0.0..=8.0)];
+                    let side = rng.gen_range(0..2usize);
+                    let low = rng.gen_range(0..2) == 0;
+                    let outward = |depth: f64| if low { -depth } else { 8.0 + depth };
+                    match case % 4 {
+                        0 => {}                                        // inside
+                        1 => x[side] = outward(0.0),                   // on a face
+                        2 => x[side] = outward(rng.gen_range(0.0..r)), // within r outside
+                        _ => {
+                            // far outside, sometimes past a corner
+                            x[side] = outward(rng.gen_range(r..50.0));
+                            if rng.gen_range(0..3) == 0 {
+                                x[1 - side] = outward(rng.gen_range(0.0..2.0 * r));
+                            }
+                        }
+                    }
+                    let expected: Vec<u32> = (0..plan.num_partitions() as u32)
+                        .filter(|&pid| {
+                            let rect = plan.rect(pid as usize);
+                            metric.min_dist_to_rect(rect.min(), rect.max(), &x) <= r
+                        })
+                        .collect();
+                    got.clear();
+                    router.within_r_into(&x, &mut got);
+                    assert_eq!(got, expected, "{metric:?} x {x:?}");
+                    nonempty_outside += usize::from(case % 4 == 2 && !got.is_empty());
+                    // `route` is the same list minus the (clamped) core.
+                    let routing = router.route(&x);
+                    assert_eq!(routing.core, plan.locate(&x));
+                    let support: Vec<u32> = (expected.iter().copied())
+                        .filter(|&pid| pid != routing.core)
+                        .collect();
+                    assert_eq!(routing.support, support);
+                }
+                assert!(
+                    nonempty_outside > 400,
+                    "outside-within-r cases reach partitions"
+                );
+            }
         }
     }
 
