@@ -7,29 +7,35 @@
 //! cargo run --release -p bench --bin bench -- kernels --json out.json
 //! ```
 
-use bench::{calibrate, ingest, kernels, obs_overhead, pipeline};
+use bench::{calibrate, kernels, obs_overhead};
 use std::process::ExitCode;
 
-fn run_kernels(args: &[String]) -> ExitCode {
+/// The flags every subcommand takes: `--json [path]` (the path defaults
+/// to `default_json`) and `--quick`. `None` after reporting an unknown one.
+fn flags(args: &[String], subcommand: &str, default_json: &str) -> Option<(Option<String>, bool)> {
     let mut json_path: Option<String> = None;
     let mut quick = false;
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => {
-                let next = it.peek().filter(|a| !a.starts_with("--"));
-                json_path = Some(match next {
-                    Some(_) => it.next().unwrap().clone(),
-                    None => "BENCH_kernels.json".to_string(),
-                });
+                let next = it.next_if(|a| !a.starts_with("--"));
+                json_path = Some(next.map_or(default_json, String::as_str).to_string());
             }
             "--quick" => quick = true,
             other => {
-                eprintln!("unknown kernels flag: {other}");
-                return ExitCode::FAILURE;
+                eprintln!("unknown {subcommand} flag: {other}");
+                return None;
             }
         }
     }
+    Some((json_path, quick))
+}
+
+fn run_kernels(args: &[String]) -> ExitCode {
+    let Some((json_path, quick)) = flags(args, "kernels", "BENCH_kernels.json") else {
+        return ExitCode::FAILURE;
+    };
 
     let min_time_s = if quick { 0.05 } else { 0.4 };
     let rows = kernels::run_all(min_time_s);
@@ -55,25 +61,9 @@ fn run_kernels(args: &[String]) -> ExitCode {
 }
 
 fn run_calibrate(args: &[String]) -> ExitCode {
-    let mut json_path: Option<String> = None;
-    let mut quick = false;
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => {
-                let next = it.peek().filter(|a| !a.starts_with("--"));
-                json_path = Some(match next {
-                    Some(_) => it.next().unwrap().clone(),
-                    None => "BENCH_calibration.json".to_string(),
-                });
-            }
-            "--quick" => quick = true,
-            other => {
-                eprintln!("unknown calibrate flag: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let Some((json_path, quick)) = flags(args, "calibrate", "BENCH_calibration.json") else {
+        return ExitCode::FAILURE;
+    };
 
     let min_time_s = if quick { 0.05 } else { 0.4 };
     let profile = calibrate::run_all(min_time_s);
@@ -86,99 +76,10 @@ fn run_calibrate(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_pipeline(args: &[String]) -> ExitCode {
-    let mut json_path: Option<String> = None;
-    let mut quick = false;
-    let mut chaos_seed = 1u64;
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => {
-                let next = it.peek().filter(|a| !a.starts_with("--"));
-                json_path = Some(match next {
-                    Some(_) => it.next().unwrap().clone(),
-                    None => "BENCH_pipeline.json".to_string(),
-                });
-            }
-            "--quick" => quick = true,
-            "--chaos-seed" => {
-                let Some(value) = it.next() else {
-                    eprintln!("--chaos-seed needs a value");
-                    return ExitCode::FAILURE;
-                };
-                chaos_seed = match value.parse() {
-                    Ok(seed) => seed,
-                    Err(e) => {
-                        eprintln!("--chaos-seed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            other => {
-                eprintln!("unknown pipeline flag: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let rows = pipeline::run_all(quick, chaos_seed);
-    println!(
-        "{:<8} {:>10} {:>9} {:>8} {:>11} {:>9} {:>12} {:>12} {:>11}",
-        "bench",
-        "wall ms",
-        "outliers",
-        "retries",
-        "speculative",
-        "spec won",
-        "blacklisted",
-        "block errors",
-        "backoff ms"
-    );
-    for r in &rows {
-        println!(
-            "{:<8} {:>10.2} {:>9} {:>8} {:>11} {:>9} {:>12} {:>12} {:>11.2}",
-            r.name,
-            r.wall_ms,
-            r.outliers,
-            r.task_retries,
-            r.speculative_launched,
-            r.speculative_won,
-            r.nodes_blacklisted,
-            r.block_read_errors,
-            r.backoff_ms
-        );
-    }
-    if let Some(path) = json_path {
-        dod_obs::write_atomic(
-            std::path::Path::new(&path),
-            pipeline::to_json(&rows, chaos_seed).as_bytes(),
-        )
-        .expect("write json");
-        println!("\nwrote {path}");
-    }
-    ExitCode::SUCCESS
-}
-
 fn run_obs_overhead(args: &[String]) -> ExitCode {
-    let mut json_path: Option<String> = None;
-    let mut quick = false;
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => {
-                let next = it.peek().filter(|a| !a.starts_with("--"));
-                json_path = Some(match next {
-                    Some(_) => it.next().unwrap().clone(),
-                    None => "BENCH_obs_overhead.json".to_string(),
-                });
-            }
-            "--quick" => quick = true,
-            other => {
-                eprintln!("unknown obs-overhead flag: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let Some((json_path, quick)) = flags(args, "obs-overhead", "BENCH_obs_overhead.json") else {
+        return ExitCode::FAILURE;
+    };
 
     let r = obs_overhead::run(quick);
     println!(
@@ -214,78 +115,17 @@ fn run_obs_overhead(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_ingest(args: &[String]) -> ExitCode {
-    let mut json_path: Option<String> = None;
-    let mut quick = false;
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => {
-                let next = it.peek().filter(|a| !a.starts_with("--"));
-                json_path = Some(match next {
-                    Some(_) => it.next().unwrap().clone(),
-                    None => "BENCH_ingest.json".to_string(),
-                });
-            }
-            "--quick" => quick = true,
-            other => {
-                eprintln!("unknown ingest flag: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let r = ingest::run(quick);
-    println!(
-        "{:<8} {:>13} {:>13} {:>13} {:>13} {:>7} {:>7}",
-        "bench", "inserts/s", "removes/s", "static us", "churn us", "ratio", "epochs"
-    );
-    println!(
-        "{:<8} {:>13.0} {:>13.0} {:>13.1} {:>13.1} {:>6.2}x {:>7}",
-        "ingest",
-        r.inserts_per_sec,
-        r.removes_per_sec,
-        r.static_score_us,
-        r.churn_score_us,
-        r.latency_ratio,
-        r.epochs
-    );
-    if let Some(path) = json_path {
-        dod_obs::write_atomic(
-            std::path::Path::new(&path),
-            ingest::to_json(&r, quick).as_bytes(),
-        )
-        .expect("write json");
-        println!("\nwrote {path}");
-    }
-    // Quick runs are smoke tests: too short to hold the budget to, so
-    // they report without enforcing.
-    if !quick && !r.within_budget {
-        eprintln!(
-            "score latency under churn is {:.2}x the static baseline (budget {:.1}x)",
-            r.latency_ratio,
-            bench::ingest::LATENCY_BUDGET_X
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("kernels") => run_kernels(&args[1..]),
         Some("calibrate") => run_calibrate(&args[1..]),
-        Some("pipeline") => run_pipeline(&args[1..]),
         Some("obs-overhead") => run_obs_overhead(&args[1..]),
-        Some("ingest") => run_ingest(&args[1..]),
         _ => {
             eprintln!(
                 "usage: bench kernels  [--json [path]] [--quick]\n       \
                  bench calibrate [--json [path]] [--quick]\n       \
-                 bench pipeline [--json [path]] [--quick] [--chaos-seed <int>]\n       \
-                 bench obs-overhead [--json [path]] [--quick]\n       \
-                 bench ingest [--json [path]] [--quick]"
+                 bench obs-overhead [--json [path]] [--quick]"
             );
             ExitCode::FAILURE
         }

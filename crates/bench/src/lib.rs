@@ -13,10 +13,8 @@
 
 pub mod calibrate;
 pub mod experiments;
-pub mod ingest;
 pub mod kernels;
 pub mod obs_overhead;
-pub mod pipeline;
 pub mod scale;
 pub mod setup;
 pub mod svg;

@@ -10,7 +10,7 @@
 //!
 //! This module replaces the pair loop with **tile** kernels:
 //!
-//! * a [`NeighborPredicate`] is built **once per `detect`/`score_batch`
+//! * a [`NeighborPredicate`] is built **once per `detect`/`score`
 //!   call** from [`OutlierParams`], hoisting the `r²` computation and the
 //!   metric-variant dispatch out of the hot loop;
 //! * [`NeighborPredicate::count_within_tile`] scans a *contiguous
@@ -123,7 +123,7 @@ impl TileOutcome {
 /// [`OutlierParams`] precomputed: the squared threshold `r²` and the
 /// metric variant, resolved **once per call** instead of once per pair.
 ///
-/// Build one at the top of a `detect`/`score_batch` implementation and
+/// Build one at the top of a `detect`/`score` implementation and
 /// feed it contiguous coordinate tiles; never call [`Metric::within`]
 /// from a hot loop.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -11,8 +11,8 @@
 //! per-pair ratio; with no profile the model falls back to
 //! [`CostWeights::UNIT`], bit-identical to the pre-calibration planner.
 //!
-//! The JSON schema (`dod-calibration/v1`) is flat and hand-parsed (the
-//! workspace builds offline, without serde):
+//! The JSON schema (`dod-calibration/v1`) is flat; it is read through
+//! [`dod_obs::json::parse`]:
 //!
 //! ```json
 //! {
@@ -27,6 +27,7 @@
 
 use crate::cost::CostWeights;
 use dod_core::{KernelBackend, Metric};
+use dod_obs::json::{self, Json};
 use std::fmt;
 
 /// Schema identifier accepted by [`CalibrationProfile::from_json`].
@@ -218,11 +219,11 @@ impl CalibrationProfile {
     /// Returns an error on malformed JSON, a wrong/missing schema tag, an
     /// unknown metric name, or non-finite/non-positive weights.
     pub fn from_json(text: &str) -> Result<Self, CalibrationError> {
-        let value = parse::document(text)?;
-        let obj = value
-            .as_object()
-            .ok_or_else(|| CalibrationError::new("top level must be an object"))?;
-        match obj.get("schema").and_then(Value::as_str) {
+        // A document or row that is not an object has none of the fields
+        // below, so it fails on the first one asked for.
+        let doc =
+            json::parse(text).map_err(|e| CalibrationError::new(format!("json error: {e}")))?;
+        match doc.get("schema").and_then(Json::as_str) {
             Some(s) if s == CALIBRATION_SCHEMA => {}
             Some(s) => {
                 return Err(CalibrationError::new(format!(
@@ -231,23 +232,20 @@ impl CalibrationProfile {
             }
             None => return Err(CalibrationError::new("missing \"schema\" tag")),
         }
-        let rows = obj
+        let rows = doc
             .get("entries")
-            .and_then(Value::as_array)
+            .and_then(Json::as_arr)
             .ok_or_else(|| CalibrationError::new("missing \"entries\" array"))?;
         let mut entries = Vec::with_capacity(rows.len());
         for (i, row) in rows.iter().enumerate() {
-            let row = row
-                .as_object()
-                .ok_or_else(|| CalibrationError::new(format!("entry {i} is not an object")))?;
             let field_num = |name: &str| -> Result<f64, CalibrationError> {
-                row.get(name).and_then(Value::as_f64).ok_or_else(|| {
+                row.get(name).and_then(Json::as_f64).ok_or_else(|| {
                     CalibrationError::new(format!("entry {i}: missing number {name:?}"))
                 })
             };
             let metric_name = row
                 .get("metric")
-                .and_then(Value::as_str)
+                .and_then(Json::as_str)
                 .ok_or_else(|| CalibrationError::new(format!("entry {i}: missing \"metric\"")))?;
             let metric = metric_from_name(metric_name).ok_or_else(|| {
                 CalibrationError::new(format!("entry {i}: unknown metric {metric_name:?}"))
@@ -258,7 +256,7 @@ impl CalibrationProfile {
                     "entry {i}: dim must be >= 1"
                 )));
             }
-            let backend = match row.get("backend").and_then(Value::as_str) {
+            let backend = match row.get("backend").and_then(Json::as_str) {
                 None => KernelBackend::Scalar,
                 Some(name) => backend_from_name(name).ok_or_else(|| {
                     CalibrationError::new(format!("entry {i}: unknown backend {name:?}"))
@@ -317,223 +315,6 @@ pub fn metric_from_name(name: &str) -> Option<Metric> {
         "manhattan" => Some(Metric::Manhattan),
         "chebyshev" => Some(Metric::Chebyshev),
         _ => None,
-    }
-}
-
-use parse::Value;
-
-/// Minimal recursive-descent JSON reader — just enough for the flat
-/// `dod-calibration/v1` documents (no unicode escapes, no exotic
-/// numbers). The workspace is intentionally serde-free.
-mod parse {
-    use super::CalibrationError;
-
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-        pub fn as_object(&self) -> Option<ObjView<'_>> {
-            match self {
-                Value::Obj(pairs) => Some(ObjView { pairs }),
-                _ => None,
-            }
-        }
-    }
-
-    /// Borrowed view over an object's pairs with by-key lookup.
-    #[derive(Clone, Copy)]
-    pub struct ObjView<'a> {
-        pairs: &'a [(String, Value)],
-    }
-
-    impl<'a> ObjView<'a> {
-        pub fn get(&self, key: &str) -> Option<&'a Value> {
-            self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-        }
-    }
-
-    pub fn document(text: &str) -> Result<Value, CalibrationError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(err(pos, "trailing characters"));
-        }
-        Ok(value)
-    }
-
-    fn err(pos: usize, msg: &str) -> CalibrationError {
-        CalibrationError::new(format!("json error at byte {pos}: {msg}"))
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), CalibrationError> {
-        skip_ws(b, pos);
-        if *pos < b.len() && b[*pos] == ch {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(err(*pos, &format!("expected {:?}", ch as char)))
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, CalibrationError> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => parse_object(b, pos),
-            Some(b'[') => parse_array(b, pos),
-            Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
-            Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-            Some(_) => parse_number(b, pos),
-            None => Err(err(*pos, "unexpected end of input")),
-        }
-    }
-
-    fn parse_lit(
-        b: &[u8],
-        pos: &mut usize,
-        lit: &str,
-        value: Value,
-    ) -> Result<Value, CalibrationError> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(value)
-        } else {
-            Err(err(*pos, "invalid literal"))
-        }
-    }
-
-    fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, CalibrationError> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-            *pos += 1;
-        }
-        std::str::from_utf8(&b[start..*pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| err(start, "invalid number"))
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, CalibrationError> {
-        expect(b, pos, b'"')?;
-        let mut out = String::new();
-        while *pos < b.len() {
-            match b[*pos] {
-                b'"' => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    let esc = *b.get(*pos).ok_or_else(|| err(*pos, "bad escape"))?;
-                    out.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        _ => return Err(err(*pos, "unsupported escape")),
-                    });
-                    *pos += 1;
-                }
-                c if c < 0x80 => {
-                    out.push(c as char);
-                    *pos += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the whole scalar.
-                    let s =
-                        std::str::from_utf8(&b[*pos..]).map_err(|_| err(*pos, "invalid utf-8"))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    *pos += ch.len_utf8();
-                }
-            }
-        }
-        Err(err(*pos, "unterminated string"))
-    }
-
-    fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, CalibrationError> {
-        expect(b, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(parse_value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(err(*pos, "expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, CalibrationError> {
-        expect(b, pos, b'{')?;
-        let mut pairs = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Obj(pairs));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = parse_string(b, pos)?;
-            expect(b, pos, b':')?;
-            let value = parse_value(b, pos)?;
-            pairs.push((key, value));
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                _ => return Err(err(*pos, "expected ',' or '}'")),
-            }
-        }
     }
 }
 

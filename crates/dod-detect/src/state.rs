@@ -13,7 +13,7 @@
 //!   exactly what the one-shot [`crate::Detector::detect`] would, and
 //! * [`PartitionState::count_core_neighbors`] — count resident **core**
 //!   points within `r` of an arbitrary external query point, the
-//!   primitive a `score_batch` request reduces to. Core sets partition
+//!   primitive a `score` request reduces to. Core sets partition
 //!   the dataset (Lemma 3.1 replicates only *support* copies), so
 //!   summing this count across partitions never double-counts.
 

@@ -36,7 +36,7 @@ pub const DEFAULT_STALENESS_THRESHOLD: f64 = 0.5;
 /// many partitions the plan holds.
 pub const PARTITION_WORK_TOP_K: usize = 16;
 
-/// Queries scored per partition pass in [`Engine::score_batch`]: each
+/// Queries scored per partition pass of a [`Request::Score`]: each
 /// partition's core tile is visited once per group of this many queries
 /// through the kernel layer's query-blocked entry point. Matches the
 /// kernel's register-blocking width so a full group fills two 4-query
@@ -44,7 +44,7 @@ pub const PARTITION_WORK_TOP_K: usize = 16;
 pub const SCORE_GROUP: usize = 8;
 
 /// The verdict for one query point scored under a degraded-mode time
-/// budget ([`Engine::score_batch_degraded`]).
+/// budget ([`RequestOptions::degraded`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DegradedScore {
     /// Resident neighbors counted before the budget ran out (complete,
@@ -700,6 +700,24 @@ impl Shared {
         }
     }
 
+    /// Refuses a batch holding a point of the wrong dimension or with a
+    /// NaN or infinite coordinate. No distance to such a point is
+    /// meaningful, and one resident makes every later re-plan fail.
+    fn check_points(&self, points: &[Vec<f64>]) -> Result<(), EngineError> {
+        for (index, p) in points.iter().enumerate() {
+            if p.len() != self.dim {
+                return Err(EngineError::Dimension {
+                    expected: self.dim,
+                    got: p.len(),
+                });
+            }
+            if !p.iter().all(|c| c.is_finite()) {
+                return Err(EngineError::NonFinite { index });
+            }
+        }
+        Ok(())
+    }
+
     /// Answers one request of any kind; `budget_at` turns a score into
     /// degraded-mode scoring.
     fn answer(
@@ -749,6 +767,7 @@ impl Shared {
         deadline: Option<Instant>,
         rid: RequestId,
     ) -> Result<Vec<ScorePoint>, EngineError> {
+        self.check_points(points)?;
         let _serving = read_recover(&self.ingest);
         let resident = Arc::clone(&read_recover(&self.resident));
         let k = self.runner.config().params.k;
@@ -769,14 +788,6 @@ impl Shared {
             if let Some(d) = deadline {
                 if Instant::now() > d {
                     return Err(EngineError::DeadlineExceeded);
-                }
-            }
-            for q in group {
-                if q.len() != self.dim {
-                    return Err(EngineError::Dimension {
-                        expected: self.dim,
-                        got: q.len(),
-                    });
                 }
             }
             let Some(plan) = &resident.plan else {
@@ -854,6 +865,7 @@ impl Shared {
         budget_at: Instant,
         rid: RequestId,
     ) -> Result<Vec<DegradedScore>, EngineError> {
+        self.check_points(points)?;
         let _serving = read_recover(&self.ingest);
         let resident = Arc::clone(&read_recover(&self.resident));
         let k = self.runner.config().params.k;
@@ -862,12 +874,6 @@ impl Shared {
         let mut over_budget = false;
         let mut within_r: Vec<u32> = Vec::new();
         for q in points {
-            if q.len() != self.dim {
-                return Err(EngineError::Dimension {
-                    expected: self.dim,
-                    got: q.len(),
-                });
-            }
             let Some(plan) = &resident.plan else {
                 out.push(DegradedScore {
                     neighbors: 0,
@@ -966,14 +972,7 @@ impl Shared {
             }
         }
         // Validate the whole batch before mutating anything.
-        for q in points {
-            if q.len() != self.dim {
-                return Err(EngineError::Dimension {
-                    expected: self.dim,
-                    got: q.len(),
-                });
-            }
-        }
+        self.check_points(points)?;
         let now = Instant::now();
         let (ids, expired) = {
             let mut ds = lock_recover(&self.dataset);
@@ -1579,79 +1578,6 @@ impl Engine {
         }
     }
 
-    /// Scores a batch of query points against the resident dataset with
-    /// the engine's default deadline: for each point, whether it would
-    /// be a distance-threshold outlier (fewer than `k` resident points
-    /// within `r`).
-    #[deprecated(note = "use `submit(Request::Score { points })`")]
-    pub fn score_batch(
-        &self,
-        points: Vec<Vec<f64>>,
-    ) -> Result<Pending<Vec<ScorePoint>>, EngineError> {
-        let items = points.len();
-        let deadline = self.default_deadline;
-        self.submit_job("score", items, deadline, move |shared, d, rid| {
-            shared.score(&points, d, rid)
-        })
-    }
-
-    /// [`Engine::score_batch`] with an explicit per-request deadline.
-    #[deprecated(
-        note = "use `submit_with(Request::Score { points }, RequestOptions::new().deadline(d))`"
-    )]
-    pub fn score_batch_within(
-        &self,
-        points: Vec<Vec<f64>>,
-        deadline: Duration,
-    ) -> Result<Pending<Vec<ScorePoint>>, EngineError> {
-        let items = points.len();
-        self.submit_job("score", items, Some(deadline), move |shared, d, rid| {
-            shared.score(&points, d, rid)
-        })
-    }
-
-    /// Scores a batch under a degraded-mode time budget: instead of
-    /// failing with [`EngineError::DeadlineExceeded`], a blown budget
-    /// returns partial per-point results flagged
-    /// [`DegradedScore::degraded`].
-    #[deprecated(
-        note = "use `submit_with(Request::Score { points }, RequestOptions::new().degraded(budget))`"
-    )]
-    pub fn score_batch_degraded(
-        &self,
-        points: Vec<Vec<f64>>,
-        budget: Duration,
-    ) -> Result<Pending<Vec<DegradedScore>>, EngineError> {
-        let items = points.len();
-        let budget_at = Instant::now() + budget;
-        self.submit_job("score_degraded", items, None, move |shared, _, rid| {
-            shared.score_degraded(&points, budget_at, rid)
-        })
-    }
-
-    /// Detects all outliers of the resident dataset with the engine's
-    /// default deadline.
-    #[deprecated(note = "use `submit(Request::Detect)`")]
-    pub fn detect_all(&self) -> Result<Pending<Vec<PointId>>, EngineError> {
-        let items = lock_recover(&self.shared.dataset).alive_len;
-        let deadline = self.default_deadline;
-        self.submit_job("detect", items, deadline, move |shared, d, rid| {
-            shared.detect_all(d, rid)
-        })
-    }
-
-    /// [`Engine::detect_all`] with an explicit per-request deadline.
-    #[deprecated(note = "use `submit_with(Request::Detect, RequestOptions::new().deadline(d))`")]
-    pub fn detect_all_within(
-        &self,
-        deadline: Duration,
-    ) -> Result<Pending<Vec<PointId>>, EngineError> {
-        let items = lock_recover(&self.shared.dataset).alive_len;
-        self.submit_job("detect", items, Some(deadline), move |shared, d, rid| {
-            shared.detect_all(d, rid)
-        })
-    }
-
     /// Numbers a request and starts its deadline clock. Ids are minted
     /// at submission so queued-but-unstarted requests are already
     /// attributable.
@@ -1914,6 +1840,7 @@ fn error_reason(e: &EngineError) -> &'static str {
         EngineError::DeadlineExceeded => "deadline",
         EngineError::Terminated => "terminated",
         EngineError::Dimension { .. } => "dimension",
+        EngineError::NonFinite { .. } => "non_finite",
         EngineError::TaskPanicked { .. } => "panic",
         EngineError::Pipeline(_) => "pipeline",
     }

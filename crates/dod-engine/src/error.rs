@@ -26,6 +26,12 @@ pub enum EngineError {
         /// Dimensionality of the offending query point.
         got: usize,
     },
+    /// A point of the request has a NaN or infinite coordinate. Nothing
+    /// was scored and nothing was inserted.
+    NonFinite {
+        /// Position of the offending point within the request.
+        index: usize,
+    },
     /// The request's job panicked on a worker thread. The panic was
     /// contained: only this request failed, the worker survived, and the
     /// engine keeps serving subsequent requests.
@@ -50,6 +56,9 @@ impl fmt::Display for EngineError {
                 f,
                 "query point has dimension {got}, resident dataset has dimension {expected}"
             ),
+            EngineError::NonFinite { index } => {
+                write!(f, "point {index} has a NaN or infinite coordinate")
+            }
             EngineError::TaskPanicked { message } => {
                 write!(f, "request panicked on worker thread: {message}")
             }

@@ -514,38 +514,39 @@ mod tests {
         assert!(matches!(err, EngineError::Dimension { .. }));
     }
 
-    /// The deprecated pre-`submit` surface still works; it shims onto
-    /// the same internals.
+    /// A NaN or infinite coordinate is refused before anything is scored
+    /// or stored: the typed error, the resident count unchanged, and
+    /// detection — before and after a re-plan — answering as it did.
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_serve() {
+    fn non_finite_points_never_reach_resident_state() {
         let (data, params) = cluster_with_outlier();
         let engine = Engine::builder(runner(params)).build(&data).unwrap();
-        assert_eq!(engine.detect_all().unwrap().wait().unwrap(), vec![40]);
-        let scores = engine
-            .score_batch(vec![vec![0.7, 0.7]])
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert!(!scores[0].outlier);
-        let err = engine
-            .detect_all_within(std::time::Duration::ZERO)
-            .unwrap()
-            .wait()
-            .unwrap_err();
-        assert!(matches!(err, EngineError::DeadlineExceeded));
-        let scores = engine
-            .score_batch_within(vec![vec![0.7, 0.7]], std::time::Duration::from_secs(60))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert!(!scores[0].outlier);
-        let degraded = engine
-            .score_batch_degraded(vec![vec![0.7, 0.7]], std::time::Duration::from_secs(60))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert!(!degraded[0].degraded);
+        let before = detect(&engine);
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let points = vec![vec![0.1, 0.1], vec![bad, 0.5]];
+            for req in [
+                Request::Insert {
+                    points: points.clone(),
+                },
+                Request::Score { points },
+            ] {
+                let err = engine.execute(req).unwrap_err();
+                assert!(matches!(err, EngineError::NonFinite { index: 1 }), "{err}");
+            }
+            let err = engine
+                .execute_with(
+                    Request::Score {
+                        points: vec![vec![0.5, bad]],
+                    },
+                    RequestOptions::new().degraded(std::time::Duration::from_secs(60)),
+                )
+                .unwrap_err();
+            assert!(matches!(err, EngineError::NonFinite { index: 0 }), "{err}");
+        }
+        assert_eq!(engine.health().points, 41);
+        assert_eq!(detect(&engine), before);
+        engine.refresh_plan().unwrap();
+        assert_eq!(detect(&engine), before);
     }
 
     /// A `Write` sink whose contents the test can inspect after the

@@ -1,23 +1,60 @@
-//! Shared hand-rolled JSON *writing* primitives.
+//! The workspace's one JSON reader and writer.
 //!
-//! The workspace builds offline (no serde), so every component that
-//! emits JSON — the [`crate::JsonlRecorder`] trace writer, the flight
-//! recorder's dump path, and the `dod serve` response loop — hand-rolls
-//! it. The escaping and non-finite-number rules must agree everywhere
-//! (a trace line and a serve response are both consumed by the same
-//! replay/jq tooling), so the primitives live here instead of being
-//! copied per crate.
+//! The workspace builds offline (no serde), so JSON is hand-rolled —
+//! once. Every component that emits JSON (the [`crate::JsonlRecorder`]
+//! trace writer, the flight recorder's dump path, the `dod serve`
+//! response loop, checkpoint records) uses the writing primitives here,
+//! and everything that reads it — protocol-v1 requests, checkpoint
+//! manifests, task records and the DLQ, calibration profiles, trace
+//! replay — goes through [`parse`]. Each caller layers only its own
+//! schema on the [`Json`] tree; none scans bytes itself.
+//!
+//! # Writer
 //!
 //! Two number flavors exist on purpose:
 //!
 //! * [`write_f64`] always emits a decimal point or exponent (`3.0`,
-//!   never `3`) so the JSONL replay parser can tell floats from
-//!   integers when round-tripping label values;
+//!   never `3`) so trace replay can tell floats from integers when
+//!   round-tripping label values;
 //! * [`number`] emits the shortest form (`0`, `1.5`) for human-facing
 //!   response fields where the distinction does not matter.
 //!
 //! Both serialize non-finite values (`NaN`, `±Inf`) as `null`: bare
 //! `NaN` is not valid JSON and would poison every downstream consumer.
+//!
+//! # Reader contract
+//!
+//! [`parse`] takes bytes from outside the program — a socket, a file an
+//! operator may have truncated — so every rule below ends in a
+//! [`ParseError`], never a panic:
+//!
+//! 1. **Nesting is bounded by [`MAX_DEPTH`].** The reader recurses once
+//!    per open `[` or `{`, so the bound is what keeps a line of 100,000
+//!    `[` from overflowing the stack. It is a constant, not an option:
+//!    the deepest document any writer in this workspace emits has fewer
+//!    than ten levels, so no caller needs another value.
+//! 2. **Numbers follow the JSON grammar** (`-`? digits, optional
+//!    fraction, optional exponent; no `+1`, `.5`, `01` or `1.`), are
+//!    converted with `str::parse::<f64>`, and are rejected when the
+//!    result is not finite: JSON has no infinity, so `1e999` is an
+//!    error rather than a coordinate.
+//! 3. **A number keeps what each caller needs, with no allocation.**
+//!    [`Json::as_f64`] is bit-identical to `str::parse::<f64>` on the
+//!    token, so `-0`, subnormals and Rust's shortest `Display` output
+//!    re-read to the same bits (checkpointed floats resume
+//!    byte-identically). A token without fraction or exponent that fits
+//!    is also available exactly through [`Json::as_u64`] /
+//!    [`Json::as_i64`] (`u64::MAX` and 2^53 + 1 survive); one that has a
+//!    fraction or exponent, or does not fit, answers `None` there —
+//!    which is how replay tells `U64`/`I64`/`F64` labels apart.
+//! 4. **Strings** know the escapes `\" \\ \/ \n \r \t \b \f \uXXXX`;
+//!    a surrogate pair decodes to its scalar and a lone surrogate is an
+//!    error. Runs between escapes are copied by slice.
+//! 5. **The whole input is one value.** Anything but whitespace after
+//!    it is an error.
+//!
+//! Objects keep their fields in source order and [`Json::get`] returns
+//! the first match; duplicate keys are not an error.
 
 use std::io::{self, Write};
 
@@ -63,6 +100,13 @@ pub fn escape(s: &str) -> String {
     quoted
 }
 
+/// Appends `s` to `out` as a quoted JSON string literal.
+pub fn push_str(out: &mut String, s: &str) {
+    out.push('"');
+    out.push_str(&escape(s));
+    out.push('"');
+}
+
 /// Serializes an `f64` as a JSON value in its shortest form; non-finite
 /// numbers (`NaN`, `±Inf`) become `null`.
 pub fn number(v: f64) -> String {
@@ -70,6 +114,376 @@ pub fn number(v: f64) -> String {
         format!("{v}")
     } else {
         "null".to_string()
+    }
+}
+
+/// Deepest nesting of arrays and objects [`parse`] accepts (rule 1 of
+/// the module's reader contract).
+pub const MAX_DEPTH: usize = 128;
+
+/// A parsed JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number.
+    Num(Num),
+    /// A string, unescaped.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, in source order.
+    Obj(Vec<(String, Json)>),
+}
+
+/// A number token: its `f64` value, and the exact integer when the
+/// token was one (rule 3 of the module's reader contract). Read it
+/// through [`Json::as_f64`], [`Json::as_u64`] and [`Json::as_i64`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Num {
+    float: f64,
+    int: Int,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Int {
+    /// The token had a fraction or exponent, or does not fit.
+    No,
+    /// No leading `-`.
+    Unsigned(u64),
+    /// A leading `-` (so `-0` is `Negative(0)`).
+    Negative(i64),
+}
+
+impl Json {
+    /// Looks up a key in an object (the first match, in source order).
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The value as a string slice.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as an array slice.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// A number's value: what `str::parse::<f64>` gives for its token,
+    /// always finite.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(n.float),
+            _ => None,
+        }
+    }
+
+    /// The exact integer of a number token, if it was one.
+    fn int(&self) -> Int {
+        match self {
+            Json::Num(n) => n.int,
+            _ => Int::No,
+        }
+    }
+
+    /// The exact value of an integer token without a `-` that fits.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self.int() {
+            Int::Unsigned(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The exact value of an integer token that fits.
+    pub fn as_i64(&self) -> Option<i64> {
+        match self.int() {
+            Int::Unsigned(v) => i64::try_from(v).ok(),
+            Int::Negative(v) => Some(v),
+            Int::No => None,
+        }
+    }
+
+    /// A number's exact value as a `usize`.
+    pub fn as_usize(&self) -> Option<usize> {
+        self.as_u64().and_then(|v| usize::try_from(v).ok())
+    }
+}
+
+/// Why [`parse`] refused its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParseError {
+    /// Byte offset into the input where the problem was found.
+    pub offset: usize,
+    /// What was wrong there.
+    pub message: &'static str,
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} at byte {}", self.message, self.offset)
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+/// Parses `text` as exactly one JSON value, under the module's reader
+/// contract.
+pub fn parse(text: &str) -> Result<Json, ParseError> {
+    let mut p = Parser { text, pos: 0 };
+    let value = p.value(0)?;
+    p.skip_ws();
+    if p.pos != text.len() {
+        return Err(p.error("trailing characters"));
+    }
+    Ok(value)
+}
+
+struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn error(&self, message: &'static str) -> ParseError {
+        ParseError {
+            offset: self.pos,
+            message,
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// One value, with `depth` containers already open around it.
+    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
+        self.skip_ws();
+        match self.peek() {
+            None => Err(self.error("unexpected end of input")),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => {
+                Err(self.error("nesting deeper than MAX_DEPTH"))
+            }
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(_) => Err(self.error("expected a value")),
+        }
+    }
+
+    /// An array; `peek()` is its `[`.
+    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.eat(b']') {
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value(depth)?);
+            self.skip_ws();
+            if self.eat(b']') {
+                return Ok(Json::Arr(items));
+            }
+            if !self.eat(b',') {
+                return Err(self.error("expected ',' or ']'"));
+            }
+        }
+    }
+
+    /// An object; `peek()` is its `{`.
+    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
+        self.pos += 1;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.eat(b'}') {
+            return Ok(Json::Obj(fields));
+        }
+        loop {
+            self.skip_ws();
+            if self.peek() != Some(b'"') {
+                return Err(self.error("expected a string key"));
+            }
+            let key = self.string()?;
+            self.skip_ws();
+            if !self.eat(b':') {
+                return Err(self.error("expected ':'"));
+            }
+            fields.push((key, self.value(depth)?));
+            self.skip_ws();
+            if self.eat(b'}') {
+                return Ok(Json::Obj(fields));
+            }
+            if !self.eat(b',') {
+                return Err(self.error("expected ',' or '}'"));
+            }
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
+        if self.text[self.pos..].starts_with(word) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(self.error("expected a value"))
+        }
+    }
+
+    /// Consumes a run of digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    fn number(&mut self) -> Result<Json, ParseError> {
+        let start = self.pos;
+        let negative = self.eat(b'-');
+        let leading_zero = self.peek() == Some(b'0');
+        match self.digits() {
+            0 => return Err(self.error("expected a digit")),
+            n if n > 1 && leading_zero => return Err(self.error("number has a leading zero")),
+            _ => {}
+        }
+        let mut integer = true;
+        if self.eat(b'.') {
+            integer = false;
+            if self.digits() == 0 {
+                return Err(self.error("expected a digit after '.'"));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            integer = false;
+            self.pos += 1;
+            if !self.eat(b'+') {
+                self.eat(b'-');
+            }
+            if self.digits() == 0 {
+                return Err(self.error("expected a digit in the exponent"));
+            }
+        }
+        let token = &self.text[start..self.pos];
+        let out_of_range = ParseError {
+            offset: start,
+            message: "number out of range",
+        };
+        let float: f64 = token.parse().map_err(|_| out_of_range)?;
+        if !float.is_finite() {
+            return Err(out_of_range);
+        }
+        let int = if !integer {
+            Int::No
+        } else if negative {
+            token.parse().map_or(Int::No, Int::Negative)
+        } else {
+            token.parse().map_or(Int::No, Int::Unsigned)
+        };
+        Ok(Json::Num(Num { float, int }))
+    }
+
+    /// A string literal; `peek()` is its opening quote.
+    fn string(&mut self) -> Result<String, ParseError> {
+        self.pos += 1;
+        let mut out = String::new();
+        loop {
+            // `"` and `\` are ASCII, so a byte scan for them stops on a
+            // character boundary and the run before it is a valid slice.
+            let run = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
+            match self.peek() {
+                None => return Err(self.error("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(_) => {
+                    self.pos += 1;
+                    out.push(self.escape()?);
+                }
+            }
+        }
+    }
+
+    /// The character an escape stands for; its `\` is consumed.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                self.pos += 1;
+                return self.unicode_escape();
+            }
+            _ => return Err(self.error("unknown escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// The scalar a `\uXXXX` escape (or a surrogate pair of them) stands
+    /// for; its `\u` is consumed.
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        let lone = self.error("lone surrogate in \\u escape");
+        let mut code = self.hex4()?;
+        if (0xd800..0xdc00).contains(&code) {
+            if !(self.eat(b'\\') && self.eat(b'u')) {
+                return Err(lone);
+            }
+            let low = self.hex4()?;
+            if !(0xdc00..0xe000).contains(&low) {
+                return Err(lone);
+            }
+            code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+        }
+        char::from_u32(code).ok_or(lone)
+    }
+
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let mut code = 0;
+        for _ in 0..4 {
+            let digit = self.peek().and_then(|b| char::from(b).to_digit(16));
+            code = code * 16 + digit.ok_or_else(|| self.error("expected four hex digits"))?;
+            self.pos += 1;
+        }
+        Ok(code)
     }
 }
 
@@ -101,5 +515,119 @@ mod tests {
         let mut buf = Vec::new();
         write_f64(&mut buf, 3.0).unwrap();
         assert_eq!(buf, b"3.0", "replay flavor keeps the float marker");
+    }
+
+    /// Reader rule 1: `MAX_DEPTH` containers parse, one more is an error,
+    /// for arrays and for objects.
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        for (open, innermost, close) in [("[", "", "]"), ("{\"a\":", "1", "}")] {
+            let at = |depth| format!("{}{innermost}{}", open.repeat(depth), close.repeat(depth));
+            assert!(parse(&at(MAX_DEPTH)).is_ok(), "{open} at MAX_DEPTH");
+            let err = parse(&at(MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(err.message, "nesting deeper than MAX_DEPTH");
+            assert_eq!(err.offset, open.len() * MAX_DEPTH);
+        }
+    }
+
+    /// Rule 1 is what keeps hostile nesting off the stack: 200,000 open
+    /// brackets are an error on a 256 KB stack, not an overflow.
+    #[test]
+    fn hostile_nesting_errors_on_a_small_stack() {
+        let verdicts = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                ["[", "{\"a\":", "[{\"a\":"]
+                    .map(|open| parse(&open.repeat(200_000)).map_err(|e| e.message))
+            })
+            .unwrap()
+            .join()
+            .expect("the reader must not overflow the stack");
+        for verdict in verdicts {
+            assert_eq!(verdict, Err("nesting deeper than MAX_DEPTH"));
+        }
+    }
+
+    /// Reader rules 2 and 3 on a table of tokens.
+    #[test]
+    fn numbers_follow_the_grammar_and_keep_exact_integers() {
+        let refused = "+1 .5 --1 1e - 1. 1.e5 -.5 01 -01 1e+ 0x10 1e999 -1e999 NaN inf Infinity";
+        for bad in refused.split(' ') {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+        // `f64` bits are `str::parse`'s, whatever the token's shape.
+        let accepted = "0 -0 -0.0 5e-324 2.2250738585072014e-308 1.7976931348623157e308 0.1 \
+                        -1E+2 1e-5 18446744073709551615 18446744073709551616 9007199254740993 \
+                        -9223372036854775808 -9223372036854775809 123456789012345678901234567890";
+        for token in accepted.split(' ') {
+            let bits = parse(token).unwrap().as_f64().map(f64::to_bits);
+            assert_eq!(
+                bits,
+                Some(token.parse::<f64>().unwrap().to_bits()),
+                "{token}"
+            );
+        }
+        assert!(parse("-0").unwrap().as_f64().unwrap().is_sign_negative());
+        // Integer tokens that fit are exact; a `-` token is never a u64; a
+        // fraction, an exponent or no fit leaves only the `f64`.
+        let int = |t: &str| {
+            let v = parse(t).unwrap();
+            (v.as_u64(), v.as_i64())
+        };
+        let big = (1 << 53) + 1;
+        assert_eq!(int("18446744073709551615"), (Some(u64::MAX), None));
+        assert_eq!(int("9007199254740993"), (Some(big), Some(big as i64)));
+        assert_eq!(int("-9223372036854775808"), (None, Some(i64::MIN)));
+        assert_eq!(int("-0"), (None, Some(0)));
+        for float_only in "18446744073709551616 -9223372036854775809 7.0 7e0".split(' ') {
+            assert_eq!(int(float_only), (None, None), "{float_only}");
+        }
+        assert_eq!(parse("7").unwrap().as_usize(), Some(7));
+        assert_eq!(parse("\"7\"").unwrap().as_f64(), None);
+    }
+
+    /// Reader rule 4.
+    #[test]
+    fn strings_decode_escapes_and_refuse_lone_surrogates() {
+        let s = |text: &str| parse(text).map(|v| v.as_str().map(str::to_string));
+        let decoded = s(r#""a\"b\\c\/ \n\r\t\b\f \u0041\u00e9 \ud83d\ude00 héllo — 日本""#);
+        let expected = "a\"b\\c/ \n\r\t\u{8}\u{c} Aé 😀 héllo — 日本";
+        assert_eq!(decoded.unwrap().as_deref(), Some(expected));
+        let refused = r#"\ud800 \ud800x \ud800\n \ud800\u0041 \udc00 \u+123 \u12 \x41 \"#;
+        for bad in refused.split(' ') {
+            assert!(s(&format!("\"{bad}\"")).is_err(), "accepted {bad:?}");
+        }
+        assert!(s("\"open").is_err());
+        // Whatever the writer escapes, the reader restores.
+        let odd = "q\"uote \\ \u{1}\u{1f} tab\t é 😀";
+        let mut quoted = String::new();
+        push_str(&mut quoted, odd);
+        assert_eq!(s(&quoted).unwrap().as_deref(), Some(odd));
+    }
+
+    /// Reader rule 5, and the shapes around it.
+    #[test]
+    fn the_whole_input_is_one_value() {
+        let refused = "|  |{} trailing|[] []|1 2|{\"a\": }|[1, 2|[1,]|{\"a\":1,}|{a:1}|{\"a\" 1}|tru|nulll|[1 2]";
+        for bad in refused.split('|') {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+        let err = parse("[1, x]").unwrap_err();
+        assert_eq!(
+            (err.offset, err.to_string().as_str()),
+            (4, "expected a value at byte 4")
+        );
+        // Whitespace anywhere between tokens; source order; first match wins.
+        let v =
+            parse(" { \"b\" : [ true , false , null ] ,\t\"a\" : { } , \"b\" : 2 }\r\n").unwrap();
+        let Json::Obj(fields) = &v else {
+            panic!("object: {v:?}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["b", "a", "b"]);
+        let first_b = [Json::Bool(true), Json::Bool(false), Json::Null];
+        assert_eq!(v.get("b").and_then(Json::as_arr), Some(&first_b[..]));
+        assert_eq!(v.get("a"), Some(&Json::Obj(Vec::new())));
+        assert_eq!((v.get("missing"), Json::Null.get("a")), (None, None));
     }
 }

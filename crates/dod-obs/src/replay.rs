@@ -1,16 +1,16 @@
 //! Replays a JSONL trace back into [`Event`]s.
 //!
-//! The parser accepts the exact format written by
-//! [`crate::JsonlRecorder`] (flat objects, one nesting level for
-//! `labels`) — it is not a general JSON parser, but it tolerates
-//! arbitrary key order and insignificant whitespace so hand-edited or
-//! externally produced traces also load.
+//! Each line is read by [`crate::json::parse`]; this module layers the
+//! trace schema on top — the keys [`crate::JsonlRecorder`] writes, in
+//! any order, nothing else — so hand-edited or externally produced
+//! traces also load.
 
 use std::borrow::Cow;
 use std::fs;
 use std::path::Path;
 
 use crate::event::{Event, EventKind, Value};
+use crate::json::{self, Json};
 
 /// A parse failure, with the offending line (1-based) when known.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,70 +59,34 @@ pub fn read_jsonl(path: impl AsRef<Path>) -> Result<Vec<Event>, ReplayError> {
     parse_jsonl(&text)
 }
 
-/// Parses one JSONL line into an event.
+/// Parses one JSONL line into an event: [`json::parse`], then the
+/// trace schema on the resulting object.
 pub fn parse_line(line: &str) -> Result<Event, String> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
+    let Json::Obj(fields) = json::parse(line).map_err(|e| e.to_string())? else {
+        return Err("expected an object".to_string());
     };
-    p.skip_ws();
-    p.expect(b'{')?;
     let mut name: Option<String> = None;
     let mut kind_tag: Option<String> = None;
     let mut nanos: Option<u64> = None;
     let mut delta: Option<u64> = None;
     let mut value: Option<f64> = None;
     let mut labels: Vec<(Cow<'static, str>, Value)> = Vec::new();
-    loop {
-        p.skip_ws();
-        if p.eat(b'}') {
-            break;
-        }
-        let key = p.parse_string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
+    for (key, v) in fields {
         match key.as_str() {
-            "name" => name = Some(p.parse_string()?),
-            "kind" => kind_tag = Some(p.parse_string()?),
-            "nanos" => nanos = Some(p.parse_number()?.as_u64()?),
-            "delta" => delta = Some(p.parse_number()?.as_u64()?),
-            // `null` is what the writer emits for non-finite samples.
-            "value" => {
-                value = Some(if p.eat_null() {
-                    f64::NAN
-                } else {
-                    p.parse_number()?.as_f64()
-                })
-            }
+            "name" => name = Some(string(v)?),
+            "kind" => kind_tag = Some(string(v)?),
+            "nanos" => nanos = Some(v.as_u64().ok_or("expected a non-negative integer")?),
+            "delta" => delta = Some(v.as_u64().ok_or("expected a non-negative integer")?),
+            "value" => value = Some(float(&v)?),
             "labels" => {
-                p.expect(b'{')?;
-                loop {
-                    p.skip_ws();
-                    if p.eat(b'}') {
-                        break;
-                    }
-                    let label_key = p.parse_string()?;
-                    p.skip_ws();
-                    p.expect(b':')?;
-                    p.skip_ws();
-                    let label_value = p.parse_value()?;
-                    labels.push((Cow::Owned(label_key), label_value));
-                    p.skip_ws();
-                    if !p.eat(b',') {
-                        p.skip_ws();
-                        p.expect(b'}')?;
-                        break;
-                    }
+                let Json::Obj(pairs) = v else {
+                    return Err("\"labels\" must be an object".to_string());
+                };
+                for (label_key, label_value) in pairs {
+                    labels.push((Cow::Owned(label_key), label(label_value)?));
                 }
             }
             other => return Err(format!("unknown key {other:?}")),
-        }
-        p.skip_ws();
-        if !p.eat(b',') {
-            p.skip_ws();
-            p.expect(b'}')?;
-            break;
         }
     }
     let name = name.ok_or("missing \"name\"")?;
@@ -147,174 +111,32 @@ pub fn parse_line(line: &str) -> Result<Event, String> {
     })
 }
 
-/// A parsed JSON number, kept in whichever representation was written.
-enum Number {
-    Unsigned(u64),
-    Signed(i64),
-    Float(f64),
-}
-
-impl Number {
-    fn as_u64(&self) -> Result<u64, String> {
-        match *self {
-            Number::Unsigned(v) => Ok(v),
-            Number::Signed(v) if v >= 0 => Ok(v as u64),
-            _ => Err("expected a non-negative integer".to_string()),
-        }
-    }
-
-    fn as_f64(&self) -> f64 {
-        match *self {
-            Number::Unsigned(v) => v as f64,
-            Number::Signed(v) => v as f64,
-            Number::Float(v) => v,
-        }
+fn string(v: Json) -> Result<String, String> {
+    match v {
+        Json::Str(s) => Ok(s),
+        _ => Err("expected a string".to_string()),
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// A label value. A number is the variant it was written from: only
+/// `F64` carries a `.` or exponent.
+fn label(v: Json) -> Result<Value, String> {
+    Ok(if let Some(u) = v.as_u64() {
+        Value::U64(u)
+    } else if let Some(i) = v.as_i64() {
+        Value::I64(i)
+    } else if let Json::Str(s) = v {
+        Value::Str(Cow::Owned(s))
+    } else {
+        Value::F64(float(&v)?)
+    })
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn eat_null(&mut self) -> bool {
-        if self.bytes[self.pos..].starts_with(b"null") {
-            self.pos += 4;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {} (found {:?})",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char),
-            ))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&b) = rest.first() else {
-                return Err("unterminated string".to_string());
-            };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    let esc = *rest.get(1).ok_or("dangling escape")?;
-                    self.pos += 2;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        }
-                        other => return Err(format!("unknown escape \\{}", other as char)),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 code point.
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Number, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9') | Some(b'.') | Some(b'e') | Some(b'E') | Some(b'+') | Some(b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "invalid number")?;
-        if text.is_empty() {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        if !text.contains(['.', 'e', 'E']) {
-            if let Some(stripped) = text.strip_prefix('-') {
-                if stripped.parse::<i64>().is_ok() {
-                    return Ok(Number::Signed(text.parse().map_err(|_| "bad integer")?));
-                }
-            } else if let Ok(v) = text.parse::<u64>() {
-                return Ok(Number::Unsigned(v));
-            }
-        }
-        text.parse::<f64>()
-            .map(Number::Float)
-            .map_err(|_| format!("bad number {text:?}"))
-    }
-
-    fn parse_value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(Cow::Owned(self.parse_string()?))),
-            Some(b'n') => {
-                // `null` only appears for non-finite floats we refused to write.
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(Value::F64(f64::NAN))
-                } else {
-                    Err("unexpected token".to_string())
-                }
-            }
-            _ => Ok(match self.parse_number()? {
-                Number::Unsigned(v) => Value::U64(v),
-                Number::Signed(v) => Value::I64(v),
-                Number::Float(v) => Value::F64(v),
-            }),
-        }
+/// A number, or the `null` the writer emits for a non-finite one.
+fn float(v: &Json) -> Result<f64, String> {
+    match v {
+        Json::Null => Ok(f64::NAN),
+        _ => v.as_f64().ok_or_else(|| "expected a number".to_string()),
     }
 }
 
@@ -430,5 +252,12 @@ mod tests {
         assert!(parse_line(r#"{"kind":"mark","labels":{}}"#).is_err());
         assert!(parse_line(r#"{"name":"x","labels":{}}"#).is_err());
         assert!(parse_line(r#"{"name":"x","kind":"span","labels":{}}"#).is_err());
+        // One value per line: bytes after the closing brace are an error,
+        // and the file-level error still names the line.
+        let trailing = r#"{"name":"x","kind":"mark","labels":{}} trailing"#;
+        assert!(parse_line(trailing).is_err());
+        let good = r#"{"name":"x","kind":"mark","labels":{}}"#;
+        let err = parse_jsonl(&format!("{good}\n\n{trailing}\n")).unwrap_err();
+        assert_eq!(err.line, 3);
     }
 }

@@ -10,9 +10,9 @@
 use dod_core::{OutlierParams, PointId, PointSet};
 use dod_detect::cost::AlgorithmKind;
 use dod_detect::{Detection, Partition, PartitionState};
+use dod_obs::json::Json;
 use dod_obs::Obs;
 use dod_partition::Router;
-use mapreduce::checkpoint::Json;
 use mapreduce::{Durable, EstimateSize, Mapper, Reducer};
 use std::sync::Arc;
 

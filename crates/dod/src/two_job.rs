@@ -19,8 +19,8 @@
 use crate::framework::{DodReducer, InputPoint, TaggedPoint};
 use dod_core::{GridSpec, OutlierParams, PointId, Rect};
 use dod_detect::cost::AlgorithmKind;
+use dod_obs::json::Json;
 use dod_partition::PartitionPlan;
-use mapreduce::checkpoint::Json;
 use mapreduce::{Durable, EstimateSize, Mapper, Reducer};
 use std::sync::Arc;
 

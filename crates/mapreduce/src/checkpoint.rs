@@ -26,10 +26,10 @@
 //! [`CheckpointStore::resume_state`]. No parse failure panics, and no
 //! partial resume happens silently.
 //!
-//! Values are encoded as hand-rolled JSON consistent with
-//! `dod-obs`'s writer (no serde; the workspace builds offline).
-//! Floats round-trip bit-exactly: Rust's shortest `Display` repr is
-//! re-parsed to the identical bits, which is what makes resumed runs
+//! Values are written with [`dod_obs::json`]'s primitives and read
+//! back through its one reader. Floats round-trip bit-exactly: Rust's
+//! shortest `Display` repr is re-parsed to the identical bits (rule 3
+//! of the reader's contract), which is what makes resumed runs
 //! byte-identical to uninterrupted ones.
 
 use std::fmt;
@@ -38,288 +38,13 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{Duration, SystemTime};
 
+use dod_obs::json::{self, Json};
 use dod_obs::write_atomic;
 
 use crate::dlq::{DeadLetterQueue, DlqEntry};
 
 /// Current on-disk format version for manifests and task records.
 const FORMAT_VERSION: u64 = 1;
-
-// ---------------------------------------------------------------------
-// Minimal JSON value + parser
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers keep their raw text so integer and
-/// float decoding is exact (`u64` beyond 2^53 survives, floats re-parse
-/// to identical bits).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number, as the raw source text.
-    Num(String),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up a key in an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as an exact `u64`, if it is a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as a `usize`.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|v| usize::try_from(v).ok())
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a complete JSON document (no trailing garbage allowed).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(Json::Bool(false)),
-            Some(b'n') if self.eat_literal("null") => Ok(Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            _ => Err(format!("unexpected input at offset {}", self.pos)),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.eat(b'}') {
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            self.expect(b'}')?;
-            return Ok(Json::Obj(fields));
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.eat(b']') {
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            self.expect(b']')?;
-            return Ok(Json::Arr(items));
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self
-                .peek()
-                .ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let end = self.pos + 4;
-                            let hex = self
-                                .bytes
-                                .get(self.pos..end)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            self.pos = end;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "invalid \\u code point".to_string())?,
-                            );
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                // Multi-byte UTF-8: copy the whole scalar through.
-                _ => {
-                    let start = self.pos - 1;
-                    let len = utf8_len(b).ok_or_else(|| "invalid UTF-8".to_string())?;
-                    let end = start + len;
-                    let s = self
-                        .bytes
-                        .get(start..end)
-                        .and_then(|sl| std::str::from_utf8(sl).ok())
-                        .ok_or_else(|| "invalid UTF-8".to_string())?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        // An optional leading minus; eat() already advances on match.
-        let _ = self.eat(b'-');
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number".to_string())?;
-        // Validate by parsing as f64 (covers every JSON number form).
-        raw.parse::<f64>()
-            .map_err(|_| format!("invalid number {raw:?}"))?;
-        Ok(Json::Num(raw.to_string()))
-    }
-}
-
-fn utf8_len(first: u8) -> Option<usize> {
-    match first {
-        0x00..=0x7f => Some(1),
-        0xc0..=0xdf => Some(2),
-        0xe0..=0xef => Some(3),
-        0xf0..=0xf7 => Some(4),
-        _ => None,
-    }
-}
-
-/// Writes a JSON string literal (with quotes and escaping) using the
-/// same escaping rules as `dod-obs`'s writer.
-pub fn push_json_str(out: &mut String, s: &str) {
-    let mut buf = Vec::with_capacity(s.len() + 2);
-    dod_obs::json::write_str(&mut buf, s).expect("writing to a Vec cannot fail");
-    out.push_str(std::str::from_utf8(&buf).expect("escaping emits valid UTF-8"));
-}
 
 // ---------------------------------------------------------------------
 // Durable encoding
@@ -399,22 +124,19 @@ impl Durable for f64 {
         }
     }
     fn decode(v: &Json) -> Option<Self> {
-        match v {
-            Json::Num(raw) => raw.parse().ok(),
-            Json::Str(s) => match s.as_str() {
-                "NaN" => Some(f64::NAN),
-                "inf" => Some(f64::INFINITY),
-                "-inf" => Some(f64::NEG_INFINITY),
-                _ => None,
-            },
-            _ => None,
+        match v.as_str() {
+            None => v.as_f64(),
+            Some("NaN") => Some(f64::NAN),
+            Some("inf") => Some(f64::INFINITY),
+            Some("-inf") => Some(f64::NEG_INFINITY),
+            Some(_) => None,
         }
     }
 }
 
 impl Durable for String {
     fn encode(&self, out: &mut String) {
-        push_json_str(out, self);
+        json::push_str(out, self);
     }
     fn decode(v: &Json) -> Option<Self> {
         v.as_str().map(str::to_string)
@@ -738,7 +460,7 @@ impl CheckpointStore {
     ) {
         let mut out = String::with_capacity(128);
         out.push_str(&format!("{{\"v\":{FORMAT_VERSION},\"stage\":"));
-        push_json_str(&mut out, stage);
+        json::push_str(&mut out, stage);
         out.push_str(&format!(
             ",\"task\":{task},\"fp\":{shuffle_fp},\"nanos\":{}",
             duration.as_nanos() as u64
@@ -802,12 +524,12 @@ impl CheckpointStore {
 fn render_manifest(job_id: &str, fp: &JobFingerprint) -> String {
     let mut out = String::with_capacity(96);
     out.push_str(&format!("{{\"v\":{FORMAT_VERSION},\"job_id\":"));
-    push_json_str(&mut out, job_id);
+    json::push_str(&mut out, job_id);
     out.push_str(&format!(
         ",\"map_tasks\":{},\"reducers\":{},\"tag\":",
         fp.map_tasks, fp.reducers
     ));
-    push_json_str(&mut out, &fp.tag);
+    json::push_str(&mut out, &fp.tag);
     out.push_str("}\n");
     out
 }
@@ -817,7 +539,7 @@ fn check_manifest(text: &str, job_id: &str, fp: &JobFingerprint) -> Result<(), C
         path: "manifest.json".to_string(),
         detail,
     };
-    let doc = parse_json(text).map_err(corrupt)?;
+    let doc = json::parse(text).map_err(|e| corrupt(e.to_string()))?;
     let field = |name: &'static str| {
         doc.get(name)
             .ok_or_else(|| corrupt(format!("missing field {name:?}")))
@@ -871,7 +593,7 @@ fn decode_task_record<T: Durable>(
     task: usize,
     shuffle_fp: u64,
 ) -> Option<(Duration, T)> {
-    let doc = parse_json(text).ok()?;
+    let doc = json::parse(text).ok()?;
     if doc.get("v")?.as_u64()? != FORMAT_VERSION
         || doc.get("stage")?.as_str()? != stage
         || doc.get("task")?.as_usize()? != task
@@ -940,7 +662,7 @@ pub fn job_summary(root: &Path, job_id: &str) -> Result<JobSummary, CheckpointEr
         path: manifest_path.display().to_string(),
         detail,
     };
-    let doc = parse_json(&text).map_err(corrupt)?;
+    let doc = json::parse(&text).map_err(|e| corrupt(e.to_string()))?;
     let map_tasks = doc
         .get("map_tasks")
         .and_then(Json::as_usize)
@@ -1126,12 +848,12 @@ mod tests {
         ] {
             let mut s = String::new();
             v.encode(&mut s);
-            let back = f64::decode(&parse_json(&s).unwrap()).unwrap();
+            let back = f64::decode(&json::parse(&s).unwrap()).unwrap();
             assert_eq!(v.to_bits(), back.to_bits(), "value {v}");
         }
         let mut s = String::new();
         f64::NAN.encode(&mut s);
-        assert!(f64::decode(&parse_json(&s).unwrap()).unwrap().is_nan());
+        assert!(f64::decode(&json::parse(&s).unwrap()).unwrap().is_nan());
     }
 
     /// A nested composite exercising every `Durable` impl at once.
@@ -1148,7 +870,7 @@ mod tests {
         ];
         let mut s = String::new();
         value.encode(&mut s);
-        let back = Composite::decode(&parse_json(&s).unwrap());
+        let back = Composite::decode(&json::parse(&s).unwrap());
         assert_eq!(back.as_deref(), Some(&value[..]));
     }
 

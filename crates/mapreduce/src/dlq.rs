@@ -15,7 +15,7 @@
 //! rewrite the whole file atomically instead of appending — a crash
 //! can never leave a torn final line.
 
-use crate::checkpoint::{parse_json, push_json_str, Json};
+use dod_obs::json::{self, Json};
 
 /// One dead task.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +38,7 @@ pub struct DlqEntry {
 impl DlqEntry {
     fn render(&self, out: &mut String) {
         out.push_str("{\"stage\":");
-        push_json_str(out, &self.stage);
+        json::push_str(out, &self.stage);
         out.push_str(&format!(
             ",\"task\":{},\"attempts\":{},\"errors\":[",
             self.task, self.attempts
@@ -47,7 +47,7 @@ impl DlqEntry {
             if i > 0 {
                 out.push(',');
             }
-            push_json_str(out, e);
+            json::push_str(out, e);
         }
         out.push_str("],\"fault_seed\":");
         match self.fault_seed {
@@ -61,7 +61,7 @@ impl DlqEntry {
     }
 
     fn decode(line: &str) -> Result<DlqEntry, String> {
-        let doc = parse_json(line).map_err(|e| format!("bad JSON: {e}"))?;
+        let doc = json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
         let stage = doc
             .get("stage")
             .and_then(Json::as_str)
