@@ -7,6 +7,8 @@
 //! 1. **Stage breakdown** — the Figure-10 view: wall time per pipeline
 //!    stage (`dod.stage` spans: preprocess / map / reduce) with
 //!    percentages of the total.
+//!    A serve trace that swapped epochs gets the same table for the
+//!    stages of a refresh (`engine.refresh.stage` spans).
 //! 2. **Span latency** — per span family, count and p50/p95/p99/p999/max
 //!    from a mergeable log-linear histogram ([`dod_obs::Histogram`]);
 //!    `engine.request` spans are split per `op`.
@@ -81,6 +83,7 @@ pub fn analyze(events: &[Event], top: usize) -> String {
     let mut out = String::new();
     summary_section(&mut out, events);
     stage_section(&mut out, events);
+    refresh_section(&mut out, events);
     latency_section(&mut out, events);
     slow_requests_section(&mut out, events, top);
     // The plan marks are parsed once and shared between the plan section
@@ -117,9 +120,31 @@ fn summary_section(out: &mut String, events: &[Event]) {
 
 fn stage_section(out: &mut String, events: &[Event]) {
     out.push_str("\n== stage breakdown ==\n");
-    // Sum the per-stage spans in emission order (preprocess, map, reduce).
+    if !breakdown(out, events, "dod.stage") {
+        out.push_str("(no dod.stage spans in this trace)\n");
+    }
+}
+
+/// Where the epoch swaps of a serve trace went: the `engine.refresh.stage`
+/// spans summed per stage. Absent from traces without a refresh.
+fn refresh_section(out: &mut String, events: &[Event]) {
+    let mut table = String::new();
+    if breakdown(&mut table, events, names::ENGINE_REFRESH_STAGE) {
+        let swaps = events
+            .iter()
+            .filter(|e| e.name == names::ENGINE_REFRESH)
+            .count();
+        out.push_str(&format!(
+            "\n== refresh breakdown ({swaps} epoch swaps) ==\n{table}"
+        ));
+    }
+}
+
+/// Sums the `name` spans per `stage` label in emission order and prints
+/// each with its share of the total. Returns whether there were any.
+fn breakdown(out: &mut String, events: &[Event], name: &str) -> bool {
     let mut stages: Vec<(String, u64)> = Vec::new();
-    for e in events.iter().filter(|e| e.name == "dod.stage") {
+    for e in events.iter().filter(|e| e.name == name) {
         let (Some(stage), Some(nanos)) = (label_str(e, "stage"), span_nanos(e)) else {
             continue;
         };
@@ -129,8 +154,7 @@ fn stage_section(out: &mut String, events: &[Event]) {
         }
     }
     if stages.is_empty() {
-        out.push_str("(no dod.stage spans in this trace)\n");
-        return;
+        return false;
     }
     let total: u64 = stages.iter().map(|(_, n)| n).sum();
     for (stage, nanos) in &stages {
@@ -145,6 +169,7 @@ fn stage_section(out: &mut String, events: &[Event]) {
         "total",
         fmt_nanos(total as f64)
     ));
+    true
 }
 
 fn latency_section(out: &mut String, events: &[Event]) {
@@ -460,6 +485,28 @@ mod tests {
         assert!(text.contains("map          "), "{text}");
         assert!(text.contains("60.0%"), "{text}");
         assert!(text.contains("total"), "{text}");
+    }
+
+    #[test]
+    fn refresh_breakdown_appears_only_when_an_epoch_swapped() {
+        assert!(!analyze(&engine_trace(), 1).contains("refresh breakdown"));
+        let mut events = engine_trace();
+        for epoch in [1u64, 2] {
+            for (stage, nanos) in [("compact", 1_000_000u64), ("build", 3_000_000)] {
+                events.push(
+                    span(names::ENGINE_REFRESH_STAGE, nanos)
+                        .with_label("epoch", epoch)
+                        .with_label("stage", stage),
+                );
+            }
+            events.push(span(names::ENGINE_REFRESH, 4_100_000).with_label("epoch", epoch));
+        }
+        let text = analyze(&events, 1);
+        let table = text
+            .split("== refresh breakdown (2 epoch swaps) ==")
+            .nth(1)
+            .expect(&text);
+        assert!(table.contains("build            6.00ms   75.0%"), "{table}");
     }
 
     #[test]

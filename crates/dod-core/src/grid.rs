@@ -53,8 +53,15 @@ impl Hasher for CellIdHasher {
         self.mix(id as u64);
     }
 
-    /// Not reached for [`CellId`] keys (`usize` hashes through
-    /// [`Hasher::write_usize`]); present so the hasher is total.
+    /// For the other engine-minted integer key, sequential `u64` point
+    /// ids (the resident states' id → slot maps).
+    fn write_u64(&mut self, id: u64) {
+        self.mix(id);
+    }
+
+    /// Not reached for [`CellId`] or `u64` keys (they hash through
+    /// [`Hasher::write_usize`] / [`Hasher::write_u64`]); present so the
+    /// hasher is total.
     fn write(&mut self, bytes: &[u8]) {
         for chunk in bytes.chunks(8) {
             let mut word = [0u8; 8];

@@ -17,9 +17,11 @@
 //!   the dataset (Lemma 3.1 replicates only *support* copies), so
 //!   summing this count across partitions never double-counts.
 
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
-use dod_core::{CoreError, FilterTile, NeighborPredicate, OutlierParams, PointId};
+use dod_core::{CellIdHasher, CoreError, FilterTile, NeighborPredicate, OutlierParams, PointId};
 
 use crate::cell_based::{CellBased, CellIndex};
 use crate::cost::AlgorithmKind;
@@ -67,6 +69,55 @@ fn scan_index(partition: &Partition) -> StateIndex {
     StateIndex::Scan { filter }
 }
 
+/// Id → slot in a tile. Keys are ids the engine minted for resident
+/// points (sequential `u64`s); a client chooses which id to *look up*,
+/// never which ids are stored, so the cheap hasher's lack of HashDoS
+/// resistance (see [`CellIdHasher`]) has no adversary here.
+type SlotMap = HashMap<PointId, u32, BuildHasherDefault<CellIdHasher>>;
+
+/// Where each resident id lives, so a removal is a lookup instead of a
+/// scan. Built from `core_ids` / `support_ids` on a state's first
+/// removal — a state that is only read never pays for it — and kept
+/// current from then on by every push and swap-remove.
+#[derive(Debug, Clone)]
+struct IdSlots {
+    core: SlotMap,
+    support: SlotMap,
+}
+
+impl IdSlots {
+    fn of(partition: &Partition, support_ids: &[PointId]) -> Self {
+        let index = |ids: &[PointId]| {
+            let mut map = SlotMap::with_capacity_and_hasher(ids.len(), Default::default());
+            map.extend(ids.iter().enumerate().map(|(slot, &id)| (id, slot as u32)));
+            map
+        };
+        IdSlots {
+            core: index(partition.core_ids()),
+            support: index(support_ids),
+        }
+    }
+}
+
+/// Runs the build phase of `kind` over `partition`.
+fn build_index(kind: AlgorithmKind, partition: &Partition, params: OutlierParams) -> StateIndex {
+    if partition.total_len() == 0 {
+        return scan_index(partition);
+    }
+    match kind {
+        AlgorithmKind::CellBased | AlgorithmKind::CellBasedFullScan => {
+            match CellIndex::build(partition, params, CellBased::DEFAULT_MAX_CELLS_PER_DIM) {
+                Some(cells) => StateIndex::Cells(cells),
+                None => scan_index(partition),
+            }
+        }
+        AlgorithmKind::IndexBased => StateIndex::Tree(KdIndex::build(partition, 0)),
+        AlgorithmKind::NestedLoop | AlgorithmKind::PivotBased | AlgorithmKind::Reference => {
+            scan_index(partition)
+        }
+    }
+}
+
 /// Built detector state for one partition: the points, the planned
 /// algorithm, and its prebuilt index.
 #[derive(Debug, Clone)]
@@ -83,6 +134,13 @@ pub struct PartitionState {
     /// Partition size at the last index build — the baseline the
     /// compaction threshold scales with.
     built_total: usize,
+    /// Global id of each support copy, aligned with the support tile
+    /// (the paper's support records are anonymous; a resident state
+    /// must know whose copy it is removing). Empty while the copies
+    /// handed to [`PartitionState::build`] are still unnamed.
+    support_ids: Vec<PointId>,
+    /// `None` until the first removal.
+    slots: Option<IdSlots>,
 }
 
 impl PartitionState {
@@ -93,23 +151,7 @@ impl PartitionState {
     /// simply runs the one-shot detector, which is already dominated by
     /// its query phase.
     pub fn build(kind: AlgorithmKind, partition: Arc<Partition>, params: OutlierParams) -> Self {
-        let index = if partition.total_len() == 0 {
-            scan_index(&partition)
-        } else {
-            match kind {
-                AlgorithmKind::CellBased | AlgorithmKind::CellBasedFullScan => {
-                    match CellIndex::build(&partition, params, CellBased::DEFAULT_MAX_CELLS_PER_DIM)
-                    {
-                        Some(cells) => StateIndex::Cells(cells),
-                        None => scan_index(&partition),
-                    }
-                }
-                AlgorithmKind::IndexBased => StateIndex::Tree(KdIndex::build(&partition, 0)),
-                AlgorithmKind::NestedLoop
-                | AlgorithmKind::PivotBased
-                | AlgorithmKind::Reference => scan_index(&partition),
-            }
-        };
+        let index = build_index(kind, &partition, params);
         let built_total = partition.total_len();
         PartitionState {
             partition,
@@ -119,7 +161,30 @@ impl PartitionState {
             index,
             mutations: 0,
             built_total,
+            support_ids: Vec::new(),
+            slots: None,
         }
+    }
+
+    /// Names the support copies the state was built over: `ids[i]` is the
+    /// global id of support point `i`. Without it those copies stay
+    /// anonymous — fine for a state that is only queried, but
+    /// [`PartitionState::remove_support`] cannot find them and
+    /// [`PartitionState::insert_support`] refuses to append after them.
+    ///
+    /// # Errors
+    /// Returns an error unless there is exactly one id per support point.
+    pub fn with_support_ids(mut self, ids: Vec<PointId>) -> Result<Self, CoreError> {
+        let copies = self.partition.support().len();
+        if ids.len() != copies {
+            return Err(CoreError::InvalidParameter {
+                name: "support_ids",
+                reason: format!("{} ids for {copies} support points", ids.len()),
+            });
+        }
+        self.support_ids = ids;
+        self.slots = None;
+        Ok(self)
     }
 
     /// Inserts a new core point with its stable global id, splicing it
@@ -134,6 +199,9 @@ impl PartitionState {
     pub fn insert_core(&mut self, p: &[f64], id: PointId) -> Result<(), CoreError> {
         let part = Arc::make_mut(&mut self.partition);
         let ci = part.push_core(p, id)?;
+        if let Some(slots) = &mut self.slots {
+            slots.core.insert(id, ci as u32);
+        }
         let out_of_domain = match &mut self.index {
             StateIndex::Cells(cells) => !cells.insert_core(ci as u32, p),
             StateIndex::Tree(tree) => {
@@ -150,13 +218,25 @@ impl PartitionState {
         Ok(())
     }
 
-    /// Inserts a replicated support point (support points carry no ids).
+    /// Inserts the support copy of the point with global id `id`.
     ///
     /// # Errors
-    /// Returns an error on dimensionality mismatch.
-    pub fn insert_support(&mut self, p: &[f64]) -> Result<(), CoreError> {
+    /// Returns an error on dimensionality mismatch, or when the state
+    /// still holds anonymous support copies (see
+    /// [`PartitionState::with_support_ids`]); the state is unchanged.
+    pub fn insert_support(&mut self, p: &[f64], id: PointId) -> Result<(), CoreError> {
+        if self.support_ids.len() != self.partition.support().len() {
+            return Err(CoreError::InvalidParameter {
+                name: "support_ids",
+                reason: "the support copies this state was built over have no ids".into(),
+            });
+        }
         let part = Arc::make_mut(&mut self.partition);
         let si = part.push_support(p)?;
+        self.support_ids.push(id);
+        if let Some(slots) = &mut self.slots {
+            slots.support.insert(id, si as u32);
+        }
         let out_of_domain = match &mut self.index {
             StateIndex::Cells(cells) => !cells.insert_support(si as u32, p),
             StateIndex::Tree(tree) => {
@@ -175,14 +255,22 @@ impl PartitionState {
     /// was resident. The index is patched in place (swap-remove plus a
     /// renumber of the one moved entry).
     pub fn remove_core(&mut self, id: PointId) -> bool {
-        let Some(victim) = self.partition.core_ids().iter().position(|&x| x == id) else {
+        let slots = self
+            .slots
+            .get_or_insert_with(|| IdSlots::of(&self.partition, &self.support_ids));
+        let Some(victim) = slots.core.remove(&id) else {
             return false;
         };
+        let victim = victim as usize;
         let part = Arc::make_mut(&mut self.partition);
         let p = part.core().point(victim).to_vec();
         let last = part.core().len() - 1;
         let moved = (victim < last).then(|| part.core().point(last).to_vec());
         part.swap_remove_core(victim);
+        if victim < last {
+            // The last point now sits in the victim's slot.
+            slots.core.insert(part.core_id(victim), victim as u32);
+        }
         match &mut self.index {
             StateIndex::Cells(cells) => {
                 cells.remove_core(victim as u32, &p);
@@ -202,28 +290,37 @@ impl PartitionState {
         true
     }
 
-    /// Removes one support point with exactly these coordinates,
-    /// returning whether one was found. Duplicate support copies are
-    /// interchangeable for neighbor counting, so removing any one of
-    /// them is correct.
-    pub fn remove_support_matching(&mut self, p: &[f64]) -> bool {
-        let support = self.partition.support();
-        let Some(victim) = (0..support.len()).find(|&i| support.point(i) == p) else {
+    /// Removes the support copy of the point with global id `id`,
+    /// returning whether this partition held one. It is that point's
+    /// copy that goes, not another copy at the same coordinates.
+    pub fn remove_support(&mut self, id: PointId) -> bool {
+        let slots = self
+            .slots
+            .get_or_insert_with(|| IdSlots::of(&self.partition, &self.support_ids));
+        let Some(victim) = slots.support.remove(&id) else {
             return false;
         };
+        let victim = victim as usize;
         let part = Arc::make_mut(&mut self.partition);
+        let p = part.support().point(victim).to_vec();
         let last = part.support().len() - 1;
         let moved = (victim < last).then(|| part.support().point(last).to_vec());
         part.swap_remove_support(victim);
+        self.support_ids.swap_remove(victim);
+        if victim < last {
+            slots
+                .support
+                .insert(self.support_ids[victim], victim as u32);
+        }
         match &mut self.index {
             StateIndex::Cells(cells) => {
-                cells.remove_support(victim as u32, p);
+                cells.remove_support(victim as u32, &p);
                 if let Some(mp) = &moved {
                     cells.renumber_support(last as u32, victim as u32, mp);
                 }
             }
             StateIndex::Tree(tree) => {
-                tree.remove_support(victim as u32, p);
+                tree.remove_support(victim as u32, &p);
                 if let Some(mp) = &moved {
                     tree.renumber_support(last as u32, victim as u32, mp);
                 }
@@ -234,15 +331,25 @@ impl PartitionState {
         true
     }
 
+    /// Frees the id → slot maps; the next removal builds them again. For
+    /// a state about to be retired, whose maps would otherwise sit beside
+    /// its successor's while that is built.
+    pub fn release_id_slots(&mut self) {
+        self.slots = None;
+    }
+
     /// Mutations applied since the index was last (re)built.
     pub fn pending_mutations(&self) -> usize {
         self.mutations
     }
 
     /// Rebuilds the resident index from the current partition contents,
-    /// resetting the mutation counter.
+    /// resetting the mutation counter. No point changes slot, so the
+    /// support ids and the id → slot maps carry over as they are.
     pub fn rebuild(&mut self) {
-        *self = PartitionState::build(self.kind, Arc::clone(&self.partition), self.params);
+        self.index = build_index(self.kind, &self.partition, self.params);
+        self.mutations = 0;
+        self.built_total = self.partition.total_len();
     }
 
     /// Books one incremental mutation and compacts (rebuilds the index)
@@ -261,6 +368,12 @@ impl PartitionState {
     /// The resident partition.
     pub fn partition(&self) -> &Partition {
         &self.partition
+    }
+
+    /// Global id of each support copy, aligned with the partition's
+    /// support tile; empty while the copies are anonymous.
+    pub fn support_ids(&self) -> &[PointId] {
+        &self.support_ids
     }
 
     /// The outlier parameters the state was built for.
@@ -514,16 +627,20 @@ mod tests {
     fn mutations_keep_state_equivalent_to_fresh_build() {
         let params = OutlierParams::new(1.0, 2).unwrap();
         for kind in ALL_KINDS {
-            let mut state = PartitionState::build(kind, sample_partition(), params);
+            let mut state = PartitionState::build(kind, sample_partition(), params)
+                .with_support_ids(vec![20])
+                .unwrap();
             state.insert_core(&[0.15, 0.15], 14).unwrap();
             // Outside the built bounding box: cell grids must rebuild.
             state.insert_core(&[20.0, 20.0], 15).unwrap();
-            state.insert_support(&[0.25, 0.05]).unwrap();
+            state.insert_support(&[0.25, 0.05], 21).unwrap();
             assert!(state.remove_core(13));
             assert!(!state.remove_core(99));
-            assert!(state.remove_support_matching(&[0.3, 0.3]));
-            assert!(!state.remove_support_matching(&[123.0, 123.0]));
+            assert!(state.remove_support(20));
+            assert!(!state.remove_support(20), "already gone");
+            assert!(!state.remove_support(10), "a core id is not a support id");
             assert!(state.insert_core(&[0.15], 16).is_err(), "dim mismatch");
+            assert!(state.insert_support(&[0.15], 22).is_err(), "dim mismatch");
 
             let fresh = PartitionState::build(kind, Arc::new(state.partition().clone()), params);
             assert_eq!(
@@ -541,6 +658,172 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `state` answers as a state freshly built over its current contents
+    /// does, and its id bookkeeping names every resident copy exactly
+    /// once: draining a clone id by id removes that id and nothing else.
+    fn assert_equivalent_to_fresh_build(state: &PartitionState, context: &str) {
+        let (kind, params) = (state.kind(), state.params());
+        let fresh = PartitionState::build(kind, Arc::new(state.partition().clone()), params);
+        assert_eq!(
+            state.detect().outliers,
+            fresh.detect().outliers,
+            "{context}: kind {}",
+            kind.name()
+        );
+        for q in [[0.1, 0.1], [0.3, 0.3], [9.0, 9.0], [20.0, 20.0]] {
+            assert_eq!(
+                state.count_core_neighbors(&q, usize::MAX),
+                fresh.count_core_neighbors(&q, usize::MAX),
+                "{context}: kind {} query {q:?}",
+                kind.name()
+            );
+        }
+        assert_eq!(
+            state.support_ids().len(),
+            state.partition().support().len(),
+            "{context}"
+        );
+        let mut drained = state.clone();
+        for &id in state.partition().core_ids() {
+            assert!(drained.remove_core(id), "{context}: core {id}");
+            assert!(
+                !drained.partition().core_ids().contains(&id),
+                "{context}: core {id}"
+            );
+        }
+        for &id in state.support_ids() {
+            assert!(drained.remove_support(id), "{context}: support {id}");
+            assert!(
+                !drained.support_ids().contains(&id),
+                "{context}: support {id}"
+            );
+        }
+        assert_eq!(drained.partition().total_len(), 0, "{context}");
+    }
+
+    #[test]
+    fn a_support_removal_removes_that_points_copy() {
+        // Two core points and two support copies share coordinates. By
+        // coordinates alone the copy that disappears could be the
+        // survivor's; by id it cannot.
+        let params = OutlierParams::new(1.0, 2).unwrap();
+        for kind in ALL_KINDS {
+            let core = PointSet::from_xy(&[(0.1, 0.1), (0.1, 0.1), (0.2, 0.1), (9.0, 9.0)]);
+            let support = PointSet::from_xy(&[(0.3, 0.3), (0.3, 0.3), (0.4, 0.3)]);
+            let partition = Partition::new(core, vec![10, 11, 12, 13], support).unwrap();
+            let mut state = PartitionState::build(kind, Arc::new(partition), params)
+                .with_support_ids(vec![20, 21, 22])
+                .unwrap();
+            assert!(state.remove_support(20));
+            let mut left = state.support_ids().to_vec();
+            left.sort_unstable();
+            assert_eq!(left, [21, 22], "kind {}", kind.name());
+            assert!(state.remove_core(10));
+            assert_equivalent_to_fresh_build(&state, "after removing one of each pair");
+            assert!(state.remove_support(21), "the survivor is still removable");
+            assert!(state.remove_core(11), "the survivor is still removable");
+            assert!(!state.remove_support(20) && !state.remove_core(10));
+            assert_equivalent_to_fresh_build(&state, "after removing both of each pair");
+        }
+    }
+
+    #[test]
+    fn id_bookkeeping_survives_a_compaction() {
+        // Inserts drive the state past the compaction threshold (32
+        // mutations at this size); ids from before and after it, core and
+        // support, must all still be removable — whether the id maps were
+        // built before the compaction (`warm`) or only after it.
+        let params = OutlierParams::new(1.0, 2).unwrap();
+        let at = |i: u64| [0.01 * (i % 13) as f64, 0.02 * (i % 7) as f64];
+        for kind in ALL_KINDS {
+            for warm in [false, true] {
+                let context = format!("kind {} warm {warm}", kind.name());
+                let mut state = PartitionState::build(kind, sample_partition(), params)
+                    .with_support_ids(vec![20])
+                    .unwrap();
+                if warm {
+                    assert!(state.remove_core(12), "{context}");
+                }
+                let mut compactions = 0;
+                for i in 0..40u64 {
+                    let before = state.pending_mutations();
+                    state.insert_core(&at(i), 100 + i).unwrap();
+                    state.insert_support(&at(i + 5), 200 + i).unwrap();
+                    compactions += usize::from(state.pending_mutations() < before + 2);
+                }
+                assert!(
+                    compactions > 0,
+                    "{context}: 80 mutations cross the threshold"
+                );
+                assert_equivalent_to_fresh_build(&state, &context);
+                // Built-in, pre-compaction and post-compaction ids.
+                for id in [10, 100, 139] {
+                    assert!(state.remove_core(id), "{context}: core {id}");
+                }
+                for id in [20, 200, 239] {
+                    assert!(state.remove_support(id), "{context}: support {id}");
+                }
+                assert_equivalent_to_fresh_build(&state, &context);
+            }
+        }
+    }
+
+    #[test]
+    fn swap_remove_edge_cases_keep_the_id_maps_exact() {
+        let params = OutlierParams::new(1.0, 2).unwrap();
+        for kind in ALL_KINDS {
+            let context = format!("kind {}", kind.name());
+            let mut state = PartitionState::build(kind, sample_partition(), params)
+                .with_support_ids(vec![20])
+                .unwrap();
+            state.insert_support(&[0.2, 0.3], 21).unwrap();
+            state.insert_support(&[0.1, 0.3], 22).unwrap();
+            // The last slot: nothing moves.
+            assert!(state.remove_core(13), "{context}");
+            assert!(state.remove_support(22), "{context}");
+            assert_equivalent_to_fresh_build(&state, &context);
+            // A victim, then the id the swap just moved into its slot.
+            assert_eq!(state.partition().core_ids(), [10, 11, 12]);
+            assert!(state.remove_core(10), "{context}");
+            assert_eq!(state.partition().core_ids(), [12, 11]);
+            assert!(state.remove_core(12), "{context}");
+            assert!(state.remove_support(20), "{context}");
+            assert!(state.remove_support(21), "{context}");
+            assert_equivalent_to_fresh_build(&state, &context);
+            // Dead and unknown ids find nothing and change nothing.
+            let pending = state.pending_mutations();
+            assert!(!state.remove_core(10) && !state.remove_core(12) && !state.remove_core(77));
+            assert!(!state.remove_support(20) && !state.remove_support(11));
+            assert_eq!(state.pending_mutations(), pending, "{context}");
+            // Empty the partition, then insert into it.
+            assert!(state.remove_core(11), "{context}");
+            assert_eq!(state.partition().total_len(), 0, "{context}");
+            state.insert_core(&[0.1, 0.1], 30).unwrap();
+            state.insert_support(&[0.2, 0.2], 31).unwrap();
+            state.insert_core(&[0.15, 0.1], 32).unwrap();
+            assert_equivalent_to_fresh_build(&state, &context);
+            assert!(
+                state.remove_core(30) && state.remove_support(31),
+                "{context}"
+            );
+            assert_equivalent_to_fresh_build(&state, &context);
+        }
+    }
+
+    #[test]
+    fn anonymous_support_copies_are_queried_but_never_spliced() {
+        let params = OutlierParams::new(1.0, 2).unwrap();
+        let mut state = PartitionState::build(AlgorithmKind::CellBased, sample_partition(), params);
+        assert!(!state.remove_support(20));
+        assert!(state.insert_support(&[0.2, 0.2], 21).is_err());
+        assert_eq!(state.partition().support().len(), 1, "unchanged");
+        let named = PartitionState::build(AlgorithmKind::CellBased, sample_partition(), params);
+        assert!(
+            named.with_support_ids(vec![20, 21]).is_err(),
+            "one id per copy"
+        );
     }
 
     #[test]
@@ -575,11 +858,11 @@ mod tests {
             let before = state.pending_mutations();
             match step % 4 {
                 0 => state.insert_core(&blob(step + 3), 100 + step).unwrap(),
-                1 => state.insert_support(&blob(step)).unwrap(),
+                1 => state.insert_support(&blob(step), 1000 + step).unwrap(),
                 // Odd original blob ids first, then the oldest streamed ones.
                 2 if step < 40 => assert!(state.remove_core(step / 2)),
                 2 => assert!(state.remove_core(100 + step - 42)),
-                _ => assert!(state.remove_support_matching(&blob(step - 2))),
+                _ => assert!(state.remove_support(1000 + step - 2)),
             }
             compacted |= state.pending_mutations() <= before;
             for q in &queries {

@@ -1,8 +1,8 @@
 //! The resident engine: build once, serve many — and mutate in place.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::Write;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -333,12 +333,12 @@ struct Resident {
 struct DatasetState {
     /// Every point ever inserted this compaction era, dead or alive.
     points: PointSet,
-    /// Stable id per slot, aligned with `points`.
+    /// Stable id per slot, aligned with `points`. Strictly increasing —
+    /// ids are minted in order, appended in order, and compaction keeps
+    /// order — so id → slot is a binary search and needs no map.
     ids: Vec<PointId>,
     /// Liveness per slot.
     alive: Vec<bool>,
-    /// Id → slot for O(1) removal.
-    index_of: HashMap<PointId, usize>,
     /// Number of live slots.
     alive_len: usize,
     /// Next id to mint; never reused.
@@ -362,7 +362,6 @@ impl DatasetState {
             points: data.clone(),
             ids: (0..n as PointId).collect(),
             alive: vec![true; n],
-            index_of: (0..n).map(|i| (i as PointId, i)).collect(),
             alive_len: n,
             next_id: n as PointId,
             window,
@@ -375,13 +374,11 @@ impl DatasetState {
     /// Appends a live point and mints its id. Caller validates the
     /// dimension first.
     fn insert(&mut self, p: &[f64], now: Instant) -> PointId {
-        let slot = self.points.len();
         self.points.push(p).expect("caller validated dimension");
         let id = self.next_id;
         self.next_id += 1;
         self.ids.push(id);
         self.alive.push(true);
-        self.index_of.insert(id, slot);
         self.alive_len += 1;
         self.arrivals.push_back((id, now));
         self.churn += 1;
@@ -391,7 +388,7 @@ impl DatasetState {
     /// Marks `id` dead, returning its coordinates, or `None` if it is
     /// unknown or already dead.
     fn remove(&mut self, id: PointId) -> Option<Vec<f64>> {
-        let slot = *self.index_of.get(&id)?;
+        let slot = self.ids.binary_search(&id).ok()?;
         if !self.alive[slot] {
             return None;
         }
@@ -406,7 +403,10 @@ impl DatasetState {
     fn expire(&mut self, now: Instant) -> Vec<(PointId, Vec<f64>)> {
         let mut evicted = Vec::new();
         while let Some(&(id, arrived)) = self.arrivals.front() {
-            let slot = self.index_of[&id];
+            let slot = self
+                .ids
+                .binary_search(&id)
+                .expect("arrivals list only ids of this compaction era");
             if !self.alive[slot] {
                 // Removed out of band; drop the stale arrival entry.
                 self.arrivals.pop_front();
@@ -448,14 +448,11 @@ impl DatasetState {
             self.points = points;
             self.ids = ids;
             self.alive = vec![true; self.alive_len];
-            self.index_of = self
-                .ids
-                .iter()
-                .enumerate()
-                .map(|(slot, &id)| (id, slot))
-                .collect();
+            // Arrivals are in id order too and list every live id, so
+            // the survivors are picked out by one merge against `ids`.
+            let mut live = self.ids.iter().peekable();
             self.arrivals
-                .retain(|(id, _)| self.index_of.contains_key(id));
+                .retain(|(id, _)| live.next_if_eq(&id).is_some());
         }
         self.epoch_points = self.alive_len;
         self.churn = 0;
@@ -465,6 +462,45 @@ impl DatasetState {
     fn staleness(&self) -> f64 {
         self.churn as f64 / self.epoch_points.max(1) as f64
     }
+}
+
+/// One copy of a mutation request's point under the resident plan.
+struct PointCopy {
+    /// The partition holding the copy.
+    pid: u32,
+    /// Whether it is the point's core copy (else a support copy).
+    core: bool,
+    /// Index of the point in the request.
+    item: usize,
+}
+
+/// What [`Shared::materialize`] hands back.
+#[derive(Default)]
+struct Materialized {
+    /// `None` for an empty dataset.
+    plan: Option<ResidentPlan>,
+    /// Per-partition core counts, the seed of the observed distribution.
+    counts: Vec<f64>,
+    /// Wall time of sample + plan, of the routing pass, and of gathering
+    /// the tiles and building the states.
+    preprocess: Duration,
+    route: Duration,
+    build: Duration,
+}
+
+/// Calls `f(0)`, …, `f(threads - 1)` concurrently — `f(0)` on the calling
+/// thread, so one thread means no spawn — and returns the results in
+/// argument order. A panic in any call resumes on the caller.
+fn fan_out<T: Send>(threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    std::thread::scope(|scope| {
+        let f = &f;
+        let spawned: Vec<_> = (1..threads).map(|t| scope.spawn(move || f(t))).collect();
+        let mut out = vec![f(0)];
+        for handle in spawned {
+            out.push(handle.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        }
+        out
+    })
 }
 
 struct Shared {
@@ -489,6 +525,10 @@ struct Shared {
     refresh: Mutex<()>,
     /// Staleness ratio above which a mutation op epoch-swaps.
     staleness_threshold: f64,
+    /// The engine's worker-thread count; an epoch rebuild routes on this
+    /// many threads (every other worker is parked behind the ingest
+    /// gate while it does).
+    workers: usize,
     /// The engine's emitting handle: the user's recorder (if any) fanned
     /// out with the always-on flight recorder.
     obs: Obs,
@@ -515,55 +555,91 @@ impl Shared {
     /// partition whose rectangle it is within `r` of, then each
     /// partition gets the plan's chosen algorithm's index built once.
     ///
-    /// Returns the plan (or `None` for an empty dataset) and the
-    /// per-partition core counts that seed the observed distribution.
+    /// The routing pass runs on `threads` threads and the result does not
+    /// depend on `threads`: contiguous slot ranges are routed
+    /// independently, and a partition's tile is its ranges' slot lists
+    /// laid end to end in range order — the order one pass over the
+    /// dataset produces. Gathering the tiles and building the states
+    /// stays on the calling thread although partitions are independent
+    /// (Lemma 3.1): what a short-lived thread allocates lives in that
+    /// thread's malloc arena, and an epoch's worth of state scattered over
+    /// arenas whose threads are gone cost more resident memory (+10 MB at
+    /// the first swap of 250k points, +30 MB after fourteen) than the
+    /// second thread saved time (~25 ms a swap).
     fn materialize(
         runner: &DodRunner,
         data: &PointSet,
         point_ids: &[PointId],
-    ) -> Result<(Option<ResidentPlan>, Vec<f64>), EngineError> {
+        threads: usize,
+    ) -> Result<Materialized, EngineError> {
         if data.is_empty() {
-            return Ok((None, Vec::new()));
+            return Ok(Materialized::default());
         }
+        let t0 = Instant::now();
         let pre = runner.preprocess(data)?;
+        let t_pre = Instant::now();
         let n_parts = pre.mt.num_partitions();
-        let dim = data.dim();
-        let new_set = || PointSet::new(dim).expect("dataset dimension is valid");
-        let mut cores: Vec<PointSet> = (0..n_parts).map(|_| new_set()).collect();
-        let mut core_ids: Vec<Vec<PointId>> = vec![Vec::new(); n_parts];
-        let mut supports: Vec<PointSet> = (0..n_parts).map(|_| new_set()).collect();
-        let mut support = Vec::new();
-        for (i, &point_id) in point_ids.iter().enumerate() {
-            let p = data.point(i);
-            let core = pre.router.route_into(p, &mut support) as usize;
-            cores[core].push(p).expect("same dimension");
-            core_ids[core].push(point_id);
-            for &pid in &support {
-                supports[pid as usize].push(p).expect("same dimension");
+        let n = data.len();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "resident indexes address points with u32 slots"
+        );
+        let per_thread = n.div_ceil(threads);
+        let router = &pre.router;
+        // `[pid]` lists the range's core slots of partition `pid`,
+        // `[n_parts + pid]` its support slots, ascending.
+        let routed: Vec<Vec<Vec<u32>>> = fan_out(threads, |t| {
+            let mut lists = vec![Vec::new(); 2 * n_parts];
+            let mut support = Vec::new();
+            for slot in (t * per_thread).min(n)..((t + 1) * per_thread).min(n) {
+                let core = router.route_into(data.point(slot), &mut support) as usize;
+                lists[core].push(slot as u32);
+                for &pid in &support {
+                    lists[n_parts + pid as usize].push(slot as u32);
+                }
             }
-        }
+            lists
+        });
+        let t_route = Instant::now();
         let params = runner.config().params;
-        let mut states = Vec::with_capacity(n_parts);
+        let dim = data.dim();
+        let tile = |list: usize| {
+            let len = routed.iter().map(|lists| lists[list].len()).sum();
+            let mut points = PointSet::with_capacity(dim, len).expect("dataset dimension is valid");
+            let mut ids = Vec::with_capacity(len);
+            for &slot in routed.iter().flat_map(|lists| &lists[list]) {
+                points
+                    .push(data.point(slot as usize))
+                    .expect("same dimension");
+                ids.push(point_ids[slot as usize]);
+            }
+            (points, ids)
+        };
         let mut counts = Vec::with_capacity(n_parts);
-        for ((core, ids), support) in cores.into_iter().zip(core_ids).zip(supports) {
+        let mut states = Vec::with_capacity(n_parts);
+        for pid in 0..n_parts {
+            let (core, core_ids) = tile(pid);
+            let (support, support_ids) = tile(n_parts + pid);
             counts.push(core.len() as f64);
-            let pid = states.len();
             let partition =
-                Partition::new(core, ids, support).expect("routing is dimension-consistent");
-            states.push(RwLock::new(PartitionState::build(
-                pre.mt.algorithms[pid],
-                Arc::new(partition),
-                params,
-            )));
+                Partition::new(core, core_ids, support).expect("one id per routed point");
+            let state = PartitionState::build(pre.mt.algorithms[pid], Arc::new(partition), params)
+                .with_support_ids(support_ids)
+                .expect("one id per routed point");
+            states.push(RwLock::new(state));
         }
-        Ok((
-            Some(ResidentPlan {
+        let t_build = Instant::now();
+        Ok(Materialized {
+            plan: Some(ResidentPlan {
                 mt: pre.mt,
                 router: pre.router,
                 states,
             }),
             counts,
-        ))
+            preprocess: t_pre - t0,
+            route: t_route - t_pre,
+            build: t_build - t_route,
+        })
     }
 
     /// Dumps the flight-recorder ring (when one is armed) as JSONL to
@@ -999,22 +1075,17 @@ impl Shared {
                             && rects.rect(rects.locate(p) as usize).contains_closed(p)
                     });
                     if exact {
-                        {
-                            let mut observed = lock_recover(&self.observed);
-                            let mut support = Vec::new();
-                            for (p, &id) in points.iter().zip(&ids) {
-                                let core = plan.router.route_into(p, &mut support) as usize;
-                                write_recover(&plan.states[core])
-                                    .insert_core(p, id)
-                                    .expect("dimension validated above");
-                                for &pid in &support {
-                                    write_recover(&plan.states[pid as usize])
-                                        .insert_support(p)
-                                        .expect("dimension validated above");
+                        let copies = self.route_copies(plan, points.iter().map(Vec::as_slice));
+                        for bucket in copies.chunk_by(|a, b| a.pid == b.pid) {
+                            let mut state = write_recover(&plan.states[bucket[0].pid as usize]);
+                            for copy in bucket {
+                                let (p, id) = (&points[copy.item], ids[copy.item]);
+                                if copy.core {
+                                    state.insert_core(p, id)
+                                } else {
+                                    state.insert_support(p, id)
                                 }
-                                if let Some(slot) = observed.get_mut(core) {
-                                    *slot += 1.0;
-                                }
+                                .expect("dimension validated above, support copies carry ids");
                             }
                         }
                         self.apply_removals(plan, &expired);
@@ -1118,25 +1189,65 @@ impl Shared {
         })
     }
 
-    /// Splices removals out of the resident states, attributing churn
-    /// mass to each point's core partition so the drift detector sees
-    /// mutation traffic alongside query traffic.
+    /// Splices removals out of the resident states.
     fn apply_removals(&self, plan: &ResidentPlan, removed: &[(PointId, Vec<f64>)]) {
         if removed.is_empty() {
             return;
         }
+        let copies = self.route_copies(plan, removed.iter().map(|(_, p)| p.as_slice()));
+        for bucket in copies.chunk_by(|a, b| a.pid == b.pid) {
+            let mut state = write_recover(&plan.states[bucket[0].pid as usize]);
+            for copy in bucket {
+                let id = removed[copy.item].0;
+                if copy.core {
+                    state.remove_core(id);
+                } else {
+                    state.remove_support(id);
+                }
+            }
+        }
+    }
+
+    /// Routes every point of a mutation request once and lists the
+    /// copies it has under `plan` — one core, any number of support —
+    /// grouped by partition so the caller takes each touched state's
+    /// write lock once per request instead of once per copy.
+    ///
+    /// Inside a group the copies keep request order (the sort is stable).
+    /// A state's tile layout and index are a function of the order its
+    /// own pushes and swap-removes arrive in and of nothing that happens
+    /// in another partition, so applying the groups one after another
+    /// leaves every state exactly as applying the request point by point
+    /// does.
+    ///
+    /// Each point also adds one unit of mass to its core partition, so
+    /// the drift detector sees mutation traffic alongside query traffic.
+    fn route_copies<'p>(
+        &self,
+        plan: &ResidentPlan,
+        points: impl Iterator<Item = &'p [f64]>,
+    ) -> Vec<PointCopy> {
+        let mut copies = Vec::new();
         let mut observed = lock_recover(&self.observed);
         let mut support = Vec::new();
-        for (id, coords) in removed {
-            let core = plan.router.route_into(coords, &mut support) as usize;
-            write_recover(&plan.states[core]).remove_core(*id);
-            for &pid in &support {
-                write_recover(&plan.states[pid as usize]).remove_support_matching(coords);
-            }
-            if let Some(slot) = observed.get_mut(core) {
+        for (item, p) in points.enumerate() {
+            let pid = plan.router.route_into(p, &mut support);
+            copies.push(PointCopy {
+                pid,
+                core: true,
+                item,
+            });
+            copies.extend(support.iter().map(|&pid| PointCopy {
+                pid,
+                core: false,
+                item,
+            }));
+            if let Some(slot) = observed.get_mut(pid as usize) {
                 *slot += 1.0;
             }
         }
+        copies.sort_by_key(|c| c.pid);
+        copies
     }
 
     /// Emits the churn / window-expiry counters for one mutation op.
@@ -1198,12 +1309,42 @@ impl Shared {
             ds.compact();
             (ds.points.clone(), ds.ids.clone())
         };
-        let (plan, counts) = Shared::materialize(&self.runner.with_config(cfg), &points, &ids)?;
-        {
-            let mut w = write_recover(&self.resident);
-            *w = Arc::new(Resident { epoch, plan });
+        // Nothing removes from the outgoing epoch until the swap (callers
+        // hold the ingest gate); should the rebuild fail, its next
+        // removal builds the maps again.
+        if let Some(plan) = &read_recover(&self.resident).plan {
+            for state in &plan.states {
+                write_recover(state).release_id_slots();
+            }
         }
-        *lock_recover(&self.observed) = counts;
+        let compact = t0.elapsed();
+        let built =
+            Shared::materialize(&self.runner.with_config(cfg), &points, &ids, self.workers)?;
+        let t_swap = Instant::now();
+        let retired = std::mem::replace(
+            &mut *write_recover(&self.resident),
+            Arc::new(Resident {
+                epoch,
+                plan: built.plan,
+            }),
+        );
+        // Usually the last reference: the old epoch is freed here, after
+        // the resident lock is released.
+        drop(retired);
+        *lock_recover(&self.observed) = built.counts;
+        for (stage, took) in [
+            ("compact", compact),
+            ("preprocess", built.preprocess),
+            ("route", built.route),
+            ("build", built.build),
+            ("swap", t_swap.elapsed()),
+        ] {
+            self.obs.record_duration(
+                names::ENGINE_REFRESH_STAGE,
+                took,
+                &[("epoch", Value::from(epoch)), ("stage", Value::from(stage))],
+            );
+        }
         let mut labels = vec![("epoch", Value::from(epoch))];
         if let Some(d) = drift {
             labels.push(("drift", Value::from(d)));
@@ -1317,7 +1458,8 @@ impl EngineBuilder {
             None => user_obs,
         };
         let ids: Vec<PointId> = (0..data.len() as PointId).collect();
-        let (plan, counts) = Shared::materialize(&self.runner, &data, &ids)?;
+        let Materialized { plan, counts, .. } =
+            Shared::materialize(&self.runner, &data, &ids, self.workers)?;
         let dim = data.dim();
         let dataset = DatasetState::new(&data, self.window, Instant::now());
         let shared = Arc::new(Shared {
@@ -1329,6 +1471,7 @@ impl EngineBuilder {
             observed: Mutex::new(counts),
             refresh: Mutex::new(()),
             staleness_threshold: self.staleness_threshold,
+            workers: self.workers,
             obs,
             in_flight: AtomicUsize::new(0),
             panics: AtomicU64::new(0),
@@ -1866,5 +2009,170 @@ pub struct PauseGuard {
 impl Drop for PauseGuard {
     fn drop(&mut self) {
         self.gate.open();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dod::DodConfig;
+    use dod_core::OutlierParams;
+    use dod_obs::{EventKind, MemoryRecorder};
+
+    /// A dense blob on a sparse lattice: the plan gives the blob small
+    /// partitions and leaves others with a handful of points.
+    fn skewed(n: u64) -> PointSet {
+        let mut data = PointSet::new(2).unwrap();
+        for i in 0..n {
+            let p = if i % 3 == 0 {
+                [(i % 61) as f64, ((i * 7) % 59) as f64]
+            } else {
+                [
+                    20.0 + 0.01 * ((i * 31) % 397) as f64,
+                    20.0 + 0.01 * ((i * 17) % 389) as f64,
+                ]
+            };
+            data.push(&p).unwrap();
+        }
+        data
+    }
+
+    fn engine(data: &PointSet, workers: usize, memory: &Arc<MemoryRecorder>) -> Engine {
+        let config = DodConfig::builder(OutlierParams::new(1.5, 4).unwrap())
+            .sample_rate(0.5)
+            .num_reducers(3)
+            .target_partitions(24)
+            .obs(Obs::new(memory.clone()))
+            .build()
+            .unwrap();
+        let runner = DodRunner::builder().config(config).multi_tactic().build();
+        Engine::builder(runner)
+            .workers(workers)
+            .build(data)
+            .unwrap()
+    }
+
+    /// Per partition: algorithm, core ids, support ids, and the bit
+    /// patterns of the core and support tiles.
+    type Layout = Vec<(&'static str, Vec<PointId>, Vec<PointId>, Vec<u64>, Vec<u64>)>;
+
+    fn layout(engine: &Engine) -> Layout {
+        let resident = Arc::clone(&read_recover(&engine.shared.resident));
+        let Some(plan) = &resident.plan else {
+            return Vec::new();
+        };
+        let bits = |set: &PointSet| set.as_flat().iter().map(|c| c.to_bits()).collect();
+        plan.states
+            .iter()
+            .zip(&plan.mt.algorithms)
+            .map(|(state, algorithm)| {
+                let state = read_recover(state);
+                let partition = state.partition();
+                (
+                    algorithm.name(),
+                    partition.core_ids().to_vec(),
+                    state.support_ids().to_vec(),
+                    bits(partition.core()),
+                    bits(partition.support()),
+                )
+            })
+            .collect()
+    }
+
+    fn score_work(memory: &MemoryRecorder) -> u64 {
+        memory
+            .events()
+            .iter()
+            .filter(|e| e.name == names::ENGINE_PARTITION_WORK)
+            .filter(|e| e.label("op").and_then(|v| v.as_str()) == Some("score"))
+            .map(|e| match e.kind {
+                EventKind::Counter { delta } => delta,
+                _ => 0,
+            })
+            .sum()
+    }
+
+    /// The initial build and an epoch rebuild lay every tile out the same
+    /// way on one thread, on two, and on more threads than some
+    /// partitions have points — so scores and their work counters match.
+    #[test]
+    fn rebuild_is_deterministic_in_its_thread_count() {
+        let data = skewed(3000);
+        let queries: Vec<Vec<f64>> = (0..512u64)
+            .map(|i| vec![((i * 13) % 64) as f64 * 0.97, ((i * 29) % 64) as f64 * 0.95])
+            .collect();
+        let mut reference = None;
+        for workers in [1, 2, 5] {
+            let memory = Arc::new(MemoryRecorder::new());
+            let engine = engine(&data, workers, &memory);
+            let built = layout(&engine);
+            assert!(built.len() > 4, "a multi-partition plan");
+            assert!(
+                built.iter().any(|p| p.1.len() < 5),
+                "some partition has fewer core points than the widest run has threads"
+            );
+            let verdicts = engine
+                .execute(Request::Score {
+                    points: queries.clone(),
+                })
+                .unwrap();
+            let work = score_work(&memory);
+            assert!(work > 0);
+            engine.refresh_plan().unwrap();
+            let observed = (built, verdicts, work, layout(&engine));
+            match &reference {
+                None => reference = Some(observed),
+                Some(reference) => assert!(
+                    *reference == observed,
+                    "workers({workers}) diverged from workers(1)"
+                ),
+            }
+        }
+    }
+
+    /// One span per stage per epoch swap, in order, and together they
+    /// are the refresh: nothing they leave out takes measurable time.
+    #[test]
+    fn a_refresh_reports_its_five_stages() {
+        let memory = Arc::new(MemoryRecorder::new());
+        let engine = engine(&skewed(3000), 2, &memory);
+        engine.refresh_plan().unwrap();
+        engine.refresh_plan().unwrap();
+        let events = memory.events();
+        let nanos = |e: &dod_obs::Event| match e.kind {
+            EventKind::Span { nanos } => nanos,
+            _ => panic!("{} is a span", e.name),
+        };
+        for epoch in [1u64, 2] {
+            let of_epoch = |name: &str| -> Vec<&dod_obs::Event> {
+                events
+                    .iter()
+                    .filter(|e| e.name == name)
+                    .filter(|e| e.label("epoch").and_then(|v| v.as_u64()) == Some(epoch))
+                    .collect()
+            };
+            let stages = of_epoch(names::ENGINE_REFRESH_STAGE);
+            let labels: Vec<_> = stages
+                .iter()
+                .map(|e| e.label("stage").and_then(|v| v.as_str()).unwrap())
+                .collect();
+            assert_eq!(labels, ["compact", "preprocess", "route", "build", "swap"]);
+            let total = nanos(of_epoch(names::ENGINE_REFRESH)[0]);
+            let staged: u64 = stages.iter().map(|e| nanos(e)).sum();
+            assert!(staged <= total, "stages {staged} ns of {total} ns");
+        }
+    }
+
+    #[test]
+    fn degenerate_datasets_build_on_many_threads() {
+        let memory = Arc::new(MemoryRecorder::new());
+        let empty = engine(&PointSet::new(2).unwrap(), 5, &memory);
+        assert!(layout(&empty).is_empty());
+        assert_eq!(empty.refresh_plan().unwrap(), 1);
+        let one = engine(&PointSet::from_xy(&[(3.0, 4.0)]), 5, &memory);
+        let built = layout(&one);
+        assert_eq!(built.iter().map(|p| p.1.len()).sum::<usize>(), 1);
+        assert_eq!(one.refresh_plan().unwrap(), 1);
+        assert_eq!(layout(&one), built);
     }
 }

@@ -31,6 +31,14 @@ pub const ENGINE_CACHE_HITS: &str = "engine.cache_hits";
 /// triggered it, when drift-triggered).
 pub const ENGINE_REFRESH: &str = "engine.refresh";
 
+/// Span: one stage of a plan refresh; the five stages of an epoch swap
+/// add up to its [`ENGINE_REFRESH`] span. Labels: `epoch`, `stage` —
+/// `compact` (drop dead slots, copy the live dataset), `preprocess`
+/// (sample + plan), `route` (assign every point its core and support
+/// partitions), `build` (gather tiles, build detector states), `swap`
+/// (publish the epoch, free the old one).
+pub const ENGINE_REFRESH_STAGE: &str = "engine.refresh.stage";
+
 /// Mark: a drift probe. Labels: `drift` (total-variation distance in
 /// `[0, 1]`), `threshold`, `refreshed` (whether a refresh was triggered).
 pub const ENGINE_DRIFT: &str = "engine.drift";
@@ -147,4 +155,51 @@ pub fn prom_help(event_name: &str) -> Option<&'static str> {
         }
         _ => return None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The registry: every name above, once. A new constant is added
+    /// here, where the checks below see it.
+    const ALL: [&str; 21] = [
+        ENGINE_REQUEST,
+        ENGINE_QUEUE_DEPTH,
+        ENGINE_REJECTED,
+        ENGINE_DEADLINE_MISSES,
+        ENGINE_CACHE_HITS,
+        ENGINE_REFRESH,
+        ENGINE_REFRESH_STAGE,
+        ENGINE_DRIFT,
+        ENGINE_PANICS,
+        ENGINE_PARTITION_WORK,
+        ENGINE_FLIGHT_DUMP,
+        ENGINE_CHURN,
+        ENGINE_WINDOW_EXPIRED,
+        ENGINE_STALENESS,
+        ENGINE_COST_CALIBRATION,
+        ENGINE_COST_MISPREDICTS,
+        ENGINE_COST_GROSS_MISPREDICT,
+        MAPREDUCE_CHECKPOINT_WRITE,
+        MAPREDUCE_CHECKPOINT_SKIP,
+        MAPREDUCE_DLQ_DIVERTED,
+        MAPREDUCE_DLQ_REDRIVEN,
+    ];
+
+    #[test]
+    fn names_are_distinct_dotted_and_lowercase() {
+        let mut seen = std::collections::BTreeSet::new();
+        for name in ALL {
+            assert!(seen.insert(name), "{name} is declared twice");
+            assert!(name.contains('.'), "{name}");
+            assert!(
+                name.chars()
+                    .all(|c| c.is_ascii_lowercase() || c == '.' || c == '_'),
+                "{name}"
+            );
+        }
+        // The stage spans sit under the refresh span they break down.
+        assert_eq!(ENGINE_REFRESH_STAGE, format!("{ENGINE_REFRESH}.stage"));
+    }
 }

@@ -209,6 +209,165 @@ proptest! {
     }
 }
 
+/// One scripted history of the cases id-addressed swap-removal makes
+/// sharp, checked against the rebuild oracle after every op.
+fn run_edge_history(strat: Strat, seed: u64) {
+    let params = OutlierParams::new(1.2, 4).unwrap();
+    let data = mixed_density(seed, 70);
+    // Odd seeds never epoch-swap on staleness, so every op below is
+    // spliced; even seeds let the swaps fall where they fall.
+    let staleness = if seed % 2 == 1 { 1e9 } else { 0.5 };
+    let engine = Engine::builder(runner_for(strat, config(params)))
+        .workers(2)
+        .staleness_threshold(staleness)
+        .build(&data)
+        .unwrap();
+    let mut survivors: Vec<(u64, Vec<f64>)> = (0..data.len())
+        .map(|i| (i as u64, data.point(i).to_vec()))
+        .collect();
+    let mut next_id = data.len() as u64;
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let mut step = 0;
+    let mut check = |survivors: &[(u64, Vec<f64>)], what: &str| {
+        step += 1;
+        assert_eq!(
+            resident_outliers(&engine),
+            fresh_outliers(strat, params, survivors),
+            "{strat:?} seed {seed}: diverged after step {step} ({what})"
+        );
+    };
+    let insert = |points: Vec<Vec<f64>>| {
+        engine
+            .submit(Request::Insert { points })
+            .unwrap()
+            .wait()
+            .unwrap()
+            .into_insert()
+            .unwrap()
+    };
+    let remove = |ids: Vec<u64>| {
+        engine
+            .submit(Request::Remove { ids })
+            .unwrap()
+            .wait()
+            .unwrap()
+            .into_remove()
+            .unwrap()
+    };
+
+    // Four jittered copies of one resident point: the tail of its
+    // partition's core tile.
+    let (base_id, base) = survivors[rng.gen_range(0..survivors.len())].clone();
+    let near: Vec<Vec<f64>> = (0..4)
+        .map(|_| {
+            vec![
+                (base[0] + rng.gen_range(-0.05..0.05)).clamp(0.0, 60.0),
+                (base[1] + rng.gen_range(-0.05..0.05)).clamp(0.0, 60.0),
+            ]
+        })
+        .collect();
+    let receipt = insert(near.clone());
+    assert_eq!(
+        receipt.ids,
+        (next_id..next_id + 4).collect::<Vec<_>>(),
+        "{strat:?} seed {seed}"
+    );
+    survivors.extend(receipt.ids.iter().copied().zip(near));
+    let n = next_id;
+    next_id += 4;
+    check(&survivors, "insert near one point");
+
+    // The last slot: nothing moves into the hole.
+    assert_eq!(remove(vec![n + 3]).removed, 1);
+    survivors.retain(|(id, _)| *id != n + 3);
+    check(&survivors, "remove the newest point");
+
+    // A victim and, in the same request, the point the swap just moved
+    // into its slot (the newest of the same partition).
+    assert_eq!(remove(vec![base_id, n + 2]).removed, 2);
+    survivors.retain(|(id, _)| *id != base_id && *id != n + 2);
+    check(
+        &survivors,
+        "remove a victim and the point moved into its slot",
+    );
+
+    // Repeated, dead and unknown ids: counted missing, applied once.
+    let receipt = remove(vec![n, n, n + 3, base_id, 1_000_000]);
+    assert_eq!(
+        (receipt.removed, receipt.missing),
+        (1, 4),
+        "{strat:?} seed {seed}"
+    );
+    survivors.retain(|(id, _)| *id != n);
+    assert_eq!(receipt.resident, survivors.len());
+    check(&survivors, "repeated and dead ids");
+
+    // Empty the dense corner — every partition inside it loses all of
+    // its points — then insert into the hole.
+    let in_corner = |p: &[f64]| p[0] < 4.0 && p[1] < 4.0;
+    let corner: Vec<u64> = survivors
+        .iter()
+        .filter(|(_, p)| in_corner(p))
+        .map(|(id, _)| *id)
+        .collect();
+    assert_eq!(remove(corner.clone()).removed, corner.len());
+    survivors.retain(|(_, p)| !in_corner(p));
+    check(&survivors, "empty the dense corner");
+    let refill: Vec<Vec<f64>> = (0..6)
+        .map(|_| vec![rng.gen_range(0.5..3.5), rng.gen_range(0.5..3.5)])
+        .collect();
+    let receipt = insert(refill.clone());
+    survivors.extend(receipt.ids.iter().copied().zip(refill));
+    next_id += 6;
+    check(&survivors, "insert into the emptied corner");
+
+    // Window expiry and explicit removal of the same ids in one history:
+    // the oldest point leaves by `Remove`, the next two by the window,
+    // and an expired id is dead to a later `Remove`.
+    let cap = survivors.len();
+    let status = engine
+        .submit(Request::Window {
+            config: Some(WindowConfig {
+                max_points: Some(cap),
+                max_age: None,
+            }),
+        })
+        .unwrap()
+        .wait()
+        .unwrap()
+        .into_window()
+        .unwrap();
+    assert_eq!((status.expired, status.resident), (0, cap));
+    let oldest = survivors.remove(0).0;
+    assert_eq!(remove(vec![oldest]).removed, 1);
+    check(&survivors, "remove the oldest under a window");
+    let fresh: Vec<Vec<f64>> = (0..3)
+        .map(|_| vec![rng.gen_range(20.0..44.0), rng.gen_range(10.0..34.0)])
+        .collect();
+    let receipt = insert(fresh.clone());
+    assert_eq!(
+        (receipt.expired, receipt.resident),
+        (2, cap),
+        "{strat:?} seed {seed}"
+    );
+    survivors.extend((next_id..next_id + 3).zip(fresh));
+    let expired: Vec<u64> = survivors.drain(..2).map(|(id, _)| id).collect();
+    check(&survivors, "window expiry after an explicit removal");
+    let receipt = remove(vec![expired[0], oldest]);
+    assert_eq!((receipt.removed, receipt.missing), (0, 2));
+    check(&survivors, "remove what the window already expired");
+}
+
+/// Seeded edge-case histories × all three strategies.
+#[test]
+fn swap_remove_edge_cases_stay_exact_for_every_strategy() {
+    for seed in 1..=4 {
+        for strat in STRATS {
+            run_edge_history(strat, seed);
+        }
+    }
+}
+
 /// A count-bounded window: inserts push the oldest points out, and the
 /// resident answer still matches a fresh build over the survivors.
 #[test]
@@ -314,4 +473,34 @@ fn age_bounded_window_expires_old_points() {
         vec![30, 31, 32],
         "ids are stable across expiry"
     );
+}
+
+/// Source audit: removal stays a lookup. The non-test portion of the
+/// resident state finds a point by its id map — no `.position(` over the
+/// id column, no coordinate compare over the support tile — and the
+/// engine keeps no id → slot map beside its sorted `ids` column.
+#[test]
+fn removal_paths_hold_no_linear_search() {
+    let audits: [(&str, &str, &[&str]); 2] = [
+        (
+            "state.rs",
+            include_str!("../../crates/dod-detect/src/state.rs"),
+            &[".position(", "support.point(i) =="],
+        ),
+        (
+            "engine.rs",
+            include_str!("../../crates/dod-engine/src/engine.rs"),
+            &["index_of"],
+        ),
+    ];
+    for (name, source, forbidden) in audits {
+        let shipped = source.split("#[cfg(test)]").next().unwrap();
+        for pattern in forbidden {
+            let violations: Vec<&str> = shipped.lines().filter(|l| l.contains(pattern)).collect();
+            assert!(
+                violations.is_empty(),
+                "{name}: `{pattern}` is back on the removal path: {violations:?}"
+            );
+        }
+    }
 }
