@@ -1,11 +1,12 @@
-//! Well-known event names of the resident engine.
+//! Well-known event names of the resident engine and the job executor.
 //!
-//! The batch pipeline writes its event names inline at the emit sites
-//! (`"dod.stage"`, `"dod.plan"`, `"mapreduce.task"`, …) because each
-//! name has exactly one producer. The engine's names are shared between
-//! the engine crate (producer) and dashboards/tests (consumers polling
-//! queue depth or request spans), so they live here as constants both
-//! sides can reference.
+//! The engine's names are shared between the engine crate (producer)
+//! and dashboards/tests (consumers polling queue depth or request
+//! spans), so they live here as constants both sides can reference; so
+//! do the executor's stage, task, shuffle, checkpoint and dead-letter
+//! names. The rest of the batch pipeline still writes its names inline
+//! at the emit sites (`"dod.stage"`, `"dod.plan"`,
+//! `"mapreduce.task.retry"`, …), one producer each.
 
 /// Span: one engine request, from dequeue to completion. Labels: `op`
 /// (`"score"` or `"detect"`), `items` (points scored), `epoch`.
@@ -99,6 +100,29 @@ pub const ENGINE_COST_MISPREDICTS: &str = "engine.cost.mispredicts";
 /// Labels: `partition`, `algorithm`, `better`, `ratio`.
 pub const ENGINE_COST_GROSS_MISPREDICT: &str = "engine.cost.gross_mispredict";
 
+/// Span: one stage of a job on the host. Labels: `stage` (`map`,
+/// `shuffle` or `reduce`).
+pub const MAPREDUCE_STAGE: &str = "mapreduce.stage";
+
+/// Span: one task's winning attempt plus its simulated I/O charge.
+/// Labels: `stage` (`map` or `reduce`), `task`.
+pub const MAPREDUCE_TASK: &str = "mapreduce.task";
+
+/// Counter: records crossing the map → reduce boundary of one job.
+pub const MAPREDUCE_SHUFFLE_RECORDS: &str = "mapreduce.shuffle.records";
+
+/// Counter: estimated bytes crossing the map → reduce boundary of one
+/// job (see `mapreduce::EstimateSize`).
+pub const MAPREDUCE_SHUFFLE_BYTES: &str = "mapreduce.shuffle.bytes";
+
+/// Observation: estimated shuffle bytes fetched by one reduce task.
+/// Labels: `reducer`.
+pub const MAPREDUCE_SHUFFLE_REDUCER_BYTES: &str = "mapreduce.shuffle.reducer_bytes";
+
+/// Observation: shuffle records fetched by one reduce task. Labels:
+/// `reducer`.
+pub const MAPREDUCE_SHUFFLE_REDUCER_RECORDS: &str = "mapreduce.shuffle.reducer_records";
+
 /// Counter: task-completion records persisted to the checkpoint store.
 /// Labels: `stage` (`map` or `reduce`).
 pub const MAPREDUCE_CHECKPOINT_WRITE: &str = "mapreduce.checkpoint.write";
@@ -163,7 +187,7 @@ mod tests {
 
     /// The registry: every name above, once. A new constant is added
     /// here, where the checks below see it.
-    const ALL: [&str; 21] = [
+    const ALL: [&str; 27] = [
         ENGINE_REQUEST,
         ENGINE_QUEUE_DEPTH,
         ENGINE_REJECTED,
@@ -181,6 +205,12 @@ mod tests {
         ENGINE_COST_CALIBRATION,
         ENGINE_COST_MISPREDICTS,
         ENGINE_COST_GROSS_MISPREDICT,
+        MAPREDUCE_STAGE,
+        MAPREDUCE_TASK,
+        MAPREDUCE_SHUFFLE_RECORDS,
+        MAPREDUCE_SHUFFLE_BYTES,
+        MAPREDUCE_SHUFFLE_REDUCER_BYTES,
+        MAPREDUCE_SHUFFLE_REDUCER_RECORDS,
         MAPREDUCE_CHECKPOINT_WRITE,
         MAPREDUCE_CHECKPOINT_SKIP,
         MAPREDUCE_DLQ_DIVERTED,

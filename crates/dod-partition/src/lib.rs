@@ -56,7 +56,7 @@ pub use minibucket::MiniBucketGrid;
 pub use packing::{allocate, AllocationPolicy, AllocationSpec, BalanceWeight};
 pub use plan::{
     distribution_drift, CandidateCost, MultiTacticPlan, PartitionPlan, PartitionReport,
-    PlanContext, PlanReport, Router, Routing,
+    PlanContext, PlanReport, Router,
 };
 pub use sample::sample_points;
 pub use strategies::{CDriven, DDriven, Dmt, Domain, PartitionStrategy, UniSpace};

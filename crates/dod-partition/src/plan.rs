@@ -215,16 +215,6 @@ impl PartitionPlan {
     }
 }
 
-/// The map-side routing of one point: its core partition plus every
-/// partition it supports (Definition 3.3).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Routing {
-    /// Partition in which the point is core.
-    pub core: u32,
-    /// Partitions for which the point is a support point.
-    pub support: Vec<u32>,
-}
-
 /// Accelerated supporting-area routing over a [`PartitionPlan`].
 ///
 /// A coarse uniform grid maps each coarse cell to the candidate partitions
@@ -311,21 +301,23 @@ impl Router {
         out.extend(self.within_r(x, |_| true));
     }
 
+    /// Routes one point (Definition 3.3) without allocating: returns its
+    /// core partition and a lazy walk, in ascending id order, of the
+    /// partitions it supports. The batch mappers emit one record per
+    /// step of the walk.
+    pub fn route_iter<'a>(&'a self, x: &'a [f64]) -> (u32, impl Iterator<Item = u32> + 'a) {
+        let core = self.plan.locate(x);
+        (core, self.within_r(x, move |pid| pid != core))
+    }
+
     /// Routes one point into a caller-owned buffer: returns its core
     /// partition and overwrites `support` with the ascending ids of the
     /// partitions it supports.
     pub fn route_into(&self, x: &[f64], support: &mut Vec<u32>) -> u32 {
-        let core = self.plan.locate(x);
+        let (core, walk) = self.route_iter(x);
         support.clear();
-        support.extend(self.within_r(x, |pid| pid != core));
+        support.extend(walk);
         core
-    }
-
-    /// Routes one point.
-    pub fn route(&self, x: &[f64]) -> Routing {
-        let mut support = Vec::new();
-        let core = self.route_into(x, &mut support);
-        Routing { core, support }
     }
 }
 
@@ -743,6 +735,12 @@ mod tests {
         OutlierParams::new(1.0, 3).unwrap()
     }
 
+    /// `route_iter` collected: the core partition and the supported ones.
+    fn route(router: &Router, x: &[f64]) -> (u32, Vec<u32>) {
+        let (core, supported) = router.route_iter(x);
+        (core, supported.collect())
+    }
+
     #[test]
     fn grid_plan_locates_like_grid() {
         let grid = GridSpec::uniform(domain(), 4).unwrap();
@@ -807,9 +805,9 @@ mod tests {
     fn router_interior_point_has_no_support() {
         let plan = PartitionPlan::from_grid(GridSpec::uniform(domain(), 2).unwrap());
         let router = plan.router(0.5);
-        let routing = router.route(&[1.0, 1.0]);
-        assert_eq!(routing.core, plan.locate(&[1.0, 1.0]));
-        assert!(routing.support.is_empty());
+        let routing = route(&router, &[1.0, 1.0]);
+        assert_eq!(routing.0, plan.locate(&[1.0, 1.0]));
+        assert!(routing.1.is_empty());
     }
 
     #[test]
@@ -817,11 +815,11 @@ mod tests {
         let plan = PartitionPlan::from_grid(GridSpec::uniform(domain(), 2).unwrap());
         let router = plan.router(0.5);
         // Near the center cross (4,4): supports the 3 other quadrants.
-        let routing = router.route(&[3.8, 3.8]);
-        assert_eq!(routing.support.len(), 3);
+        let routing = route(&router, &[3.8, 3.8]);
+        assert_eq!(routing.1.len(), 3);
         // Near only the x boundary: supports 1.
-        let routing = router.route(&[3.8, 1.0]);
-        assert_eq!(routing.support.len(), 1);
+        let routing = route(&router, &[3.8, 1.0]);
+        assert_eq!(routing.1.len(), 1);
     }
 
     #[test]
@@ -835,14 +833,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..500 {
             let x = [rng.gen_range(0.0..=8.0), rng.gen_range(0.0..=8.0)];
-            let routing = router.route(&x);
+            let routing = route(&router, &x);
             let core = plan.locate(&x);
-            assert_eq!(routing.core, core);
+            assert_eq!(routing.0, core);
             let mut expected: Vec<u32> = (0..plan.num_partitions() as u32)
                 .filter(|&pid| pid != core && plan.rect(pid as usize).min_dist_sq(&x) <= r * r)
                 .collect();
             expected.sort_unstable();
-            assert_eq!(routing.support, expected);
+            assert_eq!(routing.1, expected);
         }
     }
 
@@ -899,12 +897,12 @@ mod tests {
                     assert_eq!(got, expected, "{metric:?} x {x:?}");
                     nonempty_outside += usize::from(case % 4 == 2 && !got.is_empty());
                     // `route` is the same list minus the (clamped) core.
-                    let routing = router.route(&x);
-                    assert_eq!(routing.core, plan.locate(&x));
+                    let routing = route(&router, &x);
+                    assert_eq!(routing.0, plan.locate(&x));
                     let support: Vec<u32> = (expected.iter().copied())
-                        .filter(|&pid| pid != routing.core)
+                        .filter(|&pid| pid != routing.0)
                         .collect();
-                    assert_eq!(routing.support, support);
+                    assert_eq!(routing.1, support);
                 }
                 assert!(
                     nonempty_outside > 400,

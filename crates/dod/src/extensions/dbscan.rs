@@ -29,13 +29,12 @@
 //! The result matches centralized DBSCAN exactly on noise and on the
 //! core-point partition structure (see the equivalence tests).
 
-use crate::framework::{DodMapper, InputPoint, TaggedPoint};
+use crate::framework::{load_points, DodMapper, TaggedPoint};
 use crate::pipeline::{DodConfig, DodError};
 use dod_core::{GridSpec, PointId, PointSet};
 use dod_partition::{sample_points, PartitionStrategy, PlanContext};
-use mapreduce::{run_job, BlockStore, EstimateSize, JobMetrics, Reducer};
+use mapreduce::{run_job, EstimateSize, JobMetrics, Reducer};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Final label of a point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,14 +186,12 @@ impl DbscanReducer {
     }
 }
 
-impl Reducer for DbscanReducer {
-    type K = u32;
-    type V = TaggedPoint;
+impl Reducer<u32, TaggedPoint<'_>> for DbscanReducer {
     type Out = LabelRecord;
 
-    fn reduce(&self, key: &u32, values: Vec<TaggedPoint>, emit: &mut dyn FnMut(LabelRecord)) {
+    fn reduce(&self, key: &u32, values: &[TaggedPoint<'_>], emit: &mut dyn FnMut(LabelRecord)) {
         let mut points = PointSet::new(self.dim).expect("dim >= 1");
-        for v in &values {
+        for v in values {
             points.push(&v.coords).expect("same dim");
         }
         let (cluster, is_core) = dbscan_local_metric(&points, self.eps, self.min_pts, self.metric);
@@ -280,13 +277,10 @@ pub fn dbscan(
     let sample = sample_points(data, config.sample_rate, config.seed);
     let ctx = PlanContext::new(config.params, config.target_partitions, config.sample_rate);
     let plan = strategy.build_plan(&sample, &domain, &ctx);
-    let router = Arc::new(plan.router_with_metric(eps, config.params.metric));
+    let router = plan.router_with_metric(eps, config.params.metric);
 
-    let items: Vec<InputPoint> = (0..data.len())
-        .map(|i| (i as PointId, data.point(i).to_vec()))
-        .collect();
-    let store = BlockStore::from_items(items, config.block_size, config.replication);
-    let mapper = DodMapper::new(router);
+    let store = load_points(data, config.block_size, config.replication);
+    let mapper = DodMapper::new(&router);
     let reducer = DbscanReducer::new(eps, min_pts, domain.dim(), config.params.metric);
     let partitioner = |k: &u32, n: usize| (*k as usize) % n;
     let out = run_job(

@@ -24,12 +24,11 @@
 //! each partition self-sufficient (the Lemma 3.1 argument verbatim), and
 //! the distributed result is bit-identical to a centralized run.
 
-use crate::framework::{DodMapper, InputPoint, TaggedPoint};
+use crate::framework::{load_points, DodMapper, TaggedPoint};
 use crate::pipeline::{DodConfig, DodError};
 use dod_core::{GridSpec, Metric, PointId, PointSet};
 use dod_partition::{sample_points, PartitionStrategy, PlanContext};
-use mapreduce::{run_job, BlockStore, JobMetrics, Reducer};
-use std::sync::Arc;
+use mapreduce::{run_job, JobMetrics, Reducer};
 
 /// LOCI parameters.
 #[derive(Debug, Clone, Copy)]
@@ -206,14 +205,12 @@ impl LociReducer {
     }
 }
 
-impl Reducer for LociReducer {
-    type K = u32;
-    type V = TaggedPoint;
+impl Reducer<u32, TaggedPoint<'_>> for LociReducer {
     type Out = PointId;
 
-    fn reduce(&self, _key: &u32, values: Vec<TaggedPoint>, emit: &mut dyn FnMut(PointId)) {
+    fn reduce(&self, _key: &u32, values: &[TaggedPoint<'_>], emit: &mut dyn FnMut(PointId)) {
         let mut points = PointSet::new(self.dim).expect("dim >= 1");
-        for v in &values {
+        for v in values {
             points.push(&v.coords).expect("same dim");
         }
         let flags = loci_local(&points, &self.cfg);
@@ -257,13 +254,10 @@ pub fn loci(
     let ctx = PlanContext::new(config.params, config.target_partitions, config.sample_rate);
     let plan = strategy.build_plan(&sample, &domain, &ctx);
     // The wider supporting radius is what makes LOCI exact per partition.
-    let router = Arc::new(plan.router_with_metric(cfg.support_radius(), cfg.metric));
+    let router = plan.router_with_metric(cfg.support_radius(), cfg.metric);
 
-    let items: Vec<InputPoint> = (0..data.len())
-        .map(|i| (i as PointId, data.point(i).to_vec()))
-        .collect();
-    let store = BlockStore::from_items(items, config.block_size, config.replication);
-    let mapper = DodMapper::new(router);
+    let store = load_points(data, config.block_size, config.replication);
+    let mapper = DodMapper::new(&router);
     let reducer = LociReducer::new(*cfg, domain.dim());
     let partitioner = |k: &u32, n: usize| (*k as usize) % n;
     let out = run_job(

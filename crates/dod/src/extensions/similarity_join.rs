@@ -9,12 +9,11 @@
 //! core or support by Definition 3.3), so every qualifying pair appears
 //! exactly once.
 
-use crate::framework::{DodMapper, InputPoint, TaggedPoint};
+use crate::framework::{load_points, DodMapper, TaggedPoint};
 use crate::pipeline::{DodConfig, DodError};
 use dod_core::{GridSpec, PointId, PointSet};
 use dod_partition::{sample_points, PartitionStrategy, PlanContext};
-use mapreduce::{run_job, BlockStore, JobMetrics, Reducer};
-use std::sync::Arc;
+use mapreduce::{run_job, JobMetrics, Reducer};
 
 /// Reducer of the join job: emits qualifying pairs with the
 /// smaller-id-core deduplication rule.
@@ -30,7 +29,7 @@ impl JoinReducer {
         JoinReducer { r, dim, metric }
     }
 
-    fn join_partition(&self, values: &[TaggedPoint], emit: &mut dyn FnMut((PointId, PointId))) {
+    fn join_partition(&self, values: &[TaggedPoint<'_>], emit: &mut dyn FnMut((PointId, PointId))) {
         if values.len() < 2 {
             return;
         }
@@ -104,18 +103,16 @@ impl JoinReducer {
     }
 }
 
-impl Reducer for JoinReducer {
-    type K = u32;
-    type V = TaggedPoint;
+impl Reducer<u32, TaggedPoint<'_>> for JoinReducer {
     type Out = (PointId, PointId);
 
     fn reduce(
         &self,
         _key: &u32,
-        values: Vec<TaggedPoint>,
+        values: &[TaggedPoint<'_>],
         emit: &mut dyn FnMut((PointId, PointId)),
     ) {
-        self.join_partition(&values, emit);
+        self.join_partition(values, emit);
     }
 }
 
@@ -148,13 +145,10 @@ pub fn similarity_join(
     let sample = sample_points(data, config.sample_rate, config.seed);
     let ctx = PlanContext::new(config.params, config.target_partitions, config.sample_rate);
     let plan = strategy.build_plan(&sample, &domain, &ctx);
-    let router = Arc::new(plan.router_with_metric(config.params.r, config.params.metric));
+    let router = plan.router_with_metric(config.params.r, config.params.metric);
 
-    let items: Vec<InputPoint> = (0..data.len())
-        .map(|i| (i as PointId, data.point(i).to_vec()))
-        .collect();
-    let store = BlockStore::from_items(items, config.block_size, config.replication);
-    let mapper = DodMapper::new(router);
+    let store = load_points(data, config.block_size, config.replication);
+    let mapper = DodMapper::new(&router);
     let reducer = JoinReducer::new(config.params.r, domain.dim(), config.params.metric);
     let partitioner = |k: &u32, n: usize| (*k as usize) % n;
     let out = run_job(

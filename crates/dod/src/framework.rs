@@ -6,6 +6,10 @@
 //! each reducer materializes the partition (core + support points), runs
 //! the detection algorithm assigned to it by the algorithm plan, and
 //! reports the outliers among the core points only.
+//!
+//! A coordinate is copied once on this trip: input rows and shuffle
+//! records borrow the caller's [`PointSet`], and the reducer writes the
+//! partition's tile from them (DESIGN.md, *Batch record path*).
 
 use dod_core::{OutlierParams, PointId, PointSet};
 use dod_detect::cost::AlgorithmKind;
@@ -13,26 +17,48 @@ use dod_detect::{Detection, Partition, PartitionState};
 use dod_obs::json::Json;
 use dod_obs::Obs;
 use dod_partition::Router;
-use mapreduce::{Durable, EstimateSize, Mapper, Reducer};
+use mapreduce::checkpoint::encode_seq;
+use mapreduce::{BlockStore, Durable, EstimateSize, Mapper, Reducer};
+use std::borrow::Cow;
 use std::sync::Arc;
 
-/// One raw input record: the point's stable id and its coordinates.
-pub type InputPoint = (PointId, Vec<f64>);
+/// One raw input record: the point's stable id and its coordinates, a
+/// row of the caller's [`PointSet`].
+pub type InputPoint<'a> = (PointId, &'a [f64]);
+
+/// Loads `data` into the block store every job of this crate reads:
+/// point `i` becomes the row `(i, data.point(i))`, borrowed, not copied.
+pub fn load_points(
+    data: &PointSet,
+    block_size: usize,
+    replication: usize,
+) -> BlockStore<InputPoint<'_>> {
+    let items = data
+        .iter()
+        .enumerate()
+        .map(|(i, coords)| (i as PointId, coords))
+        .collect();
+    BlockStore::from_items(items, block_size, replication)
+}
 
 /// The intermediate value of the detection job: a point tagged as core
 /// (`support == false`, the paper's `"0-p"` prefix) or support
 /// (`support == true`, the `"1-p"` prefix).
+///
+/// A record emitted by a mapper borrows its coordinates from the input
+/// row; a record restored from a checkpoint has no row to borrow from
+/// and owns them. Both kinds can share one shuffle bucket.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TaggedPoint {
+pub struct TaggedPoint<'a> {
     /// Whether the point is replicated support (tag `1`) or core (tag `0`).
     pub support: bool,
     /// Stable id of the point.
     pub id: PointId,
     /// Coordinates.
-    pub coords: Vec<f64>,
+    pub coords: Cow<'a, [f64]>,
 }
 
-impl EstimateSize for TaggedPoint {
+impl EstimateSize for TaggedPoint<'_> {
     fn estimated_bytes(&self) -> usize {
         1 + 8 + 8 * self.coords.len()
     }
@@ -42,14 +68,14 @@ impl EstimateSize for TaggedPoint {
 // coords]`; f64 coordinates round-trip bit-exactly (see
 // `mapreduce::checkpoint::Durable`), keeping resumed runs identical to
 // uninterrupted ones.
-impl Durable for TaggedPoint {
+impl Durable for TaggedPoint<'_> {
     fn encode(&self, out: &mut String) {
         out.push('[');
         self.support.encode(out);
         out.push(',');
         self.id.encode(out);
         out.push(',');
-        self.coords.encode(out);
+        encode_seq(&self.coords, out);
         out.push(']');
     }
     fn decode(v: &Json) -> Option<Self> {
@@ -57,50 +83,41 @@ impl Durable for TaggedPoint {
         Some(TaggedPoint {
             support,
             id,
-            coords,
+            coords: Cow::Owned(coords),
         })
     }
 }
 
 /// Map function of the detection job: supporting-area routing
 /// (lines 2–6 of the Figure 3 map pseudocode).
-pub struct DodMapper {
-    router: Arc<Router>,
+pub struct DodMapper<'a> {
+    router: &'a Router,
 }
 
-impl DodMapper {
+impl<'a> DodMapper<'a> {
     /// Creates the mapper from the preprocessing job's routing structure
     /// ("the partitioning plan is given as input to Mappers").
-    pub fn new(router: Arc<Router>) -> Self {
+    pub fn new(router: &'a Router) -> Self {
         DodMapper { router }
     }
 }
 
-impl Mapper for DodMapper {
-    type In = InputPoint;
+impl<'a> Mapper for DodMapper<'a> {
+    type In = InputPoint<'a>;
     type K = u32;
-    type V = TaggedPoint;
+    type V = TaggedPoint<'a>;
 
-    fn map(&self, item: &InputPoint, emit: &mut dyn FnMut(u32, TaggedPoint)) {
-        let (id, coords) = item;
-        let routing = self.router.route(coords);
-        emit(
-            routing.core,
-            TaggedPoint {
-                support: false,
-                id: *id,
-                coords: coords.clone(),
-            },
-        );
-        for pid in routing.support {
-            emit(
-                pid,
-                TaggedPoint {
-                    support: true,
-                    id: *id,
-                    coords: coords.clone(),
-                },
-            );
+    fn map(&self, item: &InputPoint<'a>, emit: &mut dyn FnMut(u32, TaggedPoint<'a>)) {
+        let (id, coords) = *item;
+        let (core, supported) = self.router.route_iter(coords);
+        let record = |support| TaggedPoint {
+            support,
+            id,
+            coords: Cow::Borrowed(coords),
+        };
+        emit(core, record(false));
+        for pid in supported {
+            emit(pid, record(true));
         }
     }
 }
@@ -143,11 +160,14 @@ impl DodReducer {
     }
 
     /// Materializes a [`Partition`] from the shuffled records of one
-    /// partition key.
-    pub fn build_partition(&self, values: Vec<TaggedPoint>) -> Partition {
-        let mut core = PointSet::new(self.dim).expect("dim >= 1");
-        let mut core_ids = Vec::new();
-        let mut support = PointSet::new(self.dim).expect("dim >= 1");
+    /// partition key — the one copy a coordinate gets on its way from
+    /// the caller's [`PointSet`] to the detector's tile.
+    pub fn build_partition(&self, values: &[TaggedPoint<'_>]) -> Partition {
+        let cores = values.iter().filter(|v| !v.support).count();
+        let mut core = PointSet::with_capacity(self.dim, cores).expect("dim >= 1");
+        let mut core_ids = Vec::with_capacity(cores);
+        let mut support =
+            PointSet::with_capacity(self.dim, values.len() - cores).expect("dim >= 1");
         for v in values {
             if v.support {
                 support.push(&v.coords).expect("same dim");
@@ -176,12 +196,10 @@ impl DodReducer {
     }
 }
 
-impl Reducer for DodReducer {
-    type K = u32;
-    type V = TaggedPoint;
+impl Reducer<u32, TaggedPoint<'_>> for DodReducer {
     type Out = PointId;
 
-    fn reduce(&self, key: &u32, values: Vec<TaggedPoint>, emit: &mut dyn FnMut(PointId)) {
+    fn reduce(&self, key: &u32, values: &[TaggedPoint<'_>], emit: &mut dyn FnMut(PointId)) {
         let partition = Arc::new(self.build_partition(values));
         let detection = self.detect(*key, partition);
         for id in detection.outliers {
@@ -196,25 +214,39 @@ mod tests {
     use dod_core::{GridSpec, Rect};
     use dod_partition::PartitionPlan;
 
-    fn router_2x2() -> Arc<Router> {
+    fn router_2x2() -> Router {
         let domain = Rect::new(vec![0.0, 0.0], vec![10.0, 10.0]).unwrap();
         let plan = PartitionPlan::from_grid(GridSpec::uniform(domain, 2).unwrap());
-        Arc::new(plan.router(1.0))
+        plan.router(1.0)
+    }
+
+    fn tagged(support: bool, id: PointId, coords: &[f64]) -> TaggedPoint<'_> {
+        TaggedPoint {
+            support,
+            id,
+            coords: Cow::Borrowed(coords),
+        }
     }
 
     #[test]
     fn mapper_emits_core_and_support_records() {
-        let mapper = DodMapper::new(router_2x2());
+        let router = router_2x2();
+        let mapper = DodMapper::new(&router);
         let mut records: Vec<(u32, TaggedPoint)> = Vec::new();
-        // Interior point: one core record only.
-        mapper.map(&(7, vec![2.0, 2.0]), &mut |k, v| records.push((k, v)));
+        // Interior point: one core record only, lending the input row.
+        let interior = [2.0, 2.0];
+        mapper.map(&(7, &interior), &mut |k, v| records.push((k, v)));
         assert_eq!(records.len(), 1);
         assert!(!records[0].1.support);
         assert_eq!(records[0].1.id, 7);
+        assert!(
+            matches!(records[0].1.coords, Cow::Borrowed(c) if std::ptr::eq(c, &interior[..])),
+            "a live record borrows its row"
+        );
 
         // Boundary point near the center cross: 1 core + 3 support.
         records.clear();
-        mapper.map(&(8, vec![4.8, 4.8]), &mut |k, v| records.push((k, v)));
+        mapper.map(&(8, &[4.8, 4.8]), &mut |k, v| records.push((k, v)));
         assert_eq!(records.len(), 4);
         assert_eq!(records.iter().filter(|(_, v)| v.support).count(), 3);
         // All four partition keys distinct.
@@ -231,19 +263,8 @@ mod tests {
             2,
             Arc::new(vec![AlgorithmKind::Reference]),
         );
-        let values = vec![
-            TaggedPoint {
-                support: false,
-                id: 3,
-                coords: vec![0.0, 0.0],
-            },
-            TaggedPoint {
-                support: true,
-                id: 9,
-                coords: vec![0.5, 0.0],
-            },
-        ];
-        let partition = Arc::new(reducer.build_partition(values));
+        let values = vec![tagged(false, 3, &[0.0, 0.0]), tagged(true, 9, &[0.5, 0.0])];
+        let partition = Arc::new(reducer.build_partition(&values));
         assert_eq!(partition.core().len(), 1);
         assert_eq!(partition.support().len(), 1);
         assert_eq!(partition.core_id(0), 3);
@@ -262,18 +283,7 @@ mod tests {
         let mut out = Vec::new();
         reducer.reduce(
             &0,
-            vec![
-                TaggedPoint {
-                    support: false,
-                    id: 1,
-                    coords: vec![0.0, 0.0],
-                },
-                TaggedPoint {
-                    support: true,
-                    id: 2,
-                    coords: vec![9.0, 9.0],
-                },
-            ],
+            &[tagged(false, 1, &[0.0, 0.0]), tagged(true, 2, &[9.0, 9.0])],
             &mut |o| out.push(o),
         );
         // Core point 1 has no neighbor within 1.0 -> outlier; support
@@ -284,22 +294,54 @@ mod tests {
     #[test]
     fn unknown_partition_falls_back_to_nested_loop() {
         let reducer = DodReducer::new(OutlierParams::new(1.0, 1).unwrap(), 2, Arc::new(vec![]));
-        let partition = Arc::new(reducer.build_partition(vec![TaggedPoint {
-            support: false,
-            id: 0,
-            coords: vec![1.0, 1.0],
-        }]));
+        let partition = Arc::new(reducer.build_partition(&[tagged(false, 0, &[1.0, 1.0])]));
         let det = reducer.detect(99, partition);
         assert_eq!(det.outliers, vec![0]);
     }
 
     #[test]
     fn tagged_point_size_estimate() {
-        let t = TaggedPoint {
-            support: true,
-            id: 1,
-            coords: vec![0.0, 0.0],
-        };
+        let t = tagged(true, 1, &[0.0, 0.0]);
         assert_eq!(t.estimated_bytes(), 1 + 8 + 16);
+    }
+
+    /// The checkpoint format is pinned: a record restored from disk owns
+    /// its coordinates (there is no input row to borrow) and encodes to
+    /// the same bytes as a live record of the same point — the bytes the
+    /// owned-`Vec` record wrote before (`f64`'s shortest round-trip
+    /// `Display`: `-0`, no exponent), which decode back to the same bits.
+    #[test]
+    fn restored_record_owns_its_coordinates_and_reencodes_identically() {
+        let decode = |text: &str| {
+            TaggedPoint::decode(&dod_obs::json::parse(text).unwrap()).expect("decodes")
+        };
+        let encode = |record: &TaggedPoint| {
+            let mut out = String::new();
+            record.encode(&mut out);
+            out
+        };
+        let canonical = "[false,7,[1.5,-0,0.0000003]]";
+        let restored = decode("[false,7,[1.5,-0.0,3e-7]]");
+        assert!(matches!(restored.coords, Cow::Owned(_)));
+        assert_eq!(restored, tagged(false, 7, &[1.5, -0.0, 3e-7]));
+        assert!(restored.coords[1].is_sign_negative());
+        assert_eq!(encode(&restored), canonical);
+        assert_eq!(encode(&tagged(false, 7, &[1.5, -0.0, 3e-7])), canonical);
+        let again = decode(canonical);
+        let bits = |r: &TaggedPoint| r.coords.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&again), bits(&restored));
+        assert_eq!(encode(&again), canonical);
+    }
+
+    #[test]
+    fn loader_lends_the_callers_rows() {
+        let data = PointSet::from_xy(&[(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]);
+        let store = load_points(&data, 2, 1);
+        assert_eq!(store.num_blocks(), 2);
+        let rows: Vec<InputPoint> = store.blocks().flat_map(|b| b.to_vec()).collect();
+        for (i, (id, coords)) in rows.iter().enumerate() {
+            assert_eq!(*id, i as PointId);
+            assert!(std::ptr::eq(*coords, data.point(i)));
+        }
     }
 }

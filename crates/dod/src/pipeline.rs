@@ -16,7 +16,7 @@
 
 pub use crate::config::{ConfigError, DodConfig};
 
-use crate::framework::{DodMapper, DodReducer, InputPoint};
+use crate::framework::{load_points, DodMapper, DodReducer, InputPoint};
 use crate::two_job::{
     Candidate, CandidateIndex, CandidateMapper, CandidateReducer, VerifyMapper, VerifyReducer,
 };
@@ -434,14 +434,11 @@ impl DodRunner {
         } = self.preprocess(data)?;
 
         // ---- Load into the block store. ----
-        let items: Vec<InputPoint> = (0..data.len())
-            .map(|i| (i as PointId, data.point(i).to_vec()))
-            .collect();
-        let store = BlockStore::from_items(items, cfg.block_size, cfg.replication);
+        let store = load_points(data, cfg.block_size, cfg.replication);
 
         // ---- Detection (single-job or two-job). ----
         let detection = if self.strategy.uses_support_area() {
-            self.run_single_job(&store, &mt, router)?
+            self.run_single_job(&store, &mt, &router)?
         } else {
             self.run_two_job(&store, &mt)?
         };
@@ -540,9 +537,9 @@ impl DodRunner {
     /// The supporting-area single-job protocol (Section III).
     fn run_single_job(
         &self,
-        store: &BlockStore<InputPoint>,
+        store: &BlockStore<InputPoint<'_>>,
         mt: &MultiTacticPlan,
-        router: Arc<dod_partition::Router>,
+        router: &Router,
     ) -> Result<JobOutputs, DodError> {
         let cfg = &self.config;
         let mapper = DodMapper::new(router);
@@ -583,14 +580,14 @@ impl DodRunner {
     /// The Domain baseline's two-job protocol (Section VI-A).
     fn run_two_job(
         &self,
-        store: &BlockStore<InputPoint>,
+        store: &BlockStore<InputPoint<'_>>,
         mt: &MultiTacticPlan,
     ) -> Result<JobOutputs, DodError> {
         let cfg = &self.config;
         let dim = mt.plan.domain().dim();
 
         // Job 1: local detection, emitting candidates.
-        let mapper = CandidateMapper::new(Arc::new(mt.plan.clone()));
+        let mapper = CandidateMapper::new(&mt.plan);
         let reducer = CandidateReducer::with_plan(cfg.params, dim, Arc::new(mt.algorithms.clone()))
             .with_obs(cfg.obs.clone());
         let allocation = mt.allocation.clone();
@@ -630,12 +627,8 @@ impl DodRunner {
         }
 
         // Job 2: global verification of the candidates.
-        let index = Arc::new(CandidateIndex::build_with_metric(
-            candidates,
-            cfg.params.r,
-            cfg.params.metric,
-        ));
-        let verify_mapper = VerifyMapper::new(Arc::clone(&index));
+        let index = CandidateIndex::build_with_metric(candidates, cfg.params.r, cfg.params.metric);
+        let verify_mapper = VerifyMapper::new(&index);
         let verify_reducer = VerifyReducer::new(cfg.params.k);
         let hash_partitioner = |k: &u32, n: usize| (*k as usize) % n;
         // The verify job's work depends on which candidates job 1

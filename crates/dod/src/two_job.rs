@@ -22,6 +22,7 @@ use dod_detect::cost::AlgorithmKind;
 use dod_obs::json::Json;
 use dod_partition::PartitionPlan;
 use mapreduce::{Durable, EstimateSize, Mapper, Reducer};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A locally-detected outlier awaiting global verification.
@@ -56,30 +57,30 @@ impl Durable for Candidate {
 
 /// Job-1 mapper: routes each point to its core partition only (no
 /// supporting area).
-pub struct CandidateMapper {
-    plan: Arc<PartitionPlan>,
+pub struct CandidateMapper<'a> {
+    plan: &'a PartitionPlan,
 }
 
-impl CandidateMapper {
+impl<'a> CandidateMapper<'a> {
     /// Creates the mapper over the (grid) partition plan.
-    pub fn new(plan: Arc<PartitionPlan>) -> Self {
+    pub fn new(plan: &'a PartitionPlan) -> Self {
         CandidateMapper { plan }
     }
 }
 
-impl Mapper for CandidateMapper {
-    type In = InputPoint;
+impl<'a> Mapper for CandidateMapper<'a> {
+    type In = InputPoint<'a>;
     type K = u32;
-    type V = TaggedPoint;
+    type V = TaggedPoint<'a>;
 
-    fn map(&self, item: &InputPoint, emit: &mut dyn FnMut(u32, TaggedPoint)) {
-        let (id, coords) = item;
+    fn map(&self, item: &InputPoint<'a>, emit: &mut dyn FnMut(u32, TaggedPoint<'a>)) {
+        let (id, coords) = *item;
         emit(
             self.plan.locate(coords),
             TaggedPoint {
                 support: false,
-                id: *id,
-                coords: coords.clone(),
+                id,
+                coords: Cow::Borrowed(coords),
             },
         );
     }
@@ -119,12 +120,10 @@ impl CandidateReducer {
     }
 }
 
-impl Reducer for CandidateReducer {
-    type K = u32;
-    type V = TaggedPoint;
+impl Reducer<u32, TaggedPoint<'_>> for CandidateReducer {
     type Out = Candidate;
 
-    fn reduce(&self, key: &u32, values: Vec<TaggedPoint>, emit: &mut dyn FnMut(Candidate)) {
+    fn reduce(&self, key: &u32, values: &[TaggedPoint<'_>], emit: &mut dyn FnMut(Candidate)) {
         debug_assert!(
             values.iter().all(|v| !v.support),
             "job 1 has no support records"
@@ -247,25 +246,25 @@ impl CandidateIndex {
 
 /// Job-2 mapper: emits `(candidate index, 1)` for every (point, nearby
 /// candidate) pair.
-pub struct VerifyMapper {
-    index: Arc<CandidateIndex>,
+pub struct VerifyMapper<'a> {
+    index: &'a CandidateIndex,
 }
 
-impl VerifyMapper {
+impl<'a> VerifyMapper<'a> {
     /// Creates the mapper over the broadcast candidate index.
-    pub fn new(index: Arc<CandidateIndex>) -> Self {
+    pub fn new(index: &'a CandidateIndex) -> Self {
         VerifyMapper { index }
     }
 }
 
-impl Mapper for VerifyMapper {
-    type In = InputPoint;
+impl<'a> Mapper for VerifyMapper<'a> {
+    type In = InputPoint<'a>;
     type K = u32;
     type V = u32;
 
-    fn map(&self, item: &InputPoint, emit: &mut dyn FnMut(u32, u32)) {
-        let (id, coords) = item;
-        for ci in self.index.neighbors_of(coords, *id) {
+    fn map(&self, item: &InputPoint<'a>, emit: &mut dyn FnMut(u32, u32)) {
+        let (id, coords) = *item;
+        for ci in self.index.neighbors_of(coords, id) {
             emit(ci, 1);
         }
     }
@@ -284,12 +283,10 @@ impl VerifyReducer {
     }
 }
 
-impl Reducer for VerifyReducer {
-    type K = u32;
-    type V = u32;
+impl Reducer<u32, u32> for VerifyReducer {
     type Out = u32;
 
-    fn reduce(&self, key: &u32, values: Vec<u32>, emit: &mut dyn FnMut(u32)) {
+    fn reduce(&self, key: &u32, values: &[u32], emit: &mut dyn FnMut(u32)) {
         let total: u64 = values.iter().map(|&v| v as u64).sum();
         if total >= self.k as u64 {
             emit(*key);
@@ -341,27 +338,27 @@ mod tests {
     fn verify_reducer_thresholds_at_k() {
         let red = VerifyReducer::new(3);
         let mut out = Vec::new();
-        red.reduce(&5, vec![1, 1], &mut |o| out.push(o));
+        red.reduce(&5, &[1, 1], &mut |o| out.push(o));
         assert!(out.is_empty());
-        red.reduce(&5, vec![1, 1, 1], &mut |o| out.push(o));
+        red.reduce(&5, &[1, 1, 1], &mut |o| out.push(o));
         assert_eq!(out, vec![5]);
     }
 
     #[test]
     fn verify_mapper_emits_counts() {
-        let idx = Arc::new(CandidateIndex::build(
+        let idx = CandidateIndex::build(
             vec![Candidate {
                 id: 0,
                 coords: vec![0.0, 0.0],
             }],
             1.0,
-        ));
-        let mapper = VerifyMapper::new(idx);
+        );
+        let mapper = VerifyMapper::new(&idx);
         let mut out = Vec::new();
-        mapper.map(&(42, vec![0.5, 0.5]), &mut |k, v| out.push((k, v)));
+        mapper.map(&(42, &[0.5, 0.5]), &mut |k, v| out.push((k, v)));
         assert_eq!(out, vec![(0, 1)]);
         out.clear();
-        mapper.map(&(43, vec![3.0, 3.0]), &mut |k, v| out.push((k, v)));
+        mapper.map(&(43, &[3.0, 3.0]), &mut |k, v| out.push((k, v)));
         assert!(out.is_empty());
     }
 

@@ -1,7 +1,8 @@
 //! The MapReduce job executor.
 //!
 //! [`run_job`] executes one job: map tasks over the input blocks, an
-//! in-memory shuffle (partition → sort → group by key), then reduce tasks.
+//! in-memory shuffle (partition → sort → group by key) on the same host
+//! threads, then reduce tasks over the borrowed key groups.
 //! Per-task wall times are measured and folded into stage makespans on the
 //! logical cluster topology (see [`crate::metrics`]).
 //!
@@ -42,17 +43,20 @@ pub trait Mapper: Send + Sync {
     fn map(&self, item: &Self::In, emit: &mut dyn FnMut(Self::K, Self::V));
 }
 
-/// A reduce function: consumes one key group.
-pub trait Reducer: Send + Sync {
-    /// Intermediate key (matches the mapper's).
-    type K: Ord + Clone + Send;
-    /// Intermediate value (matches the mapper's).
-    type V: Send;
+/// A reduce function over key groups of `(K, V)` records (the mapper's
+/// intermediate key and value).
+///
+/// The group is borrowed from the reducer's materialised shuffle bucket,
+/// which stays in place across task attempts: a retried reduce task
+/// re-reads the same records, and nothing is cloned per record. `K` and
+/// `V` are parameters rather than associated types so that one reducer
+/// serves values of any lifetime (`impl<'a> Reducer<u32, Rec<'a>>`).
+pub trait Reducer<K, V>: Send + Sync {
     /// Output record type.
     type Out: Send;
 
     /// Reduces one `(key, values)` group.
-    fn reduce(&self, key: &Self::K, values: Vec<Self::V>, emit: &mut dyn FnMut(Self::Out));
+    fn reduce(&self, key: &K, values: &[V], emit: &mut dyn FnMut(Self::Out));
 }
 
 /// Routes a key to one of `num_reducers` reduce tasks.
@@ -760,8 +764,8 @@ where
     M: Mapper,
     M::In: EstimateSize,
     M::K: Sync,
-    M::V: Clone + Sync,
-    R: Reducer<K = M::K, V = M::V>,
+    M::V: Sync,
+    R: Reducer<M::K, M::V>,
 {
     run_job_obs(
         cluster,
@@ -794,8 +798,8 @@ where
     M: Mapper,
     M::In: EstimateSize,
     M::K: Sync,
-    M::V: Clone + Sync,
-    R: Reducer<K = M::K, V = M::V>,
+    M::V: Sync,
+    R: Reducer<M::K, M::V>,
 {
     run_job_inner(
         cluster,
@@ -828,9 +832,9 @@ where
     M: Mapper,
     M::In: EstimateSize,
     M::K: Sync,
-    M::V: Clone + Sync,
+    M::V: Sync,
     C: Combiner<K = M::K, V = M::V>,
-    R: Reducer<K = M::K, V = M::V>,
+    R: Reducer<M::K, M::V>,
 {
     run_job_with_combiner_obs(
         cluster,
@@ -864,9 +868,9 @@ where
     M: Mapper,
     M::In: EstimateSize,
     M::K: Sync,
-    M::V: Clone + Sync,
+    M::V: Sync,
     C: Combiner<K = M::K, V = M::V>,
-    R: Reducer<K = M::K, V = M::V>,
+    R: Reducer<M::K, M::V>,
 {
     run_job_inner(
         cluster,
@@ -957,8 +961,8 @@ where
     M: Mapper,
     M::In: EstimateSize,
     M::K: Sync + Durable,
-    M::V: Clone + Sync + Durable,
-    R: Reducer<K = M::K, V = M::V>,
+    M::V: Sync + Durable,
+    R: Reducer<M::K, M::V>,
     R::Out: Durable,
 {
     let durability = JobDurability::new(store);
@@ -996,9 +1000,9 @@ where
     M: Mapper,
     M::In: EstimateSize,
     M::K: Sync + Durable,
-    M::V: Clone + Sync + Durable,
+    M::V: Sync + Durable,
     C: Combiner<K = M::K, V = M::V>,
-    R: Reducer<K = M::K, V = M::V>,
+    R: Reducer<M::K, M::V>,
     R::Out: Durable,
 {
     let durability = JobDurability::new(store);
@@ -1039,6 +1043,91 @@ fn stage_error(stage: &'static str, failure: StageFailure, cluster: &ClusterConf
     }
 }
 
+/// A run of intermediate records: one map task's emissions, or the part
+/// of them bound for one reducer.
+type Records<K, V> = Vec<(K, V)>;
+
+/// One reducer's materialised shuffle input: its records stably sorted
+/// by key, then parted into the key of each group and the values alone,
+/// so a reduce task hands out `&values[start..end]` per group.
+struct Bucket<K, V> {
+    /// `(key, index of the group's first value)`, ascending by key.
+    groups: Vec<(K, usize)>,
+    values: Vec<V>,
+}
+
+impl<K: Ord, V> Bucket<K, V> {
+    /// Concatenates one reducer's chunks in map-task order and sorts
+    /// them stably by key: the record sequence a serial walk over the
+    /// map outputs would have produced.
+    fn merge(chunks: Vec<Records<K, V>>) -> Self {
+        let mut records = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
+        for mut chunk in chunks {
+            records.append(&mut chunk);
+        }
+        records.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut groups: Vec<(K, usize)> = Vec::new();
+        let mut values = Vec::with_capacity(records.len());
+        for (key, value) in records {
+            if groups.last().is_none_or(|(last, _)| *last != key) {
+                groups.push((key, values.len()));
+            }
+            values.push(value);
+        }
+        Bucket { groups, values }
+    }
+
+    /// The value slice of group `g`.
+    fn group(&self, g: usize) -> &[V] {
+        let end = self
+            .groups
+            .get(g + 1)
+            .map_or(self.values.len(), |next| next.1);
+        &self.values[self.groups[g].1..end]
+    }
+}
+
+/// Runs `f(item)` for every item on up to `threads` scoped host
+/// threads (inline when one suffices) and returns the results in item
+/// order, whichever thread ran them. A panic in `f` resumes on the
+/// caller.
+fn on_host_threads<I, T, F>(threads: usize, items: Vec<I>, f: F) -> Vec<T>
+where
+    I: Send,
+    T: Send,
+    F: Fn(I) -> T + Sync,
+{
+    let threads = threads.min(items.len());
+    if threads <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let next = lock_recover(&queue).next();
+                        let Some((i, item)) = next else { break };
+                        done.push((i, f(item)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| match worker.join() {
+                Ok(done) => done,
+                Err(payload) => std::panic::resume_unwind(payload),
+            })
+            .collect()
+    });
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, value)| value).collect()
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_job_inner<M, C, R>(
     cluster: &ClusterConfig,
@@ -1055,9 +1144,9 @@ where
     M: Mapper,
     M::In: EstimateSize,
     M::K: Sync,
-    M::V: Clone + Sync,
+    M::V: Sync,
     C: Combiner<K = M::K, V = M::V>,
-    R: Reducer<K = M::K, V = M::V>,
+    R: Reducer<M::K, M::V>,
 {
     let job_start = Instant::now();
     let counters = PoolCounters::default();
@@ -1145,7 +1234,7 @@ where
             &map_resolve,
         )
     });
-    let map_stage = obs.scope("mapreduce.stage").with_label("stage", "map");
+    let map_stage = obs.scope(names::MAPREDUCE_STAGE).with_label("stage", "map");
     let map_results = run_task_pool(
         "map",
         obs,
@@ -1180,7 +1269,9 @@ where
         .iter()
         .enumerate()
         .map(|(t, r)| match r {
-            Some((d, _)) => {
+            // Pricing a block walks every item of it: only when the
+            // charge is not multiplied by zero.
+            Some((d, _)) if cluster.io_bytes_per_sec > 0 => {
                 let block_bytes: u64 = input
                     .block(t)
                     .iter()
@@ -1188,6 +1279,7 @@ where
                     .sum();
                 *d + io_charge(block_bytes)
             }
+            Some((d, _)) => *d,
             None => Duration::ZERO,
         })
         .collect();
@@ -1197,7 +1289,7 @@ where
             continue;
         }
         obs.record_duration(
-            "mapreduce.task",
+            names::MAPREDUCE_TASK,
             *d,
             &[("stage", Value::from("map")), ("task", Value::from(t))],
         );
@@ -1214,42 +1306,57 @@ where
             .filter_map(|(t, r)| r.as_ref().map(|_| t as u64)),
     );
 
-    // ---- Shuffle: partition, then sort each reducer's records by key. ----
-    let shuffle_stage = obs.scope("mapreduce.stage").with_label("stage", "shuffle");
-    let mut shuffle_records = 0u64;
-    let mut shuffle_bytes = 0u64;
-    let mut reducer_bytes = vec![0u64; num_reducers];
-    let mut per_reducer: Vec<Vec<(M::K, M::V)>> = (0..num_reducers).map(|_| Vec::new()).collect();
-    for r in map_results {
-        let Some((_, records)) = r else { continue };
+    // ---- Shuffle, on the host threads: split every map output by
+    // reducer, then merge each reducer's chunks in map-task order and
+    // sort them stably by key. A bucket's record sequence depends on
+    // the map outputs alone, never on which thread moved what. ----
+    let shuffle_stage = obs
+        .scope(names::MAPREDUCE_STAGE)
+        .with_label("stage", "shuffle");
+    let map_outputs: Vec<Records<M::K, M::V>> = map_results
+        .into_iter()
+        .flatten()
+        .map(|(_, records)| records)
+        .collect();
+    if num_reducers == 0 && map_outputs.iter().any(|records| !records.is_empty()) {
+        return Err(JobError::NoReducers);
+    }
+    let host_threads = cluster.effective_host_threads();
+    let splits = on_host_threads(host_threads, map_outputs, |records| {
+        let mut chunks: Vec<Records<M::K, M::V>> = (0..num_reducers).map(|_| Vec::new()).collect();
+        let mut bytes = vec![0u64; num_reducers];
         for (k, v) in records {
-            if num_reducers == 0 {
-                return Err(JobError::NoReducers);
-            }
-            shuffle_records += 1;
-            let bytes = (k.estimated_bytes() + v.estimated_bytes()) as u64;
-            shuffle_bytes += bytes;
             let r = partitioner(&k, num_reducers).min(num_reducers - 1);
-            reducer_bytes[r] += bytes;
-            per_reducer[r].push((k, v));
+            bytes[r] += (k.estimated_bytes() + v.estimated_bytes()) as u64;
+            chunks[r].push((k, v));
+        }
+        (chunks, bytes)
+    });
+    let mut reducer_bytes = vec![0u64; num_reducers];
+    let mut reducer_chunks: Vec<Vec<Records<M::K, M::V>>> =
+        (0..num_reducers).map(|_| Vec::new()).collect();
+    for (chunks, bytes) in splits {
+        for (r, chunk) in chunks.into_iter().enumerate() {
+            reducer_bytes[r] += bytes[r];
+            reducer_chunks[r].push(chunk);
         }
     }
-    for bucket in &mut per_reducer {
-        bucket.sort_by(|a, b| a.0.cmp(&b.0));
-    }
+    let buckets = on_host_threads(host_threads, reducer_chunks, Bucket::merge);
+    let shuffle_records: u64 = buckets.iter().map(|b| b.values.len() as u64).sum();
+    let shuffle_bytes: u64 = reducer_bytes.iter().sum();
     drop(shuffle_stage);
-    obs.counter("mapreduce.shuffle.records", shuffle_records, &[]);
-    obs.counter("mapreduce.shuffle.bytes", shuffle_bytes, &[]);
+    obs.counter(names::MAPREDUCE_SHUFFLE_RECORDS, shuffle_records, &[]);
+    obs.counter(names::MAPREDUCE_SHUFFLE_BYTES, shuffle_bytes, &[]);
     if obs.enabled() {
         for (r, bytes) in reducer_bytes.iter().enumerate() {
             obs.observe(
-                "mapreduce.shuffle.reducer_bytes",
+                names::MAPREDUCE_SHUFFLE_REDUCER_BYTES,
                 *bytes as f64,
                 &[("reducer", Value::from(r))],
             );
             obs.observe(
-                "mapreduce.shuffle.reducer_records",
-                per_reducer[r].len() as f64,
+                names::MAPREDUCE_SHUFFLE_REDUCER_RECORDS,
+                buckets[r].values.len() as f64,
                 &[("reducer", Value::from(r))],
             );
         }
@@ -1258,8 +1365,10 @@ where
     // ---- Reduce stage: one task per reducer. ----
     // Buckets stay in place across task attempts (the in-memory analog of
     // Hadoop's materialized shuffle output), so a retried reduce task
-    // re-reads its full input; values are cloned per group.
-    let reduce_stage = obs.scope("mapreduce.stage").with_label("stage", "reduce");
+    // re-reads its full input; each group is lent to the reducer.
+    let reduce_stage = obs
+        .scope(names::MAPREDUCE_STAGE)
+        .with_label("stage", "reduce");
     let reduce_save = |t: usize, dur: Duration, v: &ReducePayload<M::K, R::Out>| {
         if let Some(d) = durable {
             (d.save_reduce)(t, shuffle_fp, dur, v);
@@ -1302,21 +1411,13 @@ where
         &counters,
         reduce_durability,
         |t, _attempt| {
-            let records = &per_reducer[t];
+            let bucket = &buckets[t];
             let mut outputs = Vec::new();
-            let mut key_times = Vec::new();
-            let mut i = 0;
-            while i < records.len() {
-                let key = &records[i].0;
-                let mut j = i + 1;
-                while j < records.len() && records[j].0 == *key {
-                    j += 1;
-                }
-                let values: Vec<M::V> = records[i..j].iter().map(|(_, v)| v.clone()).collect();
+            let mut key_times = Vec::with_capacity(bucket.groups.len());
+            for (g, (key, _)) in bucket.groups.iter().enumerate() {
                 let key_start = Instant::now();
-                reducer.reduce(key, values, &mut |o| outputs.push(o));
+                reducer.reduce(key, bucket.group(g), &mut |o| outputs.push(o));
                 key_times.push((key.clone(), key_start.elapsed()));
-                i = j;
             }
             (outputs, key_times)
         },
@@ -1338,7 +1439,7 @@ where
             continue;
         }
         obs.record_duration(
-            "mapreduce.task",
+            names::MAPREDUCE_TASK,
             *d,
             &[("stage", Value::from("reduce")), ("task", Value::from(t))],
         );
@@ -1430,11 +1531,9 @@ mod tests {
     }
 
     struct SumReducer;
-    impl Reducer for SumReducer {
-        type K = u32;
-        type V = u64;
+    impl Reducer<u32, u64> for SumReducer {
         type Out = (u32, u64);
-        fn reduce(&self, key: &u32, values: Vec<u64>, emit: &mut dyn FnMut((u32, u64))) {
+        fn reduce(&self, key: &u32, values: &[u64], emit: &mut dyn FnMut((u32, u64))) {
             emit((*key, values.iter().sum()));
         }
     }
@@ -1504,11 +1603,9 @@ mod tests {
     #[test]
     fn single_reducer_receives_everything_sorted() {
         struct EchoReducer;
-        impl Reducer for EchoReducer {
-            type K = u32;
-            type V = u64;
+        impl Reducer<u32, u64> for EchoReducer {
             type Out = u32;
-            fn reduce(&self, key: &u32, _v: Vec<u64>, emit: &mut dyn FnMut(u32)) {
+            fn reduce(&self, key: &u32, _v: &[u64], emit: &mut dyn FnMut(u32)) {
                 emit(*key);
             }
         }
@@ -1604,11 +1701,9 @@ mod tests {
     struct FlakyReducer {
         tripped: AtomicBool,
     }
-    impl Reducer for FlakyReducer {
-        type K = u32;
-        type V = u64;
+    impl Reducer<u32, u64> for FlakyReducer {
         type Out = (u32, u64);
-        fn reduce(&self, key: &u32, values: Vec<u64>, emit: &mut dyn FnMut((u32, u64))) {
+        fn reduce(&self, key: &u32, values: &[u64], emit: &mut dyn FnMut((u32, u64))) {
             if *key == 5 && !self.tripped.swap(true, Ordering::SeqCst) {
                 panic!("injected reduce failure");
             }
@@ -1707,11 +1802,9 @@ mod tests {
             }
         }
         struct SumReducer32;
-        impl Reducer for SumReducer32 {
-            type K = u32;
-            type V = u32;
+        impl Reducer<u32, u32> for SumReducer32 {
             type Out = (u32, u32);
-            fn reduce(&self, key: &u32, values: Vec<u32>, emit: &mut dyn FnMut((u32, u32))) {
+            fn reduce(&self, key: &u32, values: &[u32], emit: &mut dyn FnMut((u32, u32))) {
                 emit((*key, values.iter().sum()));
             }
         }
@@ -2347,5 +2440,195 @@ mod tests {
             }
             last = Some(counts);
         }
+    }
+    /// Keys item % 12 (so keys `k` and `k + 6` collide on a reducer of
+    /// six), the item itself as the value: a group's value order shows
+    /// the order its records reached the bucket in.
+    struct TraceMapper {
+        broken_item: Option<u32>,
+    }
+    impl Mapper for TraceMapper {
+        type In = u32;
+        type K = u32;
+        type V = u64;
+        fn map(&self, item: &u32, emit: &mut dyn FnMut(u32, u64)) {
+            if self.broken_item == Some(*item) {
+                panic!("permanently broken");
+            }
+            emit(*item % 12, u64::from(*item));
+            if item.is_multiple_of(5) {
+                emit((*item + 6) % 12, u64::from(*item) + 1000);
+            }
+        }
+    }
+
+    /// Emits every group exactly as it was lent.
+    struct GroupEcho;
+    impl Reducer<u32, u64> for GroupEcho {
+        type Out = (u32, Vec<u64>);
+        fn reduce(&self, key: &u32, values: &[u64], emit: &mut dyn FnMut((u32, Vec<u64>))) {
+            emit((*key, values.to_vec()));
+        }
+    }
+
+    /// Six reducers, of which reducer 3 never receives a key.
+    fn skip_three(k: &u32, n: usize) -> usize {
+        match *k as usize % n {
+            3 => 0,
+            r => r,
+        }
+    }
+
+    /// Everything the shuffle decides: group order and contents per
+    /// reducer, record and byte totals, and the per-reducer volumes.
+    type ShuffleView = (Vec<(u32, Vec<u64>)>, Vec<u32>, u64, u64, Vec<f64>, Vec<f64>);
+
+    fn shuffle_view(host_threads: usize, durable: Option<&CheckpointStore>) -> ShuffleView {
+        use std::sync::Arc;
+        let mem = Arc::new(dod_obs::MemoryRecorder::new());
+        let obs = Obs::new(mem.clone());
+        // 90 items in blocks of 9: ten map tasks; task 4 holds item 40.
+        let store = BlockStore::from_items((0..90u32).collect(), 9, 1);
+        let cluster = ClusterConfig::new(3)
+            .with_host_threads(host_threads)
+            .with_retries(0)
+            .with_backoff_ms(0);
+        let out = match durable {
+            Some(ck) => run_job_durable(
+                &cluster,
+                &store,
+                &TraceMapper {
+                    broken_item: Some(40),
+                },
+                &GroupEcho,
+                &skip_three,
+                6,
+                &obs,
+                ck,
+            ),
+            None => run_job_obs(
+                &cluster,
+                &store,
+                &TraceMapper { broken_item: None },
+                &GroupEcho,
+                &skip_three,
+                6,
+                &obs,
+            ),
+        }
+        .unwrap();
+        assert_eq!(
+            out.outcome,
+            match durable {
+                Some(_) => JobOutcome::PartialWithDlq { diverted: 1 },
+                None => JobOutcome::Complete,
+            }
+        );
+        (
+            out.outputs,
+            out.key_times.iter().map(|(k, _)| *k).collect(),
+            out.metrics.shuffle_records,
+            out.metrics.shuffle_bytes,
+            mem.observations(names::MAPREDUCE_SHUFFLE_REDUCER_BYTES),
+            mem.observations(names::MAPREDUCE_SHUFFLE_REDUCER_RECORDS),
+        )
+    }
+
+    #[test]
+    fn shuffle_is_identical_for_any_host_thread_count() {
+        let serial = shuffle_view(1, None);
+        let (groups, keys, records, bytes, reducer_bytes, reducer_records) = &serial;
+        // 90 records plus one more for each of the 18 multiples of five.
+        assert_eq!(*records, 108);
+        assert_eq!(*bytes, 108 * 12);
+        // Reducer order, then key order; within a group, map-task order
+        // then emission order — ascending values here, with the `+1000`
+        // record of a multiple of five right where its item put it.
+        assert_eq!(keys, &[0, 3, 6, 9, 1, 7, 2, 8, 4, 10, 5, 11]);
+        assert_eq!(keys, &groups.iter().map(|(k, _)| *k).collect::<Vec<_>>());
+        assert_eq!(groups[0].1, vec![0, 12, 24, 1030, 36, 48, 60, 72, 84]);
+        assert!(groups.iter().all(|(_, vs)| {
+            let mut plain: Vec<u64> = vs.iter().map(|v| v % 1000).collect();
+            let sorted = plain.is_sorted();
+            plain.dedup();
+            sorted && plain.len() == vs.len()
+        }));
+        // Reducer 3 is empty: no group, zero volume, still one task.
+        assert_eq!(reducer_records[3], 0.0);
+        assert_eq!(reducer_bytes[3], 0.0);
+        assert_eq!(reducer_bytes.len(), 6);
+        assert_eq!(reducer_bytes.iter().sum::<f64>() as u64, *bytes);
+        for threads in [2, 5] {
+            assert_eq!(
+                shuffle_view(threads, None),
+                serial,
+                "{threads} host threads"
+            );
+        }
+    }
+
+    #[test]
+    fn shuffle_skips_a_dead_lettered_map_task_identically_for_any_thread_count() {
+        let mut views = Vec::new();
+        for threads in [1, 2, 5] {
+            let root = ckpt_root(&format!("shuffle-dlq-{threads}"));
+            let ck = CheckpointStore::open(&root, "shuffle", &job_fp(10, 6)).unwrap();
+            views.push(shuffle_view(threads, Some(&ck)));
+            assert_eq!(ck.dlq_snapshot().len(), 1);
+            let _ = std::fs::remove_dir_all(&root);
+        }
+        let (groups, _, records, ..) = &views[0];
+        // Map task 4 (items 36..45, one multiple of five) is missing.
+        assert_eq!(*records, 108 - 9 - 1);
+        assert!(groups
+            .iter()
+            .all(|(_, vs)| vs.iter().all(|v| !(36..45).contains(&(v % 1000)))));
+        assert_eq!(groups[0].1, vec![0, 12, 24, 1030, 48, 60, 72, 84]);
+        assert_eq!(views[1], views[0]);
+        assert_eq!(views[2], views[0]);
+    }
+
+    #[test]
+    fn records_without_a_reducer_are_an_error_and_silence_is_not() {
+        let store = BlockStore::from_items(vec![1u32, 2, 3], 1, 1);
+        for threads in [1, 2] {
+            let cluster = ClusterConfig::new(1).with_host_threads(threads);
+            let err = run_job(
+                &cluster,
+                &store,
+                &CountMapper,
+                &SumReducer,
+                &hash_partitioner,
+                0,
+            )
+            .unwrap_err();
+            assert_eq!(err, JobError::NoReducers);
+            // A mapper that emits nothing needs no reducer.
+            let out = run_job(
+                &cluster,
+                &store,
+                &BrokenMapper,
+                &SumReducer,
+                &hash_partitioner,
+                0,
+            )
+            .unwrap();
+            assert!(out.outputs.is_empty());
+            assert_eq!(out.metrics.shuffle_records, 0);
+        }
+    }
+
+    #[test]
+    fn host_thread_helper_keeps_item_order_and_resumes_panics() {
+        let squares = on_host_threads(3, (0..40u64).collect(), |x| x * x);
+        assert_eq!(squares, (0..40u64).map(|x| x * x).collect::<Vec<_>>());
+        assert!(on_host_threads(4, Vec::<u8>::new(), |x| x).is_empty());
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            on_host_threads(2, vec![1u32, 2, 3], |x| {
+                assert_ne!(x, 2, "boom");
+                x
+            })
+        }));
+        assert!(caught.is_err());
     }
 }

@@ -41,11 +41,9 @@
 //! }
 //!
 //! struct Sum;
-//! impl Reducer for Sum {
-//!     type K = String;
-//!     type V = u64;
+//! impl Reducer<String, u64> for Sum {
 //!     type Out = (String, u64);
-//!     fn reduce(&self, k: &String, vs: Vec<u64>, emit: &mut dyn FnMut((String, u64))) {
+//!     fn reduce(&self, k: &String, vs: &[u64], emit: &mut dyn FnMut((String, u64))) {
 //!         emit((k.clone(), vs.iter().sum()));
 //!     }
 //! }

@@ -35,12 +35,18 @@ impl EstimateSize for &str {
     }
 }
 
-impl<T: EstimateSize> EstimateSize for Vec<T> {
+impl<T: EstimateSize> EstimateSize for &[T] {
     fn estimated_bytes(&self) -> usize {
         8 + self
             .iter()
             .map(EstimateSize::estimated_bytes)
             .sum::<usize>()
+    }
+}
+
+impl<T: EstimateSize> EstimateSize for Vec<T> {
+    fn estimated_bytes(&self) -> usize {
+        self.as_slice().estimated_bytes()
     }
 }
 
@@ -82,6 +88,13 @@ mod tests {
     #[test]
     fn vectors_sum_elements() {
         assert_eq!(vec![1.0f64, 2.0, 3.0].estimated_bytes(), 8 + 24);
+    }
+
+    #[test]
+    fn a_borrowed_slice_is_priced_like_the_vector_it_views() {
+        let v = vec![1.0f64, 2.0, 3.0];
+        assert_eq!(v.as_slice().estimated_bytes(), v.estimated_bytes());
+        assert_eq!((7u64, v.as_slice()).estimated_bytes(), 8 + 8 + 24);
     }
 
     #[test]

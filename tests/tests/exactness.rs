@@ -116,3 +116,68 @@ proptest! {
         prop_assert_eq!(&runner.run(&data).unwrap().outliers, &expected);
     }
 }
+
+/// Source audit: the batch record path copies no point before the
+/// reducer's tile. The mappers and the loader neither `to_vec` nor clone
+/// a coordinate vector, the executor lends each key group instead of
+/// cloning its records, every job loads its input through the one
+/// loader, and no thread-local scratch hides a per-call buffer.
+#[test]
+fn batch_record_path_copies_no_point() {
+    fn shipped(source: &str) -> &str {
+        source.split("#[cfg(test)]").next().unwrap()
+    }
+    /// The text of every block that starts with `opener`, each up to its
+    /// closing brace at the start of a line.
+    fn blocks<'a>(source: &'a str, opener: &str) -> Vec<&'a str> {
+        let found: Vec<&str> = source
+            .match_indices(opener)
+            .map(|(at, _)| &source[at..at + source[at..].find("\n}\n").unwrap()])
+            .collect();
+        assert!(!found.is_empty(), "no `{opener}` block to audit");
+        found
+    }
+    fn forbid(name: &str, text: &str, patterns: &[&str]) {
+        for pattern in patterns {
+            let hits: Vec<&str> = text.lines().filter(|l| l.contains(pattern)).collect();
+            assert!(hits.is_empty(), "{name}: `{pattern}` is back: {hits:?}");
+        }
+    }
+
+    let framework = shipped(include_str!("../../crates/dod/src/framework.rs"));
+    let two_job = shipped(include_str!("../../crates/dod/src/two_job.rs"));
+    let copies = [".to_vec()", ".to_owned()", ".clone()", "Cow::Owned"];
+    for (name, source) in [("framework.rs", framework), ("two_job.rs", two_job)] {
+        for block in blocks(source, "impl<'a> Mapper for") {
+            forbid(name, block, &copies);
+        }
+    }
+    forbid(
+        "framework.rs loader",
+        blocks(framework, "pub fn load_points")[0],
+        &copies,
+    );
+    // Restored records are the only owners.
+    assert_eq!(framework.matches("Cow::Owned").count(), 1);
+
+    let job = shipped(include_str!("../../crates/mapreduce/src/job.rs"));
+    forbid("job.rs", job, &["v.clone()", "M::V: Clone", "V: Clone"]);
+
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../crates/dod/src");
+    let mut pending = vec![src];
+    let mut loaders = 0;
+    while let Some(dir) = pending.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+                continue;
+            }
+            let source = std::fs::read_to_string(&path).unwrap();
+            let name = path.display().to_string();
+            forbid(&name, &source, &["thread_local!"]);
+            loaders += shipped(&source).matches("BlockStore::from_items").count();
+        }
+    }
+    assert_eq!(loaders, 1, "one loader builds every job's block store");
+}

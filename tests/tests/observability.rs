@@ -12,12 +12,12 @@ use dod_obs::{Event, JsonlRecorder, MemoryRecorder, Obs, Value};
 use mapreduce::Reducer;
 use std::sync::Arc;
 
-fn tagged(data: &PointSet) -> Vec<TaggedPoint> {
+fn tagged(data: &PointSet) -> Vec<TaggedPoint<'_>> {
     (0..data.len())
         .map(|i| TaggedPoint {
             support: false,
             id: i as dod_core::PointId,
-            coords: data.point(i).to_vec(),
+            coords: data.point(i).into(),
         })
         .collect()
 }
@@ -79,8 +79,8 @@ fn observed_work_is_within_factor_4_of_lemma_predictions() {
     )
     .with_obs(Obs::new(mem.clone()));
     let values = tagged(&data);
-    reducer.reduce(&0, values.clone(), &mut |_| {});
-    reducer.reduce(&1, values, &mut |_| {});
+    reducer.reduce(&0, &values, &mut |_| {});
+    reducer.reduce(&1, &values, &mut |_| {});
 
     // Lemma 4.1: Nested-Loop work == expected distance evaluations.
     let observed_nl = counter_for(&mem, "detect.distance_evals", 0) as f64;
