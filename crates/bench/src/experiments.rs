@@ -14,7 +14,7 @@ use dod_data::region::{region_dataset, Region};
 use dod_data::uniform::{sparse_dense_pair, uniform_with_density_measure};
 use dod_data::{distort, tiger_analog};
 use dod_detect::{CellBased, Detector, NestedLoop, Partition};
-use dod_obs::{MemoryRecorder, Obs};
+use dod_obs::{names, MemoryRecorder, Obs};
 use dod_partition::AllocationSpec;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -428,7 +428,7 @@ pub fn ablation_cost_model(scale: &Scale) -> CostModelAblation {
             seconds[*pid as usize] = d.as_secs_f64();
         }
         let mut work = vec![0.0f64; predicted.len()];
-        for name in ["detect.distance_evals", "detect.index_ops"] {
+        for name in [names::DETECT_DISTANCE_EVALS, names::DETECT_INDEX_OPS] {
             for e in counters.events_named(name) {
                 let pid = e.label("partition").and_then(|v| v.as_u64());
                 let pid = pid.expect("detector counters carry their partition") as usize;

@@ -11,6 +11,12 @@
 //!   `r²` included); the kernel side scans the same candidates gathered
 //!   into one contiguous columnar tile via
 //!   [`NeighborPredicate::count_within_tile`].
+//! * **columns** — the same single-query scan over the candidates stored
+//!   one dimension after another, via
+//!   [`NeighborPredicate::count_within_columns`]: the layout
+//!   `NestedLoop` scans. One row for the portable build of the scan and
+//!   one for the build the process dispatched to (AVX2 on x86-64, in the
+//!   default build), against the same per-pair baseline as the micro rows.
 //! * **e2e** — a whole detector run. The kernelized detectors from
 //!   `dod-detect` are compared against scalar twins reimplemented here
 //!   with the original per-pair loops; both report identical outlier
@@ -35,8 +41,8 @@ pub struct KernelBenchResult {
     /// Row identifier, e.g. `micro_euclid_d2`.
     pub name: String,
     /// Kernel backend the fast side ran on (`"scalar"`, `"avx2"`,
-    /// `"neon"`). Micro rows are emitted once per available backend;
-    /// everything else reports the dispatched backend.
+    /// `"neon"`). Micro and columns rows are emitted once per available
+    /// backend; everything else reports the dispatched backend.
     pub backend: String,
     /// Kernel-path throughput.
     pub pairs_per_sec: f64,
@@ -169,48 +175,88 @@ pub fn half_hit_radius(metric: Metric, dim: usize) -> f64 {
     }
 }
 
-/// One micro config, one row per available backend: the scalar tile
-/// path always, plus the dispatched vector path when one is active.
-/// Both share the scalar per-pair baseline, so `speedup` stays
-/// "vs the pre-kernel loop" across backends.
+/// The rows of one single-query config: the `portable` scan always
+/// (backend `"scalar"`), plus the `dispatched` scan when the process
+/// dispatches to a vector backend. Both share `per_pair`, the pre-kernel
+/// scan of the same candidates, as baseline, so `speedup` stays "vs the
+/// pre-kernel loop" across backends and layouts.
+fn rows_per_backend(
+    name: &str,
+    min_time_s: f64,
+    per_pair: impl Fn() -> usize,
+    mut portable: impl FnMut() -> usize,
+    backend: KernelBackend,
+    mut dispatched: impl FnMut() -> usize,
+) -> Vec<KernelBenchResult> {
+    // All sides count the same neighbors — a cheap sanity anchor.
+    assert_eq!(
+        (portable(), dispatched()),
+        (per_pair(), per_pair()),
+        "fixture disagreement for {name}"
+    );
+    let baseline = throughput(MICRO_POINTS, min_time_s, &per_pair);
+    let row = |backend: KernelBackend, pairs_per_sec: f64| KernelBenchResult {
+        name: name.to_string(),
+        backend: backend.name().to_string(),
+        pairs_per_sec,
+        baseline_pairs_per_sec: baseline,
+        speedup: pairs_per_sec / baseline,
+    };
+    let mut rows = vec![row(
+        KernelBackend::Scalar,
+        throughput(MICRO_POINTS, min_time_s, portable),
+    )];
+    if backend != KernelBackend::Scalar {
+        rows.push(row(
+            backend,
+            throughput(MICRO_POINTS, min_time_s, dispatched),
+        ));
+    }
+    rows
+}
+
+/// One micro config: the row-major tile scan, pinned to the scalar tiles
+/// and through `simd` dispatch.
 fn micro_rows(name: &str, metric: Metric, dim: usize, min_time_s: f64) -> Vec<KernelBenchResult> {
     let r = half_hit_radius(metric, dim);
     let fx = MicroFixture::new(11 + dim as u64, MICRO_POINTS, dim);
     let pred = NeighborPredicate::with_metric(metric, r);
+    rows_per_backend(
+        name,
+        min_time_s,
+        || scalar_pair_scan(metric, r, &fx.query, &fx.data, &fx.order),
+        || scalar_tile_scan(&pred, &fx.query, &fx.tile),
+        dod_core::active_backend(),
+        || kernel_tile_scan(&pred, &fx.query, &fx.tile),
+    )
+}
 
-    let baseline = throughput(MICRO_POINTS, min_time_s, || {
-        scalar_pair_scan(metric, r, &fx.query, &fx.data, &fx.order)
-    });
-    // Both sides count the same neighbors — a cheap sanity anchor.
-    assert_eq!(
-        scalar_pair_scan(metric, r, &fx.query, &fx.data, &fx.order),
-        kernel_tile_scan(&pred, &fx.query, &fx.tile),
-        "micro fixture disagreement for {name}"
-    );
-    let scalar_kernel = throughput(MICRO_POINTS, min_time_s, || {
-        scalar_tile_scan(&pred, &fx.query, &fx.tile)
-    });
-    let mut rows = vec![KernelBenchResult {
-        name: name.to_string(),
-        backend: KernelBackend::Scalar.name().to_string(),
-        pairs_per_sec: scalar_kernel,
-        baseline_pairs_per_sec: baseline,
-        speedup: scalar_kernel / baseline,
-    }];
-    let active = dod_core::active_backend();
-    if active != KernelBackend::Scalar {
-        let kernel = throughput(MICRO_POINTS, min_time_s, || {
-            kernel_tile_scan(&pred, &fx.query, &fx.tile)
-        });
-        rows.push(KernelBenchResult {
-            name: name.to_string(),
-            backend: active.name().to_string(),
-            pairs_per_sec: kernel,
-            baseline_pairs_per_sec: baseline,
-            speedup: kernel / baseline,
-        });
-    }
-    rows
+/// One columnar config: the micro row's candidates, query and radius
+/// stored one dimension after another, scanned by the portable build of
+/// the columnar kernel and by the build the process dispatched to — so
+/// `columns_euclid_d4` reads directly against `micro_euclid_d4`.
+fn columns_rows(name: &str, metric: Metric, dim: usize, min_time_s: f64) -> Vec<KernelBenchResult> {
+    let r = half_hit_radius(metric, dim);
+    let fx = MicroFixture::new(11 + dim as u64, MICRO_POINTS, dim);
+    let pred = NeighborPredicate::with_metric(metric, r);
+    let columns: Vec<f64> = (0..dim)
+        .flat_map(|d| fx.tile.chunks_exact(dim).map(move |p| p[d]))
+        .collect();
+    let run = 0..MICRO_POINTS;
+    rows_per_backend(
+        name,
+        min_time_s,
+        || scalar_pair_scan(metric, r, &fx.query, &fx.data, &fx.order),
+        || {
+            pred.count_within_columns_scalar(&fx.query, &columns, run.clone(), usize::MAX)
+                .found
+        },
+        dod_core::columns_backend(),
+        || {
+            pred.count_within_columns(&fx.query, &columns, run.clone(), usize::MAX)
+                .found
+        },
+    )
 }
 
 /// A multi-query row: one query-blocked [`count_within_tile_multi`]
@@ -342,6 +388,7 @@ fn e2e_row(
     min_time_s: f64,
     kernelized: &dyn Detector,
     scalar: &ScalarTwin,
+    backend: KernelBackend,
 ) -> KernelBenchResult {
     let data = uniform_set(42 + dim as u64, n, dim, 12.0);
     let partition = Partition::standalone(data);
@@ -360,7 +407,7 @@ fn e2e_row(
     });
     KernelBenchResult {
         name: name.to_string(),
-        backend: dod_core::active_backend().name().to_string(),
+        backend: backend.name().to_string(),
         pairs_per_sec: kernel,
         baseline_pairs_per_sec: baseline,
         speedup: kernel / baseline,
@@ -398,6 +445,14 @@ pub fn run_all(min_time_s: f64) -> Vec<KernelBenchResult> {
         3,
         min_time_s,
     ));
+    for (name, metric, dim) in [
+        ("columns_euclid_d2", Metric::Euclidean, 2),
+        ("columns_euclid_d4", Metric::Euclidean, 4),
+        ("columns_manhattan_d3", Metric::Manhattan, 3),
+        ("columns_chebyshev_d3", Metric::Chebyshev, 3),
+    ] {
+        rows.extend(columns_rows(name, metric, dim, min_time_s));
+    }
     for dim in 2..=4 {
         rows.push(multi_row(
             &format!("multi_euclid_d{dim}_q8"),
@@ -407,14 +462,18 @@ pub fn run_all(min_time_s: f64) -> Vec<KernelBenchResult> {
             min_time_s,
         ));
     }
-    rows.push(e2e_row(
-        "e2e_nested_loop_d2",
-        2,
-        2000,
-        min_time_s,
-        &NestedLoop::default(),
-        &scalar_nested_loop,
-    ));
+    // Nested-Loop scans the columnar layout, Reference the row-major one.
+    for dim in [2, 4] {
+        rows.push(e2e_row(
+            &format!("e2e_nested_loop_d{dim}"),
+            dim,
+            2000,
+            min_time_s,
+            &NestedLoop::default(),
+            &scalar_nested_loop,
+            dod_core::columns_backend(),
+        ));
+    }
     rows.push(e2e_row(
         "e2e_reference_d4",
         4,
@@ -422,6 +481,7 @@ pub fn run_all(min_time_s: f64) -> Vec<KernelBenchResult> {
         min_time_s,
         &Reference,
         &scalar_reference,
+        dod_core::active_backend(),
     ));
     rows
 }

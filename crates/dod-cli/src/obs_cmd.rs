@@ -120,8 +120,19 @@ fn summary_section(out: &mut String, events: &[Event]) {
 
 fn stage_section(out: &mut String, events: &[Event]) {
     out.push_str("\n== stage breakdown ==\n");
-    if !breakdown(out, events, "dod.stage") {
+    if !breakdown(out, events, names::DOD_STAGE) {
         out.push_str("(no dod.stage spans in this trace)\n");
+    }
+    // Inside the preprocessing job and inside the reduce tasks (summed
+    // over tasks, so over host threads too), when the run recorded them.
+    for (title, name) in [
+        ("preprocess breakdown", names::DOD_PREPROCESS_STAGE),
+        ("reduce task breakdown", names::DOD_REDUCE_STAGE),
+    ] {
+        let mut table = String::new();
+        if breakdown(&mut table, events, name) {
+            out.push_str(&format!("\n== {title} ==\n{table}"));
+        }
     }
 }
 
@@ -296,7 +307,10 @@ struct PlanRow {
 /// plan supersedes the old one.
 fn plan_rows(events: &[Event]) -> BTreeMap<u64, PlanRow> {
     let mut rows: BTreeMap<u64, PlanRow> = BTreeMap::new();
-    for e in events.iter().filter(|e| e.name == "dod.plan.partition") {
+    for e in events
+        .iter()
+        .filter(|e| e.name == names::DOD_PLAN_PARTITION)
+    {
         let Some(pid) = label_u64(e, "partition") else {
             continue;
         };
@@ -379,7 +393,7 @@ fn cost_audit_section(out: &mut String, events: &[Event], plan: &BTreeMap<u64, P
                     }
                 }
             }
-            "detect.distance_evals" | "detect.index_ops" => {
+            names::DETECT_DISTANCE_EVALS | names::DETECT_INDEX_OPS => {
                 let Some(pid) = label_u64(e, "partition") else {
                     continue;
                 };
@@ -485,6 +499,33 @@ mod tests {
         assert!(text.contains("map          "), "{text}");
         assert!(text.contains("60.0%"), "{text}");
         assert!(text.contains("total"), "{text}");
+    }
+
+    #[test]
+    fn preprocess_and_reduce_breakdowns_appear_when_recorded() {
+        let plain = analyze(&engine_trace(), 1);
+        assert!(!plain.contains("preprocess breakdown"), "{plain}");
+        assert!(!plain.contains("reduce task breakdown"), "{plain}");
+        let mut events = engine_trace();
+        for (stage, nanos) in [("sample", 500_000u64), ("plan", 1_500_000)] {
+            events.push(span(names::DOD_PREPROCESS_STAGE, nanos).with_label("stage", stage));
+        }
+        for _task in 0..2 {
+            for (stage, nanos) in [("tile", 100_000u64), ("build", 0), ("detect", 900_000)] {
+                events.push(span(names::DOD_REDUCE_STAGE, nanos).with_label("stage", stage));
+            }
+        }
+        let text = analyze(&events, 1);
+        let pre = text
+            .split("== preprocess breakdown ==")
+            .nth(1)
+            .expect(&text);
+        assert!(pre.contains("plan             1.50ms   75.0%"), "{pre}");
+        let red = text
+            .split("== reduce task breakdown ==")
+            .nth(1)
+            .expect(&text);
+        assert!(red.contains("detect           1.80ms   90.0%"), "{red}");
     }
 
     #[test]

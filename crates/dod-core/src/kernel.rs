@@ -14,13 +14,17 @@
 //!   call** from [`OutlierParams`], hoisting the `r²` computation and the
 //!   metric-variant dispatch out of the hot loop;
 //! * [`NeighborPredicate::count_within_tile`] scans a *contiguous
-//!   columnar block* of candidate coordinates (a tile) with
-//!   slice-pattern chunking, so the compiler proves away every
-//!   per-element bounds check and can autovectorize the distance math;
+//!   row-major block* of candidate coordinates (a tile: points back to
+//!   back, as a `PointSet` stores them) with slice-pattern chunking, so
+//!   the compiler proves away every per-element bounds check and can
+//!   autovectorize the distance math;
 //! * all three metrics get kernels monomorphized per dimension for
-//!   `d = 1..4` (the common spatial cases), falling back to 4-way
-//!   unrolled loops with incremental partial-distance early-abandon for
-//!   higher dimensions.
+//!   `d = 1..4` (the common spatial cases), falling back to one generic
+//!   loop with incremental partial-distance early-abandon for higher
+//!   dimensions;
+//! * [`NeighborPredicate::count_within_columns`] scans the same
+//!   candidates stored one dimension after another, the layout on which
+//!   wide vector lanes pay at small `d` (see the `columns` submodule).
 //!
 //! Tiles are scanned in cache-sized blocks of [`BLOCK_POINTS`] points.
 //! Within a block the neighbor test is branchless (a compare-and-add per
@@ -33,10 +37,12 @@
 use crate::metric::Metric;
 use crate::params::OutlierParams;
 
+mod columns;
 mod filter;
 #[cfg(feature = "simd")]
 mod simd;
 
+pub use columns::columns_backend;
 pub use filter::FilterTile;
 
 /// Identifies which kernel implementation services tile scans.
@@ -181,7 +187,7 @@ impl NeighborPredicate {
     /// Counts the points of `tile` within `r` of `query`, early-exiting
     /// once `need` neighbors are found.
     ///
-    /// `tile` is a contiguous columnar block of candidate coordinates:
+    /// `tile` is a contiguous row-major block of candidate coordinates:
     /// `tile.len()` must be a multiple of `query.len()` (one
     /// `query.len()`-sized chunk per point). The scan is
     /// order-independent in its count, and `scanned` reports exactly the
@@ -280,17 +286,17 @@ impl NeighborPredicate {
             (Metric::Euclidean, 2) => euclid_fixed::<2>(query, tile, self.r_sq, need),
             (Metric::Euclidean, 3) => euclid_fixed::<3>(query, tile, self.r_sq, need),
             (Metric::Euclidean, 4) => euclid_fixed::<4>(query, tile, self.r_sq, need),
-            (Metric::Euclidean, _) => euclid_generic(query, tile, dim, self.r_sq, need),
+            (Metric::Euclidean, _) => tile_generic::<SumSquares>(query, tile, dim, self.r_sq, need),
             (Metric::Manhattan, 1) => manhattan_fixed::<1>(query, tile, self.r, need),
             (Metric::Manhattan, 2) => manhattan_fixed::<2>(query, tile, self.r, need),
             (Metric::Manhattan, 3) => manhattan_fixed::<3>(query, tile, self.r, need),
             (Metric::Manhattan, 4) => manhattan_fixed::<4>(query, tile, self.r, need),
-            (Metric::Manhattan, _) => manhattan_tile(query, tile, dim, self.r, need),
+            (Metric::Manhattan, _) => tile_generic::<SumAbs>(query, tile, dim, self.r, need),
             (Metric::Chebyshev, 1) => chebyshev_fixed::<1>(query, tile, self.r, need),
             (Metric::Chebyshev, 2) => chebyshev_fixed::<2>(query, tile, self.r, need),
             (Metric::Chebyshev, 3) => chebyshev_fixed::<3>(query, tile, self.r, need),
             (Metric::Chebyshev, 4) => chebyshev_fixed::<4>(query, tile, self.r, need),
-            (Metric::Chebyshev, _) => chebyshev_tile(query, tile, dim, self.r, need),
+            (Metric::Chebyshev, _) => tile_generic::<MaxAbs>(query, tile, dim, self.r, need),
         }
     }
 }
@@ -378,136 +384,76 @@ fn chebyshev_fixed<const D: usize>(q: &[f64], tile: &[f64], r: f64, need: usize)
     })
 }
 
-/// Generic Euclidean kernel: 4-accumulator unrolled over the dimension
-/// axis with incremental partial-distance early-abandon.
+/// How one dimension's gap folds into a point's running distance. Every
+/// kernel that is not monomorphized per dimension folds dimensions in
+/// ascending order into one accumulator through these, which is the
+/// operation sequence of [`crate::point::dist_sq`] and the `Metric` loops
+/// — so a pair exactly at the threshold gets the same verdict from a
+/// kernel as from [`NeighborPredicate::within`].
+trait Fold {
+    fn fold(acc: f64, gap: f64) -> f64;
+}
+
+/// Squared `L2`: compared against `r²`.
+struct SumSquares;
+/// `L1`.
+struct SumAbs;
+/// `L∞`; `f64::max` ignores a `NaN` gap, as the `Metric` fold does.
+struct MaxAbs;
+
+impl Fold for SumSquares {
+    #[inline(always)]
+    fn fold(acc: f64, gap: f64) -> f64 {
+        acc + gap * gap
+    }
+}
+
+impl Fold for SumAbs {
+    #[inline(always)]
+    fn fold(acc: f64, gap: f64) -> f64 {
+        acc + gap.abs()
+    }
+}
+
+impl Fold for MaxAbs {
+    #[inline(always)]
+    fn fold(acc: f64, gap: f64) -> f64 {
+        acc.max(gap.abs())
+    }
+}
+
+/// The kernel for dimensions without a monomorphized form: one
+/// accumulator per point, dimensions in ascending order, with
+/// partial-distance early-abandon every four dimensions.
 ///
-/// Partial sums of squares only grow, so once the accumulated prefix
-/// exceeds `r²` the point cannot be a neighbor and the remaining
-/// dimensions are skipped — the classic early-abandon rule, sound for
-/// any dimension order.
-fn euclid_generic(q: &[f64], tile: &[f64], dim: usize, r_sq: f64, need: usize) -> TileOutcome {
+/// All three folds only grow, so once the accumulated prefix exceeds the
+/// threshold the point cannot be a neighbor and the remaining dimensions
+/// are skipped; the skip never changes a verdict, only the work.
+fn tile_generic<F: Fold>(
+    q: &[f64],
+    tile: &[f64],
+    dim: usize,
+    thresh: f64,
+    need: usize,
+) -> TileOutcome {
     let mut found = 0usize;
-    for (i, p) in tile.chunks_exact(dim).enumerate() {
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        let mut abandoned = false;
-        for (pc, qc) in p.chunks_exact(4).zip(q.chunks_exact(4)) {
-            let d0 = pc[0] - qc[0];
-            let d1 = pc[1] - qc[1];
-            let d2 = pc[2] - qc[2];
-            let d3 = pc[3] - qc[3];
-            a0 += d0 * d0;
-            a1 += d1 * d1;
-            a2 += d2 * d2;
-            a3 += d3 * d3;
-            if a0 + a1 + a2 + a3 > r_sq {
-                abandoned = true;
-                break;
+    let q4 = q.chunks_exact(4);
+    'points: for (i, p) in tile.chunks_exact(dim).enumerate() {
+        let mut acc = 0.0f64;
+        let p4 = p.chunks_exact(4);
+        for (pc, qc) in p4.clone().zip(q4.clone()) {
+            acc = F::fold(acc, pc[0] - qc[0]);
+            acc = F::fold(acc, pc[1] - qc[1]);
+            acc = F::fold(acc, pc[2] - qc[2]);
+            acc = F::fold(acc, pc[3] - qc[3]);
+            if acc > thresh {
+                continue 'points;
             }
         }
-        if abandoned {
-            continue;
+        for (x, y) in p4.remainder().iter().zip(q4.remainder()) {
+            acc = F::fold(acc, x - y);
         }
-        let mut acc = (a0 + a1) + (a2 + a3);
-        for (x, y) in p
-            .chunks_exact(4)
-            .remainder()
-            .iter()
-            .zip(q.chunks_exact(4).remainder())
-        {
-            let t = x - y;
-            acc += t * t;
-        }
-        if acc <= r_sq {
-            found += 1;
-            if found >= need {
-                return TileOutcome {
-                    found,
-                    scanned: i + 1,
-                };
-            }
-        }
-    }
-    TileOutcome {
-        found,
-        scanned: tile.len() / dim,
-    }
-}
-
-/// Generic `L1` kernel with the same unroll-and-abandon structure as
-/// [`euclid_generic`] (partial sums of absolute gaps only grow).
-fn manhattan_tile(q: &[f64], tile: &[f64], dim: usize, r: f64, need: usize) -> TileOutcome {
-    let mut found = 0usize;
-    for (i, p) in tile.chunks_exact(dim).enumerate() {
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        let mut abandoned = false;
-        for (pc, qc) in p.chunks_exact(4).zip(q.chunks_exact(4)) {
-            a0 += (pc[0] - qc[0]).abs();
-            a1 += (pc[1] - qc[1]).abs();
-            a2 += (pc[2] - qc[2]).abs();
-            a3 += (pc[3] - qc[3]).abs();
-            if a0 + a1 + a2 + a3 > r {
-                abandoned = true;
-                break;
-            }
-        }
-        if abandoned {
-            continue;
-        }
-        let mut acc = (a0 + a1) + (a2 + a3);
-        for (x, y) in p
-            .chunks_exact(4)
-            .remainder()
-            .iter()
-            .zip(q.chunks_exact(4).remainder())
-        {
-            acc += (x - y).abs();
-        }
-        if acc <= r {
-            found += 1;
-            if found >= need {
-                return TileOutcome {
-                    found,
-                    scanned: i + 1,
-                };
-            }
-        }
-    }
-    TileOutcome {
-        found,
-        scanned: tile.len() / dim,
-    }
-}
-
-/// Generic `L∞` kernel: the running maximum only grows, so any
-/// per-dimension gap above `r` abandons the point immediately.
-fn chebyshev_tile(q: &[f64], tile: &[f64], dim: usize, r: f64, need: usize) -> TileOutcome {
-    let mut found = 0usize;
-    for (i, p) in tile.chunks_exact(dim).enumerate() {
-        let mut m = 0.0f64;
-        let mut abandoned = false;
-        for (pc, qc) in p.chunks_exact(4).zip(q.chunks_exact(4)) {
-            let d0 = (pc[0] - qc[0]).abs();
-            let d1 = (pc[1] - qc[1]).abs();
-            let d2 = (pc[2] - qc[2]).abs();
-            let d3 = (pc[3] - qc[3]).abs();
-            m = m.max(d0).max(d1).max(d2).max(d3);
-            if m > r {
-                abandoned = true;
-                break;
-            }
-        }
-        if abandoned {
-            continue;
-        }
-        for (x, y) in p
-            .chunks_exact(4)
-            .remainder()
-            .iter()
-            .zip(q.chunks_exact(4).remainder())
-        {
-            m = m.max((x - y).abs());
-        }
-        if m <= r {
+        if acc <= thresh {
             found += 1;
             if found >= need {
                 return TileOutcome {

@@ -1,6 +1,6 @@
 //! Opt-in `f32` tile mirrors used as a conservative prefilter.
 //!
-//! A [`FilterTile`] stores an `f32` copy of a columnar tile. Scanning it
+//! A [`FilterTile`] stores an `f32` copy of a row-major tile. Scanning it
 //! costs half the memory traffic of the `f64` tile, but `f32` distances
 //! are inexact — so the prefilter never *decides* a point on its own.
 //! Instead it classifies each point against an **error-inflated shell**
@@ -27,7 +27,7 @@
 use super::{NeighborPredicate, TileOutcome, BLOCK_POINTS};
 use crate::metric::Metric;
 
-/// An `f32` mirror of a columnar coordinate tile, plus the coordinate
+/// An `f32` mirror of a row-major coordinate tile, plus the coordinate
 /// magnitude bound its error analysis needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FilterTile {
@@ -37,7 +37,7 @@ pub struct FilterTile {
 }
 
 impl FilterTile {
-    /// Mirrors `tile` (a columnar block of `dim`-dimensional points)
+    /// Mirrors `tile` (a row-major block of `dim`-dimensional points)
     /// into `f32` storage.
     ///
     /// # Panics
@@ -92,7 +92,7 @@ impl FilterTile {
         self.max_abs
     }
 
-    /// The raw `f32` coordinates, columnar like the source tile.
+    /// The raw `f32` coordinates, row-major like the source tile.
     #[inline]
     pub fn coords(&self) -> &[f32] {
         &self.coords

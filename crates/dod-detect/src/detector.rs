@@ -2,7 +2,7 @@
 
 use crate::partition::Partition;
 use dod_core::{OutlierParams, PointId};
-use dod_obs::{Obs, Value};
+use dod_obs::{names, Obs, Value};
 
 /// Work counters a detector reports alongside its result.
 ///
@@ -45,11 +45,11 @@ impl DetectionStats {
             ("algorithm", Value::from(algorithm)),
         ];
         for (name, value) in [
-            ("detect.distance_evals", self.distance_evaluations),
-            ("detect.index_ops", self.index_operations),
-            ("detect.pruned_points", self.pruned_points),
-            ("detect.early_terminations", self.early_terminations),
-            ("detect.node_visits", self.node_visits),
+            (names::DETECT_DISTANCE_EVALS, self.distance_evaluations),
+            (names::DETECT_INDEX_OPS, self.index_operations),
+            (names::DETECT_PRUNED_POINTS, self.pruned_points),
+            (names::DETECT_EARLY_TERMINATIONS, self.early_terminations),
+            (names::DETECT_NODE_VISITS, self.node_visits),
         ] {
             if value > 0 {
                 obs.counter(name, value, &labels);

@@ -6,9 +6,10 @@
 //! that permutation through `Partition::point` costs a bounds-checked
 //! random access per candidate — the exact per-pair overhead the kernel
 //! layer removes. [`PermutedScan`] pays one gather per `detect` call to
-//! materialize the permutation as a *contiguous columnar buffer*, after
-//! which every wrap-around scan decomposes into at most four contiguous
-//! runs that feed [`NeighborPredicate::count_within_tile`] directly.
+//! materialize the permutation as a *columnar buffer* (one dimension
+//! after another), after which every wrap-around scan decomposes into at
+//! most four contiguous runs that feed
+//! [`NeighborPredicate::count_within_columns`] directly.
 //!
 //! The scan order, the early-exit position, and therefore every work
 //! counter are identical to the scalar pair loop; only the memory access
@@ -21,8 +22,7 @@ use crate::partition::Partition;
 /// A partition's points gathered into permutation order, plus the inverse
 /// permutation for self-exclusion.
 pub(crate) struct PermutedScan {
-    dim: usize,
-    /// Coordinates of `order[0], order[1], ...` back to back.
+    /// Coordinate `d` of `order[pos]` at `coords[d * order.len() + pos]`.
     coords: Vec<f64>,
     /// `pos_of[unified_index]` = position of that point in the order.
     pos_of: Vec<u32>,
@@ -32,18 +32,16 @@ impl PermutedScan {
     /// Gathers the partition's points (unified core-then-support
     /// indexing) into the given permutation order.
     pub(crate) fn new(partition: &Partition, order: &[u32]) -> Self {
-        let dim = partition.dim();
-        let mut coords = Vec::with_capacity(order.len() * dim);
-        let mut pos_of = vec![0u32; order.len()];
+        let total = order.len();
+        let mut coords = vec![0.0; total * partition.dim()];
+        let mut pos_of = vec![0u32; total];
         for (pos, &idx) in order.iter().enumerate() {
-            coords.extend_from_slice(partition.point(idx as usize));
+            for (d, &c) in partition.point(idx as usize).iter().enumerate() {
+                coords[d * total + pos] = c;
+            }
             pos_of[idx as usize] = pos as u32;
         }
-        PermutedScan {
-            dim,
-            coords,
-            pos_of,
-        }
+        PermutedScan { coords, pos_of }
     }
 
     /// Scans the full permutation cycle starting at position `start`
@@ -72,8 +70,7 @@ impl PermutedScan {
                 if found >= need {
                     return (found, scanned);
                 }
-                let tile = &self.coords[a * self.dim..b * self.dim];
-                let out = pred.count_within_tile(q, tile, need - found);
+                let out = pred.count_within_columns(q, &self.coords, a..b, need - found);
                 scanned += out.scanned as u64;
                 found += out.found;
             }
@@ -82,7 +79,7 @@ impl PermutedScan {
     }
 }
 
-/// Counts neighbors of `q` in the contiguous columnar `tile`, skipping
+/// Counts neighbors of `q` in the contiguous row-major `tile`, skipping
 /// the point at position `skip` (if any), early-exiting at `need`.
 ///
 /// Returns `(found, scanned)` with the same exact scalar-equivalent
@@ -133,46 +130,64 @@ mod tests {
         assert_eq!(split_excluding(2, 5, 1), [(2, 5), (5, 5)]);
     }
 
+    /// `n` points on a coarse lattice in `dim` dimensions: neighbors,
+    /// duplicates and points at exactly `r` all occur.
+    fn lattice(n: usize, dim: usize) -> PointSet {
+        let mut pts = PointSet::new(dim).unwrap();
+        for i in 0..n {
+            let p: Vec<f64> = (0..dim)
+                .map(|d| ((i * (d + 3) + i / 7) % 5) as f64 * 0.5)
+                .collect();
+            pts.push(&p).unwrap();
+        }
+        pts
+    }
+
     #[test]
     fn cycle_matches_scalar_walk() {
-        let pts = PointSet::from_xy(&[
+        let plane = PointSet::from_xy(&[
             (0.0, 0.0),
             (0.5, 0.0),
             (10.0, 10.0),
             (0.0, 0.5),
             (20.0, 20.0),
         ]);
-        let partition = Partition::standalone(pts);
-        let params = OutlierParams::new(1.0, 5).unwrap();
-        let pred = params.predicate();
-        let order: Vec<u32> = vec![3, 1, 4, 0, 2];
-        let scan = PermutedScan::new(&partition, &order);
-        for self_idx in 0..5usize {
-            for start in 0..5usize {
-                for need in 1..5usize {
-                    // Scalar walk of the same cycle.
-                    let q = partition.point(self_idx);
-                    let mut found = 0usize;
-                    let mut scanned = 0u64;
-                    for step in 0..order.len() {
-                        let j = order[(start + step) % order.len()] as usize;
-                        if j == self_idx {
-                            continue;
-                        }
-                        scanned += 1;
-                        if params.neighbors(q, partition.point(j)) {
-                            found += 1;
-                            if found >= need {
-                                break;
+        // 70 and 41 points: runs of the cycle span whole blocks and tails.
+        for pts in [plane, lattice(70, 3), lattice(41, 5)] {
+            let n = pts.len();
+            let dim = pts.dim();
+            let partition = Partition::standalone(pts);
+            let params = OutlierParams::new(1.0, 5).unwrap();
+            let pred = params.predicate();
+            let order: Vec<u32> = (0..n).map(|i| ((i * 3 + 3) % n) as u32).collect();
+            let scan = PermutedScan::new(&partition, &order);
+            for self_idx in 0..n {
+                for start in 0..n {
+                    for need in 1..5usize {
+                        // Scalar walk of the same cycle.
+                        let q = partition.point(self_idx);
+                        let mut found = 0usize;
+                        let mut scanned = 0u64;
+                        for step in 0..n {
+                            let j = order[(start + step) % n] as usize;
+                            if j == self_idx {
+                                continue;
+                            }
+                            scanned += 1;
+                            if params.neighbors(q, partition.point(j)) {
+                                found += 1;
+                                if found >= need {
+                                    break;
+                                }
                             }
                         }
+                        let got = scan.count_cycle(&pred, q, start, self_idx, need);
+                        assert_eq!(
+                            got,
+                            (found, scanned),
+                            "dim {dim} self {self_idx} start {start} need {need}"
+                        );
                     }
-                    let got = scan.count_cycle(&pred, q, start, self_idx, need);
-                    assert_eq!(
-                        got,
-                        (found, scanned),
-                        "self {self_idx} start {start} need {need}"
-                    );
                 }
             }
         }

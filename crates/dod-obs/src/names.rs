@@ -1,12 +1,15 @@
-//! Well-known event names of the resident engine and the job executor.
+//! Well-known event names of the resident engine, the job executor, the
+//! batch pipeline and the detectors.
 //!
 //! The engine's names are shared between the engine crate (producer)
 //! and dashboards/tests (consumers polling queue depth or request
 //! spans), so they live here as constants both sides can reference; so
 //! do the executor's stage, task, shuffle, checkpoint and dead-letter
-//! names. The rest of the batch pipeline still writes its names inline
-//! at the emit sites (`"dod.stage"`, `"dod.plan"`,
-//! `"mapreduce.task.retry"`, …), one producer each.
+//! names, the pipeline's `dod.*` stage and plan names and the detectors'
+//! `detect.*` work counters, which `dod obs` and the benchmark read by
+//! name. The executor's scheduling marks (`"mapreduce.task.retry"`,
+//! `"mapreduce.node.blacklisted"`, …) are still written inline at their
+//! emit sites, one producer each.
 
 /// Span: one engine request, from dequeue to completion. Labels: `op`
 /// (`"score"` or `"detect"`), `items` (points scored), `epoch`.
@@ -141,6 +144,50 @@ pub const MAPREDUCE_DLQ_DIVERTED: &str = "mapreduce.dlq.diverted";
 /// completed and were resolved out of the queue. Labels: `stage`.
 pub const MAPREDUCE_DLQ_REDRIVEN: &str = "mapreduce.dlq.redriven";
 
+/// Span: one bar of the paper's Figure 10 for one `DodRunner::run`,
+/// carrying the exact duration the run's `StageBreakdown` reports.
+/// Labels: `stage` (`preprocess`, `map` or `reduce`).
+pub const DOD_STAGE: &str = "dod.stage";
+
+/// Span: one step of the preprocessing job; the four add up to the
+/// `preprocess` [`DOD_STAGE`] span. Labels: `stage` — `sample` (bounding
+/// box + random sample), `plan` (the strategy's `build_plan`: mini
+/// buckets and DSHC under DMT), `estimate` (per-partition costs, tactic
+/// selection, reducer allocation), `route` (the support-area router).
+pub const DOD_PREPROCESS_STAGE: &str = "dod.preprocess.stage";
+
+/// Span: one step of one detection reduce task. Labels: `stage` — `tile`
+/// (shuffled records gathered into the partition's core and support
+/// tiles), `build` (the tactic's index or grid), `detect` (the scan).
+pub const DOD_REDUCE_STAGE: &str = "dod.reduce.stage";
+
+/// Mark: the plan of one run. Labels: `num_partitions`, `num_reducers`,
+/// `sample_size`.
+pub const DOD_PLAN: &str = "dod.plan";
+
+/// Mark: the tactic chosen for one partition (Corollary 4.3). Labels:
+/// `partition`, `algorithm`, and when known `predicted_cost`, `n_est`,
+/// `margin`.
+pub const DOD_PLAN_PARTITION: &str = "dod.plan.partition";
+
+/// Counter: distance evaluations of one detector run. Labels (all
+/// `detect.*` counters): `partition`, `algorithm`; zero counts are not
+/// emitted.
+pub const DETECT_DISTANCE_EVALS: &str = "detect.distance_evals";
+
+/// Counter: index operations (cell, node or pivot-list visits priced by
+/// the cost model) of one detector run.
+pub const DETECT_INDEX_OPS: &str = "detect.index_ops";
+
+/// Counter: points settled by a pruning rule without a scan.
+pub const DETECT_PRUNED_POINTS: &str = "detect.pruned_points";
+
+/// Counter: scans that stopped at the `k`-th neighbor.
+pub const DETECT_EARLY_TERMINATIONS: &str = "detect.early_terminations";
+
+/// Counter: tree nodes visited by an index-based detector run.
+pub const DETECT_NODE_VISITS: &str = "detect.node_visits";
+
 /// Centralized Prometheus `# HELP` text for well-known event names.
 ///
 /// [`crate::prom::render_snapshot`] consults this so every exposition
@@ -187,7 +234,7 @@ mod tests {
 
     /// The registry: every name above, once. A new constant is added
     /// here, where the checks below see it.
-    const ALL: [&str; 27] = [
+    const ALL: [&str; 37] = [
         ENGINE_REQUEST,
         ENGINE_QUEUE_DEPTH,
         ENGINE_REJECTED,
@@ -215,6 +262,16 @@ mod tests {
         MAPREDUCE_CHECKPOINT_SKIP,
         MAPREDUCE_DLQ_DIVERTED,
         MAPREDUCE_DLQ_REDRIVEN,
+        DOD_STAGE,
+        DOD_PREPROCESS_STAGE,
+        DOD_REDUCE_STAGE,
+        DOD_PLAN,
+        DOD_PLAN_PARTITION,
+        DETECT_DISTANCE_EVALS,
+        DETECT_INDEX_OPS,
+        DETECT_PRUNED_POINTS,
+        DETECT_EARLY_TERMINATIONS,
+        DETECT_NODE_VISITS,
     ];
 
     #[test]
@@ -229,7 +286,27 @@ mod tests {
                 "{name}"
             );
         }
-        // The stage spans sit under the refresh span they break down.
+        // The stage spans sit under the span they break down.
         assert_eq!(ENGINE_REFRESH_STAGE, format!("{ENGINE_REFRESH}.stage"));
+        assert!(
+            DOD_PREPROCESS_STAGE.starts_with("dod.") && DOD_PREPROCESS_STAGE.ends_with(".stage")
+        );
+        assert!(DOD_REDUCE_STAGE.starts_with("dod.") && DOD_REDUCE_STAGE.ends_with(".stage"));
+    }
+
+    /// Consumers outside the workspace read these by their spelling (the
+    /// benchmark's count pass sums `detect.distance_evals`; checked-in
+    /// traces replay `dod.stage`), so the strings are part of the
+    /// contract, not only the constants.
+    #[test]
+    fn pipeline_and_detector_names_keep_their_spelling() {
+        assert_eq!(DOD_STAGE, "dod.stage");
+        assert_eq!(DOD_PLAN, "dod.plan");
+        assert_eq!(DOD_PLAN_PARTITION, "dod.plan.partition");
+        assert_eq!(DETECT_DISTANCE_EVALS, "detect.distance_evals");
+        assert_eq!(DETECT_INDEX_OPS, "detect.index_ops");
+        assert_eq!(DETECT_PRUNED_POINTS, "detect.pruned_points");
+        assert_eq!(DETECT_EARLY_TERMINATIONS, "detect.early_terminations");
+        assert_eq!(DETECT_NODE_VISITS, "detect.node_visits");
     }
 }

@@ -8,9 +8,8 @@
 //!   (cardinality-balanced recursive splits) and [`strategies::CDriven`]
 //!   (cost-balanced recursive splits driven by the Section IV models);
 //! * the DMT preprocessing pipeline (Section V): random [`sample`]-ing,
-//!   [`minibucket`] statistics, the [`af_tree`] (R-tree over Aggregate
-//!   Features) and the [`dshc`] density-and-spatial-aware hierarchical
-//!   clustering built on it;
+//!   [`minibucket`] statistics and the [`dshc`] density-and-spatial-aware
+//!   hierarchical clustering over them;
 //! * per-partition algorithm selection and cost estimation ([`plan`],
 //!   [`estimate`]), and
 //! * reducer allocation via multi-bin [`packing`] (Section V-A step 3).
@@ -39,7 +38,6 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod af_tree;
 pub mod dshc;
 pub mod estimate;
 pub mod intrect;

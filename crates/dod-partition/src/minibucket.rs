@@ -70,12 +70,6 @@ impl MiniBucketGrid {
         self.grid.cells_in_dim(i) as u32
     }
 
-    /// The per-dimension bucket-count limits, as needed by
-    /// [`IntRect::grown_by_one`].
-    pub fn limits(&self) -> Vec<u32> {
-        (0..self.dim()).map(|i| self.buckets_per_dim(i)).collect()
-    }
-
     /// Total number of buckets.
     pub fn num_buckets(&self) -> usize {
         self.counts.len()
@@ -86,32 +80,32 @@ impl MiniBucketGrid {
         self.counts.iter().map(|&c| c as u64).sum()
     }
 
+    /// Sample count of the bucket with row-major linear index `id`
+    /// (`id < num_buckets()`, last dimension contiguous).
+    pub fn count_of(&self, id: usize) -> u32 {
+        self.counts[id]
+    }
+
     /// Sample count of the bucket at integer coordinates `idx`.
     pub fn count_at(&self, idx: &[u32]) -> u32 {
-        let idx: Vec<usize> = idx.iter().map(|&v| v as usize).collect();
-        self.counts[self.grid.linearize(&idx)]
+        debug_assert_eq!(idx.len(), self.dim());
+        let id = idx.iter().enumerate().fold(0usize, |id, (i, &c)| {
+            id * self.grid.cells_in_dim(i) + c as usize
+        });
+        self.counts[id]
     }
 
     /// Sum of sample counts over an integer box.
     pub fn count_in(&self, rect: &IntRect) -> u64 {
         let mut total = 0u64;
-        let d = self.dim();
-        let mut cursor: Vec<u32> = rect.lo().to_vec();
-        loop {
-            total += self.count_at(&cursor) as u64;
-            let mut i = d;
-            loop {
-                if i == 0 {
-                    return total;
-                }
-                i -= 1;
-                if cursor[i] < rect.hi()[i] {
-                    cursor[i] += 1;
-                    cursor[(i + 1)..d].copy_from_slice(&rect.lo()[(i + 1)..d]);
-                    break;
-                }
-            }
-        }
+        self.grid.visit_block(
+            |i| (rect.lo()[i] as usize, rect.hi()[i] as usize),
+            |id| {
+                total += self.counts[id] as u64;
+                true
+            },
+        );
+        total
     }
 
     /// Volume of a single mini bucket in real coordinates.
@@ -136,20 +130,6 @@ impl MiniBucketGrid {
             })
             .collect();
         Rect::new(min, max).expect("bucket bounds are valid")
-    }
-
-    /// Iterates over every bucket in row-major order as `(coords, count)`
-    /// — the single scan DSHC consumes.
-    pub fn iter_buckets(&self) -> impl Iterator<Item = (Vec<u32>, u32)> + '_ {
-        (0..self.num_buckets()).map(move |id| {
-            let coords: Vec<u32> = self
-                .grid
-                .delinearize(id)
-                .into_iter()
-                .map(|v| v as u32)
-                .collect();
-            (coords, self.counts[id])
-        })
     }
 
     /// Density of the single bucket containing `p` (sample points per
@@ -231,14 +211,14 @@ mod tests {
     }
 
     #[test]
-    fn iter_buckets_covers_all_row_major() {
-        let g = grid_with(&[(0.5, 1.5)], 2);
-        let buckets: Vec<(Vec<u32>, u32)> = g.iter_buckets().collect();
-        assert_eq!(buckets.len(), 4);
-        // Row-major: [0,0], [0,1], [1,0], [1,1]; point (0.5, 1.5) is in
-        // x-bucket 0, y-bucket 0 (width 4.0 per bucket).
-        assert_eq!(buckets[0].0, vec![0, 0]);
-        assert_eq!(buckets[0].1, 1);
+    fn count_of_is_row_major() {
+        // Width 4.0 per bucket: (0.5, 5.5) is x-bucket 0, y-bucket 1, and
+        // the last dimension is the contiguous one.
+        let g = grid_with(&[(0.5, 5.5), (5.5, 0.5), (5.5, 0.5)], 2);
+        let counts: Vec<u32> = (0..g.num_buckets()).map(|id| g.count_of(id)).collect();
+        assert_eq!(counts, [0, 1, 2, 0]);
+        assert_eq!(g.count_at(&[0, 1]), 1);
+        assert_eq!(g.count_at(&[1, 0]), 2);
     }
 
     #[test]

@@ -75,10 +75,7 @@ impl PartitionStrategy for Dmt {
                 .ceil()
                 .max(32.0) as u64
         };
-        let config = DshcConfig {
-            tree_fanout: 8,
-            ..DshcConfig::relative(&buckets, self.tdiff_factor, max_sample_points)
-        };
+        let config = DshcConfig::relative(&buckets, self.tdiff_factor, max_sample_points);
         let clusters = Dshc::cluster(&buckets, &config);
         PartitionPlan::from_clusters(&buckets, &clusters)
             .expect("DSHC clusters tile the bucket grid")

@@ -15,7 +15,7 @@ use dod_core::{OutlierParams, PointId, PointSet};
 use dod_detect::cost::AlgorithmKind;
 use dod_detect::{Detection, Partition, PartitionState};
 use dod_obs::json::Json;
-use dod_obs::Obs;
+use dod_obs::{names, Obs, ObsScope};
 use dod_partition::Router;
 use mapreduce::checkpoint::encode_seq;
 use mapreduce::{BlockStore, Durable, EstimateSize, Mapper, Reducer};
@@ -143,11 +143,20 @@ impl DodReducer {
     }
 
     /// Attaches an observability handle: every [`Self::detect`] call then
-    /// emits its per-partition `detect.*` work counters through it.
+    /// emits its per-partition `detect.*` work counters through it, and
+    /// the steps of a reduce task their `dod.reduce.stage` spans.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
+    }
+
+    /// Times one step of a reduce task as a `dod.reduce.stage` span (a
+    /// no-op guard when no recorder is attached).
+    fn stage(&self, stage: &'static str) -> ObsScope {
+        self.obs
+            .scope(names::DOD_REDUCE_STAGE)
+            .with_label("stage", stage)
     }
 
     /// The algorithm the plan assigns to `partition_id` (out-of-plan ids
@@ -163,6 +172,7 @@ impl DodReducer {
     /// partition key — the one copy a coordinate gets on its way from
     /// the caller's [`PointSet`] to the detector's tile.
     pub fn build_partition(&self, values: &[TaggedPoint<'_>]) -> Partition {
+        let _span = self.stage("tile");
         let cores = values.iter().filter(|v| !v.support).count();
         let mut core = PointSet::with_capacity(self.dim, cores).expect("dim >= 1");
         let mut core_ids = Vec::with_capacity(cores);
@@ -187,8 +197,14 @@ impl DodReducer {
     /// batch pipeline and the engine share one detection code path.
     pub fn detect(&self, partition_id: u32, partition: Arc<Partition>) -> Detection {
         let kind = self.algorithm_for(partition_id);
-        let state = PartitionState::build(kind, partition, self.params);
-        let detection = state.detect();
+        let state = {
+            let _span = self.stage("build");
+            PartitionState::build(kind, partition, self.params)
+        };
+        let detection = {
+            let _span = self.stage("detect");
+            state.detect()
+        };
         detection
             .stats
             .record_to(&self.obs, partition_id as usize, kind.name());

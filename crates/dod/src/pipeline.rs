@@ -22,7 +22,7 @@ use crate::two_job::{
 };
 use dod_core::{CoreError, OutlierParams, PointId, PointSet};
 use dod_detect::cost::{AlgorithmKind, PAPER_CANDIDATES};
-use dod_obs::Value;
+use dod_obs::{names, Value};
 use dod_partition::{
     sample_points, Dmt, LocalCostEstimator, MultiTacticPlan, PartitionStrategy, PlanContext, Router,
 };
@@ -129,7 +129,7 @@ impl StageBreakdown {
     pub fn from_events(events: &[dod_obs::Event]) -> StageBreakdown {
         let mut breakdown = StageBreakdown::default();
         for event in events {
-            if event.name != "dod.stage" {
+            if event.name != names::DOD_STAGE {
                 continue;
             }
             let Some(nanos) = event.span_nanos() else {
@@ -322,8 +322,10 @@ impl DodRunner {
         let t0 = Instant::now();
         let domain = data.bounding_rect()?;
         let sample = sample_points(data, cfg.sample_rate, cfg.seed);
+        let t_sampled = Instant::now();
         let ctx = PlanContext::new(cfg.params, cfg.target_partitions, cfg.sample_rate);
         let plan = self.strategy.build_plan(&sample, &domain, &ctx);
+        let t_planned = Instant::now();
         let allocation = cfg
             .allocation
             .unwrap_or_else(|| self.strategy.default_allocation());
@@ -378,9 +380,23 @@ impl DodRunner {
         // Which kernel backend's calibration rows priced this plan; stays
         // "scalar" when the profile has no rows for the active backend.
         mt.report.backend = backend.name().to_owned();
+        let t_estimated = Instant::now();
         let router = Arc::new(mt.plan.router_with_metric(cfg.params.r, cfg.params.metric));
-        let elapsed = t0.elapsed();
+        let t_routed = Instant::now();
+        let elapsed = t_routed - t0;
         if cfg.obs.enabled() {
+            for (stage, took) in [
+                ("sample", t_sampled - t0),
+                ("plan", t_planned - t_sampled),
+                ("estimate", t_estimated - t_planned),
+                ("route", t_routed - t_estimated),
+            ] {
+                cfg.obs.record_duration(
+                    names::DOD_PREPROCESS_STAGE,
+                    took,
+                    &[("stage", Value::from(stage))],
+                );
+            }
             // One mark per partition documents the DMT plan decision
             // (Corollary 4.3: the cheapest candidate per partition).
             for (pid, &alg) in mt.algorithms.iter().enumerate() {
@@ -395,10 +411,10 @@ impl DodRunner {
                     labels.push(("n_est", Value::from(p.n_est)));
                     labels.push(("margin", Value::from(p.margin)));
                 }
-                cfg.obs.mark("dod.plan.partition", &labels);
+                cfg.obs.mark(names::DOD_PLAN_PARTITION, &labels);
             }
             cfg.obs.mark(
-                "dod.plan",
+                names::DOD_PLAN,
                 &[
                     ("num_partitions", Value::from(mt.num_partitions())),
                     ("num_reducers", Value::from(cfg.num_reducers)),
@@ -461,18 +477,14 @@ impl DodRunner {
         // The Figure 10 bars, one span each, carrying the exact durations
         // of the StageBreakdown so a JSONL trace replays to the same
         // numbers (see `breakdown_from_events`).
-        cfg.obs.record_duration(
-            "dod.stage",
-            breakdown.preprocess,
-            &[("stage", Value::from("preprocess"))],
-        );
-        cfg.obs
-            .record_duration("dod.stage", breakdown.map, &[("stage", Value::from("map"))]);
-        cfg.obs.record_duration(
-            "dod.stage",
-            breakdown.reduce,
-            &[("stage", Value::from("reduce"))],
-        );
+        for (stage, took) in [
+            ("preprocess", breakdown.preprocess),
+            ("map", breakdown.map),
+            ("reduce", breakdown.reduce),
+        ] {
+            cfg.obs
+                .record_duration(names::DOD_STAGE, took, &[("stage", Value::from(stage))]);
+        }
         cfg.obs.flush();
         let shuffle_bytes = jobs.iter().map(|j| j.shuffle_bytes).sum();
         Ok(DodOutcome {

@@ -2,7 +2,8 @@
 //! observationally identical to a scalar `Metric::within` loop — same
 //! counts, same early-exit positions, and therefore the same outlier
 //! sets from every detector. Covers all three metrics, dimensions 1–8,
-//! tile sizes 1..64, k-boundary hit patterns, and duplicated points.
+//! tile sizes 1..64, k-boundary hit patterns, and duplicated points, for
+//! the row-major tiles and the columnar scan alike.
 
 use dod_core::{FilterTile, Metric, NeighborPredicate, OutlierParams, PointId, PointSet};
 use dod_detect::{CellBased, Detector, IndexBased, NestedLoop, Partition, PivotBased, Reference};
@@ -334,6 +335,167 @@ fn prefilter_exact_boundary_points_are_inclusive() {
                     "{} multi boundary_pos {boundary_pos} need {need}",
                     metric.name()
                 );
+            }
+        }
+    }
+}
+
+/// The same points one dimension after another: coordinate `d` of point
+/// `pos` at `d * total + pos`.
+fn columns_of(tile: &[f64], dim: usize) -> Vec<f64> {
+    (0..dim)
+        .flat_map(|d| tile.chunks_exact(dim).map(move |p| p[d]))
+        .collect()
+}
+
+/// `count_within_columns` over a run `[a, b)` is `count_within_tile` over
+/// the same candidates stored row-major — count and early-exit position —
+/// for every alignment of the run against the 32-point block, and the
+/// dispatched build of the scan agrees with the portable one. The data
+/// sits on a quarter grid so sums are exact: plenty of duplicates and of
+/// points at exactly `r`, plus one NaN coordinate.
+#[test]
+fn columns_match_tile_on_every_alignment() {
+    let mut rng = StdRng::seed_from_u64(0xC01);
+    for metric in METRICS {
+        for dim in 1usize..=8 {
+            let q: Vec<f64> = (0..dim)
+                .map(|_| rng.gen_range(4..12) as f64 / 4.0)
+                .collect();
+            for total in [1usize, 31, 32, 33, 97, 199] {
+                let mut tile: Vec<f64> = (0..total * dim)
+                    .map(|_| rng.gen_range(0..16) as f64 / 4.0)
+                    .collect();
+                for pos in (0..total).step_by(7) {
+                    tile[pos * dim..][..dim].copy_from_slice(&q); // duplicates of the query
+                }
+                for pos in (3..total).step_by(11) {
+                    tile[pos * dim..][..dim].copy_from_slice(&q);
+                    tile[pos * dim] += 1.0; // exactly r away under all three metrics
+                }
+                if total > 5 {
+                    tile[5 * dim + dim / 2] = f64::NAN;
+                }
+                let columns = columns_of(&tile, dim);
+                let pred = NeighborPredicate::with_metric(metric, 1.0);
+                for a in 0..total.min(34) {
+                    let ends = [a, a + 1, a + 31, a + 32, a + 33, a + 64, a + 70, total];
+                    for b in ends.into_iter().filter(|&b| b <= total) {
+                        for need in [0usize, 1, 2, 5, 9, usize::MAX] {
+                            let want = pred.count_within_tile(&q, &tile[a * dim..b * dim], need);
+                            let got = pred.count_within_columns(&q, &columns, a..b, need);
+                            let portable =
+                                pred.count_within_columns_scalar(&q, &columns, a..b, need);
+                            assert_eq!(
+                                (got, portable),
+                                (want, want),
+                                "{} dim {dim} total {total} run {a}..{b} need {need}",
+                                metric.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The crossing hit at every position of every block and of the tail: the
+/// hits are exactly the positions from `hit_pos` on, so `need = 1` must
+/// stop on `hit_pos` itself and larger needs further along.
+#[test]
+fn columns_early_exit_lands_on_every_block_position() {
+    const TOTAL: usize = 100; // three blocks and a four-point tail
+    for metric in METRICS {
+        for dim in [1usize, 2, 4, 5, 8] {
+            let q = vec![0.0; dim];
+            let pred = NeighborPredicate::with_metric(metric, 1.0);
+            for hit_pos in 0..TOTAL {
+                let mut tile = vec![50.0; TOTAL * dim];
+                tile[hit_pos * dim..].fill(0.01);
+                let columns = columns_of(&tile, dim);
+                let hits = TOTAL - hit_pos;
+                for a in [0usize, 1, 5] {
+                    for need in [1usize, 2, hits.saturating_sub(a).max(1), hits + 1] {
+                        let want = pred.count_within_tile(&q, &tile[a * dim..], need);
+                        let got = pred.count_within_columns(&q, &columns, a..TOTAL, need);
+                        let portable =
+                            pred.count_within_columns_scalar(&q, &columns, a..TOTAL, need);
+                        assert_eq!(
+                            (got, portable),
+                            (want, want),
+                            "{} dim {dim} hit_pos {hit_pos} from {a} need {need}",
+                            metric.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One summation order in every dimension: a pair whose distance equals
+/// the threshold (or sits one ulp either side of it) is decided by the
+/// last bit of the accumulated distance, so every kernel entry point must
+/// add dimensions in the order `Metric::within` does. The detectors mix
+/// the tile kernels with the pair form; a kernel that sums in another
+/// order makes them disagree on such pairs.
+#[test]
+fn kernels_decide_threshold_pairs_as_metric_within_does() {
+    const COPIES: usize = 40; // one full block and a tail
+    let mut rng = StdRng::seed_from_u64(0x71E5);
+    for metric in METRICS {
+        for dim in 1usize..=9 {
+            for _ in 0..300 {
+                let q: Vec<f64> = (0..dim).map(|_| rng.gen_range(-3.0..3.0)).collect();
+                let p: Vec<f64> = (0..dim).map(|_| rng.gen_range(-3.0..3.0)).collect();
+                let tile = p.repeat(COPIES);
+                let columns: Vec<f64> = p
+                    .iter()
+                    .flat_map(|&c| std::iter::repeat_n(c, COPIES))
+                    .collect();
+                let filter = FilterTile::build(&tile, dim);
+                let at = metric.dist(&q, &p);
+                for r in [at.next_down(), at, at.next_up()] {
+                    let want = if metric.within(&q, &p, r) { COPIES } else { 0 };
+                    let pred = NeighborPredicate::with_metric(metric, r);
+                    let need = usize::MAX;
+                    let got = [
+                        ("within", usize::from(pred.within(&q, &p)) * COPIES),
+                        ("tile", pred.count_within_tile(&q, &tile, need).found),
+                        (
+                            "tile-scalar",
+                            pred.count_within_tile_scalar(&q, &tile, need).found,
+                        ),
+                        (
+                            "multi",
+                            pred.count_within_tile_multi(&q, &tile, &[need])[0].found,
+                        ),
+                        (
+                            "prefiltered",
+                            pred.count_within_tile_prefiltered(&q, &tile, &filter, need)
+                                .found,
+                        ),
+                        (
+                            "columns",
+                            pred.count_within_columns(&q, &columns, 0..COPIES, need)
+                                .found,
+                        ),
+                        (
+                            "columns-scalar",
+                            pred.count_within_columns_scalar(&q, &columns, 0..COPIES, need)
+                                .found,
+                        ),
+                    ];
+                    for (entry, found) in got {
+                        assert_eq!(
+                            found,
+                            want,
+                            "{entry} under {} in dim {dim}: q {q:?} p {p:?} r {r:?}",
+                            metric.name()
+                        );
+                    }
+                }
             }
         }
     }

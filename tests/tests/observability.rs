@@ -186,6 +186,34 @@ fn jsonl_trace_replays_the_figure_10_breakdown() {
         .filter(|e| e.name.starts_with("detect."))
         .all(|e| e.label("algorithm").is_some()));
 
+    // Inside the preprocessing job: four steps, once, in order, and
+    // together no longer than the bar they break down.
+    let stage_spans = |name: &str| -> Vec<(&str, u64)> {
+        events
+            .iter()
+            .filter(|e| e.name == name)
+            .map(|e| {
+                let stage = e.label("stage").and_then(Value::as_str).unwrap();
+                (stage, e.span_nanos().unwrap())
+            })
+            .collect()
+    };
+    let pre = stage_spans("dod.preprocess.stage");
+    let steps: Vec<&str> = pre.iter().map(|(stage, _)| *stage).collect();
+    assert_eq!(steps, ["sample", "plan", "estimate", "route"]);
+    let staged: u64 = pre.iter().map(|(_, nanos)| nanos).sum();
+    assert_eq!(u128::from(staged), replayed.preprocess.as_nanos());
+
+    // Inside the reduce tasks: tile, build, detect once for every
+    // partition that received records.
+    let red = stage_spans("dod.reduce.stage");
+    let reduced = red.len() / 3;
+    assert!(detect_partitions.len() <= reduced && reduced <= outcome.report.num_partitions);
+    for stage in ["tile", "build", "detect"] {
+        let spans = red.iter().filter(|(s, _)| *s == stage).count();
+        assert_eq!(spans, reduced, "{stage}");
+    }
+
     // The plan decisions (Corollary 4.3) are traced per partition.
     let plan_marks = events
         .iter()
