@@ -16,12 +16,11 @@
 //! `BENCH_calibration.json`; `dod --calibration BENCH_calibration.json`
 //! (or `DodConfigBuilder::calibration`) loads it into the planner.
 
-use dod_core::{KernelBackend, Metric, NeighborPredicate};
+use dod_core::{Metric, NeighborPredicate};
 use dod_detect::{CalibrationProfile, ProfileEntry};
 
 use crate::kernels::{
-    half_hit_radius, kernel_tile_scan, scalar_pair_scan, scalar_tile_scan, throughput,
-    MicroFixture, MICRO_POINTS,
+    half_hit_radius, kernel_tile_scan, scalar_pair_scan, throughput, MicroFixture, MICRO_POINTS,
 };
 
 /// The `(metric, dim)` grid the profile measures: every metric at the
@@ -39,13 +38,8 @@ pub fn measurement_grid() -> Vec<(Metric, usize)> {
 }
 
 /// Measures one `(metric, dim)` cell: nanoseconds per kernel-tile pair
-/// and per scalar pair over the shared micro fixture. Emits a scalar
-/// backend row always, plus a row for the dispatched vector backend
-/// when one is active — the profile keeps both so the planner can
-/// re-price plans under whichever backend a deployment runs
-/// ([`CalibrationProfile::resolve`] prefers rows matching the active
-/// backend).
-pub fn measure(metric: Metric, dim: usize, min_time_s: f64) -> Vec<ProfileEntry> {
+/// and per scalar pair over the shared micro fixture.
+pub fn measure(metric: Metric, dim: usize, min_time_s: f64) -> ProfileEntry {
     let r = half_hit_radius(metric, dim);
     let fx = MicroFixture::new(23 + dim as u64, MICRO_POINTS, dim);
     let pred = NeighborPredicate::with_metric(metric, r);
@@ -53,38 +47,18 @@ pub fn measure(metric: Metric, dim: usize, min_time_s: f64) -> Vec<ProfileEntry>
     let scalar_pairs = throughput(MICRO_POINTS, min_time_s, || {
         scalar_pair_scan(metric, r, &fx.query, &fx.data, &fx.order)
     });
-    let scalar_kernel_pairs = throughput(MICRO_POINTS, min_time_s, || {
-        scalar_tile_scan(&pred, &fx.query, &fx.tile)
+    let kernel_pairs = throughput(MICRO_POINTS, min_time_s, || {
+        kernel_tile_scan(&pred, &fx.query, &fx.tile)
     });
-    let mut entries = vec![ProfileEntry::from_measurement(
-        metric,
-        dim,
-        KernelBackend::Scalar,
-        1e9 / scalar_kernel_pairs,
-        1e9 / scalar_pairs,
-    )];
-    let active = dod_core::active_backend();
-    if active != KernelBackend::Scalar {
-        let kernel_pairs = throughput(MICRO_POINTS, min_time_s, || {
-            kernel_tile_scan(&pred, &fx.query, &fx.tile)
-        });
-        entries.push(ProfileEntry::from_measurement(
-            metric,
-            dim,
-            active,
-            1e9 / kernel_pairs,
-            1e9 / scalar_pairs,
-        ));
-    }
-    entries
+    ProfileEntry::from_measurement(metric, dim, 1e9 / kernel_pairs, 1e9 / scalar_pairs)
 }
 
-/// Runs the full grid into a profile. `min_time_s` is the per-side
-/// wall-clock floor of each measurement.
+/// Runs the full grid into a profile, one row per `(metric, dim)`.
+/// `min_time_s` is the per-side wall-clock floor of each measurement.
 pub fn run_all(min_time_s: f64) -> CalibrationProfile {
     let entries = measurement_grid()
         .into_iter()
-        .flat_map(|(metric, dim)| measure(metric, dim, min_time_s))
+        .map(|(metric, dim)| measure(metric, dim, min_time_s))
         .collect();
     CalibrationProfile::new(entries)
 }
@@ -92,15 +66,14 @@ pub fn run_all(min_time_s: f64) -> CalibrationProfile {
 /// Renders the human table printed by the subcommand.
 pub fn render_table(profile: &CalibrationProfile) -> String {
     let mut out = format!(
-        "{:<12} {:>4} {:>8} {:>15} {:>15} {:>11}\n",
-        "metric", "dim", "backend", "kernel ns/pair", "scalar ns/pair", "structural"
+        "{:<12} {:>4} {:>15} {:>15} {:>11}\n",
+        "metric", "dim", "kernel ns/pair", "scalar ns/pair", "structural"
     );
     for e in profile.entries() {
         out.push_str(&format!(
-            "{:<12} {:>4} {:>8} {:>15.4} {:>15.4} {:>10.2}x\n",
+            "{:<12} {:>4} {:>15.4} {:>15.4} {:>10.2}x\n",
             e.metric.name(),
             e.dim,
-            e.backend.name(),
             e.kernel_pair_ns,
             e.scalar_pair_ns,
             e.weights.structural
@@ -122,33 +95,22 @@ mod tests {
         assert!(grid.contains(&(Metric::Euclidean, 8)));
     }
 
-    /// One fast cell end to end: every emitted entry is well-formed and
+    /// One fast cell end to end: the emitted entry is well-formed and
     /// its weights satisfy the profile's invariants (pair = 1,
-    /// structural >= 1, both finite). The first row is always the
-    /// scalar backend; a second row appears iff a vector backend is
-    /// dispatched.
+    /// structural >= 1, both finite).
     #[test]
     fn measured_entries_are_well_formed() {
-        let entries = measure(Metric::Euclidean, 2, 0.005);
-        assert_eq!(entries[0].backend, dod_core::KernelBackend::Scalar);
-        let expected = if dod_core::active_backend() == dod_core::KernelBackend::Scalar {
-            1
-        } else {
-            2
-        };
-        assert_eq!(entries.len(), expected);
-        for e in &entries {
-            assert_eq!(e.metric, Metric::Euclidean);
-            assert_eq!(e.dim, 2);
-            assert!(e.kernel_pair_ns.is_finite() && e.kernel_pair_ns > 0.0);
-            assert!(e.scalar_pair_ns.is_finite() && e.scalar_pair_ns > 0.0);
-            assert_eq!(e.weights.pair, 1.0);
-            assert!(e.weights.structural >= 1.0);
-        }
+        let e = measure(Metric::Euclidean, 2, 0.005);
+        assert_eq!(e.metric, Metric::Euclidean);
+        assert_eq!(e.dim, 2);
+        assert!(e.kernel_pair_ns.is_finite() && e.kernel_pair_ns > 0.0);
+        assert!(e.scalar_pair_ns.is_finite() && e.scalar_pair_ns > 0.0);
+        assert_eq!(e.weights.pair, 1.0);
+        assert!(e.weights.structural >= 1.0);
         // The produced profile round-trips through the JSON schema.
-        let p = CalibrationProfile::new(entries);
+        let p = CalibrationProfile::new(vec![e]);
         let parsed = CalibrationProfile::from_json(&p.to_json()).unwrap();
-        assert_eq!(parsed.entries().len(), expected);
+        assert_eq!(parsed.entries().len(), 1);
         assert!(!render_table(&p).is_empty());
     }
 }

@@ -38,7 +38,6 @@ pub fn render_report(report: &PlanReport) -> String {
             "unit / legacy constants"
         }
     ));
-    out.push_str(&format!("kernel backend: {}\n", report.backend));
     out.push_str(&format!("partitions: {}\n", report.partitions.len()));
     for p in &report.partitions {
         out.push_str(&format!(
@@ -147,14 +146,28 @@ mod tests {
         std::fs::remove_file(&path).ok();
 
         let v = json::parse(&doc).unwrap();
+        let Json::Obj(fields) = &v else {
+            panic!("object: {doc}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "v",
+                "ok",
+                "op",
+                "points",
+                "dim",
+                "weights",
+                "calibrated",
+                "partitions"
+            ]
+        );
         assert_eq!(v.get("v").and_then(Json::as_u64), Some(1));
         assert_eq!(v.get("op"), Some(&Json::Str("explain".into())));
         assert_eq!(v.get("points").and_then(Json::as_u64), Some(41));
         assert_eq!(v.get("dim").and_then(Json::as_u64), Some(2));
         assert_eq!(v.get("calibrated"), Some(&Json::Bool(false)));
-        // Uncalibrated plans are priced by the unit fallback, which is
-        // always attributed to the scalar backend.
-        assert_eq!(v.get("backend"), Some(&Json::Str("scalar".into())));
         let weights = v.get("weights").unwrap();
         assert_eq!(weights.get("pair").and_then(Json::as_f64), Some(1.0));
         assert_eq!(weights.get("structural").and_then(Json::as_f64), Some(1.0));
@@ -200,7 +213,6 @@ mod tests {
             text.contains("weights: pair=1.0 structural=1.0 (unit / legacy constants)"),
             "{text}"
         );
-        assert!(text.contains("kernel backend: scalar"), "{text}");
         assert!(text.contains("-- partition 0 [winner "), "{text}");
         assert!(text.contains("<- winner"), "{text}");
         assert!(text.contains("margin="), "{text}");

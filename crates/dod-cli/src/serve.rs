@@ -300,12 +300,10 @@ pub fn plan_report_json(report: &dod_partition::PlanReport) -> String {
         })
         .collect();
     format!(
-        "\"weights\":{{\"pair\":{},\"structural\":{}}},\"calibrated\":{},\
-         \"backend\":\"{}\",\"partitions\":[{}]",
+        "\"weights\":{{\"pair\":{},\"structural\":{}}},\"calibrated\":{},\"partitions\":[{}]",
         json::number(report.weights.pair),
         json::number(report.weights.structural),
         report.calibrated,
-        report.backend,
         partitions.join(",")
     )
 }

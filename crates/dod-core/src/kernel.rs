@@ -38,58 +38,30 @@ use crate::metric::Metric;
 use crate::params::OutlierParams;
 
 mod columns;
-mod filter;
-#[cfg(feature = "simd")]
-mod simd;
 
 pub use columns::columns_backend;
-pub use filter::FilterTile;
 
-/// Identifies which kernel implementation services tile scans.
-///
-/// The backend is resolved once per process from the compile-time `simd`
-/// cargo feature plus runtime CPU detection; every backend produces
-/// bit-identical [`TileOutcome`]s (counts *and* early-exit positions), so
-/// the choice is purely a throughput decision.
+/// The build of the columnar scan a process runs (see
+/// [`columns_backend`]). Both builds produce bit-identical
+/// [`TileOutcome`]s, counts *and* early-exit positions, so the choice is
+/// purely a throughput decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelBackend {
-    /// Portable autovectorized scalar tiles — always available, and the
-    /// oracle every other backend is tested against.
+    /// The portable build, and the oracle the other is tested against.
     Scalar,
-    /// Explicit AVX2 `std::arch` kernels (x86-64, 4 `f64` lanes per
-    /// instruction; requires the `simd` feature and runtime support).
+    /// The same safe-Rust body compiled with AVX2 enabled (x86-64, picked
+    /// at run time).
     Avx2,
-    /// Explicit NEON `std::arch` kernels (aarch64, 2 `f64` lanes per
-    /// instruction; requires the `simd` feature).
-    Neon,
 }
 
 impl KernelBackend {
-    /// Stable lower-case name used by the benchmark and calibration
-    /// JSON schemas (`backend` fields).
+    /// Stable lower-case name used by the benchmark JSON schema
+    /// (`backend` fields).
     pub fn name(&self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
             KernelBackend::Avx2 => "avx2",
-            KernelBackend::Neon => "neon",
         }
-    }
-}
-
-/// The kernel backend active in this process.
-///
-/// With the `simd` cargo feature enabled this runtime-detects the CPU
-/// (`is_x86_feature_detected!("avx2")` on x86-64; NEON is baseline on
-/// aarch64) and falls back to [`KernelBackend::Scalar`] when the
-/// instruction set is absent. Without the feature it is always `Scalar`.
-pub fn active_backend() -> KernelBackend {
-    #[cfg(feature = "simd")]
-    {
-        simd::detect()
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        KernelBackend::Scalar
     }
 }
 
@@ -204,83 +176,6 @@ impl NeighborPredicate {
                 scanned: 0,
             };
         }
-        #[cfg(feature = "simd")]
-        if let Some(out) = simd::count_within_tile(self, query, tile, dim, need) {
-            return out;
-        }
-        self.scalar_tiles(query, tile, dim, need)
-    }
-
-    /// The portable scalar tile kernels, bypassing any SIMD backend.
-    ///
-    /// Semantically identical to [`Self::count_within_tile`]; public so
-    /// benchmarks can report a scalar baseline row and equivalence tests
-    /// can compare backends explicitly even in `simd` builds.
-    pub fn count_within_tile_scalar(
-        &self,
-        query: &[f64],
-        tile: &[f64],
-        need: usize,
-    ) -> TileOutcome {
-        let dim = query.len();
-        debug_assert!(dim > 0, "query must have at least one dimension");
-        debug_assert_eq!(tile.len() % dim, 0, "tile is not a whole number of points");
-        if need == 0 {
-            return TileOutcome {
-                found: 0,
-                scanned: 0,
-            };
-        }
-        self.scalar_tiles(query, tile, dim, need)
-    }
-
-    /// Counts neighbors of several queries in one pass over `tile`,
-    /// register-blocking 4 queries per tile load so the tile's memory
-    /// traffic is amortized across the batch.
-    ///
-    /// `queries` is `needs.len()` query points stored contiguously
-    /// (`queries.len() / needs.len()` dimensions each); `needs[i]` is the
-    /// per-query early-exit cap. Each returned [`TileOutcome`] is
-    /// bit-identical — count *and* `scanned` early-exit position — to
-    /// calling [`Self::count_within_tile`] for that query alone.
-    ///
-    /// # Panics
-    /// If `queries.len()` is not a whole number of `needs.len()`-sized
-    /// points, or the implied dimension is zero.
-    pub fn count_within_tile_multi(
-        &self,
-        queries: &[f64],
-        tile: &[f64],
-        needs: &[usize],
-    ) -> Vec<TileOutcome> {
-        let nq = needs.len();
-        if nq == 0 {
-            return Vec::new();
-        }
-        assert_eq!(
-            queries.len() % nq,
-            0,
-            "queries must hold one point per need"
-        );
-        let dim = queries.len() / nq;
-        assert!(dim > 0, "queries must have at least one dimension");
-        debug_assert_eq!(tile.len() % dim, 0, "tile is not a whole number of points");
-        #[cfg(feature = "simd")]
-        if let Some(out) = simd::count_within_tile_multi(self, queries, tile, needs, dim) {
-            return out;
-        }
-        needs
-            .iter()
-            .enumerate()
-            .map(|(qi, &need)| {
-                self.count_within_tile(&queries[qi * dim..(qi + 1) * dim], tile, need)
-            })
-            .collect()
-    }
-
-    /// Dispatches to the monomorphized scalar kernel for `(metric, dim)`.
-    #[inline]
-    fn scalar_tiles(&self, query: &[f64], tile: &[f64], dim: usize, need: usize) -> TileOutcome {
         match (self.metric, dim) {
             (Metric::Euclidean, 1) => euclid_fixed::<1>(query, tile, self.r_sq, need),
             (Metric::Euclidean, 2) => euclid_fixed::<2>(query, tile, self.r_sq, need),
@@ -606,79 +501,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn multi_with_no_queries_is_empty() {
-        let p = pred(Metric::Euclidean, 1.0);
-        assert!(p.count_within_tile_multi(&[], &[1.0, 2.0], &[]).is_empty());
-    }
-
-    #[test]
-    fn multi_need_zero_queries_scan_nothing() {
-        let p = pred(Metric::Euclidean, 1.0);
-        let tile = [0.0, 0.5, 9.0];
-        let out = p.count_within_tile_multi(&[0.0, 9.0], &tile, &[0, 3]);
-        assert_eq!(
-            out[0],
-            TileOutcome {
-                found: 0,
-                scanned: 0
-            }
-        );
-        assert_eq!(
-            out[1],
-            TileOutcome {
-                found: 1,
-                scanned: 3
-            }
-        );
-    }
-
-    #[test]
-    fn multi_early_exits_match_single_query_positions() {
-        // Two queries with different crossing points in the same tile.
-        let tile = [0.0, 10.0, 1.0, 20.0, 2.0, 30.0];
-        for m in METRICS {
-            let p = pred(m, 5.0);
-            let needs = [2usize, 1];
-            let multi = p.count_within_tile_multi(&[0.0, 20.0], &tile, &needs);
-            for (qi, q) in [[0.0], [20.0]].iter().enumerate() {
-                let single = p.count_within_tile(q, &tile, needs[qi]);
-                assert_eq!(multi[qi], single, "{m:?} q{qi}");
-            }
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
-        #[test]
-        fn multi_query_matches_per_query_and_scalar(
-            dim in 1usize..9,
-            n_points in 0usize..70,
-            nq in 1usize..10,
-            needs_seed in proptest::collection::vec(0usize..8, 10),
-            r in 0.1f64..4.0,
-            seed_coords in proptest::collection::vec(-3.0f64..3.0, 1..500),
-            metric_sel in 0usize..3,
-        ) {
-            let metric = METRICS[metric_sel];
-            let p = pred(metric, r);
-            let want = dim * (n_points + nq);
-            let coords: Vec<f64> = (0..want)
-                .map(|i| seed_coords[i % seed_coords.len()])
-                .collect();
-            let (queries, tile) = coords.split_at(dim * nq);
-            let needs: Vec<usize> = needs_seed[..nq].to_vec();
-            let multi = p.count_within_tile_multi(queries, tile, &needs);
-            prop_assert_eq!(multi.len(), nq);
-            for qi in 0..nq {
-                let q = &queries[qi * dim..(qi + 1) * dim];
-                let single = p.count_within_tile(q, tile, needs[qi]);
-                let scalar = scalar_scan(metric, q, tile, r, needs[qi]);
-                prop_assert_eq!(multi[qi], single, "vs single: {:?} dim {} q{}", metric, dim, qi);
-                prop_assert_eq!(multi[qi], scalar, "vs scalar: {:?} dim {} q{}", metric, dim, qi);
-            }
-        }
-
         #[test]
         fn tile_scan_matches_scalar_scan(
             dim in 1usize..9,

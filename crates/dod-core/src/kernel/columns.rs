@@ -80,7 +80,7 @@ impl NeighborPredicate {
 /// The build of the columnar scan [`NeighborPredicate::count_within_columns`]
 /// dispatches to in this process: [`KernelBackend::Avx2`] on an x86-64
 /// CPU that has it, the portable [`KernelBackend::Scalar`] build
-/// otherwise. Independent of the `simd` cargo feature.
+/// otherwise.
 pub fn columns_backend() -> KernelBackend {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {

@@ -28,9 +28,7 @@ pub mod support;
 pub use dataset::{PointId, PointSet};
 pub use error::CoreError;
 pub use grid::{CellId, CellIdHasher, CellMap, GridSpec};
-pub use kernel::{
-    active_backend, columns_backend, FilterTile, KernelBackend, NeighborPredicate, TileOutcome,
-};
+pub use kernel::{columns_backend, KernelBackend, NeighborPredicate, TileOutcome};
 pub use metric::Metric;
 pub use params::OutlierParams;
 pub use point::{dist, dist_sq, Point};

@@ -175,25 +175,6 @@ impl Rect {
         (0..self.dim()).all(|i| self.min[i] <= other.max[i] && other.min[i] <= self.max[i])
     }
 
-    /// Whether two rectangles share a (d−1)-dimensional face: they touch or
-    /// overlap in one dimension and overlap with positive extent in all
-    /// others. Used by DSHC adjacency search.
-    pub fn is_adjacent(&self, other: &Rect) -> bool {
-        debug_assert_eq!(self.dim(), other.dim());
-        let mut touching_dims = 0;
-        for i in 0..self.dim() {
-            let overlap_lo = self.min[i].max(other.min[i]);
-            let overlap_hi = self.max[i].min(other.max[i]);
-            if overlap_lo > overlap_hi {
-                return false; // separated in dimension i
-            }
-            if overlap_lo == overlap_hi {
-                touching_dims += 1;
-            }
-        }
-        touching_dims == 1
-    }
-
     /// The smallest rectangle covering both inputs.
     pub fn union(&self, other: &Rect) -> Rect {
         debug_assert_eq!(self.dim(), other.dim());
@@ -347,29 +328,6 @@ mod tests {
         assert!(a.intersects(&b)); // closed test: shared face counts
         let c = rect2(1.1, 0.0, 2.0, 1.0);
         assert!(!a.intersects(&c));
-    }
-
-    #[test]
-    fn adjacency_shared_face() {
-        let a = rect2(0.0, 0.0, 1.0, 1.0);
-        let b = rect2(1.0, 0.0, 2.0, 1.0);
-        assert!(a.is_adjacent(&b));
-        assert!(b.is_adjacent(&a));
-    }
-
-    #[test]
-    fn adjacency_corner_touch_is_not_adjacent() {
-        let a = rect2(0.0, 0.0, 1.0, 1.0);
-        let b = rect2(1.0, 1.0, 2.0, 2.0);
-        // touches only at a corner -> degenerate in two dims
-        assert!(!a.is_adjacent(&b));
-    }
-
-    #[test]
-    fn adjacency_overlapping_is_not_adjacent() {
-        let a = rect2(0.0, 0.0, 1.0, 1.0);
-        let b = rect2(0.5, 0.0, 2.0, 1.0);
-        assert!(!a.is_adjacent(&b));
     }
 
     #[test]

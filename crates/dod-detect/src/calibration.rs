@@ -26,7 +26,7 @@
 //! ```
 
 use crate::cost::CostWeights;
-use dod_core::{KernelBackend, Metric};
+use dod_core::Metric;
 use dod_obs::json::{self, Json};
 use std::fmt;
 
@@ -40,10 +40,6 @@ pub struct ProfileEntry {
     pub metric: Metric,
     /// Dimensionality the row was measured at.
     pub dim: usize,
-    /// Kernel backend the row's `kernel_pair_ns` was measured through.
-    /// Rows from pre-backend profiles default to
-    /// [`KernelBackend::Scalar`].
-    pub backend: KernelBackend,
     /// Measured nanoseconds per kernel-tile distance predicate.
     pub kernel_pair_ns: f64,
     /// Measured nanoseconds per scalar (pre-kernel) distance predicate.
@@ -62,7 +58,6 @@ impl ProfileEntry {
     pub fn from_measurement(
         metric: Metric,
         dim: usize,
-        backend: KernelBackend,
         kernel_pair_ns: f64,
         scalar_pair_ns: f64,
     ) -> Self {
@@ -74,7 +69,6 @@ impl ProfileEntry {
         ProfileEntry {
             metric,
             dim,
-            backend,
             kernel_pair_ns,
             scalar_pair_ns,
             weights: CostWeights {
@@ -143,46 +137,17 @@ impl CalibrationProfile {
     }
 
     /// Weights for a `(metric, dim)` pair: exact row, else nearest
-    /// dimension for the metric, else unit — preferring rows measured
-    /// under this process's active kernel backend (see
-    /// [`CalibrationProfile::resolve`]).
+    /// dimension for the metric (the first row at the smallest gap), else
+    /// unit.
     pub fn weights_for(&self, metric: Metric, dim: usize) -> CostWeights {
-        self.resolve(metric, dim).0
-    }
-
-    /// Weights for `(metric, dim)` plus the backend they were measured
-    /// under, so plan reports can attribute their cost constants.
-    ///
-    /// Rows measured under [`dod_core::active_backend`] are preferred
-    /// (even at a dimension gap) over rows from another backend, so one
-    /// checked-in profile carrying both scalar and vector rows serves
-    /// every build. Within a backend the usual exact-dim /
-    /// nearest-dim order applies; with no matching metric at all the
-    /// result is `(UNIT, Scalar)`.
-    pub fn resolve(&self, metric: Metric, dim: usize) -> (CostWeights, KernelBackend) {
-        let active = dod_core::active_backend();
-        for pass in 0..2 {
-            let mut best: Option<(usize, CostWeights, KernelBackend)> = None;
-            for e in &self.entries {
-                if e.metric != metric {
-                    continue;
-                }
-                if pass == 0 && e.backend != active {
-                    continue;
-                }
-                let gap = e.dim.abs_diff(dim);
-                if gap == 0 {
-                    return (e.weights, e.backend);
-                }
-                if best.is_none_or(|(g, _, _)| gap < g) {
-                    best = Some((gap, e.weights, e.backend));
-                }
-            }
-            if let Some((_, w, b)) = best {
-                return (w, b);
+        let mut best: Option<(usize, CostWeights)> = None;
+        for e in self.entries.iter().filter(|e| e.metric == metric) {
+            let gap = e.dim.abs_diff(dim);
+            if best.is_none_or(|(g, _)| gap < g) {
+                best = Some((gap, e.weights));
             }
         }
-        (CostWeights::UNIT, KernelBackend::Scalar)
+        best.map_or(CostWeights::UNIT, |(_, w)| w)
     }
 
     /// Serializes to the `dod-calibration/v1` JSON document.
@@ -196,12 +161,11 @@ impl CalibrationProfile {
         s.push_str("  \"entries\": [\n");
         for (i, e) in self.entries.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"metric\": \"{}\", \"dim\": {}, \"backend\": \"{}\", \
+                "    {{\"metric\": \"{}\", \"dim\": {}, \
                  \"kernel_pair_ns\": {:.4}, \"scalar_pair_ns\": {:.4}, \"pair\": {:.4}, \
                  \"structural\": {:.4}}}{}\n",
                 e.metric.name(),
                 e.dim,
-                e.backend.name(),
                 e.kernel_pair_ns,
                 e.scalar_pair_ns,
                 e.weights.pair,
@@ -256,12 +220,14 @@ impl CalibrationProfile {
                     "entry {i}: dim must be >= 1"
                 )));
             }
-            let backend = match row.get("backend").and_then(Json::as_str) {
-                None => KernelBackend::Scalar,
-                Some(name) => backend_from_name(name).ok_or_else(|| {
-                    CalibrationError::new(format!("entry {i}: unknown backend {name:?}"))
-                })?,
-            };
+            // Rows some earlier build measured through another kernel
+            // backend priced a build that no longer exists.
+            if row
+                .get("backend")
+                .is_some_and(|b| b.as_str() != Some("scalar"))
+            {
+                continue;
+            }
             let weights = CostWeights {
                 pair: field_num("pair")?,
                 structural: field_num("structural")?,
@@ -278,7 +244,6 @@ impl CalibrationProfile {
             entries.push(ProfileEntry {
                 metric,
                 dim,
-                backend,
                 kernel_pair_ns: field_num("kernel_pair_ns")?,
                 scalar_pair_ns: field_num("scalar_pair_ns")?,
                 weights,
@@ -298,16 +263,6 @@ impl CalibrationProfile {
     }
 }
 
-/// Inverse of [`KernelBackend::name`].
-pub fn backend_from_name(name: &str) -> Option<KernelBackend> {
-    match name {
-        "scalar" => Some(KernelBackend::Scalar),
-        "avx2" => Some(KernelBackend::Avx2),
-        "neon" => Some(KernelBackend::Neon),
-        _ => None,
-    }
-}
-
 /// Inverse of [`Metric::name`].
 pub fn metric_from_name(name: &str) -> Option<Metric> {
     match name {
@@ -324,9 +279,9 @@ mod tests {
 
     fn sample_profile() -> CalibrationProfile {
         CalibrationProfile::new(vec![
-            ProfileEntry::from_measurement(Metric::Euclidean, 2, KernelBackend::Scalar, 1.0, 4.0),
-            ProfileEntry::from_measurement(Metric::Euclidean, 4, KernelBackend::Scalar, 1.0, 6.0),
-            ProfileEntry::from_measurement(Metric::Manhattan, 3, KernelBackend::Scalar, 2.0, 5.0),
+            ProfileEntry::from_measurement(Metric::Euclidean, 2, 1.0, 4.0),
+            ProfileEntry::from_measurement(Metric::Euclidean, 4, 1.0, 6.0),
+            ProfileEntry::from_measurement(Metric::Manhattan, 3, 2.0, 5.0),
         ])
     }
 
@@ -380,8 +335,7 @@ mod tests {
 
     #[test]
     fn measurement_ratio_floors_at_one() {
-        let e =
-            ProfileEntry::from_measurement(Metric::Euclidean, 2, KernelBackend::Scalar, 5.0, 2.0);
+        let e = ProfileEntry::from_measurement(Metric::Euclidean, 2, 5.0, 2.0);
         assert_eq!(e.weights.structural, 1.0);
         assert_eq!(e.weights.pair, 1.0);
     }

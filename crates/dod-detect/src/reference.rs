@@ -6,19 +6,13 @@
 //! can be property-tested for exactness against it.
 //!
 //! The scan runs on the kernel layer: a point's candidates in unified
-//! core-then-support order are exactly three contiguous columnar tiles
-//! (core before the point, core after it, support), so no per-candidate
-//! indexing happens at all. Scan order, early-exit positions, and work
-//! counters are identical to a one-pair-at-a-time loop.
-//!
-//! Core points are processed in groups of `QUERY_GROUP` (8) so the tiles
-//! shared by the whole group — the core prefix before the group, the
-//! core suffix after it, and the support set — are each loaded once per
-//! group through the kernel layer's query-blocked entry point instead of
-//! once per point. Splitting a tile never changes results: a tile scan's
-//! count and `scanned` are exactly the scalar loop's, so scanning
-//! `[0, i)` equals scanning `[0, g0)` then `[g0, i)` with the remaining
-//! need. Only the within-group boundary slivers stay single-query.
+//! core-then-support order are exactly three contiguous tiles (core
+//! before the point, core after it, support), so no per-candidate
+//! indexing happens at all. Splitting a scan into tiles never changes
+//! results: a tile scan's count and `scanned` are exactly the scalar
+//! loop's, so scanning the three tiles in turn with the remaining need
+//! visits the same candidates, stops at the same one, and charges the
+//! same work counters as a one-pair-at-a-time loop.
 
 use crate::detector::{Detection, DetectionStats, Detector};
 use crate::partition::Partition;
@@ -28,77 +22,36 @@ use dod_core::OutlierParams;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Reference;
 
-/// Core points scored per tile pass: the shared prefix/suffix/support
-/// tiles are loaded once per group of this many queries.
-const QUERY_GROUP: usize = 8;
-
 impl Detector for Reference {
     fn name(&self) -> &'static str {
         "reference"
     }
 
     fn detect(&self, partition: &Partition, params: OutlierParams) -> Detection {
-        let n = partition.core().len();
         let dim = partition.dim();
         let mut outliers = Vec::new();
         let mut evals = 0u64;
         let pred = params.predicate();
         let core_flat = partition.core().as_flat();
         let support_flat = partition.support().as_flat();
-        let mut g0 = 0usize;
-        while g0 < n {
-            let g1 = usize::min(g0 + QUERY_GROUP, n);
-            let queries = &core_flat[g0 * dim..g1 * dim];
-            let mut neighbors = vec![0usize; g1 - g0];
-
-            // Each point's candidate sequence — core before it, core
-            // after it, support; a point is not its own neighbor — is
-            // decomposed so the tiles common to the whole group run
-            // query-blocked. Stage 1: the core prefix before the group.
-            let scan_shared = |tile: &[f64], neighbors: &mut [usize], evals: &mut u64| {
-                let needs: Vec<usize> = neighbors
-                    .iter()
-                    .map(|&nb| params.k.saturating_sub(nb))
-                    .collect();
-                for (j, out) in pred
-                    .count_within_tile_multi(queries, tile, &needs)
-                    .into_iter()
-                    .enumerate()
-                {
-                    *evals += out.scanned as u64;
-                    neighbors[j] += out.found;
+        for (i, p) in core_flat.chunks_exact(dim).enumerate() {
+            // A point is not its own neighbor.
+            let mut neighbors = 0usize;
+            for tile in [
+                &core_flat[..i * dim],
+                &core_flat[(i + 1) * dim..],
+                support_flat,
+            ] {
+                if neighbors >= params.k {
+                    break;
                 }
-            };
-            scan_shared(&core_flat[..g0 * dim], &mut neighbors, &mut evals);
-
-            // Stage 2: the within-group slivers around each point.
-            for (j, nb) in neighbors.iter_mut().enumerate() {
-                let i = g0 + j;
-                let p = &core_flat[i * dim..(i + 1) * dim];
-                for tile in [
-                    &core_flat[g0 * dim..i * dim],
-                    &core_flat[(i + 1) * dim..g1 * dim],
-                ] {
-                    if *nb >= params.k {
-                        break;
-                    }
-                    let out = pred.count_within_tile(p, tile, params.k - *nb);
-                    evals += out.scanned as u64;
-                    *nb += out.found;
-                }
+                let out = pred.count_within_tile(p, tile, params.k - neighbors);
+                evals += out.scanned as u64;
+                neighbors += out.found;
             }
-
-            // Stages 3 and 4: the core suffix after the group, then the
-            // support set.
-            scan_shared(&core_flat[g1 * dim..], &mut neighbors, &mut evals);
-            scan_shared(support_flat, &mut neighbors, &mut evals);
-
-            for (j, &nb) in neighbors.iter().enumerate() {
-                if nb < params.k {
-                    outliers.push(partition.core_id(g0 + j));
-                }
+            if neighbors < params.k {
+                outliers.push(partition.core_id(i));
             }
-            g0 = g1;
         }
         outliers.sort_unstable();
         Detection {

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
-use dod_core::{CellIdHasher, CoreError, FilterTile, NeighborPredicate, OutlierParams, PointId};
+use dod_core::{CellIdHasher, CoreError, NeighborPredicate, OutlierParams, PointId};
 
 use crate::cell_based::{CellBased, CellIndex};
 use crate::cost::AlgorithmKind;
@@ -37,36 +37,8 @@ enum StateIndex {
     Cells(CellIndex),
     /// kd-tree for the index-based detector.
     Tree(KdIndex),
-    /// No auxiliary structure: queries scan the point set directly. With
-    /// the `simd` feature an `f32` mirror of the core tile rides along
-    /// as a conservative prefilter (bit-identical results; see
-    /// [`FilterTile`]). It is dropped on any core mutation and rebuilt
-    /// at the next compaction.
-    Scan {
-        /// `f32` mirror of the core tile, when the build opted in.
-        filter: Option<FilterTile>,
-    },
-}
-
-/// Builds the Scan-variant index for `partition`, mirroring the core
-/// tile into `f32` when the `simd` feature opted prefiltering in.
-///
-/// The mirror is only built past the monomorphized-kernel region
-/// (`dim > 4`): at low dimensionality the autovectorized exact `f64`
-/// kernels already outrun a scalar `f32` classify pass, so the
-/// prefilter would cost memory for no win (same crossover the vector
-/// backend dispatch uses).
-fn scan_index(partition: &Partition) -> StateIndex {
-    let filter =
-        if cfg!(feature = "simd") && partition.core().dim() > 4 && !partition.core().is_empty() {
-            Some(FilterTile::build(
-                partition.core().as_flat(),
-                partition.core().dim(),
-            ))
-        } else {
-            None
-        };
-    StateIndex::Scan { filter }
+    /// No auxiliary structure: queries scan the point set directly.
+    Scan,
 }
 
 /// Id → slot in a tile. Keys are ids the engine minted for resident
@@ -102,18 +74,18 @@ impl IdSlots {
 /// Runs the build phase of `kind` over `partition`.
 fn build_index(kind: AlgorithmKind, partition: &Partition, params: OutlierParams) -> StateIndex {
     if partition.total_len() == 0 {
-        return scan_index(partition);
+        return StateIndex::Scan;
     }
     match kind {
         AlgorithmKind::CellBased | AlgorithmKind::CellBasedFullScan => {
             match CellIndex::build(partition, params, CellBased::DEFAULT_MAX_CELLS_PER_DIM) {
                 Some(cells) => StateIndex::Cells(cells),
-                None => scan_index(partition),
+                None => StateIndex::Scan,
             }
         }
         AlgorithmKind::IndexBased => StateIndex::Tree(KdIndex::build(partition, 0)),
         AlgorithmKind::NestedLoop | AlgorithmKind::PivotBased | AlgorithmKind::Reference => {
-            scan_index(partition)
+            StateIndex::Scan
         }
     }
 }
@@ -208,11 +180,7 @@ impl PartitionState {
                 tree.insert_core(ci as u32, p);
                 false
             }
-            StateIndex::Scan { filter } => {
-                // The f32 mirror no longer matches the core tile.
-                *filter = None;
-                false
-            }
+            StateIndex::Scan => false,
         };
         self.note_mutation(out_of_domain);
         Ok(())
@@ -243,9 +211,7 @@ impl PartitionState {
                 tree.insert_support(si as u32, p);
                 false
             }
-            // Support points are not mirrored (external scoring counts
-            // core only), so the filter stays valid.
-            StateIndex::Scan { .. } => false,
+            StateIndex::Scan => false,
         };
         self.note_mutation(out_of_domain);
         Ok(())
@@ -284,7 +250,7 @@ impl PartitionState {
                     tree.renumber_core(last as u32, victim as u32, mp);
                 }
             }
-            StateIndex::Scan { filter } => *filter = None,
+            StateIndex::Scan => {}
         }
         self.note_mutation(false);
         true
@@ -325,7 +291,7 @@ impl PartitionState {
                     tree.renumber_support(last as u32, victim as u32, mp);
                 }
             }
-            StateIndex::Scan { .. } => {}
+            StateIndex::Scan => {}
         }
         self.note_mutation(false);
         true
@@ -413,7 +379,7 @@ impl PartitionState {
             StateIndex::Tree(tree) => {
                 IndexBased::default().detect_with_index(&self.partition, self.params, tree)
             }
-            StateIndex::Scan { .. } => self.kind.detector().detect(&self.partition, self.params),
+            StateIndex::Scan => self.kind.detector().detect(&self.partition, self.params),
         }
     }
 
@@ -440,55 +406,14 @@ impl PartitionState {
             StateIndex::Tree(tree) => {
                 tree.count_core_neighbors_traced(&self.partition, q, self.params, cap)
             }
-            StateIndex::Scan { filter } => {
-                // The core point set is already one contiguous columnar
-                // tile — scan it directly with the resident predicate,
-                // through the f32 prefilter when one is resident.
+            StateIndex::Scan => {
+                // The core point set is already one contiguous tile — scan
+                // it directly with the resident predicate.
                 let tile = self.partition.core().as_flat();
-                let outcome = match filter {
-                    Some(f) => self.pred.count_within_tile_prefiltered(q, tile, f, cap),
-                    None => self.pred.count_within_tile(q, tile, cap),
-                };
+                let outcome = self.pred.count_within_tile(q, tile, cap);
                 (outcome.found, outcome.scanned as u64)
             }
         }
-    }
-
-    /// Batched [`PartitionState::count_core_neighbors_traced`]: scores
-    /// several external queries against this partition in one call.
-    ///
-    /// On scan-backed states the whole batch shares each pass over the
-    /// core tile via the kernel layer's query-blocking entry point
-    /// (`count_within_tile_multi`), amortizing tile memory traffic;
-    /// index-backed states fall back to per-query traversal. Results —
-    /// counts *and* traced work — are identical to calling the
-    /// single-query form once per `(queries[i], caps[i])`.
-    ///
-    /// # Panics
-    /// If `queries.len() != caps.len()`.
-    pub fn count_core_neighbors_multi_traced(
-        &self,
-        queries: &[&[f64]],
-        caps: &[usize],
-    ) -> Vec<(usize, u64)> {
-        assert_eq!(queries.len(), caps.len(), "one cap per query");
-        if let StateIndex::Scan { .. } = &self.index {
-            let dim = self.partition.core().dim();
-            if queries.iter().all(|q| q.len() == dim) {
-                let flat: Vec<f64> = queries.iter().flat_map(|q| q.iter().copied()).collect();
-                return self
-                    .pred
-                    .count_within_tile_multi(&flat, self.partition.core().as_flat(), caps)
-                    .into_iter()
-                    .map(|o| (o.found, o.scanned as u64))
-                    .collect();
-            }
-        }
-        queries
-            .iter()
-            .zip(caps)
-            .map(|(q, &cap)| self.count_core_neighbors_traced(q, cap))
-            .collect()
     }
 }
 
@@ -588,26 +513,6 @@ mod tests {
                     assert_eq!(work, 0, "kind {}", kind.name());
                 }
                 _ => assert!(work >= found as u64, "kind {}: work {work}", kind.name()),
-            }
-        }
-    }
-
-    #[test]
-    fn multi_traced_matches_single_query_for_every_kind() {
-        let partition = sample_partition();
-        let params = OutlierParams::new(1.0, 2).unwrap();
-        let queries: [&[f64]; 4] = [&[0.1, 0.1], &[9.0, 9.0], &[-50.0, -50.0], &[4.5, 4.5]];
-        let caps = [usize::MAX, 1, 2, 0];
-        for kind in ALL_KINDS {
-            let state = PartitionState::build(kind, Arc::clone(&partition), params);
-            let batched = state.count_core_neighbors_multi_traced(&queries, &caps);
-            for (i, q) in queries.iter().enumerate() {
-                assert_eq!(
-                    batched[i],
-                    state.count_core_neighbors_traced(q, caps[i]),
-                    "kind {} query {q:?}",
-                    kind.name()
-                );
             }
         }
     }

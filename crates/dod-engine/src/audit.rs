@@ -249,7 +249,6 @@ mod tests {
         PlanReport {
             weights: CostWeights::UNIT,
             calibrated: false,
-            backend: "scalar".to_owned(),
             partitions: vec![PartitionReport {
                 partition: 0,
                 n_est: 100.0,

@@ -37,10 +37,8 @@ pub const DEFAULT_STALENESS_THRESHOLD: f64 = 0.5;
 pub const PARTITION_WORK_TOP_K: usize = 16;
 
 /// Queries scored per partition pass of a [`Request::Score`]: each
-/// partition's core tile is visited once per group of this many queries
-/// through the kernel layer's query-blocked entry point. Matches the
-/// kernel's register-blocking width so a full group fills two 4-query
-/// vector blocks.
+/// partition is visited, under one read lock, once per group of this many
+/// queries.
 pub const SCORE_GROUP: usize = 8;
 
 /// The verdict for one query point scored under a degraded-mode time
@@ -828,9 +826,9 @@ impl Shared {
     ///
     /// Queries run in groups of [`SCORE_GROUP`] with the partition loop
     /// outside the group: the union of the group's lists is walked in
-    /// ascending partition id, and each partition is visited once per
-    /// group — through the kernel layer's query-blocked entry point —
-    /// with the queries that list it and still need neighbors. The order
+    /// ascending partition id, and each partition is visited (one read
+    /// lock) once per group, scanning for each query that lists it and
+    /// still needs neighbors. The order
     /// swap is exact: a query meets its own partitions in ascending id
     /// either way, and its early-exit cap at partition `pid` depends only
     /// on the neighbors it found in its partitions before `pid`, which
@@ -857,9 +855,6 @@ impl Shared {
         let mut ends = [0usize; SCORE_GROUP];
         let mut cursors = [0usize; SCORE_GROUP];
         let mut neighbors = [0usize; SCORE_GROUP];
-        let mut qrefs: Vec<&[f64]> = Vec::with_capacity(SCORE_GROUP);
-        let mut caps: Vec<usize> = Vec::with_capacity(SCORE_GROUP);
-        let mut members: Vec<usize> = Vec::with_capacity(SCORE_GROUP);
         for group in points.chunks(SCORE_GROUP) {
             if let Some(d) = deadline {
                 if Instant::now() > d {
@@ -889,26 +884,17 @@ impl Shared {
                     .map(|j| lists[cursors[j]])
                     .min();
                 let Some(pid) = next else { break };
-                qrefs.clear();
-                caps.clear();
-                members.clear();
+                let state = read_recover(&plan.states[pid as usize]);
+                let live = state.core_len() > 0;
                 for (j, q) in group.iter().enumerate() {
                     if neighbors[j] < k && cursors[j] < ends[j] && lists[cursors[j]] == pid {
                         cursors[j] += 1;
-                        members.push(j);
-                        qrefs.push(q.as_slice());
-                        caps.push(k - neighbors[j]);
+                        if live {
+                            let (found, w) = state.count_core_neighbors_traced(q, k - neighbors[j]);
+                            neighbors[j] += found;
+                            work[pid as usize] += w;
+                        }
                     }
-                }
-                let pid = pid as usize;
-                let state = read_recover(&plan.states[pid]);
-                if state.core_len() == 0 {
-                    continue;
-                }
-                let results = state.count_core_neighbors_multi_traced(&qrefs, &caps);
-                for (&j, (found, w)) in members.iter().zip(results) {
-                    neighbors[j] += found;
-                    work[pid] += w;
                 }
             }
             out.extend(neighbors[..group.len()].iter().map(|&nb| ScorePoint {

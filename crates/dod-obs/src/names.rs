@@ -7,9 +7,8 @@
 //! do the executor's stage, task, shuffle, checkpoint and dead-letter
 //! names, the pipeline's `dod.*` stage and plan names and the detectors'
 //! `detect.*` work counters, which `dod obs` and the benchmark read by
-//! name. The executor's scheduling marks (`"mapreduce.task.retry"`,
-//! `"mapreduce.node.blacklisted"`, …) are still written inline at their
-//! emit sites, one producer each.
+//! name. No shipped code outside this file spells one of these names as
+//! a literal; a source audit in the integration tests holds that.
 
 /// Span: one engine request, from dequeue to completion. Labels: `op`
 /// (`"score"` or `"detect"`), `items` (points scored), `epoch`.
@@ -110,6 +109,27 @@ pub const MAPREDUCE_STAGE: &str = "mapreduce.stage";
 /// Span: one task's winning attempt plus its simulated I/O charge.
 /// Labels: `stage` (`map` or `reduce`), `task`.
 pub const MAPREDUCE_TASK: &str = "mapreduce.task";
+
+/// Counter: a task attempt failed and will be retried (or diverted).
+/// Labels: `stage`, `task`.
+pub const MAPREDUCE_TASK_RETRY: &str = "mapreduce.task.retry";
+
+/// Counter: a speculative backup attempt was launched for a straggler.
+/// Labels: `stage`, `task`.
+pub const MAPREDUCE_TASK_SPECULATIVE: &str = "mapreduce.task.speculative";
+
+/// Observation: milliseconds slept before retrying a failed attempt.
+/// Labels: `stage`, `task`.
+pub const MAPREDUCE_TASK_BACKOFF: &str = "mapreduce.task.backoff";
+
+/// Counter: a node crossed the failure threshold and takes no more
+/// attempts of the stage. Labels: `stage`, `node`.
+pub const MAPREDUCE_NODE_BLACKLISTED: &str = "mapreduce.node.blacklisted";
+
+/// Mark: the map stage's data locality. Labels: `stage`,
+/// `local_fraction` (share of map tasks placed on a replica's node),
+/// `nodes`.
+pub const MAPREDUCE_LOCALITY: &str = "mapreduce.locality";
 
 /// Counter: records crossing the map → reduce boundary of one job.
 pub const MAPREDUCE_SHUFFLE_RECORDS: &str = "mapreduce.shuffle.records";
@@ -234,7 +254,7 @@ mod tests {
 
     /// The registry: every name above, once. A new constant is added
     /// here, where the checks below see it.
-    const ALL: [&str; 37] = [
+    const ALL: [&str; 42] = [
         ENGINE_REQUEST,
         ENGINE_QUEUE_DEPTH,
         ENGINE_REJECTED,
@@ -254,6 +274,11 @@ mod tests {
         ENGINE_COST_GROSS_MISPREDICT,
         MAPREDUCE_STAGE,
         MAPREDUCE_TASK,
+        MAPREDUCE_TASK_RETRY,
+        MAPREDUCE_TASK_SPECULATIVE,
+        MAPREDUCE_TASK_BACKOFF,
+        MAPREDUCE_NODE_BLACKLISTED,
+        MAPREDUCE_LOCALITY,
         MAPREDUCE_SHUFFLE_RECORDS,
         MAPREDUCE_SHUFFLE_BYTES,
         MAPREDUCE_SHUFFLE_REDUCER_BYTES,
@@ -308,5 +333,16 @@ mod tests {
         assert_eq!(DETECT_PRUNED_POINTS, "detect.pruned_points");
         assert_eq!(DETECT_EARLY_TERMINATIONS, "detect.early_terminations");
         assert_eq!(DETECT_NODE_VISITS, "detect.node_visits");
+    }
+
+    /// The executor's scheduling names kept the spellings they had when
+    /// they were written inline at their emit sites.
+    #[test]
+    fn scheduling_names_keep_their_spelling() {
+        assert_eq!(MAPREDUCE_TASK_RETRY, "mapreduce.task.retry");
+        assert_eq!(MAPREDUCE_TASK_SPECULATIVE, "mapreduce.task.speculative");
+        assert_eq!(MAPREDUCE_TASK_BACKOFF, "mapreduce.task.backoff");
+        assert_eq!(MAPREDUCE_NODE_BLACKLISTED, "mapreduce.node.blacklisted");
+        assert_eq!(MAPREDUCE_LOCALITY, "mapreduce.locality");
     }
 }

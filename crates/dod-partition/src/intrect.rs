@@ -67,30 +67,6 @@ impl IntRect {
         (0..self.dim()).all(|i| self.lo[i] <= other.hi[i] && other.lo[i] <= self.hi[i])
     }
 
-    /// Whether the boxes share a (d−1)-dimensional face: disjoint but with
-    /// adjacent index ranges in exactly one dimension, overlapping ranges
-    /// in every other.
-    pub fn is_adjacent(&self, other: &IntRect) -> bool {
-        debug_assert_eq!(self.dim(), other.dim());
-        let mut touching = 0;
-        for i in 0..self.dim() {
-            let overlap = self.lo[i] <= other.hi[i] && other.lo[i] <= self.hi[i];
-            if overlap {
-                continue;
-            }
-            // Adjacent iff one range ends exactly where the other begins.
-            let touch = self.hi[i] + 1 == other.lo[i] || other.hi[i] + 1 == self.lo[i];
-            if !touch {
-                return false;
-            }
-            touching += 1;
-            if touching > 1 {
-                return false;
-            }
-        }
-        touching == 1
-    }
-
     /// Definition 5.3: whether the union of the two boxes is itself a box:
     /// bounds equal in d−1 dimensions, and touching (adjacent) in the
     /// remaining one.
@@ -132,15 +108,9 @@ impl IntRect {
         }
     }
 
-    /// By how many cells the bounding box would grow if extended to cover
-    /// `other` (R-tree least-enlargement heuristic).
-    pub fn enlargement(&self, other: &IntRect) -> u64 {
-        self.union(other).cells() - self.cells()
-    }
-
     /// Expands the box by one bucket in every direction, clamped at zero
     /// and at `limits` (exclusive per-dimension bucket counts). Used to
-    /// search for adjacent entries in the AF-tree.
+    /// probe for DSHC merge candidates around a cluster.
     pub fn grown_by_one(&self, limits: &[u32]) -> IntRect {
         IntRect {
             lo: self.lo.iter().map(|l| l.saturating_sub(1)).collect(),
@@ -188,18 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_requires_touching_one_dim() {
-        // side by side in x, same y-range
-        assert!(b([0, 0], [1, 1]).is_adjacent(&b([2, 0], [3, 1])));
-        // gap of one bucket
-        assert!(!b([0, 0], [1, 1]).is_adjacent(&b([3, 0], [4, 1])));
-        // diagonal corner touch: adjacent-in-two-dims -> not adjacent
-        assert!(!b([0, 0], [1, 1]).is_adjacent(&b([2, 2], [3, 3])));
-        // overlapping -> not adjacent
-        assert!(!b([0, 0], [2, 2]).is_adjacent(&b([1, 0], [3, 2])));
-    }
-
-    #[test]
     fn rectangular_union_same_extent() {
         // Equal y-range, touching in x: union is a box.
         assert!(b([0, 0], [1, 3]).union_is_rectangular(&b([2, 0], [3, 3])));
@@ -224,13 +182,6 @@ mod tests {
         let u = b([0, 2], [1, 3]).union(&b([3, 0], [4, 1]));
         assert_eq!(u.lo(), &[0, 0]);
         assert_eq!(u.hi(), &[4, 3]);
-    }
-
-    #[test]
-    fn enlargement_zero_when_contained() {
-        let big = b([0, 0], [9, 9]);
-        assert_eq!(big.enlargement(&b([1, 1], [2, 2])), 0);
-        assert!(big.enlargement(&b([0, 0], [10, 9])) > 0);
     }
 
     #[test]

@@ -363,30 +363,15 @@ pub struct PartitionReport {
 /// Plan-time introspection for a whole [`MultiTacticPlan`] — what `dod
 /// explain` renders and what the engine's cost audit folds measured work
 /// against.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PlanReport {
     /// The op-class weights the planner charged.
     pub weights: CostWeights,
     /// Whether a measured calibration profile was in effect (false means
     /// the legacy unit-weight fallback).
     pub calibrated: bool,
-    /// Name of the kernel backend whose calibration rows priced the plan
-    /// (`"scalar"`, `"avx2"`, or `"neon"`), so cost-audit ratios are
-    /// attributable to the backend that was actually benchmarked.
-    pub backend: String,
     /// One record per partition, in partition order.
     pub partitions: Vec<PartitionReport>,
-}
-
-impl Default for PlanReport {
-    fn default() -> Self {
-        PlanReport {
-            weights: CostWeights::default(),
-            calibrated: false,
-            backend: "scalar".to_owned(),
-            partitions: Vec::new(),
-        }
-    }
 }
 
 impl PlanReport {
@@ -530,7 +515,6 @@ impl MultiTacticPlan {
                 weights: cost_weights,
                 calibrated: !cost_weights.is_unit(),
                 partitions,
-                ..PlanReport::default()
             },
         }
     }
@@ -613,7 +597,6 @@ impl MultiTacticPlan {
                 weights: cost_weights,
                 calibrated: !cost_weights.is_unit(),
                 partitions,
-                ..PlanReport::default()
             },
         }
     }

@@ -329,8 +329,8 @@ impl DodRunner {
         let allocation = cfg
             .allocation
             .unwrap_or_else(|| self.strategy.default_allocation());
-        let (weights, backend) = cfg.calibration.resolve(cfg.params.metric, domain.dim());
-        let mut mt = if cfg.paper_cost_model {
+        let weights = cfg.calibration.weights_for(cfg.params.metric, domain.dim());
+        let mt = if cfg.paper_cost_model {
             match &self.mode {
                 DetectionMode::Fixed(kind) => MultiTacticPlan::monolithic(
                     plan,
@@ -377,9 +377,6 @@ impl DodRunner {
                 weights,
             )
         };
-        // Which kernel backend's calibration rows priced this plan; stays
-        // "scalar" when the profile has no rows for the active backend.
-        mt.report.backend = backend.name().to_owned();
         let t_estimated = Instant::now();
         let router = Arc::new(mt.plan.router_with_metric(cfg.params.r, cfg.params.metric));
         let t_routed = Instant::now();

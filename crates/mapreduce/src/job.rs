@@ -568,13 +568,13 @@ where
             if newly_blacklisted {
                 counters.nodes_blacklisted.fetch_add(1, Ordering::Relaxed);
                 obs.counter(
-                    "mapreduce.node.blacklisted",
+                    names::MAPREDUCE_NODE_BLACKLISTED,
                     1,
                     &[("stage", Value::from(stage)), ("node", Value::from(node))],
                 );
             }
             obs.counter(
-                "mapreduce.task.retry",
+                names::MAPREDUCE_TASK_RETRY,
                 1,
                 &[("stage", Value::from(stage)), ("task", Value::from(task))],
             );
@@ -630,7 +630,7 @@ where
                             .speculative_launched
                             .fetch_add(1, Ordering::Relaxed);
                         obs.counter(
-                            "mapreduce.task.speculative",
+                            names::MAPREDUCE_TASK_SPECULATIVE,
                             1,
                             &[("stage", Value::from(stage)), ("task", Value::from(task))],
                         );
@@ -698,7 +698,7 @@ where
                                         .backoff_nanos
                                         .fetch_add(backoff.as_nanos() as u64, Ordering::Relaxed);
                                     obs.observe(
-                                        "mapreduce.task.backoff",
+                                        names::MAPREDUCE_TASK_BACKOFF,
                                         backoff.as_secs_f64() * 1e3,
                                         &[
                                             ("stage", Value::from(stage)),
@@ -1465,7 +1465,7 @@ where
         &placements,
     );
     obs.mark(
-        "mapreduce.locality",
+        names::MAPREDUCE_LOCALITY,
         &[
             ("stage", Value::from("map")),
             ("local_fraction", Value::from(map_schedule.local_fraction)),

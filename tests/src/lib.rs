@@ -49,3 +49,37 @@ pub fn uniform_nd(seed: u64, n: usize, dim: usize, side: f64) -> PointSet {
     }
     data
 }
+
+/// Every `.rs` file under `dir` (relative to the workspace root), as
+/// `(path relative to the root, contents)`, sorted by path — the input of
+/// the source-audit tests.
+pub fn workspace_sources(dir: &str) -> Vec<(String, String)> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut pending = vec![root.join(dir)];
+    let mut files = Vec::new();
+    while let Some(dir) = pending.pop() {
+        for entry in std::fs::read_dir(&dir).expect("readable source directory") {
+            let path = entry.expect("readable directory entry").path();
+            if path.is_dir() {
+                pending.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).expect("readable source file");
+                let rel = path.strip_prefix(&root).unwrap_or(&path);
+                files.push((rel.to_string_lossy().into_owned(), text));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// The shipped part of a source file: everything before its first
+/// `#[cfg(test)]`, without comment lines.
+pub fn shipped_lines(source: &str) -> impl Iterator<Item = &str> {
+    source
+        .split("#[cfg(test)]")
+        .next()
+        .unwrap_or_default()
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("//"))
+}

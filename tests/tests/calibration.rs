@@ -76,7 +76,6 @@ fn calibration_changes_assignments_but_never_answers() {
     let heavy = CalibrationProfile::new(vec![ProfileEntry::from_measurement(
         Metric::Euclidean,
         2,
-        dod_core::KernelBackend::Scalar,
         1.0,
         6.0,
     )]);
@@ -137,7 +136,6 @@ fn calibrated_report_is_self_consistent() {
     let heavy = CalibrationProfile::new(vec![ProfileEntry::from_measurement(
         Metric::Euclidean,
         2,
-        dod_core::KernelBackend::Scalar,
         1.0,
         4.0,
     )]);
@@ -165,5 +163,59 @@ fn calibrated_report_is_self_consistent() {
         } else {
             assert_eq!(p.margin, 0.0);
         }
+    }
+}
+
+/// A profile written while the kernel had a second, feature-gated build
+/// carried an `avx2` row beside each `scalar` one. It still loads, and it
+/// prices every plan exactly as its scalar rows alone do: the default
+/// build always preferred them. The one deliberate change is a metric
+/// that has *only* `avx2` rows, which used to fall back to them and now
+/// falls back to unit weights.
+#[test]
+fn profiles_with_backend_tagged_rows_resolve_to_their_scalar_rows() {
+    let row = |metric: &str, dim: usize, backend: &str, structural: f64| {
+        format!(
+            "{{\"metric\": \"{metric}\", \"dim\": {dim}, \"backend\": \"{backend}\", \
+             \"kernel_pair_ns\": 1.0, \"scalar_pair_ns\": {structural}, \"pair\": 1.0, \
+             \"structural\": {structural}}}"
+        )
+    };
+    let mut rows = Vec::new();
+    let mut scalar_only = Vec::new();
+    for (m, metric) in [(0.0, "euclidean"), (10.0, "manhattan")] {
+        for dim in [1, 2, 3, 4, 8] {
+            let structural = 2.0 + m + dim as f64;
+            rows.push(row(metric, dim, "scalar", structural));
+            rows.push(row(metric, dim, "avx2", 50.0 + structural));
+            scalar_only.push(row(metric, dim, "scalar", structural));
+        }
+    }
+    rows.push(row("chebyshev", 3, "avx2", 7.0));
+    let doc = |rows: &[String]| {
+        format!(
+            "{{\"schema\": \"dod-calibration/v1\", \"entries\": [{}]}}",
+            rows.join(",")
+        )
+    };
+    let tagged = CalibrationProfile::from_json(&doc(&rows)).expect("tagged profile loads");
+    let scalar = CalibrationProfile::from_json(&doc(&scalar_only)).unwrap();
+    assert_eq!(tagged, scalar, "only the scalar rows are kept");
+    for metric in [Metric::Euclidean, Metric::Manhattan] {
+        for dim in 1..=9 {
+            let w = tagged.weights_for(metric, dim);
+            assert_eq!(w, scalar.weights_for(metric, dim), "{metric:?} d{dim}");
+            assert!(
+                w.structural < 50.0,
+                "{metric:?} d{dim} priced by an avx2 row"
+            );
+        }
+    }
+    for dim in 1..=9 {
+        assert_eq!(
+            tagged.weights_for(Metric::Chebyshev, dim),
+            CostWeights::UNIT,
+            "an avx2-only metric falls back to unit weights"
+        );
     }
 }

@@ -1,11 +1,11 @@
 //! Kernel-layer equivalence: the tiled neighbor-counting kernels must be
 //! observationally identical to a scalar `Metric::within` loop — same
 //! counts, same early-exit positions, and therefore the same outlier
-//! sets from every detector. Covers all three metrics, dimensions 1–8,
+//! sets from every detector. Covers all three metrics, dimensions 1–9,
 //! tile sizes 1..64, k-boundary hit patterns, and duplicated points, for
 //! the row-major tiles and the columnar scan alike.
 
-use dod_core::{FilterTile, Metric, NeighborPredicate, OutlierParams, PointId, PointSet};
+use dod_core::{Metric, NeighborPredicate, OutlierParams, PointId, PointSet};
 use dod_detect::{CellBased, Detector, IndexBased, NestedLoop, Partition, PivotBased, Reference};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -143,54 +143,6 @@ proptest! {
         prop_assert_eq!(out.scanned, scanned, "{} dim {} points {}", metric.name(), dim, points);
         prop_assert_eq!(out.reached(need), found >= need);
     }
-
-    // The multi-query entry point is indistinguishable from per-query
-    // dispatch AND from the scalar oracle, for every metric, dimension
-    // 1–8, and query counts spanning below/at/above the 4-lane register
-    // block (1, 3, 4, 5, 8, 9). The f32 prefilter over the same tile
-    // must agree too.
-    #[test]
-    fn multi_query_tile_counts_match_scalar(
-        seed in 0u64..10_000,
-        metric_idx in 0usize..3,
-        dim in 1usize..9,
-        points in 1usize..64,
-        nq_idx in 0usize..6,
-        r in 0.1f64..4.0,
-    ) {
-        const QUERY_COUNTS: [usize; 6] = [1, 3, 4, 5, 8, 9];
-        let nq = QUERY_COUNTS[nq_idx];
-        let metric = METRICS[metric_idx];
-        let tile = random_tile(seed, points, dim, 3.0);
-        let queries = random_tile(seed.wrapping_add(1), nq, dim, 3.0);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x51D);
-        let needs: Vec<usize> = (0..nq).map(|_| rng.gen_range(0..10usize)).collect();
-        let pred = NeighborPredicate::with_metric(metric, r);
-        let outs = pred.count_within_tile_multi(&queries, &tile, &needs);
-        prop_assert_eq!(outs.len(), nq);
-        let filter = FilterTile::build(&tile, dim);
-        for (j, out) in outs.iter().enumerate() {
-            let q = &queries[j * dim..(j + 1) * dim];
-            let single = pred.count_within_tile(q, &tile, needs[j]);
-            prop_assert_eq!(
-                (out.found, out.scanned),
-                (single.found, single.scanned),
-                "multi vs single: {} dim {} q {}/{}", metric.name(), dim, j, nq
-            );
-            let (found, scanned) = scalar_scan(metric, r, q, &tile, dim, needs[j]);
-            prop_assert_eq!(
-                (out.found, out.scanned),
-                (found, scanned),
-                "multi vs oracle: {} dim {} q {}/{}", metric.name(), dim, j, nq
-            );
-            let pre = pred.count_within_tile_prefiltered(q, &tile, &filter, needs[j]);
-            prop_assert_eq!(
-                (pre.found, pre.scanned),
-                (found, scanned),
-                "prefilter vs oracle: {} dim {} q {}/{}", metric.name(), dim, j, nq
-            );
-        }
-    }
 }
 
 proptest! {
@@ -294,12 +246,12 @@ fn duplicate_points_are_exact() {
     }
 }
 
-/// f32-prefilter shell boundary: points sitting *exactly* at distance
-/// `r` land inside the uncertainty shell, get rechecked in f64, and
-/// count as neighbors (the predicate is inclusive) — for every metric
-/// and with the boundary point at every position of a cache block.
+/// Points sitting *exactly* at distance `r` count as neighbors (the
+/// predicate is inclusive), in the row-major tile and the columnar scan
+/// alike — for every metric and with the boundary point at every
+/// position of a cache block.
 #[test]
-fn prefilter_exact_boundary_points_are_inclusive() {
+fn exact_boundary_points_are_inclusive() {
     // Distances engineered to be exact: Euclid 3-4-5, Manhattan 3+4=7,
     // Chebyshev max(3,4)=4.
     for (metric, r) in [
@@ -318,23 +270,23 @@ fn prefilter_exact_boundary_points_are_inclusive() {
             }
             let q = vec![0.0; dim];
             let pred = NeighborPredicate::with_metric(metric, r);
-            let filter = FilterTile::build(&tile, dim);
+            let columns = columns_of(&tile, dim);
             for need in [1usize, 2, 3, usize::MAX] {
-                let pre = pred.count_within_tile_prefiltered(&q, &tile, &filter, need);
-                let (found, scanned) = scalar_scan(metric, r, &q, &tile, dim, need);
-                assert_eq!(
-                    (pre.found, pre.scanned),
-                    (found, scanned),
-                    "{} boundary_pos {boundary_pos} need {need}",
-                    metric.name()
-                );
-                let multi = pred.count_within_tile_multi(&q, &tile, &[need]);
-                assert_eq!(
-                    (multi[0].found, multi[0].scanned),
-                    (found, scanned),
-                    "{} multi boundary_pos {boundary_pos} need {need}",
-                    metric.name()
-                );
+                let want = scalar_scan(metric, r, &q, &tile, dim, need);
+                for (entry, out) in [
+                    ("tile", pred.count_within_tile(&q, &tile, need)),
+                    (
+                        "columns",
+                        pred.count_within_columns(&q, &columns, 0..70, need),
+                    ),
+                ] {
+                    assert_eq!(
+                        (out.found, out.scanned),
+                        want,
+                        "{entry} under {} boundary_pos {boundary_pos} need {need}",
+                        metric.name()
+                    );
+                }
             }
         }
     }
@@ -358,7 +310,7 @@ fn columns_of(tile: &[f64], dim: usize) -> Vec<f64> {
 fn columns_match_tile_on_every_alignment() {
     let mut rng = StdRng::seed_from_u64(0xC01);
     for metric in METRICS {
-        for dim in 1usize..=8 {
+        for dim in 1usize..=9 {
             let q: Vec<f64> = (0..dim)
                 .map(|_| rng.gen_range(4..12) as f64 / 4.0)
                 .collect();
@@ -454,7 +406,6 @@ fn kernels_decide_threshold_pairs_as_metric_within_does() {
                     .iter()
                     .flat_map(|&c| std::iter::repeat_n(c, COPIES))
                     .collect();
-                let filter = FilterTile::build(&tile, dim);
                 let at = metric.dist(&q, &p);
                 for r in [at.next_down(), at, at.next_up()] {
                     let want = if metric.within(&q, &p, r) { COPIES } else { 0 };
@@ -463,19 +414,6 @@ fn kernels_decide_threshold_pairs_as_metric_within_does() {
                     let got = [
                         ("within", usize::from(pred.within(&q, &p)) * COPIES),
                         ("tile", pred.count_within_tile(&q, &tile, need).found),
-                        (
-                            "tile-scalar",
-                            pred.count_within_tile_scalar(&q, &tile, need).found,
-                        ),
-                        (
-                            "multi",
-                            pred.count_within_tile_multi(&q, &tile, &[need])[0].found,
-                        ),
-                        (
-                            "prefiltered",
-                            pred.count_within_tile_prefiltered(&q, &tile, &filter, need)
-                                .found,
-                        ),
                         (
                             "columns",
                             pred.count_within_columns(&q, &columns, 0..COPIES, need)
@@ -551,5 +489,46 @@ fn hot_paths_use_the_kernel_predicate() {
                 "{name}: hot path bypasses NeighborPredicate via `{forbidden}`: {violations:?}"
             );
         }
+    }
+}
+
+/// Source audit: the kernel layer is one build. The workspace's only
+/// `unsafe` is the call into the AVX2 build of the columnar scan, made
+/// after detecting AVX2 at run time; no crate gates code on a cargo
+/// feature, and no workspace crate's manifest declares one.
+#[test]
+fn workspace_has_one_unsafe_site() {
+    let mut unsafe_sites = Vec::new();
+    for (path, source) in dod_integration::workspace_sources("crates") {
+        for line in source.lines().filter(|l| !l.trim_start().starts_with("//")) {
+            let mut tokens = line.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+            if tokens.any(|t| t == "unsafe") {
+                unsafe_sites.push(format!("{path}: {}", line.trim()));
+            }
+        }
+    }
+    assert_eq!(unsafe_sites.len(), 1, "{unsafe_sites:?}");
+    assert!(
+        unsafe_sites[0].starts_with("crates/dod-core/src/kernel/columns.rs"),
+        "{unsafe_sites:?}"
+    );
+
+    // Spelled in two pieces so this file does not match itself.
+    let gates = ["cfg", "cfg!"].map(|c| format!("{c}(feature"));
+    for dir in ["crates", "compat", "tests"] {
+        for (path, source) in dod_integration::workspace_sources(dir) {
+            for gate in &gates {
+                assert!(!source.contains(gate.as_str()), "{path} has `{gate}`");
+            }
+        }
+    }
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/..");
+    let crates = std::fs::read_dir(format!("{root}/crates")).unwrap();
+    let manifests = crates
+        .map(|e| e.unwrap().path().join("Cargo.toml"))
+        .chain([format!("{root}/tests/Cargo.toml").into()]);
+    for manifest in manifests {
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        assert!(!text.contains("[features]"), "{}", manifest.display());
     }
 }

@@ -221,3 +221,24 @@ fn jsonl_trace_replays_the_figure_10_breakdown() {
         .count();
     assert_eq!(plan_marks, outcome.report.num_partitions);
 }
+
+/// Source audit: every metric name is spelled once, in
+/// `dod_obs::names`. No shipped code elsewhere in the workspace writes a
+/// `"mapreduce.`, `"detect.`, `"dod.` or `"engine.` literal; emit sites
+/// use the registry's constants.
+#[test]
+fn metric_names_are_spelled_only_in_the_registry() {
+    let prefixes = ["\"mapreduce.", "\"detect.", "\"dod.", "\"engine."];
+    for (path, source) in dod_integration::workspace_sources("crates") {
+        if path.ends_with("dod-obs/src/names.rs") {
+            continue;
+        }
+        let violations: Vec<&str> = dod_integration::shipped_lines(&source)
+            .filter(|l| prefixes.iter().any(|p| l.contains(p)))
+            .collect();
+        assert!(
+            violations.is_empty(),
+            "{path}: metric names spelled outside dod_obs::names: {violations:?}"
+        );
+    }
+}
