@@ -14,7 +14,7 @@ use std::path::Path;
 pub enum CsvError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// A malformed row (bad float, inconsistent arity).
+    /// A malformed row (bad float, non-finite value, inconsistent arity).
     Parse {
         /// 1-based line number.
         line: usize,
@@ -67,7 +67,9 @@ pub fn write_csv(path: &Path, points: &PointSet) -> io::Result<()> {
 }
 
 /// Reads a CSV of floating-point rows. The dimensionality is inferred
-/// from the first non-empty row; all rows must agree.
+/// from the first non-empty row; all rows must agree. Every field must be
+/// finite: `NaN` and the infinities are refused, as the engine refuses
+/// them on a wire point.
 pub fn read_csv(path: &Path) -> Result<PointSet, CsvError> {
     let file = std::fs::File::open(path)?;
     let reader = io::BufReader::new(file);
@@ -79,21 +81,31 @@ pub fn read_csv(path: &Path) -> Result<PointSet, CsvError> {
         if trimmed.is_empty() {
             continue;
         }
+        let bad = |reason| CsvError::Parse {
+            line: lineno + 1,
+            reason,
+        };
         coords.clear();
         for field in trimmed.split(',') {
-            let v: f64 = field.trim().parse().map_err(|e| CsvError::Parse {
-                line: lineno + 1,
-                reason: format!("bad float {field:?}: {e}"),
-            })?;
+            let v: f64 = field
+                .trim()
+                .parse()
+                .map_err(|e| bad(format!("bad float {field:?}: {e}")))?;
+            if !v.is_finite() {
+                return Err(bad(format!("non-finite value {field:?}")));
+            }
             coords.push(v);
         }
         let set = match &mut points {
             Some(s) => s,
             None => points.insert(PointSet::new(coords.len())?),
         };
-        set.push(&coords).map_err(|_| CsvError::Parse {
-            line: lineno + 1,
-            reason: format!("expected {} fields, got {}", set.dim(), coords.len()),
+        set.push(&coords).map_err(|_| {
+            bad(format!(
+                "expected {} fields, got {}",
+                set.dim(),
+                coords.len()
+            ))
         })?;
     }
     Ok(points.unwrap_or(PointSet::new(2)?))
@@ -154,6 +166,18 @@ mod tests {
         std::fs::write(&path, "1,2\nx,4\n").unwrap();
         let err = read_csv(&path).unwrap_err();
         assert!(matches!(err, CsvError::Parse { line: 2, .. }), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_finite_values_report_line() {
+        let path = temp_path("nonfinite.csv");
+        for field in ["NaN", "-inf", "infinity"] {
+            std::fs::write(&path, format!("1,2\n3,4\n{field},1.0\n")).unwrap();
+            let err = read_csv(&path).unwrap_err();
+            assert!(matches!(err, CsvError::Parse { line: 3, .. }), "{err}");
+            assert!(err.to_string().contains("non-finite"), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -32,8 +32,9 @@
 use crate::framework::{load_points, DodMapper, TaggedPoint};
 use crate::pipeline::{DodConfig, DodError};
 use dod_core::{GridSpec, PointId, PointSet};
+use dod_obs::json::Json;
 use dod_partition::{sample_points, PartitionStrategy, PlanContext};
-use mapreduce::{run_job, EstimateSize, JobMetrics, Reducer};
+use mapreduce::{run, Durable, EstimateSize, JobMetrics, JobOptions, Reducer};
 use std::collections::HashMap;
 
 /// Final label of a point.
@@ -64,6 +65,25 @@ pub struct LabelRecord {
 impl EstimateSize for LabelRecord {
     fn estimated_bytes(&self) -> usize {
         8 + 9 + 2
+    }
+}
+
+// Checkpointed clustering jobs persist a record as `[id, cluster,
+// [authoritative, is_dbscan_core]]`, local noise's cluster as `null`.
+impl Durable for LabelRecord {
+    fn encode(&self, out: &mut String) {
+        let flags = (self.authoritative, self.is_dbscan_core);
+        (self.id, self.cluster, flags).encode(out);
+    }
+    fn decode(v: &Json) -> Option<Self> {
+        let (id, cluster, (authoritative, is_dbscan_core)) =
+            <(PointId, Option<(u32, u32)>, (bool, bool))>::decode(v)?;
+        Some(LabelRecord {
+            id,
+            cluster,
+            authoritative,
+            is_dbscan_core,
+        })
     }
 }
 
@@ -283,13 +303,14 @@ pub fn dbscan(
     let mapper = DodMapper::new(&router);
     let reducer = DbscanReducer::new(eps, min_pts, domain.dim(), config.params.metric);
     let partitioner = |k: &u32, n: usize| (*k as usize) % n;
-    let out = run_job(
+    let out = run(
         &config.cluster,
         &store,
         &mapper,
         &reducer,
         &partitioner,
         config.num_reducers,
+        JobOptions::default(),
     )?;
 
     // ---- Global merge (driver side). ----
@@ -533,6 +554,38 @@ mod tests {
                 });
                 assert!(ok, "border point {i} assigned to a non-adjacent cluster");
             }
+        }
+    }
+
+    /// The checkpoint format is pinned, for a clustered record and for
+    /// local noise.
+    #[test]
+    fn label_record_round_trips() {
+        for (record, text) in [
+            (
+                LabelRecord {
+                    id: 7,
+                    cluster: Some((2, 0)),
+                    authoritative: false,
+                    is_dbscan_core: true,
+                },
+                "[7,[2,0],[false,true]]",
+            ),
+            (
+                LabelRecord {
+                    id: 9,
+                    cluster: None,
+                    authoritative: true,
+                    is_dbscan_core: false,
+                },
+                "[9,null,[true,false]]",
+            ),
+        ] {
+            let mut out = String::new();
+            record.encode(&mut out);
+            assert_eq!(out, text);
+            let back = LabelRecord::decode(&dod_obs::json::parse(text).unwrap());
+            assert_eq!(back, Some(record));
         }
     }
 

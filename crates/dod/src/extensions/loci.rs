@@ -28,7 +28,7 @@ use crate::framework::{load_points, DodMapper, TaggedPoint};
 use crate::pipeline::{DodConfig, DodError};
 use dod_core::{GridSpec, Metric, PointId, PointSet};
 use dod_partition::{sample_points, PartitionStrategy, PlanContext};
-use mapreduce::{run_job, JobMetrics, Reducer};
+use mapreduce::{run, JobMetrics, JobOptions, Reducer};
 
 /// LOCI parameters.
 #[derive(Debug, Clone, Copy)]
@@ -260,13 +260,14 @@ pub fn loci(
     let mapper = DodMapper::new(&router);
     let reducer = LociReducer::new(*cfg, domain.dim());
     let partitioner = |k: &u32, n: usize| (*k as usize) % n;
-    let out = run_job(
+    let out = run(
         &config.cluster,
         &store,
         &mapper,
         &reducer,
         &partitioner,
         config.num_reducers,
+        JobOptions::default(),
     )?;
     let mut outliers = out.outputs;
     outliers.sort_unstable();

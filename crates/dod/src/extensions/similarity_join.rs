@@ -13,7 +13,7 @@ use crate::framework::{load_points, DodMapper, TaggedPoint};
 use crate::pipeline::{DodConfig, DodError};
 use dod_core::{GridSpec, PointId, PointSet};
 use dod_partition::{sample_points, PartitionStrategy, PlanContext};
-use mapreduce::{run_job, JobMetrics, Reducer};
+use mapreduce::{run, JobMetrics, JobOptions, Reducer};
 
 /// Reducer of the join job: emits qualifying pairs with the
 /// smaller-id-core deduplication rule.
@@ -151,13 +151,14 @@ pub fn similarity_join(
     let mapper = DodMapper::new(&router);
     let reducer = JoinReducer::new(config.params.r, domain.dim(), config.params.metric);
     let partitioner = |k: &u32, n: usize| (*k as usize) % n;
-    let out = run_job(
+    let out = run(
         &config.cluster,
         &store,
         &mapper,
         &reducer,
         &partitioner,
         config.num_reducers,
+        JobOptions::default(),
     )?;
     let mut pairs = out.outputs;
     pairs.sort_unstable();

@@ -27,7 +27,7 @@ use dod_partition::{
     sample_points, Dmt, LocalCostEstimator, MultiTacticPlan, PartitionStrategy, PlanContext, Router,
 };
 use mapreduce::checkpoint::{fingerprint_u64s, CheckpointStore, JobFingerprint};
-use mapreduce::{run_job_obs, BlockStore, JobError, JobMetrics, JobOutcome};
+use mapreduce::{BlockStore, JobError, JobMetrics, JobOptions, JobOutcome, SumCombiner};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -558,27 +558,19 @@ impl DodRunner {
         let allocation = mt.allocation.clone();
         let partitioner = move |k: &u32, _n: usize| allocation[*k as usize];
         let ck = self.open_store("-detect", store.num_blocks(), self.job_tag("detect", mt, 0))?;
-        let out = match &ck {
-            Some(ck) => mapreduce::run_job_durable(
-                &cfg.cluster,
-                store,
-                &mapper,
-                &reducer,
-                &partitioner,
-                cfg.num_reducers,
-                &cfg.obs,
-                ck,
-            )?,
-            None => run_job_obs(
-                &cfg.cluster,
-                store,
-                &mapper,
-                &reducer,
-                &partitioner,
-                cfg.num_reducers,
-                &cfg.obs,
-            )?,
-        };
+        let out = mapreduce::run(
+            &cfg.cluster,
+            store,
+            &mapper,
+            &reducer,
+            &partitioner,
+            cfg.num_reducers,
+            JobOptions {
+                obs: cfg.obs.clone(),
+                checkpoint: ck.as_ref(),
+                ..JobOptions::default()
+            },
+        )?;
         let diverted = diverted_count(out.outcome);
         let mut outliers = out.outputs;
         outliers.sort_unstable();
@@ -606,27 +598,19 @@ impl DodRunner {
             store.num_blocks(),
             self.job_tag("candidates", mt, 0),
         )?;
-        let job1 = match &ck1 {
-            Some(ck) => mapreduce::run_job_durable(
-                &cfg.cluster,
-                store,
-                &mapper,
-                &reducer,
-                &partitioner,
-                cfg.num_reducers,
-                &cfg.obs,
-                ck,
-            )?,
-            None => run_job_obs(
-                &cfg.cluster,
-                store,
-                &mapper,
-                &reducer,
-                &partitioner,
-                cfg.num_reducers,
-                &cfg.obs,
-            )?,
-        };
+        let job1 = mapreduce::run(
+            &cfg.cluster,
+            store,
+            &mapper,
+            &reducer,
+            &partitioner,
+            cfg.num_reducers,
+            JobOptions {
+                obs: cfg.obs.clone(),
+                checkpoint: ck1.as_ref(),
+                ..JobOptions::default()
+            },
+        )?;
         let mut diverted = diverted_count(job1.outcome);
         let candidates: Vec<Candidate> = job1.outputs;
         let partition_times = job1.key_times.clone();
@@ -652,29 +636,19 @@ impl DodRunner {
         )?;
         // Partial counts fold map-side (a Hadoop combiner), keeping the
         // second job's shuffle tiny.
-        let job2 = match &ck2 {
-            Some(ck) => mapreduce::run_job_with_combiner_durable(
-                &cfg.cluster,
-                store,
-                &verify_mapper,
-                &mapreduce::SumCombiner::new(),
-                &verify_reducer,
-                &hash_partitioner,
-                cfg.num_reducers,
-                &cfg.obs,
-                ck,
-            )?,
-            None => mapreduce::run_job_with_combiner_obs(
-                &cfg.cluster,
-                store,
-                &verify_mapper,
-                &mapreduce::SumCombiner::new(),
-                &verify_reducer,
-                &hash_partitioner,
-                cfg.num_reducers,
-                &cfg.obs,
-            )?,
-        };
+        let job2 = mapreduce::run(
+            &cfg.cluster,
+            store,
+            &verify_mapper,
+            &verify_reducer,
+            &hash_partitioner,
+            cfg.num_reducers,
+            JobOptions {
+                obs: cfg.obs.clone(),
+                combiner: Some(&SumCombiner::new()),
+                checkpoint: ck2.as_ref(),
+            },
+        )?;
         diverted += diverted_count(job2.outcome);
         let cleared: HashSet<u32> = job2.outputs.into_iter().collect();
         let mut outliers: Vec<PointId> = index

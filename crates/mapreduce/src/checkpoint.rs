@@ -39,6 +39,7 @@ use std::sync::Mutex;
 use std::time::{Duration, SystemTime};
 
 use dod_obs::json::{self, Json};
+use dod_obs::sync::lock_recover;
 use dod_obs::write_atomic;
 
 use crate::dlq::{DeadLetterQueue, DlqEntry};
@@ -162,6 +163,22 @@ impl<T: Durable> Durable for Vec<T> {
     }
     fn decode(v: &Json) -> Option<Self> {
         v.as_arr()?.iter().map(T::decode).collect()
+    }
+}
+
+/// `None` is `null`; `Some(v)` is `v`'s encoding.
+impl<T: Durable> Durable for Option<T> {
+    fn encode(&self, out: &mut String) {
+        match self {
+            Some(v) => v.encode(out),
+            None => out.push_str("null"),
+        }
+    }
+    fn decode(v: &Json) -> Option<Self> {
+        match v {
+            Json::Null => Some(None),
+            v => T::decode(v).map(Some),
+        }
     }
 }
 
@@ -482,12 +499,12 @@ impl CheckpointStore {
 
     /// A snapshot of the dead-letter queue.
     pub fn dlq_snapshot(&self) -> Vec<DlqEntry> {
-        self.dlq.lock().unwrap().entries().to_vec()
+        lock_recover(&self.dlq).entries().to_vec()
     }
 
     /// Appends an entry to the DLQ and persists it.
     pub fn dlq_divert(&self, entry: DlqEntry) {
-        let mut q = self.dlq.lock().unwrap();
+        let mut q = lock_recover(&self.dlq);
         q.divert(entry);
         self.persist_dlq(&q);
     }
@@ -495,7 +512,7 @@ impl CheckpointStore {
     /// Removes a resolved entry (its task completed on redrive) and
     /// persists the queue. Returns whether an entry was removed.
     pub fn dlq_resolve(&self, stage: &str, task: usize) -> bool {
-        let mut q = self.dlq.lock().unwrap();
+        let mut q = lock_recover(&self.dlq);
         let removed = q.resolve(stage, task);
         if removed {
             self.persist_dlq(&q);
@@ -505,7 +522,7 @@ impl CheckpointStore {
 
     /// Takes the first latched write error, if any occurred.
     pub fn take_write_error(&self) -> Option<String> {
-        self.write_error.lock().unwrap().take()
+        lock_recover(&self.write_error).take()
     }
 
     fn persist_dlq(&self, q: &DeadLetterQueue) {
@@ -516,7 +533,7 @@ impl CheckpointStore {
     }
 
     fn latch_write_error(&self, path: &Path, e: &std::io::Error) {
-        let mut slot = self.write_error.lock().unwrap();
+        let mut slot = lock_recover(&self.write_error);
         if slot.is_none() {
             *slot = Some(format!("{}: {e}", path.display()));
         }
@@ -863,16 +880,16 @@ mod tests {
     }
 
     /// A nested composite exercising every `Durable` impl at once.
-    type Composite = Vec<(u32, (bool, Vec<f64>, String))>;
+    type Composite = Vec<(Option<u32>, (bool, Vec<f64>, String))>;
 
     #[test]
     fn composite_durable_round_trips() {
         let value: Composite = vec![
             (
-                7,
+                Some(7),
                 (true, vec![1.5, -2.25], "a \"quoted\"\nline".to_string()),
             ),
-            (9, (false, vec![], String::new())),
+            (None, (false, vec![], String::new())),
         ];
         let mut s = String::new();
         value.encode(&mut s);

@@ -1,8 +1,10 @@
 //! The MapReduce job executor.
 //!
-//! [`run_job`] executes one job: map tasks over the input blocks, an
+//! [`run`] executes one job: map tasks over the input blocks, an
 //! in-memory shuffle (partition → sort → group by key) on the same host
-//! threads, then reduce tasks over the borrowed key groups.
+//! threads, then reduce tasks over the borrowed key groups. Its
+//! [`JobOptions`] attach telemetry, a map-side combiner and a checkpoint
+//! store.
 //! Per-task wall times are measured and folded into stage makespans on the
 //! logical cluster topology (see [`crate::metrics`]).
 //!
@@ -179,12 +181,39 @@ pub struct JobOutput<K, O> {
     pub outcome: JobOutcome,
 }
 
+/// Options of one [`run`]. The default runs without telemetry, without a
+/// combiner and without a checkpoint store.
+pub struct JobOptions<'a, K, V> {
+    /// Receives per-task spans, retry counters, shuffle volume
+    /// counters/histograms and the locality outcome (see DESIGN.md
+    /// §Observability).
+    pub obs: Obs,
+    /// A map-side combiner applied to each map task's output before the
+    /// shuffle.
+    pub combiner: Option<&'a dyn Combiner<K = K, V = V>>,
+    /// Makes the job durable: completed tasks are persisted to the store
+    /// and skipped on resume, and a task that exhausts its retry budget is
+    /// diverted to the dead-letter queue (the job then finishes with
+    /// [`JobOutcome::PartialWithDlq`] instead of failing).
+    pub checkpoint: Option<&'a CheckpointStore>,
+}
+
+impl<K, V> Default for JobOptions<'_, K, V> {
+    fn default() -> Self {
+        JobOptions {
+            obs: Obs::null(),
+            combiner: None,
+            checkpoint: None,
+        }
+    }
+}
+
 /// Sort-groups one map task's output by key and folds each group through
 /// the combiner.
-fn apply_combiner<C: Combiner>(combiner: &C, mut records: Vec<(C::K, C::V)>) -> Vec<(C::K, C::V)>
-where
-    C::K: Clone,
-{
+fn apply_combiner<K: Ord + Clone, V>(
+    combiner: &dyn Combiner<K = K, V = V>,
+    mut records: Vec<(K, V)>,
+) -> Vec<(K, V)> {
     records.sort_by(|a, b| a.0.cmp(&b.0));
     let mut out = Vec::with_capacity(records.len());
     let mut iter = records.into_iter().peekable();
@@ -330,27 +359,14 @@ impl Sched {
     }
 }
 
-/// Durability hooks for one stage of [`run_task_pool`]. Built by
-/// `run_job_inner` from the job's [`CheckpointStore`]; absent for
-/// non-durable jobs.
-struct StageDurability<'a, T> {
-    /// Per-task results restored from the checkpoint; restored slots
-    /// are seeded as done and never re-executed.
-    restored: Vec<Option<(Duration, T)>>,
-    /// Tasks parked in the DLQ (diverted, not flagged for redrive):
-    /// the scheduler skips them and their slot stays `None`.
-    dead: Vec<bool>,
-    /// Tasks being re-driven from the DLQ this run; a win resolves
-    /// their queue entry.
-    redriven: Vec<bool>,
-    /// Persists a fresh completion (called under the scheduler lock,
-    /// *before* the completion becomes visible).
-    save: &'a (dyn Fn(usize, Duration, &T) + Sync),
-    /// Records an exhausted task into the DLQ: `(task, attempts,
-    /// attempt-error history)`.
-    divert: &'a (dyn Fn(usize, usize, Vec<String>) + Sync),
-    /// Resolves a redriven task's DLQ entry after it completed.
-    resolve: &'a (dyn Fn(usize) + Sync),
+/// The checkpoint store one stage of [`run_task_pool`] restores from,
+/// persists to and dead-letters into; absent for non-durable jobs.
+struct StageDurability<'a> {
+    store: &'a CheckpointStore,
+    /// The dead-letter queue as it stood when the job started.
+    dlq: &'a [DlqEntry],
+    /// Shuffle fingerprint the stage's task records carry (0 for map).
+    shuffle_fp: u64,
 }
 
 /// Why a stage stopped early.
@@ -388,11 +404,11 @@ fn run_task_pool<T, F>(
     num_tasks: usize,
     cluster: &ClusterConfig,
     counters: &PoolCounters,
-    durability: Option<StageDurability<'_, T>>,
+    durability: Option<StageDurability<'_>>,
     run: F,
 ) -> Result<Vec<Option<(Duration, T)>>, StageFailure>
 where
-    T: Send,
+    T: Send + Durable,
     F: Fn(usize, usize) -> T + Sync,
 {
     if num_tasks == 0 {
@@ -400,22 +416,29 @@ where
     }
     let mut initial: Vec<Option<(Duration, T)>> = (0..num_tasks).map(|_| None).collect();
     let mut sched0 = Sched::new(num_tasks, cluster.nodes);
+    // Tasks being re-driven from the DLQ this run; a win resolves their
+    // queue entry.
     let mut redriven = vec![false; num_tasks];
-    let mut hooks = None;
-    if let Some(d) = durability {
+    if let Some(d) = &durability {
         let mut skips = 0u64;
-        for (t, r) in d.restored.into_iter().enumerate() {
-            if d.dead[t] {
+        for t in 0..num_tasks {
+            match d.dlq.iter().find(|e| e.stage == stage && e.task == t) {
                 // Dead-lettered and not redriven: scheduled as done,
                 // contributes nothing.
-                sched0.tasks[t].done = true;
-                sched0.done_count += 1;
-            } else if let Some(v) = r {
-                initial[t] = Some(v);
-                sched0.tasks[t].done = true;
-                sched0.done_count += 1;
-                skips += 1;
+                Some(e) if !e.redrive => {}
+                entry => {
+                    redriven[t] = entry.is_some();
+                    // Restored from the checkpoint: seeded as done, never
+                    // re-executed.
+                    let Some(v) = d.store.load_task(stage, t, d.shuffle_fp) else {
+                        continue;
+                    };
+                    initial[t] = Some(v);
+                    skips += 1;
+                }
             }
+            sched0.tasks[t].done = true;
+            sched0.done_count += 1;
         }
         if skips > 0 {
             counters
@@ -427,8 +450,6 @@ where
                 &[("stage", Value::from(stage))],
             );
         }
-        redriven = d.redriven;
-        hooks = Some((d.save, d.divert, d.resolve));
     }
     let results: Mutex<Vec<Option<(Duration, T)>>> = Mutex::new(initial);
     let sched = Mutex::new(sched0);
@@ -436,7 +457,7 @@ where
     let fault = cluster.fault.filter(|p| p.is_active());
     let interrupt_after = cluster.fault.as_ref().map_or(0, |p| p.interrupt_after);
     let redriven = &redriven;
-    let hooks = &hooks;
+    let durability = &durability;
 
     // Executes one attempt: applies the fault plan's decision for this
     // (stage, task, attempt, node), then runs the closure under
@@ -485,11 +506,11 @@ where
                 s.tasks[task].done = true;
                 won = true;
                 s.done_count += 1;
-                if let Some((save, _, resolve)) = hooks {
-                    save(task, dur, &value);
+                if let Some(d) = durability {
+                    d.store.save_task(stage, task, d.shuffle_fp, dur, &value);
                     counters.checkpoint_writes.fetch_add(1, Ordering::Relaxed);
                     if redriven[task] {
-                        resolve(task);
+                        d.store.dlq_resolve(stage, task);
                         counters.dlq_redriven.fetch_add(1, Ordering::Relaxed);
                         resolved = true;
                     }
@@ -504,7 +525,7 @@ where
         if won && spec {
             counters.speculative_won.fetch_add(1, Ordering::Relaxed);
         }
-        if won && hooks.is_some() {
+        if won && durability.is_some() {
             obs.counter(
                 names::MAPREDUCE_CHECKPOINT_WRITE,
                 1,
@@ -583,8 +604,9 @@ where
 
     let threads = cluster.effective_host_threads().max(1).min(num_tasks);
     std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
-            scope.spawn(|| {
+            workers.push(scope.spawn(|| {
                 'acquire: loop {
                     // Acquire work under the scheduler lock: a fresh
                     // task, a straggler to speculate on, or nothing yet.
@@ -658,7 +680,7 @@ where
                                     s.tasks[task].failures += 1;
                                     let failures = s.tasks[task].failures;
                                     if failures > retries {
-                                        if let Some((_, divert, _)) = hooks {
+                                        if let Some(d) = durability {
                                             // Durable job: divert the
                                             // exhausted task to the DLQ
                                             // and keep the job going.
@@ -668,7 +690,14 @@ where
                                                 s.done_count += 1;
                                                 let errors = std::mem::take(&mut s.errors[task]);
                                                 drop(s);
-                                                divert(task, failures, errors);
+                                                d.store.dlq_divert(DlqEntry {
+                                                    stage: stage.to_string(),
+                                                    task,
+                                                    attempts: failures,
+                                                    errors,
+                                                    fault_seed: cluster.fault.map(|f| f.seed),
+                                                    redrive: false,
+                                                });
                                                 counters
                                                     .dlq_diverted
                                                     .fetch_add(1, Ordering::Relaxed);
@@ -727,7 +756,17 @@ where
                         }
                     }
                 }
-            });
+            }));
+        }
+        // Join every worker before the stage returns. The scope alone
+        // waits only for the closures, so a worker's OS thread could still
+        // be exiting, holding its malloc arena, when the next stage spawns
+        // its threads; those would then open fresh arenas, and how much
+        // memory the process keeps would depend on thread timing.
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
 
@@ -746,290 +785,9 @@ where
         .unwrap_or_else(std::sync::PoisonError::into_inner))
 }
 
-/// Executes one MapReduce job.
-///
-/// # Errors
-/// Returns [`JobError::TaskFailed`] when a task exhausts its retry budget
-/// and [`JobError::NoReducers`] when records were emitted but
-/// `num_reducers == 0`.
-pub fn run_job<M, R>(
-    cluster: &ClusterConfig,
-    input: &BlockStore<M::In>,
-    mapper: &M,
-    reducer: &R,
-    partitioner: &Partitioner<M::K>,
-    num_reducers: usize,
-) -> Result<JobOutput<M::K, R::Out>, JobError>
-where
-    M: Mapper,
-    M::In: EstimateSize,
-    M::K: Sync,
-    M::V: Sync,
-    R: Reducer<M::K, M::V>,
-{
-    run_job_obs(
-        cluster,
-        input,
-        mapper,
-        reducer,
-        partitioner,
-        num_reducers,
-        &Obs::null(),
-    )
-}
-
-/// [`run_job`] with structured observability: per-task spans, retry
-/// counters, shuffle volume counters/histograms, and the locality
-/// outcome are emitted through `obs` (see DESIGN.md §Observability).
-///
-/// # Errors
-/// Same as [`run_job`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_obs<M, R>(
-    cluster: &ClusterConfig,
-    input: &BlockStore<M::In>,
-    mapper: &M,
-    reducer: &R,
-    partitioner: &Partitioner<M::K>,
-    num_reducers: usize,
-    obs: &Obs,
-) -> Result<JobOutput<M::K, R::Out>, JobError>
-where
-    M: Mapper,
-    M::In: EstimateSize,
-    M::K: Sync,
-    M::V: Sync,
-    R: Reducer<M::K, M::V>,
-{
-    run_job_inner(
-        cluster,
-        input,
-        mapper,
-        None::<&NoCombiner<M::K, M::V>>,
-        reducer,
-        partitioner,
-        num_reducers,
-        obs,
-        None,
-    )
-}
-
-/// [`run_job`] with a map-side combiner applied to each map task's output
-/// before the shuffle.
-///
-/// # Errors
-/// Same as [`run_job`].
-pub fn run_job_with_combiner<M, C, R>(
-    cluster: &ClusterConfig,
-    input: &BlockStore<M::In>,
-    mapper: &M,
-    combiner: &C,
-    reducer: &R,
-    partitioner: &Partitioner<M::K>,
-    num_reducers: usize,
-) -> Result<JobOutput<M::K, R::Out>, JobError>
-where
-    M: Mapper,
-    M::In: EstimateSize,
-    M::K: Sync,
-    M::V: Sync,
-    C: Combiner<K = M::K, V = M::V>,
-    R: Reducer<M::K, M::V>,
-{
-    run_job_with_combiner_obs(
-        cluster,
-        input,
-        mapper,
-        combiner,
-        reducer,
-        partitioner,
-        num_reducers,
-        &Obs::null(),
-    )
-}
-
-/// [`run_job_with_combiner`] with structured observability (see
-/// [`run_job_obs`]).
-///
-/// # Errors
-/// Same as [`run_job`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_with_combiner_obs<M, C, R>(
-    cluster: &ClusterConfig,
-    input: &BlockStore<M::In>,
-    mapper: &M,
-    combiner: &C,
-    reducer: &R,
-    partitioner: &Partitioner<M::K>,
-    num_reducers: usize,
-    obs: &Obs,
-) -> Result<JobOutput<M::K, R::Out>, JobError>
-where
-    M: Mapper,
-    M::In: EstimateSize,
-    M::K: Sync,
-    M::V: Sync,
-    C: Combiner<K = M::K, V = M::V>,
-    R: Reducer<M::K, M::V>,
-{
-    run_job_inner(
-        cluster,
-        input,
-        mapper,
-        Some(combiner),
-        reducer,
-        partitioner,
-        num_reducers,
-        obs,
-        None,
-    )
-}
-
 /// One stage-2 task's persisted payload: the reducer outputs plus the
 /// per-key-group timings.
 type ReducePayload<K, O> = (Vec<O>, Vec<(K, Duration)>);
-
-/// A restored task record: the original attempt's duration plus its
-/// persisted value (map emissions, or a [`ReducePayload`]).
-type Restored<T> = Option<(Duration, T)>;
-/// Loader for a completed map task's record, if one survives on disk.
-type LoadMap<'a, K, V> = Box<dyn Fn(usize) -> Restored<Vec<(K, V)>> + Sync + 'a>;
-/// Persister for a completed map task.
-type SaveMap<'a, K, V> = Box<dyn Fn(usize, Duration, &Vec<(K, V)>) + Sync + 'a>;
-/// Loader for a completed reduce task keyed by the shuffle fingerprint.
-type LoadReduce<'a, K, O> = Box<dyn Fn(usize, u64) -> Restored<ReducePayload<K, O>> + Sync + 'a>;
-/// Persister for a completed reduce task.
-type SaveReduce<'a, K, O> = Box<dyn Fn(usize, u64, Duration, &ReducePayload<K, O>) + Sync + 'a>;
-
-/// Type-erased checkpoint accessors for one job run.
-///
-/// `run_job_inner` stays free of [`Durable`] bounds (the non-durable
-/// entry points must keep working for any `Mapper`/`Reducer`); the
-/// bounds live on [`run_job_durable`], which builds these boxed
-/// closures over the concrete key/value/output types.
-struct JobDurability<'a, K, V, O> {
-    store: &'a CheckpointStore,
-    load_map: LoadMap<'a, K, V>,
-    save_map: SaveMap<'a, K, V>,
-    load_reduce: LoadReduce<'a, K, O>,
-    save_reduce: SaveReduce<'a, K, O>,
-}
-
-impl<'a, K, V, O> JobDurability<'a, K, V, O>
-where
-    K: Durable + Ord + Clone + Send,
-    V: Durable + Send,
-    O: Durable + Send,
-{
-    fn new(store: &'a CheckpointStore) -> Self {
-        JobDurability {
-            store,
-            load_map: Box::new(move |t| store.load_task("map", t, 0)),
-            save_map: Box::new(move |t, dur, v: &Vec<(K, V)>| store.save_task("map", t, 0, dur, v)),
-            load_reduce: Box::new(move |t, fp| store.load_task("reduce", t, fp)),
-            save_reduce: Box::new(move |t, fp, dur, v: &ReducePayload<K, O>| {
-                store.save_task("reduce", t, fp, dur, v)
-            }),
-        }
-    }
-}
-
-/// [`run_job_obs`] with durability: completed tasks are persisted to
-/// `store` and skipped on resume, and tasks that exhaust their retry
-/// budget are diverted to the dead-letter queue (the job then finishes
-/// with [`JobOutcome::PartialWithDlq`] instead of erroring).
-///
-/// The key, value, and output types must be [`Durable`]; resumed runs
-/// are bit-identical to uninterrupted ones.
-///
-/// # Errors
-/// [`JobError::TaskFailed`] never occurs here (exhausted tasks divert
-/// instead); [`JobError::Interrupted`] reports a deliberate mid-stage
-/// abort and [`JobError::Checkpoint`] a persistence failure.
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_durable<M, R>(
-    cluster: &ClusterConfig,
-    input: &BlockStore<M::In>,
-    mapper: &M,
-    reducer: &R,
-    partitioner: &Partitioner<M::K>,
-    num_reducers: usize,
-    obs: &Obs,
-    store: &CheckpointStore,
-) -> Result<JobOutput<M::K, R::Out>, JobError>
-where
-    M: Mapper,
-    M::In: EstimateSize,
-    M::K: Sync + Durable,
-    M::V: Sync + Durable,
-    R: Reducer<M::K, M::V>,
-    R::Out: Durable,
-{
-    let durability = JobDurability::new(store);
-    run_job_inner(
-        cluster,
-        input,
-        mapper,
-        None::<&NoCombiner<M::K, M::V>>,
-        reducer,
-        partitioner,
-        num_reducers,
-        obs,
-        Some(&durability),
-    )
-}
-
-/// [`run_job_durable`] with a map-side combiner (see
-/// [`run_job_with_combiner`]).
-///
-/// # Errors
-/// Same as [`run_job_durable`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_with_combiner_durable<M, C, R>(
-    cluster: &ClusterConfig,
-    input: &BlockStore<M::In>,
-    mapper: &M,
-    combiner: &C,
-    reducer: &R,
-    partitioner: &Partitioner<M::K>,
-    num_reducers: usize,
-    obs: &Obs,
-    store: &CheckpointStore,
-) -> Result<JobOutput<M::K, R::Out>, JobError>
-where
-    M: Mapper,
-    M::In: EstimateSize,
-    M::K: Sync + Durable,
-    M::V: Sync + Durable,
-    C: Combiner<K = M::K, V = M::V>,
-    R: Reducer<M::K, M::V>,
-    R::Out: Durable,
-{
-    let durability = JobDurability::new(store);
-    run_job_inner(
-        cluster,
-        input,
-        mapper,
-        Some(combiner),
-        reducer,
-        partitioner,
-        num_reducers,
-        obs,
-        Some(&durability),
-    )
-}
-
-/// Uninhabited-in-practice combiner used to monomorphize the no-combiner
-/// path of [`run_job`].
-struct NoCombiner<K, V>(std::marker::PhantomData<(K, V)>);
-
-impl<K: Ord + Send + Sync, V: Send + Sync> Combiner for NoCombiner<K, V> {
-    type K = K;
-    type V = V;
-    fn combine(&self, _key: &K, values: Vec<V>) -> Vec<V> {
-        values
-    }
-}
 
 /// Maps a [`StageFailure`] to the job-level error.
 fn stage_error(stage: &'static str, failure: StageFailure, cluster: &ClusterConfig) -> JobError {
@@ -1128,67 +886,54 @@ where
     done.into_iter().map(|(_, value)| value).collect()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_job_inner<M, C, R>(
+/// Executes one MapReduce job.
+///
+/// Every job's keys, values and outputs are [`Durable`], so any job can
+/// run against a checkpoint store; a resumed run is bit-identical to an
+/// uninterrupted one.
+///
+/// # Errors
+/// [`JobError::TaskFailed`] when a task exhausts its retry budget (with a
+/// checkpoint store the task diverts to the dead-letter queue instead),
+/// [`JobError::NoReducers`] when records were emitted but
+/// `num_reducers == 0`, [`JobError::Interrupted`] for a deliberate
+/// mid-stage abort and [`JobError::Checkpoint`] when the store could not
+/// persist its state.
+pub fn run<M, R>(
     cluster: &ClusterConfig,
     input: &BlockStore<M::In>,
     mapper: &M,
-    combiner: Option<&C>,
     reducer: &R,
     partitioner: &Partitioner<M::K>,
     num_reducers: usize,
-    obs: &Obs,
-    durable: Option<&JobDurability<'_, M::K, M::V, R::Out>>,
+    options: JobOptions<'_, M::K, M::V>,
 ) -> Result<JobOutput<M::K, R::Out>, JobError>
 where
     M: Mapper,
     M::In: EstimateSize,
-    M::K: Sync,
-    M::V: Sync,
-    C: Combiner<K = M::K, V = M::V>,
+    M::K: Sync + Durable,
+    M::V: Sync + Durable,
     R: Reducer<M::K, M::V>,
+    R::Out: Durable,
 {
     let job_start = Instant::now();
     let counters = PoolCounters::default();
-    let fault_seed = cluster.fault.as_ref().map(|f| f.seed);
-
-    // Builds the per-stage durability wiring: which tasks are restored
-    // (skipped), dead (DLQ, skipped without a result), or redriven.
-    fn stage_durability<'a, T>(
-        stage: &'static str,
-        num_tasks: usize,
-        dlq: &[DlqEntry],
-        load: impl Fn(usize) -> Option<(Duration, T)>,
-        save: &'a (dyn Fn(usize, Duration, &T) + Sync),
-        divert: &'a (dyn Fn(usize, usize, Vec<String>) + Sync),
-        resolve: &'a (dyn Fn(usize) + Sync),
-    ) -> StageDurability<'a, T> {
-        let mut restored = Vec::with_capacity(num_tasks);
-        let mut dead = vec![false; num_tasks];
-        let mut redriven = vec![false; num_tasks];
-        for (t, dead_slot) in dead.iter_mut().enumerate() {
-            match dlq.iter().find(|e| e.stage == stage && e.task == t) {
-                Some(e) if !e.redrive => {
-                    *dead_slot = true;
-                    restored.push(None);
-                }
-                entry => {
-                    if entry.is_some() {
-                        redriven[t] = true;
-                    }
-                    restored.push(load(t));
-                }
-            }
-        }
-        StageDurability {
-            restored,
-            dead,
-            redriven,
-            save,
-            divert,
-            resolve,
-        }
-    }
+    let JobOptions {
+        obs,
+        combiner,
+        checkpoint,
+    } = options;
+    let obs = &obs;
+    let dlq = checkpoint
+        .map(CheckpointStore::dlq_snapshot)
+        .unwrap_or_default();
+    let durability = |shuffle_fp| {
+        checkpoint.map(|store| StageDurability {
+            store,
+            dlq: &dlq,
+            shuffle_fp,
+        })
+    };
 
     // Simulated I/O charge per byte (zero when disabled).
     let io_secs_per_byte = if cluster.io_bytes_per_sec > 0 {
@@ -1200,40 +945,6 @@ where
 
     // ---- Map stage: one task per input block. ----
     let num_map_tasks = input.num_blocks();
-    let dlq = durable.map(|d| d.store.dlq_snapshot()).unwrap_or_default();
-    let map_save = |t: usize, dur: Duration, v: &Vec<(M::K, M::V)>| {
-        if let Some(d) = durable {
-            (d.save_map)(t, dur, v);
-        }
-    };
-    let map_divert = |task: usize, attempts: usize, errors: Vec<String>| {
-        if let Some(d) = durable {
-            d.store.dlq_divert(DlqEntry {
-                stage: "map".to_string(),
-                task,
-                attempts,
-                errors,
-                fault_seed,
-                redrive: false,
-            });
-        }
-    };
-    let map_resolve = |task: usize| {
-        if let Some(d) = durable {
-            d.store.dlq_resolve("map", task);
-        }
-    };
-    let map_durability = durable.map(|d| {
-        stage_durability(
-            "map",
-            num_map_tasks,
-            &dlq,
-            |t| (d.load_map)(t),
-            &map_save,
-            &map_divert,
-            &map_resolve,
-        )
-    });
     let map_stage = obs.scope(names::MAPREDUCE_STAGE).with_label("stage", "map");
     let map_results = run_task_pool(
         "map",
@@ -1241,7 +952,7 @@ where
         num_map_tasks,
         cluster,
         &counters,
-        map_durability,
+        durability(0),
         |t, attempt| {
             // A transiently-failing block read aborts the attempt; the
             // pool books it as a task failure and retries, drawing a
@@ -1369,39 +1080,6 @@ where
     let reduce_stage = obs
         .scope(names::MAPREDUCE_STAGE)
         .with_label("stage", "reduce");
-    let reduce_save = |t: usize, dur: Duration, v: &ReducePayload<M::K, R::Out>| {
-        if let Some(d) = durable {
-            (d.save_reduce)(t, shuffle_fp, dur, v);
-        }
-    };
-    let reduce_divert = |task: usize, attempts: usize, errors: Vec<String>| {
-        if let Some(d) = durable {
-            d.store.dlq_divert(DlqEntry {
-                stage: "reduce".to_string(),
-                task,
-                attempts,
-                errors,
-                fault_seed,
-                redrive: false,
-            });
-        }
-    };
-    let reduce_resolve = |task: usize| {
-        if let Some(d) = durable {
-            d.store.dlq_resolve("reduce", task);
-        }
-    };
-    let reduce_durability = durable.map(|d| {
-        stage_durability(
-            "reduce",
-            num_reducers,
-            &dlq,
-            |t| (d.load_reduce)(t, shuffle_fp),
-            &reduce_save,
-            &reduce_divert,
-            &reduce_resolve,
-        )
-    });
     type ReduceResult<O, K> = Option<(Duration, ReducePayload<K, O>)>;
     let reduce_results: Vec<ReduceResult<R::Out, M::K>> = run_task_pool(
         "reduce",
@@ -1409,7 +1087,7 @@ where
         num_reducers,
         cluster,
         &counters,
-        reduce_durability,
+        durability(shuffle_fp),
         |t, _attempt| {
             let bucket = &buckets[t];
             let mut outputs = Vec::new();
@@ -1495,10 +1173,8 @@ where
     // A durable run that could not persist its state must not report
     // success — the next resume would silently redo (or worse, skip)
     // work. Surface the first latched write error as a typed failure.
-    if let Some(d) = durable {
-        if let Some(detail) = d.store.take_write_error() {
-            return Err(JobError::Checkpoint(detail));
-        }
+    if let Some(detail) = checkpoint.and_then(CheckpointStore::take_write_error) {
+        return Err(JobError::Checkpoint(detail));
     }
     let diverted = map_diverted + reduce_diverted;
     let outcome = if diverted > 0 {
@@ -1542,20 +1218,30 @@ mod tests {
         (*k as usize) % n
     }
 
+    /// The word count of [`CountMapper`] and [`SumReducer`], with default
+    /// options.
+    fn word_count(
+        cluster: &ClusterConfig,
+        store: &BlockStore<u32>,
+        reducers: usize,
+    ) -> Result<JobOutput<u32, (u32, u64)>, JobError> {
+        run(
+            cluster,
+            store,
+            &CountMapper,
+            &SumReducer,
+            &hash_partitioner,
+            reducers,
+            JobOptions::default(),
+        )
+    }
+
     #[test]
     fn word_count_end_to_end() {
         let items = vec![1u32, 2, 1, 3, 2, 1];
         let store = BlockStore::from_items(items, 2, 1);
         let cluster = ClusterConfig::new(2).with_host_threads(2);
-        let out = run_job(
-            &cluster,
-            &store,
-            &CountMapper,
-            &SumReducer,
-            &hash_partitioner,
-            3,
-        )
-        .unwrap();
+        let out = word_count(&cluster, &store, 3).unwrap();
         let mut counts = out.outputs;
         counts.sort();
         assert_eq!(counts, vec![(1, 3), (2, 2), (3, 1)]);
@@ -1570,15 +1256,7 @@ mod tests {
     fn empty_input_runs() {
         let store: BlockStore<u32> = BlockStore::from_items(vec![], 4, 1);
         let cluster = ClusterConfig::new(1);
-        let out = run_job(
-            &cluster,
-            &store,
-            &CountMapper,
-            &SumReducer,
-            &hash_partitioner,
-            2,
-        )
-        .unwrap();
+        let out = word_count(&cluster, &store, 2).unwrap();
         assert!(out.outputs.is_empty());
         assert_eq!(out.metrics.shuffle_records, 0);
     }
@@ -1586,15 +1264,7 @@ mod tests {
     #[test]
     fn key_times_cover_every_group() {
         let store = BlockStore::from_items(vec![5u32, 5, 7, 9], 2, 1);
-        let out = run_job(
-            &ClusterConfig::new(1),
-            &store,
-            &CountMapper,
-            &SumReducer,
-            &hash_partitioner,
-            2,
-        )
-        .unwrap();
+        let out = word_count(&ClusterConfig::new(1), &store, 2).unwrap();
         let mut keys: Vec<u32> = out.key_times.iter().map(|(k, _)| *k).collect();
         keys.sort();
         assert_eq!(keys, vec![5, 7, 9]);
@@ -1610,13 +1280,14 @@ mod tests {
             }
         }
         let store = BlockStore::from_items(vec![9u32, 3, 7, 1], 1, 1);
-        let out = run_job(
+        let out = run(
             &ClusterConfig::new(1),
             &store,
             &CountMapper,
             &EchoReducer,
             &hash_partitioner,
             1,
+            JobOptions::default(),
         )
         .unwrap();
         assert_eq!(out.outputs, vec![1, 3, 7, 9]);
@@ -1643,7 +1314,7 @@ mod tests {
     fn injected_failure_is_retried() {
         let store = BlockStore::from_items(vec![13u32, 1, 2], 1, 1);
         let cluster = ClusterConfig::new(1).with_retries(2).with_host_threads(1);
-        let out = run_job(
+        let out = run(
             &cluster,
             &store,
             &FlakyMapper {
@@ -1652,6 +1323,7 @@ mod tests {
             &SumReducer,
             &hash_partitioner,
             2,
+            JobOptions::default(),
         )
         .unwrap();
         assert_eq!(out.metrics.task_retries, 1);
@@ -1677,13 +1349,14 @@ mod tests {
     fn exhausted_retries_fail_the_job() {
         let store = BlockStore::from_items(vec![13u32], 1, 1);
         let cluster = ClusterConfig::new(1).with_retries(1).with_host_threads(1);
-        let err = run_job(
+        let err = run(
             &cluster,
             &store,
             &BrokenMapper,
             &SumReducer,
             &hash_partitioner,
             1,
+            JobOptions::default(),
         )
         .unwrap_err();
         assert_eq!(
@@ -1715,7 +1388,7 @@ mod tests {
     fn reduce_retry_does_not_lose_input() {
         let store = BlockStore::from_items(vec![5u32, 5, 6, 7], 2, 1);
         let cluster = ClusterConfig::new(1).with_retries(2).with_host_threads(1);
-        let out = run_job(
+        let out = run(
             &cluster,
             &store,
             &CountMapper,
@@ -1724,6 +1397,7 @@ mod tests {
             },
             &|_k, _n| 0usize,
             1,
+            JobOptions::default(),
         )
         .unwrap();
         assert_eq!(out.metrics.task_retries, 1);
@@ -1737,27 +1411,11 @@ mod tests {
         let items: Vec<u32> = (0..100).collect();
         let store = BlockStore::from_items(items, 10, 1);
         let cluster = ClusterConfig::new(2);
-        let plain = run_job(
-            &cluster,
-            &store,
-            &CountMapper,
-            &SumReducer,
-            &hash_partitioner,
-            2,
-        )
-        .unwrap();
+        let plain = word_count(&cluster, &store, 2).unwrap();
         // 10 blocks x 10 items x 4 bytes at 400 B/s = 100 ms simulated
         // read per block; shuffle records are 12 bytes each.
         let slow_io = cluster.with_io_bandwidth(400);
-        let charged = run_job(
-            &slow_io,
-            &store,
-            &CountMapper,
-            &SumReducer,
-            &hash_partitioner,
-            2,
-        )
-        .unwrap();
+        let charged = word_count(&slow_io, &store, 2).unwrap();
         let mut a = plain.outputs;
         let mut b = charged.outputs;
         a.sort();
@@ -1775,16 +1433,37 @@ mod tests {
     fn partitioner_out_of_range_is_clamped() {
         let bad_partitioner = |_k: &u32, _n: usize| 999usize;
         let store = BlockStore::from_items(vec![1u32, 2], 1, 1);
-        let out = run_job(
+        let out = run(
             &ClusterConfig::new(1),
             &store,
             &CountMapper,
             &SumReducer,
             &bad_partitioner,
             2,
+            JobOptions::default(),
         )
         .unwrap();
         assert_eq!(out.outputs.len(), 2);
+    }
+
+    /// [`CountMapper`] with `u32` counts, the value type [`SumCombiner`]
+    /// folds.
+    struct CountMapper32;
+    impl Mapper for CountMapper32 {
+        type In = u32;
+        type K = u32;
+        type V = u32;
+        fn map(&self, item: &u32, emit: &mut dyn FnMut(u32, u32)) {
+            emit(*item, 1);
+        }
+    }
+
+    struct SumReducer32;
+    impl Reducer<u32, u32> for SumReducer32 {
+        type Out = (u32, u32);
+        fn reduce(&self, key: &u32, values: &[u32], emit: &mut dyn FnMut((u32, u32))) {
+            emit((*key, values.iter().sum()));
+        }
     }
 
     #[test]
@@ -1792,41 +1471,24 @@ mod tests {
         let items: Vec<u32> = (0..300).map(|i| i % 5).collect();
         let store = BlockStore::from_items(items, 50, 1);
         let cluster = ClusterConfig::new(2);
-        struct CountMapper32;
-        impl Mapper for CountMapper32 {
-            type In = u32;
-            type K = u32;
-            type V = u32;
-            fn map(&self, item: &u32, emit: &mut dyn FnMut(u32, u32)) {
-                emit(*item, 1);
-            }
-        }
-        struct SumReducer32;
-        impl Reducer<u32, u32> for SumReducer32 {
-            type Out = (u32, u32);
-            fn reduce(&self, key: &u32, values: &[u32], emit: &mut dyn FnMut((u32, u32))) {
-                emit((*key, values.iter().sum()));
-            }
-        }
-        let plain = run_job(
-            &cluster,
-            &store,
-            &CountMapper32,
-            &SumReducer32,
-            &hash_partitioner32,
-            3,
-        )
-        .unwrap();
-        let combined = run_job_with_combiner(
-            &cluster,
-            &store,
-            &CountMapper32,
-            &SumCombiner::new(),
-            &SumReducer32,
-            &hash_partitioner32,
-            3,
-        )
-        .unwrap();
+        let count = |combiner: Option<&dyn Combiner<K = u32, V = u32>>| {
+            let options = JobOptions {
+                combiner,
+                ..JobOptions::default()
+            };
+            run(
+                &cluster,
+                &store,
+                &CountMapper32,
+                &SumReducer32,
+                &hash_partitioner,
+                3,
+                options,
+            )
+            .unwrap()
+        };
+        let plain = count(None);
+        let combined = count(Some(&SumCombiner::new()));
         let mut a = plain.outputs;
         let mut b = combined.outputs;
         a.sort();
@@ -1836,10 +1498,6 @@ mod tests {
         assert_eq!(plain.metrics.shuffle_records, 300);
         assert_eq!(combined.metrics.shuffle_records, 30);
         assert!(combined.metrics.shuffle_bytes < plain.metrics.shuffle_bytes);
-    }
-
-    fn hash_partitioner32(k: &u32, n: usize) -> usize {
-        (*k as usize) % n
     }
 
     #[test]
@@ -1854,24 +1512,8 @@ mod tests {
         let narrow = ClusterConfig::new(1)
             .with_slots(1, 1)
             .with_io_bandwidth(400);
-        let w = run_job(
-            &wide,
-            &store,
-            &CountMapper,
-            &SumReducer,
-            &hash_partitioner,
-            4,
-        )
-        .unwrap();
-        let n = run_job(
-            &narrow,
-            &store,
-            &CountMapper,
-            &SumReducer,
-            &hash_partitioner,
-            4,
-        )
-        .unwrap();
+        let w = word_count(&wide, &store, 4).unwrap();
+        let n = word_count(&narrow, &store, 4).unwrap();
         // One lane serializes all 64 map tasks; 64 lanes don't.
         assert!(n.metrics.map_makespan >= w.metrics.map_makespan);
         assert!(n.metrics.map_makespan >= Duration::from_millis(640));
@@ -1884,14 +1526,17 @@ mod tests {
         let obs = Obs::new(mem.clone());
         let items = vec![1u32, 2, 1, 3, 2, 1];
         let store = BlockStore::from_items(items, 2, 1);
-        let out = run_job_obs(
+        let out = run(
             &ClusterConfig::new(2),
             &store,
             &CountMapper,
             &SumReducer,
             &hash_partitioner,
             3,
-            &obs,
+            JobOptions {
+                obs,
+                ..JobOptions::default()
+            },
         )
         .unwrap();
         // One span per map task and per reduce task.
@@ -1946,7 +1591,7 @@ mod tests {
         let obs = Obs::new(mem.clone());
         let store = BlockStore::from_items(vec![5u32, 5, 6, 7], 2, 1);
         let cluster = ClusterConfig::new(1).with_retries(2).with_host_threads(1);
-        let out = run_job_obs(
+        let out = run(
             &cluster,
             &store,
             &CountMapper,
@@ -1955,7 +1600,10 @@ mod tests {
             },
             &|_k, _n| 0usize,
             1,
-            &obs,
+            JobOptions {
+                obs,
+                ..JobOptions::default()
+            },
         )
         .unwrap();
         assert_eq!(out.metrics.task_retries, 1);
@@ -1971,7 +1619,7 @@ mod tests {
             .with_retries(2)
             .with_host_threads(1)
             .with_backoff_ms(4);
-        let out = run_job(
+        let out = run(
             &cluster,
             &store,
             &FlakyMapper {
@@ -1980,6 +1628,7 @@ mod tests {
             &SumReducer,
             &hash_partitioner,
             1,
+            JobOptions::default(),
         )
         .unwrap();
         assert_eq!(out.metrics.task_retries, 1);
@@ -2014,7 +1663,7 @@ mod tests {
         let cluster = ClusterConfig::new(2)
             .with_host_threads(2)
             .with_speculation(10, 100);
-        let out = run_job(
+        let out = run(
             &cluster,
             &store,
             &StragglerMapper {
@@ -2023,6 +1672,7 @@ mod tests {
             &SumReducer,
             &hash_partitioner,
             2,
+            JobOptions::default(),
         )
         .unwrap();
         assert!(out.metrics.speculative_launched >= 1);
@@ -2045,15 +1695,7 @@ mod tests {
             .with_backoff_ms(0)
             .with_blacklist_after(2)
             .with_fault(plan);
-        let out = run_job(
-            &cluster,
-            &store,
-            &CountMapper,
-            &SumReducer,
-            &hash_partitioner,
-            4,
-        )
-        .unwrap();
+        let out = word_count(&cluster, &store, 4).unwrap();
         // Attempts landed on the lost node, failed, were re-placed, and
         // the node was eventually blacklisted.
         assert!(out.metrics.task_retries >= 2);
@@ -2073,15 +1715,7 @@ mod tests {
             .with_backoff_ms(0)
             .without_speculation()
             .with_fault(plan);
-        let err = run_job(
-            &cluster,
-            &store,
-            &CountMapper,
-            &SumReducer,
-            &hash_partitioner,
-            1,
-        )
-        .unwrap_err();
+        let err = word_count(&cluster, &store, 1).unwrap_err();
         assert_eq!(
             err,
             JobError::TaskFailed {
@@ -2103,15 +1737,7 @@ mod tests {
             .with_retries(8)
             .with_backoff_ms(0)
             .with_fault(plan);
-        let out = run_job(
-            &cluster,
-            &store,
-            &CountMapper,
-            &SumReducer,
-            &hash_partitioner,
-            4,
-        )
-        .unwrap();
+        let out = word_count(&cluster, &store, 4).unwrap();
         assert!(out.metrics.block_read_errors > 0);
         assert_eq!(out.metrics.block_read_errors, out.metrics.task_retries);
         assert_eq!(out.outputs.len(), 64);
@@ -2121,15 +1747,7 @@ mod tests {
     fn chaos_panics_produce_identical_outputs_when_job_succeeds() {
         let items: Vec<u32> = (0..200).map(|i| i % 23).collect();
         let store = BlockStore::from_items(items, 5, 1);
-        let clean = run_job(
-            &ClusterConfig::new(4),
-            &store,
-            &CountMapper,
-            &SumReducer,
-            &hash_partitioner,
-            4,
-        )
-        .unwrap();
+        let clean = word_count(&ClusterConfig::new(4), &store, 4).unwrap();
         let mut expected = clean.outputs;
         expected.sort();
         for seed in 0..8u64 {
@@ -2140,15 +1758,7 @@ mod tests {
                 .with_retries(6)
                 .with_backoff_ms(0)
                 .with_fault(plan);
-            let out = run_job(
-                &cluster,
-                &store,
-                &CountMapper,
-                &SumReducer,
-                &hash_partitioner,
-                4,
-            )
-            .unwrap();
+            let out = word_count(&cluster, &store, 4).unwrap();
             assert!(out.metrics.task_retries > 0, "seed {seed} injected nothing");
             let mut got = out.outputs;
             got.sort();
@@ -2188,7 +1798,7 @@ mod tests {
             .with_host_threads(2)
             .with_speculation(10, 100)
             .with_blacklist_after(1);
-        let out = run_job(
+        let out = run(
             &cluster,
             &store,
             &StragglerThenPanicMapper {
@@ -2197,6 +1807,7 @@ mod tests {
             &SumReducer,
             &hash_partitioner,
             2,
+            JobOptions::default(),
         )
         .unwrap();
         assert!(out.metrics.speculative_won >= 1);
@@ -2225,57 +1836,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn interrupted_durable_job_resumes_bit_identical() {
-        let items: Vec<u32> = (0..24).map(|i| i % 7).collect();
-        let store = BlockStore::from_items(items, 3, 1);
-        let clean = run_job(
-            &ClusterConfig::new(2),
-            &store,
-            &CountMapper,
-            &SumReducer,
-            &hash_partitioner,
-            3,
-        )
-        .unwrap();
+    /// Kills a durable job after three fresh task completions, resumes it
+    /// from its checkpoint, and compares the outputs with a clean run of
+    /// the same job.
+    fn kill_and_resume<M, R>(
+        name: &str,
+        mapper: &M,
+        reducer: &R,
+        combiner: Option<&dyn Combiner<K = u32, V = M::V>>,
+    ) where
+        M: Mapper<In = u32, K = u32>,
+        M::V: Sync + Durable,
+        R: Reducer<u32, M::V>,
+        R::Out: Durable + PartialEq + std::fmt::Debug,
+    {
+        // Eight map tasks of six items over four keys: a combiner folds
+        // every task's output down to four records.
+        let items: Vec<u32> = (0..48).map(|i| i % 4).collect();
+        let store = BlockStore::from_items(items, 6, 1);
+        let job = |cluster: &ClusterConfig, checkpoint| {
+            let options = JobOptions {
+                combiner,
+                checkpoint,
+                ..JobOptions::default()
+            };
+            run(
+                cluster,
+                &store,
+                mapper,
+                reducer,
+                &hash_partitioner,
+                3,
+                options,
+            )
+        };
+        let clean = job(&ClusterConfig::new(2), None).unwrap();
 
-        let root = ckpt_root("resume");
+        let root = ckpt_root(name);
         let fp = job_fp(store.num_blocks(), 3);
-        let ck = CheckpointStore::open(&root, "wordcount", &fp).unwrap();
+        let ck = CheckpointStore::open(&root, name, &fp).unwrap();
         let interrupting = ClusterConfig::new(2)
             .with_fault(crate::fault::FaultPlan::new(0).with_interrupt_after(3));
-        let err = run_job_durable(
-            &interrupting,
-            &store,
-            &CountMapper,
-            &SumReducer,
-            &hash_partitioner,
-            3,
-            &Obs::null(),
-            &ck,
-        )
-        .unwrap_err();
+        let err = job(&interrupting, Some(&ck)).unwrap_err();
         assert!(
             matches!(err, JobError::Interrupted { completed, .. } if completed >= 3),
             "unexpected error: {err}"
         );
 
-        let ck = CheckpointStore::open(&root, "wordcount", &fp).unwrap();
+        let ck = CheckpointStore::open(&root, name, &fp).unwrap();
         assert_eq!(
             ck.resume_state(),
             &crate::checkpoint::ResumeState::Resumable
         );
-        let resumed = run_job_durable(
-            &ClusterConfig::new(2),
-            &store,
-            &CountMapper,
-            &SumReducer,
-            &hash_partitioner,
-            3,
-            &Obs::null(),
-            &ck,
-        )
-        .unwrap();
+        let resumed = job(&ClusterConfig::new(2), Some(&ck)).unwrap();
         assert_eq!(resumed.outcome, JobOutcome::Complete);
         assert!(
             resumed.metrics.checkpoint_skips >= 3,
@@ -2283,7 +1896,24 @@ mod tests {
             resumed.metrics.checkpoint_skips
         );
         assert_eq!(resumed.outputs, clean.outputs, "resume changed the output");
+        assert_eq!(
+            resumed.metrics.shuffle_records, clean.metrics.shuffle_records,
+            "resume changed the shuffle"
+        );
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn interrupted_durable_job_resumes_bit_identical() {
+        kill_and_resume("wordcount", &CountMapper, &SumReducer, None);
+        // A combiner and a checkpoint together, as Domain's verify job
+        // runs them: the persisted map records are the combined ones.
+        kill_and_resume(
+            "wordcount-combined",
+            &CountMapper32,
+            &SumReducer32,
+            Some(&SumCombiner::new()),
+        );
     }
 
     /// Emits like [`CountMapper`] but always panics on item 13 — a
@@ -2305,15 +1935,7 @@ mod tests {
     fn exhausted_task_diverts_to_dlq_and_redrive_converges() {
         let items = vec![13u32, 1, 2, 3];
         let store = BlockStore::from_items(items, 1, 1);
-        let clean = run_job(
-            &ClusterConfig::new(1),
-            &store,
-            &CountMapper,
-            &SumReducer,
-            &hash_partitioner,
-            2,
-        )
-        .unwrap();
+        let clean = word_count(&ClusterConfig::new(1), &store, 2).unwrap();
 
         let root = ckpt_root("dlq");
         let fp = job_fp(store.num_blocks(), 2);
@@ -2323,15 +1945,17 @@ mod tests {
             .with_backoff_ms(0)
             .with_fault(crate::fault::FaultPlan::new(7));
         let ck = CheckpointStore::open(&root, "dlq-job", &fp).unwrap();
-        let partial = run_job_durable(
+        let partial = run(
             &cluster,
             &store,
             &BrokenOnThirteen,
             &SumReducer,
             &hash_partitioner,
             2,
-            &Obs::null(),
-            &ck,
+            JobOptions {
+                checkpoint: Some(&ck),
+                ..JobOptions::default()
+            },
         )
         .unwrap();
         assert_eq!(partial.outcome, JobOutcome::PartialWithDlq { diverted: 1 });
@@ -2349,15 +1973,17 @@ mod tests {
         // A re-run *without* redrive keeps the task parked: same
         // partial result, no re-execution of the dead task.
         let ck = CheckpointStore::open(&root, "dlq-job", &fp).unwrap();
-        let still_partial = run_job_durable(
+        let still_partial = run(
             &cluster,
             &store,
             &BrokenOnThirteen,
             &SumReducer,
             &hash_partitioner,
             2,
-            &Obs::null(),
-            &ck,
+            JobOptions {
+                checkpoint: Some(&ck),
+                ..JobOptions::default()
+            },
         )
         .unwrap();
         assert_eq!(
@@ -2374,15 +2000,17 @@ mod tests {
             1
         );
         let ck = CheckpointStore::open(&root, "dlq-job", &fp).unwrap();
-        let redriven = run_job_durable(
+        let redriven = run(
             &ClusterConfig::new(1),
             &store,
             &CountMapper,
             &SumReducer,
             &hash_partitioner,
             2,
-            &Obs::null(),
-            &ck,
+            JobOptions {
+                checkpoint: Some(&ck),
+                ..JobOptions::default()
+            },
         )
         .unwrap();
         assert_eq!(redriven.outcome, JobOutcome::Complete);
@@ -2399,15 +2027,7 @@ mod tests {
         let cluster = ClusterConfig::new(1)
             .with_host_threads(1)
             .with_fault(crate::fault::FaultPlan::new(0).with_interrupt_after(2));
-        let err = run_job(
-            &cluster,
-            &store,
-            &CountMapper,
-            &SumReducer,
-            &hash_partitioner,
-            2,
-        )
-        .unwrap_err();
+        let err = word_count(&cluster, &store, 2).unwrap_err();
         assert_eq!(
             err,
             JobError::Interrupted {
@@ -2424,15 +2044,7 @@ mod tests {
         let cluster = ClusterConfig::new(4).with_host_threads(8);
         let mut last: Option<Vec<(u32, u64)>> = None;
         for _ in 0..3 {
-            let out = run_job(
-                &cluster,
-                &store,
-                &CountMapper,
-                &SumReducer,
-                &hash_partitioner,
-                5,
-            )
-            .unwrap();
+            let out = word_count(&cluster, &store, 5).unwrap();
             let mut counts = out.outputs;
             counts.sort();
             if let Some(prev) = &last {
@@ -2483,7 +2095,9 @@ mod tests {
     /// reducer, record and byte totals, and the per-reducer volumes.
     type ShuffleView = (Vec<(u32, Vec<u64>)>, Vec<u32>, u64, u64, Vec<f64>, Vec<f64>);
 
-    fn shuffle_view(host_threads: usize, durable: Option<&CheckpointStore>) -> ShuffleView {
+    /// With a checkpoint store, item 40 is broken, so map task 4 is
+    /// dead-lettered.
+    fn shuffle_view(host_threads: usize, checkpoint: Option<&CheckpointStore>) -> ShuffleView {
         use std::sync::Arc;
         let mem = Arc::new(dod_obs::MemoryRecorder::new());
         let obs = Obs::new(mem.clone());
@@ -2493,33 +2107,25 @@ mod tests {
             .with_host_threads(host_threads)
             .with_retries(0)
             .with_backoff_ms(0);
-        let out = match durable {
-            Some(ck) => run_job_durable(
-                &cluster,
-                &store,
-                &TraceMapper {
-                    broken_item: Some(40),
-                },
-                &GroupEcho,
-                &skip_three,
-                6,
-                &obs,
-                ck,
-            ),
-            None => run_job_obs(
-                &cluster,
-                &store,
-                &TraceMapper { broken_item: None },
-                &GroupEcho,
-                &skip_three,
-                6,
-                &obs,
-            ),
-        }
+        let out = run(
+            &cluster,
+            &store,
+            &TraceMapper {
+                broken_item: checkpoint.map(|_| 40),
+            },
+            &GroupEcho,
+            &skip_three,
+            6,
+            JobOptions {
+                obs,
+                checkpoint,
+                ..JobOptions::default()
+            },
+        )
         .unwrap();
         assert_eq!(
             out.outcome,
-            match durable {
+            match checkpoint {
                 Some(_) => JobOutcome::PartialWithDlq { diverted: 1 },
                 None => JobOutcome::Complete,
             }
@@ -2593,24 +2199,17 @@ mod tests {
         let store = BlockStore::from_items(vec![1u32, 2, 3], 1, 1);
         for threads in [1, 2] {
             let cluster = ClusterConfig::new(1).with_host_threads(threads);
-            let err = run_job(
-                &cluster,
-                &store,
-                &CountMapper,
-                &SumReducer,
-                &hash_partitioner,
-                0,
-            )
-            .unwrap_err();
+            let err = word_count(&cluster, &store, 0).unwrap_err();
             assert_eq!(err, JobError::NoReducers);
             // A mapper that emits nothing needs no reducer.
-            let out = run_job(
+            let out = run(
                 &cluster,
                 &store,
                 &BrokenMapper,
                 &SumReducer,
                 &hash_partitioner,
                 0,
+                JobOptions::default(),
             )
             .unwrap();
             assert!(out.outputs.is_empty());
@@ -2630,5 +2229,60 @@ mod tests {
             })
         }));
         assert!(caught.is_err());
+    }
+
+    /// Task-pool threads that ran a [`ProbeMapper`] task, and those whose
+    /// exit path has dropped their [`ExitProbe`].
+    static PROBED: AtomicU64 = AtomicU64::new(0);
+    static EXITED: AtomicU64 = AtomicU64::new(0);
+
+    /// Dropped as its thread exits; it sleeps first, so a thread that
+    /// nobody waited for is still exiting when the job returns.
+    struct ExitProbe;
+    impl Drop for ExitProbe {
+        fn drop(&mut self) {
+            std::thread::sleep(Duration::from_millis(50));
+            EXITED.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    thread_local! {
+        static PROBE: ExitProbe = {
+            PROBED.fetch_add(1, Ordering::SeqCst);
+            ExitProbe
+        };
+    }
+
+    struct ProbeMapper;
+    impl Mapper for ProbeMapper {
+        type In = u32;
+        type K = u32;
+        type V = u64;
+        fn map(&self, item: &u32, emit: &mut dyn FnMut(u32, u64)) {
+            PROBE.with(|_| {});
+            emit(*item, 1);
+        }
+    }
+
+    /// The next stage must not spawn threads while this one's are still
+    /// exiting: glibc hands a thread's malloc arena back only on its exit
+    /// path, so the new threads would open arenas of their own.
+    #[test]
+    fn task_pool_workers_have_exited_when_run_returns() {
+        let store = BlockStore::from_items((0..8u32).collect(), 1, 1);
+        let cluster = ClusterConfig::new(2).with_host_threads(2);
+        run(
+            &cluster,
+            &store,
+            &ProbeMapper,
+            &SumReducer,
+            &hash_partitioner,
+            2,
+            JobOptions::default(),
+        )
+        .unwrap();
+        let probed = PROBED.load(Ordering::SeqCst);
+        assert!(probed > 0);
+        assert_eq!(EXITED.load(Ordering::SeqCst), probed);
     }
 }

@@ -5,8 +5,10 @@
 //!
 //! * an HDFS-like [`BlockStore`] holding the input split into blocks with a
 //!   configurable replication factor,
-//! * [`Mapper`]/[`Reducer`] traits and a [`run_job`] executor with a real
-//!   shuffle (partition → sort → group) in between,
+//! * [`Mapper`]/[`Reducer`] traits and one job entry point, [`run`], with
+//!   a real shuffle (partition → sort → group) in between; its
+//!   [`JobOptions`] attach telemetry, a map-side [`Combiner`] and a
+//!   [`CheckpointStore`],
 //! * a logical [`ClusterConfig`] (nodes × slots); tasks execute on a host
 //!   thread pool while per-task wall times are recorded, and the
 //!   end-to-end stage times are computed as the **makespan** of list-
@@ -26,7 +28,7 @@
 //! # Example: word count
 //!
 //! ```
-//! use mapreduce::{run_job, BlockStore, ClusterConfig, Mapper, Reducer};
+//! use mapreduce::{run, BlockStore, ClusterConfig, JobOptions, Mapper, Reducer};
 //!
 //! struct Tokenize;
 //! impl Mapper for Tokenize {
@@ -49,13 +51,14 @@
 //! }
 //!
 //! let store = BlockStore::from_items(vec!["a b a", "b a"], 1, 3);
-//! let out = run_job(
+//! let out = run(
 //!     &ClusterConfig::new(2),
 //!     &store,
 //!     &Tokenize,
 //!     &Sum,
 //!     &|k: &String, n| k.len() % n,
 //!     2,
+//!     JobOptions::default(),
 //! )
 //! .unwrap();
 //! let mut counts = out.outputs;
@@ -83,9 +86,8 @@ pub use cluster::ClusterConfig;
 pub use dlq::{DeadLetterQueue, DlqEntry};
 pub use fault::{FaultPlan, TaskFault};
 pub use job::{
-    run_job, run_job_durable, run_job_obs, run_job_with_combiner, run_job_with_combiner_durable,
-    run_job_with_combiner_obs, Combiner, JobError, JobOutcome, JobOutput, Mapper, Partitioner,
-    Reducer, SumCombiner,
+    run, Combiner, JobError, JobOptions, JobOutcome, JobOutput, Mapper, Partitioner, Reducer,
+    SumCombiner,
 };
 pub use metrics::{makespan, JobMetrics};
 pub use size::EstimateSize;

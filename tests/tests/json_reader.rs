@@ -1,5 +1,6 @@
 //! Hostile input against the workspace's one JSON reader
-//! (`dod_obs::json::parse`) and the four formats layered on it.
+//! (`dod_obs::json::parse`) and the four formats layered on it, and
+//! against the CSV point reader (`dod_data::io::read_csv`).
 //!
 //! The reader's grammar is unit-tested beside it; this suite holds what
 //! needs other crates: the bit-exact number round trip over drawn
@@ -14,6 +15,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use dod_data::io::CsvError;
 use dod_detect::CalibrationProfile;
 use dod_obs::json::{self, Json};
 use dod_obs::replay;
@@ -165,6 +167,30 @@ fn mutated_files_load_or_fail_typed() {
         }
     }
     let _ = fs::remove_dir_all(&root);
+}
+
+/// Every single-edit mutant of a small 3-d CSV reads as points that are
+/// all finite, or fails as a parse error (an I/O error for bytes that are
+/// not UTF-8); none panics. `1e308` is one bit from `1e309`, which parses
+/// to infinity, so the sweep reaches the finiteness check.
+#[test]
+fn mutated_csv_reads_finite_points_or_fails_typed() {
+    let path = temp_root("csv").join("points.csv");
+    let sample = b"0.5,1.25,-3\n2e3,0,7.125\n\n-0.0,1e308,9\n";
+    let mut refused_non_finite = 0;
+    for bytes in mutants(sample) {
+        fs::write(&path, &bytes).unwrap();
+        match dod_data::io::read_csv(&path) {
+            Ok(points) => assert!(points.iter().flatten().all(|c| c.is_finite())),
+            Err(CsvError::Parse { reason, .. }) => {
+                refused_non_finite += usize::from(reason.starts_with("non-finite"));
+            }
+            Err(CsvError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+            Err(e) => panic!("{e}"),
+        }
+    }
+    assert!(refused_non_finite > 0);
+    let _ = fs::remove_dir_all(path.parent().unwrap());
 }
 
 /// 100,000 open brackets where each file-backed format expects a
