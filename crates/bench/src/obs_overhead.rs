@@ -83,21 +83,18 @@ fn build_engine(data: &PointSet, obs: Obs, flight_capacity: usize) -> Engine {
         .expect("valid config");
     let runner = DodRunner::builder().config(config).multi_tactic().build();
     Engine::builder(runner)
-        .workers(2)
         .flight_capacity(flight_capacity)
         .build(data)
         .expect("engine builds")
 }
 
-/// Times one `score_batch` round trip, in microseconds.
+/// Times one `score_batch` request, in microseconds.
 fn one_batch_us(engine: &Engine, queries: &[Vec<f64>]) -> f64 {
     let t0 = Instant::now();
     engine
-        .submit(Request::Score {
+        .execute(Request::Score {
             points: queries.to_vec(),
         })
-        .expect("submit")
-        .wait()
         .expect("score");
     t0.elapsed().as_secs_f64() * 1e6
 }
@@ -131,7 +128,7 @@ pub fn run(quick: bool) -> ObsOverheadResult {
         dod_obs::DEFAULT_FLIGHT_CAPACITY,
     );
 
-    // Warm both engines (partition state, worker threads, allocator).
+    // Warm both engines (partition state, caches, allocator).
     for _ in 0..batches.div_ceil(8).max(2) {
         one_batch_us(&null_engine, &queries);
         one_batch_us(&telemetry_engine, &queries);

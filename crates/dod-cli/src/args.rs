@@ -80,10 +80,8 @@ pub struct Args {
 pub struct ServeArgs {
     /// Base pipeline arguments (input, params, strategy, …).
     pub run: Args,
-    /// Worker threads serving engine requests.
+    /// Threads an engine epoch rebuild routes on.
     pub workers: usize,
-    /// Bound of the engine's submission queue.
-    pub queue: usize,
     /// Default per-request deadline in milliseconds (none = unbounded).
     pub deadline_ms: Option<u64>,
     /// Optional TCP address (e.g. `127.0.0.1:9100`) serving Prometheus
@@ -197,10 +195,8 @@ dead-letter queue, and `redrive` flags dead tasks for re-execution on
 the next run with the same arguments.
 
 SERVE OPTIONS:
-    --workers <int>         engine worker threads                         [2]
-    --queue <int>           submission-queue bound (excess rejected)     [64]
-                            (both size the engine's queue; the stdin loop
-                            has one request in flight and runs it itself)
+    --workers <int>         threads an epoch rebuild routes on            [2]
+                            (requests run on the stdin loop's thread)
     --deadline-ms <int>     default per-request deadline          [unbounded]
     --metrics-addr <addr>   serve Prometheus /metrics and /healthz over
                             HTTP on this address (e.g. 127.0.0.1:9100)
@@ -279,7 +275,6 @@ pub fn parse_command(args: &[String]) -> Result<Command, ArgError> {
         _ => return parse(args).map(Command::Run),
     }
     let mut workers = 2usize;
-    let mut queue = 64usize;
     let mut deadline_ms = None;
     let mut metrics_addr = None;
     let mut window_points = None;
@@ -296,11 +291,6 @@ pub fn parse_command(args: &[String]) -> Result<Command, ArgError> {
                 workers = value("--workers")?
                     .parse()
                     .map_err(|e| ArgError::Invalid(format!("--workers: {e}")))?
-            }
-            "--queue" => {
-                queue = value("--queue")?
-                    .parse()
-                    .map_err(|e| ArgError::Invalid(format!("--queue: {e}")))?
             }
             "--deadline-ms" => {
                 deadline_ms = Some(
@@ -330,9 +320,6 @@ pub fn parse_command(args: &[String]) -> Result<Command, ArgError> {
     if workers == 0 {
         return Err(ArgError::Invalid("--workers must be at least 1".into()));
     }
-    if queue == 0 {
-        return Err(ArgError::Invalid("--queue must be at least 1".into()));
-    }
     if window_points == Some(0) {
         return Err(ArgError::Invalid(
             "--window-points must be at least 1".into(),
@@ -341,7 +328,6 @@ pub fn parse_command(args: &[String]) -> Result<Command, ArgError> {
     Ok(Command::Serve(ServeArgs {
         run: parse(&rest)?,
         workers,
-        queue,
         deadline_ms,
         metrics_addr,
         window_points,
@@ -801,8 +787,6 @@ mod tests {
             "4",
             "--workers",
             "3",
-            "--queue",
-            "7",
             "--deadline-ms",
             "250",
         ]))
@@ -812,7 +796,6 @@ mod tests {
         };
         assert_eq!(serve.run.input, "x.csv");
         assert_eq!(serve.workers, 3);
-        assert_eq!(serve.queue, 7);
         assert_eq!(serve.deadline_ms, Some(250));
         assert_eq!(serve.metrics_addr, None);
     }
@@ -1115,7 +1098,6 @@ mod tests {
             panic!("expected serve command");
         };
         assert_eq!(serve.workers, 2);
-        assert_eq!(serve.queue, 64);
         assert_eq!(serve.deadline_ms, None);
         assert!(matches!(
             parse_command(&v(&[

@@ -29,8 +29,9 @@
 //! > {"op": "refresh"}
 //! < {"v":1,"ok":true,"op":"refresh","epoch":1}
 //! > {"op": "stats"}
-//! < {"v":1,"ok":true,"op":"stats","partitions":64,"epoch":0,"queue_depth":0,
-//!    "in_flight":0,"workers":2,"panics":0,"requests":17,"points":41,"churn":2}
+//! < {"v":1,"ok":true,"op":"stats","partitions":64,"epoch":0,"in_flight":0,
+//!    "workers":2,"panics":0,"requests":17,"points":41,"churn":2,
+//!    "dlq_depth":0,"checkpoint_age_ms":null}
 //! > {"op": "metrics"}
 //! < {"v":1,"ok":true,"op":"metrics","metrics":"# HELP dod_engine_request_seconds …"}
 //! > {"op": "quit"}
@@ -53,7 +54,9 @@
 //! batch run. `epoch` tells clients which plan generation the report
 //! describes.
 //!
-//! `stats` is the full [`dod_engine::EngineHealth`] snapshot. `metrics`
+//! `stats` is the full [`dod_engine::EngineHealth`] snapshot; `workers`
+//! is the thread count an epoch rebuild routes on, since every request
+//! runs on the loop's own thread. `metrics`
 //! returns the Prometheus text-format exposition (the same document the
 //! optional `--metrics-addr` HTTP listener serves at `/metrics`) as one
 //! JSON-escaped string. Non-finite numbers (`NaN`, `±Inf`) serialize as
@@ -66,8 +69,8 @@
 //!
 //! Failures answer `{"v":1,"ok":false,"code":"…","error":"…"}` and keep
 //! the loop alive; `quit` or end-of-input ends it. `code` is stable and
-//! machine-readable: `bad_request`, `unknown_op`, `overloaded`,
-//! `deadline`, `dimension`, `panic`, `terminated`, or `pipeline`.
+//! machine-readable: `bad_request`, `unknown_op`, `deadline`,
+//! `dimension`, `panic`, `pipeline`, or `engine`.
 //! `error` is human-readable prose and not part of the contract.
 //! Requests are read by [`dod_obs::json::parse`] — numbers follow the
 //! JSON grammar and must be finite, so `1e999` is a `bad_request`, as is
@@ -109,9 +112,7 @@ impl ServeError {
 /// Maps an engine error to its stable protocol code.
 fn engine_error(e: EngineError) -> ServeError {
     let code = match &e {
-        EngineError::Overloaded => "overloaded",
         EngineError::DeadlineExceeded => "deadline",
-        EngineError::Terminated => "terminated",
         EngineError::Dimension { .. } => "dimension",
         EngineError::TaskPanicked { .. } => "panic",
         EngineError::Pipeline(_) => "pipeline",
@@ -145,11 +146,10 @@ pub struct ServeContext {
 fn health_json(h: &EngineHealth) -> String {
     format!(
         "{{\"v\":1,\"ok\":true,\"op\":\"stats\",\"partitions\":{},\"epoch\":{},\
-         \"queue_depth\":{},\"in_flight\":{},\"workers\":{},\"panics\":{},\"requests\":{},\
+         \"in_flight\":{},\"workers\":{},\"panics\":{},\"requests\":{},\
          \"points\":{},\"churn\":{},\"dlq_depth\":{},\"checkpoint_age_ms\":{}}}",
         h.partitions,
         h.epoch,
-        h.queue_depth,
         h.in_flight,
         h.workers,
         h.panics,
@@ -176,11 +176,6 @@ pub fn render_metrics(ctx: &ServeContext) -> String {
         h.partitions as f64,
     );
     w.gauge("dod_engine_epoch", "Current plan epoch.", h.epoch as f64);
-    w.gauge(
-        "dod_engine_queue_depth_now",
-        "Queued requests at scrape time.",
-        h.queue_depth as f64,
-    );
     w.gauge(
         "dod_engine_in_flight_now",
         "Requests being executed at scrape time.",
@@ -344,8 +339,7 @@ fn parse_count(request: &Json, key: &str) -> Result<Option<u64>, ServeError> {
     }
 }
 
-/// Runs one engine request on this thread: the loop has one request in
-/// flight, so a hand-off to the engine's queue would buy nothing.
+/// Runs one engine request on the loop's thread.
 fn run_request(engine: &Engine, req: Request) -> Result<Response, ServeError> {
     engine.execute(req).map_err(engine_error)
 }
@@ -604,9 +598,7 @@ pub fn serve(args: &ServeArgs) -> Result<(), String> {
     }
     let obs = Obs::new(Arc::new(FanoutRecorder::new(sinks)));
     let runner = crate::build_runner(&args.run, obs)?;
-    let mut builder = Engine::builder(runner)
-        .workers(args.workers)
-        .queue_capacity(args.queue);
+    let mut builder = Engine::builder(runner).workers(args.workers);
     if let Some(ms) = args.deadline_ms {
         builder = builder.default_deadline(Duration::from_millis(ms));
     }
@@ -768,7 +760,6 @@ mod tests {
         let runner = crate::build_runner(&args.run, obs).unwrap();
         let engine = Engine::builder(runner)
             .workers(args.workers)
-            .queue_capacity(args.queue)
             .build(&data)
             .unwrap();
         let ctx = ServeContext {
@@ -812,7 +803,6 @@ mod tests {
         for field in [
             "\"partitions\":",
             "\"epoch\":",
-            "\"queue_depth\":",
             "\"in_flight\":",
             "\"workers\":1",
             "\"panics\":0",
@@ -1086,11 +1076,9 @@ mod tests {
     fn http_listener_serves_metrics_and_healthz() {
         let (_args, ctx, path) = test_context();
         ctx.engine
-            .submit(Request::Score {
+            .execute(Request::Score {
                 points: vec![vec![0.7, 0.7]],
             })
-            .unwrap()
-            .wait()
             .unwrap();
         let bound = spawn_metrics_listener("127.0.0.1:0", ctx.clone()).unwrap();
         std::fs::remove_file(&path).ok();
@@ -1107,7 +1095,7 @@ mod tests {
         assert!(metrics.starts_with("HTTP/1.0 200 OK"), "{metrics}");
         assert!(metrics.contains("text/plain; version=0.0.4"));
         assert!(metrics.contains("dod_engine_request_seconds_count{op=\"score\"} 1"));
-        assert!(metrics.contains("dod_engine_queue_depth_now 0"));
+        assert!(metrics.contains("dod_engine_in_flight_now 0"));
 
         let health = get("/healthz");
         assert!(health.starts_with("HTTP/1.0 200 OK"), "{health}");

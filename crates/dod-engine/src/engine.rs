@@ -4,22 +4,18 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use dod::{DodConfig, DodRunner};
 use dod_core::{PointId, PointSet};
 use dod_detect::{Partition, PartitionState};
-use dod_obs::sync::{lock_recover, read_recover, wait_recover, write_recover};
+use dod_obs::sync::{lock_recover, read_recover, write_recover};
 use dod_obs::{names, FanoutRecorder, FlightRecorder, Obs, Recorder, Value};
 use dod_partition::{MultiTacticPlan, Router};
 
 use crate::audit::{CostAudit, CostAuditState};
 use crate::error::EngineError;
-use crate::worker::{Job, Pending, WorkerPool};
-
-/// Default bound of the submission queue.
-pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
 
 /// Default drift threshold of [`Engine::refresh_if_drifted`].
 pub const DEFAULT_DRIFT_THRESHOLD: f64 = 0.25;
@@ -41,40 +37,23 @@ pub const PARTITION_WORK_TOP_K: usize = 16;
 /// queries.
 pub const SCORE_GROUP: usize = 8;
 
-/// The verdict for one query point scored under a degraded-mode time
-/// budget ([`RequestOptions::degraded`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradedScore {
-    /// Resident neighbors counted before the budget ran out (complete,
-    /// i.e. counted until `k`, when `degraded` is `false`).
-    pub neighbors: usize,
-    /// The outlier verdict implied by `neighbors` — trustworthy only
-    /// when `degraded` is `false` (a partial count can only
-    /// under-count, so `outlier == false` stays definitive even
-    /// degraded; `outlier == true` may be a false positive).
-    pub outlier: bool,
-    /// `true` iff the budget expired before this point was fully scored.
-    pub degraded: bool,
-}
-
 /// A point-in-time health snapshot of a running engine
 /// ([`Engine::health`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineHealth {
-    /// Requests submitted but not yet picked up by a worker.
-    pub queue_depth: usize,
-    /// Requests currently executing on worker threads.
+    /// Requests currently executing, on whichever threads called
+    /// [`Engine::execute`].
     pub in_flight: usize,
-    /// Number of worker threads.
+    /// Threads an epoch rebuild routes on ([`EngineBuilder::workers`]).
     pub workers: usize,
-    /// Total requests whose job panicked (each contained to its own
-    /// request; the workers survived).
+    /// Total requests that panicked (each contained to its own request;
+    /// the calling thread survived).
     pub panics: u64,
     /// Current plan epoch.
     pub epoch: u64,
     /// Partitions in the resident plan (0 for an empty dataset).
     pub partitions: usize,
-    /// Total requests submitted since the engine was built (each minted
+    /// Total requests run since the engine was built (each minted
     /// a [`RequestId`]).
     pub requests: u64,
     /// Resident (alive) points in the dataset.
@@ -125,8 +104,7 @@ impl WindowConfig {
     }
 }
 
-/// One engine operation, submitted via [`Engine::submit`] /
-/// [`Engine::submit_with`].
+/// One engine operation, run by [`Engine::execute`].
 #[derive(Debug, Clone)]
 pub enum Request {
     /// Score external query points against the resident dataset.
@@ -158,49 +136,11 @@ pub enum Request {
     },
 }
 
-/// Per-request options of [`Engine::submit_with`], builder-style.
-///
-/// ```
-/// # use std::time::Duration;
-/// # use dod_engine::RequestOptions;
-/// let opts = RequestOptions::new().deadline(Duration::from_millis(50));
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RequestOptions {
-    deadline: Option<Duration>,
-    degraded: Option<Duration>,
-}
-
-impl RequestOptions {
-    /// Options carrying neither a deadline nor a degraded budget; the
-    /// engine's default deadline (if any) applies.
-    pub fn new() -> Self {
-        RequestOptions::default()
-    }
-
-    /// Hard per-request deadline, measured from submission: a request
-    /// past it fails with [`EngineError::DeadlineExceeded`].
-    pub fn deadline(mut self, d: Duration) -> Self {
-        self.deadline = Some(d);
-        self
-    }
-
-    /// Degraded-mode time budget for [`Request::Score`]: instead of
-    /// failing, a blown budget returns partial per-point results
-    /// ([`Response::ScoreDegraded`]). Ignored by other request kinds.
-    pub fn degraded(mut self, budget: Duration) -> Self {
-        self.degraded = Some(budget);
-        self
-    }
-}
-
 /// The result of one [`Request`], matched to its kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
     /// Answer to [`Request::Score`].
     Score(Vec<ScorePoint>),
-    /// Answer to [`Request::Score`] under a degraded budget.
-    ScoreDegraded(Vec<DegradedScore>),
     /// Answer to [`Request::Detect`]: ascending outlier ids.
     Outliers(Vec<PointId>),
     /// Answer to [`Request::Insert`].
@@ -216,14 +156,6 @@ impl Response {
     pub fn into_score(self) -> Option<Vec<ScorePoint>> {
         match self {
             Response::Score(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The degraded scores, if this is a [`Response::ScoreDegraded`].
-    pub fn into_degraded(self) -> Option<Vec<DegradedScore>> {
-        match self {
-            Response::ScoreDegraded(s) => Some(s),
             _ => None,
         }
     }
@@ -507,11 +439,11 @@ struct Shared {
     /// The authoritative dataset, mutated by streaming ops.
     dataset: Mutex<DatasetState>,
     resident: RwLock<Arc<Resident>>,
-    /// Read/write gate between serving and mutation: score/detect jobs
-    /// hold it shared for their whole execution, insert/remove/window
-    /// jobs hold it exclusively — so a reader never observes a
-    /// half-applied mutation (a point core-resident in one partition
-    /// but missing from a neighbor's support set).
+    /// Read/write gate between serving and mutation: score/detect
+    /// requests hold it shared for their whole execution,
+    /// insert/remove/window requests hold it exclusively — so a reader
+    /// never observes a half-applied mutation (a point core-resident in
+    /// one partition but missing from a neighbor's support set).
     ingest: RwLock<()>,
     /// Observed per-partition mass: core counts at materialization time
     /// plus one unit per scored query point located in the partition,
@@ -523,16 +455,15 @@ struct Shared {
     refresh: Mutex<()>,
     /// Staleness ratio above which a mutation op epoch-swaps.
     staleness_threshold: f64,
-    /// The engine's worker-thread count; an epoch rebuild routes on this
-    /// many threads (every other worker is parked behind the ingest
-    /// gate while it does).
+    /// Threads an epoch rebuild routes on ([`EngineBuilder::workers`]);
+    /// every other request waits at the ingest gate while it does.
     workers: usize,
     /// The engine's emitting handle: the user's recorder (if any) fanned
     /// out with the always-on flight recorder.
     obs: Obs,
-    /// Requests currently executing on worker threads.
+    /// Requests currently executing.
     in_flight: AtomicUsize,
-    /// Requests whose job panicked (contained to the request).
+    /// Requests that panicked (contained to the request).
     panics: AtomicU64,
     /// Monotonic [`RequestId`] mint; also the total-requests counter.
     requests: AtomicU64,
@@ -642,8 +573,7 @@ impl Shared {
 
     /// Dumps the flight-recorder ring (when one is armed) as JSONL to
     /// the configured sink, stderr by default. Called on every request
-    /// failure that reached a worker: panic, deadline overrun, or typed
-    /// error.
+    /// failure: panic, deadline overrun, or typed error.
     fn dump_flight(&self, reason: &str, request: RequestId, op: &'static str) {
         let Some(flight) = &self.flight else {
             return;
@@ -792,22 +722,15 @@ impl Shared {
         Ok(())
     }
 
-    /// Answers one request of any kind; `budget_at` turns a score into
-    /// degraded-mode scoring.
+    /// Answers one request of any kind.
     fn answer(
         &self,
         req: Request,
-        budget_at: Option<Instant>,
         deadline: Option<Instant>,
         rid: RequestId,
     ) -> Result<Response, EngineError> {
         match req {
-            Request::Score { points } => match budget_at {
-                Some(at) => self
-                    .score_degraded(&points, at, rid)
-                    .map(Response::ScoreDegraded),
-                None => self.score(&points, deadline, rid).map(Response::Score),
-            },
+            Request::Score { points } => self.score(&points, deadline, rid).map(Response::Score),
             Request::Detect => self.detect_all(deadline, rid).map(Response::Outliers),
             Request::Insert { points } => self.insert(&points, deadline, rid).map(Response::Insert),
             Request::Remove { ids } => self.remove(&ids, deadline, rid).map(Response::Remove),
@@ -913,67 +836,6 @@ impl Shared {
                 }
             }
         }
-        Ok(out)
-    }
-
-    /// Degraded-mode scoring: like [`Shared::score`], but a blown time
-    /// budget marks results as degraded instead of failing the whole
-    /// batch. Once the budget expires, the point being scored keeps its
-    /// partial neighbor count and every remaining point is answered
-    /// immediately with zero work — the request always returns.
-    fn score_degraded(
-        &self,
-        points: &[Vec<f64>],
-        budget_at: Instant,
-        rid: RequestId,
-    ) -> Result<Vec<DegradedScore>, EngineError> {
-        self.check_points(points)?;
-        let _serving = read_recover(&self.ingest);
-        let resident = Arc::clone(&read_recover(&self.resident));
-        let k = self.runner.config().params.k;
-        let mut out = Vec::with_capacity(points.len());
-        let mut work = vec![0u64; resident.plan.as_ref().map_or(0, |p| p.mt.num_partitions())];
-        let mut over_budget = false;
-        let mut within_r: Vec<u32> = Vec::new();
-        for q in points {
-            let Some(plan) = &resident.plan else {
-                out.push(DegradedScore {
-                    neighbors: 0,
-                    outlier: true,
-                    degraded: false,
-                });
-                continue;
-            };
-            let mut neighbors = 0usize;
-            let mut degraded = over_budget;
-            if !degraded {
-                within_r.clear();
-                plan.router.within_r_into(q, &mut within_r);
-                for &pid in &within_r {
-                    if Instant::now() > budget_at {
-                        over_budget = true;
-                        degraded = true;
-                        break;
-                    }
-                    if neighbors >= k {
-                        break;
-                    }
-                    let state = read_recover(&plan.states[pid as usize]);
-                    if state.core_len() == 0 {
-                        continue;
-                    }
-                    let (found, w) = state.count_core_neighbors_traced(q, k - neighbors);
-                    neighbors += found;
-                    work[pid as usize] += w;
-                }
-            }
-            out.push(DegradedScore {
-                neighbors,
-                outlier: neighbors < k,
-                degraded,
-            });
-        }
-        self.record_partition_work(rid, "score_degraded", resident.plan.as_ref(), &work);
         Ok(out)
     }
 
@@ -1274,7 +1136,7 @@ impl Shared {
     /// Rebuilds the plan over the compacted live dataset with a
     /// reseeded configuration and atomically swaps the new epoch in.
     ///
-    /// Callers must prevent concurrent mutations: mutation jobs hold
+    /// Callers must prevent concurrent mutations: mutation requests hold
     /// the ingest write lock for their whole execution, and the public
     /// refresh entry points acquire it — otherwise a half-applied
     /// mutation could be lost across the swap.
@@ -1345,7 +1207,6 @@ impl Shared {
 pub struct EngineBuilder {
     runner: DodRunner,
     workers: usize,
-    queue_capacity: usize,
     default_deadline: Option<Duration>,
     drift_threshold: f64,
     staleness_threshold: f64,
@@ -1355,23 +1216,18 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Number of worker threads serving requests (default 2, min 1).
+    /// Threads the routing pass of the initial build and of every epoch
+    /// swap runs on (default 2, min 1). Requests themselves run on the
+    /// threads that call [`Engine::execute`].
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
         self
     }
 
-    /// Bound of the submission queue (default
-    /// [`DEFAULT_QUEUE_CAPACITY`], min 1). Submissions beyond the bound
-    /// are rejected with [`EngineError::Overloaded`].
-    pub fn queue_capacity(mut self, n: usize) -> Self {
-        self.queue_capacity = n.max(1);
-        self
-    }
-
-    /// Deadline applied to every request that doesn't carry its own
-    /// (default: none). Measured from submission; a request past its
-    /// deadline fails with [`EngineError::DeadlineExceeded`].
+    /// Deadline applied to every request (default: none), measured from
+    /// the call to [`Engine::execute`]. A request's scan loops check it
+    /// between steps; one past it fails with
+    /// [`EngineError::DeadlineExceeded`].
     pub fn default_deadline(mut self, d: Duration) -> Self {
         self.default_deadline = Some(d);
         self
@@ -1420,8 +1276,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Runs preprocessing once over `data`, materializes per-partition
-    /// detector state, and starts the worker pool.
+    /// Runs preprocessing once over `data` and materializes
+    /// per-partition detector state.
     ///
     /// # Errors
     /// Returns [`EngineError::Pipeline`] if preprocessing fails (e.g.
@@ -1448,7 +1304,7 @@ impl EngineBuilder {
             Shared::materialize(&self.runner, &data, &ids, self.workers)?;
         let dim = data.dim();
         let dataset = DatasetState::new(&data, self.window, Instant::now());
-        let shared = Arc::new(Shared {
+        let shared = Shared {
             runner: self.runner,
             dim,
             dataset: Mutex::new(dataset),
@@ -1465,10 +1321,9 @@ impl EngineBuilder {
             cost_audit: Mutex::new(CostAuditState::default()),
             flight,
             flight_dump: Mutex::new(self.flight_dump),
-        });
+        };
         Ok(Engine {
             shared,
-            pool: WorkerPool::new(self.workers, self.queue_capacity),
             default_deadline: self.default_deadline,
             drift_threshold: self.drift_threshold,
         })
@@ -1481,13 +1336,11 @@ impl EngineBuilder {
 /// selection) and detector-state materialization run **once**, at
 /// [`EngineBuilder::build`]; every subsequent request is served from the
 /// resident [`PartitionState`]s. All requests go through one entry
-/// point, [`Engine::submit`] (or [`Engine::submit_with`] for per-request
-/// [`RequestOptions`]), which queues them for a bounded worker pool;
-/// [`Engine::execute`] is the same entry point for a caller that would
-/// only wait, and runs the request on the caller's thread:
+/// point, [`Engine::execute`], which runs the request on the caller's
+/// thread:
 ///
 /// * [`Request::Score`] — classify external query points against the
-///   resident dataset (exact, or degraded under a time budget);
+///   resident dataset;
 /// * [`Request::Detect`] — the full outlier set of the resident
 ///   dataset, identical to the one-shot pipeline's answer;
 /// * [`Request::Insert`] / [`Request::Remove`] — streaming mutation of
@@ -1502,15 +1355,14 @@ impl EngineBuilder {
 /// from the plan's predictions; mutation ops trigger the same epoch
 /// swap once churn crosses the staleness threshold.
 ///
-/// Submission is non-blocking: when the bounded queue is full, requests
-/// are rejected with [`EngineError::Overloaded`] instead of queueing
-/// without bound. Each request may carry a deadline. Mutations are
-/// serialized against in-flight score/detect work by a
+/// The engine is `Send + Sync`: concurrency comes from the callers'
+/// own threads, each calling [`Engine::execute`] on a shared reference,
+/// and nothing inside the engine queues or rejects a request. Mutations
+/// are serialized against in-flight score/detect work by a
 /// reader–writer gate, so a reader never observes a half-applied
 /// mutation.
 pub struct Engine {
-    shared: Arc<Shared>,
-    pool: WorkerPool,
+    shared: Shared,
     default_deadline: Option<Duration>,
     drift_threshold: f64,
 }
@@ -1521,7 +1373,6 @@ impl Engine {
         EngineBuilder {
             runner,
             workers: 2,
-            queue_capacity: DEFAULT_QUEUE_CAPACITY,
             default_deadline: None,
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
             staleness_threshold: DEFAULT_STALENESS_THRESHOLD,
@@ -1550,13 +1401,8 @@ impl Engine {
             .map_or(0, |p| p.mt.num_partitions())
     }
 
-    /// Requests currently queued (submitted, not yet picked up).
-    pub fn queue_depth(&self) -> usize {
-        self.pool.queue_depth()
-    }
-
-    /// A point-in-time health snapshot: queue depth, in-flight requests,
-    /// contained panics, current epoch. Never blocks on request
+    /// A point-in-time health snapshot: in-flight requests, contained
+    /// panics, current epoch. Never blocks on request
     /// processing (only the resident read lock, held momentarily).
     pub fn health(&self) -> EngineHealth {
         let (epoch, partitions) = {
@@ -1580,9 +1426,8 @@ impl Engine {
             .map(|spec| mapreduce::checkpoint::durability_stats(&spec.dir, &spec.job_id))
             .unwrap_or_default();
         EngineHealth {
-            queue_depth: self.pool.queue_depth(),
             in_flight: self.shared.in_flight.load(Ordering::Acquire),
-            workers: self.pool.workers(),
+            workers: self.shared.workers,
             panics: self.shared.panics.load(Ordering::Acquire),
             epoch,
             partitions,
@@ -1619,148 +1464,41 @@ impl Engine {
         resident.plan.as_ref().map(|p| p.mt.report.clone())
     }
 
-    /// Submits a request with default options (the engine's default
-    /// deadline, no degraded budget).
+    /// Runs a request to completion on the calling thread and returns the
+    /// request kind's [`Response`] arm.
     ///
-    /// Returns immediately with a [`Pending`] handle resolving to the
-    /// request kind's [`Response`] arm, or with
-    /// [`EngineError::Overloaded`] when the submission queue is full.
-    pub fn submit(&self, req: Request) -> Result<Pending<Response>, EngineError> {
-        self.submit_with(req, RequestOptions::default())
-    }
-
-    /// Submits a request with explicit per-request [`RequestOptions`].
-    ///
-    /// A [`RequestOptions::deadline`] overrides the engine's default
-    /// deadline; a [`RequestOptions::degraded`] budget turns a
-    /// [`Request::Score`] into degraded-mode scoring
-    /// ([`Response::ScoreDegraded`]) — the budget clock starts at
-    /// submission, so time spent queued counts against it.
-    pub fn submit_with(
-        &self,
-        req: Request,
-        opts: RequestOptions,
-    ) -> Result<Pending<Response>, EngineError> {
-        let (op, items, deadline, budget_at) = self.describe(&req, &opts);
-        self.submit_job(op, items, deadline, move |shared, d, rid| {
-            shared.answer(req, budget_at, d, rid)
-        })
-    }
-
-    /// Runs a request to completion on the calling thread, with default
-    /// options.
-    ///
-    /// For a caller that would [`submit`](Engine::submit) and
-    /// [`wait`](Pending::wait) at once — `dod serve`'s one-request-at-a-time
-    /// loop is one. Everything a submitted request gets applies: request
-    /// id, deadline, panic containment, the in-flight gauge, the request
-    /// span, the flight dump on error. What it skips is the queue, and
-    /// with it two thread wake-ups per request: on a small virtual
-    /// machine each costs what scoring fifty to a hundred points costs,
-    /// and how much depends on where the scheduler puts the woken thread,
-    /// which changes from one second to the next. Nothing is rejected
-    /// with [`EngineError::Overloaded`] here — the callers' own threads
-    /// bound the concurrency — and the worker threads stay free for
-    /// submitted requests.
+    /// This is the engine's one entry point. Every request gets a request
+    /// id, the engine's default deadline, panic containment, the
+    /// in-flight gauge, the request span, and the flight dump on error.
+    /// Any number of threads may call `execute` on one engine at once:
+    /// scores and detects run side by side on the read side of the
+    /// ingest gate, and a mutation waits for its write side. Nothing
+    /// queues or rejects a request; the callers' threads bound the
+    /// concurrency.
     pub fn execute(&self, req: Request) -> Result<Response, EngineError> {
-        self.execute_with(req, RequestOptions::default())
+        let (op, items) = match &req {
+            Request::Score { points } => ("score", points.len()),
+            Request::Detect => ("detect", lock_recover(&self.shared.dataset).alive_len),
+            Request::Insert { points } => ("insert", points.len()),
+            Request::Remove { ids } => ("remove", ids.len()),
+            Request::Window { .. } => ("window", 0),
+        };
+        let shared = &self.shared;
+        self.run_request(op, items, |d, rid| shared.answer(req, d, rid))
     }
 
-    /// [`Engine::execute`] with explicit per-request [`RequestOptions`].
-    pub fn execute_with(
-        &self,
-        req: Request,
-        opts: RequestOptions,
-    ) -> Result<Response, EngineError> {
-        let (op, items, deadline, budget_at) = self.describe(&req, &opts);
-        let shared = &*self.shared;
-        self.ticket(op, items, deadline)
-            .run(shared, |d, rid| shared.answer(req, budget_at, d, rid))
+    /// [`Engine::execute`], its answer handed back in a [`Pending`] that
+    /// is already resolved: `submit(req)?.wait()` is `execute(req)`.
+    pub fn submit(&self, req: Request) -> Result<Pending<Response>, EngineError> {
+        Ok(Pending(self.execute(req)))
     }
 
-    /// A request's op label, size and deadline, and the instant its
-    /// degraded budget (scores only) runs out.
-    fn describe(
-        &self,
-        req: &Request,
-        opts: &RequestOptions,
-    ) -> (&'static str, usize, Option<Duration>, Option<Instant>) {
-        let deadline = opts.deadline.or(self.default_deadline);
-        match req {
-            Request::Score { points } => match opts.degraded {
-                // A degraded score answers late instead of failing late.
-                Some(budget) => (
-                    "score_degraded",
-                    points.len(),
-                    None,
-                    Some(Instant::now() + budget),
-                ),
-                None => ("score", points.len(), deadline, None),
-            },
-            Request::Detect => {
-                let items = lock_recover(&self.shared.dataset).alive_len;
-                ("detect", items, deadline, None)
-            }
-            Request::Insert { points } => ("insert", points.len(), deadline, None),
-            Request::Remove { ids } => ("remove", ids.len(), deadline, None),
-            Request::Window { .. } => ("window", 0, deadline, None),
-        }
-    }
-
-    /// Numbers a request and starts its deadline clock. Ids are minted
-    /// at submission so queued-but-unstarted requests are already
-    /// attributable.
-    fn ticket(&self, op: &'static str, items: usize, deadline: Option<Duration>) -> Ticket {
-        Ticket {
-            op,
-            items,
-            deadline_at: deadline.map(|d| Instant::now() + d),
-            rid: self.shared.requests.fetch_add(1, Ordering::AcqRel) + 1,
-        }
-    }
-
-    fn submit_job<T: Send + 'static>(
-        &self,
-        op: &'static str,
-        items: usize,
-        deadline: Option<Duration>,
-        f: impl FnOnce(&Shared, Option<Instant>, RequestId) -> Result<T, EngineError> + Send + 'static,
-    ) -> Result<Pending<T>, EngineError> {
-        let ticket = self.ticket(op, items, deadline);
-        let shared = Arc::clone(&self.shared);
-        let (tx, pending) = Pending::channel();
-        let job: Job = Box::new(move || {
-            let _ = tx.send(ticket.run(&shared, |d, rid| f(&shared, d, rid)));
-        });
-        match self.pool.try_submit(job) {
-            Ok(depth) => {
-                self.shared
-                    .obs
-                    .observe(names::ENGINE_QUEUE_DEPTH, depth as f64, &[]);
-                Ok(pending)
-            }
-            Err(e) => {
-                if matches!(e, EngineError::Overloaded) {
-                    self.shared
-                        .obs
-                        .counter(names::ENGINE_REJECTED, 1, &[("op", Value::from(op))]);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Submits a request whose job panics — the chaos hook used to
-    /// exercise panic containment end-to-end. Hidden from docs; tests
-    /// and the chaos suite are the only intended callers.
+    /// Runs a request whose body panics — the chaos hook used to exercise
+    /// panic containment end-to-end. Hidden from docs; tests and the
+    /// chaos suite are the only intended callers.
     #[doc(hidden)]
-    pub fn inject_panic(&self) -> Result<Pending<()>, EngineError> {
-        self.submit_job(
-            "inject_panic",
-            0,
-            None,
-            |_, _, _| -> Result<(), EngineError> { panic!("injected engine panic") },
-        )
+    pub fn inject_panic(&self) -> Result<(), EngineError> {
+        self.run_request("inject_panic", 0, |_, _| panic!("injected engine panic"))
     }
 
     /// Total-variation distance in `[0, 1]` between the resident plan's
@@ -1788,7 +1526,7 @@ impl Engine {
     /// Returns [`EngineError::Pipeline`] if re-planning fails; the
     /// previous resident state stays live in that case.
     pub fn refresh_plan(&self) -> Result<u64, EngineError> {
-        // Exclude in-flight mutation jobs (which apply dataset changes
+        // Exclude in-flight mutation requests (which apply dataset changes
         // and state splices non-atomically) before swapping the epoch.
         let _gate = write_recover(&self.shared.ingest);
         self.shared.refresh_inner(None)
@@ -1815,91 +1553,29 @@ impl Engine {
         }
     }
 
-    /// Parks every worker thread until the returned guard is dropped.
-    ///
-    /// Deterministic-test hook: with all workers parked, submissions
-    /// queue up (and overflow into [`EngineError::Overloaded`]) without
-    /// any timing dependence. Returns after all workers are parked.
-    ///
-    /// Do not call while a previous [`PauseGuard`] is still alive — the
-    /// second call's blocker jobs would wait forever behind the parked
-    /// workers.
-    pub fn pause(&self) -> PauseGuard {
-        let workers = self.pool.workers();
-        let gate = Arc::new(Gate {
-            released: Mutex::new(false),
-            cv: Condvar::new(),
-        });
-        let (entered_tx, entered_rx) = mpsc::channel();
-        for _ in 0..workers {
-            let gate = Arc::clone(&gate);
-            let entered_tx = entered_tx.clone();
-            self.pool
-                .submit_blocking(Box::new(move || {
-                    let _ = entered_tx.send(());
-                    gate.park();
-                }))
-                .expect("engine owns a live pool");
-        }
-        for _ in 0..workers {
-            entered_rx.recv().expect("parked worker signals entry");
-        }
-        PauseGuard { gate }
-    }
-}
-
-struct Gate {
-    released: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn park(&self) {
-        let mut released = lock_recover(&self.released);
-        while !*released {
-            released = wait_recover(&self.cv, released);
-        }
-    }
-
-    fn open(&self) {
-        *lock_recover(&self.released) = true;
-        self.cv.notify_all();
-    }
-}
-
-/// One admitted request: what the request span and the counters say
-/// about it, and when it stops being worth running.
-struct Ticket {
-    op: &'static str,
-    items: usize,
-    deadline_at: Option<Instant>,
-    rid: RequestId,
-}
-
-impl Ticket {
-    /// Runs the request on the calling thread — a pool worker for a
-    /// submitted request, the caller's own for [`Engine::execute`] — and
-    /// accounts for it.
-    fn run<T>(
+    /// Numbers a request, starts its deadline clock, runs `f` on the
+    /// calling thread with the deadline and the request id, and accounts
+    /// for it.
+    fn run_request<T>(
         &self,
-        shared: &Shared,
+        op: &'static str,
+        items: usize,
         f: impl FnOnce(Option<Instant>, RequestId) -> Result<T, EngineError>,
     ) -> Result<T, EngineError> {
-        let (op, rid) = (self.op, self.rid);
+        let shared = &self.shared;
+        let rid = shared.requests.fetch_add(1, Ordering::AcqRel) + 1;
+        let deadline_at = self.default_deadline.map(|d| Instant::now() + d);
         let obs = &shared.obs;
         let epoch = read_recover(&shared.resident).epoch;
         let t0 = Instant::now();
-        let result = if self.deadline_at.is_some_and(|d| t0 > d) {
-            // Expired while queued: never executed.
-            Err(EngineError::DeadlineExceeded)
-        } else {
+        let result = {
             // Contain a panicking request to this request: it resolves
-            // to `TaskPanicked` and the thread survives to serve the
-            // next one. The in-flight gauge covers exactly the execution
-            // (released before the result is handed over, so a caller
-            // who just observed completion sees a consistent snapshot).
+            // to `TaskPanicked` and the calling thread carries on. The
+            // in-flight gauge covers exactly the execution (released
+            // before the result is returned, so a caller who just
+            // observed completion sees a consistent snapshot).
             let _in_flight = InFlightGuard::new(&shared.in_flight);
-            match catch_unwind(AssertUnwindSafe(|| f(self.deadline_at, rid))) {
+            match catch_unwind(AssertUnwindSafe(|| f(deadline_at, rid))) {
                 Ok(result) => result,
                 Err(payload) => {
                     shared.panics.fetch_add(1, Ordering::AcqRel);
@@ -1920,7 +1596,7 @@ impl Ticket {
         let error = result.as_ref().err().map(error_reason);
         let mut labels = vec![
             ("op", Value::from(op)),
-            ("items", Value::from(self.items)),
+            ("items", Value::from(items)),
             ("epoch", Value::from(epoch)),
             ("request", Value::from(rid)),
         ];
@@ -1945,7 +1621,18 @@ impl Ticket {
     }
 }
 
-/// Decrements the in-flight gauge when the job ends, however it ends.
+/// An already-resolved request, as [`Engine::submit`] returns it.
+#[derive(Debug)]
+pub struct Pending<T>(Result<T, EngineError>);
+
+impl<T> Pending<T> {
+    /// The request's result.
+    pub fn wait(self) -> Result<T, EngineError> {
+        self.0
+    }
+}
+
+/// Decrements the in-flight gauge when the request ends, however it ends.
 struct InFlightGuard<'a>(&'a AtomicUsize);
 
 impl InFlightGuard<'_> {
@@ -1965,9 +1652,7 @@ impl Drop for InFlightGuard<'_> {
 /// request spans and as the flight-dump `reason`.
 fn error_reason(e: &EngineError) -> &'static str {
     match e {
-        EngineError::Overloaded => "overloaded",
         EngineError::DeadlineExceeded => "deadline",
-        EngineError::Terminated => "terminated",
         EngineError::Dimension { .. } => "dimension",
         EngineError::NonFinite { .. } => "non_finite",
         EngineError::TaskPanicked { .. } => "panic",
@@ -1983,18 +1668,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Guard returned by [`Engine::pause`]; dropping it releases the parked
-/// workers, which then drain the queue.
-pub struct PauseGuard {
-    gate: Arc<Gate>,
-}
-
-impl Drop for PauseGuard {
-    fn drop(&mut self) {
-        self.gate.open();
     }
 }
 

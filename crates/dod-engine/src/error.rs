@@ -9,15 +9,8 @@ use std::fmt;
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum EngineError {
-    /// The bounded submission queue was full; the request was rejected
-    /// without being enqueued. Back off and retry.
-    Overloaded,
-    /// The request's deadline passed before a worker could finish (or
-    /// start) it.
+    /// The request's deadline passed before it finished.
     DeadlineExceeded,
-    /// The engine's worker pool is gone — the engine was dropped while
-    /// the request was in flight.
-    Terminated,
     /// A query point's dimensionality does not match the resident
     /// dataset's.
     Dimension {
@@ -32,9 +25,9 @@ pub enum EngineError {
         /// Position of the offending point within the request.
         index: usize,
     },
-    /// The request's job panicked on a worker thread. The panic was
-    /// contained: only this request failed, the worker survived, and the
-    /// engine keeps serving subsequent requests.
+    /// The request panicked. The panic was contained: only this request
+    /// failed, the calling thread got this error back, and the engine
+    /// keeps serving subsequent requests.
     TaskPanicked {
         /// The panic payload, when it was a string.
         message: String,
@@ -47,11 +40,7 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::Overloaded => {
-                write!(f, "engine overloaded: submission queue is full")
-            }
             EngineError::DeadlineExceeded => write!(f, "request deadline exceeded"),
-            EngineError::Terminated => write!(f, "engine terminated while request was in flight"),
             EngineError::Dimension { expected, got } => write!(
                 f,
                 "query point has dimension {got}, resident dataset has dimension {expected}"
@@ -60,7 +49,7 @@ impl fmt::Display for EngineError {
                 write!(f, "point {index} has a NaN or infinite coordinate")
             }
             EngineError::TaskPanicked { message } => {
-                write!(f, "request panicked on worker thread: {message}")
+                write!(f, "request panicked: {message}")
             }
             EngineError::Pipeline(_) => write!(f, "pipeline preprocessing failed"),
         }
@@ -88,7 +77,6 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        assert!(EngineError::Overloaded.to_string().contains("queue"));
         assert!(EngineError::DeadlineExceeded
             .to_string()
             .contains("deadline"));

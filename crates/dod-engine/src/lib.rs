@@ -7,13 +7,12 @@
 //! each partition's detector state ([`dod_detect::PartitionState`] — the
 //! same build/query split the batch reducers use), and then serves
 //! micro-batch requests against that state through one entry point,
-//! [`Engine::submit`]:
+//! [`Engine::execute`]:
 //!
 //! * [`Request::Score`] classifies external query points (is each one a
 //!   distance-threshold outlier with respect to the resident dataset?),
 //!   pruning partitions whose rectangle is farther than `r` and
-//!   stopping each count at `k` — exactly, or degraded under a
-//!   [`RequestOptions::degraded`] time budget;
+//!   stopping each count at `k`;
 //! * [`Request::Detect`] returns the resident dataset's full outlier
 //!   set — bit-for-bit the one-shot pipeline's answer for the same
 //!   configuration, strategy, and data, because both paths run the same
@@ -35,23 +34,20 @@
 //!   swap once churn crosses the staleness threshold
 //!   ([`EngineBuilder::staleness_threshold`]).
 //!
-//! Requests run on a bounded worker pool behind a bounded submission
-//! queue: when the queue is full, [`EngineError::Overloaded`] is
-//! returned immediately instead of queueing without bound, and each
-//! request may carry a deadline ([`EngineError::DeadlineExceeded`]).
-//! A caller with one request in flight at a time can skip the queue
-//! and its two thread wake-ups: [`Engine::execute`] runs the same
-//! request, with the same accounting, on the caller's own thread.
-//! Mutations interleave safely with in-flight scoring: a reader–writer
-//! gate serializes them, so a score never observes a half-applied
-//! insert.
+//! A request runs on the thread that calls [`Engine::execute`]; the
+//! engine is `Send + Sync`, so concurrency comes from the callers' own
+//! threads, and nothing inside the engine queues or rejects a request.
+//! An engine-wide deadline ([`EngineBuilder::default_deadline`]) bounds
+//! each request ([`EngineError::DeadlineExceeded`]). Mutations
+//! interleave safely with in-flight scoring: a reader–writer gate
+//! serializes them, so a score never observes a half-applied insert.
 //!
-//! The engine is hardened against misbehaving requests: a panicking job
-//! fails only its own request ([`EngineError::TaskPanicked`]) while the
-//! worker survives, and [`Engine::health`] snapshots queue depth /
-//! in-flight requests / contained panics / resident points / churn.
+//! The engine is hardened against misbehaving requests: a panicking
+//! request fails alone ([`EngineError::TaskPanicked`]) and the calling
+//! thread carries on, and [`Engine::health`] snapshots in-flight
+//! requests / contained panics / resident points / churn.
 //!
-//! Every request is traced: submission mints a [`RequestId`], carried as
+//! Every request is traced: each one mints a [`RequestId`], carried as
 //! the `request` label on the request's span and on the
 //! `engine.partition.work` counters measuring kernel work per partition.
 //! An always-on [`dod_obs::FlightRecorder`] keeps the most recent events
@@ -72,23 +68,15 @@
 //! let config = DodConfig::builder(params).sample_rate(1.0).build().unwrap();
 //! let runner = DodRunner::builder().config(config).multi_tactic().build();
 //!
-//! let engine = Engine::builder(runner).workers(2).build(&data).unwrap();
+//! let engine = Engine::builder(runner).build(&data).unwrap();
 //! // The resident outlier set, identical to the one-shot pipeline's.
-//! let outliers = engine
-//!     .submit(Request::Detect)
-//!     .unwrap()
-//!     .wait()
-//!     .unwrap()
-//!     .into_outliers()
-//!     .unwrap();
-//! assert_eq!(outliers, vec![3]);
+//! let outliers = engine.execute(Request::Detect).unwrap().into_outliers();
+//! assert_eq!(outliers, Some(vec![3]));
 //! // Micro-batch scoring of external points against the same state.
 //! let scores = engine
-//!     .submit(Request::Score {
+//!     .execute(Request::Score {
 //!         points: vec![vec![0.05, 0.05], vec![-7.0, 8.0]],
 //!     })
-//!     .unwrap()
-//!     .wait()
 //!     .unwrap()
 //!     .into_score()
 //!     .unwrap();
@@ -96,23 +84,15 @@
 //! assert!(scores[1].outlier);
 //! // Stream a point in: the isolated point gains a neighborhood.
 //! let receipt = engine
-//!     .submit(Request::Insert {
+//!     .execute(Request::Insert {
 //!         points: vec![vec![8.9, 9.0], vec![9.0, 8.9]],
 //!     })
-//!     .unwrap()
-//!     .wait()
 //!     .unwrap()
 //!     .into_insert()
 //!     .unwrap();
 //! assert_eq!(receipt.ids, vec![4, 5]);
-//! let outliers = engine
-//!     .submit(Request::Detect)
-//!     .unwrap()
-//!     .wait()
-//!     .unwrap()
-//!     .into_outliers()
-//!     .unwrap();
-//! assert!(outliers.is_empty());
+//! let outliers = engine.execute(Request::Detect).unwrap().into_outliers();
+//! assert_eq!(outliers, Some(vec![]));
 //! ```
 
 #![deny(missing_docs)]
@@ -121,17 +101,20 @@
 mod audit;
 mod engine;
 mod error;
-mod worker;
 
 pub use audit::{AlgorithmAudit, CostAudit, GROSS_MISPREDICT_FACTOR, GROSS_MISPREDICT_MIN_WORK};
 pub use engine::{
-    DegradedScore, Engine, EngineBuilder, EngineHealth, InsertReceipt, PauseGuard, RemoveReceipt,
-    Request, RequestId, RequestOptions, Response, ScorePoint, WindowConfig, WindowStatus,
-    DEFAULT_DRIFT_THRESHOLD, DEFAULT_QUEUE_CAPACITY, DEFAULT_STALENESS_THRESHOLD,
-    PARTITION_WORK_TOP_K,
+    Engine, EngineBuilder, EngineHealth, InsertReceipt, Pending, RemoveReceipt, Request, RequestId,
+    Response, ScorePoint, WindowConfig, WindowStatus, DEFAULT_DRIFT_THRESHOLD,
+    DEFAULT_STALENESS_THRESHOLD, PARTITION_WORK_TOP_K,
 };
 pub use error::EngineError;
-pub use worker::Pending;
+
+// Concurrency comes from the callers' threads sharing one engine.
+const _: fn() = || {
+    fn shared_across_threads<T: Send + Sync>() {}
+    shared_across_threads::<Engine>();
+};
 
 #[cfg(test)]
 mod tests {
@@ -162,42 +145,30 @@ mod tests {
 
     fn detect(engine: &Engine) -> Vec<dod_core::PointId> {
         engine
-            .submit(Request::Detect)
-            .unwrap()
-            .wait()
+            .execute(Request::Detect)
             .unwrap()
             .into_outliers()
             .unwrap()
     }
 
     fn score(engine: &Engine, points: Vec<Vec<f64>>) -> Vec<ScorePoint> {
-        engine
-            .submit(Request::Score { points })
-            .unwrap()
-            .wait()
-            .unwrap()
-            .into_score()
-            .unwrap()
+        let req = Request::Score { points };
+        engine.execute(req).unwrap().into_score().unwrap()
     }
 
     fn insert(engine: &Engine, points: Vec<Vec<f64>>) -> InsertReceipt {
-        engine
-            .submit(Request::Insert { points })
-            .unwrap()
-            .wait()
-            .unwrap()
-            .into_insert()
-            .unwrap()
+        let req = Request::Insert { points };
+        engine.execute(req).unwrap().into_insert().unwrap()
     }
 
     fn remove(engine: &Engine, ids: Vec<dod_core::PointId>) -> RemoveReceipt {
-        engine
-            .submit(Request::Remove { ids })
-            .unwrap()
-            .wait()
-            .unwrap()
-            .into_remove()
-            .unwrap()
+        let req = Request::Remove { ids };
+        engine.execute(req).unwrap().into_remove().unwrap()
+    }
+
+    fn window(engine: &Engine, config: Option<WindowConfig>) -> WindowStatus {
+        let req = Request::Window { config };
+        engine.execute(req).unwrap().into_window().unwrap()
     }
 
     #[test]
@@ -231,11 +202,9 @@ mod tests {
         let (data, params) = cluster_with_outlier();
         let engine = Engine::builder(runner(params)).build(&data).unwrap();
         let err = engine
-            .submit(Request::Score {
+            .execute(Request::Score {
                 points: vec![vec![1.0, 2.0, 3.0]],
             })
-            .unwrap()
-            .wait()
             .unwrap_err();
         assert!(matches!(
             err,
@@ -359,13 +328,7 @@ mod tests {
             .build(&data)
             .unwrap();
         // Within the bound: a window tick expires nothing.
-        let status = engine
-            .submit(Request::Window { config: None })
-            .unwrap()
-            .wait()
-            .unwrap()
-            .into_window()
-            .unwrap();
+        let status = window(&engine, None);
         assert_eq!(status.expired, 0);
         assert_eq!(status.resident, 41);
 
@@ -377,18 +340,13 @@ mod tests {
         assert_eq!(rr.missing, 2, "expired points are gone");
 
         // Reconfiguring to a tighter bound expires immediately.
-        let status = engine
-            .submit(Request::Window {
-                config: Some(WindowConfig {
-                    max_points: Some(10),
-                    max_age: None,
-                }),
-            })
-            .unwrap()
-            .wait()
-            .unwrap()
-            .into_window()
-            .unwrap();
+        let status = window(
+            &engine,
+            Some(WindowConfig {
+                max_points: Some(10),
+                max_age: None,
+            }),
+        );
         assert_eq!(status.expired, 31);
         assert_eq!(status.resident, 10);
         assert_eq!(engine.health().points, 10);
@@ -398,19 +356,12 @@ mod tests {
     fn expired_deadline_is_reported() {
         let (data, params) = cluster_with_outlier();
         let engine = Engine::builder(runner(params))
-            .workers(1)
+            .default_deadline(std::time::Duration::ZERO)
             .build(&data)
             .unwrap();
-        // A zero deadline has always expired by the time a worker picks
-        // the request up.
-        let err = engine
-            .submit_with(
-                Request::Detect,
-                RequestOptions::new().deadline(std::time::Duration::ZERO),
-            )
-            .unwrap()
-            .wait()
-            .unwrap_err();
+        // A zero deadline has expired by the time the first partition's
+        // scan checks it.
+        let err = engine.execute(Request::Detect).unwrap_err();
         assert!(matches!(err, EngineError::DeadlineExceeded));
     }
 
@@ -418,25 +369,21 @@ mod tests {
     fn panicking_request_fails_alone_and_engine_survives() {
         let (data, params) = cluster_with_outlier();
         let expected = runner(params).run(&data).unwrap().outliers;
-        let engine = Engine::builder(runner(params))
-            .workers(1) // one worker: it must survive the panic
-            .build(&data)
-            .unwrap();
-        let err = engine.inject_panic().unwrap().wait().unwrap_err();
-        match err {
+        let engine = Engine::builder(runner(params)).build(&data).unwrap();
+        match engine.inject_panic().unwrap_err() {
             EngineError::TaskPanicked { message } => {
                 assert!(message.contains("injected engine panic"))
             }
             other => panic!("expected TaskPanicked, got {other:?}"),
         }
-        // The lone worker survived: both ops still serve correctly.
+        // The panic stayed inside its request: both ops still serve
+        // correctly on the same thread.
         assert_eq!(detect(&engine), expected);
         let scores = score(&engine, vec![vec![0.7, 0.7]]);
         assert!(!scores[0].outlier);
         let health = engine.health();
         assert_eq!(health.panics, 1);
         assert_eq!(health.in_flight, 0);
-        assert_eq!(health.queue_depth, 0);
     }
 
     #[test]
@@ -458,62 +405,6 @@ mod tests {
         assert_eq!(engine.health().epoch, 1);
     }
 
-    #[test]
-    fn degraded_scoring_with_generous_budget_matches_exact() {
-        let (data, params) = cluster_with_outlier();
-        let engine = Engine::builder(runner(params)).build(&data).unwrap();
-        let points = vec![vec![0.7, 0.7], vec![200.0, 0.0]];
-        let exact = score(&engine, points.clone());
-        let degraded = engine
-            .submit_with(
-                Request::Score { points },
-                RequestOptions::new().degraded(std::time::Duration::from_secs(60)),
-            )
-            .unwrap()
-            .wait()
-            .unwrap()
-            .into_degraded()
-            .unwrap();
-        for (d, e) in degraded.iter().zip(&exact) {
-            assert!(!d.degraded);
-            assert_eq!(d.neighbors, e.neighbors);
-            assert_eq!(d.outlier, e.outlier);
-        }
-    }
-
-    #[test]
-    fn blown_budget_degrades_instead_of_failing() {
-        let (data, params) = cluster_with_outlier();
-        let engine = Engine::builder(runner(params)).build(&data).unwrap();
-        let points: Vec<Vec<f64>> = (0..512).map(|_| vec![0.7, 0.7]).collect();
-        // A zero budget has expired before the batch starts: every point
-        // must come back flagged, and the request must still succeed.
-        let out = engine
-            .submit_with(
-                Request::Score { points },
-                RequestOptions::new().degraded(std::time::Duration::ZERO),
-            )
-            .unwrap()
-            .wait()
-            .unwrap()
-            .into_degraded()
-            .unwrap();
-        assert_eq!(out.len(), 512);
-        assert!(out.iter().all(|s| s.degraded));
-        // Dimension errors remain hard errors even in degraded mode.
-        let err = engine
-            .submit_with(
-                Request::Score {
-                    points: vec![vec![1.0, 2.0, 3.0]],
-                },
-                RequestOptions::new().degraded(std::time::Duration::from_secs(60)),
-            )
-            .unwrap()
-            .wait()
-            .unwrap_err();
-        assert!(matches!(err, EngineError::Dimension { .. }));
-    }
-
     /// A NaN or infinite coordinate is refused before anything is scored
     /// or stored: the typed error, the resident count unchanged, and
     /// detection — before and after a re-plan — answering as it did.
@@ -533,15 +424,6 @@ mod tests {
                 let err = engine.execute(req).unwrap_err();
                 assert!(matches!(err, EngineError::NonFinite { index: 1 }), "{err}");
             }
-            let err = engine
-                .execute_with(
-                    Request::Score {
-                        points: vec![vec![0.5, bad]],
-                    },
-                    RequestOptions::new().degraded(std::time::Duration::from_secs(60)),
-                )
-                .unwrap_err();
-            assert!(matches!(err, EngineError::NonFinite { index: 0 }), "{err}");
         }
         assert_eq!(engine.health().points, 41);
         assert_eq!(detect(&engine), before);
@@ -578,13 +460,12 @@ mod tests {
         let (data, params) = cluster_with_outlier();
         let sink = SharedBuf::default();
         let engine = Engine::builder(runner(params))
-            .workers(1)
             .flight_dump(Box::new(sink.clone()))
             .build(&data)
             .unwrap();
         // A healthy request first, so the ring holds unrelated history too.
         score(&engine, vec![vec![0.7, 0.7]]);
-        engine.inject_panic().unwrap().wait().unwrap_err();
+        engine.inject_panic().unwrap_err();
 
         let events = dod_obs::replay::parse_jsonl(&sink.contents()).unwrap();
         let header = events
@@ -620,18 +501,11 @@ mod tests {
         let (data, params) = cluster_with_outlier();
         let sink = SharedBuf::default();
         let engine = Engine::builder(runner(params))
-            .workers(1)
+            .default_deadline(std::time::Duration::ZERO)
             .flight_dump(Box::new(sink.clone()))
             .build(&data)
             .unwrap();
-        let err = engine
-            .submit_with(
-                Request::Detect,
-                RequestOptions::new().deadline(std::time::Duration::ZERO),
-            )
-            .unwrap()
-            .wait()
-            .unwrap_err();
+        let err = engine.execute(Request::Detect).unwrap_err();
         assert!(matches!(err, EngineError::DeadlineExceeded));
         let events = dod_obs::replay::parse_jsonl(&sink.contents()).unwrap();
         let header = events
@@ -812,74 +686,55 @@ mod tests {
         assert!(text.contains("algorithm="));
     }
 
-    /// `execute` answers what `submit` answers, on the caller's thread:
-    /// the only worker is parked behind the pause gate throughout.
+    /// Every request kind runs on the thread that calls `execute`: its
+    /// request span is emitted there, an error comes back typed, and each
+    /// request is counted once.
     #[test]
     fn execute_answers_on_the_calling_thread() {
-        let (data, params) = cluster_with_outlier();
-        let engine = Engine::builder(runner(params))
-            .workers(1)
-            .build(&data)
-            .unwrap();
-        let probes = vec![vec![0.7, 0.7], vec![50.0, 49.9], vec![-20.0, 3.0]];
-        let outliers = detect(&engine);
-        let scores = score(&engine, probes.clone());
-        let before = engine.health().requests;
+        use dod_obs::{names, Event, Obs, Recorder};
+        use std::sync::{Arc, Mutex};
+        use std::thread::ThreadId;
 
-        let _parked = engine.pause();
-        let got = engine.execute(Request::Detect).unwrap();
-        assert_eq!(got.into_outliers().unwrap(), outliers);
-        let got = engine.execute(Request::Score { points: probes }).unwrap();
-        assert_eq!(got.into_score().unwrap(), scores);
-        let budget = RequestOptions::new().degraded(std::time::Duration::from_secs(60));
-        let got = engine
-            .execute_with(
-                Request::Score {
-                    points: vec![vec![0.7, 0.7]],
-                },
-                budget,
-            )
+        /// The threads `engine.request` spans were emitted on.
+        #[derive(Default)]
+        struct SpanThreads(Mutex<Vec<ThreadId>>);
+
+        impl Recorder for SpanThreads {
+            fn record(&self, event: Event) {
+                if event.name == names::ENGINE_REQUEST {
+                    self.0.lock().unwrap().push(std::thread::current().id());
+                }
+            }
+        }
+
+        let (data, params) = cluster_with_outlier();
+        let threads = Arc::new(SpanThreads::default());
+        let config = DodConfig::builder(params)
+            .sample_rate(1.0)
+            .num_reducers(3)
+            .target_partitions(8)
+            .obs(Obs::new(threads.clone()))
+            .build()
             .unwrap();
-        assert!(!got.into_degraded().unwrap()[0].degraded);
-        let receipt = engine
-            .execute(Request::Insert {
-                points: vec![vec![49.9, 50.0]],
-            })
-            .unwrap()
-            .into_insert()
-            .unwrap();
-        assert_eq!(receipt.ids, vec![41]);
-        // Errors are the request's own, typed, and counted like any other.
+        let runner = DodRunner::builder().config(config).multi_tactic().build();
+        let engine = Engine::builder(runner).build(&data).unwrap();
+        assert_eq!(detect(&engine), vec![40]);
+        assert!(!score(&engine, vec![vec![0.7, 0.7]])[0].outlier);
+        assert_eq!(insert(&engine, vec![vec![49.9, 50.0]]).ids, vec![41]);
+        assert_eq!(remove(&engine, vec![41]).removed, 1);
+        assert_eq!(window(&engine, None).resident, 41);
         let err = engine
             .execute(Request::Score {
                 points: vec![vec![1.0]],
             })
             .unwrap_err();
         assert!(matches!(err, EngineError::Dimension { .. }));
+        let caller = std::thread::current().id();
+        let spans = threads.0.lock().unwrap();
+        assert_eq!(spans.len(), 6);
+        assert!(spans.iter().all(|&t| t == caller));
         let health = engine.health();
-        assert_eq!(health.requests, before + 5);
+        assert_eq!(health.requests, 6);
         assert_eq!(health.in_flight, 0);
-        assert_eq!(health.queue_depth, 0);
-    }
-
-    #[test]
-    fn paused_engine_rejects_when_queue_overflows() {
-        let (data, params) = cluster_with_outlier();
-        let engine = Engine::builder(runner(params))
-            .workers(1)
-            .queue_capacity(1)
-            .build(&data)
-            .unwrap();
-        let guard = engine.pause();
-        // One request fits in the queue...
-        let queued = engine.submit(Request::Detect).unwrap();
-        // ...the next must bounce, deterministically.
-        assert!(matches!(
-            engine.submit(Request::Detect).unwrap_err(),
-            EngineError::Overloaded
-        ));
-        assert_eq!(engine.queue_depth(), 1);
-        drop(guard);
-        assert!(queued.wait().is_ok());
     }
 }

@@ -2,24 +2,17 @@
 //! batch pipeline and the detectors.
 //!
 //! The engine's names are shared between the engine crate (producer)
-//! and dashboards/tests (consumers polling queue depth or request
-//! spans), so they live here as constants both sides can reference; so
+//! and dashboards/tests (consumers polling request spans or deadline
+//! misses), so they live here as constants both sides can reference; so
 //! do the executor's stage, task, shuffle, checkpoint and dead-letter
 //! names, the pipeline's `dod.*` stage and plan names and the detectors'
 //! `detect.*` work counters, which `dod obs` and the benchmark read by
 //! name. No shipped code outside this file spells one of these names as
 //! a literal; a source audit in the integration tests holds that.
 
-/// Span: one engine request, from dequeue to completion. Labels: `op`
+/// Span: one engine request, from start to completion. Labels: `op`
 /// (`"score"` or `"detect"`), `items` (points scored), `epoch`.
 pub const ENGINE_REQUEST: &str = "engine.request";
-
-/// Observation: submission-queue depth sampled at each enqueue attempt.
-pub const ENGINE_QUEUE_DEPTH: &str = "engine.queue_depth";
-
-/// Counter: requests rejected with `Overloaded` because the bounded
-/// submission queue was full.
-pub const ENGINE_REJECTED: &str = "engine.rejected";
 
 /// Counter: requests that missed their deadline and returned
 /// `DeadlineExceeded`.
@@ -46,9 +39,9 @@ pub const ENGINE_REFRESH_STAGE: &str = "engine.refresh.stage";
 /// `[0, 1]`), `threshold`, `refreshed` (whether a refresh was triggered).
 pub const ENGINE_DRIFT: &str = "engine.drift";
 
-/// Counter: requests whose job panicked on a worker thread; the panic
-/// was contained to the request (`TaskPanicked`) and the worker
-/// survived. Labels: `op`.
+/// Counter: requests that panicked; the panic was contained to the
+/// request (`TaskPanicked`) and the calling thread carried on. Labels:
+/// `op`.
 pub const ENGINE_PANICS: &str = "engine.task_panics";
 
 /// Counter: measured kernel work (distance evaluations plus index
@@ -216,8 +209,6 @@ pub const DETECT_NODE_VISITS: &str = "detect.node_visits";
 pub fn prom_help(event_name: &str) -> Option<&'static str> {
     Some(match event_name {
         n if n == ENGINE_REQUEST => "Engine request latency from dequeue to completion.",
-        n if n == ENGINE_QUEUE_DEPTH => "Submission-queue depth sampled at enqueue.",
-        n if n == ENGINE_REJECTED => "Requests rejected because the submission queue was full.",
         n if n == ENGINE_DEADLINE_MISSES => "Requests that missed their deadline.",
         n if n == ENGINE_CACHE_HITS => "Requests answered from resident partition state.",
         n if n == ENGINE_PANICS => "Requests whose job panicked on a worker thread.",
@@ -254,10 +245,8 @@ mod tests {
 
     /// The registry: every name above, once. A new constant is added
     /// here, where the checks below see it.
-    const ALL: [&str; 42] = [
+    const ALL: [&str; 40] = [
         ENGINE_REQUEST,
-        ENGINE_QUEUE_DEPTH,
-        ENGINE_REJECTED,
         ENGINE_DEADLINE_MISSES,
         ENGINE_CACHE_HITS,
         ENGINE_REFRESH,

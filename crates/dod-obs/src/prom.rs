@@ -227,12 +227,12 @@ mod tests {
             );
         }
         m.record(Event::new(
-            "engine.queue_depth",
+            "engine.cost.calibration",
             EventKind::Observe { value: 3.0 },
         ));
         let mut text = m.render_prometheus();
         let mut w = PromWriter::new();
-        w.gauge("dod_engine_queue_depth_now", "Live queue depth.", 1.0);
+        w.gauge("dod_engine_in_flight_now", "Live requests.", 1.0);
         text.push_str(&w.finish());
 
         assert!(text.contains("# TYPE dod_engine_task_panics_total counter"));
@@ -240,8 +240,8 @@ mod tests {
         assert!(text.contains("# TYPE dod_engine_request_seconds summary"));
         assert!(text.contains("dod_engine_request_seconds{op=\"score\",quantile=\"0.99\"}"));
         assert!(text.contains("dod_engine_request_seconds_count{op=\"score\"} 3"));
-        assert!(text.contains("# TYPE dod_engine_queue_depth summary"));
-        assert!(text.contains("dod_engine_queue_depth_now 1"));
+        assert!(text.contains("# TYPE dod_engine_cost_calibration summary"));
+        assert!(text.contains("dod_engine_in_flight_now 1"));
         // Every non-comment line is `name[{labels}] value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             assert_eq!(line.split_whitespace().count(), 2, "bad line: {line}");

@@ -207,14 +207,14 @@ mod tests {
                     .with_label("request", i),
             );
             original.record(Event::new(
-                "engine.queue_depth",
+                "engine.cost.calibration",
                 EventKind::Observe {
                     value: (i % 7) as f64,
                 },
             ));
         }
         original.record(Event::new(
-            "engine.queue_depth",
+            "engine.cost.calibration",
             EventKind::Observe { value: 0.125 },
         ));
 
@@ -238,10 +238,10 @@ mod tests {
         );
         assert_eq!(
             original
-                .observation_histogram("engine.queue_depth")
+                .observation_histogram("engine.cost.calibration")
                 .summary(),
             replayed
-                .observation_histogram("engine.queue_depth")
+                .observation_histogram("engine.cost.calibration")
                 .summary(),
         );
         assert_eq!(original.span_histogram("engine.request").count(), 200);

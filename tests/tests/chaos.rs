@@ -1,5 +1,6 @@
 //! Chaos suite: deterministic fault injection against the full pipeline
-//! and the resident engine.
+//! and the resident engine, and the engine's ingest gate under
+//! concurrent callers.
 //!
 //! The oracle for every fault plan is the same: a faulty run must either
 //! produce output bit-identical to the fault-free run, or fail with a
@@ -8,11 +9,12 @@
 //! executes under a global watchdog so a hang fails the test instead of
 //! blocking the suite.
 
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Barrier};
 use std::time::Duration;
 
 use dod::prelude::*;
-use dod_engine::Engine;
+use dod_engine::{Engine, Request};
 use dod_integration::{mixed_density, uniform_nd};
 use mapreduce::FaultPlan;
 use proptest::prelude::*;
@@ -192,9 +194,9 @@ fn panic_only_chaos_is_deterministic_across_repeats() {
     }
 }
 
-/// Engine chaos: injected worker panics are contained to their own
-/// request, the health snapshot records them, and `Request::Detect` still
-/// matches the one-shot pipeline afterwards.
+/// Engine chaos: injected panics are contained to their own request on
+/// the calling thread, the health snapshot records them, and
+/// `Request::Detect` still matches the one-shot pipeline afterwards.
 #[test]
 fn engine_survives_injected_panics_and_stays_exact() {
     let data = mixed_density(41, 300);
@@ -206,31 +208,149 @@ fn engine_survives_injected_panics_and_stays_exact() {
         )
     };
     let expected = make().run(&data).unwrap().outliers;
-    let engine = Engine::builder(make()).workers(2).build(&data).unwrap();
+    let engine = Engine::builder(make()).build(&data).unwrap();
     with_watchdog("engine-panics", move || {
         for _ in 0..8 {
             let err = engine
                 .inject_panic()
-                .unwrap()
-                .wait()
                 .expect_err("injected panic must surface as an error");
             assert!(
                 matches!(err, dod_engine::EngineError::TaskPanicked { .. }),
                 "expected TaskPanicked, got {err}"
             );
         }
-        let got = engine
-            .submit(dod_engine::Request::Detect)
-            .unwrap()
-            .wait()
-            .unwrap()
-            .into_outliers()
-            .unwrap();
-        assert_eq!(got, expected, "engine diverged after contained panics");
+        let got = engine.execute(Request::Detect).unwrap().into_outliers();
+        assert_eq!(
+            got,
+            Some(expected),
+            "engine diverged after contained panics"
+        );
         let health = engine.health();
         assert_eq!(health.panics, 8);
         assert_eq!(health.in_flight, 0);
-        assert_eq!(health.queue_depth, 0);
+    });
+}
+
+/// Three readers score a fixed probe batch in a loop while one writer
+/// inserts batches, one of them out of domain (an epoch swap mid-run),
+/// all through `Engine::execute` on one shared engine. Each batch puts
+/// three points within `r` of every probe and `k` is above every final
+/// count, so a reply is the exact neighbour counts: it must equal the
+/// brute-force counts over the corpus plus the first `i` batches for
+/// some `i` — a half-applied batch gives counts no prefix has — and `i`
+/// never goes back within one reader.
+#[test]
+fn concurrent_scores_see_whole_insert_batches() {
+    const READERS: usize = 3;
+    const BATCHES: usize = 16;
+    let params = OutlierParams::new(1.2, 1_000).unwrap();
+    let corpus = mixed_density(43, 400);
+    let probes: Vec<Vec<f64>> = [
+        (1.0, 1.0),
+        (2.5, 2.5),
+        (4.0, 1.0),
+        (1.0, 4.0),
+        (25.0, 15.0),
+        (30.0, 20.0),
+        (40.0, 30.0),
+        (35.0, 12.0),
+    ]
+    .iter()
+    .map(|&(x, y)| vec![x, y])
+    .collect();
+    let batches: Vec<Vec<Vec<f64>>> = (0..BATCHES)
+        .map(|b| {
+            let mut batch: Vec<Vec<f64>> = probes
+                .iter()
+                .flat_map(|q| {
+                    (0..3).map(move |j| {
+                        let d = 0.1 * (1 + (b + j) % 5) as f64;
+                        vec![q[0] + d, q[1] - d / 2.0]
+                    })
+                })
+                .collect();
+            if b == BATCHES / 2 {
+                batch.push(vec![500.0, 500.0]);
+            }
+            batch
+        })
+        .collect();
+    let expected: Vec<Vec<usize>> = (0..=BATCHES)
+        .map(|i| {
+            probes
+                .iter()
+                .map(|q| {
+                    let near = |p: &[f64]| params.metric.within(q, p, params.r);
+                    (0..corpus.len()).filter(|&j| near(corpus.point(j))).count()
+                        + batches[..i].iter().flatten().filter(|p| near(p)).count()
+                })
+                .collect()
+        })
+        .collect();
+    let runner = runner_for(
+        Strat::DmtMultiTactic,
+        config(params, recovery_cluster(None)),
+    );
+    let engine = Engine::builder(runner).build(&corpus).unwrap();
+    with_watchdog("engine-concurrent-history", move || {
+        let applied = AtomicUsize::new(0);
+        let rounds = Barrier::new(READERS + 1);
+        let score = || -> Vec<usize> {
+            let req = Request::Score {
+                points: probes.clone(),
+            };
+            let scores = engine.execute(req).unwrap().into_score().unwrap();
+            scores.iter().map(|s| s.neighbors).collect()
+        };
+        let prefix = |reply: &Vec<usize>| expected.iter().position(|e| e == reply);
+        // A reader collects what it saw wrong and carries on, so one torn
+        // reply cannot leave the others waiting at the barrier.
+        let torn: Vec<String> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let (mut seen, mut torn) = (0, Vec::new());
+                        for b in 0..BATCHES {
+                            rounds.wait();
+                            // Score until batch `b` has landed, overlapping
+                            // its insert.
+                            loop {
+                                let reply = score();
+                                match prefix(&reply) {
+                                    Some(i) if i >= seen => seen = i,
+                                    i => torn.push(format!("{reply:?} ({i:?}) after {seen}")),
+                                }
+                                if applied.load(Ordering::Acquire) > b {
+                                    break;
+                                }
+                            }
+                        }
+                        let last = score();
+                        if prefix(&last) != Some(BATCHES) {
+                            torn.push(format!("{last:?} after the last batch"));
+                        }
+                        torn
+                    })
+                })
+                .collect();
+            for (b, batch) in batches.iter().enumerate() {
+                rounds.wait();
+                let req = Request::Insert {
+                    points: batch.clone(),
+                };
+                engine.execute(req).unwrap();
+                applied.store(b + 1, Ordering::Release);
+            }
+            readers
+                .into_iter()
+                .flat_map(|r| r.join().unwrap())
+                .collect()
+        });
+        assert!(
+            torn.is_empty(),
+            "replies no prefix of the batches gives: {torn:?}"
+        );
+        assert!(engine.epoch() > 0, "the out-of-domain batch swaps epochs");
     });
 }
 

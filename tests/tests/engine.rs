@@ -4,11 +4,11 @@
 //! outlier set for the same configuration, strategy, and data — both
 //! paths run the same exact detectors, so any divergence is a routing
 //! or state-materialization bug. Plus: scoring against the brute-force
-//! reference, and the engine's deterministic backpressure contract.
+//! reference.
 
 use dod::prelude::*;
 use dod_core::Metric;
-use dod_engine::{Engine, EngineError, Request};
+use dod_engine::{Engine, Request};
 use dod_integration::{mixed_density, reference_outliers, uniform_nd};
 
 fn config(params: OutlierParams) -> DodConfig {
@@ -27,9 +27,7 @@ fn engine_for(runner: DodRunner, data: &PointSet) -> Engine {
 
 fn detect(engine: &Engine) -> Vec<dod_core::PointId> {
     engine
-        .submit(Request::Detect)
-        .unwrap()
-        .wait()
+        .execute(Request::Detect)
         .unwrap()
         .into_outliers()
         .unwrap()
@@ -165,11 +163,9 @@ fn score_batch_matches_brute_force_neighbor_counts() {
         .chain([vec![1e4, -1e4]])
         .collect();
     let scores = engine
-        .submit(Request::Score {
+        .execute(Request::Score {
             points: queries.clone(),
         })
-        .unwrap()
-        .wait()
         .unwrap()
         .into_score()
         .unwrap();
@@ -206,41 +202,4 @@ fn refresh_preserves_the_outlier_set() {
         assert_eq!(engine.refresh_plan().unwrap(), expected_epoch);
         assert_eq!(detect(&engine), before);
     }
-}
-
-/// Deterministic backpressure: with one parked worker and a one-slot
-/// queue, the first submission queues and the second is rejected with
-/// `Overloaded` — no timing dependence, no sleeps.
-#[test]
-fn backpressure_rejects_deterministically() {
-    let params = OutlierParams::new(1.2, 4).unwrap();
-    let data = mixed_density(41, 200);
-    let engine = Engine::builder(
-        DodRunner::builder()
-            .config(config(params))
-            .multi_tactic()
-            .build(),
-    )
-    .workers(1)
-    .queue_capacity(1)
-    .build(&data)
-    .unwrap();
-
-    let paused = engine.pause();
-    let queued = engine
-        .submit(Request::Detect)
-        .expect("one request fits the queue");
-    for _ in 0..3 {
-        assert!(
-            matches!(engine.submit(Request::Detect), Err(EngineError::Overloaded)),
-            "queue is full; submission must bounce"
-        );
-    }
-    assert_eq!(engine.queue_depth(), 1);
-
-    // Releasing the workers drains the queue and the engine recovers.
-    drop(paused);
-    let outliers = queued.wait().unwrap().into_outliers().unwrap();
-    assert_eq!(outliers, reference_outliers(&data, params));
-    assert_eq!(detect(&engine), outliers);
 }

@@ -73,9 +73,7 @@ fn fresh_outliers(strat: Strat, params: OutlierParams, survivors: &[(u64, Vec<f6
 
 fn resident_outliers(engine: &Engine) -> Vec<u64> {
     engine
-        .submit(Request::Detect)
-        .unwrap()
-        .wait()
+        .execute(Request::Detect)
         .unwrap()
         .into_outliers()
         .unwrap()
@@ -125,11 +123,9 @@ fn run_interleaving(strat: Strat, data_seed: u64, op_seed: u64, ops: usize) {
                     points.push(p);
                 }
                 let receipt = engine
-                    .submit(Request::Insert {
+                    .execute(Request::Insert {
                         points: points.clone(),
                     })
-                    .unwrap()
-                    .wait()
                     .unwrap()
                     .into_insert()
                     .unwrap();
@@ -155,9 +151,7 @@ fn run_interleaving(strat: Strat, data_seed: u64, op_seed: u64, ops: usize) {
                 }
                 let removed = ids.len() - usize::from(missing);
                 let receipt = engine
-                    .submit(Request::Remove { ids })
-                    .unwrap()
-                    .wait()
+                    .execute(Request::Remove { ids })
                     .unwrap()
                     .into_remove()
                     .unwrap();
@@ -171,11 +165,7 @@ fn run_interleaving(strat: Strat, data_seed: u64, op_seed: u64, ops: usize) {
                 let points: Vec<Vec<f64>> = (0..3)
                     .map(|_| vec![rng.gen_range(-2.0..12.0), rng.gen_range(-2.0..12.0)])
                     .collect();
-                engine
-                    .submit(Request::Score { points })
-                    .unwrap()
-                    .wait()
-                    .unwrap();
+                engine.execute(Request::Score { points }).unwrap();
             }
         }
         assert_eq!(
@@ -238,18 +228,14 @@ fn run_edge_history(strat: Strat, seed: u64) {
     };
     let insert = |points: Vec<Vec<f64>>| {
         engine
-            .submit(Request::Insert { points })
-            .unwrap()
-            .wait()
+            .execute(Request::Insert { points })
             .unwrap()
             .into_insert()
             .unwrap()
     };
     let remove = |ids: Vec<u64>| {
         engine
-            .submit(Request::Remove { ids })
-            .unwrap()
-            .wait()
+            .execute(Request::Remove { ids })
             .unwrap()
             .into_remove()
             .unwrap()
@@ -326,14 +312,12 @@ fn run_edge_history(strat: Strat, seed: u64) {
     // and an expired id is dead to a later `Remove`.
     let cap = survivors.len();
     let status = engine
-        .submit(Request::Window {
+        .execute(Request::Window {
             config: Some(WindowConfig {
                 max_points: Some(cap),
                 max_age: None,
             }),
         })
-        .unwrap()
-        .wait()
         .unwrap()
         .into_window()
         .unwrap();
@@ -396,11 +380,9 @@ fn count_bounded_window_expires_oldest_and_stays_exact() {
             })
             .collect();
         let receipt = engine
-            .submit(Request::Insert {
+            .execute(Request::Insert {
                 points: points.clone(),
             })
-            .unwrap()
-            .wait()
             .unwrap()
             .into_insert()
             .unwrap();
@@ -436,9 +418,7 @@ fn age_bounded_window_expires_old_points() {
 
     // A window tick after the bound has passed sweeps everything.
     let status = engine
-        .submit(Request::Window { config: None })
-        .unwrap()
-        .wait()
+        .execute(Request::Window { config: None })
         .unwrap()
         .into_window()
         .unwrap();
@@ -447,20 +427,16 @@ fn age_bounded_window_expires_old_points() {
 
     // Fresh inserts are young and survive the next tick.
     let receipt = engine
-        .submit(Request::Insert {
+        .execute(Request::Insert {
             points: vec![vec![0.0, 0.0], vec![0.2, 0.0], vec![0.0, 0.2]],
         })
-        .unwrap()
-        .wait()
         .unwrap()
         .into_insert()
         .unwrap();
     assert_eq!(receipt.expired, 0);
     assert_eq!(receipt.resident, 3);
     let status = engine
-        .submit(Request::Window { config: None })
-        .unwrap()
-        .wait()
+        .execute(Request::Window { config: None })
         .unwrap()
         .into_window()
         .unwrap();
