@@ -58,7 +58,7 @@ fn main() -> std::io::Result<()> {
         let mut scope = obs.scope("planviz.plan").with_label("strategy", name);
         let plan = strategy.build_plan(&sample, &domain, &ctx);
         let estimates = estimator.estimate(&plan, &sample, PAPER_CANDIDATES);
-        let algorithms: Vec<_> = estimates.iter().map(|e| e.best().0).collect();
+        let algorithms: Vec<_> = estimates.iter().map(|e| e.best().algorithm).collect();
         scope.add_label("partitions", plan.num_partitions() as u64);
         let path = std::path::Path::new(&out_dir).join(format!("plan_{which}_{name}.svg"));
         write_plan_svg(&path, &plan, Some(&sample), Some(&algorithms))?;

@@ -187,6 +187,10 @@ fn run_ablations(scale: &Scale) {
         "  locality-aware vs counted work:     {:.3}",
         cm.local_work_correlation
     );
+    println!(
+        "  paper model vs counted work:        {:.3}",
+        cm.paper_work_correlation
+    );
 
     section("Ablation: sampling rate Y (result set must be invariant)");
     println!(

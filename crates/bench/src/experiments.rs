@@ -13,6 +13,7 @@ use dod_data::hierarchy::{hierarchy_dataset, HierarchyLevel};
 use dod_data::region::{region_dataset, Region};
 use dod_data::uniform::{sparse_dense_pair, uniform_with_density_measure};
 use dod_data::{distort, tiger_analog};
+use dod_detect::cost::CostModel;
 use dod_detect::{CellBased, Detector, NestedLoop, Partition};
 use dod_obs::{names, MemoryRecorder, Obs};
 use dod_partition::AllocationSpec;
@@ -382,10 +383,10 @@ pub fn fig10b(scale: &Scale) -> Vec<StageRow> {
 // Ablations.
 // ---------------------------------------------------------------------
 
-/// Cost-model validation: Pearson correlation between the preprocessing
-/// job's predicted per-partition costs and the measured per-partition
-/// reduce times of the detection job — for both the locality-aware
-/// estimator (the default) and the paper's Lemma 4.1/4.2 models.
+/// Cost-model validation: Pearson correlation between per-partition
+/// predicted costs and the measured reduce times of the detection job —
+/// for the locality-aware estimator that planned the run and for the
+/// paper's Lemma 4.1 model pricing the same partitions.
 #[derive(Debug, Clone)]
 pub struct CostModelAblation {
     /// Number of partitions compared.
@@ -399,55 +400,57 @@ pub struct CostModelAblation {
     /// `detect.index_ops`) in the same run — no clock involved, so it
     /// repeats exactly.
     pub local_work_correlation: f64,
+    /// Correlation of the paper's model with the same counted work.
+    pub paper_work_correlation: f64,
 }
 
 /// Runs CDriven + Nested-Loop (the workload with real per-partition
-/// cost variance) on a skewed dataset and correlates predicted vs
-/// measured per-partition cost under both estimators.
+/// cost variance) once on a skewed dataset, prices each of its
+/// partitions under both models, and correlates predicted vs measured
+/// per-partition cost.
 pub fn ablation_cost_model(scale: &Scale) -> CostModelAblation {
     let params = OutlierParams::new(2.0, 4).expect("valid parameters");
     let (data, _) = hierarchy_dataset(HierarchyLevel::NewEngland, scale.hierarchy_base, 111);
-    // Validation wants accurate cardinality estimates, so sample densely.
-    let run = |paper: bool| {
-        let counters = Arc::new(MemoryRecorder::new());
-        let base = experiment_config(params);
-        let config = base
-            .to_builder()
-            // One attempt per task, so each partition's counters arrive once.
-            .cluster(base.cluster.without_speculation())
-            .sample_rate(0.2)
-            .paper_cost_model(paper)
-            .obs(Obs::new(counters.clone()))
-            .build()
-            .expect("valid configuration");
-        let runner = build_runner(StrategyChoice::CDriven, ModeChoice::NestedLoop, config);
-        let outcome = runner.run(&data).expect("pipeline runs");
-        let predicted = outcome.report.predicted_costs.clone();
-        let mut seconds = vec![0.0f64; predicted.len()];
-        for (pid, d) in &outcome.report.partition_times {
-            seconds[*pid as usize] = d.as_secs_f64();
+    let counters = Arc::new(MemoryRecorder::new());
+    let base = experiment_config(params);
+    let config = base
+        .to_builder()
+        // One attempt per task, so each partition's counters arrive once.
+        .cluster(base.cluster.without_speculation())
+        // Validation wants accurate cardinality estimates, so sample densely.
+        .sample_rate(0.2)
+        .obs(Obs::new(counters.clone()))
+        .build()
+        .expect("valid configuration");
+    let runner = build_runner(StrategyChoice::CDriven, ModeChoice::NestedLoop, config);
+    // Planning is deterministic in the config's seed, so this is the plan
+    // the run below executes.
+    let plan = runner.preprocess(&data).expect("pipeline plans").mt;
+    let outcome = runner.run(&data).expect("pipeline runs");
+    let local = outcome.report.predicted_costs;
+    assert_eq!(local, plan.predicted_costs, "the run executes this plan");
+    let model = CostModel::new(params, data.dim()).with_weights(plan.report.weights);
+    let paper: Vec<f64> = (plan.report.partitions.iter())
+        .map(|p| model.cost(AlgorithmKind::NestedLoop, p.n_est as usize, p.volume))
+        .collect();
+    let mut seconds = vec![0.0f64; local.len()];
+    for (pid, d) in &outcome.report.partition_times {
+        seconds[*pid as usize] = d.as_secs_f64();
+    }
+    let mut work = vec![0.0f64; local.len()];
+    for name in [names::DETECT_DISTANCE_EVALS, names::DETECT_INDEX_OPS] {
+        for e in counters.events_named(name) {
+            let pid = e.label("partition").and_then(|v| v.as_u64());
+            let pid = pid.expect("detector counters carry their partition") as usize;
+            work[pid] += e.counter_delta().expect("a counter") as f64;
         }
-        let mut work = vec![0.0f64; predicted.len()];
-        for name in [names::DETECT_DISTANCE_EVALS, names::DETECT_INDEX_OPS] {
-            for e in counters.events_named(name) {
-                let pid = e.label("partition").and_then(|v| v.as_u64());
-                let pid = pid.expect("detector counters carry their partition") as usize;
-                work[pid] += e.counter_delta().expect("a counter") as f64;
-            }
-        }
-        (
-            predicted.len(),
-            pearson(&predicted, &seconds),
-            pearson(&predicted, &work),
-        )
-    };
-    let (partitions, local_correlation, local_work_correlation) = run(false);
-    let (_, paper_correlation, _) = run(true);
+    }
     CostModelAblation {
-        partitions,
-        local_correlation,
-        paper_correlation,
-        local_work_correlation,
+        partitions: local.len(),
+        local_correlation: pearson(&local, &seconds),
+        paper_correlation: pearson(&paper, &seconds),
+        local_work_correlation: pearson(&local, &work),
+        paper_work_correlation: pearson(&paper, &work),
     }
 }
 
@@ -674,9 +677,10 @@ mod tests {
             "predicted cost vs counted work: {}",
             r.local_work_correlation
         );
+        let again = ablation_cost_model(&scale);
         assert_eq!(
-            r.local_work_correlation,
-            ablation_cost_model(&scale).local_work_correlation,
+            (r.local_work_correlation, r.paper_work_correlation),
+            (again.local_work_correlation, again.paper_work_correlation),
             "counted work repeats exactly"
         );
     }

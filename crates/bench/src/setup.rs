@@ -43,9 +43,11 @@ impl StrategyChoice {
 ///
 /// Each non-Nested-Loop mode exists in two flavours: the *paper variant*
 /// uses the full-scan Cell-Based (the implementation the Lemma 4.2 model
-/// charges, reproducing the paper's measured shapes) with the paper's
-/// cost models; the *optimized* flavour uses the block-restricted
-/// Cell-Based with the calibrated locality-aware estimator.
+/// charges, reproducing the paper's measured shapes); the *optimized*
+/// flavour uses the block-restricted Cell-Based. Every mode is planned
+/// by the locality-aware estimator, the pipeline's only planner; the
+/// paper's average-density model prices one run's partitions beside it
+/// in `ablation_cost_model`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModeChoice {
     /// Fixed Nested-Loop everywhere.
@@ -54,11 +56,9 @@ pub enum ModeChoice {
     CellBased,
     /// Fixed block-restricted Cell-Based everywhere (optimized).
     CellBasedOpt,
-    /// Per-partition selection over `{CB-full, NL}` under the paper cost
-    /// models (the paper's DMT).
+    /// Per-partition selection over `{CB-full, NL}` (the paper's DMT).
     MultiTactic,
-    /// Per-partition selection over `{CB, NL}` under the calibrated
-    /// estimator (optimized DMT).
+    /// Per-partition selection over `{CB, NL}` (optimized DMT).
     MultiTacticOpt,
 }
 
@@ -75,10 +75,7 @@ impl ModeChoice {
     }
 
     /// Whether the mode uses the full-scan Cell-Based (the variant whose
-    /// measured behaviour matches the paper's figures). All modes use the
-    /// calibrated locality-aware estimator for planning — the paper's
-    /// average-density model is compared separately in
-    /// `ablation_cost_model`.
+    /// measured behaviour matches the paper's figures).
     pub fn is_paper_variant(&self) -> bool {
         matches!(self, ModeChoice::CellBased | ModeChoice::MultiTactic)
     }

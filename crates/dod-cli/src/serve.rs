@@ -183,7 +183,7 @@ pub fn render_metrics(ctx: &ServeContext) -> String {
     );
     w.gauge(
         "dod_engine_workers",
-        "Engine worker threads.",
+        "Threads an epoch rebuild routes on.",
         h.workers as f64,
     );
     w.gauge(

@@ -224,53 +224,40 @@ impl CostAuditState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dod_core::{GridSpec, Rect};
     use dod_detect::cost::CostWeights;
-    use dod_partition::{CandidateCost, PartitionReport, PlanReport};
+    use dod_partition::{
+        AllocationSpec, CandidateCost, MultiTacticPlan, PartitionEstimate, PartitionPlan,
+        PlanReport,
+    };
 
-    fn report(costs: &[(AlgorithmKind, f64)], winner: AlgorithmKind) -> PlanReport {
-        let candidates: Vec<CandidateCost> = costs
-            .iter()
+    /// The plan report of a one-partition plan whose candidates cost
+    /// `costs`.
+    fn report(costs: &[(AlgorithmKind, f64)]) -> PlanReport {
+        let domain = Rect::new(vec![0.0], vec![1.0]).unwrap();
+        let plan = PartitionPlan::from_grid(GridSpec::uniform(domain, 1).unwrap());
+        let candidates = (costs.iter())
             .map(|&(algorithm, cost)| CandidateCost {
                 algorithm,
                 cost,
                 terms: Default::default(),
             })
             .collect();
-        let winner_cost = candidates
-            .iter()
-            .find(|c| c.algorithm == winner)
-            .map(|c| c.cost)
-            .unwrap();
-        let margin = candidates
-            .iter()
-            .filter(|c| c.algorithm != winner)
-            .map(|c| c.cost - winner_cost)
-            .fold(f64::INFINITY, f64::min);
-        PlanReport {
-            weights: CostWeights::UNIT,
-            calibrated: false,
-            partitions: vec![PartitionReport {
-                partition: 0,
-                n_est: 100.0,
-                volume: 1.0,
-                density_mu: 0.5,
-                candidates,
-                winner,
-                winner_cost,
-                margin: if margin.is_finite() { margin } else { 0.0 },
-            }],
-        }
+        let estimate = PartitionEstimate {
+            n_est: 100.0,
+            hit_mu: 0.5,
+            candidates,
+        };
+        let spec = AllocationSpec::cost();
+        MultiTacticPlan::from_estimates(plan, vec![estimate], 1, spec, CostWeights::UNIT).report
     }
 
     #[test]
     fn accurate_predictions_never_mispredict() {
-        let r = report(
-            &[
-                (AlgorithmKind::CellBased, 1_000.0),
-                (AlgorithmKind::NestedLoop, 5_000.0),
-            ],
-            AlgorithmKind::CellBased,
-        );
+        let r = report(&[
+            (AlgorithmKind::CellBased, 1_000.0),
+            (AlgorithmKind::NestedLoop, 5_000.0),
+        ]);
         let mut state = CostAuditState::default();
         for _ in 0..10 {
             let out = state.fold_request(&r, &[1_000]);
@@ -289,20 +276,14 @@ mod tests {
         // Two plans: one picks NL (and NL measures near its prediction),
         // one picks CB — and CB measures 20x its prediction, so NL's
         // rejected estimate (scaled by NL's observed ~1x ratio) beats it.
-        let nl_plan = report(
-            &[
-                (AlgorithmKind::NestedLoop, 10_000.0),
-                (AlgorithmKind::CellBased, 50_000.0),
-            ],
-            AlgorithmKind::NestedLoop,
-        );
-        let cb_plan = report(
-            &[
-                (AlgorithmKind::CellBased, 1_000.0),
-                (AlgorithmKind::NestedLoop, 2_000.0),
-            ],
-            AlgorithmKind::CellBased,
-        );
+        let nl_plan = report(&[
+            (AlgorithmKind::NestedLoop, 10_000.0),
+            (AlgorithmKind::CellBased, 50_000.0),
+        ]);
+        let cb_plan = report(&[
+            (AlgorithmKind::CellBased, 1_000.0),
+            (AlgorithmKind::NestedLoop, 2_000.0),
+        ]);
         let mut state = CostAuditState::default();
         state.fold_request(&nl_plan, &[10_000]); // NL ratio = 1.0
         let out = state.fold_request(&cb_plan, &[20_000]); // CB 20x over
@@ -326,20 +307,14 @@ mod tests {
 
     #[test]
     fn small_work_never_counts_as_gross() {
-        let nl_plan = report(
-            &[
-                (AlgorithmKind::NestedLoop, 100.0),
-                (AlgorithmKind::CellBased, 500.0),
-            ],
-            AlgorithmKind::NestedLoop,
-        );
-        let cb_plan = report(
-            &[
-                (AlgorithmKind::CellBased, 10.0),
-                (AlgorithmKind::NestedLoop, 20.0),
-            ],
-            AlgorithmKind::CellBased,
-        );
+        let nl_plan = report(&[
+            (AlgorithmKind::NestedLoop, 100.0),
+            (AlgorithmKind::CellBased, 500.0),
+        ]);
+        let cb_plan = report(&[
+            (AlgorithmKind::CellBased, 10.0),
+            (AlgorithmKind::NestedLoop, 20.0),
+        ]);
         let mut state = CostAuditState::default();
         state.fold_request(&nl_plan, &[100]);
         let out = state.fold_request(&cb_plan, &[2_000]); // 100x over, tiny
@@ -349,10 +324,7 @@ mod tests {
 
     #[test]
     fn work_beyond_the_report_is_ignored() {
-        let r = report(
-            &[(AlgorithmKind::NestedLoop, 100.0)],
-            AlgorithmKind::NestedLoop,
-        );
+        let r = report(&[(AlgorithmKind::NestedLoop, 100.0)]);
         let mut state = CostAuditState::default();
         let out = state.fold_request(&r, &[50, 999, 999]);
         assert_eq!(out.ratios.len(), 1);

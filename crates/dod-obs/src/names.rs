@@ -208,10 +208,10 @@ pub const DETECT_NODE_VISITS: &str = "detect.node_visits";
 /// way; unknown names fall back to a generic per-kind description.
 pub fn prom_help(event_name: &str) -> Option<&'static str> {
     Some(match event_name {
-        n if n == ENGINE_REQUEST => "Engine request latency from dequeue to completion.",
+        n if n == ENGINE_REQUEST => "Engine request latency from start to completion.",
         n if n == ENGINE_DEADLINE_MISSES => "Requests that missed their deadline.",
         n if n == ENGINE_CACHE_HITS => "Requests answered from resident partition state.",
-        n if n == ENGINE_PANICS => "Requests whose job panicked on a worker thread.",
+        n if n == ENGINE_PANICS => "Requests whose job panicked (contained to the request).",
         n if n == ENGINE_PARTITION_WORK => {
             "Measured kernel work one request spent in one partition."
         }

@@ -8,12 +8,18 @@
 //! aggregates per-point costs using mini-bucket local densities, and adds
 //! the constant per-partition task overhead a real reducer pays. It is
 //! calibrated against the detectors as implemented in `dod-detect` (e.g.
-//! the block-restricted Cell-Based fallback), and is what CDriven and the
-//! DMT planner use by default; the `ablation_cost_model` bench compares
-//! its predictions (and the paper model's) against measured reduce times.
+//! the block-restricted Cell-Based fallback).
+//!
+//! It is the one planner path: every plan's candidates are priced here
+//! and the plan is built by
+//! [`MultiTacticPlan::from_estimates`](crate::plan::MultiTacticPlan::from_estimates);
+//! CDriven splits by [`LocalCostEstimator::subset_cost`]. The paper's
+//! model ([`CostModel`]) remains the reference: the `ablation_cost_model`
+//! bench prices one run's partitions under both and correlates each with
+//! the measured reduce times and the counted work.
 
-use crate::minibucket::MiniBucketGrid;
-use crate::plan::PartitionPlan;
+use crate::minibucket::{clamp_buckets_per_dim, MiniBucketGrid};
+use crate::plan::{CandidateCost, PartitionPlan};
 use dod_core::{kernel::NeighborPredicate, OutlierParams, PointSet, Rect};
 use dod_detect::cost::{AlgorithmKind, CostModel, CostTerms, CostWeights};
 
@@ -35,32 +41,19 @@ pub struct PartitionEstimate {
     /// Hit probability `μ = A(p)/A(D)` of the partition (Lemma 4.1's
     /// density term), recorded for plan introspection.
     pub hit_mu: f64,
-    /// `(algorithm, estimated ops)` for each candidate, in candidate
+    /// Every candidate's estimated cost and raw op counts, in candidate
     /// order.
-    pub costs: Vec<(AlgorithmKind, f64)>,
-    /// Raw (unweighted) pair/structural op counts per candidate, aligned
-    /// with `costs`. Excludes [`PARTITION_OVERHEAD_OPS`].
-    pub terms: Vec<CostTerms>,
+    pub candidates: Vec<CandidateCost>,
 }
 
 impl PartitionEstimate {
-    /// The cheapest candidate.
-    pub fn best(&self) -> (AlgorithmKind, f64) {
-        self.costs
+    /// The cheapest candidate, ties broken in favor of the earlier one.
+    pub fn best(&self) -> CandidateCost {
+        *self
+            .candidates
             .iter()
-            .copied()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"))
+            .min_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite costs"))
             .expect("at least one candidate")
-    }
-
-    /// The estimated cost of a specific algorithm (falls back to the
-    /// best candidate when absent).
-    pub fn cost_of(&self, kind: AlgorithmKind) -> f64 {
-        self.costs
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, c)| *c)
-            .unwrap_or_else(|| self.best().1)
     }
 }
 
@@ -92,7 +85,8 @@ impl LocalCostEstimator {
     /// Builds the estimator from the preprocessing sample.
     ///
     /// `buckets_per_dim` bounds the density-estimation resolution (the
-    /// same mini buckets DSHC uses; 32 is a good default in 2-d).
+    /// same mini buckets DSHC uses, clamped the same way by
+    /// [`clamp_buckets_per_dim`]; 32 is a good default in 2-d).
     pub fn new(
         domain: &Rect,
         sample: &PointSet,
@@ -100,10 +94,7 @@ impl LocalCostEstimator {
         params: OutlierParams,
         buckets_per_dim: usize,
     ) -> Self {
-        // Clamp resolution so buckets^d stays tractable (see Dmt).
-        let dim = domain.dim() as f64;
-        let cap = (65_536f64).powf(1.0 / dim).floor() as usize;
-        let per_dim = buckets_per_dim.clamp(1, cap.max(1));
+        let per_dim = clamp_buckets_per_dim(buckets_per_dim, domain.dim());
         let buckets = MiniBucketGrid::build(domain, per_dim, sample)
             .expect("sample and domain dimensions agree");
         let scale = if sample_rate > 0.0 {
@@ -207,36 +198,33 @@ impl LocalCostEstimator {
                 } else {
                     (self.ball / volume).min(1.0)
                 };
-                let mut costs = Vec::with_capacity(candidates.len());
-                let mut terms = Vec::with_capacity(candidates.len());
-                for &kind in candidates {
-                    let t = self.subset_terms(sample, idxs, kind, volume);
-                    costs.push((kind, t.weighted(self.weights) + PARTITION_OVERHEAD_OPS));
-                    terms.push(t);
-                }
                 PartitionEstimate {
                     n_est,
                     hit_mu,
-                    costs,
-                    terms,
+                    candidates: (candidates.iter())
+                        .map(|&kind| self.subset_cost(sample, idxs, kind, volume))
+                        .collect(),
                 }
             })
             .collect()
     }
 
-    /// Estimated cost of running `kind` over the region whose sample
+    /// Estimated cost of running `algorithm` over the region whose sample
     /// points are `idxs` and whose footprint volume is `volume`
     /// (including the per-partition overhead).
     pub fn subset_cost(
         &self,
         sample: &PointSet,
         idxs: &[u32],
-        kind: AlgorithmKind,
+        algorithm: AlgorithmKind,
         volume: f64,
-    ) -> f64 {
-        self.subset_terms(sample, idxs, kind, volume)
-            .weighted(self.weights)
-            + PARTITION_OVERHEAD_OPS
+    ) -> CandidateCost {
+        let terms = self.subset_terms(sample, idxs, algorithm, volume);
+        CandidateCost {
+            algorithm,
+            cost: terms.weighted(self.weights) + PARTITION_OVERHEAD_OPS,
+            terms,
+        }
     }
 
     /// Raw (unweighted) pair/structural op counts of running `kind` over
@@ -433,8 +421,11 @@ mod tests {
         let total: f64 = out.iter().map(|e| e.n_est).sum();
         assert_eq!(total, 4500.0);
         for e in &out {
-            assert_eq!(e.costs.len(), 2);
-            assert!(e.costs.iter().all(|(_, c)| c.is_finite() && *c >= 0.0));
+            assert_eq!(e.candidates.len(), 2);
+            assert!(e
+                .candidates
+                .iter()
+                .all(|c| c.cost.is_finite() && c.cost >= 0.0));
         }
     }
 
@@ -449,8 +440,8 @@ mod tests {
         // blob.
         let blob = &out[plan.locate(&[2.0, 2.0]) as usize];
         let bg = &out[plan.locate(&[25.0, 25.0]) as usize];
-        let blob_per_point = blob.costs[0].1 / blob.n_est.max(1.0);
-        let bg_per_point = bg.costs[0].1 / bg.n_est.max(1.0);
+        let blob_per_point = blob.candidates[0].cost / blob.n_est.max(1.0);
+        let bg_per_point = bg.candidates[0].cost / bg.n_est.max(1.0);
         assert!(
             blob_per_point < bg_per_point,
             "blob {blob_per_point} vs background {bg_per_point}"
@@ -467,9 +458,9 @@ mod tests {
         // The blob (density 250/u², inlier-prunable at r=1) costs ~2 ops
         // per point plus overhead.
         assert!(
-            blob.costs[0].1 <= PARTITION_OVERHEAD_OPS + 3.0 * blob.n_est,
+            blob.candidates[0].cost <= PARTITION_OVERHEAD_OPS + 3.0 * blob.n_est,
             "blob CB cost {} too high",
-            blob.costs[0].1
+            blob.candidates[0].cost
         );
     }
 
@@ -500,8 +491,8 @@ mod tests {
         );
         let empty = &out[plan.locate(&[0.5, 39.5]) as usize];
         assert_eq!(empty.n_est, 0.0);
-        for (_, c) in &empty.costs {
-            assert_eq!(*c, PARTITION_OVERHEAD_OPS);
+        for c in &empty.candidates {
+            assert_eq!(c.cost, PARTITION_OVERHEAD_OPS);
         }
     }
 
@@ -566,26 +557,32 @@ mod tests {
             ],
         );
         for e in &out {
-            for (kind, c) in &e.costs {
-                assert!(c.is_finite(), "{kind:?} cost {c}");
+            for c in &e.candidates {
+                assert!(c.cost.is_finite(), "{c:?}");
             }
         }
     }
 
     #[test]
-    fn best_and_cost_of() {
-        let e = PartitionEstimate {
+    fn best_is_the_cheapest_earliest_candidate() {
+        let candidate = |algorithm, cost| CandidateCost {
+            algorithm,
+            cost,
+            terms: CostTerms::default(),
+        };
+        let mut e = PartitionEstimate {
             n_est: 10.0,
             hit_mu: 0.5,
-            costs: vec![
-                (AlgorithmKind::NestedLoop, 5.0),
-                (AlgorithmKind::CellBased, 3.0),
+            candidates: vec![
+                candidate(AlgorithmKind::NestedLoop, 5.0),
+                candidate(AlgorithmKind::CellBased, 3.0),
+                candidate(AlgorithmKind::PivotBased, 3.0),
             ],
-            terms: vec![CostTerms::default(); 2],
         };
-        assert_eq!(e.best(), (AlgorithmKind::CellBased, 3.0));
-        assert_eq!(e.cost_of(AlgorithmKind::NestedLoop), 5.0);
-        assert_eq!(e.cost_of(AlgorithmKind::PivotBased), 3.0);
+        assert_eq!(e.best().algorithm, AlgorithmKind::CellBased);
+        assert_eq!(e.best().cost, 3.0);
+        e.candidates[0].cost = 3.0;
+        assert_eq!(e.best().algorithm, AlgorithmKind::NestedLoop);
     }
 
     #[test]
@@ -602,8 +599,8 @@ mod tests {
         let a = base.estimate(&plan, &sample, &candidates);
         let b = weighted.estimate(&plan, &sample, &candidates);
         for (ea, eb) in a.iter().zip(&b) {
-            for ((_, ca), (_, cb)) in ea.costs.iter().zip(&eb.costs) {
-                assert_eq!(ca, cb);
+            for (ca, cb) in ea.candidates.iter().zip(&eb.candidates) {
+                assert_eq!(ca.cost, cb.cost);
             }
         }
     }
@@ -623,11 +620,10 @@ mod tests {
         let c = &cal.estimate(&plan, &sample, &candidates)[blob_pid];
         // NL is pure pair ops: unchanged. CB carries the structural
         // indexing term: strictly more expensive under the profile.
-        assert_eq!(
-            u.cost_of(AlgorithmKind::NestedLoop),
-            c.cost_of(AlgorithmKind::NestedLoop)
-        );
-        assert!(c.cost_of(AlgorithmKind::CellBased) > u.cost_of(AlgorithmKind::CellBased));
+        let [u_cb, u_nl] = [0, 1].map(|i| u.candidates[i].cost);
+        let [c_cb, c_nl] = [0, 1].map(|i| c.candidates[i].cost);
+        assert_eq!(u_nl, c_nl);
+        assert!(c_cb > u_cb);
     }
 
     #[test]
@@ -650,13 +646,14 @@ mod tests {
         let b = bucket.estimate(&plan, &sample, &candidates);
         let k = kernel.estimate(&plan, &sample, &candidates);
         for (eb, ek) in b.iter().zip(&k) {
-            for ((kind, cb), (_, ck)) in eb.costs.iter().zip(&ek.costs) {
+            for (cb, ck) in eb.candidates.iter().zip(&ek.candidates) {
+                let (kind, cb, ck) = (cb.algorithm, cb.cost, ck.cost);
                 assert!(
-                    *ck <= 2.0 * cb && *cb <= 2.0 * ck,
+                    ck <= 2.0 * cb && cb <= 2.0 * ck,
                     "{kind:?}: bucket {cb} vs kernel {ck}"
                 );
             }
-            assert_eq!(eb.best().0, ek.best().0);
+            assert_eq!(eb.best().algorithm, ek.best().algorithm);
         }
     }
 
@@ -676,8 +673,8 @@ mod tests {
             &[AlgorithmKind::NestedLoop, AlgorithmKind::CellBased],
         );
         for e in &out {
-            for (kind, c) in &e.costs {
-                assert!(c.is_finite(), "{kind:?} cost {c}");
+            for c in &e.candidates {
+                assert!(c.cost.is_finite(), "{c:?}");
             }
         }
     }

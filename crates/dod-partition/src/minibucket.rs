@@ -9,6 +9,17 @@
 use crate::intrect::IntRect;
 use dod_core::{CoreError, GridSpec, PointSet, Rect};
 
+/// Upper bound on the total number of mini buckets.
+const MAX_TOTAL_BUCKETS: usize = 65_536;
+
+/// The per-dimension resolution a `dim`-dimensional mini-bucket grid
+/// uses: `buckets_per_dim`, reduced in high dimensions so the grid stays
+/// tractable (`per_dim^dim <= MAX_TOTAL_BUCKETS`), and at least 1.
+pub fn clamp_buckets_per_dim(buckets_per_dim: usize, dim: usize) -> usize {
+    let cap = (MAX_TOTAL_BUCKETS as f64).powf(1.0 / dim as f64).floor() as usize;
+    buckets_per_dim.clamp(1, cap.max(1))
+}
+
 /// A uniform grid of mini buckets over the domain, with per-bucket sample
 /// counts.
 #[derive(Debug, Clone)]

@@ -10,10 +10,11 @@
 //! allocation plan (Section V-A step 3).
 
 use crate::dshc::Cluster;
+use crate::estimate::PartitionEstimate;
 use crate::minibucket::MiniBucketGrid;
 use crate::packing::{allocate, AllocationSpec, BalanceWeight};
 use dod_core::{CoreError, GridSpec, OutlierParams, PointSet, Rect};
-use dod_detect::cost::{AlgorithmKind, CostModel, CostTerms, CostWeights};
+use dod_detect::cost::{AlgorithmKind, CostTerms, CostWeights};
 
 /// Maps points to partitions.
 #[derive(Debug, Clone)]
@@ -327,8 +328,8 @@ impl Router {
 pub struct CandidateCost {
     /// The candidate algorithm.
     pub algorithm: AlgorithmKind,
-    /// Total predicted cost (weighted ops; on the locality-aware path
-    /// this includes the constant per-partition overhead).
+    /// Total predicted cost: the weighted terms plus the constant
+    /// per-partition overhead.
     pub cost: f64,
     /// Raw (unweighted) pair/structural op counts — excludes the
     /// per-partition overhead, which is charged equally to every
@@ -355,8 +356,7 @@ pub struct PartitionReport {
     /// The winner's predicted cost.
     pub winner_cost: f64,
     /// Runner-up cost minus winner cost: `0.0` with a single candidate,
-    /// and negative only for fixed (monolithic-baseline) plans where the
-    /// pinned algorithm was not the cheapest. Always finite.
+    /// never negative, always finite.
     pub margin: f64,
 }
 
@@ -381,26 +381,6 @@ impl PlanReport {
     }
 }
 
-/// Picks the winner among `candidates` with the same semantics as
-/// [`dod_detect::cost::choose_algorithm`]: minimal cost, ties broken in
-/// favor of the earlier candidate. Returns `(winner, margin)`.
-fn pick_winner(candidates: &[CandidateCost]) -> (usize, f64) {
-    assert!(!candidates.is_empty(), "candidate set must not be empty");
-    let mut best = 0;
-    for (i, c) in candidates.iter().enumerate().skip(1) {
-        if c.cost < candidates[best].cost {
-            best = i;
-        }
-    }
-    let margin = candidates
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != best)
-        .map(|(_, c)| c.cost - candidates[best].cost)
-        .fold(f64::INFINITY, f64::min);
-    (best, if margin.is_finite() { margin } else { 0.0 })
-}
-
 /// Everything the preprocessing job hands to the detection job: partition
 /// plan, algorithm plan, allocation plan, and the cost estimates behind
 /// them.
@@ -422,117 +402,19 @@ pub struct MultiTacticPlan {
 }
 
 impl MultiTacticPlan {
-    /// Builds the full multi-tactic plan for a partition plan: estimates
-    /// per-partition cardinalities from the sample, selects the cheapest
-    /// algorithm per partition (Corollary 4.3 over `candidates`), and
-    /// allocates partitions to `num_reducers` reducers under `policy`.
-    pub fn build(
-        plan: PartitionPlan,
-        sample: &PointSet,
-        sample_rate: f64,
-        params: OutlierParams,
-        candidates: &[AlgorithmKind],
-        num_reducers: usize,
-        spec: AllocationSpec,
-    ) -> Self {
-        Self::build_weighted(
-            plan,
-            sample,
-            sample_rate,
-            params,
-            candidates,
-            num_reducers,
-            spec,
-            CostWeights::UNIT,
-        )
-    }
-
-    /// [`MultiTacticPlan::build`] with explicit op-class weights (from a
-    /// measured calibration profile). Unit weights reproduce `build`
-    /// exactly.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_weighted(
-        plan: PartitionPlan,
-        sample: &PointSet,
-        sample_rate: f64,
-        params: OutlierParams,
-        candidates: &[AlgorithmKind],
-        num_reducers: usize,
-        spec: AllocationSpec,
-        cost_weights: CostWeights,
-    ) -> Self {
-        assert!(!candidates.is_empty(), "candidate set must not be empty");
-        let model = CostModel::new(params, plan.domain().dim()).with_weights(cost_weights);
-        let counts = plan.count_sample(sample);
-        let scale = if sample_rate > 0.0 {
-            1.0 / sample_rate
-        } else {
-            1.0
-        };
-        let mut algorithms = Vec::with_capacity(plan.num_partitions());
-        let mut costs = Vec::with_capacity(plan.num_partitions());
-        let mut estimated = Vec::with_capacity(plan.num_partitions());
-        let mut partitions = Vec::with_capacity(plan.num_partitions());
-        for (pid, &c) in counts.iter().enumerate() {
-            let n_est = c as f64 * scale;
-            let volume = plan.rect(pid).volume();
-            let candidate_costs: Vec<CandidateCost> = candidates
-                .iter()
-                .map(|&kind| CandidateCost {
-                    algorithm: kind,
-                    cost: model.cost(kind, n_est as usize, volume),
-                    terms: model.cost_terms(kind, n_est as usize, volume),
-                })
-                .collect();
-            let (best, margin) = pick_winner(&candidate_costs);
-            let (alg, cost) = (candidate_costs[best].algorithm, candidate_costs[best].cost);
-            partitions.push(PartitionReport {
-                partition: pid,
-                n_est,
-                volume,
-                density_mu: model.hit_probability(volume),
-                candidates: candidate_costs,
-                winner: alg,
-                winner_cost: cost,
-                margin,
-            });
-            algorithms.push(alg);
-            costs.push(cost);
-            estimated.push(n_est);
-        }
-        let weights = match spec.weight {
-            BalanceWeight::Cost => &costs,
-            BalanceWeight::Cardinality => &estimated,
-        };
-        let allocation = allocate(weights, num_reducers, spec.policy);
-        MultiTacticPlan {
-            plan,
-            algorithms,
-            allocation,
-            predicted_costs: costs,
-            estimated_counts: estimated,
-            report: PlanReport {
-                weights: cost_weights,
-                calibrated: !cost_weights.is_unit(),
-                partitions,
-            },
-        }
-    }
-
-    /// Builds the multi-tactic plan from precomputed per-partition
-    /// estimates (see [`crate::estimate::LocalCostEstimator`]).
-    ///
-    /// With `fixed == Some(kind)` every partition runs `kind` (the
-    /// monolithic baselines) and allocation weights use that kind's cost;
-    /// otherwise each partition gets its cheapest candidate.
+    /// Builds the multi-tactic plan from per-partition estimates (see
+    /// [`crate::estimate::LocalCostEstimator`]): each partition runs its
+    /// cheapest candidate (Corollary 4.3), and the partitions are
+    /// allocated to `num_reducers` reducers under `spec`. Estimates over
+    /// one candidate give a monolithic plan (the baselines of
+    /// Section VI).
     ///
     /// `cost_weights` records the op-class weights the estimates were
     /// computed under (pass the estimator's weights; they only feed the
     /// plan report — the estimates themselves are already weighted).
     pub fn from_estimates(
         plan: PartitionPlan,
-        estimates: &[crate::estimate::PartitionEstimate],
-        fixed: Option<AlgorithmKind>,
+        estimates: Vec<PartitionEstimate>,
         num_reducers: usize,
         spec: AllocationSpec,
         cost_weights: CostWeights,
@@ -546,40 +428,26 @@ impl MultiTacticPlan {
         let mut costs = Vec::with_capacity(estimates.len());
         let mut counts = Vec::with_capacity(estimates.len());
         let mut partitions = Vec::with_capacity(estimates.len());
-        for (pid, e) in estimates.iter().enumerate() {
-            let (alg, cost) = match fixed {
-                Some(kind) => (kind, e.cost_of(kind)),
-                None => e.best(),
-            };
-            let candidate_costs: Vec<CandidateCost> = e
-                .costs
+        for (pid, e) in estimates.into_iter().enumerate() {
+            let winner = e.best();
+            let margin = e
+                .candidates
                 .iter()
-                .enumerate()
-                .map(|(i, &(algorithm, c))| CandidateCost {
-                    algorithm,
-                    cost: c,
-                    terms: e.terms.get(i).copied().unwrap_or_default(),
-                })
-                .collect();
-            // Margin against the cheapest *other* candidate; negative
-            // when `fixed` pinned a non-optimal algorithm.
-            let margin = candidate_costs
-                .iter()
-                .filter(|c| c.algorithm != alg)
-                .map(|c| c.cost - cost)
+                .filter(|c| c.algorithm != winner.algorithm)
+                .map(|c| c.cost - winner.cost)
                 .fold(f64::INFINITY, f64::min);
             partitions.push(PartitionReport {
                 partition: pid,
                 n_est: e.n_est,
                 volume: plan.rect(pid).volume(),
                 density_mu: e.hit_mu,
-                candidates: candidate_costs,
-                winner: alg,
-                winner_cost: cost,
+                candidates: e.candidates,
+                winner: winner.algorithm,
+                winner_cost: winner.cost,
                 margin: if margin.is_finite() { margin } else { 0.0 },
             });
-            algorithms.push(alg);
-            costs.push(cost);
+            algorithms.push(winner.algorithm);
+            costs.push(winner.cost);
             counts.push(e.n_est);
         }
         let weights = match spec.weight {
@@ -599,34 +467,6 @@ impl MultiTacticPlan {
                 partitions,
             },
         }
-    }
-
-    /// Builds a "monolithic" plan that uses one fixed algorithm for every
-    /// partition (the baselines of Section VI), still estimating costs so
-    /// allocation policies can act on them.
-    pub fn monolithic(
-        plan: PartitionPlan,
-        sample: &PointSet,
-        sample_rate: f64,
-        params: OutlierParams,
-        kind: AlgorithmKind,
-        num_reducers: usize,
-        spec: AllocationSpec,
-    ) -> Self {
-        let mut mt = MultiTacticPlan::build(
-            plan,
-            sample,
-            sample_rate,
-            params,
-            &[kind],
-            num_reducers,
-            spec,
-        );
-        // `build` with a single candidate already fixes the algorithm;
-        // keep the invariant explicit.
-        debug_assert!(mt.algorithms.iter().all(|&a| a == kind));
-        mt.algorithms.iter_mut().for_each(|a| *a = kind);
-        mt
     }
 
     /// Number of partitions.
@@ -709,6 +549,7 @@ impl PlanContext {
 mod tests {
     use super::*;
     use crate::dshc::{Dshc, DshcConfig};
+    use crate::estimate::LocalCostEstimator;
 
     fn domain() -> Rect {
         Rect::new(vec![0.0, 0.0], vec![8.0, 8.0]).unwrap()
@@ -716,6 +557,19 @@ mod tests {
 
     fn params() -> OutlierParams {
         OutlierParams::new(1.0, 3).unwrap()
+    }
+
+    /// The plan `plan` gets from the estimator over a sampling rate of 1.
+    fn estimated(
+        plan: PartitionPlan,
+        sample: &PointSet,
+        candidates: &[AlgorithmKind],
+        num_reducers: usize,
+        spec: AllocationSpec,
+    ) -> MultiTacticPlan {
+        let estimator = LocalCostEstimator::new(plan.domain(), sample, 1.0, params(), 32);
+        let estimates = estimator.estimate(&plan, sample, candidates);
+        MultiTacticPlan::from_estimates(plan, estimates, num_reducers, spec, estimator.weights())
     }
 
     /// `route_iter` collected: the core partition and the supported ones.
@@ -905,14 +759,33 @@ mod tests {
         pts.push((7.5, 7.5));
         let sample = PointSet::from_xy(&pts);
         let plan = PartitionPlan::from_grid(GridSpec::uniform(domain(), 2).unwrap());
-        let mt = MultiTacticPlan::build(
+        // Priced by the paper's model (Lemmas 4.1/4.2), whose verdicts
+        // this test pins.
+        let model = dod_detect::cost::CostModel::new(params(), 2);
+        let estimates = (plan.count_sample(&sample).iter().enumerate())
+            .map(|(pid, &n)| {
+                let (n, volume) = (n as usize, plan.rect(pid).volume());
+                let candidates = (dod_detect::cost::PAPER_CANDIDATES.iter())
+                    .map(|&algorithm| CandidateCost {
+                        algorithm,
+                        cost: model.cost(algorithm, n, volume),
+                        terms: model.cost_terms(algorithm, n, volume),
+                    })
+                    .collect();
+                let hit_mu = model.hit_probability(volume);
+                PartitionEstimate {
+                    n_est: n as f64,
+                    hit_mu,
+                    candidates,
+                }
+            })
+            .collect();
+        let mt = MultiTacticPlan::from_estimates(
             plan,
-            &sample,
-            1.0,
-            params(),
-            dod_detect::cost::PAPER_CANDIDATES,
+            estimates,
             4,
             AllocationSpec::cost(),
+            CostWeights::UNIT,
         );
         assert_eq!(mt.algorithms.len(), 4);
         assert_eq!(mt.allocation.len(), 4);
@@ -927,12 +800,10 @@ mod tests {
     fn monolithic_plan_is_uniform() {
         let sample = PointSet::from_xy(&[(1.0, 1.0), (5.0, 5.0)]);
         let plan = PartitionPlan::from_grid(GridSpec::uniform(domain(), 2).unwrap());
-        let mt = MultiTacticPlan::monolithic(
+        let mt = estimated(
             plan,
             &sample,
-            1.0,
-            params(),
-            AlgorithmKind::NestedLoop,
+            &[AlgorithmKind::NestedLoop],
             2,
             AllocationSpec::round_robin(),
         );
@@ -941,6 +812,7 @@ mod tests {
             .iter()
             .all(|&a| a == AlgorithmKind::NestedLoop));
         assert_eq!(mt.allocation, vec![0, 1, 0, 1]);
+        assert!(mt.report.partitions.iter().all(|p| p.margin == 0.0));
     }
 
     #[test]
@@ -995,11 +867,9 @@ mod tests {
     fn plan_drift_against_observed_counts() {
         let plan = PartitionPlan::from_grid(GridSpec::uniform(domain(), 2).unwrap());
         let sample = PointSet::from_xy(&[(1.0, 1.0), (6.0, 1.0), (1.0, 6.0), (6.0, 6.0)]);
-        let mt = MultiTacticPlan::build(
+        let mt = estimated(
             plan,
             &sample,
-            1.0,
-            params(),
             &[AlgorithmKind::NestedLoop],
             2,
             AllocationSpec::round_robin(),

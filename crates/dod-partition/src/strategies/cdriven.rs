@@ -48,7 +48,9 @@ impl PartitionStrategy for CDriven {
         let kind = self.kind;
         let estimator = LocalCostEstimator::new(domain, sample, ctx.sample_rate, ctx.params, 32);
         splitter::recursive_split(sample, domain, ctx.target_partitions, &move |idxs, rect| {
-            estimator.subset_cost(sample, idxs, kind, rect.volume())
+            estimator
+                .subset_cost(sample, idxs, kind, rect.volume())
+                .cost
         })
     }
 }
@@ -88,16 +90,16 @@ mod tests {
         // Evaluate predicted cost balance of CDriven vs DDriven under the
         // same estimator CDriven optimizes.
         let estimator = LocalCostEstimator::new(&domain, &sample, 1.0, params, 32);
-        let cost_of = |plan: &PartitionPlan| -> Vec<f64> {
+        let costs_of = |plan: &PartitionPlan| -> Vec<f64> {
             estimator
                 .estimate(plan, &sample, &[AlgorithmKind::NestedLoop])
                 .into_iter()
-                .map(|e| e.costs[0].1)
+                .map(|e| e.candidates[0].cost)
                 .collect()
         };
-        let c_costs = cost_of(&plan);
+        let c_costs = costs_of(&plan);
         let d_plan = crate::strategies::DDriven.build_plan(&sample, &domain, &ctx);
-        let d_costs = cost_of(&d_plan);
+        let d_costs = costs_of(&d_plan);
         // Same number of bins; the cost-driven plan's most expensive
         // partition must not exceed the data-driven plan's.
         let ident: Vec<usize> = (0..16).collect();

@@ -2,26 +2,22 @@
 //! (Section V).
 //!
 //! Discretizes the domain into mini buckets, clusters them with DSHC, and
-//! emits one partition per cluster. The companion algorithm/allocation
-//! plans are produced by [`crate::plan::MultiTacticPlan::build`], which
-//! the `dod` pipeline invokes with this plan.
+//! emits one partition per cluster. The `dod` pipeline prices this plan
+//! with [`crate::estimate::LocalCostEstimator`] and builds the companion
+//! algorithm/allocation plans with
+//! [`crate::plan::MultiTacticPlan::from_estimates`].
 
 use crate::dshc::{Dshc, DshcConfig};
-use crate::minibucket::MiniBucketGrid;
+use crate::minibucket::{clamp_buckets_per_dim, MiniBucketGrid};
 use crate::plan::{PartitionPlan, PlanContext};
 use crate::strategies::PartitionStrategy;
 use dod_core::{PointSet, Rect};
 
-/// Upper bound on the total number of mini buckets; the per-dimension
-/// resolution is reduced in high dimensions so the bucket grid stays
-/// tractable (`buckets_per_dim^d <= MAX_TOTAL_BUCKETS`).
-pub const MAX_TOTAL_BUCKETS: usize = 65_536;
-
 /// Density-aware multi-tactic partitioning (DSHC over mini buckets).
 #[derive(Debug, Clone, Copy)]
 pub struct Dmt {
-    /// Mini buckets per dimension (Section V-A stage 1). Clamped so the
-    /// total bucket count stays below `MAX_TOTAL_BUCKETS`.
+    /// Mini buckets per dimension (Section V-A stage 1), reduced in high
+    /// dimensions by [`clamp_buckets_per_dim`].
     pub buckets_per_dim: usize,
     /// `Tdiff` as a fraction of the dataset's mean density
     /// (Definition 5.2, criterion 1).
@@ -60,10 +56,7 @@ impl PartitionStrategy for Dmt {
     }
 
     fn build_plan(&self, sample: &PointSet, domain: &Rect, _ctx: &PlanContext) -> PartitionPlan {
-        // Clamp the per-dimension resolution so buckets^d stays bounded.
-        let dim = domain.dim() as f64;
-        let cap = (MAX_TOTAL_BUCKETS as f64).powf(1.0 / dim).floor() as usize;
-        let per_dim = self.buckets_per_dim.clamp(1, cap.max(1));
+        let per_dim = clamp_buckets_per_dim(self.buckets_per_dim, domain.dim());
         let buckets = MiniBucketGrid::build(domain, per_dim, sample)
             .expect("sample and domain dimensions agree");
         // Floor of 32 sample points so tiny samples don't shatter the

@@ -107,10 +107,6 @@ pub struct DodConfig {
     /// paper-faithful default (round-robin for Domain/uniSpace,
     /// cardinality-balanced for DDriven, cost-balanced for CDriven/DMT).
     pub allocation: Option<AllocationSpec>,
-    /// Use the paper's per-partition average-density cost models
-    /// (Lemmas 4.1/4.2) instead of the default locality-aware estimator
-    /// (see `dod_partition::estimate`). Kept for the cost-model ablation.
-    pub paper_cost_model: bool,
     /// Observability sink for the run: stage spans, plan decisions,
     /// MapReduce task spans, and per-partition detector counters flow
     /// through it. Defaults to the disabled handle (zero overhead).
@@ -146,7 +142,6 @@ impl DodConfig {
             replication: 3,
             seed: 0xD0D_5EED,
             allocation: None,
-            paper_cost_model: false,
             obs: Obs::null(),
             calibration: CalibrationProfile::unit(),
             checkpoint: None,
@@ -165,7 +160,6 @@ impl DodConfig {
             replication: 3,
             seed: 0xD0D_5EED,
             allocation: None,
-            paper_cost_model: false,
             obs: Obs::null(),
             calibration: CalibrationProfile::unit(),
             checkpoint: None,
@@ -185,7 +179,6 @@ impl DodConfig {
             replication: self.replication,
             seed: self.seed,
             allocation: self.allocation,
-            paper_cost_model: self.paper_cost_model,
             obs: self.obs.clone(),
             calibration: self.calibration.clone(),
             checkpoint: self.checkpoint.clone(),
@@ -209,7 +202,6 @@ pub struct DodConfigBuilder {
     replication: usize,
     seed: u64,
     allocation: Option<AllocationSpec>,
-    paper_cost_model: bool,
     obs: Obs,
     calibration: CalibrationProfile,
     checkpoint: Option<CheckpointSpec>,
@@ -261,12 +253,6 @@ impl DodConfigBuilder {
     /// Overrides the partition→reducer allocation policy.
     pub fn allocation(mut self, spec: AllocationSpec) -> Self {
         self.allocation = Some(spec);
-        self
-    }
-
-    /// Switches to the paper's average-density cost models.
-    pub fn paper_cost_model(mut self, enabled: bool) -> Self {
-        self.paper_cost_model = enabled;
         self
     }
 
@@ -331,7 +317,6 @@ impl DodConfigBuilder {
             replication: self.replication,
             seed: self.seed,
             allocation: self.allocation,
-            paper_cost_model: self.paper_cost_model,
             obs: self.obs,
             calibration: self.calibration,
             checkpoint: self.checkpoint,

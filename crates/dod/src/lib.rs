@@ -44,8 +44,7 @@ pub mod two_job;
 pub use config::{CheckpointSpec, ConfigError, DodConfig, DodConfigBuilder};
 pub use framework::TaggedPoint;
 pub use pipeline::{
-    DetectionMode, DodError, DodOutcome, DodRunner, DodRunnerBuilder, Preprocessed, RunReport,
-    StageBreakdown,
+    DodError, DodOutcome, DodRunner, DodRunnerBuilder, Preprocessed, RunReport, StageBreakdown,
 };
 
 /// The crate's single error surface: every fallible public operation
@@ -57,7 +56,7 @@ pub use pipeline::DodError as Error;
 /// Convenient re-exports for typical callers.
 pub mod prelude {
     pub use crate::config::{ConfigError, DodConfig, DodConfigBuilder};
-    pub use crate::pipeline::{DetectionMode, DodOutcome, DodRunner, RunReport};
+    pub use crate::pipeline::{DodOutcome, DodRunner, RunReport};
     pub use dod_core::{OutlierParams, PointSet};
     pub use dod_detect::cost::AlgorithmKind;
     pub use dod_partition::{

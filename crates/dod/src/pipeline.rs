@@ -94,16 +94,6 @@ impl From<ConfigError> for DodError {
     }
 }
 
-/// How reducers pick their detection algorithm.
-#[derive(Debug, Clone)]
-pub enum DetectionMode {
-    /// One algorithm for every partition — the "monolithic" approach of
-    /// all prior work (Section I).
-    Fixed(AlgorithmKind),
-    /// Per-partition selection over a candidate set (Corollary 4.3).
-    MultiTactic(Vec<AlgorithmKind>),
-}
-
 /// Stage breakdown of a run (the Figure 10 bars).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageBreakdown {
@@ -192,7 +182,9 @@ pub struct DodOutcome {
 pub struct DodRunner {
     config: DodConfig,
     strategy: Arc<dyn PartitionStrategy + Send + Sync>,
-    mode: DetectionMode,
+    /// The algorithms each partition's plan chooses among (Corollary
+    /// 4.3); one candidate runs it everywhere.
+    candidates: Vec<AlgorithmKind>,
 }
 
 /// Builder for [`DodRunner`].
@@ -200,7 +192,7 @@ pub struct DodRunnerBuilder {
     config: Option<DodConfig>,
     params: Option<OutlierParams>,
     strategy: Arc<dyn PartitionStrategy + Send + Sync>,
-    mode: DetectionMode,
+    candidates: Vec<AlgorithmKind>,
 }
 
 impl Default for DodRunnerBuilder {
@@ -209,7 +201,7 @@ impl Default for DodRunnerBuilder {
             config: None,
             params: None,
             strategy: Arc::new(Dmt::default()),
-            mode: DetectionMode::MultiTactic(PAPER_CANDIDATES.to_vec()),
+            candidates: PAPER_CANDIDATES.to_vec(),
         }
     }
 }
@@ -234,22 +226,21 @@ impl DodRunnerBuilder {
         self
     }
 
-    /// Uses one fixed detection algorithm everywhere.
-    pub fn fixed(mut self, kind: AlgorithmKind) -> Self {
-        self.mode = DetectionMode::Fixed(kind);
-        self
+    /// Uses one fixed detection algorithm everywhere — the "monolithic"
+    /// approach of all prior work (Section I).
+    pub fn fixed(self, kind: AlgorithmKind) -> Self {
+        self.candidates(vec![kind])
     }
 
     /// Uses per-partition algorithm selection over the paper's candidate
     /// set (Cell-Based + Nested-Loop).
-    pub fn multi_tactic(mut self) -> Self {
-        self.mode = DetectionMode::MultiTactic(PAPER_CANDIDATES.to_vec());
-        self
+    pub fn multi_tactic(self) -> Self {
+        self.candidates(PAPER_CANDIDATES.to_vec())
     }
 
     /// Uses per-partition algorithm selection over a custom candidate set.
     pub fn candidates(mut self, candidates: Vec<AlgorithmKind>) -> Self {
-        self.mode = DetectionMode::MultiTactic(candidates);
+        self.candidates = candidates;
         self
     }
 
@@ -266,7 +257,7 @@ impl DodRunnerBuilder {
         DodRunner {
             config,
             strategy: self.strategy,
-            mode: self.mode,
+            candidates: self.candidates,
         }
     }
 }
@@ -297,13 +288,13 @@ impl DodRunner {
         &self.config
     }
 
-    /// A runner with the same strategy and detection mode but a different
+    /// A runner with the same strategy and candidates but a different
     /// configuration — e.g. the same pipeline reseeded for a plan refresh.
     pub fn with_config(&self, config: DodConfig) -> DodRunner {
         DodRunner {
             config,
             strategy: Arc::clone(&self.strategy),
-            mode: self.mode.clone(),
+            candidates: self.candidates.clone(),
         }
     }
 
@@ -330,53 +321,18 @@ impl DodRunner {
             .allocation
             .unwrap_or_else(|| self.strategy.default_allocation());
         let weights = cfg.calibration.weights_for(cfg.params.metric, domain.dim());
-        let mt = if cfg.paper_cost_model {
-            match &self.mode {
-                DetectionMode::Fixed(kind) => MultiTacticPlan::monolithic(
-                    plan,
-                    &sample,
-                    cfg.sample_rate,
-                    cfg.params,
-                    *kind,
-                    cfg.num_reducers,
-                    allocation,
-                ),
-                DetectionMode::MultiTactic(candidates) => MultiTacticPlan::build_weighted(
-                    plan,
-                    &sample,
-                    cfg.sample_rate,
-                    cfg.params,
-                    candidates,
-                    cfg.num_reducers,
-                    allocation,
-                    weights,
-                ),
-            }
-        } else {
-            let (candidates, fixed): (Vec<AlgorithmKind>, Option<AlgorithmKind>) = match &self.mode
-            {
-                DetectionMode::Fixed(kind) => (vec![*kind], Some(*kind)),
-                DetectionMode::MultiTactic(c) => (c.clone(), None),
-            };
-            let mut estimator =
-                LocalCostEstimator::new(&domain, &sample, cfg.sample_rate, cfg.params, 32)
-                    .with_weights(weights);
-            if !cfg.calibration.is_unit() {
-                // A measured profile asks for measured quantities: route
-                // density estimation through the same kernel predicates
-                // the calibrated per-pair term was benchmarked on.
-                estimator = estimator.with_kernel_density(&sample);
-            }
-            let estimates = estimator.estimate(&plan, &sample, &candidates);
-            MultiTacticPlan::from_estimates(
-                plan,
-                &estimates,
-                fixed,
-                cfg.num_reducers,
-                allocation,
-                weights,
-            )
-        };
+        let mut estimator =
+            LocalCostEstimator::new(&domain, &sample, cfg.sample_rate, cfg.params, 32)
+                .with_weights(weights);
+        if !cfg.calibration.is_unit() {
+            // A measured profile asks for measured quantities: route
+            // density estimation through the same kernel predicates the
+            // calibrated per-pair term was benchmarked on.
+            estimator = estimator.with_kernel_density(&sample);
+        }
+        let estimates = estimator.estimate(&plan, &sample, &self.candidates);
+        let mt =
+            MultiTacticPlan::from_estimates(plan, estimates, cfg.num_reducers, allocation, weights);
         let t_estimated = Instant::now();
         let router = Arc::new(mt.plan.router_with_metric(cfg.params.r, cfg.params.metric));
         let t_routed = Instant::now();
@@ -396,18 +352,14 @@ impl DodRunner {
             }
             // One mark per partition documents the DMT plan decision
             // (Corollary 4.3: the cheapest candidate per partition).
-            for (pid, &alg) in mt.algorithms.iter().enumerate() {
-                let mut labels = vec![
-                    ("partition", Value::from(pid)),
-                    ("algorithm", Value::from(alg.name())),
+            for p in &mt.report.partitions {
+                let labels = [
+                    ("partition", Value::from(p.partition)),
+                    ("algorithm", Value::from(p.winner.name())),
+                    ("predicted_cost", Value::from(p.winner_cost)),
+                    ("n_est", Value::from(p.n_est)),
+                    ("margin", Value::from(p.margin)),
                 ];
-                if let Some(&cost) = mt.predicted_costs.get(pid) {
-                    labels.push(("predicted_cost", Value::from(cost)));
-                }
-                if let Some(p) = mt.report.partitions.get(pid) {
-                    labels.push(("n_est", Value::from(p.n_est)));
-                    labels.push(("margin", Value::from(p.margin)));
-                }
                 cfg.obs.mark(names::DOD_PLAN_PARTITION, &labels);
             }
             cfg.obs.mark(

@@ -3,11 +3,11 @@
 
 use dod::prelude::*;
 use dod_core::Rect;
-use dod_detect::cost::{AlgorithmKind as Kind, CostModel, PAPER_CANDIDATES};
+use dod_detect::cost::{choose_algorithm, AlgorithmKind as Kind, CostModel, PAPER_CANDIDATES};
+use dod_detect::CalibrationProfile;
 use dod_integration::mixed_density;
 use dod_partition::packing::assignment_makespan;
-use dod_partition::AllocationSpec;
-use dod_partition::{sample_points, MultiTacticPlan, PlanContext};
+use dod_partition::{allocate, sample_points, MultiTacticPlan, PartitionPlan, PlanContext};
 
 fn ctx(params: OutlierParams, m: usize) -> PlanContext {
     PlanContext::new(params, m, 1.0)
@@ -40,6 +40,26 @@ fn three_regimes() -> PointSet {
     data
 }
 
+/// Each partition's Corollary 4.3 choice and its predicted cost under
+/// the paper's model (Lemmas 4.1/4.2), for a sample drawn at rate 1.
+fn paper_choices(
+    plan: &PartitionPlan,
+    sample: &PointSet,
+    params: OutlierParams,
+) -> Vec<(Kind, f64)> {
+    let model = CostModel::new(params, plan.domain().dim());
+    (plan.count_sample(sample).iter().enumerate())
+        .map(|(pid, &n)| {
+            choose_algorithm(
+                &model,
+                PAPER_CANDIDATES,
+                n as usize,
+                plan.rect(pid).volume(),
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn corollary_4_3_assigns_different_algorithms_per_regime() {
     let data = three_regimes();
@@ -47,25 +67,13 @@ fn corollary_4_3_assigns_different_algorithms_per_regime() {
     let domain = data.bounding_rect().unwrap();
     let sample = sample_points(&data, 1.0, 1);
     let plan = Dmt::default().build_plan(&sample, &domain, &ctx(params, 32));
-    let mt = MultiTacticPlan::build(
-        plan,
-        &sample,
-        1.0,
-        params,
-        PAPER_CANDIDATES,
-        8,
-        AllocationSpec::cost(),
-    );
+    let choices = paper_choices(&plan, &sample, params);
     // The dense blob must get Cell-Based, the intermediate block
     // Nested-Loop.
-    let dense_pid = mt.plan.locate(&[1.5, 1.5]) as usize;
-    let mid_pid = mt.plan.locate(&[56.0, 15.0]) as usize;
-    assert_eq!(mt.algorithms[dense_pid], Kind::CellBased, "dense regime");
-    assert_eq!(
-        mt.algorithms[mid_pid],
-        Kind::NestedLoop,
-        "intermediate regime"
-    );
+    let dense_pid = plan.locate(&[1.5, 1.5]) as usize;
+    let mid_pid = plan.locate(&[56.0, 15.0]) as usize;
+    assert_eq!(choices[dense_pid].0, Kind::CellBased, "dense regime");
+    assert_eq!(choices[mid_pid].0, Kind::NestedLoop, "intermediate regime");
 }
 
 #[test]
@@ -106,21 +114,13 @@ fn cost_allocation_beats_round_robin_on_skewed_plans() {
     let domain = data.bounding_rect().unwrap();
     let sample = sample_points(&data, 1.0, 3);
     let plan = Dmt::default().build_plan(&sample, &domain, &ctx(params, 32));
-    let build = |policy| {
-        MultiTacticPlan::build(
-            plan.clone(),
-            &sample,
-            1.0,
-            params,
-            PAPER_CANDIDATES,
-            4,
-            policy,
-        )
-    };
-    let rr = build(AllocationSpec::round_robin());
-    let lpt = build(AllocationSpec::cost());
-    let rr_ms = assignment_makespan(&rr.predicted_costs, 4, &rr.allocation);
-    let lpt_ms = assignment_makespan(&lpt.predicted_costs, 4, &lpt.allocation);
+    let costs: Vec<f64> = (paper_choices(&plan, &sample, params).iter())
+        .map(|&(_, cost)| cost)
+        .collect();
+    let rr = allocate(&costs, 4, AllocationPolicy::RoundRobin);
+    let lpt = allocate(&costs, 4, AllocationPolicy::LptRefined);
+    let rr_ms = assignment_makespan(&costs, 4, &rr);
+    let lpt_ms = assignment_makespan(&costs, 4, &lpt);
     assert!(
         lpt_ms <= rr_ms + 1e-9,
         "LPT {lpt_ms} vs round-robin {rr_ms}"
@@ -192,3 +192,96 @@ fn support_replication_factor_is_modest() {
         records as f64 / data.len() as f64
     );
 }
+
+/// A small corpus shaped like a batch workload: Gaussian clusters
+/// `(centre, sigma, share of the points)` over a uniform background in
+/// the cube `[0, 100]^dim`.
+fn batch_shape(dim: usize, clusters: &[(&[f64], f64, f64)], n: usize) -> PointSet {
+    use dod_data::{GaussianMixture, MixtureComponent};
+    let components = clusters
+        .iter()
+        .map(|&(centre, sigma, share)| MixtureComponent {
+            center: centre.to_vec(),
+            std_dev: vec![sigma; dim],
+            weight: share,
+        })
+        .collect();
+    let background = 1.0 - clusters.iter().map(|c| c.2).sum::<f64>();
+    let cube = Rect::new(vec![0.0; dim], vec![100.0; dim]).unwrap();
+    GaussianMixture::new(cube, components, background).generate(n, 41)
+}
+
+/// FNV-1a over everything `preprocess` decides: per partition its
+/// algorithm, reducer, predicted cost and margin, and every candidate's
+/// cost, the floats by their bits.
+fn plan_fingerprint(mt: &MultiTacticPlan) -> u64 {
+    let names = mt.algorithms.iter().flat_map(|a| a.name().bytes());
+    let candidates = mt.report.partitions.iter().flat_map(|p| &p.candidates);
+    mapreduce::checkpoint::fingerprint_u64s(
+        names
+            .map(u64::from)
+            .chain(mt.allocation.iter().map(|&r| r as u64))
+            .chain(mt.predicted_costs.iter().map(|c| c.to_bits()))
+            .chain(mt.report.partitions.iter().map(|p| p.margin.to_bits()))
+            .chain(candidates.map(|c| c.cost.to_bits())),
+    )
+}
+
+/// The whole plan of the two batch shapes, pinned: a 2-d skewed corpus
+/// (`batch_skew2d`'s mixture) and a 4-d clustered one (`batch_dense4d`'s),
+/// each under fixed Nested-Loop and multi-tactic, with unit weights and
+/// with the checked-in calibration profile (which also switches density
+/// estimation to the kernel path).
+#[test]
+fn plans_of_the_batch_shapes_are_pinned() {
+    let skew2d = batch_shape(
+        2,
+        &[(&[30.0, 30.0], 1.5, 0.40), (&[65.0, 60.0], 8.0, 0.45)],
+        20_000,
+    );
+    let dense4d = batch_shape(
+        4,
+        &[
+            (&[20.0, 20.0, 20.0, 20.0], 1.25, 0.16),
+            (&[70.0, 25.0, 60.0, 20.0], 1.25, 0.16),
+            (&[40.0, 70.0, 30.0, 75.0], 1.25, 0.16),
+            (&[80.0, 80.0, 80.0, 30.0], 1.25, 0.16),
+            (&[25.0, 45.0, 80.0, 60.0], 1.25, 0.16),
+            (&[60.0, 50.0, 45.0, 85.0], 1.25, 0.16),
+        ],
+        10_000,
+    );
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCH_calibration.json");
+    let calibration = CalibrationProfile::load(path).unwrap();
+    let mut got = Vec::new();
+    for (data, r, k) in [(&skew2d, 0.6, 6), (&dense4d, 0.9, 16)] {
+        for profile in [CalibrationProfile::unit(), calibration.clone()] {
+            let config = DodConfig::builder(OutlierParams::new(r, k).unwrap())
+                .num_reducers(16)
+                .target_partitions(64)
+                .sample_rate(0.1)
+                .calibration(profile)
+                .build()
+                .unwrap();
+            let builder = || DodRunner::builder().config(config.clone());
+            for runner in [builder().fixed(Kind::NestedLoop), builder().multi_tactic()] {
+                let mt = runner.build().preprocess(data).unwrap().mt;
+                got.push((mt.num_partitions(), plan_fingerprint(&mt)));
+            }
+        }
+    }
+    assert_eq!(got, PINNED_PLANS);
+}
+
+/// `(partitions, fingerprint)` per case of
+/// `plans_of_the_batch_shapes_are_pinned`, in its loop order.
+const PINNED_PLANS: [(usize, u64); 8] = [
+    (125, 848_538_548_500_595_800),
+    (125, 11_682_378_284_495_870_954),
+    (125, 2_633_805_296_272_925_468),
+    (125, 13_823_690_296_927_221_432),
+    (437, 222_042_548_508_197_940),
+    (437, 2_852_253_042_664_290_075),
+    (437, 11_908_271_502_042_111_605),
+    (437, 6_818_444_479_181_991_644),
+];
