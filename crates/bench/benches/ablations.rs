@@ -103,14 +103,14 @@ fn bench_block_scan(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(2));
     group.bench_function("paper_full_scan", |b| {
-        b.iter(|| CellBased::default().detect(&partition, params))
-    });
-    group.bench_function("block_restricted", |b| {
         b.iter(|| {
             CellBased::default()
-                .block_restricted()
+                .full_scan_fallback()
                 .detect(&partition, params)
         })
+    });
+    group.bench_function("block_restricted", |b| {
+        b.iter(|| CellBased::default().detect(&partition, params))
     });
     group.finish();
 }

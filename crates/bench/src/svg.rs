@@ -20,7 +20,6 @@ fn fill_for(kind: Option<AlgorithmKind>) -> &'static str {
         Some(AlgorithmKind::NestedLoop) => "#fde2c8",
         Some(AlgorithmKind::CellBased) | Some(AlgorithmKind::CellBasedFullScan) => "#cfe3f7",
         Some(AlgorithmKind::IndexBased) => "#d9f0d4",
-        Some(AlgorithmKind::PivotBased) => "#ecdcf5",
         _ => "#f2f2f2",
     }
 }
@@ -133,13 +132,11 @@ mod tests {
             AlgorithmKind::NestedLoop,
             AlgorithmKind::CellBased,
             AlgorithmKind::IndexBased,
-            AlgorithmKind::PivotBased,
         ];
         let svg = plan_to_svg(&plan, None, Some(&algs));
         assert!(svg.contains("#fde2c8"));
         assert!(svg.contains("#cfe3f7"));
         assert!(svg.contains("#d9f0d4"));
-        assert!(svg.contains("#ecdcf5"));
     }
 
     #[test]

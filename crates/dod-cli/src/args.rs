@@ -219,7 +219,7 @@ OPTIONS:
     --r <float>             distance threshold (required, > 0)
     --k <int>               neighbor-count threshold (required, >= 1)
     --strategy <name>       domain | unispace | ddriven | cdriven | dmt  [dmt]
-    --mode <name>           mt | nl | cb | ib | pb                       [mt]
+    --mode <name>           mt | nl | cb | ib                            [mt]
     --reducers <int>        number of reduce tasks                       [16]
     --partitions <int>      target partition count                      [64]
     --metric <name>         euclidean | manhattan | chebyshev      [euclidean]
@@ -480,7 +480,6 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
                     "nl" => ModeArg::Fixed(AlgorithmKind::NestedLoop),
                     "cb" => ModeArg::Fixed(AlgorithmKind::CellBased),
                     "ib" => ModeArg::Fixed(AlgorithmKind::IndexBased),
-                    "pb" => ModeArg::Fixed(AlgorithmKind::PivotBased),
                     other => return Err(ArgError::Invalid(format!("unknown mode {other:?}"))),
                 }
             }
@@ -690,6 +689,13 @@ mod tests {
             parse(&v(&["--input", "x", "--r", "1", "--k", "2", "--bogus"])),
             Err(ArgError::Invalid(_))
         ));
+        let pb = parse(&v(&[
+            "--input", "x", "--r", "1", "--k", "2", "--mode", "pb",
+        ]));
+        assert!(
+            matches!(&pb, Err(ArgError::Invalid(msg)) if msg.contains("unknown mode")),
+            "{pb:?}"
+        );
     }
 
     #[test]

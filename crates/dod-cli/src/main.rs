@@ -294,6 +294,7 @@ mod tests {
                 ModeArg::MultiTactic,
                 ModeArg::Fixed(AlgorithmKind::NestedLoop),
                 ModeArg::Fixed(AlgorithmKind::CellBased),
+                ModeArg::Fixed(AlgorithmKind::IndexBased),
             ] {
                 let mut a = base_args();
                 a.strategy = strategy;

@@ -281,8 +281,9 @@ pub struct CellBased {
     /// large or very sparse domains.
     max_cells_per_dim: usize,
     /// Whether the fallback scan is restricted to the candidate block
-    /// (`true`) or runs over the whole partition as in the paper
-    /// (`false`, the default).
+    /// (`true`, what [`CellBased::new`] sets) or runs over the whole
+    /// partition as in the paper (`false`, set by
+    /// [`CellBased::full_scan_fallback`]).
     block_restricted: bool,
     /// Seed for the randomized fallback scan order.
     seed: u64,
@@ -299,12 +300,6 @@ impl CellBased {
             block_restricted: true,
             seed: 0xD0D_0002,
         }
-    }
-
-    /// Restricts the fallback scan to the candidate block (the default).
-    pub fn block_restricted(mut self) -> Self {
-        self.block_restricted = true;
-        self
     }
 
     /// Scans the whole partition in random order during the fallback —
@@ -324,7 +319,8 @@ impl Default for CellBased {
 /// Points of one non-empty grid cell, split into core and support
 /// sub-tiles. Each side keeps its indices (into the partition's core or
 /// support set respectively) aligned with its coordinates gathered into
-/// a contiguous columnar tile for the kernel scans. The split — rather
+/// a contiguous row-major tile, which the scans read through
+/// `count_tile_excluding` → `count_within_tile`. The split — rather
 /// than one unified sorted list — is what makes the cell index
 /// incrementally maintainable: an insert appends to one sub-tile and a
 /// removal swap-removes one entry, neither disturbing the other side's

@@ -24,7 +24,6 @@ use crate::cell_based::CellBased;
 use crate::detector::Detector;
 use crate::index_based::IndexBased;
 use crate::nested_loop::NestedLoop;
-use crate::pivot_based::PivotBased;
 use crate::reference::Reference;
 use dod_core::OutlierParams;
 
@@ -43,13 +42,20 @@ pub enum AlgorithmKind {
     CellBasedFullScan,
     /// kd-tree range counting (extension).
     IndexBased,
-    /// Pivot-index counting, DOLPHIN-style (extension; paper ref. \[4\]).
-    PivotBased,
     /// Brute-force oracle (testing only; never selected by cost).
     Reference,
 }
 
 impl AlgorithmKind {
+    /// Every algorithm class, in declaration order.
+    pub const ALL: [AlgorithmKind; 5] = [
+        AlgorithmKind::NestedLoop,
+        AlgorithmKind::CellBased,
+        AlgorithmKind::CellBasedFullScan,
+        AlgorithmKind::IndexBased,
+        AlgorithmKind::Reference,
+    ];
+
     /// Instantiates the detector implementing this class with its default
     /// configuration.
     pub fn detector(&self) -> Box<dyn Detector> {
@@ -58,7 +64,6 @@ impl AlgorithmKind {
             AlgorithmKind::CellBased => Box::new(CellBased::default()),
             AlgorithmKind::CellBasedFullScan => Box::new(CellBased::default().full_scan_fallback()),
             AlgorithmKind::IndexBased => Box::new(IndexBased::default()),
-            AlgorithmKind::PivotBased => Box::new(PivotBased::default()),
             AlgorithmKind::Reference => Box::new(Reference),
         }
     }
@@ -70,7 +75,6 @@ impl AlgorithmKind {
             AlgorithmKind::CellBased => "cell-based",
             AlgorithmKind::CellBasedFullScan => "cell-based-full",
             AlgorithmKind::IndexBased => "index-based",
-            AlgorithmKind::PivotBased => "pivot-based",
             AlgorithmKind::Reference => "reference",
         }
     }
@@ -206,33 +210,6 @@ impl CostModel {
         (self.ball / volume).min(1.0)
     }
 
-    /// Lemma 4.1, with the per-point cap at `n`: expected Nested-Loop work
-    /// for a partition of `n` points covering `volume`. Pure pair ops.
-    pub fn nested_loop(&self, n: usize, volume: f64) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        let mu = self.hit_probability(volume);
-        let per_point = (self.params.k as f64 / mu).min(n as f64);
-        self.weights.pair * (n as f64 * per_point)
-    }
-
-    /// Lemma 4.2: expected Cell-Based work. The `|D|` indexing term is
-    /// structural; the case-3 fallback scan adds Lemma 4.1's pair ops.
-    pub fn cell_based(&self, n: usize, volume: f64) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        match self.cell_based_case(n, volume) {
-            CellBasedCase::AllInliers | CellBasedCase::AllOutliers => {
-                self.weights.structural * n as f64
-            }
-            CellBasedCase::Fallback => {
-                self.weights.structural * n as f64 + self.nested_loop(n, volume)
-            }
-        }
-    }
-
     /// Which of Lemma 4.2's three cases applies.
     pub fn cell_based_case(&self, n: usize, volume: f64) -> CellBasedCase {
         // Cell side from the metric (r/(2√d) under L2); block volumes for
@@ -258,80 +235,48 @@ impl CostModel {
         CellBasedCase::Fallback
     }
 
-    /// Heuristic cost of the kd-tree detector (extension; not part of the
-    /// paper's model set): build `≈ n·log n`, then per-point traversal
-    /// `≈ log n` plus `k` candidate evaluations.
-    pub fn index_based(&self, n: usize, _volume: f64) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        let lg = (n as f64 + 1.0).log2();
-        self.weights.structural * (2.0 * n as f64 * lg)
-            + self.weights.pair * (n as f64 * self.params.k as f64)
-    }
-
-    /// Heuristic cost of the pivot-based detector (extension): `√n`
-    /// pivots give an `n·√n` build, then per point a `√n`-wide window of
-    /// 1-d comparisons plus `k` distance verifications.
-    pub fn pivot_based(&self, n: usize, _volume: f64) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        let sqrt_n = (n as f64).sqrt();
-        self.weights.structural * (n as f64 * sqrt_n + n as f64 * sqrt_n)
-            + self.weights.pair * (n as f64 * self.params.k as f64)
-    }
-
-    /// Predicted cost of running `kind` on the partition.
+    /// Predicted cost of running `kind` on the partition: its
+    /// [`CostModel::cost_terms`] under the model's weights.
     pub fn cost(&self, kind: AlgorithmKind, n: usize, volume: f64) -> f64 {
-        match kind {
-            AlgorithmKind::NestedLoop => self.nested_loop(n, volume),
-            // Lemma 4.2 models the full-scan fallback; it is also a sound
-            // (conservative) model for the block-restricted variant.
-            AlgorithmKind::CellBased | AlgorithmKind::CellBasedFullScan => {
-                self.cell_based(n, volume)
-            }
-            AlgorithmKind::IndexBased => self.index_based(n, volume),
-            AlgorithmKind::PivotBased => self.pivot_based(n, volume),
-            AlgorithmKind::Reference => self.weights.pair * ((n as f64) * (n as f64)),
-        }
+        self.cost_terms(kind, n, volume).weighted(self.weights)
     }
 
-    /// The raw (unweighted) op counts behind [`CostModel::cost`], for
-    /// plan introspection. `cost_terms(..).weighted(self.weights())`
-    /// agrees with `cost(..)` up to float associativity.
+    /// The raw (unweighted) op counts of running `kind` on a partition of
+    /// `n` points covering `volume` — the one definition of each tactic's
+    /// cost; [`CostModel::cost`] weights them.
     pub fn cost_terms(&self, kind: AlgorithmKind, n: usize, volume: f64) -> CostTerms {
         if n == 0 {
             return CostTerms::default();
         }
         let nf = n as f64;
         let k = self.params.k as f64;
+        let scan_pairs = || nf * (k / self.hit_probability(volume)).min(nf);
         match kind {
+            // Lemma 4.1, with the per-point cap at `n`.
             AlgorithmKind::NestedLoop => CostTerms {
-                pair_ops: nf * (k / self.hit_probability(volume)).min(nf),
+                pair_ops: scan_pairs(),
                 structural_ops: 0.0,
             },
+            // Lemma 4.2: `|D|` structural indexing ops; the case-3 fallback
+            // scan adds Lemma 4.1's pair ops. It models the full-scan
+            // fallback and is a conservative model of the block-restricted
+            // variant.
             AlgorithmKind::CellBased | AlgorithmKind::CellBasedFullScan => {
                 let fallback_pairs = match self.cell_based_case(n, volume) {
                     CellBasedCase::AllInliers | CellBasedCase::AllOutliers => 0.0,
-                    CellBasedCase::Fallback => nf * (k / self.hit_probability(volume)).min(nf),
+                    CellBasedCase::Fallback => scan_pairs(),
                 };
                 CostTerms {
                     pair_ops: fallback_pairs,
                     structural_ops: nf,
                 }
             }
+            // kd-tree heuristic (extension): build `≈ n·log n`, then per
+            // point a `≈ log n` traversal plus `k` candidate evaluations.
             AlgorithmKind::IndexBased => CostTerms {
                 pair_ops: nf * k,
                 structural_ops: 2.0 * nf * (nf + 1.0).log2(),
             },
-            AlgorithmKind::PivotBased => {
-                let sqrt_n = nf.sqrt();
-                CostTerms {
-                    pair_ops: nf * k,
-                    structural_ops: nf * sqrt_n + nf * sqrt_n,
-                }
-            }
             AlgorithmKind::Reference => CostTerms {
                 pair_ops: nf * nf,
                 structural_ops: 0.0,
@@ -420,18 +365,21 @@ mod tests {
         let n = 10_000;
         let volume = 1_000_000.0; // μ = π·25/1e6 ≈ 7.85e-5; k/μ ≈ 50930 > n
                                   // per-point capped at n
-        assert_eq!(m.nested_loop(n, volume), (n * n) as f64);
+        assert_eq!(m.cost(AlgorithmKind::NestedLoop, n, volume), (n * n) as f64);
         // Larger μ: uncapped regime matches |D|·A(D)·k/A(p).
         let volume = 10_000.0;
         let expected = n as f64 * volume * 4.0 / (std::f64::consts::PI * 25.0);
-        assert!((m.nested_loop(n, volume) - expected).abs() / expected < 1e-12);
+        assert!((m.cost(AlgorithmKind::NestedLoop, n, volume) - expected).abs() / expected < 1e-12);
     }
 
     #[test]
     fn nested_loop_cost_decreases_with_density() {
         let m = model(5.0, 4, 2);
         // Same n, smaller volume = denser = cheaper (Figure 4).
-        assert!(m.nested_loop(10_000, 10_000.0) < m.nested_loop(10_000, 40_000.0));
+        assert!(
+            m.cost(AlgorithmKind::NestedLoop, 10_000, 10_000.0)
+                < m.cost(AlgorithmKind::NestedLoop, 10_000, 40_000.0)
+        );
     }
 
     #[test]
@@ -454,8 +402,8 @@ mod tests {
     #[test]
     fn cell_based_linear_in_pruned_regimes() {
         let m = model(5.0, 4, 2);
-        assert_eq!(m.cell_based(10_000, 10.0), 10_000.0);
-        assert_eq!(m.cell_based(10_000, 1e12), 10_000.0);
+        assert_eq!(m.cost(AlgorithmKind::CellBased, 10_000, 10.0), 10_000.0);
+        assert_eq!(m.cost(AlgorithmKind::CellBased, 10_000, 1e12), 10_000.0);
     }
 
     #[test]
@@ -463,9 +411,9 @@ mod tests {
         let m = model(5.0, 4, 2);
         let n = 10_000;
         let volume = n as f64 / 0.05;
-        let c = m.cell_based(n, volume);
+        let c = m.cost(AlgorithmKind::CellBased, n, volume);
         assert!(c > n as f64);
-        assert_eq!(c, n as f64 + m.nested_loop(n, volume));
+        assert_eq!(c, n as f64 + m.cost(AlgorithmKind::NestedLoop, n, volume));
     }
 
     #[test]
@@ -493,15 +441,15 @@ mod tests {
         let volume = 1e5;
         let (alg, cost) = choose_algorithm(&m, PAPER_CANDIDATES, n, volume);
         assert_eq!(alg, AlgorithmKind::NestedLoop);
-        assert!(cost < m.cell_based(n, volume));
+        assert!(cost < m.cost(AlgorithmKind::CellBased, n, volume));
     }
 
     #[test]
     fn empty_partition_costs_nothing() {
         let m = model(1.0, 3, 2);
-        assert_eq!(m.nested_loop(0, 100.0), 0.0);
-        assert_eq!(m.cell_based(0, 100.0), 0.0);
-        assert_eq!(m.index_based(0, 100.0), 0.0);
+        assert_eq!(m.cost(AlgorithmKind::NestedLoop, 0, 100.0), 0.0);
+        assert_eq!(m.cost(AlgorithmKind::CellBased, 0, 100.0), 0.0);
+        assert_eq!(m.cost(AlgorithmKind::IndexBased, 0, 100.0), 0.0);
     }
 
     #[test]
@@ -510,7 +458,7 @@ mod tests {
         assert_eq!(m.hit_probability(0.0), 1.0);
         assert_eq!(m.cell_based_case(100, 0.0), CellBasedCase::AllInliers);
         // NL: k trials per point.
-        assert_eq!(m.nested_loop(100, 0.0), 300.0);
+        assert_eq!(m.cost(AlgorithmKind::NestedLoop, 100, 0.0), 300.0);
     }
 
     #[test]
@@ -535,14 +483,28 @@ mod tests {
     }
 
     #[test]
+    fn all_lists_every_kind_once() {
+        // Adding or removing a variant breaks this exhaustive match: the
+        // new variant gets an arm here at its position in
+        // `AlgorithmKind::ALL`, and every "each kind" test follows.
+        let position = |kind: AlgorithmKind| match kind {
+            AlgorithmKind::NestedLoop => 0,
+            AlgorithmKind::CellBased => 1,
+            AlgorithmKind::CellBasedFullScan => 2,
+            AlgorithmKind::IndexBased => 3,
+            AlgorithmKind::Reference => 4,
+        };
+        for (i, kind) in AlgorithmKind::ALL.into_iter().enumerate() {
+            assert_eq!(position(kind), i, "{kind:?}");
+        }
+    }
+
+    #[test]
     fn detector_factory_names_match() {
-        for kind in [
-            AlgorithmKind::NestedLoop,
-            AlgorithmKind::CellBased,
-            AlgorithmKind::IndexBased,
-            AlgorithmKind::PivotBased,
-            AlgorithmKind::Reference,
-        ] {
+        for kind in AlgorithmKind::ALL
+            .into_iter()
+            .filter(|&kind| kind != AlgorithmKind::CellBasedFullScan)
+        {
             assert_eq!(kind.detector().name(), kind.name());
         }
         // The full-scan variant shares the cell-based detector name but
@@ -552,15 +514,6 @@ mod tests {
             "cell-based"
         );
         assert_eq!(AlgorithmKind::CellBasedFullScan.name(), "cell-based-full");
-    }
-
-    #[test]
-    fn pivot_cost_is_superlinear() {
-        let m = model(1.0, 3, 2);
-        assert_eq!(m.pivot_based(0, 1.0), 0.0);
-        let c1 = m.pivot_based(1_000, 1.0);
-        let c2 = m.pivot_based(2_000, 1.0);
-        assert!(c2 > 2.0 * c1);
     }
 
     #[test]
@@ -587,33 +540,8 @@ mod tests {
                 assert_eq!(m.cost(kind, n, volume), w.cost(kind, n, volume));
             }
         }
-        assert_eq!(m.nested_loop(100, 0.0), 400.0);
-        assert_eq!(m.cell_based(10_000, 10.0), 10_000.0);
-    }
-
-    #[test]
-    fn cost_terms_weighted_matches_cost() {
-        let w = CostWeights {
-            pair: 1.0,
-            structural: 3.5,
-        };
-        let m = model(5.0, 4, 2).with_weights(w);
-        for &(n, volume) in &[(10_000usize, 10.0), (10_000, 1e5), (10_000, 1e12)] {
-            for kind in [
-                AlgorithmKind::NestedLoop,
-                AlgorithmKind::CellBased,
-                AlgorithmKind::IndexBased,
-                AlgorithmKind::PivotBased,
-                AlgorithmKind::Reference,
-            ] {
-                let cost = m.cost(kind, n, volume);
-                let via_terms = m.cost_terms(kind, n, volume).weighted(w);
-                assert!(
-                    (cost - via_terms).abs() <= 1e-9 * cost.abs().max(1.0),
-                    "{kind:?} n={n} volume={volume}: {cost} vs {via_terms}"
-                );
-            }
-        }
+        assert_eq!(m.cost(AlgorithmKind::NestedLoop, 100, 0.0), 400.0);
+        assert_eq!(m.cost(AlgorithmKind::CellBased, 10_000, 10.0), 10_000.0);
     }
 
     #[test]
@@ -660,7 +588,6 @@ mod tests {
                     AlgorithmKind::CellBased,
                     AlgorithmKind::NestedLoop,
                     AlgorithmKind::IndexBased,
-                    AlgorithmKind::PivotBased,
                 ];
                 let (a, ca) = choose_algorithm(&unit, candidates, n, volume);
                 let (b, cb) = choose_algorithm(&scaled, candidates, n, volume);

@@ -9,8 +9,6 @@
 //! * [`CellBased`] — the grid-pruning algorithm (Section IV-B, Knorr & Ng),
 //! * [`IndexBased`] — a kd-tree range-counting detector (an extension to
 //!   the evaluation's two-candidate set),
-//! * [`PivotBased`] — a DOLPHIN-style pivot-index detector (the third
-//!   class of centralized algorithms the paper cites, reference \[4\]),
 //! * [`Reference`] — a straightforward exact detector used as the
 //!   correctness oracle in tests,
 //!
@@ -40,7 +38,6 @@ pub mod detector;
 pub mod index_based;
 pub mod nested_loop;
 pub mod partition;
-pub mod pivot_based;
 pub mod reference;
 mod scan;
 pub mod state;
@@ -52,6 +49,5 @@ pub use detector::{Detection, DetectionStats, Detector};
 pub use index_based::{IndexBased, KdIndex};
 pub use nested_loop::NestedLoop;
 pub use partition::Partition;
-pub use pivot_based::PivotBased;
 pub use reference::Reference;
 pub use state::PartitionState;

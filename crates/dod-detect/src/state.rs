@@ -84,9 +84,7 @@ fn build_index(kind: AlgorithmKind, partition: &Partition, params: OutlierParams
             }
         }
         AlgorithmKind::IndexBased => StateIndex::Tree(KdIndex::build(partition, 0)),
-        AlgorithmKind::NestedLoop | AlgorithmKind::PivotBased | AlgorithmKind::Reference => {
-            StateIndex::Scan
-        }
+        AlgorithmKind::NestedLoop | AlgorithmKind::Reference => StateIndex::Scan,
     }
 }
 
@@ -118,8 +116,8 @@ pub struct PartitionState {
 impl PartitionState {
     /// Runs the build phase of `kind` over `partition`.
     ///
-    /// Algorithms without an index structure (nested-loop, pivot-based,
-    /// reference) get a scan-backed state; their [`PartitionState::detect`]
+    /// Algorithms without an index structure (nested-loop, reference)
+    /// get a scan-backed state; their [`PartitionState::detect`]
     /// simply runs the one-shot detector, which is already dominated by
     /// its query phase.
     pub fn build(kind: AlgorithmKind, partition: Arc<Partition>, params: OutlierParams) -> Self {
@@ -430,20 +428,11 @@ mod tests {
         Arc::new(Partition::new(core, vec![10, 11, 12, 13], support).unwrap())
     }
 
-    const ALL_KINDS: [AlgorithmKind; 6] = [
-        AlgorithmKind::NestedLoop,
-        AlgorithmKind::CellBased,
-        AlgorithmKind::CellBasedFullScan,
-        AlgorithmKind::IndexBased,
-        AlgorithmKind::PivotBased,
-        AlgorithmKind::Reference,
-    ];
-
     #[test]
     fn detect_matches_one_shot_for_every_kind() {
         let partition = sample_partition();
         let params = OutlierParams::new(1.0, 2).unwrap();
-        for kind in ALL_KINDS {
+        for kind in AlgorithmKind::ALL {
             let one_shot = kind.detector().detect(&partition, params);
             let state = PartitionState::build(kind, Arc::clone(&partition), params);
             assert_eq!(
@@ -465,7 +454,7 @@ mod tests {
             &[-50.0, -50.0], // far outside the partition's bounding box
             &[4.5, 4.5],
         ];
-        for kind in ALL_KINDS {
+        for kind in AlgorithmKind::ALL {
             let state = PartitionState::build(kind, Arc::clone(&partition), params);
             for q in queries {
                 let expected = partition
@@ -491,7 +480,7 @@ mod tests {
     fn traced_counts_match_and_charge_work_unless_the_inlier_rule_decides() {
         let partition = sample_partition();
         let params = OutlierParams::new(1.0, 2).unwrap();
-        for kind in ALL_KINDS {
+        for kind in AlgorithmKind::ALL {
             let state = PartitionState::build(kind, Arc::clone(&partition), params);
             // Uncapped, nothing can be decided early: every kind examines
             // at least the neighbors it reports.
@@ -521,7 +510,7 @@ mod tests {
     fn empty_partition_is_harmless() {
         let partition = Arc::new(Partition::standalone(PointSet::new(2).unwrap()));
         let params = OutlierParams::new(1.0, 2).unwrap();
-        for kind in ALL_KINDS {
+        for kind in AlgorithmKind::ALL {
             let state = PartitionState::build(kind, Arc::clone(&partition), params);
             assert!(state.detect().outliers.is_empty());
             assert_eq!(state.count_core_neighbors(&[0.0, 0.0], 5), 0);
@@ -531,7 +520,7 @@ mod tests {
     #[test]
     fn mutations_keep_state_equivalent_to_fresh_build() {
         let params = OutlierParams::new(1.0, 2).unwrap();
-        for kind in ALL_KINDS {
+        for kind in AlgorithmKind::ALL {
             let mut state = PartitionState::build(kind, sample_partition(), params)
                 .with_support_ids(vec![20])
                 .unwrap();
@@ -614,7 +603,7 @@ mod tests {
         // coordinates alone the copy that disappears could be the
         // survivor's; by id it cannot.
         let params = OutlierParams::new(1.0, 2).unwrap();
-        for kind in ALL_KINDS {
+        for kind in AlgorithmKind::ALL {
             let core = PointSet::from_xy(&[(0.1, 0.1), (0.1, 0.1), (0.2, 0.1), (9.0, 9.0)]);
             let support = PointSet::from_xy(&[(0.3, 0.3), (0.3, 0.3), (0.4, 0.3)]);
             let partition = Partition::new(core, vec![10, 11, 12, 13], support).unwrap();
@@ -642,7 +631,7 @@ mod tests {
         // built before the compaction (`warm`) or only after it.
         let params = OutlierParams::new(1.0, 2).unwrap();
         let at = |i: u64| [0.01 * (i % 13) as f64, 0.02 * (i % 7) as f64];
-        for kind in ALL_KINDS {
+        for kind in AlgorithmKind::ALL {
             for warm in [false, true] {
                 let context = format!("kind {} warm {warm}", kind.name());
                 let mut state = PartitionState::build(kind, sample_partition(), params)
@@ -678,7 +667,7 @@ mod tests {
     #[test]
     fn swap_remove_edge_cases_keep_the_id_maps_exact() {
         let params = OutlierParams::new(1.0, 2).unwrap();
-        for kind in ALL_KINDS {
+        for kind in AlgorithmKind::ALL {
             let context = format!("kind {}", kind.name());
             let mut state = PartitionState::build(kind, sample_partition(), params)
                 .with_support_ids(vec![20])
@@ -813,7 +802,7 @@ mod tests {
         // must not contribute to external scores.
         let partition = sample_partition();
         let params = OutlierParams::new(0.05, 2).unwrap();
-        for kind in ALL_KINDS {
+        for kind in AlgorithmKind::ALL {
             let state = PartitionState::build(kind, Arc::clone(&partition), params);
             assert_eq!(state.count_core_neighbors(&[0.3, 0.3], usize::MAX), 0);
         }

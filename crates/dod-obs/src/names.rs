@@ -188,8 +188,9 @@ pub const DOD_PLAN_PARTITION: &str = "dod.plan.partition";
 /// emitted.
 pub const DETECT_DISTANCE_EVALS: &str = "detect.distance_evals";
 
-/// Counter: index operations (cell, node or pivot-list visits priced by
-/// the cost model) of one detector run.
+/// Counter: index operations of one detector run — the points hashed or
+/// placed while building the Cell-Based grid or the kd-tree. Cell and
+/// node visits during the queries are not in it.
 pub const DETECT_INDEX_OPS: &str = "detect.index_ops";
 
 /// Counter: points settled by a pruning rule without a scan.

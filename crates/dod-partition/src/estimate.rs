@@ -243,7 +243,7 @@ impl LocalCostEstimator {
             AlgorithmKind::NestedLoop => self.nested_loop_terms(sample, idxs, n_est),
             AlgorithmKind::CellBased => self.cell_based_terms(sample, idxs, n_est),
             AlgorithmKind::CellBasedFullScan => self.cell_based_full_terms(sample, idxs, n_est),
-            // Index/pivot/reference: partition-level heuristics from the
+            // Index/reference: partition-level heuristics from the
             // paper-style model.
             other => {
                 CostModel::new(self.params, sample.dim()).cost_terms(other, n_est as usize, volume)
@@ -576,7 +576,7 @@ mod tests {
             candidates: vec![
                 candidate(AlgorithmKind::NestedLoop, 5.0),
                 candidate(AlgorithmKind::CellBased, 3.0),
-                candidate(AlgorithmKind::PivotBased, 3.0),
+                candidate(AlgorithmKind::IndexBased, 3.0),
             ],
         };
         assert_eq!(e.best().algorithm, AlgorithmKind::CellBased);

@@ -100,14 +100,7 @@ fn detect_all_equals_one_shot_for_every_fixed_algorithm() {
     let params = OutlierParams::new(1.0, 3).unwrap();
     let data = mixed_density(23, 350);
     let expected = reference_outliers(&data, params);
-    for kind in [
-        AlgorithmKind::NestedLoop,
-        AlgorithmKind::CellBased,
-        AlgorithmKind::CellBasedFullScan,
-        AlgorithmKind::IndexBased,
-        AlgorithmKind::PivotBased,
-        AlgorithmKind::Reference,
-    ] {
+    for kind in AlgorithmKind::ALL {
         let make = || {
             DodRunner::builder()
                 .config(config(params))

@@ -6,7 +6,7 @@
 //! the row-major tiles and the columnar scan alike.
 
 use dod_core::{Metric, NeighborPredicate, OutlierParams, PointId, PointSet};
-use dod_detect::{CellBased, Detector, IndexBased, NestedLoop, Partition, PivotBased, Reference};
+use dod_detect::{CellBased, Detector, IndexBased, NestedLoop, Partition, Reference};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -106,7 +106,6 @@ fn detectors(dim: usize) -> Vec<(&'static str, Box<dyn Detector>)> {
     let mut v: Vec<(&'static str, Box<dyn Detector>)> = vec![
         ("nested-loop", Box::new(NestedLoop::default())),
         ("index-based", Box::new(IndexBased::default())),
-        ("pivot-based", Box::new(PivotBased::default())),
         ("reference", Box::new(Reference)),
     ];
     if dim <= 3 {
@@ -445,37 +444,7 @@ fn kernels_decide_threshold_pairs_as_metric_within_does() {
 /// `OutlierParams::neighbors` directly.
 #[test]
 fn hot_paths_use_the_kernel_predicate() {
-    let sources: [(&str, &str); 7] = [
-        (
-            "nested_loop.rs",
-            include_str!("../../crates/dod-detect/src/nested_loop.rs"),
-        ),
-        (
-            "cell_based.rs",
-            include_str!("../../crates/dod-detect/src/cell_based.rs"),
-        ),
-        (
-            "index_based.rs",
-            include_str!("../../crates/dod-detect/src/index_based.rs"),
-        ),
-        (
-            "reference.rs",
-            include_str!("../../crates/dod-detect/src/reference.rs"),
-        ),
-        (
-            "pivot_based.rs",
-            include_str!("../../crates/dod-detect/src/pivot_based.rs"),
-        ),
-        (
-            "state.rs",
-            include_str!("../../crates/dod-detect/src/state.rs"),
-        ),
-        (
-            "scan.rs",
-            include_str!("../../crates/dod-detect/src/scan.rs"),
-        ),
-    ];
-    for (name, source) in sources {
+    for (name, source) in dod_integration::workspace_sources("crates/dod-detect/src") {
         let hot = source.split("#[cfg(test)]").next().unwrap();
         for forbidden in [".within(", ".neighbors("] {
             // `pred.within(` is the predicate's own (precomputed) entry

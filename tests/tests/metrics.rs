@@ -6,7 +6,7 @@
 use dod::extensions::similarity_join::{reference_join_metric, similarity_join};
 use dod::prelude::*;
 use dod_core::Metric;
-use dod_detect::{CellBased, Detector, IndexBased, NestedLoop, Partition, PivotBased, Reference};
+use dod_detect::{Detector, Partition, Reference};
 use dod_integration::{mixed_density, uniform_nd};
 
 const METRICS: [Metric; 3] = [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev];
@@ -28,19 +28,15 @@ fn every_detector_matches_reference_under_every_metric() {
         let params = OutlierParams::new(1.3, 4).unwrap().with_metric(metric);
         let partition = Partition::standalone(data.clone());
         let expected = Reference.detect(&partition, params).outliers;
-        let detectors: Vec<Box<dyn Detector>> = vec![
-            Box::new(NestedLoop::default()),
-            Box::new(CellBased::default()),
-            Box::new(CellBased::default().full_scan_fallback()),
-            Box::new(IndexBased::default()),
-            Box::new(PivotBased::default()),
-        ];
-        for det in detectors {
+        for kind in AlgorithmKind::ALL
+            .into_iter()
+            .filter(|&kind| kind != AlgorithmKind::Reference)
+        {
             assert_eq!(
-                det.detect(&partition, params).outliers,
+                kind.detector().detect(&partition, params).outliers,
                 expected,
                 "{} under {:?}",
-                det.name(),
+                kind.name(),
                 metric
             );
         }

@@ -84,7 +84,7 @@ fn observed_work_is_within_factor_4_of_lemma_predictions() {
 
     // Lemma 4.1: Nested-Loop work == expected distance evaluations.
     let observed_nl = counter_for(&mem, "detect.distance_evals", 0) as f64;
-    let predicted_nl = model.nested_loop(n, volume);
+    let predicted_nl = model.cost(AlgorithmKind::NestedLoop, n, volume);
     assert!(
         observed_nl >= predicted_nl / FACTOR && observed_nl <= predicted_nl * FACTOR,
         "nested-loop: observed {observed_nl} vs predicted {predicted_nl} \
@@ -95,7 +95,7 @@ fn observed_work_is_within_factor_4_of_lemma_predictions() {
     // nested-loop fallback's distance evaluations.
     let observed_cb = (counter_for(&mem, "detect.index_ops", 1)
         + counter_for(&mem, "detect.distance_evals", 1)) as f64;
-    let predicted_cb = model.cell_based(n, volume);
+    let predicted_cb = model.cost(AlgorithmKind::CellBased, n, volume);
     assert!(
         observed_cb >= predicted_cb / FACTOR && observed_cb <= predicted_cb * FACTOR,
         "cell-based: observed {observed_cb} vs predicted {predicted_cb} \
