@@ -11,6 +11,7 @@ use crate::rect::Rect;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::RangeInclusive;
 
 /// Identifier of a grid cell: the row-major linearization of its
 /// per-dimension indices.
@@ -75,6 +76,14 @@ impl Hasher for CellIdHasher {
     }
 }
 
+/// The number of cells of a grid with these per-dimension counts, or
+/// `None` when it overflows a [`CellId`].
+fn cell_count(cells_per_dim: impl IntoIterator<Item = usize>) -> Option<usize> {
+    cells_per_dim
+        .into_iter()
+        .try_fold(1usize, |total, n| total.checked_mul(n))
+}
+
 /// An equi-width grid over a rectangular domain.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GridSpec {
@@ -89,9 +98,10 @@ impl GridSpec {
     /// Creates a grid with `cells_per_dim[i]` cells along dimension `i`.
     ///
     /// # Errors
-    /// Returns an error if the counts don't match the domain dimensionality
-    /// or any count is zero. A zero-extent dimension is allowed only with a
-    /// single cell in that dimension.
+    /// Returns an error if the counts don't match the domain dimensionality,
+    /// any count is zero, or there are more cells in all than a [`CellId`]
+    /// can number. A zero-extent dimension is allowed only with a single
+    /// cell in that dimension.
     pub fn new(domain: Rect, cells_per_dim: Vec<usize>) -> Result<Self, CoreError> {
         if cells_per_dim.len() != domain.dim() {
             return Err(CoreError::DimensionMismatch {
@@ -112,6 +122,12 @@ impl GridSpec {
                     reason: format!("dimension {i} has zero extent but {n} cells"),
                 });
             }
+        }
+        if cell_count(cells_per_dim.iter().copied()).is_none() {
+            return Err(CoreError::InvalidParameter {
+                name: "cells_per_dim",
+                reason: format!("{cells_per_dim:?} cells overflow a cell id"),
+            });
         }
         let widths = (0..domain.dim())
             .map(|i| domain.extent(i) / cells_per_dim[i] as f64)
@@ -138,9 +154,9 @@ impl GridSpec {
     /// each other.
     ///
     /// # Errors
-    /// Returns an error if `r` is not positive or the resulting cell count
-    /// would overflow practical limits (capped at `max_cells_per_dim` per
-    /// dimension; pass e.g. 4096).
+    /// Returns an error if `r` is not positive. Sizing follows
+    /// [`GridSpec::with_cell_side`]: at most `max_cells_per_dim` per
+    /// dimension, and never more cells than a [`CellId`] can number.
     pub fn for_cell_based(
         domain: &Rect,
         r: f64,
@@ -153,19 +169,54 @@ impl GridSpec {
                 reason: format!("must be a finite positive number, got {r}"),
             });
         }
-        let d = domain.dim();
-        let side = metric.cell_side_for(r, d);
-        let counts = (0..d)
+        let side = metric.cell_side_for(r, domain.dim());
+        GridSpec::with_cell_side(domain.clone(), side, max_cells_per_dim)
+    }
+
+    /// Creates a grid of cells of side `side`: `⌈extent / side⌉` cells
+    /// along each dimension, clamped to `1..=max_cells_per_dim`, and one
+    /// cell along a zero-extent dimension.
+    ///
+    /// When those counts hold more cells than a [`CellId`] can number,
+    /// every count is lowered to the largest common cap whose product
+    /// fits: the widest dimensions get cells wider than `side`, as a
+    /// clamp to `max_cells_per_dim` already makes them, and every caller
+    /// sizes its neighbor radius from [`GridSpec::width`]. A grid that
+    /// fits is never changed.
+    ///
+    /// # Errors
+    /// See [`GridSpec::new`].
+    pub fn with_cell_side(
+        domain: Rect,
+        side: f64,
+        max_cells_per_dim: usize,
+    ) -> Result<Self, CoreError> {
+        let mut counts: Vec<usize> = (0..domain.dim())
             .map(|i| {
                 let extent = domain.extent(i);
                 if extent == 0.0 {
                     1
                 } else {
-                    ((extent / side).ceil() as usize).clamp(1, max_cells_per_dim)
+                    ((extent / side).ceil() as usize).clamp(1, max_cells_per_dim.max(1))
                 }
             })
             .collect();
-        GridSpec::new(domain.clone(), counts)
+        if cell_count(counts.iter().copied()).is_none() {
+            let capped = |cap: usize| counts.iter().map(move |&n| n.min(cap));
+            // Binary search for the largest cap that fits: 1 always does,
+            // the largest count does not.
+            let (mut fits, mut overflows) = (1, counts.iter().copied().max().unwrap_or(1));
+            while overflows - fits > 1 {
+                let mid = fits + (overflows - fits) / 2;
+                if cell_count(capped(mid)).is_some() {
+                    fits = mid;
+                } else {
+                    overflows = mid;
+                }
+            }
+            counts = capped(fits).collect();
+        }
+        GridSpec::new(domain, counts)
     }
 
     /// The domain covered by the grid.
@@ -183,7 +234,7 @@ impl GridSpec {
         self.cells_per_dim[i]
     }
 
-    /// Total number of cells.
+    /// Total number of cells; [`GridSpec::new`] guarantees it fits.
     pub fn num_cells(&self) -> usize {
         self.cells_per_dim.iter().product()
     }
@@ -267,9 +318,7 @@ impl GridSpec {
     /// Visits, in ascending id order, every cell whose index along each
     /// dimension `i` lies in the inclusive range `range_of(i)`, for as long
     /// as `visit` returns `true`; returns whether the walk ran to the end
-    /// (the contract of [`Iterator::all`]). The one odometer over an index
-    /// box: every other block enumeration in the workspace goes through
-    /// it. Allocation-free.
+    /// (the contract of [`Iterator::all`]). Allocation-free.
     ///
     /// `range_of(i)` must return `lo <= hi < cells_in_dim(i)`; it is asked
     /// again for each prefix of the outer dimensions, so keep it cheap.
@@ -278,21 +327,40 @@ impl GridSpec {
         R: Fn(usize) -> (usize, usize),
         V: FnMut(CellId) -> bool,
     {
-        self.visit_block_from(0, 0, &range_of, &mut visit)
+        self.visit_block_rows(range_of, |mut row| row.all(&mut visit))
     }
 
-    fn visit_block_from<R, V>(&self, i: usize, prefix: CellId, range_of: &R, visit: &mut V) -> bool
+    /// [`GridSpec::visit_block`] a row at a time: `visit_row` receives,
+    /// in ascending order, each run of cells that differ only along the
+    /// last dimension — consecutive ids. The one odometer over an index
+    /// box: every other block enumeration in the workspace goes through
+    /// it.
+    fn visit_block_rows<R, V>(&self, range_of: R, mut visit_row: V) -> bool
     where
         R: Fn(usize) -> (usize, usize),
-        V: FnMut(CellId) -> bool,
+        V: FnMut(RangeInclusive<CellId>) -> bool,
+    {
+        self.visit_rows_from(0, 0, &range_of, &mut visit_row)
+    }
+
+    fn visit_rows_from<R, V>(
+        &self,
+        i: usize,
+        prefix: CellId,
+        range_of: &R,
+        visit_row: &mut V,
+    ) -> bool
+    where
+        R: Fn(usize) -> (usize, usize),
+        V: FnMut(RangeInclusive<CellId>) -> bool,
     {
         let (lo, hi) = range_of(i);
         debug_assert!(lo <= hi && hi < self.cells_per_dim[i]);
         let row = prefix * self.cells_per_dim[i];
         if i + 1 == self.dim() {
-            (row + lo..=row + hi).all(visit)
+            visit_row(row + lo..=row + hi)
         } else {
-            (row + lo..=row + hi).all(|id| self.visit_block_from(i + 1, id, range_of, visit))
+            (row + lo..=row + hi).all(|id| self.visit_rows_from(i + 1, id, range_of, visit_row))
         }
     }
 
@@ -320,22 +388,33 @@ impl GridSpec {
     /// [`GridSpec::visit_block`] over the cells whose rectangle intersects
     /// the closed box with per-dimension bounds `bounds_of(i) = (min, max)`;
     /// visits nothing when the box is disjoint from the domain.
-    pub fn visit_box<B, V>(&self, bounds_of: B, visit: V) -> bool
+    pub fn visit_box<B, V>(&self, bounds_of: B, mut visit: V) -> bool
     where
         B: Fn(usize) -> (f64, f64),
         V: FnMut(CellId) -> bool,
+    {
+        self.visit_box_rows(bounds_of, |mut row| row.all(&mut visit))
+    }
+
+    /// [`GridSpec::visit_box`] a row at a time: `visit_row` receives, in
+    /// ascending order, each run of cells that differ only along the last
+    /// dimension — consecutive ids.
+    pub fn visit_box_rows<B, V>(&self, bounds_of: B, visit_row: V) -> bool
+    where
+        B: Fn(usize) -> (f64, f64),
+        V: FnMut(RangeInclusive<CellId>) -> bool,
     {
         let disjoint = (0..self.dim()).any(|i| {
             let (min, max) = bounds_of(i);
             max < self.domain.min()[i] || min > self.domain.max()[i]
         });
         disjoint
-            || self.visit_block(
+            || self.visit_block_rows(
                 |i| {
                     let (min, max) = bounds_of(i);
                     (self.index_in_dim(i, min), self.index_in_dim(i, max))
                 },
-                visit,
+                visit_row,
             )
     }
 
@@ -524,6 +603,50 @@ mod tests {
     }
 
     #[test]
+    fn new_refuses_a_cell_count_past_cell_ids() {
+        let domain = Rect::new(vec![0.0; 8], vec![1.0; 8]).unwrap();
+        let err = GridSpec::new(domain.clone(), vec![512; 8]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::InvalidParameter {
+                    name: "cells_per_dim",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(
+            GridSpec::new(domain, vec![255; 8]).unwrap().num_cells(),
+            255usize.pow(8)
+        );
+    }
+
+    #[test]
+    fn cell_side_sizing_lowers_only_grids_past_cell_ids() {
+        // 512 cells of side 1 per dimension: 2^72 cells in 8-d. The common
+        // cap that fits is 255 (256^8 is 2^64).
+        let domain = Rect::new(vec![0.0; 8], vec![512.0; 8]).unwrap();
+        let g = GridSpec::with_cell_side(domain, 1.0, 1024).unwrap();
+        assert!((0..8).all(|i| g.cells_in_dim(i) == 255));
+        assert!(g.width(0) > 2.0, "the lowered dimensions' cells widen");
+        // A short dimension keeps its count, and the cap is the largest
+        // that fits beside it.
+        let mut max = vec![512.0; 8];
+        max[3] = 7.0;
+        let domain = Rect::new(vec![0.0; 8], max).unwrap();
+        let g = GridSpec::with_cell_side(domain, 1.0, 1024).unwrap();
+        let counts: Vec<usize> = (0..8).map(|i| g.cells_in_dim(i)).collect();
+        assert_eq!(counts, [428, 428, 428, 7, 428, 428, 428, 428]);
+        assert_eq!(cell_count([429, 429, 429, 7, 429, 429, 429, 429]), None);
+        // Grids that fit are sized exactly as before.
+        let domain = Rect::new(vec![0.0; 4], vec![512.0, 512.0, 512.0, 0.0]).unwrap();
+        let g = GridSpec::with_cell_side(domain, 1.0, 1024).unwrap();
+        let counts: Vec<usize> = (0..4).map(|i| g.cells_in_dim(i)).collect();
+        assert_eq!(counts, [512, 512, 512, 1]);
+    }
+
+    #[test]
     fn visit_block_is_row_major_and_stops_when_told() {
         let domain = Rect::new(vec![0.0; 3], vec![1.0; 3]).unwrap();
         let g = GridSpec::new(domain, vec![4, 5, 6]).unwrap();
@@ -547,6 +670,20 @@ mod tests {
         }
         assert_eq!(seen, expected);
         assert!(seen.windows(2).all(|w| w[0] < w[1]), "ascending ids");
+        // The row walk yields the same cells, one last-dimension run each.
+        let mut rows = Vec::new();
+        g.visit_block_rows(
+            |i| (lo[i], hi[i]),
+            |row| {
+                rows.push(row);
+                true
+            },
+        );
+        assert_eq!(rows.len(), 2 * 4);
+        assert!(rows
+            .iter()
+            .all(|row| row.end() - row.start() == hi[2] - lo[2]));
+        assert_eq!(rows.into_iter().flatten().collect::<Vec<_>>(), expected);
 
         let mut visited = 0;
         let finished = g.visit_block(

@@ -26,23 +26,37 @@
 use crate::detector::{Detection, DetectionStats, Detector};
 use crate::partition::Partition;
 use crate::scan::{count_tile_excluding, PermutedScan};
-use dod_core::{CellId, CellMap, GridSpec, OutlierParams};
+use dod_core::{CellId, CellMap, GridSpec, OutlierParams, PointSet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
-/// The build-phase product of the Cell-Based detector: the grid plus the
-/// hash of every point into its non-empty cell.
+/// The build-phase product of the Cell-Based detector: the grid plus
+/// every point of the partition laid out by cell.
 ///
 /// Splitting the one-shot detector into an index build and a query phase
-/// lets a resident engine (see the `dod-engine` crate) pay the hashing
+/// lets a resident engine (see the `dod-engine` crate) pay the layout
 /// cost once and then answer many requests — both full re-detections
 /// ([`CellBased::detect_with_index`]) and per-point neighbor counts for
 /// incoming query points ([`CellIndex::count_core_neighbors`]).
+///
+/// Each side (core and support) is one `Tile`: an arena sorted by cell
+/// id at build, where every occupied cell owns one run of entries. A
+/// `Directory` maps a cell to its *entry number*, which indexes both
+/// sides' run tables. Because the build lays runs out in ascending cell
+/// id, the cells of one grid row sit back to back, and a box walk scans
+/// a whole row as one tile.
 #[derive(Debug, Clone)]
 pub struct CellIndex {
     grid: GridSpec,
-    buckets: CellMap<Bucket>,
+    directory: Directory,
+    /// Cell id of each entry — and so the length of both sides' run
+    /// tables. Ascending for the entries the build made; a cell first
+    /// occupied by a splice appends its entry.
+    cells: Vec<CellId>,
+    core: Tile,
+    support: Tile,
     build_ops: u64,
     /// Soundness guard of the inlier rule for this grid: every pair of
     /// points inside a `3^d` block of cells is within `r` — the metric
@@ -51,9 +65,229 @@ pub struct CellIndex {
     inlier_rule_valid: bool,
 }
 
+/// Marks a cell with no entry in a dense directory.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// Cell id → entry number, in one of two forms; [`Directory::entry`] is
+/// the only place that tells them apart.
+#[derive(Debug, Clone)]
+enum Directory {
+    /// One `u32` per grid cell, [`NO_ENTRY`] where the cell is empty —
+    /// taken while the grid has at most `8·points + 4096` cells, so at
+    /// most ~32 B per point.
+    Dense(Vec<u32>),
+    /// Occupied cells only, for grids too sparse for the dense form:
+    /// clustered partitions in higher dimensions, or a few points spread
+    /// over a wide extent.
+    Keyed(CellMap<u32>),
+}
+
+impl Directory {
+    /// The form for a grid holding `points` points.
+    fn for_grid(grid: &GridSpec, points: usize) -> Directory {
+        if grid.num_cells() <= points.saturating_mul(8).saturating_add(4096) {
+            Directory::Dense(vec![NO_ENTRY; grid.num_cells()])
+        } else {
+            Directory::Keyed(CellMap::default())
+        }
+    }
+
+    #[inline]
+    fn entry(&self, cell: CellId) -> Option<usize> {
+        match self {
+            Directory::Dense(entries) => {
+                let e = entries[cell];
+                (e != NO_ENTRY).then_some(e as usize)
+            }
+            Directory::Keyed(entries) => entries.get(&cell).map(|&e| e as usize),
+        }
+    }
+
+    fn insert(&mut self, cell: CellId, e: usize) {
+        let e = u32::try_from(e).expect("entry numbers fit u32");
+        match self {
+            Directory::Dense(entries) => entries[cell] = e,
+            Directory::Keyed(entries) => {
+                entries.insert(cell, e);
+            }
+        }
+    }
+
+    /// Numbers the distinct cells of `cells` in ascending cell id and
+    /// returns them in that order.
+    fn number(&mut self, cells: &[CellId]) -> Vec<CellId> {
+        let occupied = match self {
+            // A counting pass: mark, then read the marks in cell order.
+            Directory::Dense(entries) => {
+                for &c in cells {
+                    entries[c] = 0;
+                }
+                (0..entries.len())
+                    .filter(|&c| entries[c] != NO_ENTRY)
+                    .collect()
+            }
+            Directory::Keyed(_) => {
+                let mut occupied = cells.to_vec();
+                occupied.sort_unstable();
+                occupied.dedup();
+                occupied
+            }
+        };
+        for (e, &c) in occupied.iter().enumerate() {
+            self.insert(c, e);
+        }
+        occupied
+    }
+}
+
+/// One cell's entries in a [`Tile`]: `len` live entries at arena
+/// positions `start..start + len`, in a reserved span of `cap`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Run {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// One side (core or support) of a [`CellIndex`]: a row-major coordinate
+/// arena, the partition slot of each arena entry, and each directory
+/// entry's run.
+///
+/// A run behaves as the `Vec` it replaces: an insert appends at the end
+/// of the run, moving the run to the arena's end with doubled capacity
+/// when it is full; a removal moves the run's last live entry into the
+/// hole. So the order of a cell's entries is exactly the order a
+/// per-cell `Vec` would hold. The gaps moved runs leave behind are
+/// reclaimed by the next build (a `PartitionState` compaction).
+#[derive(Debug, Clone, Default)]
+struct Tile {
+    coords: Vec<f64>,
+    slots: Vec<u32>,
+    runs: Vec<Run>,
+}
+
+impl Tile {
+    /// Lays `points` out by entry — a counting sort over the directory's
+    /// entry numbers, so each run lists its slots in ascending order.
+    /// `cells[i]` is the cell of point `i`.
+    fn sorted(directory: &Directory, entries: usize, cells: &[CellId], points: &PointSet) -> Tile {
+        let dim = points.dim();
+        u32::try_from(cells.len()).expect("arena positions fit u32");
+        let entry_of: Vec<usize> = cells
+            .iter()
+            .map(|&c| directory.entry(c).expect("every cell is numbered"))
+            .collect();
+        let mut runs = vec![Run::default(); entries];
+        for &e in &entry_of {
+            runs[e].cap += 1;
+        }
+        let mut start = 0;
+        for run in &mut runs {
+            run.start = start;
+            start += run.cap;
+        }
+        let mut tile = Tile {
+            coords: vec![0.0; cells.len() * dim],
+            slots: vec![0; cells.len()],
+            runs,
+        };
+        for (slot, &e) in entry_of.iter().enumerate() {
+            let run = &mut tile.runs[e];
+            let at = (run.start + run.len) as usize;
+            run.len += 1;
+            tile.slots[at] = slot as u32;
+            tile.coords[at * dim..(at + 1) * dim].copy_from_slice(points.point(slot));
+        }
+        tile
+    }
+
+    /// Live entries of entry `e`.
+    fn len(&self, e: usize) -> usize {
+        self.runs[e].len as usize
+    }
+
+    /// Arena positions of entry `e`'s live entries.
+    fn live(&self, e: usize) -> Range<usize> {
+        let run = self.runs[e];
+        run.start as usize..(run.start + run.len) as usize
+    }
+
+    /// Adds an empty run for a new directory entry.
+    fn open_run(&mut self) {
+        let start = self.arena_len();
+        self.runs.push(Run {
+            start,
+            len: 0,
+            cap: 0,
+        });
+    }
+
+    /// Coordinates of arena positions `range`, as one row-major tile.
+    fn coords_of(&self, range: Range<usize>, dim: usize) -> &[f64] {
+        &self.coords[range.start * dim..range.end * dim]
+    }
+
+    /// Appends `slot` at `p` to the end of entry `e`'s run.
+    fn push(&mut self, e: usize, slot: u32, p: &[f64]) {
+        let dim = p.len();
+        let mut run = self.runs[e];
+        if run.len == run.cap {
+            let end = self.arena_len();
+            if run.start + run.cap != end {
+                // Move the run to the arena's end; its old span is a gap.
+                let live = self.live(e);
+                self.slots.extend_from_within(live.clone());
+                self.coords
+                    .extend_from_within(live.start * dim..live.end * dim);
+                run.start = end;
+            }
+            run.cap = run
+                .cap
+                .checked_mul(2)
+                .expect("run capacity fits u32")
+                .max(1);
+            let new_end = run.start as usize + run.cap as usize;
+            self.slots.resize(new_end, 0);
+            self.coords.resize(new_end * dim, 0.0);
+        }
+        let at = (run.start + run.len) as usize;
+        self.slots[at] = slot;
+        self.coords[at * dim..(at + 1) * dim].copy_from_slice(p);
+        run.len += 1;
+        self.runs[e] = run;
+    }
+
+    /// Removes `slot` from entry `e`'s run, moving the run's last live
+    /// entry into its place.
+    fn swap_remove(&mut self, e: usize, slot: u32, dim: usize) {
+        let live = self.live(e);
+        let Some(pos) = self.slots[live.clone()].iter().position(|&s| s == slot) else {
+            return;
+        };
+        let (at, last) = (live.start + pos, live.end - 1);
+        self.slots[at] = self.slots[last];
+        self.coords
+            .copy_within(last * dim..(last + 1) * dim, at * dim);
+        self.runs[e].len -= 1;
+    }
+
+    /// Rewrites the stored slot `from` of entry `e` to `to`.
+    fn renumber(&mut self, e: usize, from: u32, to: u32) {
+        let live = self.live(e);
+        if let Some(s) = self.slots[live].iter_mut().find(|s| **s == from) {
+            *s = to;
+        }
+    }
+
+    /// Arena length in entries, as a run position.
+    fn arena_len(&self) -> u32 {
+        u32::try_from(self.slots.len()).expect("arena positions fit u32")
+    }
+}
+
 impl CellIndex {
-    /// Hashes every point of `partition` (core and support) into grid
-    /// cells of side `r / (2√d)` (capped at `max_cells_per_dim`).
+    /// Lays every point of `partition` (core and support) out by grid
+    /// cell of side `r / (2√d)` (capped at `max_cells_per_dim`).
     ///
     /// Returns `None` for a partition with no points at all — there is
     /// no bounding rectangle to build a grid over.
@@ -62,111 +296,111 @@ impl CellIndex {
         params: OutlierParams,
         max_cells_per_dim: usize,
     ) -> Option<CellIndex> {
-        if partition.total_len() == 0 {
+        let total = partition.total_len();
+        if total == 0 {
             return None;
         }
         let bounds = partition.bounding_rect().expect("non-empty partition");
         let grid = GridSpec::for_cell_based(&bounds, params.r, params.metric, max_cells_per_dim)
             .expect("validated params");
-        let mut index = CellIndex::empty(grid, params);
-        let n_core = partition.core().len();
-        for idx in 0..partition.total_len() {
-            let p = partition.point(idx);
-            let bucket = index.buckets.entry(index.grid.cell_of(p)).or_default();
-            // Indices arrive ascending, so each sub-tile's index list is
-            // sorted at build time and the per-bucket scan order (core
-            // tile, then support tile) matches the unified
-            // core-then-support order the one-shot detector walks.
-            if idx < n_core {
-                bucket.core.push(idx as u32);
-                bucket.core_coords.extend_from_slice(p);
-            } else {
-                bucket.support.push((idx - n_core) as u32);
-                bucket.support_coords.extend_from_slice(p);
-            }
-        }
-        index.build_ops = partition.total_len() as u64;
+        let mut index = CellIndex::empty(grid, params, total);
+        let cells: Vec<CellId> = (0..total)
+            .map(|i| index.grid.cell_of(partition.point(i)))
+            .collect();
+        index.cells = index.directory.number(&cells);
+        let (core_cells, support_cells) = cells.split_at(partition.core().len());
+        let entries = index.cells.len();
+        index.core = Tile::sorted(&index.directory, entries, core_cells, partition.core());
+        index.support = Tile::sorted(
+            &index.directory,
+            entries,
+            support_cells,
+            partition.support(),
+        );
+        index.build_ops = total as u64;
         Some(index)
     }
 
-    /// An index over `grid` holding no points yet.
-    fn empty(grid: GridSpec, params: OutlierParams) -> CellIndex {
+    /// An index over `grid` holding no points yet, with the directory
+    /// form for `points` points.
+    fn empty(grid: GridSpec, params: OutlierParams, points: usize) -> CellIndex {
         let dim = grid.dim();
         let span: Vec<f64> = (0..dim).map(|i| 2.0 * grid.width(i)).collect();
         let inlier_rule_valid = params.metric.dist(&vec![0.0; dim], &span) <= params.r + 1e-12;
         CellIndex {
+            directory: Directory::for_grid(&grid, points),
             grid,
-            buckets: CellMap::default(),
+            cells: Vec::new(),
+            core: Tile::default(),
+            support: Tile::default(),
             build_ops: 0,
             inlier_rule_valid,
         }
     }
 
-    /// Number of points hashed during the build (the `index_operations`
-    /// the one-shot detector would have charged).
+    /// Number of points laid out during the build (the
+    /// `index_operations` the one-shot detector would have charged).
     pub fn build_ops(&self) -> u64 {
         self.build_ops
     }
 
-    /// Hashes a new core point (index `core_idx` in the partition's core
-    /// set) into its cell — the cell-count increment of an incremental
+    /// Entry number of the cell holding `p`, creating the entry if the
+    /// cell is empty; `None` when `p` lies outside the grid's domain.
+    fn entry_for_insert(&mut self, p: &[f64]) -> Option<usize> {
+        if !self.grid.domain().contains_closed(p) {
+            return None;
+        }
+        let cell = self.grid.cell_of(p);
+        Some(self.directory.entry(cell).unwrap_or_else(|| {
+            let e = self.cells.len();
+            self.cells.push(cell);
+            self.directory.insert(cell, e);
+            self.core.open_run();
+            self.support.open_run();
+            e
+        }))
+    }
+
+    /// Adds a new core point (index `core_idx` in the partition's core
+    /// set) to its cell — the cell-count increment of an incremental
     /// insert.
     ///
     /// Returns `false` when `p` lies outside the grid's domain: the grid
     /// was sized over the bounding rectangle at build time, so a point
-    /// beyond it cannot be hashed and the caller must rebuild the index.
+    /// beyond it has no cell and the caller must rebuild the index.
     pub fn insert_core(&mut self, core_idx: u32, p: &[f64]) -> bool {
-        if !self.grid.domain().contains_closed(p) {
+        let Some(e) = self.entry_for_insert(p) else {
             return false;
-        }
-        let bucket = self.buckets.entry(self.grid.cell_of(p)).or_default();
-        bucket.core.push(core_idx);
-        bucket.core_coords.extend_from_slice(p);
+        };
+        self.core.push(e, core_idx, p);
         self.build_ops += 1;
         true
     }
 
-    /// Hashes a new support point (index `support_idx` in the
-    /// partition's support set) into its cell. Same domain contract as
+    /// Adds a new support point (index `support_idx` in the partition's
+    /// support set) to its cell. Same domain contract as
     /// [`CellIndex::insert_core`].
     pub fn insert_support(&mut self, support_idx: u32, p: &[f64]) -> bool {
-        if !self.grid.domain().contains_closed(p) {
+        let Some(e) = self.entry_for_insert(p) else {
             return false;
-        }
-        let bucket = self.buckets.entry(self.grid.cell_of(p)).or_default();
-        bucket.support.push(support_idx);
-        bucket.support_coords.extend_from_slice(p);
+        };
+        self.support.push(e, support_idx, p);
         self.build_ops += 1;
         true
     }
 
-    /// Unhashes core point `core_idx`, located by its coordinates `p`
+    /// Removes core point `core_idx`, located by its coordinates `p`
     /// (which must be the coordinates it was inserted with).
     pub fn remove_core(&mut self, core_idx: u32, p: &[f64]) {
-        let dim = self.grid.dim();
-        let cell = self.grid.cell_of(p);
-        if let Some(bucket) = self.buckets.get_mut(&cell) {
-            swap_remove_entry(&mut bucket.core, &mut bucket.core_coords, dim, core_idx);
-            if bucket.is_empty() {
-                self.buckets.remove(&cell);
-            }
+        if let Some(e) = self.directory.entry(self.grid.cell_of(p)) {
+            self.core.swap_remove(e, core_idx, p.len());
         }
     }
 
-    /// Unhashes support point `support_idx`, located by its coordinates.
+    /// Removes support point `support_idx`, located by its coordinates.
     pub fn remove_support(&mut self, support_idx: u32, p: &[f64]) {
-        let dim = self.grid.dim();
-        let cell = self.grid.cell_of(p);
-        if let Some(bucket) = self.buckets.get_mut(&cell) {
-            swap_remove_entry(
-                &mut bucket.support,
-                &mut bucket.support_coords,
-                dim,
-                support_idx,
-            );
-            if bucket.is_empty() {
-                self.buckets.remove(&cell);
-            }
+        if let Some(e) = self.directory.entry(self.grid.cell_of(p)) {
+            self.support.swap_remove(e, support_idx, p.len());
         }
     }
 
@@ -174,21 +408,22 @@ impl CellIndex {
     /// locate its cell) — the fix-up after a swap-remove moved the
     /// partition's last core point into slot `to`.
     pub fn renumber_core(&mut self, from: u32, to: u32, p: &[f64]) {
-        if let Some(bucket) = self.buckets.get_mut(&self.grid.cell_of(p)) {
-            if let Some(slot) = bucket.core.iter_mut().find(|x| **x == from) {
-                *slot = to;
-            }
+        if let Some(e) = self.directory.entry(self.grid.cell_of(p)) {
+            self.core.renumber(e, from, to);
         }
     }
 
     /// Rewrites the stored support index `from` to `to` (coordinates `p`
     /// locate its cell).
     pub fn renumber_support(&mut self, from: u32, to: u32, p: &[f64]) {
-        if let Some(bucket) = self.buckets.get_mut(&self.grid.cell_of(p)) {
-            if let Some(slot) = bucket.support.iter_mut().find(|x| **x == from) {
-                *slot = to;
-            }
+        if let Some(e) = self.directory.entry(self.grid.cell_of(p)) {
+            self.support.renumber(e, from, to);
         }
+    }
+
+    /// Resident core points in `cell`.
+    fn core_in(&self, cell: CellId) -> usize {
+        self.directory.entry(cell).map_or(0, |e| self.core.len(e))
     }
 
     /// Counts the **core** points of `partition` within distance `r` of an
@@ -209,7 +444,7 @@ impl CellIndex {
 
     /// [`CellIndex::count_core_neighbors`] that also returns the work
     /// performed: the number of candidate points examined across all
-    /// visited buckets, directly chargeable to `distance_evaluations`.
+    /// visited cells, directly chargeable to `distance_evaluations`.
     ///
     /// The paper's inlier rule (Section IV-B) decides first, with no
     /// distance computation: when `q` lies inside the grid's domain and
@@ -223,7 +458,11 @@ impl CellIndex {
     /// Otherwise only cells intersecting the `[q − r, q + r]` box are
     /// scanned, in ascending cell id; that box contains every possible
     /// neighbor under any supported `Lp` metric because a
-    /// single-coordinate difference lower-bounds the distance.
+    /// single-coordinate difference lower-bounds the distance. The cells
+    /// of one grid row whose runs lie back to back in the core arena —
+    /// as the build lays them out — are scanned as one tile; the order,
+    /// and so the early-exit position and the work, is the cell-by-cell
+    /// order.
     pub fn count_core_neighbors_traced(
         &self,
         partition: &Partition,
@@ -237,16 +476,15 @@ impl CellIndex {
         debug_assert_eq!(q.len(), partition.dim());
         let grid = &self.grid;
         if self.inlier_rule_valid && grid.domain().contains_closed(q) {
-            let core_in = |cell: CellId| self.buckets.get(&cell).map_or(0, |b| b.core.len());
             let own = grid.cell_of(q);
-            let mut certain = core_in(own);
+            let mut certain = self.core_in(own);
             if certain < cap {
                 grid.visit_around(
                     |i| grid.index_in_dim(i, q[i]),
                     |_| 1,
                     |cell| {
                         if cell != own {
-                            certain += core_in(cell);
+                            certain += self.core_in(cell);
                         }
                         certain < cap
                     },
@@ -259,18 +497,63 @@ impl CellIndex {
         let pred = params.predicate();
         let mut count = 0usize;
         let mut work = 0u64;
-        grid.visit_box(
+        let mut scan = |span: Range<usize>| {
+            let tile = self.core.coords_of(span, q.len());
+            let outcome = pred.count_within_tile(q, tile, cap - count);
+            count += outcome.found;
+            work += outcome.scanned as u64;
+            count < cap
+        };
+        grid.visit_box_rows(
             |i| (q[i] - params.r, q[i] + params.r),
-            |cell| {
-                if let Some(bucket) = self.buckets.get(&cell) {
-                    let outcome = pred.count_within_tile(q, &bucket.core_coords, cap - count);
-                    count += outcome.found;
-                    work += outcome.scanned as u64;
+            |row| {
+                let mut span: Option<Range<usize>> = None;
+                for cell in row {
+                    let Some(live) = self.directory.entry(cell).map(|e| self.core.live(e)) else {
+                        continue;
+                    };
+                    if live.is_empty() {
+                        continue;
+                    }
+                    match &mut span {
+                        Some(open) if open.end == live.start => open.end = live.end,
+                        _ => {
+                            if let Some(done) = span.replace(live) {
+                                if !scan(done) {
+                                    return false;
+                                }
+                            }
+                        }
+                    }
                 }
-                count < cap
+                span.is_none_or(&mut scan)
             },
         );
         (count, work)
+    }
+
+    /// Which directory form the index took.
+    #[cfg(test)]
+    pub(crate) fn directory_kind(&self) -> &'static str {
+        match self.directory {
+            Directory::Dense(_) => "dense",
+            Directory::Keyed(_) => "keyed",
+        }
+    }
+
+    /// Heap bytes the directory holds.
+    #[cfg(test)]
+    pub(crate) fn directory_heap_bytes(&self) -> usize {
+        match &self.directory {
+            Directory::Dense(entries) => entries.capacity() * std::mem::size_of::<u32>(),
+            // hashbrown: a power-of-two bucket count whose 7/8 is the
+            // capacity; one key-value pair and one control byte a bucket,
+            // plus a trailing control group.
+            Directory::Keyed(entries) => {
+                let buckets = (entries.capacity() * 8 / 7).next_power_of_two();
+                buckets * (std::mem::size_of::<(CellId, u32)>() + 1) + 16
+            }
+        }
     }
 }
 
@@ -316,54 +599,6 @@ impl Default for CellBased {
     }
 }
 
-/// Points of one non-empty grid cell, split into core and support
-/// sub-tiles. Each side keeps its indices (into the partition's core or
-/// support set respectively) aligned with its coordinates gathered into
-/// a contiguous row-major tile, which the scans read through
-/// `count_tile_excluding` → `count_within_tile`. The split — rather
-/// than one unified sorted list — is what makes the cell index
-/// incrementally maintainable: an insert appends to one sub-tile and a
-/// removal swap-removes one entry, neither disturbing the other side's
-/// indices.
-#[derive(Debug, Clone, Default)]
-struct Bucket {
-    core: Vec<u32>,
-    core_coords: Vec<f64>,
-    support: Vec<u32>,
-    support_coords: Vec<f64>,
-}
-
-impl Bucket {
-    fn len(&self) -> usize {
-        self.core.len() + self.support.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.core.is_empty() && self.support.is_empty()
-    }
-}
-
-/// Swap-removes the entry holding index `target` from an index-aligned
-/// `(indices, coords)` sub-tile. Returns whether it was present.
-fn swap_remove_entry(
-    indices: &mut Vec<u32>,
-    coords: &mut Vec<f64>,
-    dim: usize,
-    target: u32,
-) -> bool {
-    let Some(pos) = indices.iter().position(|&x| x == target) else {
-        return false;
-    };
-    indices.swap_remove(pos);
-    let last = indices.len();
-    if pos < last {
-        let (head, tail) = coords.split_at_mut(last * dim);
-        head[pos * dim..(pos + 1) * dim].copy_from_slice(&tail[..dim]);
-    }
-    coords.truncate(last * dim);
-    true
-}
-
 impl Detector for CellBased {
     fn name(&self) -> &'static str {
         "cell-based"
@@ -399,7 +634,7 @@ impl CellBased {
         }
         let dim = partition.dim();
         let grid = &index.grid;
-        let buckets = &index.buckets;
+        let (core, support) = (&index.core, &index.support);
         let mut stats = DetectionStats {
             index_operations: index.build_ops,
             ..Default::default()
@@ -418,11 +653,14 @@ impl CellBased {
             })
             .collect();
 
-        // Deterministic cell order.
-        let mut cell_ids: Vec<usize> = buckets.keys().copied().collect();
-        cell_ids.sort_unstable();
+        // Deterministic cell order: the entries holding core points, in
+        // ascending cell id.
+        let mut order: Vec<usize> = (0..index.cells.len())
+            .filter(|&e| core.len(e) > 0)
+            .collect();
+        order.sort_unstable_by_key(|&e| index.cells[e]);
 
-        let count_of = |cid: usize| buckets.get(&cid).map_or(0usize, |b| b.len());
+        let count_of = |e: usize| core.len(e) + support.len(e);
 
         // Randomized scan order for the paper-faithful full fallback,
         // gathered into a contiguous buffer for the tile kernels.
@@ -437,13 +675,11 @@ impl CellBased {
         let pred = params.predicate();
 
         let mut outliers = Vec::new();
-        for &cid in &cell_ids {
-            let bucket = &buckets[&cid];
-            let core_in_cell = &bucket.core;
-            if core_in_cell.is_empty() {
-                continue; // pure support cell: nothing to classify
-            }
-            let idx = grid.delinearize(cid);
+        let mut candidates: Vec<usize> = Vec::new();
+        for &e in &order {
+            let own = core.live(e);
+            let own_slots = &core.slots[own.clone()];
+            let idx = grid.delinearize(index.cells[e]);
 
             // Inlier rule over the 3^d block.
             if index.inlier_rule_valid {
@@ -452,31 +688,35 @@ impl CellBased {
                     |i| idx[i],
                     |_| 1,
                     |c| {
-                        w1 += count_of(c);
+                        w1 += index.directory.entry(c).map_or(0, count_of);
                         true
                     },
                 );
                 if w1 > params.k {
-                    stats.pruned_points += core_in_cell.len() as u64;
+                    stats.pruned_points += own_slots.len() as u64;
                     continue;
                 }
             }
 
-            // Exact candidate block (outlier rule + per-point fallback).
-            let mut candidate_cells = Vec::new();
+            // Exact candidate block (outlier rule + per-point fallback),
+            // as the occupied entries in ascending cell id.
+            candidates.clear();
+            let mut w2 = 0usize;
             grid.visit_around(
                 |i| idx[i],
                 |i| radii[i],
                 |c| {
-                    candidate_cells.push(c);
+                    if let Some(ce) = index.directory.entry(c).filter(|&ce| count_of(ce) > 0) {
+                        candidates.push(ce);
+                        w2 += count_of(ce);
+                    }
                     true
                 },
             );
-            let w2: usize = candidate_cells.iter().copied().map(count_of).sum();
             if w2 <= params.k {
                 // Even counting itself, no point in C can reach k neighbors.
-                stats.pruned_points += core_in_cell.len() as u64;
-                for &i in core_in_cell {
+                stats.pruned_points += own_slots.len() as u64;
+                for &i in own_slots {
                     outliers.push(partition.core_id(i as usize));
                 }
                 continue;
@@ -484,11 +724,12 @@ impl CellBased {
 
             // Fallback: evaluate each surviving core point individually,
             // nested-loop style with early termination, feeding the
-            // candidate cells' gathered tiles to the kernels. Each
-            // bucket's core tile is scanned before its support tile —
-            // the unified core-then-support order of the one-shot path.
-            for &i in core_in_cell {
-                let p = partition.core().point(i as usize);
+            // candidate cells' runs to the kernels. Each cell's core run
+            // is scanned before its support run — the unified
+            // core-then-support order of the one-shot path.
+            for (pos, &i) in own_slots.iter().enumerate() {
+                let at = own.start + pos;
+                let p = core.coords_of(at..at + 1, dim);
                 let mut neighbors = 0usize;
                 if let Some(full) = &full_scan {
                     // Paper-faithful: random-order scan over the whole
@@ -498,25 +739,17 @@ impl CellBased {
                     stats.distance_evaluations += scanned;
                     neighbors = found;
                 } else {
-                    for &ccid in &candidate_cells {
+                    for &ce in &candidates {
                         if neighbors >= params.k {
                             break;
                         }
-                        let Some(cb) = buckets.get(&ccid) else {
-                            continue;
-                        };
-                        // The point itself lives in its own cell's core
-                        // sub-tile; buckets are small, so a linear find
-                        // locates it.
-                        let skip = if ccid == cid {
-                            cb.core.iter().position(|&x| x == i)
-                        } else {
-                            None
-                        };
+                        // The point itself sits at `pos` of its own cell's
+                        // core run.
+                        let skip = (ce == e).then_some(pos);
                         let (found, scanned) = count_tile_excluding(
                             &pred,
                             p,
-                            &cb.core_coords,
+                            core.coords_of(core.live(ce), dim),
                             dim,
                             skip,
                             params.k - neighbors,
@@ -529,7 +762,7 @@ impl CellBased {
                         let (found, scanned) = count_tile_excluding(
                             &pred,
                             p,
-                            &cb.support_coords,
+                            support.coords_of(support.live(ce), dim),
                             dim,
                             None,
                             params.k - neighbors,
@@ -549,7 +782,7 @@ impl CellBased {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::reference::Reference;
     use dod_core::PointSet;
@@ -796,8 +1029,11 @@ mod tests {
         let prm = params(1.0, 4);
         let index = CellIndex::build(&part, prm, CellBased::DEFAULT_MAX_CELLS_PER_DIM).unwrap();
         assert!(index.inlier_rule_valid);
-        let own = &index.buckets[&index.grid.cell_of(&[5.02, 5.0])];
-        assert!(own.core.is_empty() && own.support.len() == 40);
+        let own = index
+            .directory
+            .entry(index.grid.cell_of(&[5.02, 5.0]))
+            .unwrap();
+        assert!(index.core.len(own) == 0 && index.support.len(own) == 40);
         let queries = [[5.02, 5.0], [5.3, 5.3]];
         rule_decided_probes_after_checking_exactness(&index, &part, prm, &queries);
         assert_eq!(
@@ -808,86 +1044,362 @@ mod tests {
         );
     }
 
+    /// Asserts the directory form `index` took and that its heap stays
+    /// within the stated bound for `points` points: 4 B a cell, at most
+    /// `8·points + 4096` cells, when dense; when keyed, one `(cell, entry)`
+    /// pair and a control byte a bucket, at most ~2.3 buckets a point.
+    pub(crate) fn assert_directory(index: &CellIndex, kind: &str, points: usize) {
+        assert_eq!(index.directory_kind(), kind);
+        let bytes = index.directory_heap_bytes();
+        let bound = match kind {
+            "dense" => 32 * points + 4 * 4096,
+            _ => 40 * points + 64,
+        };
+        assert!(bytes <= bound, "{kind}: {bytes} B for {points} points");
+    }
+
     #[test]
     fn incremental_mutations_match_fresh_build() {
         // Build an index over a prefix, splice the remaining points in
         // via insert_core/insert_support, remove a few (with renumber
         // fix-ups mirroring Partition::swap_remove_core), and check the
         // detection and count answers against a fresh build of the same
-        // surviving partition.
+        // surviving partition — over a dense directory, and over a keyed
+        // one that two far corners stretch the grid into.
         let prm = params(1.0, 3);
-        let full = random_partition(7, 60, 20, 8.0);
-        let mut part = Partition::new(
-            full.core().gather(&(0..40u64).collect::<Vec<_>>()),
-            (0..40u64).collect(),
-            full.support().gather(&(0..10u64).collect::<Vec<_>>()),
-        )
-        .unwrap();
-        // Grid over the full bounding rect so incremental inserts stay
-        // in-domain (out-of-domain inserts return false and force a
-        // rebuild, exercised separately below).
-        let bounds = full.bounding_rect().unwrap();
-        let grid = GridSpec::for_cell_based(
-            &bounds,
-            prm.r,
-            prm.metric,
-            CellBased::DEFAULT_MAX_CELLS_PER_DIM,
-        )
-        .unwrap();
-        let mut index = CellIndex::empty(grid, prm);
-        for i in 0..part.core().len() {
-            assert!(index.insert_core(i as u32, part.core().point(i)));
+        for (corners, kind) in [(None, "dense"), (Some(150.0), "keyed")] {
+            let mut full = random_partition(7, 60, 20, 8.0);
+            if let Some(far) = corners {
+                full.push_core(&[-far, -far], 60).unwrap();
+                full.push_core(&[far, far], 61).unwrap();
+            }
+            let mut part = Partition::new(
+                full.core().gather(&(0..40u64).collect::<Vec<_>>()),
+                (0..40u64).collect(),
+                full.support().gather(&(0..10u64).collect::<Vec<_>>()),
+            )
+            .unwrap();
+            // Grid over the full bounding rect so incremental inserts stay
+            // in-domain (out-of-domain inserts return false and force a
+            // rebuild, exercised separately below).
+            let bounds = full.bounding_rect().unwrap();
+            let grid = GridSpec::for_cell_based(
+                &bounds,
+                prm.r,
+                prm.metric,
+                CellBased::DEFAULT_MAX_CELLS_PER_DIM,
+            )
+            .unwrap();
+            let mut index = CellIndex::empty(grid, prm, full.total_len());
+            for i in 0..part.core().len() {
+                assert!(index.insert_core(i as u32, part.core().point(i)));
+            }
+            for i in 0..part.support().len() {
+                assert!(index.insert_support(i as u32, part.support().point(i)));
+            }
+            for i in 40..full.core().len() {
+                let p: Vec<f64> = full.core().point(i).to_vec();
+                let ci = part.push_core(&p, i as u64).unwrap();
+                assert!(index.insert_core(ci as u32, &p));
+            }
+            for i in 10..20 {
+                let p: Vec<f64> = full.support().point(i).to_vec();
+                let si = part.push_support(&p).unwrap();
+                assert!(index.insert_support(si as u32, &p));
+            }
+            assert_directory(&index, kind, full.total_len());
+            // Remove some core and support points, fixing up the moved-last
+            // index exactly the way PartitionState does.
+            for &victim in &[3usize, 17, 44, 0] {
+                let p: Vec<f64> = part.core().point(victim).to_vec();
+                let last = part.core().len() - 1;
+                let moved: Option<Vec<f64>> =
+                    (victim < last).then(|| part.core().point(last).to_vec());
+                part.swap_remove_core(victim);
+                index.remove_core(victim as u32, &p);
+                if let Some(mp) = moved {
+                    index.renumber_core(last as u32, victim as u32, &mp);
+                }
+            }
+            for &victim in &[5usize, 0] {
+                let p: Vec<f64> = part.support().point(victim).to_vec();
+                let last = part.support().len() - 1;
+                let moved: Option<Vec<f64>> =
+                    (victim < last).then(|| part.support().point(last).to_vec());
+                part.swap_remove_support(victim);
+                index.remove_support(victim as u32, &p);
+                if let Some(mp) = moved {
+                    index.renumber_support(last as u32, victim as u32, &mp);
+                }
+            }
+            let fresh = CellIndex::build(&part, prm, CellBased::DEFAULT_MAX_CELLS_PER_DIM).unwrap();
+            assert_directory(&fresh, kind, part.total_len());
+            let via_mutations = CellBased::default().detect_with_index(&part, prm, &index);
+            let via_fresh = CellBased::default().detect_with_index(&part, prm, &fresh);
+            assert_eq!(via_mutations.outliers, via_fresh.outliers, "{kind}");
+            for q in [&[0.5, 0.5][..], &[4.0, 4.0], &[7.9, 0.1], &[-3.0, 2.0]] {
+                assert_eq!(
+                    index.count_core_neighbors(&part, q, prm, usize::MAX),
+                    fresh.count_core_neighbors(&part, q, prm, usize::MAX),
+                    "{kind}: query {q:?}"
+                );
+            }
+            // Out-of-domain insert is refused, signalling a rebuild.
+            assert!(!index.insert_core(999, &[1e6, 1e6]));
+            assert!(!index.insert_support(999, &[-1e6, 0.0]));
         }
-        for i in 0..part.support().len() {
-            assert!(index.insert_support(i as u32, part.support().point(i)));
+    }
+
+    #[test]
+    fn cell_ids_never_wrap_on_a_grid_past_usize() {
+        // 12 points in 8-d whose bounding box spans 512 cells of side
+        // r/(2√8) per dimension: 2^72 cells. Every point is alone — the
+        // ten on the first axis sit 16 cells (2.8 r) apart — so all twelve
+        // are outliers. Row-major ids used to wrap mod 2^64 and alias
+        // distant cells together.
+        let w = 1.0 / (2.0 * 8f64.sqrt());
+        let mut core = PointSet::new(8).unwrap();
+        core.push(&[0.0; 8]).unwrap();
+        core.push(&[511.5 * w; 8]).unwrap();
+        for j in 1..=10 {
+            let mut p = [0.0; 8];
+            p[0] = 16.0 * j as f64 * w;
+            core.push(&p).unwrap();
         }
-        for i in 40..60 {
-            let p: Vec<f64> = full.core().point(i).to_vec();
-            let ci = part.push_core(&p, i as u64).unwrap();
-            assert!(index.insert_core(ci as u32, &p));
+        let part = Partition::standalone(core);
+        let prm = params(1.0, 2);
+        let rf = Reference.detect(&part, prm);
+        assert_eq!(rf.outliers, (0..12).collect::<Vec<_>>());
+        assert_eq!(
+            CellBased::default().detect(&part, prm).outliers,
+            rf.outliers
+        );
+        let index = CellIndex::build(&part, prm, CellBased::DEFAULT_MAX_CELLS_PER_DIM).unwrap();
+        assert!(
+            !index.inlier_rule_valid,
+            "the lowered grid's cells are too wide"
+        );
+        assert_directory(&index, "keyed", 12);
+    }
+
+    /// `n_core` core and `n_support` support points in three tight 4-d
+    /// clusters, two of them at opposite corners of `[0, 30]^4`: a grid
+    /// of ~10^6 cells or more for every `r` below 3, so the directory is
+    /// keyed.
+    fn clustered_4d_partition(seed: u64, n_core: usize, n_support: usize) -> Partition {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let third: Vec<f64> = (0..4).map(|_| rng.gen_range(0.0..30.0)).collect();
+        let centres = [vec![0.0; 4], vec![30.0; 4], third];
+        let mut draw = |n: usize| {
+            let mut pts = PointSet::new(4).unwrap();
+            for i in 0..n {
+                let c = &centres[i % 3];
+                let p: Vec<f64> = c.iter().map(|&x| x + rng.gen_range(-0.5..0.5)).collect();
+                pts.push(&p).unwrap();
+            }
+            pts
+        };
+        let (core, support) = (draw(n_core), draw(n_support));
+        Partition::new(core, (0..n_core as u64).collect(), support).unwrap()
+    }
+
+    /// FNV-1a over 64-bit words: a stable digest for pinned fingerprints.
+    fn fnv(hash: &mut u64, word: u64) {
+        for byte in word.to_le_bytes() {
+            *hash ^= u64::from(byte);
+            *hash = hash.wrapping_mul(0x0100_0000_01b3);
         }
-        for i in 10..20 {
-            let p: Vec<f64> = full.support().point(i).to_vec();
-            let si = part.push_support(&p).unwrap();
-            assert!(index.insert_support(si as u32, &p));
-        }
-        // Remove some core and support points, fixing up the moved-last
-        // index exactly the way PartitionState does.
-        for &victim in &[3usize, 17, 44, 0] {
-            let p: Vec<f64> = part.core().point(victim).to_vec();
-            let last = part.core().len() - 1;
-            let moved: Option<Vec<f64>> = (victim < last).then(|| part.core().point(last).to_vec());
-            part.swap_remove_core(victim);
-            index.remove_core(victim as u32, &p);
-            if let Some(mp) = moved {
-                index.renumber_core(last as u32, victim as u32, &mp);
+    }
+
+    /// A skewed corpus over `[0, side]^dim`: 40% in a tight blob, 45% in a
+    /// looser cluster, 15% uniform — the ledger's mixture shape.
+    fn skewed_points(rng: &mut StdRng, n: usize, dim: usize, side: f64) -> Vec<Vec<f64>> {
+        let gauss = |rng: &mut StdRng| {
+            // Box–Muller; the `1 -` keeps the log argument positive.
+            let (u, v): (f64, f64) = (1.0 - rng.gen::<f64>(), rng.gen());
+            (-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * v).cos()
+        };
+        (0..n)
+            .map(|i| {
+                let (centre, sigma) = match i % 20 {
+                    0..=7 => (0.3, 0.015),
+                    8..=16 => (0.65, 0.08),
+                    _ => (f64::NAN, 0.0),
+                };
+                (0..dim)
+                    .map(|_| {
+                        let x = if centre.is_nan() {
+                            rng.gen_range(0.0..1.0)
+                        } else {
+                            centre + sigma * gauss(rng)
+                        };
+                        x.clamp(0.0, 1.0) * side
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Digest of a state's capped counts over `queries` at caps 1..=k+2
+    /// and of its detection: `[Σ found, Σ work, hash of every (found,
+    /// work), #outliers, hash of outliers and stats]`.
+    fn fingerprint(
+        state: &crate::state::PartitionState,
+        detection: &Detection,
+        queries: &[Vec<f64>],
+    ) -> [u64; 5] {
+        let (mut found_sum, mut work_sum, mut counts) = (0u64, 0u64, 0xcbf2_9ce4_8422_2325u64);
+        for q in queries {
+            for cap in 1..=state.params().k + 2 {
+                let (found, work) = state.count_core_neighbors_traced(q, cap);
+                found_sum += found as u64;
+                work_sum += work;
+                fnv(&mut counts, found as u64);
+                fnv(&mut counts, work);
             }
         }
-        for &victim in &[5usize, 0] {
-            let p: Vec<f64> = part.support().point(victim).to_vec();
-            let last = part.support().len() - 1;
-            let moved: Option<Vec<f64>> =
-                (victim < last).then(|| part.support().point(last).to_vec());
-            part.swap_remove_support(victim);
-            index.remove_support(victim as u32, &p);
-            if let Some(mp) = moved {
-                index.renumber_support(last as u32, victim as u32, &mp);
+        let mut det = 0xcbf2_9ce4_8422_2325u64;
+        for &id in &detection.outliers {
+            fnv(&mut det, id);
+        }
+        let s = detection.stats;
+        for word in [
+            s.distance_evaluations,
+            s.index_operations,
+            s.pruned_points,
+            s.early_terminations,
+            s.node_visits,
+        ] {
+            fnv(&mut det, word);
+        }
+        [
+            found_sum,
+            work_sum,
+            counts,
+            detection.outliers.len() as u64,
+            det,
+        ]
+    }
+
+    /// Pins the Cell-Based scan order: every capped count's `(found,
+    /// work)`, every outlier set and every `DetectionStats` on a 20k-point
+    /// 2-d skewed corpus and a 5k-point 3-d corpus, fresh and after a
+    /// seeded splice history that fills, relocates and empties cells and
+    /// crosses the compaction threshold. The expected digests are those of
+    /// the hash-bucket layout the cell-ordered tiles replaced.
+    #[test]
+    fn scan_order_fingerprint_is_pinned() {
+        use crate::cost::AlgorithmKind;
+        use crate::state::PartitionState;
+        use std::sync::Arc;
+
+        // `[fresh, churned]` digests of each corpus, as the hash-bucket
+        // layout computed them.
+        #[rustfmt::skip]
+        const PINNED_2D: [[u64; 5]; 2] = [
+            [9243, 2960, 2601940353614003368, 2656, 5679741596506588630],
+            [145177, 28886, 640207927703876678, 2488, 10204175325933606429],
+        ];
+        #[rustfmt::skip]
+        const PINNED_3D: [[u64; 5]; 2] = [
+            [4596, 19056, 13301712826148439754, 825, 5368130767427841296],
+            [23373, 26686, 14641117648897880225, 785, 13239372937259244116],
+        ];
+        let cases = [
+            (2, 20_000, 40.0, 0.6, 6, PINNED_2D),
+            (3, 5_000, 20.0, 1.0, 4, PINNED_3D),
+        ];
+        for (dim, n, side, r, k, expected) in cases {
+            let mut rng = StdRng::seed_from_u64(0x5CA1 + dim as u64);
+            let prm = params(r, k);
+            let mut core = PointSet::new(dim).unwrap();
+            for p in skewed_points(&mut rng, n, dim, side) {
+                core.push(&p).unwrap();
             }
+            let mut support = PointSet::new(dim).unwrap();
+            for p in skewed_points(&mut rng, n / 10, dim, side) {
+                support.push(&p).unwrap();
+            }
+            let n_support = support.len() as u64;
+            let part = Partition::new(core, (0..n as u64).collect(), support).unwrap();
+            let bounds = part.bounding_rect().unwrap();
+            let near = |rng: &mut StdRng, p: &[f64], spread: f64| -> Vec<f64> {
+                p.iter()
+                    .enumerate()
+                    .map(|(i, &x)| {
+                        (x + rng.gen_range(-spread..spread)).clamp(bounds.min()[i], bounds.max()[i])
+                    })
+                    .collect()
+            };
+            let queries: Vec<Vec<f64>> = (0..300)
+                .map(|i| {
+                    if i % 5 == 4 {
+                        (0..dim).map(|_| rng.gen_range(-1.0..side + 1.0)).collect()
+                    } else {
+                        let j = rng.gen_range(0..n);
+                        let p = part.core().point(j).to_vec();
+                        p.iter().map(|&x| x + rng.gen_range(-r..r)).collect()
+                    }
+                })
+                .collect();
+            let resident = |set: &PointSet, first_id: u64| -> Vec<(u64, Vec<f64>)> {
+                (0..set.len())
+                    .map(|i| (first_id + i as u64, set.point(i).to_vec()))
+                    .collect()
+            };
+            let mut core_pts = resident(part.core(), 0);
+            let mut support_pts = resident(part.support(), n as u64);
+
+            let fresh_detection = CellBased::default().detect(&part, prm);
+            let mut state = PartitionState::build(AlgorithmKind::CellBased, Arc::new(part), prm)
+                .with_support_ids((n as u64..n as u64 + n_support).collect())
+                .unwrap();
+            let fresh = fingerprint(&state, &fresh_detection, &queries);
+
+            // The history: inserts beside resident points (runs fill and
+            // move) and removals of random residents (runs empty), until a
+            // compaction has rebuilt the tiles and a fifth of the corpus
+            // has been spliced since. The churned digest also probes every
+            // point spliced after that compaction, where the order within
+            // a cell is the one the splices left.
+            let mut next_id = 10 * n as u64;
+            let mut recent: Vec<Vec<f64>> = Vec::new();
+            let mut compacted = false;
+            while !compacted || recent.len() < n / 5 {
+                let before = state.pending_mutations();
+                let op = rng.gen_range(0..10);
+                let touched = if op < 5 {
+                    let j = rng.gen_range(0..state.partition().core().len());
+                    let p = near(&mut rng, state.partition().core().point(j), r);
+                    if op < 4 {
+                        state.insert_core(&p, next_id).unwrap();
+                        core_pts.push((next_id, p.clone()));
+                    } else {
+                        state.insert_support(&p, next_id).unwrap();
+                        support_pts.push((next_id, p.clone()));
+                    }
+                    next_id += 1;
+                    p
+                } else if op < 9 {
+                    let (id, p) = core_pts.swap_remove(rng.gen_range(0..core_pts.len()));
+                    assert!(state.remove_core(id));
+                    p
+                } else {
+                    let (id, p) = support_pts.swap_remove(rng.gen_range(0..support_pts.len()));
+                    assert!(state.remove_support(id));
+                    p
+                };
+                if state.pending_mutations() <= before {
+                    compacted = true;
+                    recent.clear();
+                } else {
+                    recent.push(touched);
+                }
+            }
+            let probes: Vec<Vec<f64>> = queries.into_iter().chain(recent).collect();
+            let churned = fingerprint(&state, &state.detect(), &probes);
+            assert_eq!([fresh, churned], expected, "dim {dim}");
         }
-        let fresh = CellIndex::build(&part, prm, CellBased::DEFAULT_MAX_CELLS_PER_DIM).unwrap();
-        let via_mutations = CellBased::default().detect_with_index(&part, prm, &index);
-        let via_fresh = CellBased::default().detect_with_index(&part, prm, &fresh);
-        assert_eq!(via_mutations.outliers, via_fresh.outliers);
-        for q in [&[0.5, 0.5][..], &[4.0, 4.0], &[7.9, 0.1], &[-3.0, 2.0]] {
-            assert_eq!(
-                index.count_core_neighbors(&part, q, prm, usize::MAX),
-                fresh.count_core_neighbors(&part, q, prm, usize::MAX),
-                "query {q:?}"
-            );
-        }
-        // Out-of-domain insert is refused, signalling a rebuild.
-        assert!(!index.insert_core(999, &[1e6, 1e6]));
-        assert!(!index.insert_support(999, &[-1e6, 0.0]));
     }
 
     proptest! {
@@ -900,13 +1412,22 @@ mod tests {
             r in 0.2f64..3.0,
             k in 1usize..6,
         ) {
-            let p = random_partition(seed, n_core, n_support, 8.0);
+            // The 2-d square takes either directory form, depending on r;
+            // the 4-d clusters always take the keyed one.
             let prm = params(r, k);
-            let cb = CellBased::default().detect(&p, prm);
-            let rf = Reference.detect(&p, prm);
-            prop_assert_eq!(cb.outliers.clone(), rf.outliers.clone());
-            let cbf = CellBased::default().full_scan_fallback().detect(&p, prm);
-            prop_assert_eq!(cbf.outliers, rf.outliers);
+            for (p, keyed) in [
+                (random_partition(seed, n_core, n_support, 8.0), None),
+                (clustered_4d_partition(seed, n_core, n_support), Some("keyed")),
+            ] {
+                if let Some(index) = CellIndex::build(&p, prm, CellBased::DEFAULT_MAX_CELLS_PER_DIM) {
+                    assert_directory(&index, keyed.unwrap_or(index.directory_kind()), p.total_len());
+                }
+                let cb = CellBased::default().detect(&p, prm);
+                let rf = Reference.detect(&p, prm);
+                prop_assert_eq!(cb.outliers.clone(), rf.outliers.clone());
+                let cbf = CellBased::default().full_scan_fallback().detect(&p, prm);
+                prop_assert_eq!(cbf.outliers, rf.outliers);
+            }
         }
 
         #[test]

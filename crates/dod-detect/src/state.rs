@@ -33,8 +33,8 @@ use crate::partition::Partition;
 /// algorithm the multi-tactic plan assigned to it.
 #[derive(Debug, Clone)]
 enum StateIndex {
-    /// Grid buckets for the cell-based detectors.
-    Cells(CellIndex),
+    /// Cell-ordered tiles for the cell-based detectors.
+    Cells(Box<CellIndex>),
     /// kd-tree for the index-based detector.
     Tree(KdIndex),
     /// No auxiliary structure: queries scan the point set directly.
@@ -79,7 +79,7 @@ fn build_index(kind: AlgorithmKind, partition: &Partition, params: OutlierParams
     match kind {
         AlgorithmKind::CellBased | AlgorithmKind::CellBasedFullScan => {
             match CellIndex::build(partition, params, CellBased::DEFAULT_MAX_CELLS_PER_DIM) {
-                Some(cells) => StateIndex::Cells(cells),
+                Some(cells) => StateIndex::Cells(Box::new(cells)),
                 None => StateIndex::Scan,
             }
         }
@@ -318,9 +318,10 @@ impl PartitionState {
 
     /// Books one incremental mutation and compacts (rebuilds the index)
     /// once enough have accumulated for splice-degraded structures —
-    /// overgrown kd leaves, skewed cell buckets — to be worth paying the
-    /// build again. `force` short-circuits the threshold for mutations
-    /// an index cannot absorb (a point outside a cell grid's domain).
+    /// overgrown kd leaves, the gaps moved cell runs leave behind — to be
+    /// worth paying the build again. `force` short-circuits the threshold
+    /// for mutations an index cannot absorb (a point outside a cell
+    /// grid's domain).
     fn note_mutation(&mut self, force: bool) {
         self.mutations += 1;
         let threshold = usize::max(32, self.built_total / 2);
@@ -725,56 +726,76 @@ mod tests {
         // A dense blob the inlier rule decides, churned by interleaved
         // core/support inserts and removals past the compaction threshold:
         // after every step each capped count must equal the linear scan
-        // over the surviving core set — the rule reads live bucket sizes.
+        // over the surviving core set — the rule reads live run lengths.
+        // Over a dense cell directory, and over a keyed one that a far
+        // corner stretches the grid into.
         let params = OutlierParams::new(1.0, 3).unwrap();
         let blob = |i: u64| [0.01 * (i % 17) as f64, 0.013 * (i % 11) as f64];
-        let mut core = PointSet::new(2).unwrap();
-        for i in 0..20 {
-            core.push(&blob(i)).unwrap();
-        }
-        core.push(&[6.0, 6.0]).unwrap();
-        let partition = Partition::new(core, (0..21).collect(), PointSet::new(2).unwrap());
-        let mut state = PartitionState::build(
-            AlgorithmKind::CellBased,
-            Arc::new(partition.unwrap()),
-            params,
-        );
-        let queries = [
-            [0.05, 0.05],
-            [0.5, 0.5],
-            [3.0, 3.0],
-            [6.0, 6.0],
-            [-0.2, 0.0],
-        ];
-        let mut compacted = false;
-        let mut decided = 0;
-        for step in 0..60u64 {
-            let before = state.pending_mutations();
-            match step % 4 {
-                0 => state.insert_core(&blob(step + 3), 100 + step).unwrap(),
-                1 => state.insert_support(&blob(step), 1000 + step).unwrap(),
-                // Odd original blob ids first, then the oldest streamed ones.
-                2 if step < 40 => assert!(state.remove_core(step / 2)),
-                2 => assert!(state.remove_core(100 + step - 42)),
-                _ => assert!(state.remove_support(1000 + step - 2)),
+        for (corner, kind) in [(None, "dense"), (Some([200.0, 200.0]), "keyed")] {
+            let mut core = PointSet::new(2).unwrap();
+            for i in 0..20 {
+                core.push(&blob(i)).unwrap();
             }
-            compacted |= state.pending_mutations() <= before;
-            for q in &queries {
-                let truth = state
-                    .partition()
-                    .core()
-                    .iter()
-                    .filter(|p| params.neighbors(q, p))
-                    .count();
-                for cap in 1..=params.k + 2 {
-                    let (found, work) = state.count_core_neighbors_traced(q, cap);
-                    assert_eq!(found, truth.min(cap), "step {step} query {q:?} cap {cap}");
-                    decided += usize::from(found > 0 && work == 0);
+            core.push(&[6.0, 6.0]).unwrap();
+            if let Some(c) = corner {
+                core.push(&c).unwrap();
+            }
+            let n = core.len() as u64;
+            let partition = Partition::new(core, (0..n).collect(), PointSet::new(2).unwrap());
+            let mut state = PartitionState::build(
+                AlgorithmKind::CellBased,
+                Arc::new(partition.unwrap()),
+                params,
+            );
+            let queries = [
+                [0.05, 0.05],
+                [0.5, 0.5],
+                [3.0, 3.0],
+                [6.0, 6.0],
+                [-0.2, 0.0],
+            ];
+            let mut compacted = false;
+            let mut decided = 0;
+            for step in 0..60u64 {
+                let before = state.pending_mutations();
+                match step % 4 {
+                    0 => state.insert_core(&blob(step + 3), 100 + step).unwrap(),
+                    1 => state.insert_support(&blob(step), 1000 + step).unwrap(),
+                    // Odd original blob ids first, then the oldest streamed ones.
+                    2 if step < 40 => assert!(state.remove_core(step / 2)),
+                    2 => assert!(state.remove_core(100 + step - 42)),
+                    _ => assert!(state.remove_support(1000 + step - 2)),
+                }
+                compacted |= state.pending_mutations() <= before;
+                for q in &queries {
+                    let truth = state
+                        .partition()
+                        .core()
+                        .iter()
+                        .filter(|p| params.neighbors(q, p))
+                        .count();
+                    for cap in 1..=params.k + 2 {
+                        let (found, work) = state.count_core_neighbors_traced(q, cap);
+                        assert_eq!(
+                            found,
+                            truth.min(cap),
+                            "{kind}: step {step} query {q:?} cap {cap}"
+                        );
+                        decided += usize::from(found > 0 && work == 0);
+                    }
                 }
             }
+            assert!(
+                compacted,
+                "{kind}: 60 mutations cross the 32-mutation threshold"
+            );
+            assert!(decided > 0, "{kind}: the blob queries are rule-decided");
+            let StateIndex::Cells(cells) = &state.index else {
+                panic!("a Cell-Based state keeps a cell index");
+            };
+            let points = state.partition().total_len();
+            crate::cell_based::tests::assert_directory(cells, kind, points);
         }
-        assert!(compacted, "60 mutations cross the 32-mutation threshold");
-        assert!(decided > 0, "the blob queries are rule-decided");
     }
 
     #[test]

@@ -109,17 +109,7 @@ pub fn dbscan_local_metric(
         return (cluster, is_core);
     }
     let bounds = points.bounding_rect().expect("non-empty");
-    let cells: Vec<usize> = (0..points.dim())
-        .map(|i| {
-            let extent = bounds.extent(i);
-            if extent == 0.0 {
-                1
-            } else {
-                ((extent / eps).ceil() as usize).clamp(1, 512)
-            }
-        })
-        .collect();
-    let grid = GridSpec::new(bounds, cells).expect("valid grid");
+    let grid = GridSpec::with_cell_side(bounds, eps, 512).expect("valid grid");
     let mut buckets: HashMap<usize, Vec<u32>> = HashMap::new();
     for i in 0..n {
         buckets

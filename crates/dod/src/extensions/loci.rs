@@ -85,17 +85,7 @@ struct RangeCounter<'a> {
 impl<'a> RangeCounter<'a> {
     fn build(points: &'a PointSet, r: f64, metric: Metric) -> Self {
         let bounds = points.bounding_rect().expect("non-empty");
-        let cells: Vec<usize> = (0..points.dim())
-            .map(|i| {
-                let extent = bounds.extent(i);
-                if extent == 0.0 {
-                    1
-                } else {
-                    ((extent / r).ceil() as usize).clamp(1, 256)
-                }
-            })
-            .collect();
-        let grid = GridSpec::new(bounds, cells).expect("valid grid");
+        let grid = GridSpec::with_cell_side(bounds, r, 256).expect("valid grid");
         let mut buckets: std::collections::HashMap<usize, Vec<u32>> = Default::default();
         for i in 0..points.len() {
             buckets

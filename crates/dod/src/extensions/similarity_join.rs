@@ -40,17 +40,7 @@ impl JoinReducer {
             points.push(&v.coords).expect("same dim");
         }
         let bounds = points.bounding_rect().expect("non-empty");
-        let cells: Vec<usize> = (0..self.dim)
-            .map(|i| {
-                let extent = bounds.extent(i);
-                if extent == 0.0 {
-                    1
-                } else {
-                    ((extent / self.r).ceil() as usize).clamp(1, 512)
-                }
-            })
-            .collect();
-        let grid = GridSpec::new(bounds, cells).expect("valid grid");
+        let grid = GridSpec::with_cell_side(bounds, self.r, 512).expect("valid grid");
         let mut buckets: std::collections::HashMap<usize, Vec<u32>> = Default::default();
         for (i, p) in points.iter().enumerate() {
             buckets.entry(grid.cell_of(p)).or_default().push(i as u32);

@@ -17,7 +17,7 @@
 //! jobs") that motivates the single-pass framework.
 
 use crate::framework::{DodReducer, InputPoint, TaggedPoint};
-use dod_core::{GridSpec, OutlierParams, PointId, Rect};
+use dod_core::{CellId, GridSpec, OutlierParams, PointId, Rect};
 use dod_detect::cost::AlgorithmKind;
 use dod_obs::json::Json;
 use dod_partition::PartitionPlan;
@@ -153,7 +153,10 @@ impl Reducer<u32, TaggedPoint<'_>> for CandidateReducer {
 pub struct CandidateIndex {
     candidates: Vec<Candidate>,
     grid: Option<GridSpec>,
-    buckets: Vec<Vec<u32>>,
+    /// `(cell, candidate index)` of every candidate, sorted: one run per
+    /// occupied cell, its candidates in index order. Only occupied cells
+    /// cost memory, however many cells the grid has.
+    by_cell: Vec<(CellId, u32)>,
     r: f64,
     metric: dod_core::Metric,
 }
@@ -170,7 +173,7 @@ impl CandidateIndex {
             return CandidateIndex {
                 candidates,
                 grid: None,
-                buckets: Vec::new(),
+                by_cell: Vec::new(),
                 r,
                 metric,
             };
@@ -178,25 +181,17 @@ impl CandidateIndex {
         let dim = candidates[0].coords.len();
         let bounds = Rect::bounding(candidates.iter().map(|c| c.coords.as_slice()), dim)
             .expect("non-empty candidates");
-        let cells: Vec<usize> = (0..dim)
-            .map(|i| {
-                let extent = bounds.extent(i);
-                if extent == 0.0 {
-                    1
-                } else {
-                    ((extent / r).ceil() as usize).clamp(1, 1024)
-                }
-            })
+        let grid = GridSpec::with_cell_side(bounds, r, 1024).expect("valid candidate grid");
+        let mut by_cell: Vec<(CellId, u32)> = candidates
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (grid.cell_of(&c.coords), i as u32))
             .collect();
-        let grid = GridSpec::new(bounds, cells).expect("valid candidate grid");
-        let mut buckets = vec![Vec::new(); grid.num_cells()];
-        for (i, c) in candidates.iter().enumerate() {
-            buckets[grid.cell_of(&c.coords)].push(i as u32);
-        }
+        by_cell.sort_unstable();
         CandidateIndex {
             candidates,
             grid: Some(grid),
-            buckets,
+            by_cell,
             r,
             metric,
         }
@@ -230,7 +225,9 @@ impl CandidateIndex {
         .expect("finite coordinates");
         let mut out = Vec::new();
         for cell in grid.cells_intersecting(&ball) {
-            for &ci in &self.buckets[cell] {
+            let from = self.by_cell.partition_point(|&(c, _)| c < cell);
+            let run = self.by_cell[from..].iter().take_while(|&&(c, _)| c == cell);
+            for &(_, ci) in run {
                 let c = &self.candidates[ci as usize];
                 if c.id == exclude_id {
                     continue;

@@ -808,13 +808,13 @@ type Records<K, V> = Vec<(K, V)>;
 /// One reducer's materialised shuffle input: its records stably sorted
 /// by key, then parted into the key of each group and the values alone,
 /// so a reduce task hands out `&values[start..end]` per group.
-struct Bucket<K, V> {
+struct ReducerInput<K, V> {
     /// `(key, index of the group's first value)`, ascending by key.
     groups: Vec<(K, usize)>,
     values: Vec<V>,
 }
 
-impl<K: Ord, V> Bucket<K, V> {
+impl<K: Ord, V> ReducerInput<K, V> {
     /// Concatenates one reducer's chunks in map-task order and sorts
     /// them stably by key: the record sequence a serial walk over the
     /// map outputs would have produced.
@@ -832,7 +832,7 @@ impl<K: Ord, V> Bucket<K, V> {
             }
             values.push(value);
         }
-        Bucket { groups, values }
+        ReducerInput { groups, values }
     }
 
     /// The value slice of group `g`.
@@ -1052,7 +1052,7 @@ where
             reducer_chunks[r].push(chunk);
         }
     }
-    let buckets = on_host_threads(host_threads, reducer_chunks, Bucket::merge);
+    let buckets = on_host_threads(host_threads, reducer_chunks, ReducerInput::merge);
     let shuffle_records: u64 = buckets.iter().map(|b| b.values.len() as u64).sum();
     let shuffle_bytes: u64 = reducer_bytes.iter().sum();
     drop(shuffle_stage);

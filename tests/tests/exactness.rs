@@ -70,6 +70,31 @@ fn full_matrix_matches_reference_in_three_dimensions() {
 }
 
 #[test]
+fn full_matrix_matches_reference_on_a_grid_past_cell_ids() {
+    // 12 isolated points in 8-d whose bounding box spans 512 Cell-Based
+    // cells (side r/(2√8)) per dimension — 2^72 cells — and 91 Domain
+    // candidate cells (side r) per dimension — 4.7·10^15. Cell ids used to
+    // wrap, and Domain's candidate index allocated one `Vec` per cell and
+    // aborted.
+    let w = 1.0 / (2.0 * 8f64.sqrt());
+    let mut data = PointSet::new(8).unwrap();
+    data.push(&[0.0; 8]).unwrap();
+    data.push(&[511.5 * w; 8]).unwrap();
+    for j in 1..=10 {
+        let mut p = [0.0; 8];
+        p[0] = 16.0 * j as f64 * w;
+        data.push(&p).unwrap();
+    }
+    let params = OutlierParams::new(1.0, 2).unwrap();
+    let expected = reference_outliers(&data, params);
+    assert_eq!(expected.len(), 12);
+    for (name, runner) in all_runners(params) {
+        let outcome = runner.run(&data).unwrap();
+        assert_eq!(outcome.outliers, expected, "configuration {name}");
+    }
+}
+
+#[test]
 fn repeated_runs_are_deterministic() {
     let data = mixed_density(3, 500);
     let params = OutlierParams::new(1.0, 3).unwrap();
