@@ -70,7 +70,8 @@
 //! Failures answer `{"v":1,"ok":false,"code":"…","error":"…"}` and keep
 //! the loop alive; `quit` or end-of-input ends it. `code` is stable and
 //! machine-readable: `bad_request`, `unknown_op`, `deadline`,
-//! `dimension`, `panic`, `pipeline`, or `engine`.
+//! `dimension`, `panic`, `pipeline`, `engine`, or `internal` (the engine
+//! answered a request with another op's response kind, a server bug).
 //! `error` is human-readable prose and not part of the contract.
 //! Requests are read by [`dod_obs::json::parse`] — numbers follow the
 //! JSON grammar and must be finite, so `1e999` is a `bad_request`, as is
@@ -107,6 +108,15 @@ impl ServeError {
             msg: msg.into(),
         }
     }
+}
+
+/// The payload of an engine response, or an `internal` error when the
+/// engine answered the `op` request with another response kind.
+fn answer<T>(payload: Option<T>, op: &str) -> Result<T, ServeError> {
+    payload.ok_or_else(|| ServeError {
+        code: "internal",
+        msg: format!("the engine answered a \"{op}\" request with another response kind"),
+    })
 }
 
 /// Maps an engine error to its stable protocol code.
@@ -354,9 +364,10 @@ fn dispatch(ctx: &ServeContext, request: &Json) -> Result<Option<String>, ServeE
     match op {
         "score" => {
             let points = parse_points(request, "score")?;
-            let scores = run_request(engine, Request::Score { points })?
-                .into_score()
-                .expect("score request answers with scores");
+            let scores = answer(
+                run_request(engine, Request::Score { points })?.into_score(),
+                op,
+            )?;
             // One buffer for the whole line: ~34 bytes per result.
             let mut line = String::with_capacity(48 + 36 * scores.len());
             line.push_str("{\"v\":1,\"ok\":true,\"op\":\"score\",\"results\":[");
@@ -373,9 +384,7 @@ fn dispatch(ctx: &ServeContext, request: &Json) -> Result<Option<String>, ServeE
             Ok(Some(line))
         }
         "detect" => {
-            let outliers = run_request(engine, Request::Detect)?
-                .into_outliers()
-                .expect("detect request answers with outliers");
+            let outliers = answer(run_request(engine, Request::Detect)?.into_outliers(), op)?;
             let ids: Vec<String> = outliers.iter().map(u64::to_string).collect();
             Ok(Some(format!(
                 "{{\"v\":1,\"ok\":true,\"op\":\"detect\",\"outliers\":[{}]}}",
@@ -384,9 +393,10 @@ fn dispatch(ctx: &ServeContext, request: &Json) -> Result<Option<String>, ServeE
         }
         "insert" => {
             let points = parse_points(request, "insert")?;
-            let receipt = run_request(engine, Request::Insert { points })?
-                .into_insert()
-                .expect("insert request answers with a receipt");
+            let receipt = answer(
+                run_request(engine, Request::Insert { points })?.into_insert(),
+                op,
+            )?;
             let ids: Vec<String> = receipt.ids.iter().map(u64::to_string).collect();
             Ok(Some(format!(
                 "{{\"v\":1,\"ok\":true,\"op\":\"insert\",\"ids\":[{}],\"expired\":{},\
@@ -406,9 +416,10 @@ fn dispatch(ctx: &ServeContext, request: &Json) -> Result<Option<String>, ServeE
                 .map(Json::as_u64)
                 .collect::<Option<Vec<u64>>>()
                 .ok_or_else(|| ServeError::bad("each id must be a non-negative integer"))?;
-            let receipt = run_request(engine, Request::Remove { ids })?
-                .into_remove()
-                .expect("remove request answers with a receipt");
+            let receipt = answer(
+                run_request(engine, Request::Remove { ids })?.into_remove(),
+                op,
+            )?;
             Ok(Some(format!(
                 "{{\"v\":1,\"ok\":true,\"op\":\"remove\",\"removed\":{},\"missing\":{},\
                  \"refreshed\":{},\"resident\":{}}}",
@@ -422,16 +433,20 @@ fn dispatch(ctx: &ServeContext, request: &Json) -> Result<Option<String>, ServeE
             let config = if clear {
                 Some(WindowConfig::default()) // unbounded = cleared
             } else if max_points.is_some() || max_age_ms.is_some() {
+                let max_points = max_points.map(usize::try_from).transpose().map_err(|_| {
+                    ServeError::bad("\"max_points\" does not fit this platform's usize")
+                })?;
                 Some(WindowConfig {
-                    max_points: max_points.map(|n| n as usize),
+                    max_points,
                     max_age: max_age_ms.map(Duration::from_millis),
                 })
             } else {
                 None // just a tick: enforce the current window
             };
-            let status = run_request(engine, Request::Window { config })?
-                .into_window()
-                .expect("window request answers with a status");
+            let status = answer(
+                run_request(engine, Request::Window { config })?.into_window(),
+                op,
+            )?;
             let points = status
                 .window
                 .max_points
@@ -879,6 +894,20 @@ mod tests {
             responses[6]
         );
         assert!(responses[7].contains("\"points\":10"));
+    }
+
+    /// An engine response of another op's kind answers a typed
+    /// `internal` error line instead of panicking the loop.
+    #[test]
+    fn a_mismatched_engine_response_is_an_internal_error() {
+        let err = answer(Response::Outliers(vec![3]).into_score(), "score").unwrap_err();
+        let line = error_line(&err);
+        assert!(
+            line.starts_with("{\"v\":1,\"ok\":false,\"code\":\"internal\""),
+            "{line}"
+        );
+        assert!(line.contains("\\\"score\\\" request"), "{line}");
+        assert_eq!(answer(Some(7), "score").ok(), Some(7));
     }
 
     #[test]

@@ -237,11 +237,26 @@ impl PartitionPlan {
 /// the rounding of the gap.) The exact `min_dist_to_rect ≤ r` test then
 /// keeps only true members, so [`Router::within_r_into`] equals the
 /// brute-force `{pid : min_dist_to_rect(rect(pid), x) ≤ r}` everywhere.
+/// (At scales where `r·r` is subnormal a Euclidean `min_dist_to_rect`
+/// can square gaps above `r` to zero; the router then keeps the
+/// rectangles whose expanded box holds `x`, not those far ones.)
+///
+/// Before that test a candidate passes a per-dimension gap test: it is
+/// dropped as soon as one gap `min[i] − x[i]` or `x[i] − max[i]`, the
+/// same `f64` the distance folds in, exceeds `r`. That never drops a
+/// partition the distance keeps: a Manhattan sum and a Chebyshev max of
+/// non-negative gaps are at least each gap, and for Euclidean
+/// `sqrt(Σ g²)` is at least `sqrt(g·g) = g` as long as `g·g` stays a
+/// normal number (binary round-to-nearest). Where `r·r` is subnormal a
+/// gap above `r` could square to zero, so the gap test is off there.
 #[derive(Debug, Clone)]
 pub struct Router {
     plan: PartitionPlan,
     r: f64,
     metric: dod_core::Metric,
+    /// Whether a gap above `r` proves the rectangle out of reach (see
+    /// the type's documentation).
+    gap_test: bool,
     coarse: GridSpec,
     /// Candidate partitions per coarse cell, ascending.
     candidates: Vec<Vec<u32>>,
@@ -266,10 +281,12 @@ impl Router {
                 candidates[cell].push(pid as u32);
             }
         }
+        let gap_test = metric != dod_core::Metric::Euclidean || r * r >= f64::MIN_POSITIVE;
         Router {
             plan: plan.clone(),
             r,
             metric,
+            gap_test,
             coarse,
             candidates,
         }
@@ -280,6 +297,22 @@ impl Router {
         self.r
     }
 
+    /// Dimensionality of the points the router routes.
+    pub fn dim(&self) -> usize {
+        self.plan.domain().dim()
+    }
+
+    /// Whether partition `pid`'s rectangle is within `r` of `x`: the gap
+    /// test first, then the exact distance.
+    fn reaches(&self, pid: u32, x: &[f64]) -> bool {
+        let rect = self.plan.rect(pid as usize);
+        let (min, max) = (rect.min(), rect.max());
+        if self.gap_test && (0..x.len()).any(|i| min[i] - x[i] > self.r || x[i] - max[i] > self.r) {
+            return false;
+        }
+        self.metric.min_dist_to_rect(min, max, x) <= self.r
+    }
+
     /// The ascending candidate partitions of `x`'s coarse cell that pass
     /// `keep` and whose rectangle is within `r` of `x` (the exact test).
     fn within_r<'a>(
@@ -288,10 +321,10 @@ impl Router {
         keep: impl Fn(u32) -> bool + 'a,
     ) -> impl Iterator<Item = u32> + 'a {
         let candidates = &self.candidates[self.coarse.cell_of(x)];
-        candidates.iter().copied().filter(move |&pid| {
-            let rect = self.plan.rect(pid as usize);
-            keep(pid) && self.metric.min_dist_to_rect(rect.min(), rect.max(), x) <= self.r
-        })
+        candidates
+            .iter()
+            .copied()
+            .filter(move |&pid| keep(pid) && self.reaches(pid, x))
     }
 
     /// Appends to `out`, in ascending id order, every partition whose
@@ -681,70 +714,155 @@ mod tests {
         }
     }
 
+    /// `within_r_into` against brute force at d = 2, 3 and 4 under all
+    /// three metrics, for points inside the domain, on its faces, within
+    /// `r` of it and far outside, and exactly `r` past a partition's face
+    /// or corner. Two checks per point: over the candidates of the
+    /// point's coarse cell, the router keeps exactly the partitions
+    /// `min_dist_to_rect ≤ r` keeps (the gap test drops none of them);
+    /// and where `r·r` is normal, no partition outside the candidates is
+    /// within `r` (the candidate lists are complete). The tiny-scale plan
+    /// (`r = 1e-200`) has gaps above `r` whose squares underflow to zero
+    /// and which the distance therefore keeps.
     #[test]
     fn within_r_matches_brute_force_inside_on_and_outside_the_domain() {
         use dod_core::Metric;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        // An uneven DSHC plan (rectangles of different sizes) and a grid.
-        let sample = PointSet::from_xy(
-            &(0..400)
-                .map(|i| (0.02 * (i % 97) as f64, 8.0 - 0.05 * (i % 61) as f64))
-                .collect::<Vec<_>>(),
-        );
-        let buckets = MiniBucketGrid::build(&domain(), 8, &sample).unwrap();
-        let clusters = Dshc::cluster(&buckets, &DshcConfig::relative(&buckets, 0.5, 60));
-        let plans = [
-            PartitionPlan::from_clusters(&buckets, &clusters).unwrap(),
-            PartitionPlan::from_grid(GridSpec::uniform(domain(), 5).unwrap()),
-        ];
-        let r = 0.7;
+        const CASES: usize = 1500;
         let mut rng = StdRng::seed_from_u64(23);
         let mut got = Vec::new();
-        for plan in &plans {
-            assert!(plan.num_partitions() > 1);
-            for metric in [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev] {
-                let router = plan.router_with_metric(r, metric);
-                let mut nonempty_outside = 0;
-                for case in 0..2000 {
-                    let mut x = [rng.gen_range(0.0..=8.0), rng.gen_range(0.0..=8.0)];
-                    let side = rng.gen_range(0..2usize);
-                    let low = rng.gen_range(0..2) == 0;
-                    let outward = |depth: f64| if low { -depth } else { 8.0 + depth };
-                    match case % 4 {
-                        0 => {}                                        // inside
-                        1 => x[side] = outward(0.0),                   // on a face
-                        2 => x[side] = outward(rng.gen_range(0.0..r)), // within r outside
-                        _ => {
-                            // far outside, sometimes past a corner
-                            x[side] = outward(rng.gen_range(r..50.0));
-                            if rng.gen_range(0..3) == 0 {
-                                x[1 - side] = outward(rng.gen_range(0.0..2.0 * r));
+        // (dim, scale, r / scale): the domain is [0, 8·scale]^dim.
+        for (dim, scale, r0) in [
+            (2, 1.0, 0.75),
+            (3, 1.0, 0.75),
+            (4, 1.0, 0.75),
+            (2, 1e-200, 1.0),
+        ] {
+            let side = 8.0 * scale;
+            let r = r0 * scale;
+            let tiny = scale < 1.0;
+            let domain = Rect::new(vec![0.0; dim], vec![side; dim]).unwrap();
+            // An uneven DSHC plan (rectangles of different sizes) and a grid.
+            let rows: Vec<f64> = (0..400)
+                .flat_map(|i| {
+                    let skew = [0.02 * (i % 97) as f64, 8.0 - 0.05 * (i % 61) as f64];
+                    (0..dim).map(move |d| {
+                        scale * skew.get(d).copied().unwrap_or(0.09 * (i % 89) as f64)
+                    })
+                })
+                .collect();
+            let sample = PointSet::from_flat(dim, rows).unwrap();
+            let buckets = MiniBucketGrid::build(&domain, 8, &sample).unwrap();
+            let clusters = Dshc::cluster(&buckets, &DshcConfig::relative(&buckets, 0.5, 60));
+            let mut plans = vec![PartitionPlan::from_grid(
+                GridSpec::uniform(domain.clone(), 4).unwrap(),
+            )];
+            if !tiny {
+                plans.push(PartitionPlan::from_clusters(&buckets, &clusters).unwrap());
+            }
+            for plan in &plans {
+                assert!(plan.num_partitions() > 1);
+                for metric in [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev] {
+                    let router = plan.router_with_metric(r, metric);
+                    assert_eq!(router.gap_test, !(tiny && metric == Metric::Euclidean));
+                    let within = |pid: u32, x: &[f64]| {
+                        let rect = plan.rect(pid as usize);
+                        metric.min_dist_to_rect(rect.min(), rect.max(), x) <= r
+                    };
+                    let (mut nonempty_outside, mut underflows) = (0, 0);
+                    for case in 0..CASES {
+                        let mut x: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.0..=side)).collect();
+                        let axis = rng.gen_range(0..dim);
+                        let low = rng.gen_range(0..2) == 0;
+                        let outward = |depth: f64| if low { -depth } else { side + depth };
+                        let rect = plan.rect(rng.gen_range(0..plan.num_partitions()));
+                        let past = |i: usize, gap: f64| {
+                            if low {
+                                rect.min()[i] - gap
+                            } else {
+                                rect.max()[i] + gap
+                            }
+                        };
+                        match case % 6 {
+                            0 => {}                                        // inside
+                            1 => x[axis] = outward(0.0),                   // on a face
+                            2 => x[axis] = outward(rng.gen_range(0.0..r)), // within r outside
+                            3 => {
+                                // far outside, sometimes past a corner
+                                x[axis] = outward(rng.gen_range(r..50.0 * scale));
+                                if rng.gen_range(0..3) == 0 {
+                                    let other = (axis + 1) % dim;
+                                    x[other] = outward(rng.gen_range(0.0..2.0 * r));
+                                }
+                            }
+                            4 => {
+                                // exactly r past a partition's face
+                                for (i, c) in x.iter_mut().enumerate() {
+                                    *c = rng.gen_range(rect.min()[i]..=rect.max()[i]);
+                                }
+                                x[axis] = past(axis, r);
+                            }
+                            _ => {
+                                // exactly r past a partition's corner
+                                let gaps: Vec<f64> = match metric {
+                                    Metric::Chebyshev => vec![r; dim],
+                                    Metric::Manhattan => (0..dim)
+                                        .map(|i| r / f64::from(1u32 << (i + 1).min(dim - 1)))
+                                        .collect(),
+                                    Metric::Euclidean => vec![r / (dim as f64).sqrt(); dim],
+                                };
+                                for (i, c) in x.iter_mut().enumerate() {
+                                    *c = past(i, gaps[i]);
+                                }
                             }
                         }
+                        let candidates = &router.candidates[router.coarse.cell_of(&x)];
+                        let expected: Vec<u32> = candidates
+                            .iter()
+                            .copied()
+                            .filter(|&pid| within(pid, &x))
+                            .collect();
+                        got.clear();
+                        router.within_r_into(&x, &mut got);
+                        assert_eq!(got, expected, "{dim}-d {metric:?} x {x:?}");
+                        if !tiny {
+                            let all: Vec<u32> = (0..plan.num_partitions() as u32)
+                                .filter(|&pid| within(pid, &x))
+                                .collect();
+                            assert_eq!(got, all, "{dim}-d {metric:?} x {x:?}");
+                        }
+                        nonempty_outside += usize::from(case % 6 == 2 && !got.is_empty());
+                        underflows += candidates
+                            .iter()
+                            .filter(|&&pid| {
+                                let rect = plan.rect(pid as usize);
+                                let gap = (0..dim)
+                                    .map(|i| (rect.min()[i] - x[i]).max(x[i] - rect.max()[i]))
+                                    .fold(0.0, f64::max);
+                                gap > r && within(pid, &x)
+                            })
+                            .count();
+                        // `route` is the same list minus the (clamped) core.
+                        let routing = route(&router, &x);
+                        assert_eq!(routing.0, plan.locate(&x));
+                        let support: Vec<u32> = (expected.iter().copied())
+                            .filter(|&pid| pid != routing.0)
+                            .collect();
+                        assert_eq!(routing.1, support);
                     }
-                    let expected: Vec<u32> = (0..plan.num_partitions() as u32)
-                        .filter(|&pid| {
-                            let rect = plan.rect(pid as usize);
-                            metric.min_dist_to_rect(rect.min(), rect.max(), &x) <= r
-                        })
-                        .collect();
-                    got.clear();
-                    router.within_r_into(&x, &mut got);
-                    assert_eq!(got, expected, "{metric:?} x {x:?}");
-                    nonempty_outside += usize::from(case % 4 == 2 && !got.is_empty());
-                    // `route` is the same list minus the (clamped) core.
-                    let routing = route(&router, &x);
-                    assert_eq!(routing.0, plan.locate(&x));
-                    let support: Vec<u32> = (expected.iter().copied())
-                        .filter(|&pid| pid != routing.0)
-                        .collect();
-                    assert_eq!(routing.1, support);
+                    // The partitions tile the domain: a point within `r`
+                    // outside it always reaches one.
+                    assert_eq!(
+                        nonempty_outside,
+                        CASES / 6,
+                        "outside-within-r cases reach partitions"
+                    );
+                    // Only a squared gap can underflow: the distance keeps
+                    // a partition a gap above `r` would have dropped.
+                    let expect_underflow = tiny && metric == Metric::Euclidean;
+                    assert_eq!(underflows > 0, expect_underflow, "{dim}-d {metric:?}");
                 }
-                assert!(
-                    nonempty_outside > 400,
-                    "outside-within-r cases reach partitions"
-                );
             }
         }
     }

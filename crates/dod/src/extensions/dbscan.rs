@@ -29,7 +29,7 @@
 //! The result matches centralized DBSCAN exactly on noise and on the
 //! core-point partition structure (see the equivalence tests).
 
-use crate::framework::{load_points, DodMapper, TaggedPoint};
+use crate::framework::{gather_rows, load_points, DodMapper, TaggedPoint};
 use crate::pipeline::{DodConfig, DodError};
 use dod_core::{GridSpec, PointId, PointSet};
 use dod_obs::json::Json;
@@ -177,42 +177,40 @@ pub fn dbscan_local_metric(
 }
 
 /// Reducer of the clustering job: local DBSCAN plus labeling facts.
-pub struct DbscanReducer {
+pub struct DbscanReducer<'a> {
+    data: &'a PointSet,
     eps: f64,
     min_pts: usize,
-    dim: usize,
     metric: dod_core::Metric,
 }
 
-impl DbscanReducer {
-    /// Creates the reducer.
-    pub fn new(eps: f64, min_pts: usize, dim: usize, metric: dod_core::Metric) -> Self {
+impl<'a> DbscanReducer<'a> {
+    /// Creates the reducer over the job's input `data`, whose rows the
+    /// records name.
+    pub fn new(data: &'a PointSet, eps: f64, min_pts: usize, metric: dod_core::Metric) -> Self {
         DbscanReducer {
+            data,
             eps,
             min_pts,
-            dim,
             metric,
         }
     }
 }
 
-impl Reducer<u32, TaggedPoint<'_>> for DbscanReducer {
+impl Reducer<u32, TaggedPoint> for DbscanReducer<'_> {
     type Out = LabelRecord;
 
-    fn reduce(&self, key: &u32, values: &[TaggedPoint<'_>], emit: &mut dyn FnMut(LabelRecord)) {
-        let mut points = PointSet::new(self.dim).expect("dim >= 1");
-        for v in values {
-            points.push(&v.coords).expect("same dim");
-        }
+    fn reduce(&self, key: &u32, values: &[TaggedPoint], emit: &mut dyn FnMut(LabelRecord)) {
+        let points = gather_rows(self.data, values);
         let (cluster, is_core) = dbscan_local_metric(&points, self.eps, self.min_pts, self.metric);
         for (i, v) in values.iter().enumerate() {
-            let authoritative = !v.support;
+            let authoritative = !v.is_support();
             let local = cluster[i].map(|c| (*key, c));
             if local.is_none() && !authoritative {
                 continue; // unlabeled support points carry no information
             }
             emit(LabelRecord {
-                id: v.id,
+                id: v.id(),
                 cluster: local,
                 authoritative,
                 is_dbscan_core: is_core[i],
@@ -291,7 +289,7 @@ pub fn dbscan(
 
     let store = load_points(data, config.block_size, config.replication);
     let mapper = DodMapper::new(&router);
-    let reducer = DbscanReducer::new(eps, min_pts, domain.dim(), config.params.metric);
+    let reducer = DbscanReducer::new(data, eps, min_pts, config.params.metric);
     let partitioner = |k: &u32, n: usize| (*k as usize) % n;
     let out = run(
         &config.cluster,

@@ -24,7 +24,7 @@
 //! each partition self-sufficient (the Lemma 3.1 argument verbatim), and
 //! the distributed result is bit-identical to a centralized run.
 
-use crate::framework::{load_points, DodMapper, TaggedPoint};
+use crate::framework::{gather_rows, load_points, DodMapper, TaggedPoint};
 use crate::pipeline::{DodConfig, DodError};
 use dod_core::{GridSpec, Metric, PointId, PointSet};
 use dod_partition::{sample_points, PartitionStrategy, PlanContext};
@@ -183,30 +183,27 @@ pub fn loci_local(points: &PointSet, cfg: &LociConfig) -> Vec<bool> {
 
 /// Reducer of the distributed LOCI job: local LOCI over core + support,
 /// reporting flags for core points only.
-pub struct LociReducer {
+pub struct LociReducer<'a> {
+    data: &'a PointSet,
     cfg: LociConfig,
-    dim: usize,
 }
 
-impl LociReducer {
-    /// Creates the reducer.
-    pub fn new(cfg: LociConfig, dim: usize) -> Self {
-        LociReducer { cfg, dim }
+impl<'a> LociReducer<'a> {
+    /// Creates the reducer over the job's input `data`, whose rows the
+    /// records name.
+    pub fn new(data: &'a PointSet, cfg: LociConfig) -> Self {
+        LociReducer { data, cfg }
     }
 }
 
-impl Reducer<u32, TaggedPoint<'_>> for LociReducer {
+impl Reducer<u32, TaggedPoint> for LociReducer<'_> {
     type Out = PointId;
 
-    fn reduce(&self, _key: &u32, values: &[TaggedPoint<'_>], emit: &mut dyn FnMut(PointId)) {
-        let mut points = PointSet::new(self.dim).expect("dim >= 1");
-        for v in values {
-            points.push(&v.coords).expect("same dim");
-        }
-        let flags = loci_local(&points, &self.cfg);
+    fn reduce(&self, _key: &u32, values: &[TaggedPoint], emit: &mut dyn FnMut(PointId)) {
+        let flags = loci_local(&gather_rows(self.data, values), &self.cfg);
         for (i, v) in values.iter().enumerate() {
-            if !v.support && flags[i] {
-                emit(v.id);
+            if !v.is_support() && flags[i] {
+                emit(v.id());
             }
         }
     }
@@ -248,7 +245,7 @@ pub fn loci(
 
     let store = load_points(data, config.block_size, config.replication);
     let mapper = DodMapper::new(&router);
-    let reducer = LociReducer::new(*cfg, domain.dim());
+    let reducer = LociReducer::new(data, *cfg);
     let partitioner = |k: &u32, n: usize| (*k as usize) % n;
     let out = run(
         &config.cluster,

@@ -9,7 +9,7 @@
 //! core or support by Definition 3.3), so every qualifying pair appears
 //! exactly once.
 
-use crate::framework::{load_points, DodMapper, TaggedPoint};
+use crate::framework::{gather_rows, load_points, DodMapper, TaggedPoint};
 use crate::pipeline::{DodConfig, DodError};
 use dod_core::{GridSpec, PointId, PointSet};
 use dod_partition::{sample_points, PartitionStrategy, PlanContext};
@@ -17,28 +17,26 @@ use mapreduce::{run, JobMetrics, JobOptions, Reducer};
 
 /// Reducer of the join job: emits qualifying pairs with the
 /// smaller-id-core deduplication rule.
-pub struct JoinReducer {
+pub struct JoinReducer<'a> {
+    data: &'a PointSet,
     r: f64,
-    dim: usize,
     metric: dod_core::Metric,
 }
 
-impl JoinReducer {
-    /// Creates the reducer for distance threshold `r` over `dim`-d data.
-    pub fn new(r: f64, dim: usize, metric: dod_core::Metric) -> Self {
-        JoinReducer { r, dim, metric }
+impl<'a> JoinReducer<'a> {
+    /// Creates the reducer for distance threshold `r` over the job's
+    /// input `data`, whose rows the records name.
+    pub fn new(data: &'a PointSet, r: f64, metric: dod_core::Metric) -> Self {
+        JoinReducer { data, r, metric }
     }
 
-    fn join_partition(&self, values: &[TaggedPoint<'_>], emit: &mut dyn FnMut((PointId, PointId))) {
+    fn join_partition(&self, values: &[TaggedPoint], emit: &mut dyn FnMut((PointId, PointId))) {
         if values.len() < 2 {
             return;
         }
         // Bucket all points into a grid of cell side r; candidates for a
         // point live in the 3^d neighborhood.
-        let mut points = PointSet::new(self.dim).expect("dim >= 1");
-        for v in values {
-            points.push(&v.coords).expect("same dim");
-        }
+        let points = gather_rows(self.data, values);
         let bounds = points.bounding_rect().expect("non-empty");
         let grid = GridSpec::with_cell_side(bounds, self.r, 512).expect("valid grid");
         let mut buckets: std::collections::HashMap<usize, Vec<u32>> = Default::default();
@@ -46,7 +44,7 @@ impl JoinReducer {
             buckets.entry(grid.cell_of(p)).or_default().push(i as u32);
         }
         // Cells wider than r when clamped: neighborhood radius adapts.
-        let radius: usize = (0..self.dim)
+        let radius: usize = (0..points.dim())
             .map(|i| {
                 let w = grid.width(i);
                 if w == 0.0 {
@@ -74,17 +72,22 @@ impl JoinReducer {
                 for (ai, &a) in cell_pts.iter().enumerate() {
                     let start = if ncid == cid { ai + 1 } else { 0 };
                     for &b in &other_pts[start..] {
-                        let (va, vb) = (&values[a as usize], &values[b as usize]);
-                        if va.id == vb.id {
+                        let (va, vb) = (values[a as usize], values[b as usize]);
+                        if va.id() == vb.id() {
                             continue; // same point seen as core+support
                         }
-                        let (lo, hi) = if va.id < vb.id { (va, vb) } else { (vb, va) };
+                        let (lo, hi) = if va.id() < vb.id() {
+                            (va, vb)
+                        } else {
+                            (vb, va)
+                        };
                         // Dedup rule: the smaller id must be core here.
-                        if lo.support {
+                        if lo.is_support() {
                             continue;
                         }
-                        if self.metric.within(&va.coords, &vb.coords, self.r) {
-                            emit((lo.id, hi.id));
+                        let (pa, pb) = (points.point(a as usize), points.point(b as usize));
+                        if self.metric.within(pa, pb, self.r) {
+                            emit((lo.id(), hi.id()));
                         }
                     }
                 }
@@ -93,15 +96,10 @@ impl JoinReducer {
     }
 }
 
-impl Reducer<u32, TaggedPoint<'_>> for JoinReducer {
+impl Reducer<u32, TaggedPoint> for JoinReducer<'_> {
     type Out = (PointId, PointId);
 
-    fn reduce(
-        &self,
-        _key: &u32,
-        values: &[TaggedPoint<'_>],
-        emit: &mut dyn FnMut((PointId, PointId)),
-    ) {
+    fn reduce(&self, _key: &u32, values: &[TaggedPoint], emit: &mut dyn FnMut((PointId, PointId))) {
         self.join_partition(values, emit);
     }
 }
@@ -139,7 +137,7 @@ pub fn similarity_join(
 
     let store = load_points(data, config.block_size, config.replication);
     let mapper = DodMapper::new(&router);
-    let reducer = JoinReducer::new(config.params.r, domain.dim(), config.params.metric);
+    let reducer = JoinReducer::new(data, config.params.r, config.params.metric);
     let partitioner = |k: &u32, n: usize| (*k as usize) % n;
     let out = run(
         &config.cluster,

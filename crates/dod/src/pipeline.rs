@@ -402,10 +402,16 @@ impl DodRunner {
         let store = load_points(data, cfg.block_size, cfg.replication);
 
         // ---- Detection (single-job or two-job). ----
+        // A checkpointed job's records name rows of `data`, so its store
+        // is bound to the input itself, not only to the plan.
+        let input = match cfg.checkpoint {
+            Some(_) => input_digest(data),
+            None => 0,
+        };
         let detection = if self.strategy.uses_support_area() {
-            self.run_single_job(&store, &mt, &router)?
+            self.run_single_job(data, input, &store, &mt, &router)?
         } else {
-            self.run_two_job(&store, &mt)?
+            self.run_two_job(data, input, &store, &mt)?
         };
 
         let mut histogram: Vec<(AlgorithmKind, usize)> = Vec::new();
@@ -454,9 +460,9 @@ impl DodRunner {
     /// Opens the checkpoint store for one of the pipeline's jobs, or
     /// `None` when the config carries no durability spec. The job id is
     /// the operator's name plus a per-job `suffix`; the fingerprint tag
-    /// binds the store to the parameters and plan that produced it, so a
-    /// resumed run against different inputs starts fresh instead of
-    /// restoring foreign state.
+    /// binds the store to the input, parameters and plan that produced
+    /// it, so a resumed run against different inputs starts fresh
+    /// instead of restoring foreign state.
     fn open_store(
         &self,
         suffix: &str,
@@ -476,13 +482,14 @@ impl DodRunner {
             .map_err(|e| DodError::Job(JobError::Checkpoint(e.to_string())))
     }
 
-    /// Fingerprint tag of one job: `r`, `k`, metric, seed, and the
-    /// partition plan (allocation + per-partition algorithms), plus a
-    /// job-specific `extra` word (the verify job hashes its candidate
-    /// set in).
-    fn job_tag(&self, job: &str, mt: &MultiTacticPlan, extra: u64) -> String {
+    /// Fingerprint tag of one job: the `input` digest, `r`, `k`, metric,
+    /// seed, and the partition plan (allocation + per-partition
+    /// algorithms), plus a job-specific `extra` word (the verify job
+    /// hashes its candidate set in).
+    fn job_tag(&self, job: &str, input: u64, mt: &MultiTacticPlan, extra: u64) -> String {
         let cfg = &self.config;
         let words = [
+            input,
             cfg.params.r.to_bits(),
             cfg.params.k as u64,
             fnv_str(&format!("{:?}", cfg.params.metric)),
@@ -498,18 +505,20 @@ impl DodRunner {
     /// The supporting-area single-job protocol (Section III).
     fn run_single_job(
         &self,
+        data: &PointSet,
+        input: u64,
         store: &BlockStore<InputPoint<'_>>,
         mt: &MultiTacticPlan,
         router: &Router,
     ) -> Result<JobOutputs, DodError> {
         let cfg = &self.config;
         let mapper = DodMapper::new(router);
-        let dim = mt.plan.domain().dim();
-        let reducer = DodReducer::new(cfg.params, dim, Arc::new(mt.algorithms.clone()))
+        let reducer = DodReducer::new(data, cfg.params, Arc::new(mt.algorithms.clone()))
             .with_obs(cfg.obs.clone());
         let allocation = mt.allocation.clone();
         let partitioner = move |k: &u32, _n: usize| allocation[*k as usize];
-        let ck = self.open_store("-detect", store.num_blocks(), self.job_tag("detect", mt, 0))?;
+        let tag = self.job_tag("detect", input, mt, 0);
+        let ck = self.open_store("-detect", store.num_blocks(), tag)?;
         let out = mapreduce::run(
             &cfg.cluster,
             store,
@@ -533,23 +542,22 @@ impl DodRunner {
     /// The Domain baseline's two-job protocol (Section VI-A).
     fn run_two_job(
         &self,
+        data: &PointSet,
+        input: u64,
         store: &BlockStore<InputPoint<'_>>,
         mt: &MultiTacticPlan,
     ) -> Result<JobOutputs, DodError> {
         let cfg = &self.config;
-        let dim = mt.plan.domain().dim();
 
         // Job 1: local detection, emitting candidates.
         let mapper = CandidateMapper::new(&mt.plan);
-        let reducer = CandidateReducer::with_plan(cfg.params, dim, Arc::new(mt.algorithms.clone()))
-            .with_obs(cfg.obs.clone());
+        let reducer =
+            CandidateReducer::with_plan(data, cfg.params, Arc::new(mt.algorithms.clone()))
+                .with_obs(cfg.obs.clone());
         let allocation = mt.allocation.clone();
         let partitioner = move |k: &u32, _n: usize| allocation[*k as usize];
-        let ck1 = self.open_store(
-            "-candidates",
-            store.num_blocks(),
-            self.job_tag("candidates", mt, 0),
-        )?;
+        let tag = self.job_tag("candidates", input, mt, 0);
+        let ck1 = self.open_store("-candidates", store.num_blocks(), tag)?;
         let job1 = mapreduce::run(
             &cfg.cluster,
             store,
@@ -581,11 +589,8 @@ impl DodRunner {
         // redrive that changes the candidate set invalidates stale
         // verify checkpoints instead of restoring them.
         let candidate_fp = fingerprint_u64s(index.candidates().iter().map(|c| c.id));
-        let ck2 = self.open_store(
-            "-verify",
-            store.num_blocks(),
-            self.job_tag("verify", mt, candidate_fp),
-        )?;
+        let tag = self.job_tag("verify", input, mt, candidate_fp);
+        let ck2 = self.open_store("-verify", store.num_blocks(), tag)?;
         // Partial counts fold map-side (a Hadoop combiner), keeping the
         // second job's shuffle tiny.
         let job2 = mapreduce::run(
@@ -626,6 +631,17 @@ fn diverted_count(outcome: JobOutcome) -> u64 {
         JobOutcome::Complete => 0,
         JobOutcome::PartialWithDlq { diverted } => diverted as u64,
     }
+}
+
+/// Digest of a job's input for its checkpoint fingerprint: the row
+/// count, the dimension and the bits of every coordinate.
+fn input_digest(data: &PointSet) -> u64 {
+    let shape = [data.len() as u64, data.dim() as u64];
+    fingerprint_u64s(
+        shape
+            .into_iter()
+            .chain(data.as_flat().iter().map(|c| c.to_bits())),
+    )
 }
 
 /// FNV-1a over a string — stable words for the job fingerprint tag.
@@ -864,5 +880,57 @@ mod tests {
             .build();
         let outcome = runner.run(&data).unwrap();
         assert_eq!(outcome.outliers, reference_outliers(&data, params));
+    }
+
+    /// A detect-job store in the format whose records carried their
+    /// coordinates — `[support, id, coords]` records under a tag with no
+    /// input digest — starts fresh: the tag no longer matches, nothing is
+    /// restored, and the answer is exact although the stored records
+    /// send every point to partition 0 at a far-off spot.
+    #[test]
+    fn a_store_in_the_coordinate_carrying_format_starts_fresh() {
+        let data = clustered_data(8, 400);
+        let params = OutlierParams::new(1.5, 4).unwrap();
+        let root = std::env::temp_dir().join(format!("dod-old-format-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let config = small_config(params)
+            .to_builder()
+            .checkpoint(&root, "old")
+            .build()
+            .unwrap();
+        let runner = DodRunner::builder().config(config).multi_tactic().build();
+        let mt = runner.preprocess(&data).unwrap().mt;
+        let cfg = runner.config();
+        let words = [
+            cfg.params.r.to_bits(),
+            cfg.params.k as u64,
+            fnv_str(&format!("{:?}", cfg.params.metric)),
+            cfg.seed,
+            0,
+        ]
+        .into_iter()
+        .chain(mt.allocation.iter().map(|&a| a as u64))
+        .chain(mt.algorithms.iter().map(|a| fnv_str(a.name())));
+        let fingerprint = JobFingerprint {
+            map_tasks: data.len().div_ceil(cfg.block_size),
+            reducers: cfg.num_reducers,
+            tag: format!("detect fp={:016x}", fingerprint_u64s(words)),
+        };
+        let store = CheckpointStore::open(&root, "old-detect", &fingerprint).unwrap();
+        // `[support, id, [coords]]`, every point core in partition 0.
+        type OldRecord = (u32, (bool, u64, Vec<f64>));
+        let ids: Vec<u64> = (0..data.len() as u64).collect();
+        for (task, rows) in ids.chunks(cfg.block_size).enumerate() {
+            let records: Vec<OldRecord> = rows
+                .iter()
+                .map(|&id| (0, (false, id, vec![1e9, 1e9])))
+                .collect();
+            store.save_task("map", task, 0, Duration::ZERO, &records);
+        }
+        drop(store);
+        let outcome = runner.run(&data).unwrap();
+        assert_eq!(outcome.outliers, reference_outliers(&data, params));
+        assert_eq!(outcome.report.jobs[0].checkpoint_skips, 0);
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -17,12 +17,11 @@
 //! jobs") that motivates the single-pass framework.
 
 use crate::framework::{DodReducer, InputPoint, TaggedPoint};
-use dod_core::{CellId, GridSpec, OutlierParams, PointId, Rect};
+use dod_core::{CellId, GridSpec, OutlierParams, PointId, PointSet, Rect};
 use dod_detect::cost::AlgorithmKind;
 use dod_obs::json::Json;
 use dod_partition::PartitionPlan;
 use mapreduce::{Durable, EstimateSize, Mapper, Reducer};
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A locally-detected outlier awaiting global verification.
@@ -71,44 +70,34 @@ impl<'a> CandidateMapper<'a> {
 impl<'a> Mapper for CandidateMapper<'a> {
     type In = InputPoint<'a>;
     type K = u32;
-    type V = TaggedPoint<'a>;
+    type V = TaggedPoint;
 
-    fn map(&self, item: &InputPoint<'a>, emit: &mut dyn FnMut(u32, TaggedPoint<'a>)) {
+    fn map(&self, item: &InputPoint<'a>, emit: &mut dyn FnMut(u32, TaggedPoint)) {
         let (id, coords) = *item;
-        emit(
-            self.plan.locate(coords),
-            TaggedPoint {
-                support: false,
-                id,
-                coords: Cow::Borrowed(coords),
-            },
-        );
+        emit(self.plan.locate(coords), TaggedPoint::new(id, false));
+    }
+
+    fn record_bytes(&self, key: &u32, _value: &TaggedPoint) -> usize {
+        key.estimated_bytes() + TaggedPoint::logical_bytes(self.plan.domain().dim())
     }
 }
 
 /// Job-1 reducer: detects locally and emits the local outliers as
 /// candidates.
-pub struct CandidateReducer {
-    inner: DodReducer,
-    dim: usize,
+pub struct CandidateReducer<'a> {
+    inner: DodReducer<'a>,
 }
 
-impl CandidateReducer {
-    /// Creates the reducer; every partition uses `kind` (the baseline is
-    /// monolithic).
-    pub fn new(params: OutlierParams, dim: usize, kind: AlgorithmKind, partitions: usize) -> Self {
-        Self::with_plan(params, dim, Arc::new(vec![kind; partitions]))
-    }
-
-    /// Creates the reducer from an explicit per-partition algorithm plan.
+impl<'a> CandidateReducer<'a> {
+    /// Creates the reducer from the per-partition algorithm plan over
+    /// the job's input `data`, whose rows the records name.
     pub fn with_plan(
+        data: &'a PointSet,
         params: OutlierParams,
-        dim: usize,
         algorithms: Arc<Vec<AlgorithmKind>>,
     ) -> Self {
         CandidateReducer {
-            inner: DodReducer::new(params, dim, algorithms),
-            dim,
+            inner: DodReducer::new(data, params, algorithms),
         }
     }
 
@@ -120,29 +109,22 @@ impl CandidateReducer {
     }
 }
 
-impl Reducer<u32, TaggedPoint<'_>> for CandidateReducer {
+impl Reducer<u32, TaggedPoint> for CandidateReducer<'_> {
     type Out = Candidate;
 
-    fn reduce(&self, key: &u32, values: &[TaggedPoint<'_>], emit: &mut dyn FnMut(Candidate)) {
+    fn reduce(&self, key: &u32, values: &[TaggedPoint], emit: &mut dyn FnMut(Candidate)) {
         debug_assert!(
-            values.iter().all(|v| !v.support),
+            values.iter().all(|v| !v.is_support()),
             "job 1 has no support records"
         );
-        debug_assert_eq!(
-            self.dim,
-            values.first().map_or(self.dim, |v| v.coords.len())
-        );
-        let partition = std::sync::Arc::new(self.inner.build_partition(values));
-        let detection = self.inner.detect(*key, std::sync::Arc::clone(&partition));
+        let partition = Arc::new(self.inner.build_partition(values));
+        let detection = self.inner.detect(*key, partition);
         // Emit coordinates along with ids so job 2 can count neighbors.
-        let mut by_id: std::collections::HashMap<PointId, &[f64]> = Default::default();
-        for (i, &id) in partition.core_ids().iter().enumerate() {
-            by_id.insert(id, partition.core().point(i));
-        }
+        let data = self.inner.data();
         for id in detection.outliers {
             emit(Candidate {
                 id,
-                coords: by_id[&id].to_vec(),
+                coords: data.point(id as usize).to_vec(),
             });
         }
     }

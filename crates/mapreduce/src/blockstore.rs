@@ -49,16 +49,11 @@ impl<T> BlockStore<T> {
     /// store with zero blocks.
     pub fn from_items(items: Vec<T>, block_size: usize, replication: usize) -> Self {
         let block_size = block_size.max(1);
+        let mut items = items.into_iter();
         let mut blocks = Vec::with_capacity(items.len().div_ceil(block_size));
-        let mut current = Vec::with_capacity(block_size.min(items.len()));
-        for item in items {
-            current.push(item);
-            if current.len() == block_size {
-                blocks.push(Arc::new(std::mem::take(&mut current)));
-            }
-        }
-        if !current.is_empty() {
-            blocks.push(Arc::new(current));
+        while items.len() > 0 {
+            // `take` over an exact-size iterator sizes every block once.
+            blocks.push(Arc::new(items.by_ref().take(block_size).collect()));
         }
         BlockStore {
             blocks,
@@ -153,6 +148,13 @@ mod tests {
         let s = BlockStore::from_items((0..7).collect(), 3, 1);
         assert_eq!(s.num_blocks(), 3);
         assert_eq!(s.block(2).len(), 1);
+    }
+
+    #[test]
+    fn every_block_is_allocated_at_its_length() {
+        let s = BlockStore::from_items((0..10).collect::<Vec<u64>>(), 4, 1);
+        let shape: Vec<(usize, usize)> = s.blocks().map(|b| (b.len(), b.capacity())).collect();
+        assert_eq!(shape, vec![(4, 4), (4, 4), (2, 2)]);
     }
 
     #[test]

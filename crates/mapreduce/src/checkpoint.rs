@@ -144,22 +144,16 @@ impl Durable for String {
     }
 }
 
-/// Appends `items` as a JSON array — the encoding of a `Vec<T>`, for
-/// types that hold their sequence some other way (a borrowed slice).
-pub fn encode_seq<T: Durable>(items: &[T], out: &mut String) {
-    out.push('[');
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        item.encode(out);
-    }
-    out.push(']');
-}
-
 impl<T: Durable> Durable for Vec<T> {
     fn encode(&self, out: &mut String) {
-        encode_seq(self, out);
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.encode(out);
+        }
+        out.push(']');
     }
     fn decode(v: &Json) -> Option<Self> {
         v.as_arr()?.iter().map(T::decode).collect()

@@ -43,6 +43,14 @@ pub trait Mapper: Send + Sync {
 
     /// Maps one item.
     fn map(&self, item: &Self::In, emit: &mut dyn FnMut(Self::K, Self::V));
+
+    /// Bytes the shuffle charges for one emitted record: by default the
+    /// key's and the value's [`EstimateSize`]. A mapper whose values
+    /// name data held elsewhere (a row of the job's input) overrides it
+    /// to charge the logical record it stands for.
+    fn record_bytes(&self, key: &Self::K, value: &Self::V) -> usize {
+        key.estimated_bytes() + value.estimated_bytes()
+    }
 }
 
 /// A reduce function over key groups of `(K, V)` records (the mapper's
@@ -1038,7 +1046,7 @@ where
         let mut bytes = vec![0u64; num_reducers];
         for (k, v) in records {
             let r = partitioner(&k, num_reducers).min(num_reducers - 1);
-            bytes[r] += (k.estimated_bytes() + v.estimated_bytes()) as u64;
+            bytes[r] += mapper.record_bytes(&k, &v) as u64;
             chunks[r].push((k, v));
         }
         (chunks, bytes)

@@ -178,6 +178,61 @@ fn kill_and_resume_matrix_is_bit_identical() {
     }
 }
 
+/// Resuming against a changed input starts fresh. The job's plan only
+/// sees the input through its bounding box (a uniform grid, one fixed
+/// detector), so moving one row inside that box leaves the plan, the
+/// parameters and the seed as they were; the checkpoint fingerprint
+/// must still tell the two inputs apart. The first run is killed once
+/// every map task has completed; the rerun on the changed input must
+/// restore nothing and match a clean run on it.
+#[test]
+fn resume_after_the_input_changed_starts_fresh() {
+    let data = mixed_density(5, 380);
+    let params = OutlierParams::new(1.2, 4).unwrap();
+    let run = |data: &PointSet, fault: Option<FaultPlan>, ckpt: Option<(&Path, &str)>| {
+        runner_for(Strat::UniSpaceFixed, config(params, cluster(fault), ckpt)).run(data)
+    };
+    // Move the first inlier row to the first spot of the bounding box
+    // with no point within 2r: it becomes an outlier there.
+    let before = run(&data, None, None).expect("clean run").outliers;
+    let row = (0..data.len() as u64)
+        .find(|i| !before.contains(i))
+        .unwrap() as usize;
+    let bounds = data.bounding_rect().unwrap();
+    let isolated = (0..60 * 60)
+        .map(|c| {
+            let (cx, cy) = ((c % 60) as f64, (c / 60) as f64);
+            [bounds.min()[0] + cx, bounds.min()[1] + cy]
+        })
+        .find(|spot| {
+            data.iter()
+                .all(|p| dod_core::dist(p, spot) > 2.0 * params.r)
+        })
+        .expect("an empty spot inside the bounding box");
+    let mut flat = data.as_flat().to_vec();
+    flat[2 * row..2 * row + 2].copy_from_slice(&isolated);
+    let changed = PointSet::from_flat(2, flat).unwrap();
+    assert_eq!(changed.bounding_rect().unwrap(), bounds);
+    let expected = run(&changed, None, None).expect("clean run").outliers;
+    assert!(expected.contains(&(row as u64)));
+
+    let root = temp_root("changed-input");
+    let map_tasks = data.len().div_ceil(32) as u64;
+    let kill = FaultPlan::new(5).with_interrupt_after(map_tasks + 1);
+    match run(&data, Some(kill), Some((&root, "job"))) {
+        Err(dod::Error::Job(JobError::Interrupted { stage, .. })) => assert_eq!(stage, "reduce"),
+        other => panic!("expected Interrupted, got {:?}", other.map(|o| o.outliers)),
+    }
+    let resumed = run(&changed, None, Some((&root, "job"))).expect("rerun");
+    assert_eq!(
+        total_skips(&resumed),
+        0,
+        "the rerun restored the old input's tasks"
+    );
+    assert_eq!(resumed.outliers, expected);
+    let _ = fs::remove_dir_all(&root);
+}
+
 /// The Domain baseline runs two chained jobs (`-candidates`, `-verify`);
 /// a kill in the first job must resume across the whole chain.
 #[test]

@@ -12,13 +12,9 @@ use dod_obs::{Event, JsonlRecorder, MemoryRecorder, Obs, Value};
 use mapreduce::Reducer;
 use std::sync::Arc;
 
-fn tagged(data: &PointSet) -> Vec<TaggedPoint<'_>> {
-    (0..data.len())
-        .map(|i| TaggedPoint {
-            support: false,
-            id: i as dod_core::PointId,
-            coords: data.point(i).into(),
-        })
+fn tagged(data: &PointSet) -> Vec<TaggedPoint> {
+    (0..data.len() as dod_core::PointId)
+        .map(|id| TaggedPoint::new(id, false))
         .collect()
 }
 
@@ -68,8 +64,8 @@ fn observed_work_is_within_factor_4_of_lemma_predictions() {
 
     let mem = Arc::new(MemoryRecorder::new());
     let reducer = DodReducer::new(
+        &data,
         params,
-        2,
         // Partition 0 runs Nested-Loop, partition 1 the full-scan
         // Cell-Based the Lemma 4.2 model charges.
         Arc::new(vec![
