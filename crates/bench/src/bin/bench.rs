@@ -7,7 +7,7 @@
 //! cargo run --release -p bench --bin bench -- kernels --json out.json
 //! ```
 
-use bench::{calibrate, kernels, obs_overhead};
+use bench::{kernels, obs_overhead};
 use std::process::ExitCode;
 
 /// The flags every subcommand takes: `--json [path]` (the path defaults
@@ -60,22 +60,6 @@ fn run_kernels(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_calibrate(args: &[String]) -> ExitCode {
-    let Some((json_path, quick)) = flags(args, "calibrate", "BENCH_calibration.json") else {
-        return ExitCode::FAILURE;
-    };
-
-    let min_time_s = if quick { 0.05 } else { 0.4 };
-    let profile = calibrate::run_all(min_time_s);
-    print!("{}", calibrate::render_table(&profile));
-    if let Some(path) = json_path {
-        dod_obs::write_atomic(std::path::Path::new(&path), profile.to_json().as_bytes())
-            .expect("write json");
-        println!("\nwrote {path}");
-    }
-    ExitCode::SUCCESS
-}
-
 fn run_obs_overhead(args: &[String]) -> ExitCode {
     let Some((json_path, quick)) = flags(args, "obs-overhead", "BENCH_obs_overhead.json") else {
         return ExitCode::FAILURE;
@@ -119,12 +103,10 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("kernels") => run_kernels(&args[1..]),
-        Some("calibrate") => run_calibrate(&args[1..]),
         Some("obs-overhead") => run_obs_overhead(&args[1..]),
         _ => {
             eprintln!(
                 "usage: bench kernels  [--json [path]] [--quick]\n       \
-                 bench calibrate [--json [path]] [--quick]\n       \
                  bench obs-overhead [--json [path]] [--quick]"
             );
             ExitCode::FAILURE

@@ -429,7 +429,7 @@ pub fn ablation_cost_model(scale: &Scale) -> CostModelAblation {
     let outcome = runner.run(&data).expect("pipeline runs");
     let local = outcome.report.predicted_costs;
     assert_eq!(local, plan.predicted_costs, "the run executes this plan");
-    let model = CostModel::new(params, data.dim()).with_weights(plan.report.weights);
+    let model = CostModel::new(params, data.dim());
     let paper: Vec<f64> = (plan.report.partitions.iter())
         .map(|p| model.cost(AlgorithmKind::NestedLoop, p.n_est as usize, p.volume))
         .collect();

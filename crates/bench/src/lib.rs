@@ -11,7 +11,6 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod calibrate;
 pub mod experiments;
 pub mod kernels;
 pub mod obs_overhead;

@@ -58,10 +58,6 @@ pub struct Args {
     /// node). The run must still produce the exact answer or fail with
     /// a typed error.
     pub chaos_seed: Option<u64>,
-    /// Optional calibration-profile JSON (from `bench calibrate`)
-    /// re-weighting the planner's cost model; absent means the legacy
-    /// unit-weighted constants.
-    pub calibration: Option<String>,
     /// Durability root: checkpoint completed tasks (and divert dead ones
     /// to the per-job dead-letter queue) under this directory, and
     /// resume from it on the next run.
@@ -232,10 +228,6 @@ OPTIONS:
                             stragglers, block-read errors, one lost node)
                             into the simulated cluster; the answer must
                             still be exact or fail with a typed error
-    --calibration <path>    load a measured cost-model profile (JSON from
-                            `bench calibrate`) re-weighting the planner's
-                            per-pair vs structural costs per metric and
-                            dimension                         [unit weights]
     --checkpoint-dir <path> persist per-task completion state and the
                             dead-letter queue under this directory; an
                             interrupted run re-invoked with the same
@@ -436,7 +428,6 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
     let mut trace = None;
     let mut profile = false;
     let mut chaos_seed = None;
-    let mut calibration = None;
     let mut checkpoint_dir = None;
     let mut job_name = None;
     let mut interrupt_after = None;
@@ -517,7 +508,6 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
                         .map_err(|e| ArgError::Invalid(format!("--chaos-seed: {e}")))?,
                 )
             }
-            "--calibration" => calibration = Some(value("--calibration")?.clone()),
             "--checkpoint-dir" => checkpoint_dir = Some(value("--checkpoint-dir")?.clone()),
             "--job-name" => job_name = Some(value("--job-name")?.clone()),
             "--interrupt-after" => {
@@ -538,6 +528,9 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
     if reducers == 0 {
         return Err(ArgError::Invalid("--reducers must be at least 1".into()));
     }
+    if partitions == 0 {
+        return Err(ArgError::Invalid("--partitions must be at least 1".into()));
+    }
     if !(sample_rate > 0.0 && sample_rate <= 1.0) {
         return Err(ArgError::Invalid("--sample-rate must be in (0, 1]".into()));
     }
@@ -557,14 +550,13 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
         strategy,
         mode,
         reducers,
-        partitions: partitions.max(1),
+        partitions,
         sample_rate,
         output,
         report,
         trace,
         profile,
         chaos_seed,
-        calibration,
         checkpoint_dir,
         job_name,
         interrupt_after,
@@ -973,32 +965,37 @@ mod tests {
 
     #[test]
     fn calibration_argument() {
-        let a = parse(&v(&["--input", "x", "--r", "1", "--k", "2"])).unwrap();
-        assert_eq!(a.calibration, None);
-        let a = parse(&v(&[
-            "--input",
-            "x",
-            "--r",
-            "1",
-            "--k",
-            "2",
-            "--calibration",
-            "profile.json",
-        ]))
-        .unwrap();
-        assert_eq!(a.calibration.as_deref(), Some("profile.json"));
-        assert!(matches!(
-            parse(&v(&[
-                "--input",
-                "x",
-                "--r",
-                "1",
-                "--k",
-                "2",
-                "--calibration"
-            ])),
-            Err(ArgError::Invalid(_))
-        ));
+        // The planner has one set of unit costs; no profile re-weights it,
+        // so `--calibration` is an unknown argument in every subcommand.
+        for sub in [None, Some("serve"), Some("explain")] {
+            let mut args: Vec<&str> = sub.into_iter().collect();
+            args.extend(["--input", "x", "--r", "1", "--k", "2"]);
+            args.extend(["--calibration", "profile.json"]);
+            assert_eq!(
+                parse_command(&v(&args)).unwrap_err(),
+                ArgError::Invalid("unknown argument \"--calibration\"".into()),
+                "{sub:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_counts_are_usage_errors() {
+        let base = ["--input", "x", "--r", "1", "--k", "2"];
+        for (flag, message) in [
+            ("--reducers", "--reducers must be at least 1"),
+            ("--partitions", "--partitions must be at least 1"),
+        ] {
+            let mut args = base.to_vec();
+            args.extend([flag, "0"]);
+            assert_eq!(
+                parse(&v(&args)).unwrap_err(),
+                ArgError::Invalid(message.into())
+            );
+        }
+        let mut args = base.to_vec();
+        args.extend(["--partitions", "1", "--reducers", "1"]);
+        assert_eq!(parse(&v(&args)).unwrap().partitions, 1);
     }
 
     #[test]

@@ -28,16 +28,6 @@ fn fmt(v: f64) -> String {
 pub fn render_report(report: &PlanReport) -> String {
     let mut out = String::new();
     out.push_str("== plan report ==\n");
-    out.push_str(&format!(
-        "weights: pair={} structural={} ({})\n",
-        fmt(report.weights.pair),
-        fmt(report.weights.structural),
-        if report.calibrated {
-            "calibrated profile"
-        } else {
-            "unit / legacy constants"
-        }
-    ));
     out.push_str(&format!("partitions: {}\n", report.partitions.len()));
     for p in &report.partitions {
         out.push_str(&format!(
@@ -150,27 +140,11 @@ mod tests {
             panic!("object: {doc}");
         };
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "v",
-                "ok",
-                "op",
-                "points",
-                "dim",
-                "weights",
-                "calibrated",
-                "partitions"
-            ]
-        );
+        assert_eq!(keys, ["v", "ok", "op", "points", "dim", "partitions"]);
         assert_eq!(v.get("v").and_then(Json::as_u64), Some(1));
         assert_eq!(v.get("op"), Some(&Json::Str("explain".into())));
         assert_eq!(v.get("points").and_then(Json::as_u64), Some(41));
         assert_eq!(v.get("dim").and_then(Json::as_u64), Some(2));
-        assert_eq!(v.get("calibrated"), Some(&Json::Bool(false)));
-        let weights = v.get("weights").unwrap();
-        assert_eq!(weights.get("pair").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(weights.get("structural").and_then(Json::as_f64), Some(1.0));
         let Some(Json::Arr(partitions)) = v.get("partitions") else {
             panic!("partitions: {doc}");
         };
@@ -208,9 +182,8 @@ mod tests {
         let text = render_report(&pre.mt.report);
         std::fs::remove_file(&path).ok();
 
-        assert!(text.starts_with("== plan report ==\n"), "{text}");
         assert!(
-            text.contains("weights: pair=1.0 structural=1.0 (unit / legacy constants)"),
+            text.starts_with("== plan report ==\npartitions: "),
             "{text}"
         );
         assert!(text.contains("-- partition 0 [winner "), "{text}");

@@ -50,11 +50,6 @@ fn build_runner(args: &Args, obs: Obs) -> Result<DodRunner, String> {
         .target_partitions(args.partitions)
         .sample_rate(args.sample_rate)
         .obs(obs);
-    if let Some(path) = &args.calibration {
-        let profile = dod_detect::CalibrationProfile::load(path)
-            .map_err(|e| format!("loading calibration {path}: {e}"))?;
-        builder = builder.calibration(profile);
-    }
     let mut fault = args.chaos_seed.map(FaultPlan::chaos);
     if let Some(n) = args.interrupt_after {
         // The interrupt rides on the fault plan (chaos seed 0 when none

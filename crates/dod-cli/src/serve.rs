@@ -21,7 +21,6 @@
 //! < {"v":1,"ok":true,"op":"drift","drift":0.12,"epoch":0}
 //! > {"op": "explain"}
 //! < {"v":1,"ok":true,"op":"explain","epoch":0,
-//!    "weights":{"pair":1,"structural":1},"calibrated":false,
 //!    "partitions":[{"partition":0,"winner":"cell-based","winner_cost":80,
 //!      "margin":120,"n_est":10,"volume":0.25,"density_mu":1.5,
 //!      "candidates":[{"algorithm":"cell-based","cost":80,
@@ -124,6 +123,7 @@ fn engine_error(e: EngineError) -> ServeError {
     let code = match &e {
         EngineError::DeadlineExceeded => "deadline",
         EngineError::Dimension { .. } => "dimension",
+        EngineError::Extent => "extent",
         EngineError::TaskPanicked { .. } => "panic",
         EngineError::Pipeline(_) => "pipeline",
         _ => "engine",
@@ -268,8 +268,7 @@ pub fn render_metrics(ctx: &ServeContext) -> String {
 }
 
 /// Renders a [`dod_partition::PlanReport`] body (everything after the
-/// response envelope): weights, calibration flag, and the per-partition
-/// candidate table. Shared between the `explain` op here and the
+/// response envelope): the per-partition candidate table. Shared between the `explain` op here and the
 /// `dod explain --json` subcommand so both emit the same schema.
 pub fn plan_report_json(report: &dod_partition::PlanReport) -> String {
     let partitions: Vec<String> = report
@@ -304,13 +303,7 @@ pub fn plan_report_json(report: &dod_partition::PlanReport) -> String {
             )
         })
         .collect();
-    format!(
-        "\"weights\":{{\"pair\":{},\"structural\":{}}},\"calibrated\":{},\"partitions\":[{}]",
-        json::number(report.weights.pair),
-        json::number(report.weights.structural),
-        report.calibrated,
-        partitions.join(",")
-    )
+    format!("\"partitions\":[{}]", partitions.join(","))
 }
 
 /// Extracts a `"points": [[…], …]` field as coordinate rows.
@@ -1040,10 +1033,8 @@ mod tests {
         assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(v.get("op"), Some(&Json::Str("explain".into())));
         assert_eq!(v.get("epoch").and_then(Json::as_u64), Some(0));
-        assert_eq!(v.get("calibrated"), Some(&Json::Bool(false)));
-        let weights = v.get("weights").unwrap();
-        assert_eq!(weights.get("pair").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(weights.get("structural").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(v.get("weights"), None);
+        assert_eq!(v.get("calibrated"), None);
         let Some(Json::Arr(partitions)) = v.get("partitions") else {
             panic!("partitions array: {}", responses[0]);
         };

@@ -54,7 +54,10 @@ impl Rect {
     /// The bounding box of a set of coordinate slices.
     ///
     /// # Errors
-    /// Returns an error if the iterator yields no points.
+    /// Returns an error if the iterator yields no points, or if some
+    /// dimension's extent `max - min` overflows `f64` (finite coordinates
+    /// such as `±1e308` can span more than `f64::MAX`; no grid, bucket or
+    /// volume over such a box is finite).
     pub fn bounding<'a, I>(points: I, dim: usize) -> Result<Self, CoreError>
     where
         I: IntoIterator<Item = &'a [f64]>,
@@ -72,7 +75,14 @@ impl Rect {
         if !any {
             return Err(CoreError::Empty("point set for bounding box"));
         }
-        Rect::new(min, max)
+        let rect = Rect::new(min, max)?;
+        match (0..dim).find(|&i| !rect.extent(i).is_finite()) {
+            Some(i) => Err(CoreError::InvalidParameter {
+                name: "bounds",
+                reason: format!("the extent of dimension {i} overflows f64"),
+            }),
+            None => Ok(rect),
+        }
     }
 
     /// Dimensionality.
@@ -259,6 +269,19 @@ mod tests {
     #[test]
     fn rejects_nan() {
         assert!(Rect::new(vec![f64::NAN], vec![1.0]).is_err());
+    }
+
+    #[test]
+    fn bounding_refuses_an_overflowing_extent() {
+        let wide = [[1e308, 0.0], [-1e308, 1.0]];
+        let err = Rect::bounding(wide.iter().map(|p| &p[..]), 2).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid parameter `bounds`: the extent of dimension 0 overflows f64"
+        );
+        let widest = [[8.9e307, 0.0], [-8.9e307, 1.0]];
+        let r = Rect::bounding(widest.iter().map(|p| &p[..]), 2).unwrap();
+        assert!(r.extent(0).is_finite());
     }
 
     #[test]

@@ -104,50 +104,14 @@ fn gamma_half_integer(m: usize) -> f64 {
     acc
 }
 
-/// Relative unit costs of the model's two op classes.
+/// A predicted cost split into raw op counts per class.
 ///
 /// Every Section IV cost formula decomposes into **pair ops** (distance
-/// predicates — the work the PR 3 kernel layer accelerates) and
-/// **structural ops** (cell/index bookkeeping, which stayed scalar). The
-/// legacy model charged both at 1.0; a measured
-/// [`CalibrationProfile`](crate::calibration::CalibrationProfile) keeps
-/// `pair = 1.0` and raises `structural` to the measured scalar/kernel
-/// per-pair ratio, reflecting that bookkeeping got relatively more
-/// expensive once distance predicates were kernelized.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostWeights {
-    /// Cost of one distance predicate (kernel-tile pair test).
-    pub pair: f64,
-    /// Cost of one structural op (cell count, index node, window slot).
-    pub structural: f64,
-}
-
-impl CostWeights {
-    /// The legacy pre-calibration weights: both op classes cost 1.0.
-    /// With these weights every cost formula is bit-identical to the
-    /// original Section IV constants.
-    pub const UNIT: CostWeights = CostWeights {
-        pair: 1.0,
-        structural: 1.0,
-    };
-
-    /// Whether these are exactly the legacy unit weights.
-    pub fn is_unit(&self) -> bool {
-        *self == CostWeights::UNIT
-    }
-}
-
-impl Default for CostWeights {
-    fn default() -> Self {
-        CostWeights::UNIT
-    }
-}
-
-/// A predicted cost split into raw (unweighted) op counts per class.
-///
-/// `weighted(w)` recovers the scalar cost the planner compares; the raw
-/// counts are what `dod explain` reports so mispredictions can be
-/// attributed to the model shape vs the calibration weights.
+/// predicates) and **structural ops** (cell/index bookkeeping). The
+/// planner compares their [`CostTerms::total`]: both classes cost one
+/// unit, so every formula keeps the Section IV constants. `dod explain`
+/// reports the two counts separately so a misprediction can be
+/// attributed to one term.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostTerms {
     /// Expected distance predicates.
@@ -157,9 +121,9 @@ pub struct CostTerms {
 }
 
 impl CostTerms {
-    /// Total cost under the given weights.
-    pub fn weighted(&self, w: CostWeights) -> f64 {
-        w.structural * self.structural_ops + w.pair * self.pair_ops
+    /// Total cost: one unit per op of either class.
+    pub fn total(&self) -> f64 {
+        self.structural_ops + self.pair_ops
     }
 }
 
@@ -169,36 +133,21 @@ pub struct CostModel {
     params: OutlierParams,
     dim: usize,
     ball: f64,
-    weights: CostWeights,
 }
 
 impl CostModel {
-    /// Creates a model for datasets of dimensionality `dim` with the
-    /// legacy unit weights (the documented fallback when no calibration
-    /// profile is loaded).
+    /// Creates a model for datasets of dimensionality `dim`.
     pub fn new(params: OutlierParams, dim: usize) -> Self {
         CostModel {
             params,
             dim,
             ball: params.metric.ball_volume(dim, params.r),
-            weights: CostWeights::UNIT,
         }
-    }
-
-    /// Replaces the op-class weights (builder style).
-    pub fn with_weights(mut self, weights: CostWeights) -> Self {
-        self.weights = weights;
-        self
     }
 
     /// The outlier parameters the model was built for.
     pub fn params(&self) -> OutlierParams {
         self.params
-    }
-
-    /// The op-class weights the model charges.
-    pub fn weights(&self) -> CostWeights {
-        self.weights
     }
 
     /// Hit probability `μ = A(p)/A(D)`, clamped to `(0, 1]`.
@@ -235,15 +184,15 @@ impl CostModel {
         CellBasedCase::Fallback
     }
 
-    /// Predicted cost of running `kind` on the partition: its
-    /// [`CostModel::cost_terms`] under the model's weights.
+    /// Predicted cost of running `kind` on the partition: the total of
+    /// its [`CostModel::cost_terms`].
     pub fn cost(&self, kind: AlgorithmKind, n: usize, volume: f64) -> f64 {
-        self.cost_terms(kind, n, volume).weighted(self.weights)
+        self.cost_terms(kind, n, volume).total()
     }
 
-    /// The raw (unweighted) op counts of running `kind` on a partition of
-    /// `n` points covering `volume` — the one definition of each tactic's
-    /// cost; [`CostModel::cost`] weights them.
+    /// The op counts of running `kind` on a partition of `n` points
+    /// covering `volume` — the one definition of each tactic's cost;
+    /// [`CostModel::cost`] totals them.
     pub fn cost_terms(&self, kind: AlgorithmKind, n: usize, volume: f64) -> CostTerms {
         if n == 0 {
             return CostTerms::default();
@@ -526,92 +475,15 @@ mod tests {
 
     #[test]
     fn unit_weights_reproduce_legacy_costs_exactly() {
-        // The documented fallback: with no profile loaded the weighted
-        // model must be bit-identical to the pre-calibration constants.
+        // Every op of either class costs one unit, so the totals are the
+        // legacy Section IV constants, pinned literally.
         let m = model(5.0, 4, 2);
-        let w = m.with_weights(CostWeights::UNIT);
-        for &(n, volume) in &[(10_000usize, 10.0), (10_000, 1e5), (10_000, 1e12), (0, 1.0)] {
-            for kind in [
-                AlgorithmKind::NestedLoop,
-                AlgorithmKind::CellBased,
-                AlgorithmKind::IndexBased,
-                AlgorithmKind::Reference,
-            ] {
-                assert_eq!(m.cost(kind, n, volume), w.cost(kind, n, volume));
-            }
-        }
         assert_eq!(m.cost(AlgorithmKind::NestedLoop, 100, 0.0), 400.0);
         assert_eq!(m.cost(AlgorithmKind::CellBased, 10_000, 10.0), 10_000.0);
-    }
-
-    #[test]
-    fn structural_weight_flips_dense_partitions_to_nested_loop() {
-        // Dense partition: μ = 1, NL = k·n pair ops, Cell-Based = n
-        // structural ops. Legacy constants pick Cell-Based; once the
-        // measured structural weight exceeds k the winner flips, and
-        // sparse (all-outlier) partitions keep Cell-Based regardless.
-        let unit = model(5.0, 4, 2);
-        let calibrated = model(5.0, 4, 2).with_weights(CostWeights {
-            pair: 1.0,
-            structural: 6.0,
-        });
-        let (dense_unit, _) = choose_algorithm(&unit, PAPER_CANDIDATES, 10_000, 10.0);
-        let (dense_cal, _) = choose_algorithm(&calibrated, PAPER_CANDIDATES, 10_000, 10.0);
-        assert_eq!(dense_unit, AlgorithmKind::CellBased);
-        assert_eq!(dense_cal, AlgorithmKind::NestedLoop);
-        let (sparse_cal, _) = choose_algorithm(&calibrated, PAPER_CANDIDATES, 10_000, 1e12);
-        assert_eq!(sparse_cal, AlgorithmKind::CellBased);
-    }
-
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            // Uniform profile scaling rescales every candidate's cost by
-            // the same factor, so the chosen algorithm is invariant.
-            // Powers of two keep the scaling exact in floating point.
-            #[test]
-            fn choose_is_invariant_under_uniform_scaling(
-                n in 1usize..200_000,
-                volume in 1e-3f64..1e12,
-                exp in -10i32..=10,
-            ) {
-                let params = OutlierParams::new(5.0, 4).unwrap();
-                let scale = 2f64.powi(exp);
-                let unit = CostModel::new(params, 2);
-                let scaled = CostModel::new(params, 2).with_weights(CostWeights {
-                    pair: scale,
-                    structural: scale,
-                });
-                let candidates = &[
-                    AlgorithmKind::CellBased,
-                    AlgorithmKind::NestedLoop,
-                    AlgorithmKind::IndexBased,
-                ];
-                let (a, ca) = choose_algorithm(&unit, candidates, n, volume);
-                let (b, cb) = choose_algorithm(&scaled, candidates, n, volume);
-                prop_assert_eq!(a, b);
-                prop_assert_eq!(cb, ca * scale);
-            }
-
-            // Raising only the per-pair weight can only ever move the
-            // winner toward algorithms with fewer pair ops — on dense
-            // partitions it must preserve or restore Cell-Based, never
-            // flip away from it.
-            #[test]
-            fn raising_pair_cost_never_abandons_cell_based_when_dense(
-                n in 100usize..100_000,
-                pair in 1.0f64..16.0,
-            ) {
-                let params = OutlierParams::new(5.0, 4).unwrap();
-                let dense_volume = 10.0;
-                let m = CostModel::new(params, 2).with_weights(CostWeights {
-                    pair,
-                    structural: 1.0,
-                });
-                let (alg, _) = choose_algorithm(&m, PAPER_CANDIDATES, n, dense_volume);
-                prop_assert_eq!(alg, AlgorithmKind::CellBased);
+        for &(n, volume) in &[(10_000usize, 10.0), (10_000, 1e5), (10_000, 1e12), (0, 1.0)] {
+            for kind in AlgorithmKind::ALL {
+                let t = m.cost_terms(kind, n, volume);
+                assert_eq!(m.cost(kind, n, volume), t.structural_ops + t.pair_ops);
             }
         }
     }

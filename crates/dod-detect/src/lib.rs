@@ -31,7 +31,6 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod calibration;
 pub mod cell_based;
 pub mod cost;
 pub mod detector;
@@ -42,9 +41,8 @@ pub mod reference;
 mod scan;
 pub mod state;
 
-pub use calibration::{CalibrationError, CalibrationProfile, ProfileEntry};
 pub use cell_based::{CellBased, CellIndex};
-pub use cost::{choose_algorithm, AlgorithmKind, CostModel, CostTerms, CostWeights};
+pub use cost::{choose_algorithm, AlgorithmKind, CostModel, CostTerms};
 pub use detector::{Detection, DetectionStats, Detector};
 pub use index_based::{IndexBased, KdIndex};
 pub use nested_loop::NestedLoop;

@@ -4,8 +4,8 @@
 //! Section IV cost models; the engine then measures what that choice
 //! actually cost through its `engine.partition.work` counters. This
 //! module folds the two together continuously: per-algorithm
-//! measured-over-predicted ratios (the *calibration error* the
-//! `bench calibrate` profile is meant to drive toward a constant), and
+//! measured-over-predicted ratios (the *calibration error*: how far
+//! the one unit-cost model is from the work each tactic measures), and
 //! *mispredict* detection — partitions where a rejected plan candidate,
 //! scaled by its own algorithm's observed ratio, would have been cheaper
 //! than what the winner actually cost.
@@ -225,7 +225,6 @@ impl CostAuditState {
 mod tests {
     use super::*;
     use dod_core::{GridSpec, Rect};
-    use dod_detect::cost::CostWeights;
     use dod_partition::{
         AllocationSpec, CandidateCost, MultiTacticPlan, PartitionEstimate, PartitionPlan,
         PlanReport,
@@ -249,7 +248,7 @@ mod tests {
             candidates,
         };
         let spec = AllocationSpec::cost();
-        MultiTacticPlan::from_estimates(plan, vec![estimate], 1, spec, CostWeights::UNIT).report
+        MultiTacticPlan::from_estimates(plan, vec![estimate], 1, spec).report
     }
 
     #[test]

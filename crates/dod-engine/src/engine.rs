@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use dod::{DodConfig, DodRunner};
-use dod_core::{PointId, PointSet};
+use dod_core::{PointId, PointSet, Rect};
 use dod_detect::{Partition, PartitionState};
 use dod_obs::sync::{lock_recover, read_recover, write_recover};
 use dod_obs::{names, FanoutRecorder, FlightRecorder, Obs, Recorder, Value};
@@ -722,6 +722,29 @@ impl Shared {
         Ok(())
     }
 
+    /// Refuses an insert batch that would widen the resident points'
+    /// bounding box past what `f64` can span: the refresh it triggers
+    /// could not plan over it. Every resident point lies in the plan's
+    /// domain (a point outside it triggers a refresh that re-plans over
+    /// all of them), so only a batch that leaves the domain is scanned.
+    fn check_extent(&self, points: &[Vec<f64>]) -> Result<(), EngineError> {
+        let resident = Arc::clone(&read_recover(&self.resident));
+        let domain = resident.plan.as_ref().map(|plan| plan.mt.plan.domain());
+        if points
+            .iter()
+            .all(|p| domain.is_some_and(|d| d.contains_closed(p)))
+        {
+            return Ok(());
+        }
+        let ds = lock_recover(&self.dataset);
+        let alive = (0..ds.points.len())
+            .filter(|&slot| ds.alive[slot])
+            .map(|slot| ds.points.point(slot));
+        Rect::bounding(alive.chain(points.iter().map(Vec::as_slice)), self.dim)
+            .map(drop)
+            .map_err(|_| EngineError::Extent)
+    }
+
     /// Answers one request of any kind.
     fn answer(
         &self,
@@ -897,6 +920,7 @@ impl Shared {
         }
         // Validate the whole batch before mutating anything.
         self.check_points(points)?;
+        self.check_extent(points)?;
         let now = Instant::now();
         let (ids, expired) = {
             let mut ds = lock_recover(&self.dataset);
@@ -1655,6 +1679,7 @@ fn error_reason(e: &EngineError) -> &'static str {
         EngineError::DeadlineExceeded => "deadline",
         EngineError::Dimension { .. } => "dimension",
         EngineError::NonFinite { .. } => "non_finite",
+        EngineError::Extent => "extent",
         EngineError::TaskPanicked { .. } => "panic",
         EngineError::Pipeline(_) => "pipeline",
     }

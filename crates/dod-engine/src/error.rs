@@ -25,6 +25,10 @@ pub enum EngineError {
         /// Position of the offending point within the request.
         index: usize,
     },
+    /// An insert batch would widen the resident points' bounding box past
+    /// what `f64` can span (finite coordinates such as `±1e308`), so no
+    /// plan could be built over it. Nothing was inserted.
+    Extent,
     /// The request panicked. The panic was contained: only this request
     /// failed, the calling thread got this error back, and the engine
     /// keeps serving subsequent requests.
@@ -48,10 +52,14 @@ impl fmt::Display for EngineError {
             EngineError::NonFinite { index } => {
                 write!(f, "point {index} has a NaN or infinite coordinate")
             }
+            EngineError::Extent => write!(
+                f,
+                "the batch would widen the resident bounding box past what f64 can span"
+            ),
             EngineError::TaskPanicked { message } => {
                 write!(f, "request panicked: {message}")
             }
-            EngineError::Pipeline(_) => write!(f, "pipeline preprocessing failed"),
+            EngineError::Pipeline(e) => write!(f, "pipeline preprocessing failed: {e}"),
         }
     }
 }

@@ -5,9 +5,9 @@
 //! trace writer, the flight recorder's dump path, the `dod serve`
 //! response loop, checkpoint records) uses the writing primitives here,
 //! and everything that reads it — protocol-v1 requests, checkpoint
-//! manifests, task records and the DLQ, calibration profiles, trace
-//! replay — goes through [`parse`]. Each caller layers only its own
-//! schema on the [`Json`] tree; none scans bytes itself.
+//! manifests, task records and the DLQ, trace replay — goes through
+//! [`parse`]. Each caller layers only its own schema on the [`Json`]
+//! tree; none scans bytes itself.
 //!
 //! # Writer
 //!

@@ -78,8 +78,9 @@ pub const ENGINE_STALENESS: &str = "engine.staleness";
 /// Observation: measured-over-predicted work ratio of one partition,
 /// folded from `engine.partition.work` counters against the plan's
 /// predicted costs. 1.0 means the Section IV model was exact; the
-/// per-algorithm p50 is the calibration error the `bench calibrate`
-/// profile is meant to drive toward 1. Labels: `algorithm`.
+/// per-algorithm p50 is the model's calibration error for that tactic,
+/// the evidence a measured cost constant in the estimator would have to
+/// cite. Labels: `algorithm`.
 pub const ENGINE_COST_CALIBRATION: &str = "engine.cost.calibration";
 
 /// Counter: partitions whose measured work exceeded what a *rejected*

@@ -20,18 +20,13 @@
 
 use crate::minibucket::{clamp_buckets_per_dim, MiniBucketGrid};
 use crate::plan::{CandidateCost, PartitionPlan};
-use dod_core::{kernel::NeighborPredicate, OutlierParams, PointSet, Rect};
-use dod_detect::cost::{AlgorithmKind, CostModel, CostTerms, CostWeights};
+use dod_core::{OutlierParams, PointSet, Rect};
+use dod_detect::cost::{AlgorithmKind, CostModel, CostTerms};
 
 /// Abstract work units charged per partition independent of its content
 /// (task setup, partition materialization, detector construction),
 /// expressed in distance-evaluation equivalents.
 pub const PARTITION_OVERHEAD_OPS: f64 = 20_000.0;
-
-/// Cap on the pairwise probes (`query points × tile points`) the
-/// kernel-density refinement performs; above it the probe set is strided
-/// down and unprobed points fall back to ratio-corrected bucket density.
-const KERNEL_DENSITY_MAX_PAIRS: usize = 32 * 1024 * 1024;
 
 /// Per-partition cost estimates for every candidate algorithm.
 #[derive(Debug, Clone)]
@@ -65,20 +60,6 @@ pub struct LocalCostEstimator {
     /// 1 / sampling rate: each sample point stands for this many points.
     scale: f64,
     ball: f64,
-    /// Op-class weights charged to the per-pair vs structural cost terms
-    /// (unit by default — the legacy behaviour).
-    weights: CostWeights,
-    /// Per-sample-point densities measured through the kernel layer
-    /// (NaN where the point was not probed), plus the measured-vs-bucket
-    /// ratio used for unprobed points. `None` until
-    /// [`LocalCostEstimator::with_kernel_density`] opts in.
-    measured: Option<MeasuredDensity>,
-}
-
-#[derive(Debug, Clone)]
-struct MeasuredDensity {
-    rho: Vec<f64>,
-    bucket_ratio: f64,
 }
 
 impl LocalCostEstimator {
@@ -107,70 +88,11 @@ impl LocalCostEstimator {
             params,
             scale,
             ball: params.metric.ball_volume(domain.dim(), params.r),
-            weights: CostWeights::UNIT,
-            measured: None,
         }
     }
 
-    /// Replaces the op-class weights (builder style). Pass the weights
-    /// from a measured
-    /// [`CalibrationProfile`](dod_detect::calibration::CalibrationProfile)
-    /// to make estimates comparable in real time rather than in legacy
-    /// unit ops.
-    pub fn with_weights(mut self, weights: CostWeights) -> Self {
-        self.weights = weights;
-        self
-    }
-
-    /// Replaces bucket-histogram density estimation with densities
-    /// measured through the kernel layer: each probed sample point is
-    /// scanned against the whole sample with
-    /// [`NeighborPredicate::count_within_tile`] — the same code path the
-    /// detectors pay for — so the λ feeding the per-pair cost terms is
-    /// the λ the calibrated model charges. Probing is exhaustive up to
-    /// `KERNEL_DENSITY_MAX_PAIRS` pairwise tests; beyond that a strided
-    /// probe subset is measured and the remaining points use bucket
-    /// densities corrected by the measured/bucket ratio.
-    pub fn with_kernel_density(mut self, sample: &PointSet) -> Self {
-        let s = sample.len();
-        if s < 2 || self.ball <= 0.0 {
-            return self;
-        }
-        let stride = (s * s).div_ceil(KERNEL_DENSITY_MAX_PAIRS).max(1);
-        let pred = NeighborPredicate::with_metric(self.params.metric, self.params.r);
-        let tile = sample.as_flat();
-        let mut rho = vec![f64::NAN; s];
-        let (mut measured_sum, mut bucket_sum, mut probes) = (0.0f64, 0.0f64, 0usize);
-        let mut i = 0;
-        while i < s {
-            let q = sample.point(i);
-            // `found` includes the query point itself (distance 0).
-            let found = pred.count_within_tile(q, tile, usize::MAX).found;
-            let lambda = (found.saturating_sub(1)) as f64 * self.scale;
-            rho[i] = lambda / self.ball;
-            measured_sum += lambda;
-            bucket_sum += self.buckets.density_at(q) * self.scale * self.ball;
-            probes += 1;
-            i += stride;
-        }
-        let bucket_ratio = if probes > 0 && bucket_sum > 0.0 && measured_sum > 0.0 {
-            measured_sum / bucket_sum
-        } else {
-            1.0
-        };
-        self.measured = Some(MeasuredDensity { rho, bucket_ratio });
-        self
-    }
-
-    /// The real-point density around sample point `i` (coordinates `p`).
-    fn local_density(&self, i: usize, p: &[f64]) -> f64 {
-        if let Some(m) = &self.measured {
-            let measured = m.rho[i];
-            if measured.is_finite() {
-                return measured;
-            }
-            return self.buckets.density_at(p) * self.scale * m.bucket_ratio;
-        }
+    /// The real-point density around `p`.
+    fn local_density(&self, p: &[f64]) -> f64 {
         self.buckets.density_at(p) * self.scale
     }
 
@@ -222,12 +144,12 @@ impl LocalCostEstimator {
         let terms = self.subset_terms(sample, idxs, algorithm, volume);
         CandidateCost {
             algorithm,
-            cost: terms.weighted(self.weights) + PARTITION_OVERHEAD_OPS,
+            cost: terms.total() + PARTITION_OVERHEAD_OPS,
             terms,
         }
     }
 
-    /// Raw (unweighted) pair/structural op counts of running `kind` over
+    /// Pair/structural op counts of running `kind` over
     /// the region whose sample points are `idxs` — the terms behind
     /// [`LocalCostEstimator::subset_cost`], excluding the per-partition
     /// overhead.
@@ -251,12 +173,6 @@ impl LocalCostEstimator {
         }
     }
 
-    /// The op-class weights the estimator charges (unit unless replaced
-    /// via [`LocalCostEstimator::with_weights`]).
-    pub fn weights(&self) -> CostWeights {
-        self.weights
-    }
-
     /// Per-point Nested-Loop trial count at local density `rho`:
     /// outliers (fewer than `k` neighbors) exhaust the scan (`n_p`
     /// trials), inliers need `k / p_hit = k·n_p / neighbors`. The
@@ -277,7 +193,7 @@ impl LocalCostEstimator {
         }
         let mut pair_ops = 0.0;
         for &i in idxs {
-            let rho = self.local_density(i as usize, sample.point(i as usize));
+            let rho = self.local_density(sample.point(i as usize));
             pair_ops += self.nl_per_point(rho, n_est) * self.scale;
         }
         CostTerms {
@@ -298,7 +214,7 @@ impl LocalCostEstimator {
         // Indexing is structural; the surviving fallback scan is pair ops.
         let mut pair_ops = 0.0;
         for &i in idxs {
-            let rho = self.local_density(i as usize, sample.point(i as usize));
+            let rho = self.local_density(sample.point(i as usize));
             let survive = self.unpruned_probability(rho, dim);
             pair_ops += survive * self.nl_per_point(rho, n_est) * self.scale;
         }
@@ -350,7 +266,7 @@ impl LocalCostEstimator {
         // scan performs distance predicates (pair ops).
         let mut pair_ops = 0.0;
         for &i in idxs {
-            let rho = self.local_density(i as usize, sample.point(i as usize));
+            let rho = self.local_density(sample.point(i as usize));
             let survive = self.unpruned_probability(rho, dim);
             let per_point = survive * (candidate_block * rho).min(n_est);
             pair_ops += per_point * self.scale;
@@ -587,95 +503,24 @@ mod tests {
 
     #[test]
     fn unit_weights_leave_estimates_bit_identical() {
+        // Every op of either class costs one unit. Each candidate's cost,
+        // summed over a 4x4 grid, pins the estimator's arithmetic bit for
+        // bit.
         let (sample, domain) = skewed_sample(6);
-        let base = LocalCostEstimator::new(&domain, &sample, 1.0, params(1.0, 4), 32);
-        let weighted = base.clone().with_weights(CostWeights::UNIT);
+        let est = LocalCostEstimator::new(&domain, &sample, 1.0, params(1.0, 4), 32);
         let plan = PartitionPlan::from_grid(GridSpec::uniform(domain, 4).unwrap());
         let candidates = [
             AlgorithmKind::NestedLoop,
             AlgorithmKind::CellBased,
             AlgorithmKind::CellBasedFullScan,
         ];
-        let a = base.estimate(&plan, &sample, &candidates);
-        let b = weighted.estimate(&plan, &sample, &candidates);
-        for (ea, eb) in a.iter().zip(&b) {
-            for (ca, cb) in ea.candidates.iter().zip(&eb.candidates) {
-                assert_eq!(ca.cost, cb.cost);
-            }
-        }
-    }
-
-    #[test]
-    fn structural_weight_raises_cell_based_relative_to_nested_loop() {
-        let (sample, domain) = skewed_sample(9);
-        let unit = LocalCostEstimator::new(&domain, &sample, 1.0, params(1.0, 4), 32);
-        let cal = unit.clone().with_weights(CostWeights {
-            pair: 1.0,
-            structural: 8.0,
-        });
-        let plan = PartitionPlan::from_grid(GridSpec::uniform(domain, 4).unwrap());
-        let blob_pid = plan.locate(&[2.0, 2.0]) as usize;
-        let candidates = [AlgorithmKind::CellBased, AlgorithmKind::NestedLoop];
-        let u = &unit.estimate(&plan, &sample, &candidates)[blob_pid];
-        let c = &cal.estimate(&plan, &sample, &candidates)[blob_pid];
-        // NL is pure pair ops: unchanged. CB carries the structural
-        // indexing term: strictly more expensive under the profile.
-        let [u_cb, u_nl] = [0, 1].map(|i| u.candidates[i].cost);
-        let [c_cb, c_nl] = [0, 1].map(|i| c.candidates[i].cost);
-        assert_eq!(u_nl, c_nl);
-        assert!(c_cb > u_cb);
-    }
-
-    #[test]
-    fn kernel_density_stays_close_to_bucket_density_on_uniform_data() {
-        // On uniform data the bucket histogram is already accurate, so
-        // the measured-λ refinement must land in the same cost regime
-        // (same winner, costs within 2x) — it sharpens, not distorts.
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut sample = PointSet::new(2).unwrap();
-        for _ in 0..2000 {
-            sample
-                .push(&[rng.gen_range(0.0..20.0), rng.gen_range(0.0..20.0)])
-                .unwrap();
-        }
-        let domain = Rect::new(vec![0.0, 0.0], vec![20.0, 20.0]).unwrap();
-        let bucket = LocalCostEstimator::new(&domain, &sample, 1.0, params(1.0, 8), 32);
-        let kernel = bucket.clone().with_kernel_density(&sample);
-        let plan = PartitionPlan::from_grid(GridSpec::uniform(domain, 2).unwrap());
-        let candidates = [AlgorithmKind::NestedLoop, AlgorithmKind::CellBased];
-        let b = bucket.estimate(&plan, &sample, &candidates);
-        let k = kernel.estimate(&plan, &sample, &candidates);
-        for (eb, ek) in b.iter().zip(&k) {
-            for (cb, ck) in eb.candidates.iter().zip(&ek.candidates) {
-                let (kind, cb, ck) = (cb.algorithm, cb.cost, ck.cost);
-                assert!(
-                    ck <= 2.0 * cb && cb <= 2.0 * ck,
-                    "{kind:?}: bucket {cb} vs kernel {ck}"
-                );
-            }
-            assert_eq!(eb.best().algorithm, ek.best().algorithm);
-        }
-    }
-
-    #[test]
-    fn kernel_density_handles_degenerate_identical_points() {
-        let mut sample = PointSet::new(2).unwrap();
-        for _ in 0..50 {
-            sample.push(&[5.0, 5.0]).unwrap();
-        }
-        let domain = Rect::new(vec![5.0, 5.0], vec![5.0, 5.0]).unwrap();
-        let est = LocalCostEstimator::new(&domain, &sample, 1.0, params(1.0, 4), 32)
-            .with_kernel_density(&sample);
-        let plan = PartitionPlan::from_grid(GridSpec::uniform(domain, 1).unwrap());
-        let out = est.estimate(
-            &plan,
-            &sample,
-            &[AlgorithmKind::NestedLoop, AlgorithmKind::CellBased],
+        let out = est.estimate(&plan, &sample, &candidates);
+        let sums: Vec<f64> = (0..candidates.len())
+            .map(|i| out.iter().map(|e| e.candidates[i].cost).sum())
+            .collect();
+        assert_eq!(
+            sums,
+            [552942.1964509988, 331247.63961316703, 404091.745630324]
         );
-        for e in &out {
-            for c in &e.candidates {
-                assert!(c.cost.is_finite(), "{c:?}");
-            }
-        }
     }
 }

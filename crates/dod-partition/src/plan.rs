@@ -14,7 +14,7 @@ use crate::estimate::PartitionEstimate;
 use crate::minibucket::MiniBucketGrid;
 use crate::packing::{allocate, AllocationSpec, BalanceWeight};
 use dod_core::{CoreError, GridSpec, OutlierParams, PointSet, Rect};
-use dod_detect::cost::{AlgorithmKind, CostTerms, CostWeights};
+use dod_detect::cost::{AlgorithmKind, CostTerms};
 
 /// Maps points to partitions.
 #[derive(Debug, Clone)]
@@ -398,11 +398,6 @@ pub struct PartitionReport {
 /// against.
 #[derive(Debug, Clone, Default)]
 pub struct PlanReport {
-    /// The op-class weights the planner charged.
-    pub weights: CostWeights,
-    /// Whether a measured calibration profile was in effect (false means
-    /// the legacy unit-weight fallback).
-    pub calibrated: bool,
     /// One record per partition, in partition order.
     pub partitions: Vec<PartitionReport>,
 }
@@ -441,16 +436,11 @@ impl MultiTacticPlan {
     /// allocated to `num_reducers` reducers under `spec`. Estimates over
     /// one candidate give a monolithic plan (the baselines of
     /// Section VI).
-    ///
-    /// `cost_weights` records the op-class weights the estimates were
-    /// computed under (pass the estimator's weights; they only feed the
-    /// plan report — the estimates themselves are already weighted).
     pub fn from_estimates(
         plan: PartitionPlan,
         estimates: Vec<PartitionEstimate>,
         num_reducers: usize,
         spec: AllocationSpec,
-        cost_weights: CostWeights,
     ) -> Self {
         assert_eq!(
             estimates.len(),
@@ -494,11 +484,7 @@ impl MultiTacticPlan {
             allocation,
             predicted_costs: costs,
             estimated_counts: counts,
-            report: PlanReport {
-                weights: cost_weights,
-                calibrated: !cost_weights.is_unit(),
-                partitions,
-            },
+            report: PlanReport { partitions },
         }
     }
 
@@ -602,7 +588,7 @@ mod tests {
     ) -> MultiTacticPlan {
         let estimator = LocalCostEstimator::new(plan.domain(), sample, 1.0, params(), 32);
         let estimates = estimator.estimate(&plan, sample, candidates);
-        MultiTacticPlan::from_estimates(plan, estimates, num_reducers, spec, estimator.weights())
+        MultiTacticPlan::from_estimates(plan, estimates, num_reducers, spec)
     }
 
     /// `route_iter` collected: the core partition and the supported ones.
@@ -898,13 +884,7 @@ mod tests {
                 }
             })
             .collect();
-        let mt = MultiTacticPlan::from_estimates(
-            plan,
-            estimates,
-            4,
-            AllocationSpec::cost(),
-            CostWeights::UNIT,
-        );
+        let mt = MultiTacticPlan::from_estimates(plan, estimates, 4, AllocationSpec::cost());
         assert_eq!(mt.algorithms.len(), 4);
         assert_eq!(mt.allocation.len(), 4);
         // The ultra-dense lower-left partition must pick Cell-Based

@@ -12,7 +12,6 @@
 //! not a breaking change.
 
 use dod_core::OutlierParams;
-use dod_detect::CalibrationProfile;
 use dod_obs::Obs;
 use dod_partition::sample::DEFAULT_SAMPLE_RATE;
 use dod_partition::AllocationSpec;
@@ -111,11 +110,6 @@ pub struct DodConfig {
     /// MapReduce task spans, and per-partition detector counters flow
     /// through it. Defaults to the disabled handle (zero overhead).
     pub obs: Obs,
-    /// Measured cost-model calibration. The unit profile (the default)
-    /// reproduces the legacy unit-op cost model bit for bit; a profile
-    /// loaded from `bench calibrate` output reweighs per-pair vs
-    /// structural work to match the kernel layer's measured throughput.
-    pub calibration: CalibrationProfile,
     /// Durability root for checkpoint/resume and the dead-letter queue.
     /// `None` (the default) runs every job in-memory only.
     pub checkpoint: Option<CheckpointSpec>,
@@ -143,7 +137,6 @@ impl DodConfig {
             seed: 0xD0D_5EED,
             allocation: None,
             obs: Obs::null(),
-            calibration: CalibrationProfile::unit(),
             checkpoint: None,
         }
     }
@@ -161,7 +154,6 @@ impl DodConfig {
             seed: 0xD0D_5EED,
             allocation: None,
             obs: Obs::null(),
-            calibration: CalibrationProfile::unit(),
             checkpoint: None,
         }
     }
@@ -180,7 +172,6 @@ impl DodConfig {
             seed: self.seed,
             allocation: self.allocation,
             obs: self.obs.clone(),
-            calibration: self.calibration.clone(),
             checkpoint: self.checkpoint.clone(),
         }
     }
@@ -203,7 +194,6 @@ pub struct DodConfigBuilder {
     seed: u64,
     allocation: Option<AllocationSpec>,
     obs: Obs,
-    calibration: CalibrationProfile,
     checkpoint: Option<CheckpointSpec>,
 }
 
@@ -262,12 +252,6 @@ impl DodConfigBuilder {
         self
     }
 
-    /// Installs a measured cost-model calibration profile.
-    pub fn calibration(mut self, profile: CalibrationProfile) -> Self {
-        self.calibration = profile;
-        self
-    }
-
     /// Enables durable jobs: checkpoints and the dead-letter queue are
     /// persisted under `dir`, keyed by `job_id` plus a per-job suffix.
     pub fn checkpoint(mut self, dir: impl Into<PathBuf>, job_id: impl Into<String>) -> Self {
@@ -318,7 +302,6 @@ impl DodConfigBuilder {
             seed: self.seed,
             allocation: self.allocation,
             obs: self.obs,
-            calibration: self.calibration,
             checkpoint: self.checkpoint,
         })
     }

@@ -320,19 +320,9 @@ impl DodRunner {
         let allocation = cfg
             .allocation
             .unwrap_or_else(|| self.strategy.default_allocation());
-        let weights = cfg.calibration.weights_for(cfg.params.metric, domain.dim());
-        let mut estimator =
-            LocalCostEstimator::new(&domain, &sample, cfg.sample_rate, cfg.params, 32)
-                .with_weights(weights);
-        if !cfg.calibration.is_unit() {
-            // A measured profile asks for measured quantities: route
-            // density estimation through the same kernel predicates the
-            // calibrated per-pair term was benchmarked on.
-            estimator = estimator.with_kernel_density(&sample);
-        }
+        let estimator = LocalCostEstimator::new(&domain, &sample, cfg.sample_rate, cfg.params, 32);
         let estimates = estimator.estimate(&plan, &sample, &self.candidates);
-        let mt =
-            MultiTacticPlan::from_estimates(plan, estimates, cfg.num_reducers, allocation, weights);
+        let mt = MultiTacticPlan::from_estimates(plan, estimates, cfg.num_reducers, allocation);
         let t_estimated = Instant::now();
         let router = Arc::new(mt.plan.router_with_metric(cfg.params.r, cfg.params.metric));
         let t_routed = Instant::now();

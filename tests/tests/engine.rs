@@ -8,7 +8,7 @@
 
 use dod::prelude::*;
 use dod_core::Metric;
-use dod_engine::{Engine, Request};
+use dod_engine::{Engine, EngineError, Request};
 use dod_integration::{mixed_density, reference_outliers, uniform_nd};
 
 fn config(params: OutlierParams) -> DodConfig {
@@ -195,4 +195,51 @@ fn refresh_preserves_the_outlier_set() {
         assert_eq!(engine.refresh_plan().unwrap(), expected_epoch);
         assert_eq!(detect(&engine), before);
     }
+}
+
+/// An insert whose points would stretch the resident bounding box past
+/// what `f64` can span (`1e308` resident, `-1e308` inserted) is refused
+/// before anything is mutated: the resident count holds, and the next
+/// requests answer over exactly the resident points.
+#[test]
+fn insert_that_overflows_the_span_is_refused_unmutated() {
+    let params = OutlierParams::new(1.2, 4).unwrap();
+    let data = mixed_density(43, 300);
+    let runner = DodRunner::builder()
+        .config(config(params))
+        .multi_tactic()
+        .build();
+    // The refusal dumps the flight ring, as every failed request does.
+    let engine = Engine::builder(runner)
+        .flight_dump(Box::new(std::io::sink()))
+        .build(&data)
+        .unwrap();
+    let far = engine
+        .execute(Request::Insert {
+            points: vec![vec![1e308, 1e308]],
+        })
+        .unwrap()
+        .into_insert()
+        .unwrap();
+    assert_eq!(far.resident, 301);
+    let mut resident = data.clone();
+    resident.push(&[1e308, 1e308]).unwrap();
+
+    let err = engine
+        .execute(Request::Insert {
+            points: vec![vec![0.5, 0.5], vec![-1e308, -1e308]],
+        })
+        .unwrap_err();
+    assert!(matches!(err, EngineError::Extent), "{err}");
+    assert_eq!(engine.health().points, 301);
+    assert_eq!(detect(&engine), reference_outliers(&resident, params));
+    let scores = engine
+        .execute(Request::Score {
+            points: vec![vec![1e308, 1e308]],
+        })
+        .unwrap()
+        .into_score()
+        .unwrap();
+    assert_eq!(scores.len(), 1);
+    assert!(scores[0].outlier);
 }

@@ -94,6 +94,26 @@ fn full_matrix_matches_reference_on_a_grid_past_cell_ids() {
     }
 }
 
+/// DMT with per-partition selection, planned over 32 partitions of a
+/// 4000-point mixed-density corpus, returns the reference set.
+#[test]
+fn dmt_multi_tactic_matches_reference_on_mixed_density() {
+    let data = mixed_density(7, 4000);
+    let params = OutlierParams::new(1.0, 4).unwrap();
+    let config = DodConfig::builder(params)
+        .target_partitions(32)
+        .sample_rate(1.0)
+        .build()
+        .unwrap();
+    let runner = DodRunner::builder()
+        .config(config)
+        .strategy(Dmt::default())
+        .multi_tactic()
+        .build();
+    let expected = reference_outliers(&data, params);
+    assert_eq!(runner.run(&data).unwrap().outliers, expected);
+}
+
 #[test]
 fn repeated_runs_are_deterministic() {
     let data = mixed_density(3, 500);

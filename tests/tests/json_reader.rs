@@ -1,5 +1,6 @@
 //! Hostile input against the workspace's one JSON reader
-//! (`dod_obs::json::parse`) and the four formats layered on it, and
+//! (`dod_obs::json::parse`) and the three file formats layered on it
+//! (checkpoint files, the dead-letter queue and JSONL traces), and
 //! against the CSV point reader (`dod_data::io::read_csv`).
 //!
 //! The reader's grammar is unit-tested beside it; this suite holds what
@@ -16,7 +17,6 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use dod_data::io::CsvError;
-use dod_detect::CalibrationProfile;
 use dod_obs::json::{self, Json};
 use dod_obs::replay;
 use mapreduce::{
@@ -106,8 +106,9 @@ fn mutant_texts(sample: &[u8]) -> impl Iterator<Item = String> + '_ {
     mutants(sample).map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
 }
 
-/// Every on-disk format's loader, over every single-edit mutant of a
-/// sample file, answers with a value or its own typed error.
+/// Each of the three on-disk formats' loaders (checkpoint manifest and
+/// task record, DLQ, trace), over every single-edit mutant of a sample
+/// file, answers with a value or its own typed error.
 #[test]
 fn mutated_files_load_or_fail_typed() {
     let (root, manifest, record, dlq) = checkpoint_samples("sweep");
@@ -143,16 +144,6 @@ fn mutated_files_load_or_fail_typed() {
     for text in mutant_texts(&dlq) {
         if let Err(detail) = DeadLetterQueue::parse(&text) {
             assert!(detail.starts_with("dlq line "), "{detail}");
-        }
-    }
-
-    let profile = include_str!("../../BENCH_calibration.json");
-    assert!(CalibrationProfile::from_json(profile).is_ok());
-    // The first rows are enough: every row has the same shape.
-    for text in mutant_texts(&profile.as_bytes()[..600]) {
-        let whole = format!("{text}{}", &profile[600..]);
-        if let Err(e) = CalibrationProfile::from_json(&whole) {
-            assert!(e.to_string().starts_with("calibration profile:"), "{e}");
         }
     }
 
@@ -193,9 +184,9 @@ fn mutated_csv_reads_finite_points_or_fails_typed() {
     let _ = fs::remove_dir_all(path.parent().unwrap());
 }
 
-/// 100,000 open brackets where each file-backed format expects a
-/// document: a typed error and, for the checkpoint store, a reset that
-/// leaves a store a run can use.
+/// 100,000 open brackets where each of the three file formats
+/// (checkpoint, DLQ, trace) expects a document: a typed error and, for
+/// the checkpoint store, a reset that leaves a store a run can use.
 #[test]
 fn deep_nesting_is_a_typed_error_in_every_file_format() {
     let (root, ..) = checkpoint_samples("deep");
@@ -212,7 +203,6 @@ fn deep_nesting_is_a_typed_error_in_every_file_format() {
         assert_eq!(store.resume_state(), &ResumeState::Resumable);
         assert_eq!(store.load_task("map", 0, 9), Some((Duration::ZERO, 1u32)));
 
-        assert!(CalibrationProfile::from_json(&hostile).is_err());
         assert!(DeadLetterQueue::parse(&hostile).is_err());
         assert_eq!(replay::parse_jsonl(&hostile).unwrap_err().line, 1);
     }
@@ -236,7 +226,6 @@ fn callers_define_no_json_parser() {
         source!("dod-cli/src/jobs_cmd.rs"),
         source!("mapreduce/src/checkpoint.rs"),
         source!("mapreduce/src/dlq.rs"),
-        source!("dod-detect/src/calibration.rs"),
         source!("dod-obs/src/replay.rs"),
     ];
     for (name, source) in sources {

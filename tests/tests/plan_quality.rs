@@ -4,7 +4,6 @@
 use dod::prelude::*;
 use dod_core::Rect;
 use dod_detect::cost::{choose_algorithm, AlgorithmKind as Kind, CostModel, PAPER_CANDIDATES};
-use dod_detect::CalibrationProfile;
 use dod_integration::mixed_density;
 use dod_partition::packing::assignment_makespan;
 use dod_partition::{allocate, sample_points, MultiTacticPlan, PartitionPlan, PlanContext};
@@ -229,9 +228,7 @@ fn plan_fingerprint(mt: &MultiTacticPlan) -> u64 {
 
 /// The whole plan of the two batch shapes, pinned: a 2-d skewed corpus
 /// (`batch_skew2d`'s mixture) and a 4-d clustered one (`batch_dense4d`'s),
-/// each under fixed Nested-Loop and multi-tactic, with unit weights and
-/// with the checked-in calibration profile (which also switches density
-/// estimation to the kernel path).
+/// each under fixed Nested-Loop and multi-tactic.
 #[test]
 fn plans_of_the_batch_shapes_are_pinned() {
     let skew2d = batch_shape(
@@ -251,23 +248,18 @@ fn plans_of_the_batch_shapes_are_pinned() {
         ],
         10_000,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCH_calibration.json");
-    let calibration = CalibrationProfile::load(path).unwrap();
     let mut got = Vec::new();
     for (data, r, k) in [(&skew2d, 0.6, 6), (&dense4d, 0.9, 16)] {
-        for profile in [CalibrationProfile::unit(), calibration.clone()] {
-            let config = DodConfig::builder(OutlierParams::new(r, k).unwrap())
-                .num_reducers(16)
-                .target_partitions(64)
-                .sample_rate(0.1)
-                .calibration(profile)
-                .build()
-                .unwrap();
-            let builder = || DodRunner::builder().config(config.clone());
-            for runner in [builder().fixed(Kind::NestedLoop), builder().multi_tactic()] {
-                let mt = runner.build().preprocess(data).unwrap().mt;
-                got.push((mt.num_partitions(), plan_fingerprint(&mt)));
-            }
+        let config = DodConfig::builder(OutlierParams::new(r, k).unwrap())
+            .num_reducers(16)
+            .target_partitions(64)
+            .sample_rate(0.1)
+            .build()
+            .unwrap();
+        let builder = || DodRunner::builder().config(config.clone());
+        for runner in [builder().fixed(Kind::NestedLoop), builder().multi_tactic()] {
+            let mt = runner.build().preprocess(data).unwrap().mt;
+            got.push((mt.num_partitions(), plan_fingerprint(&mt)));
         }
     }
     assert_eq!(got, PINNED_PLANS);
@@ -275,13 +267,9 @@ fn plans_of_the_batch_shapes_are_pinned() {
 
 /// `(partitions, fingerprint)` per case of
 /// `plans_of_the_batch_shapes_are_pinned`, in its loop order.
-const PINNED_PLANS: [(usize, u64); 8] = [
+const PINNED_PLANS: [(usize, u64); 4] = [
     (125, 848_538_548_500_595_800),
     (125, 11_682_378_284_495_870_954),
-    (125, 2_633_805_296_272_925_468),
-    (125, 13_823_690_296_927_221_432),
     (437, 222_042_548_508_197_940),
     (437, 2_852_253_042_664_290_075),
-    (437, 11_908_271_502_042_111_605),
-    (437, 6_818_444_479_181_991_644),
 ];

@@ -168,3 +168,44 @@ fn more_reducers_than_partitions() {
         reference_outliers(&data, params)
     );
 }
+
+/// Puts one partitioning strategy on a runner builder.
+type WithStrategy = fn(dod::DodRunnerBuilder) -> dod::DodRunnerBuilder;
+
+/// Finite coordinates whose span overflows `f64` (`1e308 - -1e308`):
+/// every strategy refuses with the one typed error instead of panicking.
+/// A span just inside `f64` (`±8.9e307`) still answers exactly.
+#[test]
+fn overflowing_span_is_a_typed_error_under_every_strategy() {
+    let params = OutlierParams::new(0.5, 4).unwrap();
+    let strategies: [(&str, WithStrategy); 5] = [
+        ("domain", |b| b.strategy(Domain)),
+        ("unispace", |b| b.strategy(UniSpace)),
+        ("ddriven", |b| b.strategy(DDriven)),
+        ("cdriven", |b| {
+            b.strategy(CDriven::new(AlgorithmKind::NestedLoop))
+        }),
+        ("dmt", |b| b.strategy(Dmt::default())),
+    ];
+    for (edge, overflows) in [(1e308, true), (8.9e307, false)] {
+        let mut data = dod_integration::mixed_density(5, 200);
+        data.push(&[edge, edge]).unwrap();
+        data.push(&[-edge, -edge]).unwrap();
+        for (name, strategy) in strategies {
+            let builder = DodRunner::builder().config(config(params)).multi_tactic();
+            let runner = strategy(builder).build();
+            match runner.run(&data) {
+                Err(e) if overflows => assert_eq!(
+                    e.to_string(),
+                    "invalid input: invalid parameter `bounds`: \
+                     the extent of dimension 0 overflows f64",
+                    "{name}"
+                ),
+                Ok(out) if !overflows => {
+                    assert_eq!(out.outliers, reference_outliers(&data, params), "{name}")
+                }
+                other => panic!("{name} at ±{edge}: {:?}", other.map(|o| o.outliers)),
+            }
+        }
+    }
+}
