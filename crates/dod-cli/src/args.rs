@@ -76,7 +76,7 @@ pub struct Args {
 pub struct ServeArgs {
     /// Base pipeline arguments (input, params, strategy, …).
     pub run: Args,
-    /// Threads an engine epoch rebuild routes on.
+    /// Threads one engine request or one epoch rebuild may use.
     pub workers: usize,
     /// Default per-request deadline in milliseconds (none = unbounded).
     pub deadline_ms: Option<u64>,
@@ -191,8 +191,10 @@ dead-letter queue, and `redrive` flags dead tasks for re-execution on
 the next run with the same arguments.
 
 SERVE OPTIONS:
-    --workers <int>         threads an epoch rebuild routes on            [2]
-                            (requests run on the stdin loop's thread)
+    --workers <int>         threads one request or one epoch rebuild may  [2]
+                            use: a score of 256 points or more is split
+                            over them; other requests run on the stdin
+                            loop's thread. Replies do not depend on it
     --deadline-ms <int>     default per-request deadline          [unbounded]
     --metrics-addr <addr>   serve Prometheus /metrics and /healthz over
                             HTTP on this address (e.g. 127.0.0.1:9100)
@@ -1102,6 +1104,11 @@ mod tests {
         };
         assert_eq!(serve.workers, 2);
         assert_eq!(serve.deadline_ms, None);
+        // The help text quotes the engine's fan-out threshold.
+        assert!(USAGE.contains(&format!(
+            "a score of {} points or more",
+            dod_engine::FAN_OUT_MIN_QUERIES
+        )));
         assert!(matches!(
             parse_command(&v(&[
                 "serve",

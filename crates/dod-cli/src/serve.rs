@@ -54,8 +54,9 @@
 //! describes.
 //!
 //! `stats` is the full [`dod_engine::EngineHealth`] snapshot; `workers`
-//! is the thread count an epoch rebuild routes on, since every request
-//! runs on the loop's own thread. `metrics`
+//! is the threads one request or one epoch rebuild may use: a `score` of
+//! at least [`dod_engine::FAN_OUT_MIN_QUERIES`] points is split over
+//! them, every other request runs on the loop's own thread. `metrics`
 //! returns the Prometheus text-format exposition (the same document the
 //! optional `--metrics-addr` HTTP listener serves at `/metrics`) as one
 //! JSON-escaped string. Non-finite numbers (`NaN`, `±Inf`) serialize as
@@ -68,9 +69,22 @@
 //!
 //! Failures answer `{"v":1,"ok":false,"code":"…","error":"…"}` and keep
 //! the loop alive; `quit` or end-of-input ends it. `code` is stable and
-//! machine-readable: `bad_request`, `unknown_op`, `deadline`,
-//! `dimension`, `panic`, `pipeline`, `engine`, or `internal` (the engine
-//! answered a request with another op's response kind, a server bug).
+//! machine-readable:
+//!
+//! - `bad_request`: the line is not UTF-8, not JSON, or lacks or
+//!   mistypes a field the op needs;
+//! - `unknown_op`;
+//! - `deadline`: the request ran past `--deadline-ms`;
+//! - `dimension`: a point of a `score` or `insert` batch has another
+//!   dimension than the resident dataset (`error` names the point's
+//!   position in the batch, e.g. `point 1 has dimension 1, resident
+//!   dataset has dimension 2`); nothing was scored or inserted;
+//! - `extent`: an `insert` would widen the resident bounding box past
+//!   what `f64` can span; nothing was inserted;
+//! - `panic`, `pipeline`, `engine`;
+//! - `internal`: the engine answered a request with another op's
+//!   response kind, a server bug.
+//!
 //! `error` is human-readable prose and not part of the contract.
 //! Requests are read by [`dod_obs::json::parse`] — numbers follow the
 //! JSON grammar and must be finite, so `1e999` is a `bad_request`, as is
@@ -193,7 +207,7 @@ pub fn render_metrics(ctx: &ServeContext) -> String {
     );
     w.gauge(
         "dod_engine_workers",
-        "Threads an epoch rebuild routes on.",
+        "Threads one request or one epoch rebuild may use.",
         h.workers as f64,
     );
     w.gauge(
@@ -493,21 +507,35 @@ fn dispatch(ctx: &ServeContext, request: &Json) -> Result<Option<String>, ServeE
 
 /// Runs the serve loop over arbitrary input/output streams (stdin and
 /// stdout in production, buffers in tests).
+///
+/// Lines are read as bytes, so a line that is not UTF-8 answers
+/// `bad_request` like any other malformed line instead of ending the
+/// loop; only a failed read or write does.
 pub fn serve_streams(
     args: &ServeArgs,
     ctx: &ServeContext,
-    input: impl BufRead,
+    mut input: impl BufRead,
     mut output: impl Write,
 ) -> Result<(), String> {
     let _ = args;
-    for line in input.lines() {
-        let line = line.map_err(|e| format!("reading request: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
+    let mut bytes = Vec::new();
+    loop {
+        bytes.clear();
+        let read = input
+            .read_until(b'\n', &mut bytes)
+            .map_err(|e| format!("reading request: {e}"))?;
+        if read == 0 {
+            break;
         }
-        let response = json::parse(&line)
-            .map_err(|e| ServeError::bad(format!("bad request: {e}")))
-            .and_then(|request| dispatch(ctx, &request));
+        let line = bytes.strip_suffix(b"\n").unwrap_or(&bytes);
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let response = match std::str::from_utf8(line) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => json::parse(line)
+                .map_err(|e| ServeError::bad(format!("bad request: {e}")))
+                .and_then(|request| dispatch(ctx, &request)),
+            Err(e) => Err(ServeError::bad(format!("bad request: not UTF-8: {e}"))),
+        };
         let quit = matches!(response, Ok(None));
         let mut answer = match response {
             Ok(Some(answer)) => answer,
@@ -778,9 +806,13 @@ mod tests {
     }
 
     fn session(requests: &str) -> Vec<String> {
+        session_bytes(requests.as_bytes())
+    }
+
+    fn session_bytes(requests: &[u8]) -> Vec<String> {
         let (args, ctx, path) = test_context();
         let mut out = Vec::new();
-        serve_streams(&args, &ctx, requests.as_bytes(), &mut out).unwrap();
+        serve_streams(&args, &ctx, requests, &mut out).unwrap();
         std::fs::remove_file(&path).ok();
         String::from_utf8(out)
             .unwrap()
@@ -935,6 +967,25 @@ mod tests {
         // re-plan over the resident data succeeds.
         assert!(responses[10].contains("\"points\":41"), "{}", responses[10]);
         assert!(responses[11].contains("\"ok\":true,\"op\":\"refresh\""));
+    }
+
+    /// A line that is not UTF-8 is one more malformed request: it answers
+    /// `bad_request` and the loop keeps serving.
+    #[test]
+    fn a_non_utf8_line_answers_bad_request_and_keeps_serving() {
+        let responses = session_bytes(
+            b"{\"op\":\"stats\"}\n{\"op\":\"st\xffats\"}\n{\"op\":\"stats\"}\n{\"op\":\"quit\"}\n",
+        );
+        assert_eq!(responses.len(), 4, "{responses:?}");
+        for served in [&responses[0], &responses[2]] {
+            assert!(served.contains("\"op\":\"stats\""), "{served}");
+        }
+        assert!(
+            responses[1].starts_with("{\"v\":1,\"ok\":false,\"code\":\"bad_request\""),
+            "{}",
+            responses[1]
+        );
+        assert_eq!(responses[3], "{\"v\":1,\"ok\":true,\"op\":\"quit\"}");
     }
 
     /// Behind a line-buffered writer — what standard output is — each

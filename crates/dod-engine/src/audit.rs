@@ -70,7 +70,7 @@ impl AlgorithmAudit {
 
 /// A point-in-time snapshot of the engine's cost audit
 /// (`Engine::cost_audit`).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CostAudit {
     /// Per-algorithm accumulators, in first-observed order.
     pub per_algorithm: Vec<AlgorithmAudit>,

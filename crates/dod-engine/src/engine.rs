@@ -37,6 +37,13 @@ pub const PARTITION_WORK_TOP_K: usize = 16;
 /// queries.
 pub const SCORE_GROUP: usize = 8;
 
+/// The smallest [`Request::Score`] batch that is split over the engine's
+/// [`EngineBuilder::workers`] threads; a smaller batch is scored on the
+/// calling thread alone. Set at the measured crossover of one and two
+/// threads, where the helper's wake-up onto an idle core stops costing
+/// more than its half of the batch saves (DESIGN.md §6b *Steadiness*).
+pub const FAN_OUT_MIN_QUERIES: usize = 256;
+
 /// A point-in-time health snapshot of a running engine
 /// ([`Engine::health`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +51,8 @@ pub struct EngineHealth {
     /// Requests currently executing, on whichever threads called
     /// [`Engine::execute`].
     pub in_flight: usize,
-    /// Threads an epoch rebuild routes on ([`EngineBuilder::workers`]).
+    /// Threads one request or one epoch rebuild may use
+    /// ([`EngineBuilder::workers`]).
     pub workers: usize,
     /// Total requests that panicked (each contained to its own request;
     /// the calling thread survived).
@@ -420,17 +428,144 @@ struct Materialized {
 
 /// Calls `f(0)`, …, `f(threads - 1)` concurrently — `f(0)` on the calling
 /// thread, so one thread means no spawn — and returns the results in
-/// argument order. A panic in any call resumes on the caller.
+/// argument order. A call whose thread cannot be spawned runs on the
+/// caller after `f(0)`. A panic in any call resumes on the caller.
 fn fan_out<T: Send>(threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if threads <= 1 {
+        return vec![f(0)];
+    }
     std::thread::scope(|scope| {
         let f = &f;
-        let spawned: Vec<_> = (1..threads).map(|t| scope.spawn(move || f(t))).collect();
+        let spawned: Vec<_> = (1..threads)
+            .map(|t| {
+                std::thread::Builder::new()
+                    .spawn_scoped(scope, move || f(t))
+                    .map_err(|_| t)
+            })
+            .collect();
         let mut out = vec![f(0)];
         for handle in spawned {
-            out.push(handle.join().unwrap_or_else(|panic| resume_unwind(panic)));
+            out.push(match handle {
+                Ok(handle) => handle.join().unwrap_or_else(|panic| resume_unwind(panic)),
+                Err(t) => f(t),
+            });
         }
         out
     })
+}
+
+/// What [`score_slice`] hands back for one slice of a score batch.
+struct ScoredSlice {
+    /// One verdict per query of the slice, in order.
+    verdicts: Vec<ScorePoint>,
+    /// Per partition: the slice's queries located in it.
+    traffic: Vec<u64>,
+    /// Per partition: the kernel work the slice did in it.
+    work: Vec<u64>,
+}
+
+impl ScoredSlice {
+    /// Appends the batch's next slice: its verdicts after these, its
+    /// traffic and work added per partition.
+    fn append(&mut self, next: ScoredSlice) {
+        self.verdicts.extend(next.verdicts);
+        for (sum, t) in self.traffic.iter_mut().zip(next.traffic) {
+            *sum += t;
+        }
+        for (sum, w) in self.work.iter_mut().zip(next.work) {
+            *sum += w;
+        }
+    }
+}
+
+/// Scores one contiguous slice of a score batch against `plan` (`None`
+/// for an empty resident dataset), [`SCORE_GROUP`] queries at a time.
+///
+/// It reads only `plan` and its partitions' state locks — never the
+/// ingest gate or the resident lock — so [`Shared::score`] can run it on
+/// helper threads while the caller holds the gate. std's `RwLock` makes a
+/// new reader wait behind a queued writer, so a helper re-taking the gate
+/// would deadlock against an insert waiting for it; state locks are
+/// written only under the gate's write side, so no writer queues on them.
+///
+/// Queries run in groups with the partition loop outside the group: the
+/// union of the group's lists is walked in ascending partition id, and
+/// each partition is visited (one read lock) once per group, scanning for
+/// each query that lists it and still needs neighbors. The order swap is
+/// exact: a query meets its own partitions in ascending id either way, and
+/// its early-exit cap at partition `pid` depends only on the neighbors it
+/// found in its partitions before `pid`, which both orders accumulate
+/// identically — so per-query results, per-partition work, and traffic
+/// counters all match scoring one query at a time against every partition
+/// within `r` of it.
+fn score_slice(
+    plan: Option<&ResidentPlan>,
+    k: usize,
+    points: &[Vec<f64>],
+    deadline: Option<Instant>,
+) -> Result<ScoredSlice, EngineError> {
+    let n_parts = plan.map_or(0, |p| p.mt.num_partitions());
+    let mut scored = ScoredSlice {
+        verdicts: Vec::with_capacity(points.len()),
+        traffic: vec![0; n_parts],
+        work: vec![0; n_parts],
+    };
+    // Every query's partition list laid end to end (`lists[..ends[0]]`
+    // is the first query's), and a read cursor into each.
+    let mut lists: Vec<u32> = Vec::new();
+    let mut ends = [0usize; SCORE_GROUP];
+    let mut cursors = [0usize; SCORE_GROUP];
+    let mut neighbors = [0usize; SCORE_GROUP];
+    for group in points.chunks(SCORE_GROUP) {
+        if let Some(d) = deadline {
+            if Instant::now() > d {
+                return Err(EngineError::DeadlineExceeded);
+            }
+        }
+        let Some(plan) = plan else {
+            // Empty resident dataset: zero neighbors, always outlier.
+            scored.verdicts.extend(group.iter().map(|_| ScorePoint {
+                neighbors: 0,
+                outlier: true,
+            }));
+            continue;
+        };
+        lists.clear();
+        for (j, q) in group.iter().enumerate() {
+            scored.traffic[plan.mt.plan.locate(q) as usize] += 1;
+            cursors[j] = lists.len();
+            plan.router.within_r_into(q, &mut lists);
+            ends[j] = lists.len();
+            neighbors[j] = 0;
+        }
+        loop {
+            // The lowest partition some unsatisfied query still lists.
+            let next = (0..group.len())
+                .filter(|&j| neighbors[j] < k && cursors[j] < ends[j])
+                .map(|j| lists[cursors[j]])
+                .min();
+            let Some(pid) = next else { break };
+            let state = read_recover(&plan.states[pid as usize]);
+            let live = state.core_len() > 0;
+            for (j, q) in group.iter().enumerate() {
+                if neighbors[j] < k && cursors[j] < ends[j] && lists[cursors[j]] == pid {
+                    cursors[j] += 1;
+                    if live {
+                        let (found, w) = state.count_core_neighbors_traced(q, k - neighbors[j]);
+                        neighbors[j] += found;
+                        scored.work[pid as usize] += w;
+                    }
+                }
+            }
+        }
+        scored
+            .verdicts
+            .extend(neighbors[..group.len()].iter().map(|&nb| ScorePoint {
+                neighbors: nb,
+                outlier: nb < k,
+            }));
+    }
+    Ok(scored)
 }
 
 struct Shared {
@@ -455,8 +590,9 @@ struct Shared {
     refresh: Mutex<()>,
     /// Staleness ratio above which a mutation op epoch-swaps.
     staleness_threshold: f64,
-    /// Threads an epoch rebuild routes on ([`EngineBuilder::workers`]);
-    /// every other request waits at the ingest gate while it does.
+    /// Threads one large score or one epoch rebuild may use
+    /// ([`EngineBuilder::workers`]); every other request waits at the
+    /// ingest gate while a rebuild runs.
     workers: usize,
     /// The engine's emitting handle: the user's recorder (if any) fanned
     /// out with the always-on flight recorder.
@@ -711,6 +847,7 @@ impl Shared {
         for (index, p) in points.iter().enumerate() {
             if p.len() != self.dim {
                 return Err(EngineError::Dimension {
+                    index,
                     expected: self.dim,
                     got: p.len(),
                 });
@@ -770,17 +907,15 @@ impl Shared {
     /// replicates only support copies), so no other partition can hold a
     /// core neighbor.
     ///
-    /// Queries run in groups of [`SCORE_GROUP`] with the partition loop
-    /// outside the group: the union of the group's lists is walked in
-    /// ascending partition id, and each partition is visited (one read
-    /// lock) once per group, scanning for each query that lists it and
-    /// still needs neighbors. The order
-    /// swap is exact: a query meets its own partitions in ascending id
-    /// either way, and its early-exit cap at partition `pid` depends only
-    /// on the neighbors it found in its partitions before `pid`, which
-    /// both orders accumulate identically — so per-query results,
-    /// per-partition work, and traffic counters all match scoring one
-    /// query at a time against every partition within `r` of it.
+    /// Partitions are independent (Lemma 3.1), and so are queries: a
+    /// batch of at least [`FAN_OUT_MIN_QUERIES`] points is cut into
+    /// `workers` contiguous slices on [`SCORE_GROUP`] boundaries, each
+    /// scored by [`score_slice`] on its own thread ([`fan_out`]; the first
+    /// on the calling thread) against this request's resident snapshot. A
+    /// smaller batch is one slice on the calling thread. Verdicts are concatenated in request order and
+    /// traffic and work summed per partition before the one audit fold
+    /// and the one `observed` update, so replies, work counters, the cost
+    /// audit and drift do not depend on the worker count.
     fn score(
         &self,
         points: &[Vec<f64>],
@@ -790,76 +925,38 @@ impl Shared {
         self.check_points(points)?;
         let _serving = read_recover(&self.ingest);
         let resident = Arc::clone(&read_recover(&self.resident));
+        let plan = resident.plan.as_ref();
         let k = self.runner.config().params.k;
-        let mut out = Vec::with_capacity(points.len());
-        let n_parts = resident.plan.as_ref().map_or(0, |p| p.mt.num_partitions());
-        let mut traffic = vec![0u64; n_parts];
-        let mut work = vec![0u64; n_parts];
-        // Every query's partition list laid end to end (`lists[..ends[0]]`
-        // is the first query's), and a read cursor into each.
-        let mut lists: Vec<u32> = Vec::new();
-        let mut ends = [0usize; SCORE_GROUP];
-        let mut cursors = [0usize; SCORE_GROUP];
-        let mut neighbors = [0usize; SCORE_GROUP];
-        for group in points.chunks(SCORE_GROUP) {
-            if let Some(d) = deadline {
-                if Instant::now() > d {
-                    return Err(EngineError::DeadlineExceeded);
-                }
-            }
-            let Some(plan) = &resident.plan else {
-                // Empty resident dataset: zero neighbors, always outlier.
-                out.extend(group.iter().map(|_| ScorePoint {
-                    neighbors: 0,
-                    outlier: true,
-                }));
-                continue;
-            };
-            lists.clear();
-            for (j, q) in group.iter().enumerate() {
-                traffic[plan.mt.plan.locate(q) as usize] += 1;
-                cursors[j] = lists.len();
-                plan.router.within_r_into(q, &mut lists);
-                ends[j] = lists.len();
-                neighbors[j] = 0;
-            }
-            loop {
-                // The lowest partition some unsatisfied query still lists.
-                let next = (0..group.len())
-                    .filter(|&j| neighbors[j] < k && cursors[j] < ends[j])
-                    .map(|j| lists[cursors[j]])
-                    .min();
-                let Some(pid) = next else { break };
-                let state = read_recover(&plan.states[pid as usize]);
-                let live = state.core_len() > 0;
-                for (j, q) in group.iter().enumerate() {
-                    if neighbors[j] < k && cursors[j] < ends[j] && lists[cursors[j]] == pid {
-                        cursors[j] += 1;
-                        if live {
-                            let (found, w) = state.count_core_neighbors_traced(q, k - neighbors[j]);
-                            neighbors[j] += found;
-                            work[pid as usize] += w;
-                        }
-                    }
-                }
-            }
-            out.extend(neighbors[..group.len()].iter().map(|&nb| ScorePoint {
-                neighbors: nb,
-                outlier: nb < k,
-            }));
+        let threads = if points.len() >= FAN_OUT_MIN_QUERIES {
+            self.workers
+        } else {
+            1
+        };
+        // At most `threads` contiguous slices of whole groups; only the
+        // last may end in a short group, as it does unsplit.
+        let n = points.len();
+        let per_slice = n.div_ceil(SCORE_GROUP).div_ceil(threads).max(1) * SCORE_GROUP;
+        let mut scored = fan_out(n.div_ceil(per_slice).max(1), |s| {
+            let slice = &points[(s * per_slice).min(n)..((s + 1) * per_slice).min(n)];
+            score_slice(plan, k, slice, deadline)
+        })
+        .into_iter();
+        let mut total = scored.next().expect("fan_out calls f(0)")?;
+        for slice in scored {
+            total.append(slice?);
         }
-        self.record_partition_work(rid, "score", resident.plan.as_ref(), &work);
-        if traffic.iter().any(|&t| t > 0) {
+        self.record_partition_work(rid, "score", plan, &total.work);
+        if total.traffic.iter().any(|&t| t > 0) {
             let mut observed = lock_recover(&self.observed);
             // A refresh may have shrunk the vector concurrently; the
             // stale remainder of this batch is attributed best-effort.
-            for (pid, &t) in traffic.iter().enumerate() {
+            for (pid, &t) in total.traffic.iter().enumerate() {
                 if let Some(slot) = observed.get_mut(pid) {
                     *slot += t as f64;
                 }
             }
         }
-        Ok(out)
+        Ok(total.verdicts)
     }
 
     /// Runs full detection over every resident partition (the `detect`
@@ -1240,9 +1337,14 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Threads the routing pass of the initial build and of every epoch
-    /// swap runs on (default 2, min 1). Requests themselves run on the
-    /// threads that call [`Engine::execute`].
+    /// Threads one request or one epoch rebuild may use (default 2,
+    /// min 1): the routing pass of the initial build and of every epoch
+    /// swap runs on this many, and a score of at least
+    /// [`FAN_OUT_MIN_QUERIES`] points is split into this many slices. The
+    /// calling thread is one of them; the rest are spawned for the call
+    /// and joined before it returns. Mutations and detects run on the
+    /// thread that calls [`Engine::execute`] alone. No answer, work
+    /// counter, cost audit or drift reading depends on this count.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
         self
@@ -1763,28 +1865,46 @@ mod tests {
             .collect()
     }
 
-    fn score_work(memory: &MemoryRecorder) -> u64 {
+    /// Request, partition (or rolled-up partition count), algorithm, work.
+    type WorkCounters = Vec<(u64, Option<u64>, Option<u64>, String, u64)>;
+
+    /// Every `engine.partition.work` counter the score requests emitted,
+    /// in emission order.
+    fn score_work(memory: &MemoryRecorder) -> WorkCounters {
+        let label = |e: &dod_obs::Event, key: &str| e.label(key).and_then(|v| v.as_u64());
         memory
             .events()
             .iter()
             .filter(|e| e.name == names::ENGINE_PARTITION_WORK)
             .filter(|e| e.label("op").and_then(|v| v.as_str()) == Some("score"))
-            .map(|e| match e.kind {
-                EventKind::Counter { delta } => delta,
-                _ => 0,
+            .map(|e| {
+                let EventKind::Counter { delta } = e.kind else {
+                    panic!("{} is a counter", e.name)
+                };
+                let algorithm = e.label("algorithm").and_then(|v| v.as_str()).unwrap();
+                (
+                    label(e, "request").unwrap(),
+                    label(e, "partition"),
+                    label(e, "partitions"),
+                    algorithm.to_string(),
+                    delta,
+                )
             })
-            .sum()
+            .collect()
     }
 
     /// The initial build and an epoch rebuild lay every tile out the same
     /// way on one thread, on two, and on more threads than some
-    /// partitions have points — so scores and their work counters match.
+    /// partitions have points; and a score answers the same on any of
+    /// them, fanned out or not: verdicts, per-partition work counters,
+    /// the cost audit and drift all match.
     #[test]
     fn rebuild_is_deterministic_in_its_thread_count() {
         let data = skewed(3000);
         let queries: Vec<Vec<f64>> = (0..512u64)
             .map(|i| vec![((i * 13) % 64) as f64 * 0.97, ((i * 29) % 64) as f64 * 0.95])
             .collect();
+        let batches = [1, FAN_OUT_MIN_QUERIES - 1, FAN_OUT_MIN_QUERIES, 512];
         let mut reference = None;
         for workers in [1, 2, 5] {
             let memory = Arc::new(MemoryRecorder::new());
@@ -1795,15 +1915,21 @@ mod tests {
                 built.iter().any(|p| p.1.len() < 5),
                 "some partition has fewer core points than the widest run has threads"
             );
-            let verdicts = engine
-                .execute(Request::Score {
-                    points: queries.clone(),
+            let verdicts: Vec<Vec<ScorePoint>> = batches
+                .iter()
+                .map(|&n| {
+                    let points = queries[..n].to_vec();
+                    let scored = engine.execute(Request::Score { points }).unwrap();
+                    scored.into_score().unwrap()
                 })
-                .unwrap();
+                .collect();
             let work = score_work(&memory);
-            assert!(work > 0);
+            assert!(work.iter().map(|w| w.4).sum::<u64>() > 0);
+            let audit = engine.cost_audit();
+            assert!(!audit.per_algorithm.is_empty());
+            let drift = engine.drift().to_bits();
             engine.refresh_plan().unwrap();
-            let observed = (built, verdicts, work, layout(&engine));
+            let observed = (built, verdicts, work, audit, drift, layout(&engine));
             match &reference {
                 None => reference = Some(observed),
                 Some(reference) => assert!(

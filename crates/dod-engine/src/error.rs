@@ -11,12 +11,15 @@ use std::fmt;
 pub enum EngineError {
     /// The request's deadline passed before it finished.
     DeadlineExceeded,
-    /// A query point's dimensionality does not match the resident
-    /// dataset's.
+    /// A point of the request (a query of a score, a point of an insert)
+    /// does not have the resident dataset's dimensionality. Nothing was
+    /// scored and nothing was inserted.
     Dimension {
+        /// Position of the offending point within the request.
+        index: usize,
         /// Dimensionality of the resident dataset.
         expected: usize,
-        /// Dimensionality of the offending query point.
+        /// Dimensionality of the offending point.
         got: usize,
     },
     /// A point of the request has a NaN or infinite coordinate. Nothing
@@ -45,9 +48,13 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::DeadlineExceeded => write!(f, "request deadline exceeded"),
-            EngineError::Dimension { expected, got } => write!(
+            EngineError::Dimension {
+                index,
+                expected,
+                got,
+            } => write!(
                 f,
-                "query point has dimension {got}, resident dataset has dimension {expected}"
+                "point {index} has dimension {got}, resident dataset has dimension {expected}"
             ),
             EngineError::NonFinite { index } => {
                 write!(f, "point {index} has a NaN or infinite coordinate")
@@ -89,10 +96,14 @@ mod tests {
             .to_string()
             .contains("deadline"));
         let e = EngineError::Dimension {
+            index: 1,
             expected: 2,
-            got: 3,
+            got: 1,
         };
-        assert!(e.to_string().contains('2') && e.to_string().contains('3'));
+        assert_eq!(
+            e.to_string(),
+            "point 1 has dimension 1, resident dataset has dimension 2"
+        );
         let p = EngineError::TaskPanicked {
             message: "boom".into(),
         };

@@ -37,6 +37,10 @@
 //! A request runs on the thread that calls [`Engine::execute`]; the
 //! engine is `Send + Sync`, so concurrency comes from the callers' own
 //! threads, and nothing inside the engine queues or rejects a request.
+//! The one exception is a large score: a batch of at least
+//! [`FAN_OUT_MIN_QUERIES`] points is split over
+//! [`EngineBuilder::workers`] threads (the caller's among them) for the
+//! length of the call, with the same answer on any count.
 //! An engine-wide deadline ([`EngineBuilder::default_deadline`]) bounds
 //! each request ([`EngineError::DeadlineExceeded`]). Mutations
 //! interleave safely with in-flight scoring: a reader–writer gate
@@ -106,7 +110,7 @@ pub use audit::{AlgorithmAudit, CostAudit, GROSS_MISPREDICT_FACTOR, GROSS_MISPRE
 pub use engine::{
     Engine, EngineBuilder, EngineHealth, InsertReceipt, Pending, RemoveReceipt, Request, RequestId,
     Response, ScorePoint, WindowConfig, WindowStatus, DEFAULT_DRIFT_THRESHOLD,
-    DEFAULT_STALENESS_THRESHOLD, PARTITION_WORK_TOP_K,
+    DEFAULT_STALENESS_THRESHOLD, FAN_OUT_MIN_QUERIES, PARTITION_WORK_TOP_K,
 };
 pub use error::EngineError;
 
@@ -209,10 +213,22 @@ mod tests {
         assert!(matches!(
             err,
             EngineError::Dimension {
+                index: 0,
                 expected: 2,
                 got: 3
             }
         ));
+        // An insert names the offending point too, and inserts nothing.
+        let err = engine
+            .execute(Request::Insert {
+                points: vec![vec![0.5, 0.5], vec![1.0]],
+            })
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "point 1 has dimension 1, resident dataset has dimension 2"
+        );
+        assert_eq!(engine.health().points, data.len());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::{mpsc, Barrier};
 use std::time::Duration;
 
 use dod::prelude::*;
-use dod_engine::{Engine, Request};
+use dod_engine::{Engine, Request, FAN_OUT_MIN_QUERIES};
 use dod_integration::{mixed_density, uniform_nd};
 use mapreduce::FaultPlan;
 use proptest::prelude::*;
@@ -231,14 +231,17 @@ fn engine_survives_injected_panics_and_stays_exact() {
     });
 }
 
-/// Three readers score a fixed probe batch in a loop while one writer
-/// inserts batches, one of them out of domain (an epoch swap mid-run),
-/// all through `Engine::execute` on one shared engine. Each batch puts
-/// three points within `r` of every probe and `k` is above every final
-/// count, so a reply is the exact neighbour counts: it must equal the
-/// brute-force counts over the corpus plus the first `i` batches for
-/// some `i` — a half-applied batch gives counts no prefix has — and `i`
-/// never goes back within one reader.
+/// Three readers score two fixed probe batches in a loop while one
+/// writer inserts batches, one of them out of domain (an epoch swap
+/// mid-run), all through `Engine::execute` on one shared engine. Each
+/// batch puts three points within `r` of every one of the eight anchor
+/// probes and `k` is above every final count, so a reply is the exact
+/// neighbour counts: it must equal the brute-force counts over the corpus
+/// plus the first `i` batches for some `i` — a half-applied batch gives
+/// counts no prefix has — and `i` never goes back within one reader. The
+/// second probe batch holds `FAN_OUT_MIN_QUERIES` points (the anchors
+/// first), so its scores fan out over the engine's two workers: helper
+/// threads read the partitions while inserts wait at the ingest gate.
 #[test]
 fn concurrent_scores_see_whole_insert_batches() {
     const READERS: usize = 3;
@@ -258,6 +261,12 @@ fn concurrent_scores_see_whole_insert_batches() {
     .iter()
     .map(|&(x, y)| vec![x, y])
     .collect();
+    let wide: Vec<Vec<f64>> = (0..FAN_OUT_MIN_QUERIES)
+        .map(|i| {
+            let (q, d) = (&probes[i % probes.len()], 0.05 * (i / probes.len()) as f64);
+            vec![q[0] + d, q[1] - d]
+        })
+        .collect();
     let batches: Vec<Vec<Vec<f64>>> = (0..BATCHES)
         .map(|b| {
             let mut batch: Vec<Vec<f64>> = probes
@@ -275,14 +284,20 @@ fn concurrent_scores_see_whole_insert_batches() {
             batch
         })
         .collect();
-    let expected: Vec<Vec<usize>> = (0..=BATCHES)
-        .map(|i| {
-            probes
-                .iter()
-                .map(|q| {
-                    let near = |p: &[f64]| params.metric.within(q, p, params.r);
-                    (0..corpus.len()).filter(|&j| near(corpus.point(j))).count()
-                        + batches[..i].iter().flatten().filter(|p| near(p)).count()
+    let probe_sets = [probes, wide];
+    // `[set][i]`: the counts of probe set `set` after the first `i` batches.
+    let expected: Vec<Vec<Vec<usize>>> = probe_sets
+        .iter()
+        .map(|set| {
+            (0..=BATCHES)
+                .map(|i| {
+                    set.iter()
+                        .map(|q| {
+                            let near = |p: &[f64]| params.metric.within(q, p, params.r);
+                            (0..corpus.len()).filter(|&j| near(corpus.point(j))).count()
+                                + batches[..i].iter().flatten().filter(|p| near(p)).count()
+                        })
+                        .collect()
                 })
                 .collect()
         })
@@ -295,14 +310,22 @@ fn concurrent_scores_see_whole_insert_batches() {
     with_watchdog("engine-concurrent-history", move || {
         let applied = AtomicUsize::new(0);
         let rounds = Barrier::new(READERS + 1);
-        let score = || -> Vec<usize> {
-            let req = Request::Score {
-                points: probes.clone(),
-            };
-            let scores = engine.execute(req).unwrap().into_score().unwrap();
-            scores.iter().map(|s| s.neighbors).collect()
+        // Scores every probe set once; per set, the prefix its reply
+        // matches, or the reply no prefix gives.
+        let score = || -> Vec<Result<usize, Vec<usize>>> {
+            probe_sets
+                .iter()
+                .zip(&expected)
+                .map(|(set, expected)| {
+                    let req = Request::Score {
+                        points: set.clone(),
+                    };
+                    let scores = engine.execute(req).unwrap().into_score().unwrap();
+                    let reply: Vec<usize> = scores.iter().map(|s| s.neighbors).collect();
+                    expected.iter().position(|e| *e == reply).ok_or(reply)
+                })
+                .collect()
         };
-        let prefix = |reply: &Vec<usize>| expected.iter().position(|e| e == reply);
         // A reader collects what it saw wrong and carries on, so one torn
         // reply cannot leave the others waiting at the barrier.
         let torn: Vec<String> = std::thread::scope(|s| {
@@ -315,19 +338,21 @@ fn concurrent_scores_see_whole_insert_batches() {
                             // Score until batch `b` has landed, overlapping
                             // its insert.
                             loop {
-                                let reply = score();
-                                match prefix(&reply) {
-                                    Some(i) if i >= seen => seen = i,
-                                    i => torn.push(format!("{reply:?} ({i:?}) after {seen}")),
+                                for reply in score() {
+                                    match reply {
+                                        Ok(i) if i >= seen => seen = i,
+                                        reply => torn.push(format!("{reply:?} after {seen}")),
+                                    }
                                 }
                                 if applied.load(Ordering::Acquire) > b {
                                     break;
                                 }
                             }
                         }
-                        let last = score();
-                        if prefix(&last) != Some(BATCHES) {
-                            torn.push(format!("{last:?} after the last batch"));
+                        for last in score() {
+                            if last != Ok(BATCHES) {
+                                torn.push(format!("{last:?} after the last batch"));
+                            }
                         }
                         torn
                     })
