@@ -512,12 +512,10 @@ fn dispatch(ctx: &ServeContext, request: &Json) -> Result<Option<String>, ServeE
 /// `bad_request` like any other malformed line instead of ending the
 /// loop; only a failed read or write does.
 pub fn serve_streams(
-    args: &ServeArgs,
     ctx: &ServeContext,
     mut input: impl BufRead,
     mut output: impl Write,
 ) -> Result<(), String> {
-    let _ = args;
     let mut bytes = Vec::new();
     loop {
         bytes.clear();
@@ -560,10 +558,17 @@ pub fn serve_streams(
 // HTTP exposition listener.
 // ---------------------------------------------------------------------
 
+/// How long the metrics listener waits on one read or write of a
+/// connection before dropping it unanswered. The listener answers one
+/// connection at a time, so without this a client that connects and
+/// sends nothing would stall every later scrape.
+const HTTP_IO_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Answers one HTTP connection: `GET /metrics` with the exposition
 /// document, `GET /healthz` with the health JSON, 404 otherwise. The
 /// protocol is deliberately minimal (HTTP/1.0, connection-per-request)
-/// — enough for `curl` and any Prometheus-compatible scraper.
+/// — enough for `curl` and any Prometheus-compatible scraper. A failed
+/// read, a timed-out one included, drops the connection unanswered.
 fn answer_http(ctx: &ServeContext, stream: &mut (impl Read + Write)) {
     // Read until the header-terminating blank line (or a size cap) —
     // the request may arrive split across several TCP segments.
@@ -613,7 +618,12 @@ pub fn spawn_metrics_listener(
         .spawn(move || {
             for stream in listener.incoming() {
                 let Ok(mut stream) = stream else { continue };
-                answer_http(&ctx, &mut stream);
+                let timeouts = stream
+                    .set_read_timeout(Some(HTTP_IO_TIMEOUT))
+                    .and_then(|()| stream.set_write_timeout(Some(HTTP_IO_TIMEOUT)));
+                if timeouts.is_ok() {
+                    answer_http(&ctx, &mut stream);
+                }
             }
         })
         .map_err(|e| format!("spawning metrics listener: {e}"))?;
@@ -661,7 +671,7 @@ pub fn serve(args: &ServeArgs) -> Result<(), String> {
     }
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
-    serve_streams(args, &ctx, stdin.lock(), stdout.lock())
+    serve_streams(&ctx, stdin.lock(), stdout.lock())
 }
 
 #[cfg(test)]
@@ -776,7 +786,7 @@ mod tests {
 
     /// Builds a small resident engine (cluster + one isolated point)
     /// plus the metrics context, over a temp CSV.
-    fn test_context() -> (ServeArgs, ServeContext, std::path::PathBuf) {
+    fn test_context() -> (ServeContext, std::path::PathBuf) {
         let mut path = std::env::temp_dir();
         path.push(format!(
             "dod-serve-test-{}-{:?}.csv",
@@ -802,7 +812,7 @@ mod tests {
             engine: Arc::new(engine),
             metrics,
         };
-        (args, ctx, path)
+        (ctx, path)
     }
 
     fn session(requests: &str) -> Vec<String> {
@@ -810,9 +820,9 @@ mod tests {
     }
 
     fn session_bytes(requests: &[u8]) -> Vec<String> {
-        let (args, ctx, path) = test_context();
+        let (ctx, path) = test_context();
         let mut out = Vec::new();
-        serve_streams(&args, &ctx, requests, &mut out).unwrap();
+        serve_streams(&ctx, requests, &mut out).unwrap();
         std::fs::remove_file(&path).ok();
         String::from_utf8(out)
             .unwrap()
@@ -1004,14 +1014,14 @@ mod tests {
                 Ok(())
             }
         }
-        let (args, ctx, path) = test_context();
+        let (ctx, path) = test_context();
         // Longer than any line buffer: 600 results, ~20 KB.
         let big = vec!["[0.7,0.7]"; 600].join(",");
         let requests = format!(
             "{{\"op\":\"stats\"}}\n{{\"op\":\"score\",\"points\":[{big}]}}\nnot json\n{{\"op\":\"quit\"}}\n"
         );
         let mut out = std::io::LineWriter::new(Writes(Vec::new()));
-        serve_streams(&args, &ctx, requests.as_bytes(), &mut out).unwrap();
+        serve_streams(&ctx, requests.as_bytes(), &mut out).unwrap();
         std::fs::remove_file(&path).ok();
         let writes = &out.get_ref().0;
         assert_eq!(writes.len(), 4, "{writes:?}");
@@ -1145,7 +1155,7 @@ mod tests {
 
     #[test]
     fn http_listener_serves_metrics_and_healthz() {
-        let (_args, ctx, path) = test_context();
+        let (ctx, path) = test_context();
         ctx.engine
             .execute(Request::Score {
                 points: vec![vec![0.7, 0.7]],
@@ -1153,9 +1163,14 @@ mod tests {
             .unwrap();
         let bound = spawn_metrics_listener("127.0.0.1:0", ctx.clone()).unwrap();
         std::fs::remove_file(&path).ok();
+        // A client that connects and never sends a byte, held open for
+        // the whole test: the listener must drop it and keep answering.
+        let _silent = std::net::TcpStream::connect(bound).unwrap();
 
         let get = |p: &str| -> String {
             let mut s = std::net::TcpStream::connect(bound).unwrap();
+            // A stalled listener fails the test instead of hanging it.
+            s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
             s.write_all(format!("GET {p} HTTP/1.0\r\n\r\n").as_bytes())
                 .unwrap();
             let mut out = String::new();

@@ -17,9 +17,6 @@ use dod_partition::{MultiTacticPlan, Router};
 use crate::audit::{CostAudit, CostAuditState};
 use crate::error::EngineError;
 
-/// Default drift threshold of [`Engine::refresh_if_drifted`].
-pub const DEFAULT_DRIFT_THRESHOLD: f64 = 0.25;
-
 /// Default staleness threshold: once incremental mutations since the
 /// last epoch exceed this fraction of the epoch's resident size, a
 /// mutation op falls back to an epoch-swap refresh (replanning over the
@@ -33,8 +30,7 @@ pub const DEFAULT_STALENESS_THRESHOLD: f64 = 0.5;
 pub const PARTITION_WORK_TOP_K: usize = 16;
 
 /// Queries scored per partition pass of a [`Request::Score`]: each
-/// partition is visited, under one read lock, once per group of this many
-/// queries.
+/// partition is visited once per group of this many queries.
 pub const SCORE_GROUP: usize = 8;
 
 /// The smallest [`Request::Score`] batch that is split over the engine's
@@ -249,19 +245,40 @@ struct ResidentPlan {
     /// The routing structure of this epoch's plan, kept so streaming
     /// inserts/removes can locate the partitions a point belongs to.
     router: Arc<Router>,
-    /// Per-partition detector state. Readers (score/detect) take the
-    /// per-state read lock; mutation ops take the write lock — they
-    /// already hold the engine-wide ingest write lock, so these are
-    /// uncontended in practice and exist to make the sharing sound.
-    states: Vec<RwLock<PartitionState>>,
+    /// Per-partition detector state.
+    states: Vec<PartitionState>,
 }
 
-/// One immutable epoch of resident state; requests clone the `Arc` and
-/// serve from it even while a refresh swaps in a successor.
-struct Resident {
+/// Everything the engine's one lock guards: the dataset and the plan
+/// epoch materialized over it.
+struct State {
+    dataset: DatasetState,
     epoch: u64,
     /// `None` for an empty dataset (nothing to plan over).
     plan: Option<ResidentPlan>,
+}
+
+/// What [`Engine::health`] reads without taking the state lock. The
+/// write side stores these before it releases the lock, so a health probe
+/// never waits behind a mutation or an epoch rebuild, and never sees a
+/// half-applied one. Each is a statistic that publishes no other data, so
+/// `Relaxed` suffices: a reader sees each one's stores in order.
+#[derive(Default)]
+struct Gauges {
+    epoch: AtomicU64,
+    partitions: AtomicUsize,
+    points: AtomicUsize,
+    churn: AtomicU64,
+}
+
+impl Gauges {
+    fn publish(&self, st: &State) {
+        let partitions = st.plan.as_ref().map_or(0, |p| p.mt.num_partitions());
+        self.epoch.store(st.epoch, Ordering::Relaxed);
+        self.partitions.store(partitions, Ordering::Relaxed);
+        self.points.store(st.dataset.alive_len, Ordering::Relaxed);
+        self.churn.store(st.dataset.churn, Ordering::Relaxed);
+    }
 }
 
 /// The engine's authoritative dataset: append-only slots with a
@@ -481,17 +498,13 @@ impl ScoredSlice {
 /// Scores one contiguous slice of a score batch against `plan` (`None`
 /// for an empty resident dataset), [`SCORE_GROUP`] queries at a time.
 ///
-/// It reads only `plan` and its partitions' state locks — never the
-/// ingest gate or the resident lock — so [`Shared::score`] can run it on
-/// helper threads while the caller holds the gate. std's `RwLock` makes a
-/// new reader wait behind a queued writer, so a helper re-taking the gate
-/// would deadlock against an insert waiting for it; state locks are
-/// written only under the gate's write side, so no writer queues on them.
+/// It takes no lock: [`Shared::score`] holds the state lock's read side
+/// for the whole request and lends `plan` to the helper threads.
 ///
 /// Queries run in groups with the partition loop outside the group: the
 /// union of the group's lists is walked in ascending partition id, and
-/// each partition is visited (one read lock) once per group, scanning for
-/// each query that lists it and still needs neighbors. The order swap is
+/// each partition is visited once per group, scanning for each query that
+/// lists it and still needs neighbors. The order swap is
 /// exact: a query meets its own partitions in ascending id either way, and
 /// its early-exit cap at partition `pid` depends only on the neighbors it
 /// found in its partitions before `pid`, which both orders accumulate
@@ -545,7 +558,7 @@ fn score_slice(
                 .map(|j| lists[cursors[j]])
                 .min();
             let Some(pid) = next else { break };
-            let state = read_recover(&plan.states[pid as usize]);
+            let state = &plan.states[pid as usize];
             let live = state.core_len() > 0;
             for (j, q) in group.iter().enumerate() {
                 if neighbors[j] < k && cursors[j] < ends[j] && lists[cursors[j]] == pid {
@@ -568,31 +581,32 @@ fn score_slice(
     Ok(scored)
 }
 
+/// The engine behind [`Engine`]'s request surface.
+///
+/// One reader–writer lock, `state`, is the whole exclusion rule: scores
+/// and detects hold its read side for their whole execution, and inserts,
+/// removes, window ticks and refreshes hold its write side — so a reader
+/// never observes a half-applied mutation (a point core-resident in one
+/// partition but missing from a neighbor's support set). Partitions are
+/// independent (Lemma 3.1), so nothing finer is needed: a reader reaches
+/// the states through the guard, and a mutation through `&mut`.
 struct Shared {
     runner: DodRunner,
     dim: usize,
-    /// The authoritative dataset, mutated by streaming ops.
-    dataset: Mutex<DatasetState>,
-    resident: RwLock<Arc<Resident>>,
-    /// Read/write gate between serving and mutation: score/detect
-    /// requests hold it shared for their whole execution,
-    /// insert/remove/window requests hold it exclusively — so a reader
-    /// never observes a half-applied mutation (a point core-resident in
-    /// one partition but missing from a neighbor's support set).
-    ingest: RwLock<()>,
+    /// The dataset and the plan epoch built over it.
+    state: RwLock<State>,
+    /// The state lock's gauges, published by its write side.
+    gauges: Gauges,
     /// Observed per-partition mass: core counts at materialization time
     /// plus one unit per scored query point located in the partition,
     /// plus one unit per streaming mutation touching it. Reset on every
     /// refresh.
     observed: Mutex<Vec<f64>>,
-    /// Serializes refreshes so concurrent drift probes cannot replan the
-    /// same epoch twice.
-    refresh: Mutex<()>,
     /// Staleness ratio above which a mutation op epoch-swaps.
     staleness_threshold: f64,
     /// Threads one large score or one epoch rebuild may use
     /// ([`EngineBuilder::workers`]); every other request waits at the
-    /// ingest gate while a rebuild runs.
+    /// state lock while a rebuild runs.
     workers: usize,
     /// The engine's emitting handle: the user's recorder (if any) fanned
     /// out with the always-on flight recorder.
@@ -691,7 +705,7 @@ impl Shared {
             let state = PartitionState::build(pre.mt.algorithms[pid], Arc::new(partition), params)
                 .with_support_ids(support_ids)
                 .expect("one id per routed point");
-            states.push(RwLock::new(state));
+            states.push(state);
         }
         let t_build = Instant::now();
         Ok(Materialized {
@@ -864,16 +878,15 @@ impl Shared {
     /// could not plan over it. Every resident point lies in the plan's
     /// domain (a point outside it triggers a refresh that re-plans over
     /// all of them), so only a batch that leaves the domain is scanned.
-    fn check_extent(&self, points: &[Vec<f64>]) -> Result<(), EngineError> {
-        let resident = Arc::clone(&read_recover(&self.resident));
-        let domain = resident.plan.as_ref().map(|plan| plan.mt.plan.domain());
+    fn check_extent(&self, st: &State, points: &[Vec<f64>]) -> Result<(), EngineError> {
+        let domain = st.plan.as_ref().map(|plan| plan.mt.plan.domain());
         if points
             .iter()
             .all(|p| domain.is_some_and(|d| d.contains_closed(p)))
         {
             return Ok(());
         }
-        let ds = lock_recover(&self.dataset);
+        let ds = &st.dataset;
         let alive = (0..ds.points.len())
             .filter(|&slot| ds.alive[slot])
             .map(|slot| ds.points.point(slot));
@@ -911,11 +924,12 @@ impl Shared {
     /// batch of at least [`FAN_OUT_MIN_QUERIES`] points is cut into
     /// `workers` contiguous slices on [`SCORE_GROUP`] boundaries, each
     /// scored by [`score_slice`] on its own thread ([`fan_out`]; the first
-    /// on the calling thread) against this request's resident snapshot. A
-    /// smaller batch is one slice on the calling thread. Verdicts are concatenated in request order and
-    /// traffic and work summed per partition before the one audit fold
-    /// and the one `observed` update, so replies, work counters, the cost
-    /// audit and drift do not depend on the worker count.
+    /// on the calling thread) against the plan this request's read guard
+    /// holds. A smaller batch is one slice on the calling thread. Verdicts
+    /// are concatenated in request order and traffic and work summed per
+    /// partition before the one audit fold and the one `observed` update,
+    /// so replies, work counters, the cost audit and drift do not depend
+    /// on the worker count.
     fn score(
         &self,
         points: &[Vec<f64>],
@@ -923,9 +937,8 @@ impl Shared {
         rid: RequestId,
     ) -> Result<Vec<ScorePoint>, EngineError> {
         self.check_points(points)?;
-        let _serving = read_recover(&self.ingest);
-        let resident = Arc::clone(&read_recover(&self.resident));
-        let plan = resident.plan.as_ref();
+        let st = read_recover(&self.state);
+        let plan = st.plan.as_ref();
         let k = self.runner.config().params.k;
         let threads = if points.len() >= FAN_OUT_MIN_QUERIES {
             self.workers
@@ -947,13 +960,11 @@ impl Shared {
         }
         self.record_partition_work(rid, "score", plan, &total.work);
         if total.traffic.iter().any(|&t| t > 0) {
+            // A refresh resizes `observed` to its plan under the write
+            // side, so under the read side the two line up.
             let mut observed = lock_recover(&self.observed);
-            // A refresh may have shrunk the vector concurrently; the
-            // stale remainder of this batch is attributed best-effort.
-            for (pid, &t) in total.traffic.iter().enumerate() {
-                if let Some(slot) = observed.get_mut(pid) {
-                    *slot += t as f64;
-                }
+            for (slot, &t) in observed.iter_mut().zip(&total.traffic) {
+                *slot += t as f64;
             }
         }
         Ok(total.verdicts)
@@ -967,20 +978,18 @@ impl Shared {
         deadline: Option<Instant>,
         rid: RequestId,
     ) -> Result<Vec<PointId>, EngineError> {
-        let _serving = read_recover(&self.ingest);
-        let resident = Arc::clone(&read_recover(&self.resident));
-        let Some(plan) = &resident.plan else {
+        let st = read_recover(&self.state);
+        let Some(plan) = &st.plan else {
             return Ok(Vec::new());
         };
         let mut outliers = Vec::new();
         let mut work = vec![0u64; plan.states.len()];
-        for (pid, slot) in plan.states.iter().enumerate() {
+        for (pid, state) in plan.states.iter().enumerate() {
             if let Some(d) = deadline {
                 if Instant::now() > d {
                     return Err(EngineError::DeadlineExceeded);
                 }
             }
-            let state = read_recover(slot);
             let detection = state.detect();
             detection
                 .stats
@@ -992,6 +1001,25 @@ impl Shared {
         // Core sets are disjoint, so this is a sort of unique ids.
         outliers.sort_unstable();
         Ok(outliers)
+    }
+
+    /// Runs one mutation under the write side of the state lock, after
+    /// checking the deadline, and publishes the gauges before the lock is
+    /// released — whether `f` succeeds or not.
+    fn mutate<T>(
+        &self,
+        deadline: Option<Instant>,
+        f: impl FnOnce(&mut State) -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        let mut st = write_recover(&self.state);
+        if let Some(d) = deadline {
+            if Instant::now() > d {
+                return Err(EngineError::DeadlineExceeded);
+            }
+        }
+        let result = f(&mut st);
+        self.gauges.publish(&st);
+        result
     }
 
     /// Inserts a batch into the resident dataset (the `insert` op).
@@ -1009,71 +1037,55 @@ impl Shared {
         deadline: Option<Instant>,
         rid: RequestId,
     ) -> Result<InsertReceipt, EngineError> {
-        let _ingest = write_recover(&self.ingest);
-        if let Some(d) = deadline {
-            if Instant::now() > d {
-                return Err(EngineError::DeadlineExceeded);
-            }
-        }
-        // Validate the whole batch before mutating anything.
-        self.check_points(points)?;
-        self.check_extent(points)?;
-        let now = Instant::now();
-        let (ids, expired) = {
-            let mut ds = lock_recover(&self.dataset);
-            let ids: Vec<PointId> = points.iter().map(|p| ds.insert(p, now)).collect();
-            let expired = ds.expire(now);
-            (ids, expired)
-        };
-        self.note_churn(rid, "insert", points.len(), expired.len());
-        let mut refreshed = false;
-        {
-            let resident = Arc::clone(&read_recover(&self.resident));
-            match &resident.plan {
-                None => refreshed = true,
-                Some(plan) => {
-                    // Splicing p is exact iff p lies inside the plan's
-                    // domain (locate() clamps out-of-domain points, so
-                    // routing would be wrong) and inside its core
-                    // partition's rectangle (then any resident y within
-                    // r of p already has p's partition in its support
-                    // set, so no existing membership changes).
-                    let rects = &plan.mt.plan;
-                    let exact = points.iter().all(|p| {
-                        rects.domain().contains_closed(p)
-                            && rects.rect(rects.locate(p) as usize).contains_closed(p)
-                    });
-                    if exact {
-                        let copies = self.route_copies(plan, points.iter().map(Vec::as_slice));
-                        for bucket in copies.chunk_by(|a, b| a.pid == b.pid) {
-                            let mut state = write_recover(&plan.states[bucket[0].pid as usize]);
-                            for copy in bucket {
-                                let (p, id) = (&points[copy.item], ids[copy.item]);
-                                if copy.core {
-                                    state.insert_core(p, id)
-                                } else {
-                                    state.insert_support(p, id)
-                                }
-                                .expect("dimension validated above, support copies carry ids");
+        self.mutate(deadline, |st| {
+            // Validate the whole batch before mutating anything.
+            self.check_points(points)?;
+            self.check_extent(st, points)?;
+            let now = Instant::now();
+            let ids: Vec<PointId> = points.iter().map(|p| st.dataset.insert(p, now)).collect();
+            let expired = st.dataset.expire(now);
+            self.note_churn(rid, "insert", points.len(), expired.len());
+            // Splicing p is exact iff p lies inside the plan's domain
+            // (locate() clamps out-of-domain points, so routing would be
+            // wrong) and inside its core partition's rectangle (then any
+            // resident y within r of p already has p's partition in its
+            // support set, so no existing membership changes).
+            let exact = st.plan.as_ref().is_some_and(|plan| {
+                let rects = &plan.mt.plan;
+                points.iter().all(|p| {
+                    rects.domain().contains_closed(p)
+                        && rects.rect(rects.locate(p) as usize).contains_closed(p)
+                })
+            });
+            let refreshed = match st.plan.as_mut() {
+                Some(plan) if exact => {
+                    let copies = self.route_copies(plan, points.iter().map(Vec::as_slice));
+                    for bucket in copies.chunk_by(|a, b| a.pid == b.pid) {
+                        let state = &mut plan.states[bucket[0].pid as usize];
+                        for copy in bucket {
+                            let (p, id) = (&points[copy.item], ids[copy.item]);
+                            if copy.core {
+                                state.insert_core(p, id)
+                            } else {
+                                state.insert_support(p, id)
                             }
+                            .expect("dimension validated above, support copies carry ids");
                         }
-                        self.apply_removals(plan, &expired);
-                    } else {
-                        refreshed = true;
                     }
+                    self.apply_removals(plan, &expired);
+                    self.staleness_fallback(st)?
                 }
-            }
-        }
-        if refreshed {
-            self.refresh_inner(None)?;
-        } else {
-            refreshed = self.staleness_fallback()?;
-        }
-        Ok(InsertReceipt {
-            ids,
-            expired: expired.len(),
-            refreshed,
-            resident: lock_recover(&self.dataset).alive_len,
+                _ => {
+                    self.refresh_inner(st)?;
+                    true
+                }
+            };
+            Ok(InsertReceipt {
+                ids,
+                expired: expired.len(),
+                refreshed,
+                resident: st.dataset.alive_len,
+            })
         })
     }
 
@@ -1087,36 +1099,26 @@ impl Shared {
         deadline: Option<Instant>,
         rid: RequestId,
     ) -> Result<RemoveReceipt, EngineError> {
-        let _ingest = write_recover(&self.ingest);
-        if let Some(d) = deadline {
-            if Instant::now() > d {
-                return Err(EngineError::DeadlineExceeded);
-            }
-        }
-        let mut removed = Vec::new();
-        let mut missing = 0usize;
-        {
-            let mut ds = lock_recover(&self.dataset);
+        self.mutate(deadline, |st| {
+            let mut removed = Vec::new();
+            let mut missing = 0usize;
             for &id in ids {
-                match ds.remove(id) {
+                match st.dataset.remove(id) {
                     Some(coords) => removed.push((id, coords)),
                     None => missing += 1,
                 }
             }
-        }
-        self.note_churn(rid, "remove", removed.len(), 0);
-        {
-            let resident = Arc::clone(&read_recover(&self.resident));
-            if let Some(plan) = &resident.plan {
+            self.note_churn(rid, "remove", removed.len(), 0);
+            if let Some(plan) = &mut st.plan {
                 self.apply_removals(plan, &removed);
             }
-        }
-        let refreshed = self.staleness_fallback()?;
-        Ok(RemoveReceipt {
-            removed: removed.len(),
-            missing,
-            refreshed,
-            resident: lock_recover(&self.dataset).alive_len,
+            let refreshed = self.staleness_fallback(st)?;
+            Ok(RemoveReceipt {
+                removed: removed.len(),
+                missing,
+                refreshed,
+                resident: st.dataset.alive_len,
+            })
         })
     }
 
@@ -1127,45 +1129,33 @@ impl Shared {
         deadline: Option<Instant>,
         rid: RequestId,
     ) -> Result<WindowStatus, EngineError> {
-        let _ingest = write_recover(&self.ingest);
-        if let Some(d) = deadline {
-            if Instant::now() > d {
-                return Err(EngineError::DeadlineExceeded);
-            }
-        }
-        let now = Instant::now();
-        let (window, expired) = {
-            let mut ds = lock_recover(&self.dataset);
+        self.mutate(deadline, |st| {
             if let Some(cfg) = config {
-                ds.window = cfg;
+                st.dataset.window = cfg;
             }
-            let expired = ds.expire(now);
-            (ds.window, expired)
-        };
-        self.note_churn(rid, "window", expired.len(), expired.len());
-        {
-            let resident = Arc::clone(&read_recover(&self.resident));
-            if let Some(plan) = &resident.plan {
+            let expired = st.dataset.expire(Instant::now());
+            self.note_churn(rid, "window", expired.len(), expired.len());
+            if let Some(plan) = &mut st.plan {
                 self.apply_removals(plan, &expired);
             }
-        }
-        let refreshed = self.staleness_fallback()?;
-        Ok(WindowStatus {
-            window,
-            expired: expired.len(),
-            refreshed,
-            resident: lock_recover(&self.dataset).alive_len,
+            let refreshed = self.staleness_fallback(st)?;
+            Ok(WindowStatus {
+                window: st.dataset.window,
+                expired: expired.len(),
+                refreshed,
+                resident: st.dataset.alive_len,
+            })
         })
     }
 
     /// Splices removals out of the resident states.
-    fn apply_removals(&self, plan: &ResidentPlan, removed: &[(PointId, Vec<f64>)]) {
+    fn apply_removals(&self, plan: &mut ResidentPlan, removed: &[(PointId, Vec<f64>)]) {
         if removed.is_empty() {
             return;
         }
         let copies = self.route_copies(plan, removed.iter().map(|(_, p)| p.as_slice()));
         for bucket in copies.chunk_by(|a, b| a.pid == b.pid) {
-            let mut state = write_recover(&plan.states[bucket[0].pid as usize]);
+            let state = &mut plan.states[bucket[0].pid as usize];
             for copy in bucket {
                 let id = removed[copy.item].0;
                 if copy.core {
@@ -1179,8 +1169,8 @@ impl Shared {
 
     /// Routes every point of a mutation request once and lists the
     /// copies it has under `plan` — one core, any number of support —
-    /// grouped by partition so the caller takes each touched state's
-    /// write lock once per request instead of once per copy.
+    /// grouped by partition so the caller visits each touched state once
+    /// per request instead of once per copy.
     ///
     /// Inside a group the copies keep request order (the sort is stable).
     /// A state's tile layout and index are a function of the order its
@@ -1237,8 +1227,8 @@ impl Shared {
     /// where accumulated splices have degraded partition balance enough
     /// that replanning beats further incremental maintenance. Returns
     /// whether a refresh ran.
-    fn staleness_fallback(&self) -> Result<bool, EngineError> {
-        let staleness = lock_recover(&self.dataset).staleness();
+    fn staleness_fallback(&self, st: &mut State) -> Result<bool, EngineError> {
+        let staleness = st.dataset.staleness();
         let refresh = staleness > self.staleness_threshold;
         self.obs.mark(
             names::ENGINE_STALENESS,
@@ -1249,57 +1239,43 @@ impl Shared {
             ],
         );
         if refresh {
-            self.refresh_inner(None)?;
+            self.refresh_inner(st)?;
         }
         Ok(refresh)
     }
 
     /// Rebuilds the plan over the compacted live dataset with a
-    /// reseeded configuration and atomically swaps the new epoch in.
-    ///
-    /// Callers must prevent concurrent mutations: mutation requests hold
-    /// the ingest write lock for their whole execution, and the public
-    /// refresh entry points acquire it — otherwise a half-applied
-    /// mutation could be lost across the swap.
-    fn refresh_inner(&self, drift: Option<f64>) -> Result<u64, EngineError> {
-        // Serialize refreshes; requests keep serving from the old epoch
-        // (behind its own Arc) until the swap below.
-        let _serial = lock_recover(&self.refresh);
+    /// reseeded configuration and installs it as the next epoch. The
+    /// caller holds the state lock's write side, so no request sees the
+    /// swap half done; the rebuild reads the dataset in place.
+    fn refresh_inner(&self, st: &mut State) -> Result<u64, EngineError> {
         let t0 = Instant::now();
-        let epoch = read_recover(&self.resident).epoch + 1;
+        let epoch = st.epoch + 1;
         let base = self.runner.config();
         let cfg = base
             .to_builder()
             .seed(base.seed.wrapping_add(epoch))
             .build()
             .map_err(dod::Error::from)?;
-        let (points, ids) = {
-            let mut ds = lock_recover(&self.dataset);
-            ds.compact();
-            (ds.points.clone(), ds.ids.clone())
-        };
-        // Nothing removes from the outgoing epoch until the swap (callers
-        // hold the ingest gate); should the rebuild fail, its next
-        // removal builds the maps again.
-        if let Some(plan) = &read_recover(&self.resident).plan {
-            for state in &plan.states {
-                write_recover(state).release_id_slots();
+        st.dataset.compact();
+        // The outgoing epoch serves nothing until the swap; should the
+        // rebuild fail, its next removal builds the maps again.
+        if let Some(plan) = &mut st.plan {
+            for state in &mut plan.states {
+                state.release_id_slots();
             }
         }
         let compact = t0.elapsed();
-        let built =
-            Shared::materialize(&self.runner.with_config(cfg), &points, &ids, self.workers)?;
+        let built = Shared::materialize(
+            &self.runner.with_config(cfg),
+            &st.dataset.points,
+            &st.dataset.ids,
+            self.workers,
+        )?;
         let t_swap = Instant::now();
-        let retired = std::mem::replace(
-            &mut *write_recover(&self.resident),
-            Arc::new(Resident {
-                epoch,
-                plan: built.plan,
-            }),
-        );
-        // Usually the last reference: the old epoch is freed here, after
-        // the resident lock is released.
-        drop(retired);
+        // Frees the old epoch.
+        st.plan = built.plan;
+        st.epoch = epoch;
         *lock_recover(&self.observed) = built.counts;
         for (stage, took) in [
             ("compact", compact),
@@ -1314,12 +1290,11 @@ impl Shared {
                 &[("epoch", Value::from(epoch)), ("stage", Value::from(stage))],
             );
         }
-        let mut labels = vec![("epoch", Value::from(epoch))];
-        if let Some(d) = drift {
-            labels.push(("drift", Value::from(d)));
-        }
-        self.obs
-            .record_duration(names::ENGINE_REFRESH, t0.elapsed(), &labels);
+        self.obs.record_duration(
+            names::ENGINE_REFRESH,
+            t0.elapsed(),
+            &[("epoch", Value::from(epoch))],
+        );
         Ok(epoch)
     }
 }
@@ -1329,7 +1304,6 @@ pub struct EngineBuilder {
     runner: DodRunner,
     workers: usize,
     default_deadline: Option<Duration>,
-    drift_threshold: f64,
     staleness_threshold: f64,
     window: WindowConfig,
     flight_capacity: usize,
@@ -1356,15 +1330,6 @@ impl EngineBuilder {
     /// [`EngineError::DeadlineExceeded`].
     pub fn default_deadline(mut self, d: Duration) -> Self {
         self.default_deadline = Some(d);
-        self
-    }
-
-    /// Drift threshold of [`Engine::refresh_if_drifted`] (default
-    /// [`DEFAULT_DRIFT_THRESHOLD`]): total-variation distance in
-    /// `[0, 1]` between the plan's predicted and the observed
-    /// per-partition distribution above which the plan is rebuilt.
-    pub fn drift_threshold(mut self, t: f64) -> Self {
-        self.drift_threshold = t;
         self
     }
 
@@ -1409,7 +1374,6 @@ impl EngineBuilder {
     /// Returns [`EngineError::Pipeline`] if preprocessing fails (e.g.
     /// dimensionally inconsistent input).
     pub fn build(self, data: &PointSet) -> Result<Engine, EngineError> {
-        let data = data.clone();
         let user_obs = self.runner.config().obs.clone();
         // The flight recorder rides alongside whatever recorder the
         // configuration supplied: every engine event reaches both.
@@ -1425,19 +1389,24 @@ impl EngineBuilder {
             }
             None => user_obs,
         };
-        let ids: Vec<PointId> = (0..data.len() as PointId).collect();
+        // The engine's one copy of the caller's points; the first epoch is
+        // built from it, as every later one is.
+        let dataset = DatasetState::new(data, self.window, Instant::now());
         let Materialized { plan, counts, .. } =
-            Shared::materialize(&self.runner, &data, &ids, self.workers)?;
-        let dim = data.dim();
-        let dataset = DatasetState::new(&data, self.window, Instant::now());
+            Shared::materialize(&self.runner, &dataset.points, &dataset.ids, self.workers)?;
+        let state = State {
+            dataset,
+            epoch: 0,
+            plan,
+        };
+        let gauges = Gauges::default();
+        gauges.publish(&state);
         let shared = Shared {
             runner: self.runner,
-            dim,
-            dataset: Mutex::new(dataset),
-            resident: RwLock::new(Arc::new(Resident { epoch: 0, plan })),
-            ingest: RwLock::new(()),
+            dim: data.dim(),
+            state: RwLock::new(state),
+            gauges,
             observed: Mutex::new(counts),
-            refresh: Mutex::new(()),
             staleness_threshold: self.staleness_threshold,
             workers: self.workers,
             obs,
@@ -1451,7 +1420,6 @@ impl EngineBuilder {
         Ok(Engine {
             shared,
             default_deadline: self.default_deadline,
-            drift_threshold: self.drift_threshold,
         })
     }
 }
@@ -1476,21 +1444,21 @@ impl EngineBuilder {
 /// * [`Request::Window`] — sliding-window maintenance, expiring old
 ///   points by count and/or age.
 ///
-/// [`Engine::refresh_plan`] / [`Engine::refresh_if_drifted`] rebuild
-/// the plan when the observed per-partition distribution has drifted
-/// from the plan's predictions; mutation ops trigger the same epoch
-/// swap once churn crosses the staleness threshold.
+/// [`Engine::drift`] measures how far the observed per-partition
+/// distribution has moved from the plan's predictions, and
+/// [`Engine::refresh_plan`] rebuilds the plan on demand; mutation ops
+/// trigger the same epoch swap once churn crosses the staleness
+/// threshold.
 ///
 /// The engine is `Send + Sync`: concurrency comes from the callers'
 /// own threads, each calling [`Engine::execute`] on a shared reference,
-/// and nothing inside the engine queues or rejects a request. Mutations
-/// are serialized against in-flight score/detect work by a
-/// reader–writer gate, so a reader never observes a half-applied
-/// mutation.
+/// and nothing inside the engine queues or rejects a request. The
+/// dataset and the plan sit behind one reader–writer lock: scores and
+/// detects share it, a mutation or a refresh holds it alone, so a reader
+/// never observes a half-applied mutation.
 pub struct Engine {
     shared: Shared,
     default_deadline: Option<Duration>,
-    drift_threshold: f64,
 }
 
 impl Engine {
@@ -1500,7 +1468,6 @@ impl Engine {
             runner,
             workers: 2,
             default_deadline: None,
-            drift_threshold: DEFAULT_DRIFT_THRESHOLD,
             staleness_threshold: DEFAULT_STALENESS_THRESHOLD,
             window: WindowConfig::default(),
             flight_capacity: dod_obs::DEFAULT_FLIGHT_CAPACITY,
@@ -1515,33 +1482,22 @@ impl Engine {
 
     /// Current plan epoch (0 until the first refresh).
     pub fn epoch(&self) -> u64 {
-        read_recover(&self.shared.resident).epoch
+        self.shared.gauges.epoch.load(Ordering::Relaxed)
     }
 
     /// Number of partitions in the resident plan (0 for an empty
     /// dataset).
     pub fn num_partitions(&self) -> usize {
-        read_recover(&self.shared.resident)
-            .plan
-            .as_ref()
-            .map_or(0, |p| p.mt.num_partitions())
+        self.shared.gauges.partitions.load(Ordering::Relaxed)
     }
 
     /// A point-in-time health snapshot: in-flight requests, contained
-    /// panics, current epoch. Never blocks on request
-    /// processing (only the resident read lock, held momentarily).
+    /// panics, current epoch, resident points, churn. Never blocks on
+    /// request processing: the engine-state gauges are the ones the last
+    /// mutation published, so a snapshot taken during a mutation or a
+    /// rebuild reports the state before it.
     pub fn health(&self) -> EngineHealth {
-        let (epoch, partitions) = {
-            let resident = read_recover(&self.shared.resident);
-            (
-                resident.epoch,
-                resident.plan.as_ref().map_or(0, |p| p.mt.num_partitions()),
-            )
-        };
-        let (points, churn) = {
-            let ds = lock_recover(&self.shared.dataset);
-            (ds.alive_len, ds.churn)
-        };
+        let gauges = &self.shared.gauges;
         // Durability gauges are read straight off the checkpoint store's
         // directory: cheap (a handful of stats on tiny files), and
         // always consistent with what `dod jobs` would report.
@@ -1555,11 +1511,11 @@ impl Engine {
             in_flight: self.shared.in_flight.load(Ordering::Acquire),
             workers: self.shared.workers,
             panics: self.shared.panics.load(Ordering::Acquire),
-            epoch,
-            partitions,
+            epoch: gauges.epoch.load(Ordering::Relaxed),
+            partitions: gauges.partitions.load(Ordering::Relaxed),
             requests: self.shared.requests.load(Ordering::Acquire),
-            points,
-            churn,
+            points: gauges.points.load(Ordering::Relaxed),
+            churn: gauges.churn.load(Ordering::Relaxed),
             dlq_depth: durability.dlq_depth,
             checkpoint_age_ms: durability
                 .last_checkpoint_age
@@ -1586,8 +1542,8 @@ impl Engine {
     /// candidate costs, winners, and margins — or `None` for an empty
     /// dataset.
     pub fn plan_report(&self) -> Option<dod_partition::PlanReport> {
-        let resident = read_recover(&self.shared.resident).clone();
-        resident.plan.as_ref().map(|p| p.mt.report.clone())
+        let st = read_recover(&self.shared.state);
+        st.plan.as_ref().map(|p| p.mt.report.clone())
     }
 
     /// Runs a request to completion on the calling thread and returns the
@@ -1598,13 +1554,13 @@ impl Engine {
     /// in-flight gauge, the request span, and the flight dump on error.
     /// Any number of threads may call `execute` on one engine at once:
     /// scores and detects run side by side on the read side of the
-    /// ingest gate, and a mutation waits for its write side. Nothing
+    /// state lock, and a mutation waits for its write side. Nothing
     /// queues or rejects a request; the callers' threads bound the
     /// concurrency.
     pub fn execute(&self, req: Request) -> Result<Response, EngineError> {
         let (op, items) = match &req {
             Request::Score { points } => ("score", points.len()),
-            Request::Detect => ("detect", lock_recover(&self.shared.dataset).alive_len),
+            Request::Detect => ("detect", self.shared.gauges.points.load(Ordering::Relaxed)),
             Request::Insert { points } => ("insert", points.len()),
             Request::Remove { ids } => ("remove", ids.len()),
             Request::Window { .. } => ("window", 0),
@@ -1631,8 +1587,8 @@ impl Engine {
     /// predicted per-partition distribution and the observed one (core
     /// counts plus scored query traffic). 0.0 for an empty dataset.
     pub fn drift(&self) -> f64 {
-        let resident = Arc::clone(&read_recover(&self.shared.resident));
-        let Some(plan) = &resident.plan else {
+        let st = read_recover(&self.shared.state);
+        let Some(plan) = &st.plan else {
             return 0.0;
         };
         let observed = lock_recover(&self.shared.observed);
@@ -1644,39 +1600,14 @@ impl Engine {
 
     /// Rebuilds the plan unconditionally: re-samples with a reseeded
     /// configuration (base seed + new epoch), re-plans, re-materializes
-    /// every partition's detector state, and atomically swaps the new
-    /// epoch in. In-flight requests finish against the epoch they
-    /// started on. Returns the new epoch.
+    /// every partition's detector state, and installs the new epoch.
+    /// Requests wait for it at the state lock. Returns the new epoch.
     ///
     /// # Errors
     /// Returns [`EngineError::Pipeline`] if re-planning fails; the
     /// previous resident state stays live in that case.
     pub fn refresh_plan(&self) -> Result<u64, EngineError> {
-        // Exclude in-flight mutation requests (which apply dataset changes
-        // and state splices non-atomically) before swapping the epoch.
-        let _gate = write_recover(&self.shared.ingest);
-        self.shared.refresh_inner(None)
-    }
-
-    /// Probes drift and rebuilds the plan iff it exceeds the engine's
-    /// drift threshold. Returns the new epoch when a refresh ran.
-    pub fn refresh_if_drifted(&self) -> Result<Option<u64>, EngineError> {
-        let drift = self.drift();
-        let refresh = drift > self.drift_threshold;
-        self.shared.obs.mark(
-            names::ENGINE_DRIFT,
-            &[
-                ("drift", Value::from(drift)),
-                ("threshold", Value::from(self.drift_threshold)),
-                ("refreshed", Value::from(u64::from(refresh))),
-            ],
-        );
-        if refresh {
-            let _gate = write_recover(&self.shared.ingest);
-            self.shared.refresh_inner(Some(drift)).map(Some)
-        } else {
-            Ok(None)
-        }
+        self.shared.mutate(None, |st| self.shared.refresh_inner(st))
     }
 
     /// Numbers a request, starts its deadline clock, runs `f` on the
@@ -1692,7 +1623,7 @@ impl Engine {
         let rid = shared.requests.fetch_add(1, Ordering::AcqRel) + 1;
         let deadline_at = self.default_deadline.map(|d| Instant::now() + d);
         let obs = &shared.obs;
-        let epoch = read_recover(&shared.resident).epoch;
+        let epoch = shared.gauges.epoch.load(Ordering::Relaxed);
         let t0 = Instant::now();
         let result = {
             // Contain a panicking request to this request: it resolves
@@ -1843,8 +1774,8 @@ mod tests {
     type Layout = Vec<(&'static str, Vec<PointId>, Vec<PointId>, Vec<u64>, Vec<u64>)>;
 
     fn layout(engine: &Engine) -> Layout {
-        let resident = Arc::clone(&read_recover(&engine.shared.resident));
-        let Some(plan) = &resident.plan else {
+        let st = read_recover(&engine.shared.state);
+        let Some(plan) = &st.plan else {
             return Vec::new();
         };
         let bits = |set: &PointSet| set.as_flat().iter().map(|c| c.to_bits()).collect();
@@ -1852,7 +1783,6 @@ mod tests {
             .iter()
             .zip(&plan.mt.algorithms)
             .map(|(state, algorithm)| {
-                let state = read_recover(state);
                 let partition = state.partition();
                 (
                     algorithm.name(),

@@ -26,12 +26,11 @@
 //! * [`Request::Window`] bounds the resident dataset as a sliding
 //!   window by count and/or age ([`WindowConfig`]), expiring the oldest
 //!   points automatically at each mutation op;
-//! * [`Engine::refresh_plan`] re-samples and re-plans (a new *epoch*)
-//!   when [`Engine::drift`] — the total-variation distance between the
+//! * [`Engine::drift`] probes the total-variation distance between the
 //!   plan's predicted per-partition distribution and the observed one
-//!   (query traffic plus mutation churn) — exceeds a threshold
-//!   ([`Engine::refresh_if_drifted`]); mutation ops trigger the same
-//!   swap once churn crosses the staleness threshold
+//!   (query traffic plus mutation churn), and [`Engine::refresh_plan`]
+//!   re-samples and re-plans (a new *epoch*) on demand; mutation ops
+//!   trigger the same swap once churn crosses the staleness threshold
 //!   ([`EngineBuilder::staleness_threshold`]).
 //!
 //! A request runs on the thread that calls [`Engine::execute`]; the
@@ -43,8 +42,10 @@
 //! length of the call, with the same answer on any count.
 //! An engine-wide deadline ([`EngineBuilder::default_deadline`]) bounds
 //! each request ([`EngineError::DeadlineExceeded`]). Mutations
-//! interleave safely with in-flight scoring: a reader–writer gate
-//! serializes them, so a score never observes a half-applied insert.
+//! interleave safely with in-flight scoring: the dataset and the plan sit
+//! behind one reader–writer lock, which scores and detects share and a
+//! mutation or a refresh holds alone, so a score never observes a
+//! half-applied insert.
 //!
 //! The engine is hardened against misbehaving requests: a panicking
 //! request fails alone ([`EngineError::TaskPanicked`]) and the calling
@@ -109,8 +110,8 @@ mod error;
 pub use audit::{AlgorithmAudit, CostAudit, GROSS_MISPREDICT_FACTOR, GROSS_MISPREDICT_MIN_WORK};
 pub use engine::{
     Engine, EngineBuilder, EngineHealth, InsertReceipt, Pending, RemoveReceipt, Request, RequestId,
-    Response, ScorePoint, WindowConfig, WindowStatus, DEFAULT_DRIFT_THRESHOLD,
-    DEFAULT_STALENESS_THRESHOLD, FAN_OUT_MIN_QUERIES, PARTITION_WORK_TOP_K,
+    Response, ScorePoint, WindowConfig, WindowStatus, DEFAULT_STALENESS_THRESHOLD,
+    FAN_OUT_MIN_QUERIES, PARTITION_WORK_TOP_K,
 };
 pub use error::EngineError;
 
@@ -279,19 +280,14 @@ mod tests {
     #[test]
     fn skewed_query_traffic_raises_drift_and_triggers_refresh() {
         let (data, params) = cluster_with_outlier();
-        let engine = Engine::builder(runner(params))
-            .drift_threshold(0.3)
-            .build(&data)
-            .unwrap();
+        let engine = Engine::builder(runner(params)).build(&data).unwrap();
         assert!(engine.drift() < 0.3, "fresh plan should not be drifted");
-        assert_eq!(engine.refresh_if_drifted().unwrap(), None);
         // Hammer one corner of the domain with queries: the observed
         // distribution concentrates in one partition.
         let batch: Vec<Vec<f64>> = (0..2000).map(|_| vec![50.0, 50.0]).collect();
         score(&engine, batch);
         assert!(engine.drift() > 0.3, "drift = {}", engine.drift());
-        let refreshed = engine.refresh_if_drifted().unwrap();
-        assert_eq!(refreshed, Some(1));
+        assert_eq!(engine.refresh_plan().unwrap(), 1);
         // The refresh resets the observed distribution.
         assert!(engine.drift() < 0.3);
     }

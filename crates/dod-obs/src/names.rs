@@ -22,22 +22,18 @@ pub const ENGINE_DEADLINE_MISSES: &str = "engine.deadline_misses";
 /// (no rebuild) — the engine's cache hits.
 pub const ENGINE_CACHE_HITS: &str = "engine.cache_hits";
 
-/// Span: one full plan refresh (re-sample, re-plan, re-materialize).
-/// Labels: `epoch` (the new epoch), `drift` (the observed drift that
-/// triggered it, when drift-triggered).
+/// Span: one full plan refresh (re-sample, re-plan, re-materialize),
+/// whether asked for (`refresh`) or forced by a mutation (staleness, an
+/// out-of-domain insert). Labels: `epoch` (the new epoch).
 pub const ENGINE_REFRESH: &str = "engine.refresh";
 
 /// Span: one stage of a plan refresh; the five stages of an epoch swap
 /// add up to its [`ENGINE_REFRESH`] span. Labels: `epoch`, `stage` —
-/// `compact` (drop dead slots, copy the live dataset), `preprocess`
-/// (sample + plan), `route` (assign every point its core and support
-/// partitions), `build` (gather tiles, build detector states), `swap`
-/// (publish the epoch, free the old one).
+/// `compact` (drop the dataset's dead slots; the rebuild then reads the
+/// dataset in place), `preprocess` (sample + plan), `route` (assign every
+/// point its core and support partitions), `build` (gather tiles, build
+/// detector states), `swap` (install the epoch, free the old one).
 pub const ENGINE_REFRESH_STAGE: &str = "engine.refresh.stage";
-
-/// Mark: a drift probe. Labels: `drift` (total-variation distance in
-/// `[0, 1]`), `threshold`, `refreshed` (whether a refresh was triggered).
-pub const ENGINE_DRIFT: &str = "engine.drift";
 
 /// Counter: requests that panicked; the panic was contained to the
 /// request (`TaskPanicked`) and the calling thread carried on. Labels:
@@ -247,13 +243,12 @@ mod tests {
 
     /// The registry: every name above, once. A new constant is added
     /// here, where the checks below see it.
-    const ALL: [&str; 40] = [
+    const ALL: [&str; 39] = [
         ENGINE_REQUEST,
         ENGINE_DEADLINE_MISSES,
         ENGINE_CACHE_HITS,
         ENGINE_REFRESH,
         ENGINE_REFRESH_STAGE,
-        ENGINE_DRIFT,
         ENGINE_PANICS,
         ENGINE_PARTITION_WORK,
         ENGINE_FLIGHT_DUMP,

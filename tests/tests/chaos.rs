@@ -1,5 +1,5 @@
 //! Chaos suite: deterministic fault injection against the full pipeline
-//! and the resident engine, and the engine's ingest gate under
+//! and the resident engine, and the engine's state lock under
 //! concurrent callers.
 //!
 //! The oracle for every fault plan is the same: a faulty run must either
@@ -241,7 +241,11 @@ fn engine_survives_injected_panics_and_stays_exact() {
 /// counts no prefix has — and `i` never goes back within one reader. The
 /// second probe batch holds `FAN_OUT_MIN_QUERIES` points (the anchors
 /// first), so its scores fan out over the engine's two workers: helper
-/// threads read the partitions while inserts wait at the ingest gate.
+/// threads read the partitions while inserts wait at the state lock.
+/// Beside them, a gauge reader polls `Engine::health` and `Engine::epoch`,
+/// which take no lock: the resident count must always be the corpus plus
+/// a whole number of batches, a number that never goes back, and the
+/// epoch must never go back either.
 #[test]
 fn concurrent_scores_see_whole_insert_batches() {
     const READERS: usize = 3;
@@ -302,6 +306,10 @@ fn concurrent_scores_see_whole_insert_batches() {
                 .collect()
         })
         .collect();
+    // `[i]`: the resident count after the first `i` batches.
+    let resident: Vec<usize> = (0..=BATCHES)
+        .map(|i| corpus.len() + batches[..i].iter().map(Vec::len).sum::<usize>())
+        .collect();
     let runner = runner_for(
         Strat::DmtMultiTactic,
         config(params, recovery_cluster(None)),
@@ -358,6 +366,32 @@ fn concurrent_scores_see_whole_insert_batches() {
                     })
                 })
                 .collect();
+            // Stops at its first wrong reading: it polls in a tight loop.
+            let gauges = s.spawn(|| {
+                let (mut seen, mut epoch) = (0, 0);
+                loop {
+                    let done = applied.load(Ordering::Acquire) == BATCHES;
+                    let health = engine.health();
+                    match resident.iter().position(|&n| n == health.points) {
+                        Some(i) if i >= seen => seen = i,
+                        _ => return vec![format!("{} points after {seen} batches", health.points)],
+                    }
+                    for e in [health.epoch, engine.epoch()] {
+                        if e < epoch {
+                            return vec![format!("epoch {e} after epoch {epoch}")];
+                        }
+                        epoch = e;
+                    }
+                    if done {
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+                if seen != BATCHES {
+                    return vec![format!("{seen} batches in the gauges after the last")];
+                }
+                Vec::new()
+            });
             for (b, batch) in batches.iter().enumerate() {
                 rounds.wait();
                 let req = Request::Insert {
@@ -368,6 +402,7 @@ fn concurrent_scores_see_whole_insert_batches() {
             }
             readers
                 .into_iter()
+                .chain([gauges])
                 .flat_map(|r| r.join().unwrap())
                 .collect()
         });
