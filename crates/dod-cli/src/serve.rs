@@ -654,11 +654,11 @@ pub fn serve(args: &ServeArgs) -> Result<(), String> {
             max_age: args.window_age_ms.map(Duration::from_millis),
         });
     }
-    let engine = builder.build(&data).map_err(|e| e.to_string())?;
+    let (n, dim) = (data.len(), data.dim());
+    // The engine takes the set over; the CLI keeps no copy of its own.
+    let engine = builder.build(data).map_err(|e| e.to_string())?;
     eprintln!(
-        "serving {} points ({}-d) across {} partitions; one JSON request per line",
-        data.len(),
-        data.dim(),
+        "serving {n} points ({dim}-d) across {} partitions; one JSON request per line",
         engine.num_partitions()
     );
     let ctx = ServeContext {

@@ -196,6 +196,14 @@ impl PointSet {
     }
 }
 
+/// A copy of a borrowed set, for APIs that take `impl Into<PointSet>` so
+/// that an owner can hand its set over without one.
+impl From<&PointSet> for PointSet {
+    fn from(points: &PointSet) -> Self {
+        points.clone()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -300,9 +300,14 @@ struct DatasetState {
     next_id: PointId,
     /// The sliding-window bound currently in force.
     window: WindowConfig,
-    /// Insertion order with arrival times, oldest first, for window
-    /// expiry. May contain dead entries; they are skipped when popped.
+    /// Arrival times, run-length: one `(first id, instant)` per build or
+    /// insert request, oldest first, each run spanning the ids up to the
+    /// next run's first. Ids are minted in arrival order, so this is the
+    /// expiry order; a run is popped once expiry has passed all of it.
     arrivals: VecDeque<(PointId, Instant)>,
+    /// Slot of the oldest point expiry has not passed: every slot before
+    /// it is dead, so compaction resets it to 0.
+    oldest: usize,
     /// Live points at the last materialization — the staleness baseline.
     epoch_points: usize,
     /// Mutations (inserts + removes + expiries) since the last
@@ -311,33 +316,39 @@ struct DatasetState {
 }
 
 impl DatasetState {
-    fn new(data: &PointSet, window: WindowConfig, now: Instant) -> Self {
-        let n = data.len();
+    fn new(points: PointSet, window: WindowConfig, now: Instant) -> Self {
+        let n = points.len();
         DatasetState {
-            points: data.clone(),
+            points,
             ids: (0..n as PointId).collect(),
             alive: vec![true; n],
             alive_len: n,
             next_id: n as PointId,
             window,
-            arrivals: (0..n as PointId).map(|id| (id, now)).collect(),
+            arrivals: VecDeque::from([(0, now)]),
+            oldest: 0,
             epoch_points: n,
             churn: 0,
         }
     }
 
-    /// Appends a live point and mints its id. Caller validates the
-    /// dimension first.
-    fn insert(&mut self, p: &[f64], now: Instant) -> PointId {
-        self.points.push(p).expect("caller validated dimension");
-        let id = self.next_id;
-        self.next_id += 1;
-        self.ids.push(id);
-        self.alive.push(true);
-        self.alive_len += 1;
-        self.arrivals.push_back((id, now));
-        self.churn += 1;
-        id
+    /// Appends one request's points, all arrived at `now`, minting their
+    /// ids in order. Caller validates the dimensions first.
+    fn insert(&mut self, points: &[Vec<f64>], now: Instant) -> Vec<PointId> {
+        self.arrivals.push_back((self.next_id, now));
+        points
+            .iter()
+            .map(|p| {
+                self.points.push(p).expect("caller validated dimension");
+                let id = self.next_id;
+                self.next_id += 1;
+                self.ids.push(id);
+                self.alive.push(true);
+                self.alive_len += 1;
+                self.churn += 1;
+                id
+            })
+            .collect()
     }
 
     /// Marks `id` dead, returning its coordinates, or `None` if it is
@@ -357,16 +368,16 @@ impl DatasetState {
     /// returning them with their coordinates.
     fn expire(&mut self, now: Instant) -> Vec<(PointId, Vec<f64>)> {
         let mut evicted = Vec::new();
-        while let Some(&(id, arrived)) = self.arrivals.front() {
-            let slot = self
-                .ids
-                .binary_search(&id)
-                .expect("arrivals list only ids of this compaction era");
-            if !self.alive[slot] {
-                // Removed out of band; drop the stale arrival entry.
+        while let Some(slot) = self.alive[self.oldest..].iter().position(|&a| a) {
+            // Skip points removed out of band, then the runs expiry has
+            // passed.
+            let slot = self.oldest + slot;
+            self.oldest = slot;
+            let id = self.ids[slot];
+            while self.arrivals.get(1).is_some_and(|&(first, _)| first <= id) {
                 self.arrivals.pop_front();
-                continue;
             }
+            let arrived = self.arrivals[0].1;
             let over_count = self
                 .window
                 .max_points
@@ -378,7 +389,7 @@ impl DatasetState {
             if !(over_count || over_age) {
                 break;
             }
-            self.arrivals.pop_front();
+            self.oldest += 1;
             self.alive[slot] = false;
             self.alive_len -= 1;
             self.churn += 1;
@@ -403,11 +414,17 @@ impl DatasetState {
             self.points = points;
             self.ids = ids;
             self.alive = vec![true; self.alive_len];
-            // Arrivals are in id order too and list every live id, so
-            // the survivors are picked out by one merge against `ids`.
-            let mut live = self.ids.iter().peekable();
-            self.arrivals
-                .retain(|(id, _)| live.next_if_eq(&id).is_some());
+            self.oldest = 0;
+            // Drop the runs left with no live point, so the queue is
+            // bounded by the live points rather than by the requests.
+            let ends: Vec<PointId> = self.arrivals.iter().skip(1).map(|run| run.0).collect();
+            let mut ends = ends.into_iter().chain([self.next_id]);
+            let live = &self.ids;
+            self.arrivals.retain(|&(first, _)| {
+                let end = ends.next().expect("one end per run");
+                let at = live.partition_point(|&id| id < first);
+                live.get(at).is_some_and(|&id| id < end)
+            });
         }
         self.epoch_points = self.alive_len;
         self.churn = 0;
@@ -1042,7 +1059,7 @@ impl Shared {
             self.check_points(points)?;
             self.check_extent(st, points)?;
             let now = Instant::now();
-            let ids: Vec<PointId> = points.iter().map(|p| st.dataset.insert(p, now)).collect();
+            let ids = st.dataset.insert(points, now);
             let expired = st.dataset.expire(now);
             self.note_churn(rid, "insert", points.len(), expired.len());
             // Splicing p is exact iff p lies inside the plan's domain
@@ -1370,10 +1387,16 @@ impl EngineBuilder {
     /// Runs preprocessing once over `data` and materializes
     /// per-partition detector state.
     ///
+    /// The engine takes `data` as its dataset, the slots every later
+    /// insert appends to and every epoch is built from. Pass the
+    /// [`PointSet`] by value to hand it over without a copy, as `dod
+    /// serve` does with the set it reads; a `&PointSet` is cloned once,
+    /// for callers that keep their own.
+    ///
     /// # Errors
     /// Returns [`EngineError::Pipeline`] if preprocessing fails (e.g.
     /// dimensionally inconsistent input).
-    pub fn build(self, data: &PointSet) -> Result<Engine, EngineError> {
+    pub fn build(self, data: impl Into<PointSet>) -> Result<Engine, EngineError> {
         let user_obs = self.runner.config().obs.clone();
         // The flight recorder rides alongside whatever recorder the
         // configuration supplied: every engine event reaches both.
@@ -1389,9 +1412,10 @@ impl EngineBuilder {
             }
             None => user_obs,
         };
-        // The engine's one copy of the caller's points; the first epoch is
-        // built from it, as every later one is.
-        let dataset = DatasetState::new(data, self.window, Instant::now());
+        // The caller's points become the dataset; the first epoch is built
+        // from it, as every later one is.
+        let dataset = DatasetState::new(data.into(), self.window, Instant::now());
+        let dim = dataset.points.dim();
         let Materialized { plan, counts, .. } =
             Shared::materialize(&self.runner, &dataset.points, &dataset.ids, self.workers)?;
         let state = State {
@@ -1403,7 +1427,7 @@ impl EngineBuilder {
         gauges.publish(&state);
         let shared = Shared {
             runner: self.runner,
-            dim: data.dim(),
+            dim,
             state: RwLock::new(state),
             gauges,
             observed: Mutex::new(counts),
@@ -1901,6 +1925,41 @@ mod tests {
             let staged: u64 = stages.iter().map(|e| nanos(e)).sum();
             assert!(staged <= total, "stages {staged} ns of {total} ns");
         }
+    }
+
+    /// The arrival queue holds one run for the build and one per insert
+    /// request, whatever their sizes; a compaction drops the runs left
+    /// with no live point and keeps the rest.
+    #[test]
+    fn arrivals_hold_one_run_per_request() {
+        let memory = Arc::new(MemoryRecorder::new());
+        let engine = engine(&skewed(500), 1, &memory);
+        let runs = || {
+            let st = read_recover(&engine.shared.state);
+            st.dataset
+                .arrivals
+                .iter()
+                .map(|&(first, _)| first)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(runs(), [0]);
+        let insert = |n: usize| {
+            let points = (0..n)
+                .map(|i| vec![20.0 + 0.001 * i as f64, 21.0])
+                .collect();
+            engine.execute(Request::Insert { points }).unwrap();
+        };
+        insert(40);
+        insert(1);
+        insert(25);
+        assert_eq!(runs(), [0, 500, 540, 541]);
+        engine
+            .execute(Request::Remove {
+                ids: vec![540, 541, 560],
+            })
+            .unwrap();
+        engine.refresh_plan().unwrap();
+        assert_eq!(runs(), [0, 500, 541]);
     }
 
     #[test]

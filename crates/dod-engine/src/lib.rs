@@ -236,7 +236,7 @@ mod tests {
     fn empty_dataset_serves_trivial_answers() {
         let params = OutlierParams::new(1.0, 2).unwrap();
         let engine = Engine::builder(runner(params))
-            .build(&PointSet::new(2).unwrap())
+            .build(PointSet::new(2).unwrap())
             .unwrap();
         assert_eq!(engine.num_partitions(), 0);
         assert!(detect(&engine).is_empty());
@@ -249,7 +249,7 @@ mod tests {
     fn insert_into_empty_engine_materializes_a_plan() {
         let params = OutlierParams::new(1.0, 2).unwrap();
         let engine = Engine::builder(runner(params))
-            .build(&PointSet::new(2).unwrap())
+            .build(PointSet::new(2).unwrap())
             .unwrap();
         let receipt = insert(
             &engine,

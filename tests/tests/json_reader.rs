@@ -161,9 +161,10 @@ fn mutated_files_load_or_fail_typed() {
 }
 
 /// Every single-edit mutant of a small 3-d CSV reads as points that are
-/// all finite, or fails as a parse error (an I/O error for bytes that are
-/// not UTF-8); none panics. `1e308` is one bit from `1e309`, which parses
-/// to infinity, so the sweep reaches the finiteness check.
+/// all finite, or fails as a parse error; none panics. `1e308` is one
+/// bit from `1e309`, which parses to infinity, so the sweep reaches the
+/// finiteness check. A lone `0xff` byte anywhere is a parse error naming
+/// its line.
 #[test]
 fn mutated_csv_reads_finite_points_or_fails_typed() {
     let path = temp_root("csv").join("points.csv");
@@ -181,6 +182,17 @@ fn mutated_csv_reads_finite_points_or_fails_typed() {
         }
     }
     assert!(refused_non_finite > 0);
+    for at in 0..sample.len() {
+        let line = 1 + sample[..at].iter().filter(|&&b| b == b'\n').count();
+        fs::write(&path, [&sample[..at], &[0xff], &sample[at + 1..]].concat()).unwrap();
+        match dod_data::io::read_csv(&path) {
+            Err(CsvError::Parse { line: got, reason }) => {
+                assert_eq!(got, line, "0xff at byte {at}: {reason}");
+                assert!(reason.starts_with("not UTF-8"), "{reason}");
+            }
+            other => panic!("0xff at byte {at}: {other:?}"),
+        }
+    }
     let _ = fs::remove_dir_all(path.parent().unwrap());
 }
 

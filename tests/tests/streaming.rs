@@ -451,6 +451,116 @@ fn age_bounded_window_expires_old_points() {
     );
 }
 
+/// One scripted window history, for `params`: a 300-point build, two
+/// insert batches, out-of-band removes (three inside the build's run),
+/// a refresh that compacts, expiry by count, and then by age across
+/// every run. A per-id model predicts which ids each step evicts,
+/// oldest first; the engine's receipts must agree on the counts and its
+/// detect answer must equal a fresh build over the model's survivors.
+/// Returns the survivors' ids after each step.
+fn scripted_window_history(params: OutlierParams) -> Vec<Vec<u64>> {
+    let data = mixed_density(83, 300);
+    let engine = Engine::builder(runner_for(Strat::DmtMultiTactic, config(params)))
+        .build(&data)
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(83);
+    let mut survivors: Vec<(u64, Vec<f64>)> = (0..data.len())
+        .map(|i| (i as u64, data.point(i).to_vec()))
+        .collect();
+    let mut steps = Vec::new();
+    let mut check = |survivors: &[(u64, Vec<f64>)], step: &str| {
+        assert_eq!(
+            resident_outliers(&engine),
+            fresh_outliers(Strat::DmtMultiTactic, params, survivors),
+            "{step}"
+        );
+        steps.push(survivors.iter().map(|(id, _)| *id).collect());
+    };
+    let mut insert = |survivors: &mut Vec<(u64, Vec<f64>)>, n: usize| {
+        let points: Vec<Vec<f64>> = (0..n)
+            .map(|_| vec![rng.gen_range(20.0..44.0), rng.gen_range(10.0..34.0)])
+            .collect();
+        let receipt = engine
+            .execute(Request::Insert {
+                points: points.clone(),
+            })
+            .unwrap()
+            .into_insert()
+            .unwrap();
+        survivors.extend(receipt.ids.iter().copied().zip(points));
+        receipt.expired
+    };
+    let remove = |survivors: &mut Vec<(u64, Vec<f64>)>, ids: &[u64]| {
+        let receipt = engine
+            .execute(Request::Remove { ids: ids.to_vec() })
+            .unwrap()
+            .into_remove()
+            .unwrap();
+        assert_eq!(receipt.removed, ids.len());
+        survivors.retain(|(id, _)| !ids.contains(id));
+    };
+    let window = |max_points, max_age| {
+        engine
+            .execute(Request::Window {
+                config: Some(WindowConfig {
+                    max_points,
+                    max_age,
+                }),
+            })
+            .unwrap()
+            .into_window()
+            .unwrap()
+            .expired
+    };
+
+    assert_eq!(insert(&mut survivors, 20), 0);
+    assert_eq!(insert(&mut survivors, 30), 0);
+    check(&survivors, "two insert batches");
+    remove(&mut survivors, &[0, 2, 3, 150, 305]);
+    check(&survivors, "removes inside the oldest runs");
+    // A tick moves expiry's cursor past id 0 before the compaction
+    // renumbers the slots under it.
+    assert_eq!(window(None, None), 0);
+    engine.refresh_plan().unwrap();
+    check(&survivors, "refresh");
+
+    // Expiry by count passes the removed ids and stops inside the build's
+    // run; one more removal there, then an insert pushes out the next.
+    let cap = survivors.len() - 40;
+    assert_eq!(window(Some(cap), None), 40);
+    survivors.drain(..40);
+    check(&survivors, "expiry by count");
+    assert_eq!(survivors[0].0, 43, "ids 0, 2 and 3 were already gone");
+    remove(&mut survivors, &[44]);
+    assert_eq!(insert(&mut survivors, 12), 11);
+    survivors.drain(..11);
+    check(&survivors, "an insert under the count bound");
+
+    // Expiry by age: everything but the youngest batch outlives the
+    // bound, across the build's run and three insert runs.
+    assert_eq!(window(None, None), 0);
+    let age = Duration::from_millis(300);
+    std::thread::sleep(2 * age);
+    assert_eq!(insert(&mut survivors, 5), 0);
+    let young = survivors.split_off(survivors.len() - 5);
+    assert_eq!(window(None, Some(age)), survivors.len());
+    survivors = young;
+    check(&survivors, "expiry by age");
+    steps
+}
+
+/// Window expiry over the run-length arrival queue evicts exactly the
+/// ids a per-id model predicts, oldest first, through out-of-band
+/// removes and a compaction, and the answers stay exact. With `k` above
+/// the point count every resident point is an outlier, so the detect
+/// answer lists the survivors themselves.
+#[test]
+fn window_expiry_follows_arrival_order_through_compaction() {
+    let exact = scripted_window_history(OutlierParams::new(1.2, 4).unwrap());
+    let listed = scripted_window_history(OutlierParams::new(1.2, 10_000).unwrap());
+    assert_eq!(exact, listed);
+}
+
 /// Source audit: removal stays a lookup. The non-test portion of the
 /// resident state finds a point by its id map — no `.position(` over the
 /// id column, no coordinate compare over the support tile — and the
