@@ -81,7 +81,9 @@
 //!   dataset has dimension 2`); nothing was scored or inserted;
 //! - `extent`: an `insert` would widen the resident bounding box past
 //!   what `f64` can span; nothing was inserted;
-//! - `panic`, `pipeline`, `engine`;
+//! - `panic`, `pipeline`, `non_finite`: the engine's other error codes
+//!   ([`EngineError::code`], the `error` label of the request's span);
+//! - `engine`: `explain` found no resident plan;
 //! - `internal`: the engine answered a request with another op's
 //!   response kind, a server bug.
 //!
@@ -132,18 +134,10 @@ fn answer<T>(payload: Option<T>, op: &str) -> Result<T, ServeError> {
     })
 }
 
-/// Maps an engine error to its stable protocol code.
+/// An engine error under its stable code ([`EngineError::code`]).
 fn engine_error(e: EngineError) -> ServeError {
-    let code = match &e {
-        EngineError::DeadlineExceeded => "deadline",
-        EngineError::Dimension { .. } => "dimension",
-        EngineError::Extent => "extent",
-        EngineError::TaskPanicked { .. } => "panic",
-        EngineError::Pipeline(_) => "pipeline",
-        _ => "engine",
-    };
     ServeError {
-        code,
+        code: e.code(),
         msg: e.to_string(),
     }
 }
@@ -217,7 +211,7 @@ pub fn render_metrics(ctx: &ServeContext) -> String {
     );
     w.gauge(
         "dod_engine_requests",
-        "Requests submitted so far.",
+        "Requests run so far.",
         h.requests as f64,
     );
     w.gauge(
@@ -1028,7 +1022,8 @@ mod tests {
         assert!(writes[1] > 16 * 1024, "{writes:?}");
     }
 
-    /// A dimension mismatch surfaces the engine's typed error code.
+    /// A dimension mismatch surfaces the engine's typed error code, and
+    /// so does every other engine error.
     #[test]
     fn engine_errors_carry_their_code() {
         let responses = session("{\"op\": \"score\", \"points\": [[1.0, 2.0, 3.0]]}\n");
@@ -1038,6 +1033,25 @@ mod tests {
             "{}",
             responses[0]
         );
+        let errors = [
+            EngineError::DeadlineExceeded,
+            EngineError::Dimension {
+                index: 0,
+                expected: 2,
+                got: 1,
+            },
+            EngineError::NonFinite { index: 0 },
+            EngineError::Extent,
+            EngineError::TaskPanicked {
+                message: "boom".into(),
+            },
+            EngineError::Pipeline(dod::ConfigError::NoReducers.into()),
+        ];
+        for e in errors {
+            let code = format!("\"code\":\"{}\"", e.code());
+            let line = error_line(&engine_error(e));
+            assert!(line.contains(&code), "{line}");
+        }
     }
 
     /// Regression: non-finite f64s must serialize as `null`, never as

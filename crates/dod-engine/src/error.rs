@@ -44,6 +44,22 @@ pub enum EngineError {
     Pipeline(dod::Error),
 }
 
+impl EngineError {
+    /// The error's short stable code: the `error` label of a failed
+    /// request's span, the reason of the flight dump it triggers, and the
+    /// `code` of a `dod serve` error reply.
+    pub fn code(&self) -> &'static str {
+        match self {
+            EngineError::DeadlineExceeded => "deadline",
+            EngineError::Dimension { .. } => "dimension",
+            EngineError::NonFinite { .. } => "non_finite",
+            EngineError::Extent => "extent",
+            EngineError::TaskPanicked { .. } => "panic",
+            EngineError::Pipeline(_) => "pipeline",
+        }
+    }
+}
+
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -33,19 +33,20 @@
 //!   trigger the same swap once churn crosses the staleness threshold
 //!   ([`EngineBuilder::staleness_threshold`]).
 //!
-//! A request runs on the thread that calls [`Engine::execute`]; the
-//! engine is `Send + Sync`, so concurrency comes from the callers' own
-//! threads, and nothing inside the engine queues or rejects a request.
-//! The one exception is a large score: a batch of at least
-//! [`FAN_OUT_MIN_QUERIES`] points is split over
+//! A request runs on the thread that calls [`Engine::execute`], under the
+//! one lock [`Engine`] describes, and nothing inside the engine queues or
+//! rejects it. A large score is the one request that borrows threads: a
+//! batch of at least [`FAN_OUT_MIN_QUERIES`] points is split over
 //! [`EngineBuilder::workers`] threads (the caller's among them) for the
 //! length of the call, with the same answer on any count.
 //! An engine-wide deadline ([`EngineBuilder::default_deadline`]) bounds
-//! each request ([`EngineError::DeadlineExceeded`]). Mutations
-//! interleave safely with in-flight scoring: the dataset and the plan sit
-//! behind one reader–writer lock, which scores and detects share and a
-//! mutation or a refresh holds alone, so a score never observes a
-//! half-applied insert.
+//! each request ([`EngineError::DeadlineExceeded`]).
+//!
+//! Modules: `request` (the types a caller sends and gets back),
+//! `dataset` (ids, liveness, window, compaction), `score` (the read path
+//! over one plan), `epoch` (building a plan epoch, splicing a mutation into
+//! it) and `engine` (the lock and the request lifecycle); only `engine`
+//! takes the engine.
 //!
 //! The engine is hardened against misbehaving requests: a panicking
 //! request fails alone ([`EngineError::TaskPanicked`]) and the calling
@@ -104,16 +105,21 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 mod audit;
+mod dataset;
 mod engine;
+mod epoch;
 mod error;
+mod request;
+mod score;
 
 pub use audit::{AlgorithmAudit, CostAudit, GROSS_MISPREDICT_FACTOR, GROSS_MISPREDICT_MIN_WORK};
-pub use engine::{
-    Engine, EngineBuilder, EngineHealth, InsertReceipt, Pending, RemoveReceipt, Request, RequestId,
-    Response, ScorePoint, WindowConfig, WindowStatus, DEFAULT_STALENESS_THRESHOLD,
-    FAN_OUT_MIN_QUERIES, PARTITION_WORK_TOP_K,
-};
+pub use engine::{Engine, EngineBuilder, DEFAULT_STALENESS_THRESHOLD, PARTITION_WORK_TOP_K};
 pub use error::EngineError;
+pub use request::{
+    EngineHealth, InsertReceipt, Pending, RemoveReceipt, Request, RequestId, Response, ScorePoint,
+    WindowConfig, WindowStatus,
+};
+pub use score::FAN_OUT_MIN_QUERIES;
 
 // Concurrency comes from the callers' threads sharing one engine.
 const _: fn() = || {
@@ -446,15 +452,15 @@ mod tests {
     /// A `Write` sink whose contents the test can inspect after the
     /// engine dumps into it.
     #[derive(Clone, Default)]
-    struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+    struct CaptureBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
 
-    impl SharedBuf {
+    impl CaptureBuf {
         fn contents(&self) -> String {
             String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
         }
     }
 
-    impl std::io::Write for SharedBuf {
+    impl std::io::Write for CaptureBuf {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
             self.0.lock().unwrap().extend_from_slice(buf);
             Ok(buf.len())
@@ -470,7 +476,7 @@ mod tests {
     fn panic_dumps_flight_ring_with_offending_request() {
         use dod_obs::{names, EventKind};
         let (data, params) = cluster_with_outlier();
-        let sink = SharedBuf::default();
+        let sink = CaptureBuf::default();
         let engine = Engine::builder(runner(params))
             .flight_dump(Box::new(sink.clone()))
             .build(&data)
@@ -511,7 +517,7 @@ mod tests {
     fn deadline_overrun_dumps_flight_ring() {
         use dod_obs::names;
         let (data, params) = cluster_with_outlier();
-        let sink = SharedBuf::default();
+        let sink = CaptureBuf::default();
         let engine = Engine::builder(runner(params))
             .default_deadline(std::time::Duration::ZERO)
             .flight_dump(Box::new(sink.clone()))

@@ -104,9 +104,9 @@ mod tests {
 
     /// Shared byte sink so the test can inspect what was written.
     #[derive(Clone, Default)]
-    struct SharedBuf(Arc<StdMutex<Vec<u8>>>);
+    struct CaptureBuf(Arc<StdMutex<Vec<u8>>>);
 
-    impl Write for SharedBuf {
+    impl Write for CaptureBuf {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
             self.0.lock().unwrap().extend_from_slice(buf);
             Ok(buf.len())
@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn emits_one_escaped_json_object_per_line() {
-        let buf = SharedBuf::default();
+        let buf = CaptureBuf::default();
         let rec = JsonlRecorder::from_writer(Box::new(buf.clone()));
         rec.record(
             Event::new("a.b", EventKind::Span { nanos: 5 })
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn event_to_json_matches_recorder_output() {
         let event = Event::new("a.b", EventKind::Counter { delta: 9 }).with_label("p", 3u64);
-        let buf = SharedBuf::default();
+        let buf = CaptureBuf::default();
         let rec = JsonlRecorder::from_writer(Box::new(buf.clone()));
         rec.record(event.clone());
         rec.flush();

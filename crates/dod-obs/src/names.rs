@@ -18,10 +18,6 @@ pub const ENGINE_REQUEST: &str = "engine.request";
 /// `DeadlineExceeded`.
 pub const ENGINE_DEADLINE_MISSES: &str = "engine.deadline_misses";
 
-/// Counter: requests answered entirely from resident partition state
-/// (no rebuild) — the engine's cache hits.
-pub const ENGINE_CACHE_HITS: &str = "engine.cache_hits";
-
 /// Span: one full plan refresh (re-sample, re-plan, re-materialize),
 /// whether asked for (`refresh`) or forced by a mutation (staleness, an
 /// out-of-domain insert). Labels: `epoch` (the new epoch).
@@ -208,7 +204,6 @@ pub fn prom_help(event_name: &str) -> Option<&'static str> {
     Some(match event_name {
         n if n == ENGINE_REQUEST => "Engine request latency from start to completion.",
         n if n == ENGINE_DEADLINE_MISSES => "Requests that missed their deadline.",
-        n if n == ENGINE_CACHE_HITS => "Requests answered from resident partition state.",
         n if n == ENGINE_PANICS => "Requests whose job panicked (contained to the request).",
         n if n == ENGINE_PARTITION_WORK => {
             "Measured kernel work one request spent in one partition."
@@ -243,10 +238,9 @@ mod tests {
 
     /// The registry: every name above, once. A new constant is added
     /// here, where the checks below see it.
-    const ALL: [&str; 39] = [
+    const ALL: [&str; 38] = [
         ENGINE_REQUEST,
         ENGINE_DEADLINE_MISSES,
-        ENGINE_CACHE_HITS,
         ENGINE_REFRESH,
         ENGINE_REFRESH_STAGE,
         ENGINE_PANICS,
