@@ -24,13 +24,8 @@
 //! re-runs; a manifest or DLQ that fails to parse resets the whole
 //! store with a typed [`CheckpointError`] surfaced via
 //! [`CheckpointStore::resume_state`]. No parse failure panics, and no
-//! partial resume happens silently.
-//!
-//! Values are written with [`dod_obs::json`]'s primitives and read
-//! back through its one reader. Floats round-trip bit-exactly: Rust's
-//! shortest `Display` repr is re-parsed to the identical bits (rule 3
-//! of the reader's contract), which is what makes resumed runs
-//! byte-identical to uninterrupted ones.
+//! partial resume happens silently. Each file has one reader, which
+//! the store, `dod jobs` and the engine's health gauges all share.
 
 use std::fmt;
 use std::fs;
@@ -38,177 +33,20 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{Duration, SystemTime};
 
-use dod_obs::json::{self, Json};
+use dod_obs::json;
 use dod_obs::sync::lock_recover;
 use dod_obs::write_atomic;
 
 use crate::dlq::{DeadLetterQueue, DlqEntry};
+pub use crate::durable::Durable;
 
 /// Current on-disk format version for manifests and task records.
 const FORMAT_VERSION: u64 = 1;
 
-// ---------------------------------------------------------------------
-// Durable encoding
-// ---------------------------------------------------------------------
-
-/// A value that can round-trip through a checkpoint record.
-///
-/// `decode(encode(v)) == v` must hold bit-exactly — resumed runs are
-/// asserted byte-identical to uninterrupted ones, so lossy encodings
-/// (e.g. floats through a fixed number of digits) are not acceptable.
-pub trait Durable: Sized {
-    /// Appends the JSON encoding of `self`.
-    fn encode(&self, out: &mut String);
-    /// Decodes a parsed JSON value; `None` on any shape mismatch.
-    fn decode(v: &Json) -> Option<Self>;
-}
-
-impl Durable for u32 {
-    fn encode(&self, out: &mut String) {
-        out.push_str(&self.to_string());
-    }
-    fn decode(v: &Json) -> Option<Self> {
-        v.as_u64().and_then(|n| u32::try_from(n).ok())
-    }
-}
-
-impl Durable for u64 {
-    fn encode(&self, out: &mut String) {
-        out.push_str(&self.to_string());
-    }
-    fn decode(v: &Json) -> Option<Self> {
-        v.as_u64()
-    }
-}
-
-impl Durable for usize {
-    fn encode(&self, out: &mut String) {
-        out.push_str(&(*self as u64).to_string());
-    }
-    fn decode(v: &Json) -> Option<Self> {
-        v.as_usize()
-    }
-}
-
-impl Durable for bool {
-    fn encode(&self, out: &mut String) {
-        out.push_str(if *self { "true" } else { "false" });
-    }
-    fn decode(v: &Json) -> Option<Self> {
-        match v {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-impl Durable for Duration {
-    fn encode(&self, out: &mut String) {
-        out.push_str(&(self.as_nanos() as u64).to_string());
-    }
-    fn decode(v: &Json) -> Option<Self> {
-        v.as_u64().map(Duration::from_nanos)
-    }
-}
-
-impl Durable for f64 {
-    fn encode(&self, out: &mut String) {
-        if self.is_finite() {
-            // Shortest round-trip repr: re-parsing yields identical bits.
-            out.push_str(&format!("{self}"));
-        } else if self.is_nan() {
-            out.push_str("\"NaN\"");
-        } else if *self > 0.0 {
-            out.push_str("\"inf\"");
-        } else {
-            out.push_str("\"-inf\"");
-        }
-    }
-    fn decode(v: &Json) -> Option<Self> {
-        match v.as_str() {
-            None => v.as_f64(),
-            Some("NaN") => Some(f64::NAN),
-            Some("inf") => Some(f64::INFINITY),
-            Some("-inf") => Some(f64::NEG_INFINITY),
-            Some(_) => None,
-        }
-    }
-}
-
-impl Durable for String {
-    fn encode(&self, out: &mut String) {
-        json::push_str(out, self);
-    }
-    fn decode(v: &Json) -> Option<Self> {
-        v.as_str().map(str::to_string)
-    }
-}
-
-impl<T: Durable> Durable for Vec<T> {
-    fn encode(&self, out: &mut String) {
-        out.push('[');
-        for (i, item) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            item.encode(out);
-        }
-        out.push(']');
-    }
-    fn decode(v: &Json) -> Option<Self> {
-        v.as_arr()?.iter().map(T::decode).collect()
-    }
-}
-
-/// `None` is `null`; `Some(v)` is `v`'s encoding.
-impl<T: Durable> Durable for Option<T> {
-    fn encode(&self, out: &mut String) {
-        match self {
-            Some(v) => v.encode(out),
-            None => out.push_str("null"),
-        }
-    }
-    fn decode(v: &Json) -> Option<Self> {
-        match v {
-            Json::Null => Some(None),
-            v => T::decode(v).map(Some),
-        }
-    }
-}
-
-impl<A: Durable, B: Durable> Durable for (A, B) {
-    fn encode(&self, out: &mut String) {
-        out.push('[');
-        self.0.encode(out);
-        out.push(',');
-        self.1.encode(out);
-        out.push(']');
-    }
-    fn decode(v: &Json) -> Option<Self> {
-        match v.as_arr()? {
-            [a, b] => Some((A::decode(a)?, B::decode(b)?)),
-            _ => None,
-        }
-    }
-}
-
-impl<A: Durable, B: Durable, C: Durable> Durable for (A, B, C) {
-    fn encode(&self, out: &mut String) {
-        out.push('[');
-        self.0.encode(out);
-        out.push(',');
-        self.1.encode(out);
-        out.push(',');
-        self.2.encode(out);
-        out.push(']');
-    }
-    fn decode(v: &Json) -> Option<Self> {
-        match v.as_arr()? {
-            [a, b, c] => Some((A::decode(a)?, B::decode(b)?, C::decode(c)?)),
-            _ => None,
-        }
-    }
-}
+/// A job's manifest file, in its directory.
+const MANIFEST: &str = "manifest.json";
+/// A job's dead-letter queue file, in its directory.
+const DLQ: &str = "dlq.jsonl";
 
 /// FNV-1a over the little-endian bytes of a `u64` sequence; used for
 /// shuffle fingerprints (which map tasks fed the reduce stage) and plan
@@ -305,10 +143,9 @@ pub struct JobFingerprint {
 
 /// Durable per-job state: manifest, task records, dead-letter queue.
 ///
-/// The store is `Sync`; the job scheduler calls [`save_task`] from the
-/// committing worker under the scheduler lock, so records are persisted
-/// *before* a completion becomes visible — a crash immediately after a
-/// commit always finds the commit on disk.
+/// The store is `Sync`; the job's task pool calls [`save_task`] from the
+/// committing worker, before the completion becomes visible (see the
+/// crate docs).
 ///
 /// Write failures do not panic mid-stage: the first error is latched
 /// and surfaced at stage end via [`take_write_error`], turning the job
@@ -336,86 +173,35 @@ impl CheckpointStore {
         job_id: &str,
         fingerprint: &JobFingerprint,
     ) -> Result<CheckpointStore, CheckpointError> {
-        if job_id.is_empty()
-            || job_id
-                .chars()
-                .any(|c| !(c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.')))
-            || job_id.starts_with('.')
-        {
-            return Err(CheckpointError::Io {
-                path: job_id.to_string(),
-                detail: "job id must be non-empty [A-Za-z0-9._-] and not start with '.'"
-                    .to_string(),
-            });
-        }
+        check_job_id(job_id)?;
         let dir = root.join(job_id);
-        fs::create_dir_all(&dir).map_err(|e| CheckpointError::Io {
-            path: dir.display().to_string(),
-            detail: e.to_string(),
-        })?;
-        let manifest_path = dir.join("manifest.json");
-        let mut resume = match fs::read_to_string(&manifest_path) {
-            Ok(text) => match check_manifest(&text, job_id, fingerprint) {
-                Ok(()) => ResumeState::Resumable,
-                Err(e) => ResumeState::Reset(e),
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => ResumeState::Fresh,
-            // Non-UTF-8 bytes are corruption (a torn or scribbled-over
-            // file), not an environment failure: reset, don't error.
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                ResumeState::Reset(CheckpointError::Corrupt {
-                    path: manifest_path.display().to_string(),
-                    detail: e.to_string(),
-                })
+        fs::create_dir_all(&dir).map_err(|e| io_error(&dir, e))?;
+        // A matching manifest still needs a readable DLQ: a corrupt queue
+        // could silently resurrect or lose dead tasks. Corrupt or
+        // mismatched state resets the store; only a filesystem failure is
+        // an error.
+        let found = read_manifest(&dir).and_then(|manifest| match manifest {
+            None => Ok(None),
+            Some(manifest) => {
+                manifest.check(job_id, fingerprint)?;
+                read_dlq(&dir).map(Some)
             }
-            Err(e) => {
-                return Err(CheckpointError::Io {
-                    path: manifest_path.display().to_string(),
-                    detail: e.to_string(),
-                })
-            }
+        });
+        let (resume, dlq) = match found {
+            Ok(None) => (ResumeState::Fresh, DeadLetterQueue::default()),
+            Ok(Some(dlq)) => (ResumeState::Resumable, dlq),
+            Err(e @ CheckpointError::Io { .. }) => return Err(e),
+            Err(e) => (ResumeState::Reset(e), DeadLetterQueue::default()),
         };
-        // A resumable manifest still needs a readable DLQ; a corrupt
-        // queue could silently resurrect or lose dead tasks, so it
-        // resets the whole store.
-        let mut dlq = DeadLetterQueue::default();
-        if resume == ResumeState::Resumable {
-            let dlq_path = dir.join("dlq.jsonl");
-            match fs::read_to_string(&dlq_path) {
-                Ok(text) => match DeadLetterQueue::parse(&text) {
-                    Ok(q) => dlq = q,
-                    Err(detail) => {
-                        resume = ResumeState::Reset(CheckpointError::Corrupt {
-                            path: dlq_path.display().to_string(),
-                            detail,
-                        })
-                    }
-                },
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                    resume = ResumeState::Reset(CheckpointError::Corrupt {
-                        path: dlq_path.display().to_string(),
-                        detail: e.to_string(),
-                    })
-                }
-                Err(e) => {
-                    return Err(CheckpointError::Io {
-                        path: dlq_path.display().to_string(),
-                        detail: e.to_string(),
-                    })
-                }
-            }
-        }
         if resume != ResumeState::Resumable {
             // Fresh or reset: no prior record may survive (a stale task
             // file next to a fresh manifest would be a silent partial
             // resume), and the manifest is (re)written.
             wipe_dir(&dir)?;
+            let manifest_path = dir.join(MANIFEST);
             let manifest = render_manifest(job_id, fingerprint);
-            write_atomic(&manifest_path, manifest.as_bytes()).map_err(|e| CheckpointError::Io {
-                path: manifest_path.display().to_string(),
-                detail: e.to_string(),
-            })?;
+            write_atomic(&manifest_path, manifest.as_bytes())
+                .map_err(|e| io_error(&manifest_path, e))?;
         }
         Ok(CheckpointStore {
             dir,
@@ -451,15 +237,13 @@ impl CheckpointStore {
         }
         let path = self.task_path(stage, task);
         let text = fs::read_to_string(&path).ok()?;
-        match decode_task_record(&text, stage, task, shuffle_fp) {
-            Some(v) => Some(v),
-            None => {
-                // Corrupt or stale: drop it so the slot is re-run and
-                // re-persisted cleanly.
-                let _ = fs::remove_file(&path);
-                None
-            }
+        let record = decode_task_record(&text, stage, task, shuffle_fp);
+        if record.is_none() {
+            // Corrupt or stale: drop it so the slot is re-run and
+            // re-persisted cleanly.
+            let _ = fs::remove_file(&path);
         }
+        record
     }
 
     /// Persists a completed task record atomically.
@@ -520,7 +304,7 @@ impl CheckpointStore {
     }
 
     fn persist_dlq(&self, q: &DeadLetterQueue) {
-        let path = self.dir.join("dlq.jsonl");
+        let path = self.dir.join(DLQ);
         if let Err(e) = write_atomic(&path, q.render().as_bytes()) {
             self.latch_write_error(&path, &e);
         }
@@ -551,16 +335,82 @@ fn render_manifest(job_id: &str, fp: &JobFingerprint) -> String {
     out
 }
 
-fn check_manifest(text: &str, job_id: &str, fp: &JobFingerprint) -> Result<(), CheckpointError> {
+/// Refuses a job id that could name a path outside the checkpoint root.
+fn check_job_id(job_id: &str) -> Result<(), CheckpointError> {
+    if job_id.is_empty()
+        || job_id.starts_with('.')
+        || job_id
+            .chars()
+            .any(|c| !(c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.')))
+    {
+        return Err(CheckpointError::Io {
+            path: job_id.to_string(),
+            detail: "job id must be non-empty [A-Za-z0-9._-] and not start with '.'".to_string(),
+        });
+    }
+    Ok(())
+}
+
+fn io_error(path: &Path, e: impl fmt::Display) -> CheckpointError {
+    CheckpointError::Io {
+        path: path.display().to_string(),
+        detail: e.to_string(),
+    }
+}
+
+/// Reads one checkpoint file; `None` when it does not exist. Non-UTF-8
+/// bytes are corruption (a torn or scribbled-over file), not an
+/// environment failure.
+fn read_file(path: &Path) -> Result<Option<String>, CheckpointError> {
+    match fs::read_to_string(path) {
+        Ok(text) => Ok(Some(text)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => Err(CheckpointError::Corrupt {
+            path: path.display().to_string(),
+            detail: e.to_string(),
+        }),
+        Err(e) => Err(io_error(path, e)),
+    }
+}
+
+/// A job's dead-letter queue; a missing `dlq.jsonl` is an empty queue.
+fn read_dlq(dir: &Path) -> Result<DeadLetterQueue, CheckpointError> {
+    let path = dir.join(DLQ);
+    let Some(text) = read_file(&path)? else {
+        return Ok(DeadLetterQueue::default());
+    };
+    DeadLetterQueue::parse(&text).map_err(|detail| CheckpointError::Corrupt {
+        path: path.display().to_string(),
+        detail,
+    })
+}
+
+/// What a job's `manifest.json` records.
+struct Manifest {
+    job_id: String,
+    map_tasks: usize,
+    reducers: usize,
+    tag: String,
+}
+
+/// A job's manifest; `None` when it has none. A manifest of another
+/// format version is a [`CheckpointError::Mismatch`] on `v`: a run
+/// would wipe it.
+fn read_manifest(dir: &Path) -> Result<Option<Manifest>, CheckpointError> {
+    let path = dir.join(MANIFEST);
+    let Some(text) = read_file(&path)? else {
+        return Ok(None);
+    };
     let corrupt = |detail: String| CheckpointError::Corrupt {
-        path: "manifest.json".to_string(),
+        path: path.display().to_string(),
         detail,
     };
-    let doc = json::parse(text).map_err(|e| corrupt(e.to_string()))?;
+    let doc = json::parse(&text).map_err(|e| corrupt(e.to_string()))?;
     let field = |name: &'static str| {
         doc.get(name)
             .ok_or_else(|| corrupt(format!("missing field {name:?}")))
     };
+    let wrong_type = |name: &str| corrupt(format!("field {name:?} has wrong type"));
     let version = field("v")?
         .as_u64()
         .ok_or_else(|| corrupt("field \"v\" is not an integer".to_string()))?;
@@ -570,38 +420,46 @@ fn check_manifest(text: &str, job_id: &str, fp: &JobFingerprint) -> Result<(), C
             detail: format!("expected {FORMAT_VERSION}, found {version}"),
         });
     }
-    let checks: [(&'static str, String, Option<String>); 4] = [
-        (
-            "job_id",
-            job_id.to_string(),
-            field("job_id")?.as_str().map(str::to_string),
-        ),
-        (
-            "map_tasks",
-            fp.map_tasks.to_string(),
-            field("map_tasks")?.as_u64().map(|v| v.to_string()),
-        ),
-        (
-            "reducers",
-            fp.reducers.to_string(),
-            field("reducers")?.as_u64().map(|v| v.to_string()),
-        ),
-        (
-            "tag",
-            fp.tag.clone(),
-            field("tag")?.as_str().map(str::to_string),
-        ),
-    ];
-    for (name, expected, found) in checks {
-        let found = found.ok_or_else(|| corrupt(format!("field {name:?} has wrong type")))?;
-        if found != expected {
-            return Err(CheckpointError::Mismatch {
-                field: name,
-                detail: format!("expected {expected:?}, found {found:?}"),
-            });
+    let text_field = |name| {
+        let text = field(name)?.as_str().map(str::to_string);
+        text.ok_or_else(|| wrong_type(name))
+    };
+    let count_field = |name| field(name)?.as_usize().ok_or_else(|| wrong_type(name));
+    Ok(Some(Manifest {
+        job_id: text_field("job_id")?,
+        map_tasks: count_field("map_tasks")?,
+        reducers: count_field("reducers")?,
+        tag: text_field("tag")?,
+    }))
+}
+
+impl Manifest {
+    /// The first field on which this manifest describes a different job.
+    fn check(&self, job_id: &str, fp: &JobFingerprint) -> Result<(), CheckpointError> {
+        let checks = [
+            ("job_id", job_id.to_string(), self.job_id.clone()),
+            (
+                "map_tasks",
+                fp.map_tasks.to_string(),
+                self.map_tasks.to_string(),
+            ),
+            (
+                "reducers",
+                fp.reducers.to_string(),
+                self.reducers.to_string(),
+            ),
+            ("tag", fp.tag.clone(), self.tag.clone()),
+        ];
+        for (field, expected, found) in checks {
+            if found != expected {
+                return Err(CheckpointError::Mismatch {
+                    field,
+                    detail: format!("expected {expected:?}, found {found:?}"),
+                });
+            }
         }
+        Ok(())
     }
-    Ok(())
 }
 
 fn decode_task_record<T: Durable>(
@@ -624,17 +482,11 @@ fn decode_task_record<T: Durable>(
 }
 
 fn wipe_dir(dir: &Path) -> Result<(), CheckpointError> {
-    let entries = fs::read_dir(dir).map_err(|e| CheckpointError::Io {
-        path: dir.display().to_string(),
-        detail: e.to_string(),
-    })?;
+    let entries = fs::read_dir(dir).map_err(|e| io_error(dir, e))?;
     for entry in entries.flatten() {
         let path = entry.path();
         if path.is_file() {
-            fs::remove_file(&path).map_err(|e| CheckpointError::Io {
-                path: path.display().to_string(),
-                detail: e.to_string(),
-            })?;
+            fs::remove_file(&path).map_err(|e| io_error(&path, e))?;
         }
     }
     Ok(())
@@ -669,47 +521,11 @@ pub struct JobSummary {
 /// Summarizes one job directory. Corrupt manifests and queues return
 /// the typed error instead of panicking.
 pub fn job_summary(root: &Path, job_id: &str) -> Result<JobSummary, CheckpointError> {
+    check_job_id(job_id)?;
     let dir = root.join(job_id);
-    let manifest_path = dir.join("manifest.json");
-    let text = fs::read_to_string(&manifest_path).map_err(|e| CheckpointError::Io {
-        path: manifest_path.display().to_string(),
-        detail: e.to_string(),
-    })?;
-    let corrupt = |detail: String| CheckpointError::Corrupt {
-        path: manifest_path.display().to_string(),
-        detail,
-    };
-    let doc = json::parse(&text).map_err(|e| corrupt(e.to_string()))?;
-    let map_tasks = doc
-        .get("map_tasks")
-        .and_then(Json::as_usize)
-        .ok_or_else(|| corrupt("missing map_tasks".to_string()))?;
-    let reducers = doc
-        .get("reducers")
-        .and_then(Json::as_usize)
-        .ok_or_else(|| corrupt("missing reducers".to_string()))?;
-    let tag = doc
-        .get("tag")
-        .and_then(Json::as_str)
-        .ok_or_else(|| corrupt("missing tag".to_string()))?
-        .to_string();
-    let dlq_path = dir.join("dlq.jsonl");
-    let dlq = match fs::read_to_string(&dlq_path) {
-        Ok(text) => DeadLetterQueue::parse(&text)
-            .map_err(|detail| CheckpointError::Corrupt {
-                path: dlq_path.display().to_string(),
-                detail,
-            })?
-            .entries()
-            .to_vec(),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => {
-            return Err(CheckpointError::Io {
-                path: dlq_path.display().to_string(),
-                detail: e.to_string(),
-            })
-        }
-    };
+    let manifest =
+        read_manifest(&dir)?.ok_or_else(|| io_error(&dir.join(MANIFEST), "no such file"))?;
+    let dlq = read_dlq(&dir)?.entries().to_vec();
     let mut map_done = 0;
     let mut reduce_done = 0;
     let mut newest: Option<SystemTime> = None;
@@ -730,9 +546,9 @@ pub fn job_summary(root: &Path, job_id: &str) -> Result<JobSummary, CheckpointEr
     let last_write_age = newest.and_then(|n| SystemTime::now().duration_since(n).ok());
     Ok(JobSummary {
         job_id: job_id.to_string(),
-        map_tasks,
-        reducers,
-        tag,
+        map_tasks: manifest.map_tasks,
+        reducers: manifest.reducers,
+        tag: manifest.tag,
         map_done,
         reduce_done,
         dlq,
@@ -744,17 +560,19 @@ pub fn job_summary(root: &Path, job_id: &str) -> Result<JobSummary, CheckpointEr
 /// not job directories. Corrupt jobs are skipped here (use
 /// [`job_summary`] directly to see the typed error).
 pub fn list_jobs(root: &Path) -> Result<Vec<JobSummary>, CheckpointError> {
-    let entries = fs::read_dir(root).map_err(|e| CheckpointError::Io {
-        path: root.display().to_string(),
-        detail: e.to_string(),
-    })?;
+    summaries(root, "")
+}
+
+/// The summaries of the readable jobs under `root` whose id starts with
+/// `prefix`, by job id; other jobs are not read.
+fn summaries(root: &Path, prefix: &str) -> Result<Vec<JobSummary>, CheckpointError> {
+    let entries = fs::read_dir(root).map_err(|e| io_error(root, e))?;
     let mut jobs = Vec::new();
     for entry in entries.flatten() {
-        if !entry.path().is_dir() {
+        let job_id = entry.file_name().to_string_lossy().to_string();
+        if !job_id.starts_with(prefix) || !entry.path().is_dir() {
             continue;
         }
-        let name = entry.file_name();
-        let job_id = name.to_string_lossy().to_string();
         if let Ok(summary) = job_summary(root, &job_id) {
             jobs.push(summary);
         }
@@ -766,27 +584,13 @@ pub fn list_jobs(root: &Path) -> Result<Vec<JobSummary>, CheckpointError> {
 /// Marks every DLQ entry of `job_id` for redrive. Returns how many
 /// entries were marked.
 pub fn mark_redrive(root: &Path, job_id: &str) -> Result<usize, CheckpointError> {
-    let dlq_path = root.join(job_id).join("dlq.jsonl");
-    let text = match fs::read_to_string(&dlq_path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => {
-            return Err(CheckpointError::Io {
-                path: dlq_path.display().to_string(),
-                detail: e.to_string(),
-            })
-        }
-    };
-    let mut q = DeadLetterQueue::parse(&text).map_err(|detail| CheckpointError::Corrupt {
-        path: dlq_path.display().to_string(),
-        detail,
-    })?;
+    check_job_id(job_id)?;
+    let dir = root.join(job_id);
+    let mut q = read_dlq(&dir)?;
     let marked = q.mark_redrive_all();
     if marked > 0 {
-        write_atomic(&dlq_path, q.render().as_bytes()).map_err(|e| CheckpointError::Io {
-            path: dlq_path.display().to_string(),
-            detail: e.to_string(),
-        })?;
+        let path = dir.join(DLQ);
+        write_atomic(&path, q.render().as_bytes()).map_err(|e| io_error(&path, e))?;
     }
     Ok(marked)
 }
@@ -805,27 +609,11 @@ pub struct DurabilityStats {
 /// Scans `root` for jobs whose id starts with `prefix` and folds their
 /// durable state into [`DurabilityStats`].
 pub fn durability_stats(root: &Path, prefix: &str) -> DurabilityStats {
-    let mut stats = DurabilityStats::default();
-    let Ok(entries) = fs::read_dir(root) else {
-        return stats;
-    };
-    let mut newest: Option<SystemTime> = None;
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let job_id = name.to_string_lossy();
-        if !job_id.starts_with(prefix) || !entry.path().is_dir() {
-            continue;
-        }
-        if let Ok(summary) = job_summary(root, &job_id) {
-            stats.dlq_depth += summary.dlq.len() as u64;
-            if let Some(age) = summary.last_write_age {
-                let when = SystemTime::now() - age;
-                newest = Some(newest.map_or(when, |n| n.max(when)));
-            }
-        }
+    let jobs = summaries(root, prefix).unwrap_or_default();
+    DurabilityStats {
+        dlq_depth: jobs.iter().map(|j| j.dlq.len() as u64).sum(),
+        last_checkpoint_age: jobs.iter().filter_map(|j| j.last_write_age).min(),
     }
-    stats.last_checkpoint_age = newest.and_then(|n| SystemTime::now().duration_since(n).ok());
-    stats
 }
 
 #[cfg(test)]
@@ -964,12 +752,47 @@ mod tests {
     #[test]
     fn rejects_path_traversal_job_ids() {
         let root = temp_root("traversal");
-        for bad in ["", "..", "a/b", "a\\b", ".hidden"] {
+        // A job beside the root that a traversing id would reach.
+        CheckpointStore::open(&root.join("outside"), "job-a", &fp()).unwrap();
+        let inside = root.join("inside");
+        fs::create_dir_all(&inside).unwrap();
+        for bad in ["", "..", "a/b", "a\\b", ".hidden", "../outside/job-a"] {
             assert!(
-                CheckpointStore::open(&root, bad, &fp()).is_err(),
+                CheckpointStore::open(&inside, bad, &fp()).is_err(),
                 "job id {bad:?} accepted"
             );
+            assert!(job_summary(&inside, bad).is_err(), "{bad:?} summarized");
+            assert!(mark_redrive(&inside, bad).is_err(), "{bad:?} redriven");
         }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn every_reader_of_a_file_agrees() {
+        let root = temp_root("readers");
+        CheckpointStore::open(&root, "job-a", &fp()).unwrap();
+        let dir = root.join("job-a");
+        // A queue that is not UTF-8 is corrupt to all three readers.
+        fs::write(dir.join("dlq.jsonl"), [0xff, b'\n']).unwrap();
+        let corrupt = |e: &CheckpointError| matches!(e, CheckpointError::Corrupt { .. });
+        assert!(corrupt(&job_summary(&root, "job-a").unwrap_err()));
+        assert!(corrupt(&mark_redrive(&root, "job-a").unwrap_err()));
+        let store = CheckpointStore::open(&root, "job-a", &fp()).unwrap();
+        assert!(matches!(store.resume_state(), ResumeState::Reset(e) if corrupt(e)));
+        // A manifest of another format version is one the next run
+        // wipes: `dod jobs` does not list it as a job.
+        let manifest = fs::read_to_string(dir.join("manifest.json")).unwrap();
+        fs::write(
+            dir.join("manifest.json"),
+            manifest.replace("\"v\":1", "\"v\":2"),
+        )
+        .unwrap();
+        let version =
+            |e: &CheckpointError| matches!(e, CheckpointError::Mismatch { field: "v", .. });
+        assert!(version(&job_summary(&root, "job-a").unwrap_err()));
+        assert!(list_jobs(&root).unwrap().is_empty());
+        let store = CheckpointStore::open(&root, "job-a", &fp()).unwrap();
+        assert!(matches!(store.resume_state(), ResumeState::Reset(e) if version(e)));
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -1,29 +1,33 @@
 //! A shared-nothing MapReduce substrate.
 //!
 //! The DOD paper evaluates on a 40-node Hadoop cluster; this crate is the
-//! laptop-scale substitute described in DESIGN.md §3. It provides:
+//! laptop-scale substitute described in DESIGN.md §3. Tasks execute on a
+//! host thread pool while per-task wall times are recorded, and the
+//! end-to-end stage times are the **makespan** of list-scheduling those
+//! durations onto the logical slots ([`metrics::makespan`]) — reproducing
+//! cluster-scale behaviour shape on one machine.
 //!
-//! * an HDFS-like [`BlockStore`] holding the input split into blocks with a
-//!   configurable replication factor,
-//! * [`Mapper`]/[`Reducer`] traits and one job entry point, [`run`], with
-//!   a real shuffle (partition → sort → group) in between; its
-//!   [`JobOptions`] attach telemetry, a map-side [`Combiner`] and a
-//!   [`CheckpointStore`],
-//! * a logical [`ClusterConfig`] (nodes × slots); tasks execute on a host
-//!   thread pool while per-task wall times are recorded, and the
-//!   end-to-end stage times are computed as the **makespan** of list-
-//!   scheduling those measured durations onto the logical slots
-//!   ([`metrics::makespan`]) — reproducing cluster-scale behaviour shape
-//!   on one machine,
-//! * fault-tolerant execution: a panicking task is retried up to
-//!   [`ClusterConfig::max_task_retries`] times with exponential backoff,
-//!   stragglers are speculatively re-executed (first successful attempt
-//!   wins), and repeatedly-failing nodes are blacklisted — Hadoop's
-//!   recovery tactics, all deterministic enough to chaos-test against a
-//!   seeded [`FaultPlan`] (see [`fault`]),
-//! * shuffle volume accounting via [`EstimateSize`], since minimizing
-//!   communication overhead is one of the paper's core claims for the
-//!   single-pass framework.
+//! # Modules
+//!
+//! * [`job`] — the [`Mapper`]/[`Reducer`] traits and [`run`]: map stage →
+//!   shuffle → reduce stage → metrics.
+//! * `pool` — the task pool a stage runs on: retries, speculation,
+//!   blacklisting.
+//! * `shuffle` — the map outputs into one sorted, grouped input per
+//!   reducer.
+//! * `durable` — the bit-exact [`Durable`] encoding of task records.
+//! * [`checkpoint`] — a job's durable state, one reader per file.
+//! * [`dlq`] — the dead-letter queue of exhausted tasks.
+//! * [`fault`] — the seeded [`FaultPlan`] recovery is chaos-tested on.
+//! * [`cluster`] — the logical [`ClusterConfig`] (nodes × slots).
+//! * [`blockstore`] — the HDFS-like input, [`BlockStore`].
+//! * [`metrics`] — [`JobMetrics`] and the makespan schedulers.
+//! * [`size`] — [`EstimateSize`], the shuffle's volume accounting.
+//!
+//! A durable job persists each fresh completion before the completion
+//! becomes visible: the pool writes the task record under its scheduler
+//! lock, before it publishes the result, so a crash right after a commit
+//! always finds the commit on disk.
 //!
 //! # Example: word count
 //!
@@ -73,9 +77,12 @@ pub mod blockstore;
 pub mod checkpoint;
 pub mod cluster;
 pub mod dlq;
+mod durable;
 pub mod fault;
 pub mod job;
 pub mod metrics;
+mod pool;
+mod shuffle;
 pub mod size;
 
 pub use blockstore::{BlockReadError, BlockStore};

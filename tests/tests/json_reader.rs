@@ -237,6 +237,7 @@ fn callers_define_no_json_parser() {
         source!("dod-cli/src/obs_cmd.rs"),
         source!("dod-cli/src/jobs_cmd.rs"),
         source!("mapreduce/src/checkpoint.rs"),
+        source!("mapreduce/src/durable.rs"),
         source!("mapreduce/src/dlq.rs"),
         source!("dod-obs/src/replay.rs"),
     ];
