@@ -73,12 +73,6 @@ impl ModeChoice {
             ModeChoice::MultiTacticOpt => "DMT*",
         }
     }
-
-    /// Whether the mode uses the full-scan Cell-Based (the variant whose
-    /// measured behaviour matches the paper's figures).
-    pub fn is_paper_variant(&self) -> bool {
-        matches!(self, ModeChoice::CellBased | ModeChoice::MultiTactic)
-    }
 }
 
 /// The experiment cluster: 8 logical nodes × 2 slots, 16 reducers, 64

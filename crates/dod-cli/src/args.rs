@@ -212,7 +212,7 @@ OBS OPTIONS:
 JOBS OPTIONS:
     --dir <path>            checkpoint store root (required)
 
-OPTIONS:
+OPTIONS (the run, serve and explain):
     --input <path>          input CSV (required)
     --r <float>             distance threshold (required, > 0)
     --k <int>               neighbor-count threshold (required, >= 1)
@@ -222,6 +222,11 @@ OPTIONS:
     --partitions <int>      target partition count                      [64]
     --metric <name>         euclidean | manhattan | chebyshev      [euclidean]
     --sample-rate <float>   preprocessing sampling rate                [0.005]
+    --help                  show this help
+
+RUN OPTIONS (the one-shot run only; serve also takes --trace,
+--checkpoint-dir and --job-name; any other is a usage error there, and
+every one is a usage error for explain, which runs no job):
     --output <path>         write outlier rows (id,coords...) as CSV
     --report                print the per-stage execution report
     --trace <path>          write structured events (spans, counters) as JSONL
@@ -239,7 +244,6 @@ OPTIONS:
     --interrupt-after <n>   abort after n fresh task completions (a
                             deterministic mid-stage kill, for exercising
                             checkpoint resume)
-    --help                  show this help
 ";
 
 /// Errors from argument parsing.
@@ -319,8 +323,11 @@ pub fn parse_command(args: &[String]) -> Result<Command, ArgError> {
             "--window-points must be at least 1".into(),
         ));
     }
+    // `--trace` records the engine's events; `--checkpoint-dir` and
+    // `--job-name` name the store the `dlq_depth` gauge reads.
+    let kept = ["--trace", "--checkpoint-dir", "--job-name"];
     Ok(Command::Serve(ServeArgs {
-        run: parse(&rest)?,
+        run: refuse_ignored("serve", parse(&rest)?, &kept)?,
         workers,
         deadline_ms,
         metrics_addr,
@@ -341,9 +348,34 @@ fn parse_explain(args: &[String]) -> Result<ExplainArgs, ArgError> {
         }
     }
     Ok(ExplainArgs {
-        run: parse(&rest)?,
+        run: refuse_ignored("explain", parse(&rest)?, &[])?,
         json,
     })
+}
+
+/// Refuses the run options set in `run` that `command` would accept and
+/// then ignore — every option only the one-shot run acts on in full,
+/// except `kept` — naming the first such flag in [`USAGE`] order.
+fn refuse_ignored(command: &str, run: Args, kept: &[&str]) -> Result<Args, ArgError> {
+    let set = [
+        ("--output", run.output.is_some()),
+        ("--report", run.report),
+        ("--trace", run.trace.is_some()),
+        ("--profile", run.profile),
+        ("--chaos-seed", run.chaos_seed.is_some()),
+        ("--checkpoint-dir", run.checkpoint_dir.is_some()),
+        ("--job-name", run.job_name.is_some()),
+        ("--interrupt-after", run.interrupt_after.is_some()),
+    ];
+    match set
+        .iter()
+        .find(|&&(flag, set)| set && !kept.contains(&flag))
+    {
+        Some((flag, _)) => Err(ArgError::Invalid(format!(
+            "{flag} does not apply to `dod {command}`"
+        ))),
+        None => Ok(run),
+    }
 }
 
 /// Parses the `jobs` subcommand: an action (`list` | `inspect <job>` |
@@ -1143,6 +1175,58 @@ mod tests {
             ])),
             Err(ArgError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn subcommands_refuse_the_run_flags_they_ignore() {
+        let base = ["--input", "x", "--r", "1", "--k", "2"];
+        // Each run-only flag, with a value when it takes one.
+        let run_only = [
+            ("--output", Some("out.csv")),
+            ("--report", None),
+            ("--trace", Some("t.jsonl")),
+            ("--profile", None),
+            ("--chaos-seed", Some("3")),
+            ("--checkpoint-dir", Some("ck")),
+            ("--job-name", Some("nightly")),
+            ("--interrupt-after", Some("3")),
+        ];
+        for (flag, value) in run_only {
+            for (sub, accepted) in [
+                (None, true),
+                (
+                    Some("serve"),
+                    matches!(flag, "--trace" | "--checkpoint-dir" | "--job-name"),
+                ),
+                (Some("explain"), false),
+            ] {
+                let mut args: Vec<&str> = sub.into_iter().collect();
+                args.extend(base);
+                args.push(flag);
+                args.extend(value);
+                if flag == "--job-name" {
+                    // Refused without a store to name, whatever the command.
+                    args.extend(["--checkpoint-dir", "ck"]);
+                }
+                let parsed = parse_command(&v(&args));
+                if accepted {
+                    assert!(parsed.is_ok(), "{sub:?} {flag}: {parsed:?}");
+                } else {
+                    let command = sub.unwrap_or_default();
+                    // The first refused flag is named: `--job-name`'s store
+                    // comes first in explain.
+                    let named = match (command, flag) {
+                        ("explain", "--job-name") => "--checkpoint-dir",
+                        _ => flag,
+                    };
+                    assert_eq!(
+                        parsed.unwrap_err(),
+                        ArgError::Invalid(format!("{named} does not apply to `dod {command}`")),
+                        "{sub:?} {flag}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -629,7 +629,9 @@ pub fn spawn_metrics_listener(
 pub fn serve(args: &ServeArgs) -> Result<(), String> {
     let data = dod_data::io::read_csv(std::path::Path::new(&args.run.input))
         .map_err(|e| format!("reading {}: {e}", args.run.input))?;
-    let (user_obs, _memory) = crate::build_obs(&args.run)?;
+    // `--profile` is refused at parse time, so there is no memory
+    // recorder to keep a copy of every event.
+    let (user_obs, _) = crate::build_obs(&args.run)?;
     // The metrics aggregator sees every event the user's sinks see.
     let metrics = Arc::new(MetricsRecorder::new());
     let mut sinks: Vec<Box<dyn Recorder>> = vec![Box::new(Arc::clone(&metrics))];

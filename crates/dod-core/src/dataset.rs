@@ -7,7 +7,6 @@
 //! across map/reduce boundaries.
 
 use crate::error::CoreError;
-use crate::point::Point;
 use crate::rect::Rect;
 use serde::{Deserialize, Serialize};
 
@@ -119,14 +118,6 @@ impl PointSet {
         let id = self.len() as PointId;
         self.coords.extend_from_slice(coords);
         Ok(id)
-    }
-
-    /// Appends an owned [`Point`].
-    ///
-    /// # Errors
-    /// Returns an error on dimensionality mismatch.
-    pub fn push_point(&mut self, p: &Point) -> Result<PointId, CoreError> {
-        self.push(p.coords())
     }
 
     /// Iterator over all coordinate slices, in id order.

@@ -4,8 +4,9 @@
 //! This crate implements Section II of the paper ("Preliminaries") plus the
 //! geometric machinery of Section III: d-dimensional points stored in a
 //! cache-friendly columnar [`PointSet`], hyper-rectangles ([`Rect`]),
-//! equi-width grid specifications ([`grid::GridSpec`]), and the
-//! supporting-area calculus (Definitions 3.2 and 3.3) in [`support`].
+//! and equi-width grid specifications ([`grid::GridSpec`]). The
+//! supporting-area routing of Definition 3.3 lives with the partition
+//! plans, in `dod-partition`'s `Router`.
 //!
 //! Everything downstream — the centralized detectors in `dod-detect`, the
 //! partition planners in `dod-partition`, and the distributed pipelines in
@@ -23,7 +24,6 @@ pub mod metric;
 pub mod params;
 pub mod point;
 pub mod rect;
-pub mod support;
 
 pub use dataset::{PointId, PointSet};
 pub use error::CoreError;

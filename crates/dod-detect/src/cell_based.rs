@@ -24,7 +24,7 @@
 //! and stays exact, so the detector is correct for every configuration.
 
 use crate::detector::{Detection, DetectionStats, Detector};
-use crate::partition::Partition;
+use crate::partition::{Partition, Side};
 use crate::scan::{count_tile_excluding, PermutedScan};
 use dod_core::{CellId, CellMap, GridSpec, OutlierParams, PointSet};
 use rand::rngs::StdRng;
@@ -41,12 +41,12 @@ use std::ops::Range;
 /// ([`CellBased::detect_with_index`]) and per-point neighbor counts for
 /// incoming query points ([`CellIndex::count_core_neighbors`]).
 ///
-/// Each side (core and support) is one `Tile`: an arena sorted by cell
-/// id at build, where every occupied cell owns one run of entries. A
-/// `Directory` maps a cell to its *entry number*, which indexes both
-/// sides' run tables. Because the build lays runs out in ascending cell
-/// id, the cells of one grid row sit back to back, and a box walk scans
-/// a whole row as one tile.
+/// Each [`Side`] is one `Tile`: an arena sorted by cell id at build,
+/// where every occupied cell owns one run of entries. A `Directory` maps
+/// a cell to its *entry number*, which indexes both sides' run tables.
+/// Because the build lays runs out in ascending cell id, the cells of
+/// one grid row sit back to back, and a box walk scans a whole row as
+/// one tile.
 #[derive(Debug, Clone)]
 pub struct CellIndex {
     grid: GridSpec,
@@ -55,8 +55,8 @@ pub struct CellIndex {
     /// tables. Ascending for the entries the build made; a cell first
     /// occupied by a splice appends its entry.
     cells: Vec<CellId>,
-    core: Tile,
-    support: Tile,
+    /// The core and the support tile, indexed by [`Side`].
+    tiles: [Tile; 2],
     build_ops: u64,
     /// Soundness guard of the inlier rule for this grid: every pair of
     /// points inside a `3^d` block of cells is within `r` — the metric
@@ -310,13 +310,12 @@ impl CellIndex {
         index.cells = index.directory.number(&cells);
         let (core_cells, support_cells) = cells.split_at(partition.core().len());
         let entries = index.cells.len();
-        index.core = Tile::sorted(&index.directory, entries, core_cells, partition.core());
-        index.support = Tile::sorted(
-            &index.directory,
-            entries,
-            support_cells,
-            partition.support(),
-        );
+        let tile =
+            |cells, side| Tile::sorted(&index.directory, entries, cells, partition.points(side));
+        index.tiles = [
+            tile(core_cells, Side::Core),
+            tile(support_cells, Side::Support),
+        ];
         index.build_ops = total as u64;
         Some(index)
     }
@@ -331,8 +330,7 @@ impl CellIndex {
             directory: Directory::for_grid(&grid, points),
             grid,
             cells: Vec::new(),
-            core: Tile::default(),
-            support: Tile::default(),
+            tiles: Default::default(),
             build_ops: 0,
             inlier_rule_valid,
         }
@@ -355,75 +353,50 @@ impl CellIndex {
             let e = self.cells.len();
             self.cells.push(cell);
             self.directory.insert(cell, e);
-            self.core.open_run();
-            self.support.open_run();
+            for tile in &mut self.tiles {
+                tile.open_run();
+            }
             e
         }))
     }
 
-    /// Adds a new core point (index `core_idx` in the partition's core
-    /// set) to its cell — the cell-count increment of an incremental
-    /// insert.
+    /// Adds point `slot` of `side` (its index in the partition's point
+    /// set of that side) to its cell — the cell-count increment of an
+    /// incremental insert.
     ///
     /// Returns `false` when `p` lies outside the grid's domain: the grid
     /// was sized over the bounding rectangle at build time, so a point
     /// beyond it has no cell and the caller must rebuild the index.
-    pub fn insert_core(&mut self, core_idx: u32, p: &[f64]) -> bool {
+    pub fn push(&mut self, side: Side, slot: u32, p: &[f64]) -> bool {
         let Some(e) = self.entry_for_insert(p) else {
             return false;
         };
-        self.core.push(e, core_idx, p);
+        self.tiles[side].push(e, slot, p);
         self.build_ops += 1;
         true
     }
 
-    /// Adds a new support point (index `support_idx` in the partition's
-    /// support set) to its cell. Same domain contract as
-    /// [`CellIndex::insert_core`].
-    pub fn insert_support(&mut self, support_idx: u32, p: &[f64]) -> bool {
-        let Some(e) = self.entry_for_insert(p) else {
-            return false;
-        };
-        self.support.push(e, support_idx, p);
-        self.build_ops += 1;
-        true
-    }
-
-    /// Removes core point `core_idx`, located by its coordinates `p`
-    /// (which must be the coordinates it was inserted with).
-    pub fn remove_core(&mut self, core_idx: u32, p: &[f64]) {
+    /// Removes point `slot` of `side`, located by the coordinates `p` it
+    /// was inserted with — the index side of [`Partition::swap_remove`].
+    /// `moved` is the slot and the coordinates of the point that the
+    /// partition's swap-remove moves into `slot` (none when `slot` was
+    /// the side's last); its entry is re-pointed at `slot`.
+    pub fn swap_remove(&mut self, side: Side, slot: u32, p: &[f64], moved: Option<(u32, &[f64])>) {
+        let tile = &mut self.tiles[side];
         if let Some(e) = self.directory.entry(self.grid.cell_of(p)) {
-            self.core.swap_remove(e, core_idx, p.len());
+            tile.swap_remove(e, slot, p.len());
         }
-    }
-
-    /// Removes support point `support_idx`, located by its coordinates.
-    pub fn remove_support(&mut self, support_idx: u32, p: &[f64]) {
-        if let Some(e) = self.directory.entry(self.grid.cell_of(p)) {
-            self.support.swap_remove(e, support_idx, p.len());
-        }
-    }
-
-    /// Rewrites the stored core index `from` to `to` (coordinates `p`
-    /// locate its cell) — the fix-up after a swap-remove moved the
-    /// partition's last core point into slot `to`.
-    pub fn renumber_core(&mut self, from: u32, to: u32, p: &[f64]) {
-        if let Some(e) = self.directory.entry(self.grid.cell_of(p)) {
-            self.core.renumber(e, from, to);
-        }
-    }
-
-    /// Rewrites the stored support index `from` to `to` (coordinates `p`
-    /// locate its cell).
-    pub fn renumber_support(&mut self, from: u32, to: u32, p: &[f64]) {
-        if let Some(e) = self.directory.entry(self.grid.cell_of(p)) {
-            self.support.renumber(e, from, to);
+        if let Some((from, mp)) = moved {
+            if let Some(e) = self.directory.entry(self.grid.cell_of(mp)) {
+                tile.renumber(e, from, slot);
+            }
         }
     }
 
     /// Resident core points in `cell`.
     fn core_in(&self, cell: CellId) -> usize {
-        self.directory.entry(cell).map_or(0, |e| self.core.len(e))
+        let core = &self.tiles[Side::Core];
+        self.directory.entry(cell).map_or(0, |e| core.len(e))
     }
 
     /// Counts the **core** points of `partition` within distance `r` of an
@@ -497,8 +470,9 @@ impl CellIndex {
         let pred = params.predicate();
         let mut count = 0usize;
         let mut work = 0u64;
+        let core = &self.tiles[Side::Core];
         let mut scan = |span: Range<usize>| {
-            let tile = self.core.coords_of(span, q.len());
+            let tile = core.coords_of(span, q.len());
             let outcome = pred.count_within_tile(q, tile, cap - count);
             count += outcome.found;
             work += outcome.scanned as u64;
@@ -509,7 +483,7 @@ impl CellIndex {
             |row| {
                 let mut span: Option<Range<usize>> = None;
                 for cell in row {
-                    let Some(live) = self.directory.entry(cell).map(|e| self.core.live(e)) else {
+                    let Some(live) = self.directory.entry(cell).map(|e| core.live(e)) else {
                         continue;
                     };
                     if live.is_empty() {
@@ -634,7 +608,7 @@ impl CellBased {
         }
         let dim = partition.dim();
         let grid = &index.grid;
-        let (core, support) = (&index.core, &index.support);
+        let [core, support] = &index.tiles;
         let mut stats = DetectionStats {
             index_operations: index.build_ops,
             ..Default::default()
@@ -807,8 +781,9 @@ pub(crate) mod tests {
                 .push(&[rng.gen_range(0.0..extent), rng.gen_range(0.0..extent)])
                 .unwrap();
         }
-        let ids = (0..n_core as u64).collect();
-        Partition::new(core, ids, support).unwrap()
+        let ids = (0..(n_core + n_support) as u64).collect::<Vec<_>>();
+        let (core_ids, support_ids) = ids.split_at(n_core);
+        Partition::new(core, core_ids.to_vec(), support, support_ids.to_vec()).unwrap()
     }
 
     #[test]
@@ -861,7 +836,7 @@ pub(crate) mod tests {
         // A core point rescued only by support points in an adjacent cell.
         let core = PointSet::from_xy(&[(0.0, 0.0)]);
         let support = PointSet::from_xy(&[(0.9, 0.0), (0.0, 0.9), (0.5, 0.5)]);
-        let p = Partition::new(core, vec![0], support).unwrap();
+        let p = Partition::new(core, vec![0], support, vec![1, 2, 3]).unwrap();
         let det = CellBased::default().detect(&p, params(1.0, 3));
         assert!(det.outliers.is_empty());
     }
@@ -870,7 +845,7 @@ pub(crate) mod tests {
     fn isolated_support_point_not_reported() {
         let core = PointSet::from_xy(&[(0.0, 0.0), (0.1, 0.0)]);
         let support = PointSet::from_xy(&[(500.0, 500.0)]);
-        let p = Partition::new(core, vec![0, 1], support).unwrap();
+        let p = Partition::new(core, vec![0, 1], support, vec![2]).unwrap();
         let det = CellBased::default().detect(&p, params(1.0, 1));
         assert!(det.outliers.is_empty());
     }
@@ -966,8 +941,10 @@ pub(crate) mod tests {
             .map(|_| (rng.gen_range(0.0..0.3), rng.gen_range(0.0..0.3)))
             .collect();
         pts.push((10.0, 10.0));
-        let ids = (0..pts.len() as u64).collect();
-        Partition::new(PointSet::from_xy(&pts), ids, PointSet::from_xy(support)).unwrap()
+        let n = pts.len() as u64;
+        let support_ids = (n..n + support.len() as u64).collect();
+        let (core, support) = (PointSet::from_xy(&pts), PointSet::from_xy(support));
+        Partition::new(core, (0..n).collect(), support, support_ids).unwrap()
     }
 
     #[test]
@@ -1025,7 +1002,9 @@ pub(crate) mod tests {
         // ring: the rule may count the two, never the copies.
         let support: Vec<(f64, f64)> = (0..40).map(|i| (5.0 + 0.001 * i as f64, 5.0)).collect();
         let core = PointSet::from_xy(&[(5.4, 5.0), (5.0, 5.4), (0.0, 0.0), (10.0, 10.0)]);
-        let part = Partition::new(core, vec![0, 1, 2, 3], PointSet::from_xy(&support)).unwrap();
+        let support_ids = (4..44).collect();
+        let support = PointSet::from_xy(&support);
+        let part = Partition::new(core, vec![0, 1, 2, 3], support, support_ids).unwrap();
         let prm = params(1.0, 4);
         let index = CellIndex::build(&part, prm, CellBased::DEFAULT_MAX_CELLS_PER_DIM).unwrap();
         assert!(index.inlier_rule_valid);
@@ -1033,7 +1012,8 @@ pub(crate) mod tests {
             .directory
             .entry(index.grid.cell_of(&[5.02, 5.0]))
             .unwrap();
-        assert!(index.core.len(own) == 0 && index.support.len(own) == 40);
+        let [core, support] = &index.tiles;
+        assert!(core.len(own) == 0 && support.len(own) == 40);
         let queries = [[5.02, 5.0], [5.3, 5.3]];
         rule_decided_probes_after_checking_exactness(&index, &part, prm, &queries);
         assert_eq!(
@@ -1061,8 +1041,8 @@ pub(crate) mod tests {
     #[test]
     fn incremental_mutations_match_fresh_build() {
         // Build an index over a prefix, splice the remaining points in
-        // via insert_core/insert_support, remove a few (with renumber
-        // fix-ups mirroring Partition::swap_remove_core), and check the
+        // via push, remove a few via swap_remove (mirroring
+        // Partition::swap_remove), and check the
         // detection and count answers against a fresh build of the same
         // surviving partition — over a dense directory, and over a keyed
         // one that two far corners stretch the grid into.
@@ -1070,13 +1050,14 @@ pub(crate) mod tests {
         for (corners, kind) in [(None, "dense"), (Some(150.0), "keyed")] {
             let mut full = random_partition(7, 60, 20, 8.0);
             if let Some(far) = corners {
-                full.push_core(&[-far, -far], 60).unwrap();
-                full.push_core(&[far, far], 61).unwrap();
+                full.push(Side::Core, &[-far, -far], 100).unwrap();
+                full.push(Side::Core, &[far, far], 101).unwrap();
             }
             let mut part = Partition::new(
                 full.core().gather(&(0..40u64).collect::<Vec<_>>()),
                 (0..40u64).collect(),
                 full.support().gather(&(0..10u64).collect::<Vec<_>>()),
+                (60..70u64).collect(),
             )
             .unwrap();
             // Grid over the full bounding rect so incremental inserts stay
@@ -1091,45 +1072,31 @@ pub(crate) mod tests {
             )
             .unwrap();
             let mut index = CellIndex::empty(grid, prm, full.total_len());
-            for i in 0..part.core().len() {
-                assert!(index.insert_core(i as u32, part.core().point(i)));
-            }
-            for i in 0..part.support().len() {
-                assert!(index.insert_support(i as u32, part.support().point(i)));
-            }
-            for i in 40..full.core().len() {
-                let p: Vec<f64> = full.core().point(i).to_vec();
-                let ci = part.push_core(&p, i as u64).unwrap();
-                assert!(index.insert_core(ci as u32, &p));
-            }
-            for i in 10..20 {
-                let p: Vec<f64> = full.support().point(i).to_vec();
-                let si = part.push_support(&p).unwrap();
-                assert!(index.insert_support(si as u32, &p));
-            }
-            assert_directory(&index, kind, full.total_len());
-            // Remove some core and support points, fixing up the moved-last
-            // index exactly the way PartitionState does.
-            for &victim in &[3usize, 17, 44, 0] {
-                let p: Vec<f64> = part.core().point(victim).to_vec();
-                let last = part.core().len() - 1;
-                let moved: Option<Vec<f64>> =
-                    (victim < last).then(|| part.core().point(last).to_vec());
-                part.swap_remove_core(victim);
-                index.remove_core(victim as u32, &p);
-                if let Some(mp) = moved {
-                    index.renumber_core(last as u32, victim as u32, &mp);
+            for side in [Side::Core, Side::Support] {
+                for (i, p) in part.points(side).iter().enumerate() {
+                    assert!(index.push(side, i as u32, p));
                 }
             }
-            for &victim in &[5usize, 0] {
-                let p: Vec<f64> = part.support().point(victim).to_vec();
-                let last = part.support().len() - 1;
-                let moved: Option<Vec<f64>> =
-                    (victim < last).then(|| part.support().point(last).to_vec());
-                part.swap_remove_support(victim);
-                index.remove_support(victim as u32, &p);
-                if let Some(mp) = moved {
-                    index.renumber_support(last as u32, victim as u32, &mp);
+            for (side, from) in [(Side::Core, 40), (Side::Support, 10)] {
+                for i in from..full.points(side).len() {
+                    let p = full.points(side).point(i);
+                    let slot = part.push(side, p, full.ids(side)[i]).unwrap();
+                    assert!(index.push(side, slot as u32, p));
+                }
+            }
+            assert_directory(&index, kind, full.total_len());
+            // Remove some core and support points, re-pointing the
+            // moved-last entry exactly the way PartitionState does.
+            for (side, victims) in [
+                (Side::Core, &[3usize, 17, 44, 0][..]),
+                (Side::Support, &[5, 0]),
+            ] {
+                for &victim in victims {
+                    let points = part.points(side);
+                    let last = points.len() - 1;
+                    let moved = (victim < last).then(|| (last as u32, points.point(last)));
+                    index.swap_remove(side, victim as u32, points.point(victim), moved);
+                    part.swap_remove(side, victim);
                 }
             }
             let fresh = CellIndex::build(&part, prm, CellBased::DEFAULT_MAX_CELLS_PER_DIM).unwrap();
@@ -1145,8 +1112,8 @@ pub(crate) mod tests {
                 );
             }
             // Out-of-domain insert is refused, signalling a rebuild.
-            assert!(!index.insert_core(999, &[1e6, 1e6]));
-            assert!(!index.insert_support(999, &[-1e6, 0.0]));
+            assert!(!index.push(Side::Core, 999, &[1e6, 1e6]));
+            assert!(!index.push(Side::Support, 999, &[-1e6, 0.0]));
         }
     }
 
@@ -1200,7 +1167,9 @@ pub(crate) mod tests {
             pts
         };
         let (core, support) = (draw(n_core), draw(n_support));
-        Partition::new(core, (0..n_core as u64).collect(), support).unwrap()
+        let (n_core, n_support) = (n_core as u64, n_support as u64);
+        let support_ids = (n_core..n_core + n_support).collect();
+        Partition::new(core, (0..n_core).collect(), support, support_ids).unwrap()
     }
 
     /// FNV-1a over 64-bit words: a stable digest for pinned fingerprints.
@@ -1281,12 +1250,14 @@ pub(crate) mod tests {
         ]
     }
 
-    /// Pins the Cell-Based scan order: every capped count's `(found,
-    /// work)`, every outlier set and every `DetectionStats` on a 20k-point
-    /// 2-d skewed corpus and a 5k-point 3-d corpus, fresh and after a
-    /// seeded splice history that fills, relocates and empties cells and
-    /// crosses the compaction threshold. The expected digests are those of
-    /// the hash-bucket layout the cell-ordered tiles replaced.
+    /// Pins the scan order of every resident kind: every capped count's
+    /// `(found, work)`, every outlier set and every `DetectionStats` on a
+    /// 20k-point 2-d skewed corpus and a 5k-point 3-d corpus, fresh and
+    /// after a seeded splice history that fills, relocates and empties
+    /// cells (or kd leaves, or the scanned tile) and crosses the
+    /// compaction threshold. The Cell-Based digests are those of the
+    /// hash-bucket layout the cell-ordered tiles replaced; the kd-tree and
+    /// scan digests were taken while each side had its own splice methods.
     #[test]
     fn scan_order_fingerprint_is_pinned() {
         use crate::cost::AlgorithmKind;
@@ -1305,11 +1276,38 @@ pub(crate) mod tests {
             [4596, 19056, 13301712826148439754, 825, 5368130767427841296],
             [23373, 26686, 14641117648897880225, 785, 13239372937259244116],
         ];
-        let cases = [
-            (2, 20_000, 40.0, 0.6, 6, PINNED_2D),
-            (3, 5_000, 20.0, 1.0, 4, PINNED_3D),
+        // The same corpora and histories through a kd-tree and a scan.
+        #[rustfmt::skip]
+        const PINNED_KD_2D: [[u64; 5]; 2] = [
+            [9243, 57314, 7220809557720171968, 2656, 3553569587154279424],
+            [145177, 731692, 13333061489916303698, 2488, 8729895406194405629],
         ];
-        for (dim, n, side, r, k, expected) in cases {
+        #[rustfmt::skip]
+        const PINNED_KD_3D: [[u64; 5]; 2] = [
+            [4596, 55168, 8003960429562664481, 825, 2674530276180696128],
+            [23521, 183819, 14487171216226299306, 803, 8649438620353935051],
+        ];
+        #[rustfmt::skip]
+        const PINNED_SCAN_2D: [[u64; 5]; 2] = [
+            [9243, 13344352, 17180910845048836851, 2656, 5214195439291595113],
+            [145177, 114308804, 455943317101254876, 2488, 6092477458144071075],
+        ];
+        #[rustfmt::skip]
+        const PINNED_SCAN_3D: [[u64; 5]; 2] = [
+            [4596, 3362514, 7176965496025626358, 825, 13283678762415004022],
+            [23521, 9480989, 13410029671835480224, 803, 12836071105475090848],
+        ];
+        let corpora = [(2, 20_000, 40.0, 0.6, 6), (3, 5_000, 20.0, 1.0, 4)];
+        let pinned = [
+            (AlgorithmKind::CellBased, [PINNED_2D, PINNED_3D]),
+            (AlgorithmKind::IndexBased, [PINNED_KD_2D, PINNED_KD_3D]),
+            (AlgorithmKind::NestedLoop, [PINNED_SCAN_2D, PINNED_SCAN_3D]),
+        ];
+        let cases = pinned.into_iter().flat_map(|(kind, digests)| {
+            let runs = corpora.into_iter().zip(digests);
+            runs.map(move |(corpus, expected)| (kind, corpus, expected))
+        });
+        for (kind, (dim, n, side, r, k), expected) in cases {
             let mut rng = StdRng::seed_from_u64(0x5CA1 + dim as u64);
             let prm = params(r, k);
             let mut core = PointSet::new(dim).unwrap();
@@ -1321,7 +1319,8 @@ pub(crate) mod tests {
                 support.push(&p).unwrap();
             }
             let n_support = support.len() as u64;
-            let part = Partition::new(core, (0..n as u64).collect(), support).unwrap();
+            let support_ids = (n as u64..n as u64 + n_support).collect();
+            let part = Partition::new(core, (0..n as u64).collect(), support, support_ids).unwrap();
             let bounds = part.bounding_rect().unwrap();
             let near = |rng: &mut StdRng, p: &[f64], spread: f64| -> Vec<f64> {
                 p.iter()
@@ -1350,10 +1349,8 @@ pub(crate) mod tests {
             let mut core_pts = resident(part.core(), 0);
             let mut support_pts = resident(part.support(), n as u64);
 
-            let fresh_detection = CellBased::default().detect(&part, prm);
-            let mut state = PartitionState::build(AlgorithmKind::CellBased, Arc::new(part), prm)
-                .with_support_ids((n as u64..n as u64 + n_support).collect())
-                .unwrap();
+            let fresh_detection = kind.detector().detect(&part, prm);
+            let mut state = PartitionState::build(kind, Arc::new(part), prm);
             let fresh = fingerprint(&state, &fresh_detection, &queries);
 
             // The history: inserts beside resident points (runs fill and
@@ -1398,7 +1395,7 @@ pub(crate) mod tests {
             }
             let probes: Vec<Vec<f64>> = queries.into_iter().chain(recent).collect();
             let churned = fingerprint(&state, &state.detect(), &probes);
-            assert_eq!([fresh, churned], expected, "dim {dim}");
+            assert_eq!([fresh, churned], expected, "{} dim {dim}", kind.name());
         }
     }
 

@@ -9,9 +9,9 @@
 //! configured.
 
 use crate::detector::{Detection, DetectionStats, Detector};
-use crate::partition::Partition;
+use crate::partition::{Partition, Side};
 use crate::scan::count_tile_excluding;
-use dod_core::{Metric, NeighborPredicate, OutlierParams};
+use dod_core::{Metric, NeighborPredicate, OutlierParams, PointSet};
 
 /// kd-tree range-counting detector.
 #[derive(Debug, Clone, Copy, Default)]
@@ -30,51 +30,62 @@ impl IndexBased {
     }
 }
 
+/// One side's entries in a leaf: partition slots, index-aligned with
+/// their coordinates gathered into a contiguous row-major tile for the
+/// kernel scans.
+#[derive(Debug, Clone, Default)]
+struct LeafTile {
+    slots: Vec<u32>,
+    coords: Vec<f64>,
+}
+
+impl LeafTile {
+    /// Gathers the points `slots` of `points` into a tile.
+    fn gather(points: &PointSet, slots: Vec<u32>) -> LeafTile {
+        let mut coords = Vec::with_capacity(slots.len() * points.dim());
+        for &j in &slots {
+            coords.extend_from_slice(points.point(j as usize));
+        }
+        LeafTile { slots, coords }
+    }
+
+    /// Swap-removes the entry holding `slot`. Returns whether it was
+    /// present.
+    fn swap_remove(&mut self, slot: u32, dim: usize) -> bool {
+        let Some(pos) = self.slots.iter().position(|&x| x == slot) else {
+            return false;
+        };
+        self.slots.swap_remove(pos);
+        let last = self.slots.len();
+        if pos < last {
+            let (head, tail) = self.coords.split_at_mut(last * dim);
+            head[pos * dim..(pos + 1) * dim].copy_from_slice(&tail[..dim]);
+        }
+        self.coords.truncate(last * dim);
+        true
+    }
+
+    /// Rewrites the stored slot `from` to `to`. Returns whether it was
+    /// present.
+    fn renumber(&mut self, from: u32, to: u32) -> bool {
+        let found = self.slots.iter_mut().find(|x| **x == from);
+        found.map(|slot| *slot = to).is_some()
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Node {
-    Leaf {
-        /// Indices into the partition's **core** set, index-aligned with
-        /// `core_coords` (a contiguous columnar tile for the kernel
-        /// scans). Kept separate from the support side so the leaf
-        /// buffer can be spliced incrementally: an insert appends to one
-        /// sub-tile, a removal swap-removes one entry, and neither
-        /// disturbs the other side's indices.
-        core: Vec<u32>,
-        /// The leaf's core coordinates gathered into a contiguous tile.
-        core_coords: Vec<f64>,
-        /// Indices into the partition's **support** set.
-        support: Vec<u32>,
-        /// The leaf's support coordinates gathered into a contiguous
-        /// tile.
-        support_coords: Vec<f64>,
-    },
+    /// The leaf's core and support entries, indexed by [`Side`]. Kept
+    /// apart so the leaf can be spliced incrementally: an insert appends
+    /// to one side, a removal swap-removes one entry, and neither
+    /// disturbs the other side's slots.
+    Leaf([LeafTile; 2]),
     Inner {
         split_dim: usize,
         split_val: f64,
         left: Box<Node>,
         right: Box<Node>,
     },
-}
-
-/// Swap-removes the entry holding index `target` from an index-aligned
-/// `(indices, coords)` leaf sub-tile. Returns whether it was present.
-fn swap_remove_entry(
-    indices: &mut Vec<u32>,
-    coords: &mut Vec<f64>,
-    dim: usize,
-    target: u32,
-) -> bool {
-    let Some(pos) = indices.iter().position(|&x| x == target) else {
-        return false;
-    };
-    indices.swap_remove(pos);
-    let last = indices.len();
-    if pos < last {
-        let (head, tail) = coords.split_at_mut(last * dim);
-        head[pos * dim..(pos + 1) * dim].copy_from_slice(&tail[..dim]);
-    }
-    coords.truncate(last * dim);
-    true
 }
 
 /// The build-phase product of the Index-Based detector: a balanced
@@ -111,68 +122,43 @@ impl KdIndex {
         self.build_ops
     }
 
-    /// Splices a new core point (index `core_idx` in the partition's
-    /// core set) into the leaf buffer its coordinates descend to.
+    /// Splices point `slot` of `side` (its index in the partition's
+    /// point set of that side) into the leaf buffer its coordinates
+    /// descend to.
     ///
     /// The tree's balance is not restored — repeated inserts grow leaf
     /// buffers, which stays exact but degrades query cost; callers
     /// compact by rebuilding once enough mutations accumulate.
-    pub fn insert_core(&mut self, core_idx: u32, p: &[f64]) {
-        let Node::Leaf {
-            core, core_coords, ..
-        } = Self::leaf_for_mut(&mut self.root, p)
-        else {
+    pub fn push(&mut self, side: Side, slot: u32, p: &[f64]) {
+        let Node::Leaf(tiles) = Self::leaf_for_mut(&mut self.root, p) else {
             unreachable!("leaf_for_mut returns a leaf")
         };
-        core.push(core_idx);
-        core_coords.extend_from_slice(p);
+        tiles[side].slots.push(slot);
+        tiles[side].coords.extend_from_slice(p);
         self.build_ops += 1;
     }
 
-    /// Splices a new support point (index `support_idx` in the
-    /// partition's support set) into its leaf buffer.
-    pub fn insert_support(&mut self, support_idx: u32, p: &[f64]) {
-        let Node::Leaf {
-            support,
-            support_coords,
-            ..
-        } = Self::leaf_for_mut(&mut self.root, p)
-        else {
-            unreachable!("leaf_for_mut returns a leaf")
-        };
-        support.push(support_idx);
-        support_coords.extend_from_slice(p);
-        self.build_ops += 1;
-    }
-
-    /// Removes core point `core_idx`, located by the coordinates it was
-    /// inserted with.
-    pub fn remove_core(&mut self, core_idx: u32, p: &[f64]) {
-        Self::remove_in(&mut self.root, p, p.len(), core_idx, true);
-    }
-
-    /// Removes support point `support_idx`, located by its coordinates.
-    pub fn remove_support(&mut self, support_idx: u32, p: &[f64]) {
-        Self::remove_in(&mut self.root, p, p.len(), support_idx, false);
-    }
-
-    /// Rewrites the stored core index `from` to `to` — the fix-up after
-    /// a swap-remove moved the partition's last core point into slot
-    /// `to`.
-    pub fn renumber_core(&mut self, from: u32, to: u32, p: &[f64]) {
-        Self::renumber_in(&mut self.root, p, from, to, true);
-    }
-
-    /// Rewrites the stored support index `from` to `to`.
-    pub fn renumber_support(&mut self, from: u32, to: u32, p: &[f64]) {
-        Self::renumber_in(&mut self.root, p, from, to, false);
+    /// Removes point `slot` of `side`, located by the coordinates `p` it
+    /// was inserted with — the index side of [`Partition::swap_remove`].
+    /// `moved` is the slot and the coordinates of the point that the
+    /// partition's swap-remove moves into `slot` (none when `slot` was
+    /// the side's last); its entry is re-pointed at `slot`.
+    pub fn swap_remove(&mut self, side: Side, slot: u32, p: &[f64], moved: Option<(u32, &[f64])>) {
+        Self::find_leaf(&mut self.root, p, &mut |tiles| {
+            tiles[side].swap_remove(slot, p.len())
+        });
+        if let Some((from, mp)) = moved {
+            Self::find_leaf(&mut self.root, mp, &mut |tiles| {
+                tiles[side].renumber(from, slot)
+            });
+        }
     }
 
     /// The leaf `p` descends to under the build's split rule (`< split`
     /// goes left, `>= split` goes right).
     fn leaf_for_mut<'a>(node: &'a mut Node, p: &[f64]) -> &'a mut Node {
         match node {
-            Node::Leaf { .. } => node,
+            Node::Leaf(_) => node,
             Node::Inner {
                 split_dim,
                 split_val,
@@ -188,23 +174,16 @@ impl KdIndex {
         }
     }
 
-    /// Descends to the leaf(s) that can hold `target` and swap-removes
-    /// it. A coordinate equal to a split value must search **both**
-    /// subtrees: the median build places equal values on either side.
-    fn remove_in(node: &mut Node, p: &[f64], dim: usize, target: u32, core_side: bool) -> bool {
+    /// Descends to the leaves that can hold a point stored at `p` until
+    /// `edit` reports it found its entry. A coordinate equal to a split
+    /// value must search **both** subtrees, right first: the median build
+    /// places equal values on either side.
+    fn find_leaf<F>(node: &mut Node, p: &[f64], edit: &mut F) -> bool
+    where
+        F: FnMut(&mut [LeafTile; 2]) -> bool,
+    {
         match node {
-            Node::Leaf {
-                core,
-                core_coords,
-                support,
-                support_coords,
-            } => {
-                if core_side {
-                    swap_remove_entry(core, core_coords, dim, target)
-                } else {
-                    swap_remove_entry(support, support_coords, dim, target)
-                }
-            }
+            Node::Leaf(tiles) => edit(tiles),
             Node::Inner {
                 split_dim,
                 split_val,
@@ -213,45 +192,11 @@ impl KdIndex {
             } => {
                 let delta = p[*split_dim] - *split_val;
                 if delta < 0.0 {
-                    Self::remove_in(left, p, dim, target, core_side)
+                    Self::find_leaf(left, p, edit)
                 } else if delta > 0.0 {
-                    Self::remove_in(right, p, dim, target, core_side)
+                    Self::find_leaf(right, p, edit)
                 } else {
-                    Self::remove_in(right, p, dim, target, core_side)
-                        || Self::remove_in(left, p, dim, target, core_side)
-                }
-            }
-        }
-    }
-
-    /// Same descent as [`KdIndex::remove_in`], rewriting index `from`
-    /// to `to` in place.
-    fn renumber_in(node: &mut Node, p: &[f64], from: u32, to: u32, core_side: bool) -> bool {
-        match node {
-            Node::Leaf { core, support, .. } => {
-                let list = if core_side { core } else { support };
-                match list.iter_mut().find(|x| **x == from) {
-                    Some(slot) => {
-                        *slot = to;
-                        true
-                    }
-                    None => false,
-                }
-            }
-            Node::Inner {
-                split_dim,
-                split_val,
-                left,
-                right,
-            } => {
-                let delta = p[*split_dim] - *split_val;
-                if delta < 0.0 {
-                    Self::renumber_in(left, p, from, to, core_side)
-                } else if delta > 0.0 {
-                    Self::renumber_in(right, p, from, to, core_side)
-                } else {
-                    Self::renumber_in(right, p, from, to, core_side)
-                        || Self::renumber_in(left, p, from, to, core_side)
+                    Self::find_leaf(right, p, edit) || Self::find_leaf(left, p, edit)
                 }
             }
         }
@@ -349,33 +294,28 @@ impl KdIndex {
         }
         *visits += 1;
         match node {
-            Node::Leaf {
-                core,
-                core_coords,
-                support,
-                support_coords,
-            } => {
+            Node::Leaf([core, support]) => {
                 let dim = query.coords.len();
                 // The query point itself is always a core point, so only
                 // the core tile needs the self-exclusion check.
                 let skip = query
                     .skip
-                    .and_then(|s| core.iter().position(|&x| x == s as u32));
+                    .and_then(|s| core.slots.iter().position(|&x| x == s as u32));
                 let (found, scanned) = count_tile_excluding(
                     &query.pred,
                     query.coords,
-                    core_coords,
+                    &core.coords,
                     dim,
                     skip,
                     query.cap - *count,
                 );
                 *evals += scanned;
                 *count += found;
-                if !query.core_only && *count < query.cap && !support.is_empty() {
+                if !query.core_only && *count < query.cap && !support.slots.is_empty() {
                     let (found, scanned) = count_tile_excluding(
                         &query.pred,
                         query.coords,
-                        support_coords,
+                        &support.coords,
                         dim,
                         None,
                         query.cap - *count,
@@ -406,33 +346,19 @@ impl KdIndex {
     }
 
     /// Builds a leaf: the unified indices are sorted ascending and split
-    /// into core and support sub-tiles (core indices come first in the
-    /// unified order), with coordinates gathered contiguously per side.
+    /// into core and support tiles (core indices come first in the
+    /// unified order).
     fn make_leaf(partition: &Partition, idx: &[u32]) -> Node {
-        let dim = partition.dim();
-        let total_core = partition.core().len();
+        let total_core = partition.core().len() as u32;
         let mut points = idx.to_vec();
         points.sort_unstable();
-        let n_core = points.partition_point(|&j| (j as usize) < total_core);
-        let core: Vec<u32> = points[..n_core].to_vec();
-        let mut core_coords = Vec::with_capacity(n_core * dim);
-        for &j in &core {
-            core_coords.extend_from_slice(partition.point(j as usize));
-        }
-        let support: Vec<u32> = points[n_core..]
-            .iter()
-            .map(|&j| j - total_core as u32)
-            .collect();
-        let mut support_coords = Vec::with_capacity(support.len() * dim);
-        for &j in &support {
-            support_coords.extend_from_slice(partition.support().point(j as usize));
-        }
-        Node::Leaf {
-            core,
-            core_coords,
-            support,
-            support_coords,
-        }
+        let n_core = points.partition_point(|&j| j < total_core);
+        let support = points.split_off(n_core);
+        let support = support.into_iter().map(|j| j - total_core).collect();
+        Node::Leaf([
+            LeafTile::gather(partition.core(), points),
+            LeafTile::gather(partition.support(), support),
+        ])
     }
 
     fn build_node(
@@ -571,8 +497,9 @@ mod tests {
                 .push(&[rng.gen_range(0.0..extent), rng.gen_range(0.0..extent)])
                 .unwrap();
         }
-        let ids = (0..n_core as u64).collect();
-        Partition::new(core, ids, support).unwrap()
+        let ids = (0..(n_core + n_support) as u64).collect::<Vec<_>>();
+        let (core_ids, support_ids) = ids.split_at(n_core);
+        Partition::new(core, core_ids.to_vec(), support, support_ids.to_vec()).unwrap()
     }
 
     #[test]
@@ -648,41 +575,31 @@ mod tests {
             full.core().gather(&(0..40u64).collect::<Vec<_>>()),
             (0..40u64).collect(),
             full.support().gather(&(0..10u64).collect::<Vec<_>>()),
+            (60..70u64).collect(),
         )
         .unwrap();
         let mut index = KdIndex::build(&part, 16);
 
         // …splice in the remaining points…
-        for i in 40..60 {
-            let p = full.core().point(i).to_vec();
-            let ci = part.push_core(&p, i as u64).unwrap();
-            index.insert_core(ci as u32, &p);
-        }
-        for i in 10..20 {
-            let p = full.support().point(i).to_vec();
-            let si = part.push_support(&p).unwrap();
-            index.insert_support(si as u32, &p);
-        }
-
-        // …and remove a few, mirroring the swap-remove renumbering.
-        for victim in [3usize, 17, 44, 0] {
-            let p = part.core().point(victim).to_vec();
-            let last = part.core().len() - 1;
-            let moved = (victim < last).then(|| part.core().point(last).to_vec());
-            part.swap_remove_core(victim);
-            index.remove_core(victim as u32, &p);
-            if let Some(mp) = moved {
-                index.renumber_core(last as u32, victim as u32, &mp);
+        for (side, from) in [(Side::Core, 40), (Side::Support, 10)] {
+            for i in from..full.points(side).len() {
+                let p = full.points(side).point(i);
+                let slot = part.push(side, p, full.ids(side)[i]).unwrap();
+                index.push(side, slot as u32, p);
             }
         }
-        for victim in [5usize, 0] {
-            let p = part.support().point(victim).to_vec();
-            let last = part.support().len() - 1;
-            let moved = (victim < last).then(|| part.support().point(last).to_vec());
-            part.swap_remove_support(victim);
-            index.remove_support(victim as u32, &p);
-            if let Some(mp) = moved {
-                index.renumber_support(last as u32, victim as u32, &mp);
+
+        // …and remove a few, re-pointing the entry each swap-remove moves.
+        for (side, victims) in [
+            (Side::Core, &[3usize, 17, 44, 0][..]),
+            (Side::Support, &[5, 0]),
+        ] {
+            for &victim in victims {
+                let points = part.points(side);
+                let last = points.len() - 1;
+                let moved = (victim < last).then(|| (last as u32, points.point(last)));
+                index.swap_remove(side, victim as u32, points.point(victim), moved);
+                part.swap_remove(side, victim);
             }
         }
 

@@ -46,6 +46,6 @@ pub use cost::{choose_algorithm, AlgorithmKind, CostModel, CostTerms};
 pub use detector::{Detection, DetectionStats, Detector};
 pub use index_based::{IndexBased, KdIndex};
 pub use nested_loop::NestedLoop;
-pub use partition::Partition;
+pub use partition::{Partition, Side};
 pub use reference::Reference;
 pub use state::PartitionState;

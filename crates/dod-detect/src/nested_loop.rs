@@ -116,8 +116,9 @@ mod tests {
                 .push(&[rng.gen_range(0.0..extent), rng.gen_range(0.0..extent)])
                 .unwrap();
         }
-        let ids = (0..n_core as u64).collect();
-        Partition::new(core, ids, support).unwrap()
+        let ids = (0..(n_core + n_support) as u64).collect::<Vec<_>>();
+        let (core_ids, support_ids) = ids.split_at(n_core);
+        Partition::new(core, core_ids.to_vec(), support, support_ids.to_vec()).unwrap()
     }
 
     #[test]
@@ -178,7 +179,7 @@ mod tests {
     fn support_points_count_as_neighbors_but_not_reported() {
         let core = PointSet::from_xy(&[(0.0, 0.0)]);
         let support = PointSet::from_xy(&[(0.3, 0.0), (0.0, 0.3)]);
-        let p = Partition::new(core, vec![5], support).unwrap();
+        let p = Partition::new(core, vec![5], support, vec![6, 7]).unwrap();
         let det = NestedLoop::default().detect(&p, params(1.0, 2));
         assert!(det.outliers.is_empty());
     }

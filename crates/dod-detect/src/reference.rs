@@ -106,7 +106,7 @@ mod tests {
         // Core point with no core neighbors, but a support neighbor.
         let core = PointSet::from_xy(&[(0.0, 0.0)]);
         let support = PointSet::from_xy(&[(0.5, 0.0)]);
-        let p = Partition::new(core, vec![0], support).unwrap();
+        let p = Partition::new(core, vec![0], support, vec![1]).unwrap();
         let det = Reference.detect(&p, params(1.0, 1));
         assert!(det.outliers.is_empty());
     }
@@ -116,7 +116,7 @@ mod tests {
         // The support point itself is isolated but must not be reported.
         let core = PointSet::from_xy(&[(0.0, 0.0), (0.2, 0.0)]);
         let support = PointSet::from_xy(&[(50.0, 50.0)]);
-        let p = Partition::new(core, vec![10, 11], support).unwrap();
+        let p = Partition::new(core, vec![10, 11], support, vec![12]).unwrap();
         let det = Reference.detect(&p, params(1.0, 1));
         assert!(det.outliers.is_empty());
     }
@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn outliers_are_global_ids_sorted() {
         let core = PointSet::from_xy(&[(100.0, 100.0), (0.0, 0.0), (-100.0, -100.0)]);
-        let p = Partition::new(core, vec![9, 4, 7], PointSet::new(2).unwrap()).unwrap();
+        let p = Partition::new(core, vec![9, 4, 7], PointSet::new(2).unwrap(), vec![]).unwrap();
         let det = Reference.detect(&p, params(1.0, 1));
         assert_eq!(det.outliers, vec![4, 7, 9]);
     }

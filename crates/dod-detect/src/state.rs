@@ -16,6 +16,14 @@
 //!   primitive a `score` request reduces to. Core sets partition
 //!   the dataset (Lemma 3.1 replicates only *support* copies), so
 //!   summing this count across partitions never double-counts.
+//!
+//! A streaming engine also splices copies in and out. Both sides go
+//! through one path: [`PartitionState::insert`] pushes a copy of either
+//! [`Side`] onto the partition (which names it by its global id) and onto
+//! the index, and [`PartitionState::remove`] finds the copy by id and
+//! swap-removes it from both, re-pointing the one entry the swap moved.
+//! `insert_core`, `insert_support`, `remove_core` and `remove_support`
+//! are those two with the side filled in.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -27,7 +35,7 @@ use crate::cell_based::{CellBased, CellIndex};
 use crate::cost::AlgorithmKind;
 use crate::detector::Detection;
 use crate::index_based::{IndexBased, KdIndex};
-use crate::partition::Partition;
+use crate::partition::{Partition, Side};
 
 /// The acceleration structure resident for one partition, matching the
 /// algorithm the multi-tactic plan assigned to it.
@@ -47,28 +55,19 @@ enum StateIndex {
 /// resistance (see [`CellIdHasher`]) has no adversary here.
 type SlotMap = HashMap<PointId, u32, BuildHasherDefault<CellIdHasher>>;
 
-/// Where each resident id lives, so a removal is a lookup instead of a
-/// scan. Built from `core_ids` / `support_ids` on a state's first
-/// removal — a state that is only read never pays for it — and kept
-/// current from then on by every push and swap-remove.
-#[derive(Debug, Clone)]
-struct IdSlots {
-    core: SlotMap,
-    support: SlotMap,
-}
+/// Where each resident id lives on each [`Side`], so a removal is a
+/// lookup instead of a scan. Built from the partition's ids on a state's
+/// first removal — a state that is only read never pays for it — and
+/// kept current from then on by every push and swap-remove.
+type IdSlots = [SlotMap; 2];
 
-impl IdSlots {
-    fn of(partition: &Partition, support_ids: &[PointId]) -> Self {
-        let index = |ids: &[PointId]| {
-            let mut map = SlotMap::with_capacity_and_hasher(ids.len(), Default::default());
-            map.extend(ids.iter().enumerate().map(|(slot, &id)| (id, slot as u32)));
-            map
-        };
-        IdSlots {
-            core: index(partition.core_ids()),
-            support: index(support_ids),
-        }
-    }
+fn id_slots(partition: &Partition) -> IdSlots {
+    [Side::Core, Side::Support].map(|side| {
+        let ids = partition.ids(side);
+        let mut map = SlotMap::with_capacity_and_hasher(ids.len(), Default::default());
+        map.extend(ids.iter().enumerate().map(|(slot, &id)| (id, slot as u32)));
+        map
+    })
 }
 
 /// Runs the build phase of `kind` over `partition`.
@@ -104,11 +103,6 @@ pub struct PartitionState {
     /// Partition size at the last index build — the baseline the
     /// compaction threshold scales with.
     built_total: usize,
-    /// Global id of each support copy, aligned with the support tile
-    /// (the paper's support records are anonymous; a resident state
-    /// must know whose copy it is removing). Empty while the copies
-    /// handed to [`PartitionState::build`] are still unnamed.
-    support_ids: Vec<PointId>,
     /// `None` until the first removal.
     slots: Option<IdSlots>,
 }
@@ -131,34 +125,13 @@ impl PartitionState {
             index,
             mutations: 0,
             built_total,
-            support_ids: Vec::new(),
             slots: None,
         }
     }
 
-    /// Names the support copies the state was built over: `ids[i]` is the
-    /// global id of support point `i`. Without it those copies stay
-    /// anonymous — fine for a state that is only queried, but
-    /// [`PartitionState::remove_support`] cannot find them and
-    /// [`PartitionState::insert_support`] refuses to append after them.
-    ///
-    /// # Errors
-    /// Returns an error unless there is exactly one id per support point.
-    pub fn with_support_ids(mut self, ids: Vec<PointId>) -> Result<Self, CoreError> {
-        let copies = self.partition.support().len();
-        if ids.len() != copies {
-            return Err(CoreError::InvalidParameter {
-                name: "support_ids",
-                reason: format!("{} ids for {copies} support points", ids.len()),
-            });
-        }
-        self.support_ids = ids;
-        self.slots = None;
-        Ok(self)
-    }
-
-    /// Inserts a new core point with its stable global id, splicing it
-    /// into the resident index so subsequent queries remain exact.
+    /// Inserts the `side` copy of the point with global id `id`,
+    /// splicing it into the resident index so subsequent queries remain
+    /// exact.
     ///
     /// If the point falls outside the built index's domain (cell grids
     /// cover a fixed bounding box) the index is rebuilt in place.
@@ -166,16 +139,16 @@ impl PartitionState {
     /// # Errors
     /// Returns an error on dimensionality mismatch; the state is
     /// unchanged in that case.
-    pub fn insert_core(&mut self, p: &[f64], id: PointId) -> Result<(), CoreError> {
+    pub fn insert(&mut self, side: Side, p: &[f64], id: PointId) -> Result<(), CoreError> {
         let part = Arc::make_mut(&mut self.partition);
-        let ci = part.push_core(p, id)?;
+        let slot = part.push(side, p, id)? as u32;
         if let Some(slots) = &mut self.slots {
-            slots.core.insert(id, ci as u32);
+            slots[side].insert(id, slot);
         }
         let out_of_domain = match &mut self.index {
-            StateIndex::Cells(cells) => !cells.insert_core(ci as u32, p),
+            StateIndex::Cells(cells) => !cells.push(side, slot, p),
             StateIndex::Tree(tree) => {
-                tree.insert_core(ci as u32, p);
+                tree.push(side, slot, p);
                 false
             }
             StateIndex::Scan => false,
@@ -184,115 +157,59 @@ impl PartitionState {
         Ok(())
     }
 
-    /// Inserts the support copy of the point with global id `id`.
+    /// Removes the `side` copy of the point with global id `id`,
+    /// returning whether this partition held one. It is that point's
+    /// copy that goes, not another copy at the same coordinates. The
+    /// index is patched in place: a swap-remove that re-points the one
+    /// entry it moves.
+    pub fn remove(&mut self, side: Side, id: PointId) -> bool {
+        let slots = self.slots.get_or_insert_with(|| id_slots(&self.partition));
+        let Some(victim) = slots[side].remove(&id) else {
+            return false;
+        };
+        let part = Arc::make_mut(&mut self.partition);
+        let points = part.points(side);
+        let last = points.len() as u32 - 1;
+        let moved = (victim < last).then(|| (last, points.point(last as usize)));
+        let p = points.point(victim as usize);
+        match &mut self.index {
+            StateIndex::Cells(cells) => cells.swap_remove(side, victim, p, moved),
+            StateIndex::Tree(tree) => tree.swap_remove(side, victim, p, moved),
+            StateIndex::Scan => {}
+        }
+        part.swap_remove(side, victim as usize);
+        if victim < last {
+            // The last copy now sits in the victim's slot.
+            slots[side].insert(part.ids(side)[victim as usize], victim);
+        }
+        self.note_mutation(false);
+        true
+    }
+
+    /// [`PartitionState::insert`] of a core point.
     ///
     /// # Errors
-    /// Returns an error on dimensionality mismatch, or when the state
-    /// still holds anonymous support copies (see
-    /// [`PartitionState::with_support_ids`]); the state is unchanged.
+    /// Returns an error on dimensionality mismatch.
+    pub fn insert_core(&mut self, p: &[f64], id: PointId) -> Result<(), CoreError> {
+        self.insert(Side::Core, p, id)
+    }
+
+    /// [`PartitionState::insert`] of a support copy.
+    ///
+    /// # Errors
+    /// Returns an error on dimensionality mismatch.
     pub fn insert_support(&mut self, p: &[f64], id: PointId) -> Result<(), CoreError> {
-        if self.support_ids.len() != self.partition.support().len() {
-            return Err(CoreError::InvalidParameter {
-                name: "support_ids",
-                reason: "the support copies this state was built over have no ids".into(),
-            });
-        }
-        let part = Arc::make_mut(&mut self.partition);
-        let si = part.push_support(p)?;
-        self.support_ids.push(id);
-        if let Some(slots) = &mut self.slots {
-            slots.support.insert(id, si as u32);
-        }
-        let out_of_domain = match &mut self.index {
-            StateIndex::Cells(cells) => !cells.insert_support(si as u32, p),
-            StateIndex::Tree(tree) => {
-                tree.insert_support(si as u32, p);
-                false
-            }
-            StateIndex::Scan => false,
-        };
-        self.note_mutation(out_of_domain);
-        Ok(())
+        self.insert(Side::Support, p, id)
     }
 
-    /// Removes the core point with global id `id`, returning whether it
-    /// was resident. The index is patched in place (swap-remove plus a
-    /// renumber of the one moved entry).
+    /// [`PartitionState::remove`] of a core point.
     pub fn remove_core(&mut self, id: PointId) -> bool {
-        let slots = self
-            .slots
-            .get_or_insert_with(|| IdSlots::of(&self.partition, &self.support_ids));
-        let Some(victim) = slots.core.remove(&id) else {
-            return false;
-        };
-        let victim = victim as usize;
-        let part = Arc::make_mut(&mut self.partition);
-        let p = part.core().point(victim).to_vec();
-        let last = part.core().len() - 1;
-        let moved = (victim < last).then(|| part.core().point(last).to_vec());
-        part.swap_remove_core(victim);
-        if victim < last {
-            // The last point now sits in the victim's slot.
-            slots.core.insert(part.core_id(victim), victim as u32);
-        }
-        match &mut self.index {
-            StateIndex::Cells(cells) => {
-                cells.remove_core(victim as u32, &p);
-                if let Some(mp) = &moved {
-                    cells.renumber_core(last as u32, victim as u32, mp);
-                }
-            }
-            StateIndex::Tree(tree) => {
-                tree.remove_core(victim as u32, &p);
-                if let Some(mp) = &moved {
-                    tree.renumber_core(last as u32, victim as u32, mp);
-                }
-            }
-            StateIndex::Scan => {}
-        }
-        self.note_mutation(false);
-        true
+        self.remove(Side::Core, id)
     }
 
-    /// Removes the support copy of the point with global id `id`,
-    /// returning whether this partition held one. It is that point's
-    /// copy that goes, not another copy at the same coordinates.
+    /// [`PartitionState::remove`] of a support copy.
     pub fn remove_support(&mut self, id: PointId) -> bool {
-        let slots = self
-            .slots
-            .get_or_insert_with(|| IdSlots::of(&self.partition, &self.support_ids));
-        let Some(victim) = slots.support.remove(&id) else {
-            return false;
-        };
-        let victim = victim as usize;
-        let part = Arc::make_mut(&mut self.partition);
-        let p = part.support().point(victim).to_vec();
-        let last = part.support().len() - 1;
-        let moved = (victim < last).then(|| part.support().point(last).to_vec());
-        part.swap_remove_support(victim);
-        self.support_ids.swap_remove(victim);
-        if victim < last {
-            slots
-                .support
-                .insert(self.support_ids[victim], victim as u32);
-        }
-        match &mut self.index {
-            StateIndex::Cells(cells) => {
-                cells.remove_support(victim as u32, &p);
-                if let Some(mp) = &moved {
-                    cells.renumber_support(last as u32, victim as u32, mp);
-                }
-            }
-            StateIndex::Tree(tree) => {
-                tree.remove_support(victim as u32, &p);
-                if let Some(mp) = &moved {
-                    tree.renumber_support(last as u32, victim as u32, mp);
-                }
-            }
-            StateIndex::Scan => {}
-        }
-        self.note_mutation(false);
-        true
+        self.remove(Side::Support, id)
     }
 
     /// Frees the id → slot maps; the next removal builds them again. For
@@ -309,7 +226,7 @@ impl PartitionState {
 
     /// Rebuilds the resident index from the current partition contents,
     /// resetting the mutation counter. No point changes slot, so the
-    /// support ids and the id → slot maps carry over as they are.
+    /// id → slot maps carry over as they are.
     pub fn rebuild(&mut self) {
         self.index = build_index(self.kind, &self.partition, self.params);
         self.mutations = 0;
@@ -333,12 +250,6 @@ impl PartitionState {
     /// The resident partition.
     pub fn partition(&self) -> &Partition {
         &self.partition
-    }
-
-    /// Global id of each support copy, aligned with the partition's
-    /// support tile; empty while the copies are anonymous.
-    pub fn support_ids(&self) -> &[PointId] {
-        &self.support_ids
     }
 
     /// The outlier parameters the state was built for.
@@ -426,7 +337,7 @@ mod tests {
         // support point near the cluster.
         let core = PointSet::from_xy(&[(0.0, 0.0), (0.2, 0.1), (0.1, 0.2), (9.0, 9.0)]);
         let support = PointSet::from_xy(&[(0.3, 0.3)]);
-        Arc::new(Partition::new(core, vec![10, 11, 12, 13], support).unwrap())
+        Arc::new(Partition::new(core, vec![10, 11, 12, 13], support, vec![20]).unwrap())
     }
 
     #[test]
@@ -522,9 +433,7 @@ mod tests {
     fn mutations_keep_state_equivalent_to_fresh_build() {
         let params = OutlierParams::new(1.0, 2).unwrap();
         for kind in AlgorithmKind::ALL {
-            let mut state = PartitionState::build(kind, sample_partition(), params)
-                .with_support_ids(vec![20])
-                .unwrap();
+            let mut state = PartitionState::build(kind, sample_partition(), params);
             state.insert_core(&[0.15, 0.15], 14).unwrap();
             // Outside the built bounding box: cell grids must rebuild.
             state.insert_core(&[20.0, 20.0], 15).unwrap();
@@ -575,11 +484,6 @@ mod tests {
                 kind.name()
             );
         }
-        assert_eq!(
-            state.support_ids().len(),
-            state.partition().support().len(),
-            "{context}"
-        );
         let mut drained = state.clone();
         for &id in state.partition().core_ids() {
             assert!(drained.remove_core(id), "{context}: core {id}");
@@ -588,10 +492,10 @@ mod tests {
                 "{context}: core {id}"
             );
         }
-        for &id in state.support_ids() {
+        for &id in state.partition().ids(Side::Support) {
             assert!(drained.remove_support(id), "{context}: support {id}");
             assert!(
-                !drained.support_ids().contains(&id),
+                !drained.partition().ids(Side::Support).contains(&id),
                 "{context}: support {id}"
             );
         }
@@ -607,12 +511,11 @@ mod tests {
         for kind in AlgorithmKind::ALL {
             let core = PointSet::from_xy(&[(0.1, 0.1), (0.1, 0.1), (0.2, 0.1), (9.0, 9.0)]);
             let support = PointSet::from_xy(&[(0.3, 0.3), (0.3, 0.3), (0.4, 0.3)]);
-            let partition = Partition::new(core, vec![10, 11, 12, 13], support).unwrap();
-            let mut state = PartitionState::build(kind, Arc::new(partition), params)
-                .with_support_ids(vec![20, 21, 22])
-                .unwrap();
+            let partition =
+                Partition::new(core, vec![10, 11, 12, 13], support, vec![20, 21, 22]).unwrap();
+            let mut state = PartitionState::build(kind, Arc::new(partition), params);
             assert!(state.remove_support(20));
-            let mut left = state.support_ids().to_vec();
+            let mut left = state.partition().ids(Side::Support).to_vec();
             left.sort_unstable();
             assert_eq!(left, [21, 22], "kind {}", kind.name());
             assert!(state.remove_core(10));
@@ -635,9 +538,7 @@ mod tests {
         for kind in AlgorithmKind::ALL {
             for warm in [false, true] {
                 let context = format!("kind {} warm {warm}", kind.name());
-                let mut state = PartitionState::build(kind, sample_partition(), params)
-                    .with_support_ids(vec![20])
-                    .unwrap();
+                let mut state = PartitionState::build(kind, sample_partition(), params);
                 if warm {
                     assert!(state.remove_core(12), "{context}");
                 }
@@ -670,9 +571,7 @@ mod tests {
         let params = OutlierParams::new(1.0, 2).unwrap();
         for kind in AlgorithmKind::ALL {
             let context = format!("kind {}", kind.name());
-            let mut state = PartitionState::build(kind, sample_partition(), params)
-                .with_support_ids(vec![20])
-                .unwrap();
+            let mut state = PartitionState::build(kind, sample_partition(), params);
             state.insert_support(&[0.2, 0.3], 21).unwrap();
             state.insert_support(&[0.1, 0.3], 22).unwrap();
             // The last slot: nothing moves.
@@ -708,20 +607,6 @@ mod tests {
     }
 
     #[test]
-    fn anonymous_support_copies_are_queried_but_never_spliced() {
-        let params = OutlierParams::new(1.0, 2).unwrap();
-        let mut state = PartitionState::build(AlgorithmKind::CellBased, sample_partition(), params);
-        assert!(!state.remove_support(20));
-        assert!(state.insert_support(&[0.2, 0.2], 21).is_err());
-        assert_eq!(state.partition().support().len(), 1, "unchanged");
-        let named = PartitionState::build(AlgorithmKind::CellBased, sample_partition(), params);
-        assert!(
-            named.with_support_ids(vec![20, 21]).is_err(),
-            "one id per copy"
-        );
-    }
-
-    #[test]
     fn capped_counts_stay_exact_through_interleaved_mutations_and_a_compaction() {
         // A dense blob the inlier rule decides, churned by interleaved
         // core/support inserts and removals past the compaction threshold:
@@ -741,7 +626,8 @@ mod tests {
                 core.push(&c).unwrap();
             }
             let n = core.len() as u64;
-            let partition = Partition::new(core, (0..n).collect(), PointSet::new(2).unwrap());
+            let empty = PointSet::new(2).unwrap();
+            let partition = Partition::new(core, (0..n).collect(), empty, vec![]);
             let mut state = PartitionState::build(
                 AlgorithmKind::CellBased,
                 Arc::new(partition.unwrap()),

@@ -5,6 +5,7 @@ use super::*;
 use crate::FAN_OUT_MIN_QUERIES;
 use dod::DodConfig;
 use dod_core::OutlierParams;
+use dod_detect::Side;
 use dod_obs::{EventKind, MemoryRecorder};
 
 /// A dense blob on a sparse lattice: the plan gives the blob small
@@ -58,7 +59,7 @@ fn layout(engine: &Engine) -> Layout {
             (
                 algorithm.name(),
                 partition.core_ids().to_vec(),
-                state.support_ids().to_vec(),
+                partition.ids(Side::Support).to_vec(),
                 bits(partition.core()),
                 bits(partition.support()),
             )

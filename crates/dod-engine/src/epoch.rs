@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use dod::DodRunner;
 use dod_core::{PointId, PointSet};
-use dod_detect::{Partition, PartitionState};
+use dod_detect::{Partition, PartitionState, Side};
 use dod_partition::{MultiTacticPlan, Router};
 
 use crate::error::EngineError;
@@ -110,10 +110,9 @@ pub(crate) fn build(
         let (core, core_ids) = tile(pid);
         let (support, support_ids) = tile(n_parts + pid);
         counts.push(core.len() as f64);
-        let partition = Partition::new(core, core_ids, support).expect("one id per routed point");
-        let state = PartitionState::build(pre.mt.algorithms[pid], Arc::new(partition), params)
-            .with_support_ids(support_ids)
-            .expect("one id per routed point");
+        let partition =
+            Partition::new(core, core_ids, support, support_ids).expect("one id per routed point");
+        let state = PartitionState::build(pre.mt.algorithms[pid], Arc::new(partition), params);
         states.push(state);
     }
     let t_build = Instant::now();
@@ -158,29 +157,25 @@ impl ResidentPlan {
     /// partition, so this leaves every state exactly as applying the
     /// request point by point does.
     pub(crate) fn splice(&mut self, change: Splice<'_>, observed: &mut [f64]) {
-        // (partition, core copy?, item)
-        let mut copies: Vec<(u32, bool, usize)> = Vec::new();
+        // (partition, side, item)
+        let mut copies: Vec<(u32, Side, usize)> = Vec::new();
         let mut support = Vec::new();
         for item in 0..change.len() {
             let pid = self.router.route_into(change.point(item).0, &mut support);
-            copies.push((pid, true, item));
-            copies.extend(support.iter().map(|&pid| (pid, false, item)));
+            copies.push((pid, Side::Core, item));
+            copies.extend(support.iter().map(|&pid| (pid, Side::Support, item)));
             if let Some(slot) = observed.get_mut(pid as usize) {
                 *slot += 1.0;
             }
         }
         copies.sort_by_key(|c| c.0);
-        for (pid, core, item) in copies {
+        for (pid, side, item) in copies {
             let state = &mut self.states[pid as usize];
             let (p, id) = change.point(item);
-            // An insert's dimensions were validated at the request, and
-            // every state carries support ids.
-            let valid = "a validated point";
-            match (change, core) {
-                (Splice::Insert(..), true) => state.insert_core(p, id).expect(valid),
-                (Splice::Insert(..), false) => state.insert_support(p, id).expect(valid),
-                (Splice::Remove(_), true) => _ = state.remove_core(id),
-                (Splice::Remove(_), false) => _ = state.remove_support(id),
+            match change {
+                // An insert's dimensions were validated at the request.
+                Splice::Insert(..) => state.insert(side, p, id).expect("a validated point"),
+                Splice::Remove(_) => _ = state.remove(side, id),
             }
         }
     }

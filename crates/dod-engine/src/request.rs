@@ -67,13 +67,6 @@ pub struct WindowConfig {
     pub max_age: Option<Duration>,
 }
 
-impl WindowConfig {
-    /// Whether the window imposes no bound at all.
-    pub fn is_unbounded(&self) -> bool {
-        self.max_points.is_none() && self.max_age.is_none()
-    }
-}
-
 /// One engine operation, run by [`Engine::execute`](crate::Engine::execute).
 #[derive(Debug, Clone)]
 pub enum Request {

@@ -15,9 +15,7 @@
 //! whole-value swap); there is no multi-step critical section that a
 //! panic can leave half-applied.
 
-use std::sync::{
-    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Locks `m`, recovering the guard if a previous holder panicked.
 pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -32,11 +30,6 @@ pub fn read_recover<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 /// Write-locks `l`, recovering the guard if a previous holder panicked.
 pub fn write_recover<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Waits on `cv`, recovering the guard if a concurrent holder panicked.
-pub fn wait_recover<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

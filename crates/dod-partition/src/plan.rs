@@ -402,13 +402,6 @@ pub struct PlanReport {
     pub partitions: Vec<PartitionReport>,
 }
 
-impl PlanReport {
-    /// Sum of winner costs over all partitions.
-    pub fn total_predicted(&self) -> f64 {
-        self.partitions.iter().map(|p| p.winner_cost).sum()
-    }
-}
-
 /// Everything the preprocessing job hands to the detection job: partition
 /// plan, algorithm plan, allocation plan, and the cost estimates behind
 /// them.

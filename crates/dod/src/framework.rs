@@ -14,7 +14,7 @@
 
 use dod_core::{OutlierParams, PointId, PointSet};
 use dod_detect::cost::AlgorithmKind;
-use dod_detect::{Detection, Partition, PartitionState};
+use dod_detect::{Detection, Partition, PartitionState, Side};
 use dod_obs::json::Json;
 use dod_obs::{names, Obs, ObsScope};
 use dod_partition::Router;
@@ -219,19 +219,25 @@ impl<'a> DodReducer<'a> {
         let _span = self.stage("tile");
         let dim = self.data.dim();
         let cores = values.iter().filter(|v| !v.is_support()).count();
-        let mut core = PointSet::with_capacity(dim, cores).expect("dim >= 1");
-        let mut core_ids = Vec::with_capacity(cores);
-        let mut support = PointSet::with_capacity(dim, values.len() - cores).expect("dim >= 1");
+        let side = |n: usize| {
+            let points = PointSet::with_capacity(dim, n).expect("dim >= 1");
+            (points, Vec::with_capacity(n))
+        };
+        let mut sides = [side(cores), side(values.len() - cores)];
         for v in values {
-            let row = self.data.point(v.id() as usize);
-            if v.is_support() {
-                support.push(row).expect("same dim");
+            let side = if v.is_support() {
+                Side::Support
             } else {
-                core.push(row).expect("same dim");
-                core_ids.push(v.id());
-            }
+                Side::Core
+            };
+            let (points, ids) = &mut sides[side];
+            points
+                .push(self.data.point(v.id() as usize))
+                .expect("same dim");
+            ids.push(v.id());
         }
-        Partition::new(core, core_ids, support).expect("consistent construction")
+        let [(core, core_ids), (support, support_ids)] = sides;
+        Partition::new(core, core_ids, support, support_ids).expect("consistent construction")
     }
 
     /// Runs the assigned detector on one materialized partition, emitting

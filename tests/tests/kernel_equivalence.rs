@@ -94,8 +94,9 @@ fn random_partition(
     };
     let core = push_n(n_core);
     let support = push_n(n_support);
-    let ids = (0..n_core as u64).collect();
-    Partition::new(core, ids, support).expect("valid partition")
+    let ids = (0..(n_core + n_support) as u64).collect::<Vec<_>>();
+    let (core_ids, support_ids) = ids.split_at(n_core);
+    Partition::new(core, core_ids.to_vec(), support, support_ids.to_vec()).expect("valid partition")
 }
 
 /// Detectors exercised at dimension `dim`. The cell-based pair is
