@@ -192,7 +192,7 @@ the next run with the same arguments.
 
 SERVE OPTIONS:
     --workers <int>         threads one request or one epoch rebuild may  [2]
-                            use: a score of 256 points or more is split
+                            use: a score of 192 points or more is split
                             over them; other requests run on the stdin
                             loop's thread. Replies do not depend on it
     --deadline-ms <int>     default per-request deadline          [unbounded]

@@ -88,19 +88,26 @@
 //!   response kind, a server bug.
 //!
 //! `error` is human-readable prose and not part of the contract.
-//! Requests are read by [`dod_obs::json::parse`] — numbers follow the
-//! JSON grammar and must be finite, so `1e999` is a `bad_request`, as is
-//! a line nested deeper than [`dod_obs::json::MAX_DEPTH`] — and
-//! responses are written with the same module's primitives.
+//! Requests are read token by token by the workspace's one JSON
+//! tokenizer, [`dod_obs::json::Reader`], straight into the engine's
+//! types — no [`dod_obs::json::Json`] tree is built — under the same
+//! contract [`dod_obs::json::parse`] keeps: numbers follow the JSON
+//! grammar and must be finite, so `1e999` is a `bad_request`, as is a
+//! line nested deeper than [`dod_obs::json::MAX_DEPTH`]; a syntax error
+//! anywhere in the line wins over a field error; and of duplicate keys
+//! the first counts. Responses are written with the same module's
+//! primitives; the `score`, `insert`, `remove` and `detect` replies
+//! encode their integers and booleans into one reply buffer the loop
+//! keeps, with no `fmt`.
 
-use std::fmt::Write as _;
+use std::borrow::Cow;
 use std::io::{BufRead, Read, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
 use dod_engine::{Engine, EngineError, EngineHealth, Request, Response, WindowConfig};
-use dod_obs::json::{self, Json};
+use dod_obs::json::{self, ParseError, Reader, Token};
 use dod_obs::prom::PromWriter;
 use dod_obs::{FanoutRecorder, MetricsRecorder, Obs, Recorder};
 
@@ -314,140 +321,365 @@ pub fn plan_report_json(report: &dod_partition::PlanReport) -> String {
     format!("\"partitions\":[{}]", partitions.join(","))
 }
 
-/// Extracts a `"points": [[…], …]` field as coordinate rows.
-fn parse_points(request: &Json, op: &str) -> Result<Vec<Vec<f64>>, ServeError> {
-    let Some(Json::Arr(rows)) = request.get("points") else {
-        return Err(ServeError::bad(format!(
-            "\"{op}\" needs a \"points\" array"
-        )));
-    };
-    let mut points = Vec::with_capacity(rows.len());
-    for row in rows {
-        let Json::Arr(coords) = row else {
-            return Err(ServeError::bad("each point must be an array of numbers"));
-        };
-        let mut point = Vec::with_capacity(coords.len());
-        for c in coords {
-            let Some(v) = c.as_f64() else {
-                return Err(ServeError::bad("each coordinate must be a number"));
-            };
-            point.push(v);
-        }
-        points.push(point);
-    }
-    Ok(points)
+// ---------------------------------------------------------------------
+// Request reading.
+// ---------------------------------------------------------------------
+
+/// A request line read into what its op needs.
+#[derive(Debug)]
+enum Op {
+    /// An engine request: `score`, `detect`, `insert`, `remove`, `window`.
+    Run(Request),
+    Explain,
+    Drift,
+    Refresh,
+    Stats,
+    Metrics,
+    Quit,
 }
 
-/// Extracts an optional non-negative integer field (absent or `null`
-/// both mean "not set").
-fn parse_count(request: &Json, key: &str) -> Result<Option<u64>, ServeError> {
-    match request.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| ServeError::bad(format!("\"{key}\" must be a non-negative integer"))),
+/// The first occurrence of a `points` or `ids` field.
+enum List<T> {
+    /// Not an array.
+    NotArray,
+    /// An array with an item of the wrong shape: the first such item's
+    /// complaint.
+    Bad(&'static str),
+    /// Every item, read.
+    Items(Vec<T>),
+}
+
+/// The first occurrence of a `max_points` or `max_age_ms` field.
+#[derive(Clone, Copy)]
+enum Count {
+    /// `null`.
+    Unset,
+    /// A non-negative integer.
+    Set(u64),
+    /// Anything else.
+    Wrong,
+}
+
+/// Every field of a request line that some op reads, each as its first
+/// occurrence left it — a later duplicate is read for syntax only, as
+/// [`Json::get`](dod_obs::json::Json::get) takes the first match — and
+/// `None` where the line has none. A line that is not an object has no
+/// fields.
+#[derive(Default)]
+struct Fields<'a> {
+    /// `Some(None)` when the first `op` is not a string.
+    op: Option<Option<Cow<'a, str>>>,
+    points: Option<List<Vec<f64>>>,
+    ids: Option<List<u64>>,
+    max_points: Option<Count>,
+    max_age_ms: Option<Count>,
+    /// Whether the first `clear` is `true`.
+    clear: Option<bool>,
+}
+
+const BAD_POINT: &str = "each point must be an array of numbers";
+const BAD_COORDINATE: &str = "each coordinate must be a number";
+const BAD_ID: &str = "each id must be a non-negative integer";
+
+impl<'a> Fields<'a> {
+    /// Reads one request line with the shared JSON [`Reader`], straight
+    /// into the engine's types: no [`Json`](dod_obs::json::Json) tree is
+    /// built. Any syntax error in the line wins over what its fields
+    /// hold.
+    fn read(line: &'a str) -> Result<Fields<'a>, ParseError> {
+        let mut r = Reader::new(line);
+        let mut fields = Fields::default();
+        let first = r.next_token()?;
+        if first != Token::ObjStart {
+            r.skip(&first)?;
+            r.finish()?;
+            return Ok(fields);
+        }
+        loop {
+            let key = match r.next_token()? {
+                Token::ObjEnd => break,
+                Token::Key(key) => key,
+                other => unreachable!("an object holds keys, not {other:?}"),
+            };
+            let value = r.next_token()?;
+            match &*key {
+                "op" if fields.op.is_none() => {
+                    fields.op = Some(match value {
+                        Token::Str(op) => Some(op),
+                        other => {
+                            r.skip(&other)?;
+                            None
+                        }
+                    });
+                }
+                "points" if fields.points.is_none() => {
+                    fields.points = Some(read_list(&mut r, value, read_point)?);
+                }
+                "ids" if fields.ids.is_none() => {
+                    fields.ids = Some(read_list(&mut r, value, |r, id| match id {
+                        Token::Num(n) => Ok(n.as_u64().ok_or(BAD_ID)),
+                        other => r.skip(&other).map(|()| Err(BAD_ID)),
+                    })?);
+                }
+                "max_points" if fields.max_points.is_none() => {
+                    fields.max_points = Some(read_count(&mut r, value)?);
+                }
+                "max_age_ms" if fields.max_age_ms.is_none() => {
+                    fields.max_age_ms = Some(read_count(&mut r, value)?);
+                }
+                "clear" if fields.clear.is_none() => {
+                    fields.clear = Some(value == Token::Bool(true));
+                    r.skip(&value)?;
+                }
+                _ => r.skip(&value)?,
+            }
+        }
+        r.finish()?;
+        Ok(fields)
+    }
+
+    /// The `points` an op needs.
+    fn points(&mut self, op: &str) -> Result<Vec<Vec<f64>>, ServeError> {
+        match self.points.take() {
+            Some(List::Items(points)) => Ok(points),
+            Some(List::Bad(msg)) => Err(ServeError::bad(msg)),
+            None | Some(List::NotArray) => Err(ServeError::bad(format!(
+                "\"{op}\" needs a \"points\" array"
+            ))),
+        }
+    }
+
+    /// What the line asks for, or the error its fields earn for its op.
+    fn into_op(mut self) -> Result<Op, ServeError> {
+        let Some(Some(op)) = self.op.take() else {
+            return Err(ServeError::bad("request needs a string \"op\" field"));
+        };
+        Ok(match &*op {
+            "score" => Op::Run(Request::Score {
+                points: self.points("score")?,
+            }),
+            "detect" => Op::Run(Request::Detect),
+            "insert" => Op::Run(Request::Insert {
+                points: self.points("insert")?,
+            }),
+            "remove" => Op::Run(Request::Remove {
+                ids: match self.ids {
+                    Some(List::Items(ids)) => ids,
+                    Some(List::Bad(msg)) => return Err(ServeError::bad(msg)),
+                    None | Some(List::NotArray) => {
+                        return Err(ServeError::bad("\"remove\" needs an \"ids\" array"))
+                    }
+                },
+            }),
+            "window" => {
+                let count = |field: Option<Count>, key: &str| match field {
+                    None | Some(Count::Unset) => Ok(None),
+                    Some(Count::Set(v)) => Ok(Some(v)),
+                    Some(Count::Wrong) => Err(ServeError::bad(format!(
+                        "\"{key}\" must be a non-negative integer"
+                    ))),
+                };
+                let max_points = count(self.max_points, "max_points")?;
+                let max_age_ms = count(self.max_age_ms, "max_age_ms")?;
+                let config = if self.clear == Some(true) {
+                    Some(WindowConfig::default()) // unbounded = cleared
+                } else if max_points.is_some() || max_age_ms.is_some() {
+                    let max_points = max_points.map(usize::try_from).transpose().map_err(|_| {
+                        ServeError::bad("\"max_points\" does not fit this platform's usize")
+                    })?;
+                    Some(WindowConfig {
+                        max_points,
+                        max_age: max_age_ms.map(Duration::from_millis),
+                    })
+                } else {
+                    None // just a tick: enforce the current window
+                };
+                Op::Run(Request::Window { config })
+            }
+            "explain" => Op::Explain,
+            "drift" => Op::Drift,
+            "refresh" => Op::Refresh,
+            "stats" => Op::Stats,
+            "metrics" => Op::Metrics,
+            "quit" => Op::Quit,
+            other => {
+                return Err(ServeError {
+                    code: "unknown_op",
+                    msg: format!("unknown op {other:?}"),
+                })
+            }
+        })
     }
 }
+
+/// Reads the array that begins with `first`, each item by `item`, which
+/// answers `Err(complaint)` for an item of the wrong shape once it has
+/// read past it. Items after the first bad one are read for syntax only.
+fn read_list<'a, T>(
+    r: &mut Reader<'a>,
+    first: Token<'a>,
+    mut item: impl FnMut(&mut Reader<'a>, Token<'a>) -> Result<Result<T, &'static str>, ParseError>,
+) -> Result<List<T>, ParseError> {
+    if first != Token::ArrStart {
+        r.skip(&first)?;
+        return Ok(List::NotArray);
+    }
+    let mut items = Vec::new();
+    let mut bad = None;
+    loop {
+        let token = r.next_token()?;
+        if token == Token::ArrEnd {
+            break;
+        }
+        if bad.is_some() {
+            r.skip(&token)?;
+            continue;
+        }
+        match item(r, token)? {
+            Ok(v) => items.push(v),
+            Err(complaint) => bad = Some(complaint),
+        }
+    }
+    Ok(match bad {
+        Some(complaint) => List::Bad(complaint),
+        None => List::Items(items),
+    })
+}
+
+/// One point of a `points` array: an array of numbers.
+fn read_point<'a>(
+    r: &mut Reader<'a>,
+    first: Token<'a>,
+) -> Result<Result<Vec<f64>, &'static str>, ParseError> {
+    if first != Token::ArrStart {
+        r.skip(&first)?;
+        return Ok(Err(BAD_POINT));
+    }
+    let mut point = Vec::with_capacity(4);
+    let mut numbers = true;
+    loop {
+        match r.next_token()? {
+            Token::ArrEnd => break,
+            Token::Num(n) => point.push(n.as_f64()),
+            other => {
+                numbers = false;
+                r.skip(&other)?;
+            }
+        }
+    }
+    Ok(if numbers {
+        Ok(point)
+    } else {
+        Err(BAD_COORDINATE)
+    })
+}
+
+/// A `max_points` or `max_age_ms` value.
+fn read_count<'a>(r: &mut Reader<'a>, value: Token<'a>) -> Result<Count, ParseError> {
+    Ok(match value {
+        Token::Null => Count::Unset,
+        Token::Num(n) => n.as_u64().map_or(Count::Wrong, Count::Set),
+        other => {
+            r.skip(&other)?;
+            Count::Wrong
+        }
+    })
+}
+
+/// Reads one request line: its syntax, then its fields for its op.
+fn read_request(line: &str) -> Result<Op, ServeError> {
+    Fields::read(line)
+        .map_err(|e| ServeError::bad(format!("bad request: {e}")))?
+        .into_op()
+}
+
+// ---------------------------------------------------------------------
+// Replies.
+// ---------------------------------------------------------------------
 
 /// Runs one engine request on the loop's thread.
 fn run_request(engine: &Engine, req: Request) -> Result<Response, ServeError> {
     engine.execute(req).map_err(engine_error)
 }
 
-/// Answers one parsed request. `Ok(None)` means `quit`.
-fn dispatch(ctx: &ServeContext, request: &Json) -> Result<Option<String>, ServeError> {
+/// Appends `ids` as a JSON array.
+fn push_ids(out: &mut String, ids: &[u64]) {
+    out.push('[');
+    for (i, &id) in ids.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::push_u64(out, id);
+    }
+    out.push(']');
+}
+
+/// Appends `,"key":true` or `,"key":false`.
+fn push_flag(out: &mut String, key: &str, v: bool) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str(if v { "\":true" } else { "\":false" });
+}
+
+/// Appends `,"key":` and `v`.
+fn push_count(out: &mut String, key: &str, v: usize) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    json::push_u64(out, v as u64);
+}
+
+/// Answers one request into `out` (empty on entry). The replies of the
+/// ops a client sends by the thousand — `score`, `insert`, `remove`,
+/// `detect` — are encoded straight into it, with no `fmt`.
+fn respond(ctx: &ServeContext, op: Op, out: &mut String) -> Result<(), ServeError> {
     let engine = &*ctx.engine;
-    let op = match request.get("op") {
-        Some(Json::Str(op)) => op.as_str(),
-        _ => return Err(ServeError::bad("request needs a string \"op\" field")),
-    };
     match op {
-        "score" => {
-            let points = parse_points(request, "score")?;
-            let scores = answer(
-                run_request(engine, Request::Score { points })?.into_score(),
-                op,
-            )?;
-            // One buffer for the whole line: ~34 bytes per result.
-            let mut line = String::with_capacity(48 + 36 * scores.len());
-            line.push_str("{\"v\":1,\"ok\":true,\"op\":\"score\",\"results\":[");
+        Op::Run(req @ Request::Score { .. }) => {
+            let scores = answer(run_request(engine, req)?.into_score(), "score")?;
+            // ~34 bytes per result.
+            out.reserve(48 + 36 * scores.len());
+            out.push_str("{\"v\":1,\"ok\":true,\"op\":\"score\",\"results\":[");
             for (i, s) in scores.iter().enumerate() {
-                let sep = if i == 0 { "" } else { "," };
-                write!(
-                    line,
-                    "{sep}{{\"neighbors\":{},\"outlier\":{}}}",
-                    s.neighbors, s.outlier
-                )
-                .expect("writing to a String cannot fail");
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str("{\"neighbors\":");
+                json::push_u64(out, s.neighbors as u64);
+                push_flag(out, "outlier", s.outlier);
+                out.push('}');
             }
-            line.push_str("]}");
-            Ok(Some(line))
+            out.push_str("]}");
         }
-        "detect" => {
-            let outliers = answer(run_request(engine, Request::Detect)?.into_outliers(), op)?;
-            let ids: Vec<String> = outliers.iter().map(u64::to_string).collect();
-            Ok(Some(format!(
-                "{{\"v\":1,\"ok\":true,\"op\":\"detect\",\"outliers\":[{}]}}",
-                ids.join(",")
-            )))
-        }
-        "insert" => {
-            let points = parse_points(request, "insert")?;
-            let receipt = answer(
-                run_request(engine, Request::Insert { points })?.into_insert(),
-                op,
+        Op::Run(Request::Detect) => {
+            let outliers = answer(
+                run_request(engine, Request::Detect)?.into_outliers(),
+                "detect",
             )?;
-            let ids: Vec<String> = receipt.ids.iter().map(u64::to_string).collect();
-            Ok(Some(format!(
-                "{{\"v\":1,\"ok\":true,\"op\":\"insert\",\"ids\":[{}],\"expired\":{},\
-                 \"refreshed\":{},\"resident\":{}}}",
-                ids.join(","),
-                receipt.expired,
-                receipt.refreshed,
-                receipt.resident
-            )))
+            out.push_str("{\"v\":1,\"ok\":true,\"op\":\"detect\",\"outliers\":");
+            push_ids(out, &outliers);
+            out.push('}');
         }
-        "remove" => {
-            let Some(Json::Arr(raw)) = request.get("ids") else {
-                return Err(ServeError::bad("\"remove\" needs an \"ids\" array"));
-            };
-            let ids = raw
-                .iter()
-                .map(Json::as_u64)
-                .collect::<Option<Vec<u64>>>()
-                .ok_or_else(|| ServeError::bad("each id must be a non-negative integer"))?;
-            let receipt = answer(
-                run_request(engine, Request::Remove { ids })?.into_remove(),
-                op,
-            )?;
-            Ok(Some(format!(
-                "{{\"v\":1,\"ok\":true,\"op\":\"remove\",\"removed\":{},\"missing\":{},\
-                 \"refreshed\":{},\"resident\":{}}}",
-                receipt.removed, receipt.missing, receipt.refreshed, receipt.resident
-            )))
+        Op::Run(req @ Request::Insert { .. }) => {
+            let receipt = answer(run_request(engine, req)?.into_insert(), "insert")?;
+            out.push_str("{\"v\":1,\"ok\":true,\"op\":\"insert\",\"ids\":");
+            push_ids(out, &receipt.ids);
+            push_count(out, "expired", receipt.expired);
+            push_flag(out, "refreshed", receipt.refreshed);
+            push_count(out, "resident", receipt.resident);
+            out.push('}');
         }
-        "window" => {
-            let clear = matches!(request.get("clear"), Some(Json::Bool(true)));
-            let max_points = parse_count(request, "max_points")?;
-            let max_age_ms = parse_count(request, "max_age_ms")?;
-            let config = if clear {
-                Some(WindowConfig::default()) // unbounded = cleared
-            } else if max_points.is_some() || max_age_ms.is_some() {
-                let max_points = max_points.map(usize::try_from).transpose().map_err(|_| {
-                    ServeError::bad("\"max_points\" does not fit this platform's usize")
-                })?;
-                Some(WindowConfig {
-                    max_points,
-                    max_age: max_age_ms.map(Duration::from_millis),
-                })
-            } else {
-                None // just a tick: enforce the current window
-            };
-            let status = answer(
-                run_request(engine, Request::Window { config })?.into_window(),
-                op,
-            )?;
+        Op::Run(req @ Request::Remove { .. }) => {
+            let receipt = answer(run_request(engine, req)?.into_remove(), "remove")?;
+            out.push_str("{\"v\":1,\"ok\":true,\"op\":\"remove\"");
+            push_count(out, "removed", receipt.removed);
+            push_count(out, "missing", receipt.missing);
+            push_flag(out, "refreshed", receipt.refreshed);
+            push_count(out, "resident", receipt.resident);
+            out.push('}');
+        }
+        Op::Run(req @ Request::Window { .. }) => {
+            let status = answer(run_request(engine, req)?.into_window(), "window")?;
             let points = status
                 .window
                 .max_points
@@ -456,47 +688,44 @@ fn dispatch(ctx: &ServeContext, request: &Json) -> Result<Option<String>, ServeE
                 .window
                 .max_age
                 .map_or("null".to_string(), |d| d.as_millis().to_string());
-            Ok(Some(format!(
+            out.push_str(&format!(
                 "{{\"v\":1,\"ok\":true,\"op\":\"window\",\"max_points\":{},\"max_age_ms\":{},\
                  \"expired\":{},\"refreshed\":{},\"resident\":{}}}",
                 points, age, status.expired, status.refreshed, status.resident
-            )))
+            ));
         }
-        "explain" => {
+        Op::Explain => {
             let Some(report) = engine.plan_report() else {
                 return Err(ServeError {
                     code: "engine",
                     msg: "no resident plan to explain".into(),
                 });
             };
-            Ok(Some(format!(
+            out.push_str(&format!(
                 "{{\"v\":1,\"ok\":true,\"op\":\"explain\",\"epoch\":{},{}}}",
                 engine.epoch(),
                 plan_report_json(&report)
-            )))
+            ));
         }
-        "drift" => Ok(Some(format!(
+        Op::Drift => out.push_str(&format!(
             "{{\"v\":1,\"ok\":true,\"op\":\"drift\",\"drift\":{},\"epoch\":{}}}",
             json::number(engine.drift()),
             engine.epoch()
-        ))),
-        "refresh" => {
+        )),
+        Op::Refresh => {
             let epoch = engine.refresh_plan().map_err(engine_error)?;
-            Ok(Some(format!(
+            out.push_str(&format!(
                 "{{\"v\":1,\"ok\":true,\"op\":\"refresh\",\"epoch\":{epoch}}}"
-            )))
+            ));
         }
-        "stats" => Ok(Some(health_json(&engine.health()))),
-        "metrics" => Ok(Some(format!(
+        Op::Stats => out.push_str(&health_json(&engine.health())),
+        Op::Metrics => out.push_str(&format!(
             "{{\"v\":1,\"ok\":true,\"op\":\"metrics\",\"metrics\":\"{}\"}}",
             json::escape(&render_metrics(ctx))
-        ))),
-        "quit" => Ok(None),
-        other => Err(ServeError {
-            code: "unknown_op",
-            msg: format!("unknown op {other:?}"),
-        }),
+        )),
+        Op::Quit => out.push_str("{\"v\":1,\"ok\":true,\"op\":\"quit\"}"),
     }
+    Ok(())
 }
 
 /// Runs the serve loop over arbitrary input/output streams (stdin and
@@ -511,6 +740,8 @@ pub fn serve_streams(
     mut output: impl Write,
 ) -> Result<(), String> {
     let mut bytes = Vec::new();
+    // One reply buffer for the whole session.
+    let mut reply = String::new();
     loop {
         bytes.clear();
         let read = input
@@ -521,24 +752,22 @@ pub fn serve_streams(
         }
         let line = bytes.strip_suffix(b"\n").unwrap_or(&bytes);
         let line = line.strip_suffix(b"\r").unwrap_or(line);
-        let response = match std::str::from_utf8(line) {
+        let op = match std::str::from_utf8(line) {
             Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => json::parse(line)
-                .map_err(|e| ServeError::bad(format!("bad request: {e}")))
-                .and_then(|request| dispatch(ctx, &request)),
+            Ok(line) => read_request(line),
             Err(e) => Err(ServeError::bad(format!("bad request: not UTF-8: {e}"))),
         };
-        let quit = matches!(response, Ok(None));
-        let mut answer = match response {
-            Ok(Some(answer)) => answer,
-            Ok(None) => "{\"v\":1,\"ok\":true,\"op\":\"quit\"}".to_string(),
-            Err(e) => error_line(&e),
-        };
+        let quit = matches!(op, Ok(Op::Quit));
+        reply.clear();
+        if let Err(e) = op.and_then(|op| respond(ctx, op, &mut reply)) {
+            reply.clear();
+            reply.push_str(&error_line(&e));
+        }
         // The line and its terminator leave in one write: a reader woken
         // by the body alone would find no newline and go back to sleep.
-        answer.push('\n');
+        reply.push('\n');
         output
-            .write_all(answer.as_bytes())
+            .write_all(reply.as_bytes())
             .and_then(|()| output.flush())
             .map_err(|e| e.to_string())?;
         if quit {
@@ -675,15 +904,260 @@ mod tests {
     use super::*;
     use crate::args::{parse_command, Command};
     use dod_core::PointSet;
+    use dod_obs::json::{Json, MAX_DEPTH};
 
     /// The request grammar, through the shared reader and this module's
     /// layer on top: integer and exponent tokens are coordinates too.
     #[test]
     fn json_parser_round_trips_the_request_grammar() {
-        let v = json::parse(r#"{"op": "score", "points": [[0.5, -1e2], [3, 4.25]]}"#).unwrap();
-        assert_eq!(v.get("op").and_then(Json::as_str), Some("score"));
-        let points = parse_points(&v, "score").map_err(|e| e.msg).unwrap();
+        let line = r#"{"op": "score", "points": [[0.5, -1e2], [3, 4.25]]}"#;
+        let Ok(Op::Run(Request::Score { points })) = read_request(line) else {
+            panic!("a score request");
+        };
         assert_eq!(points, vec![vec![0.5, -100.0], vec![3.0, 4.25]]);
+    }
+
+    /// The request reader as it was before it read tokens: `json::parse`'s
+    /// tree, then `Json::get` per field and a copy of the points. Kept as
+    /// the oracle `read_request` is held to.
+    fn read_request_tree(line: &str) -> Result<Op, ServeError> {
+        let request =
+            json::parse(line).map_err(|e| ServeError::bad(format!("bad request: {e}")))?;
+        let op = match request.get("op") {
+            Some(Json::Str(op)) => op.as_str(),
+            _ => return Err(ServeError::bad("request needs a string \"op\" field")),
+        };
+        Ok(match op {
+            "score" => Op::Run(Request::Score {
+                points: parse_points(&request, "score")?,
+            }),
+            "detect" => Op::Run(Request::Detect),
+            "insert" => Op::Run(Request::Insert {
+                points: parse_points(&request, "insert")?,
+            }),
+            "remove" => {
+                let Some(Json::Arr(raw)) = request.get("ids") else {
+                    return Err(ServeError::bad("\"remove\" needs an \"ids\" array"));
+                };
+                let ids = raw
+                    .iter()
+                    .map(Json::as_u64)
+                    .collect::<Option<Vec<u64>>>()
+                    .ok_or_else(|| ServeError::bad("each id must be a non-negative integer"))?;
+                Op::Run(Request::Remove { ids })
+            }
+            "window" => {
+                let clear = matches!(request.get("clear"), Some(Json::Bool(true)));
+                let max_points = parse_count(&request, "max_points")?;
+                let max_age_ms = parse_count(&request, "max_age_ms")?;
+                let config = if clear {
+                    Some(WindowConfig::default())
+                } else if max_points.is_some() || max_age_ms.is_some() {
+                    let max_points = max_points.map(usize::try_from).transpose().map_err(|_| {
+                        ServeError::bad("\"max_points\" does not fit this platform's usize")
+                    })?;
+                    Some(WindowConfig {
+                        max_points,
+                        max_age: max_age_ms.map(Duration::from_millis),
+                    })
+                } else {
+                    None
+                };
+                Op::Run(Request::Window { config })
+            }
+            "explain" => Op::Explain,
+            "drift" => Op::Drift,
+            "refresh" => Op::Refresh,
+            "stats" => Op::Stats,
+            "metrics" => Op::Metrics,
+            "quit" => Op::Quit,
+            other => {
+                return Err(ServeError {
+                    code: "unknown_op",
+                    msg: format!("unknown op {other:?}"),
+                })
+            }
+        })
+    }
+
+    /// Extracts a `"points": [[…], …]` field as coordinate rows.
+    fn parse_points(request: &Json, op: &str) -> Result<Vec<Vec<f64>>, ServeError> {
+        let Some(Json::Arr(rows)) = request.get("points") else {
+            return Err(ServeError::bad(format!(
+                "\"{op}\" needs a \"points\" array"
+            )));
+        };
+        let mut points = Vec::with_capacity(rows.len());
+        for row in rows {
+            let Json::Arr(coords) = row else {
+                return Err(ServeError::bad("each point must be an array of numbers"));
+            };
+            let mut point = Vec::with_capacity(coords.len());
+            for c in coords {
+                let Some(v) = c.as_f64() else {
+                    return Err(ServeError::bad("each coordinate must be a number"));
+                };
+                point.push(v);
+            }
+            points.push(point);
+        }
+        Ok(points)
+    }
+
+    /// Extracts an optional non-negative integer field (absent or `null`
+    /// both mean "not set").
+    fn parse_count(request: &Json, key: &str) -> Result<Option<u64>, ServeError> {
+        match request.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(v) => v.as_u64().map(Some).ok_or_else(|| {
+                ServeError::bad(format!("\"{key}\" must be a non-negative integer"))
+            }),
+        }
+    }
+
+    /// What a read made of a line: the request with coordinates as bits,
+    /// or the error reply's bytes.
+    fn read_outcome(read: Result<Op, ServeError>) -> String {
+        let bits = |points: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            points
+                .iter()
+                .map(|p| p.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        match read {
+            Err(e) => error_line(&e),
+            Ok(Op::Run(Request::Score { points })) => format!("score {:?}", bits(&points)),
+            Ok(Op::Run(Request::Insert { points })) => format!("insert {:?}", bits(&points)),
+            Ok(other) => format!("{other:?}"),
+        }
+    }
+
+    /// Every single-edit mutant of `sample` (at each offset: a bit
+    /// flipped, the high bit flipped, the byte deleted, the line truncated,
+    /// eight bytes duplicated), blank ones dropped.
+    fn mutants(sample: &str) -> Vec<String> {
+        let sample = sample.as_bytes();
+        (0..sample.len())
+            .flat_map(|at| {
+                let (head, tail) = (&sample[..at], &sample[at + 1..]);
+                let again = &sample[at..sample.len().min(at + 8)];
+                [
+                    [head, &[sample[at] ^ 1], tail].concat(),
+                    [head, &[sample[at] ^ 0x80], tail].concat(),
+                    [head, tail].concat(),
+                    head.to_vec(),
+                    [head, again, &sample[at..]].concat(),
+                ]
+            })
+            .map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+            // Blank lines get no reply by design.
+            .filter(|line| !line.trim().is_empty())
+            .collect()
+    }
+
+    /// The token reader gives every line of the corpus the request the
+    /// tree path gives it, coordinates bit for bit, or the same error
+    /// reply byte for byte: mutants of each op's request, numbers on and
+    /// off the decimal fast path, key order, duplicate and unknown keys,
+    /// whitespace, nesting at the bound, and syntax errors after field
+    /// errors.
+    #[test]
+    fn the_token_reader_matches_the_tree_reader() {
+        let samples = [
+            r#"{"op": "score", "points": [[0.5, -1e2], [3, 4.25]], "note": "a\"b é"}"#,
+            r#"{"op":"insert","points":[[12.345678,-0.000001],[7,8]]}"#,
+            r#"{"op": "remove", "ids": [3, 99, 0]}"#,
+            r#"{"op": "window", "max_points": 10, "max_age_ms": null, "clear": false}"#,
+            r#"{"op":"detect","x":{"y":[true,null]}}"#,
+        ];
+        let mut corpus: Vec<String> = samples.iter().flat_map(|s| mutants(s)).collect();
+        let numbers = [
+            "123.456789",
+            "-0.000001",
+            "999999.999999",
+            "123456789012345",
+            "1234567890.12345",
+            "1234567890123456",
+            "0.1234567890123456",
+            "12345678901234567",
+            "1.2345678901234567",
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551616",
+            "1234567890123456789012",
+            "1e5",
+            "-2.5E-3",
+            "1E+2",
+            "-0",
+            "-0.0",
+            "0",
+            "1e308",
+            "1e309",
+            "-1e309",
+            "5e-324",
+            "1.7976931348623157e308",
+            "0.000000000000000001",
+        ];
+        for a in numbers {
+            for b in ["0.5", a] {
+                corpus.push(format!("{{\"op\":\"score\",\"points\":[[{a},{b}]]}}"));
+                corpus.push(format!("{{\"op\":\"remove\",\"ids\":[{a}]}}"));
+                corpus.push(format!("{{\"op\":\"window\",\"max_points\":{a}}}"));
+            }
+        }
+        let deep = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        corpus.extend([
+            // Whitespace between every token, and reordered keys.
+            " {\t\"points\" :\r[ [ 1.5 , 2 ] ,[3,4] ] , \"op\" : \"score\" } ".to_string(),
+            r#"{"points":[[1,2]],"op":"insert"}"#.to_string(),
+            r#"{"ids":[1,2],"op":"remove","points":"ignored"}"#.to_string(),
+            // Duplicate keys: the first occurrence counts.
+            r#"{"op":"score","op":"detect","points":[[1,2]]}"#.to_string(),
+            r#"{"op":"score","points":[[1,2]],"points":"not an array"}"#.to_string(),
+            r#"{"op":"score","points":"not an array","points":[[1,2]]}"#.to_string(),
+            r#"{"op":7,"op":"stats"}"#.to_string(),
+            r#"{"op":"window","clear":false,"clear":true,"max_points":3}"#.to_string(),
+            r#"{"op":"window","max_points":null,"max_points":-1}"#.to_string(),
+            r#"{"op":"window","max_age_ms":[1],"max_points":1.5}"#.to_string(),
+            r#"{"op":"remove","ids":[1,"2"],"ids":[3]}"#.to_string(),
+            // Unknown keys of every shape.
+            r#"{"op":"stats","a":{"b":[1,{"c":"d"}]},"e":"\u00e9\ud83d\ude00"}"#.to_string(),
+            // Points of the wrong shape, first offence in document order.
+            r#"{"op":"score","points":[[1,2],3,[4,"x"]]}"#.to_string(),
+            r#"{"op":"score","points":[[1,[2]],{"a":1}]}"#.to_string(),
+            r#"{"op":"insert","points":[[],[1,2]]}"#.to_string(),
+            r#"{"op":"score","points":[]}"#.to_string(),
+            // Not an object at all.
+            "[1,2]".to_string(),
+            "\"op\"".to_string(),
+            "null".to_string(),
+            // Nesting at the bound and one past it, in an unknown key and
+            // inside the points.
+            format!(r#"{{"op":"stats","x":{}}}"#, deep(MAX_DEPTH - 1)),
+            format!(r#"{{"op":"stats","x":{}}}"#, deep(MAX_DEPTH)),
+            format!(r#"{{"op":"score","points":{}}}"#, deep(MAX_DEPTH - 1)),
+            format!(r#"{{"op":"score","points":{}}}"#, deep(MAX_DEPTH)),
+            // A syntax error after a field error: the syntax error wins.
+            r#"{"op":"score","points":[["a"]],"x": }"#.to_string(),
+            r#"{"op":"remove","ids":[-1] "y":1}"#.to_string(),
+            r#"{"op":"window","max_points":1.5,"z":01}"#.to_string(),
+            r#"{"op":"nope","x":[1,}"#.to_string(),
+            r#"{"points":5,"op":"insert"} trailing"#.to_string(),
+        ]);
+        for line in &corpus {
+            assert_eq!(
+                read_outcome(read_request(line)),
+                read_outcome(read_request_tree(line)),
+                "{line}"
+            );
+        }
+        // The corpus reaches both kinds of outcome.
+        let ok = corpus.iter().filter(|l| read_request(l).is_ok()).count();
+        assert!(
+            ok > 100 && ok < corpus.len() - 100,
+            "{ok} of {}",
+            corpus.len()
+        );
     }
 
     /// Escapes reach dispatch decoded, and every kind of malformed line —
@@ -711,24 +1185,8 @@ mod tests {
     /// is still serving after the last.
     #[test]
     fn mutated_requests_get_one_coded_reply_each() {
-        let sample = r#"{"op": "score", "points": [[0.5, -1e2], [3, 4.25]], "note": "a\"b é"}"#;
-        let sample = sample.as_bytes();
-        let mutants: Vec<String> = (0..sample.len())
-            .flat_map(|at| {
-                let (head, tail) = (&sample[..at], &sample[at + 1..]);
-                let again = &sample[at..sample.len().min(at + 8)];
-                [
-                    [head, &[sample[at] ^ 1], tail].concat(),
-                    [head, &[sample[at] ^ 0x80], tail].concat(),
-                    [head, tail].concat(),
-                    head.to_vec(),
-                    [head, again, &sample[at..]].concat(),
-                ]
-            })
-            .map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
-            // Blank lines get no reply by design.
-            .filter(|line| !line.trim().is_empty())
-            .collect();
+        let mutants =
+            mutants(r#"{"op": "score", "points": [[0.5, -1e2], [3, 4.25]], "note": "a\"b é"}"#);
         let responses = session(&format!("{}\n{{\"op\": \"stats\"}}\n", mutants.join("\n")));
         assert_eq!(responses.len(), mutants.len() + 1);
         let mut refused = 0;

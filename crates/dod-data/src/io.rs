@@ -15,12 +15,12 @@
 //! **The fast path** takes a line whose fields all match
 //! `-?[0-9]*\.?[0-9]*` with 1 to 19 digits and a mantissa `m < 2^53`,
 //! separated by commas and ended by `\n` or `\r\n`, and nothing else.
-//! A field with `f` fraction digits is `m as f64 / 10^f`. Both operands
-//! are exact: `m < 2^53`, and `10^f` for `f <= 19 <= 22` is exact in an
-//! `f64`. IEEE division rounds correctly, so the quotient is the
-//! decimal's correctly rounded `f64`: the bits `str::parse::<f64>`
-//! returns (this is Clinger's fast path, the first step of `core`'s own
-//! decimal-to-float conversion). `-0` reads as `-0.0`, as it parses.
+//! Each field goes through the workspace's one exact short-decimal
+//! conversion, shared with the JSON reader (`decimal.rs` of `dod-obs`,
+//! compiled here as this crate's `decimal` module): a field with `f`
+//! fraction digits is `m as f64 / 10^f`, which is exactly the bits
+//! `str::parse::<f64>` returns (Clinger's fast path; that file carries
+//! the argument). `-0` reads as `-0.0`, as it parses.
 //!
 //! **The slow lane** takes every other line, alone: exponents, a leading
 //! `+`, `inf` or `NaN`, whitespace of any kind, more digits, empty fields,
@@ -98,17 +98,6 @@ pub fn write_csv(path: &Path, points: &PointSet) -> io::Result<()> {
 /// Bytes [`read_csv`] asks the file for at a time. A line longer than
 /// this grows the buffer until the line fits.
 const READ_BUF_BYTES: usize = 64 * 1024;
-
-/// Most digits a fast-path field may carry: any 19-digit mantissa fits a
-/// `u64`.
-const FAST_MAX_DIGITS: usize = 19;
-
-/// `10^f` for every fraction length the fast path meets. Each is exact:
-/// `10^f = 5^f · 2^f`, and `5^f < 2^53` up to `f = 22`.
-const POW10: [f64; FAST_MAX_DIGITS + 1] = [
-    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
-    1e17, 1e18, 1e19,
-];
 
 /// Reads a CSV of floating-point rows. The dimensionality is inferred
 /// from the first non-empty row; all rows must agree. Every field must be
@@ -255,29 +244,14 @@ enum Fast {
 fn fast_row(bytes: &[u8], out: &mut Vec<f64>) -> Fast {
     let mut i = 0;
     loop {
-        let negative = bytes.get(i) == Some(&b'-');
-        i += usize::from(negative);
-        let (mut mantissa, mut digits, mut dot) = (0u64, 0, None);
-        let end = loop {
-            match bytes.get(i) {
-                Some(&b) if b.is_ascii_digit() => {
-                    if digits == FAST_MAX_DIGITS {
-                        return Fast::Slow;
-                    }
-                    mantissa = 10 * mantissa + u64::from(b - b'0');
-                    digits += 1;
-                }
-                Some(b'.') if dot.is_none() => dot = Some(digits),
-                Some(&b) => break b,
-                None => return Fast::Short,
-            }
-            i += 1;
-        };
-        if digits == 0 || mantissa >= 1 << 53 {
+        let Some((v, used)) = crate::decimal::prefix(&bytes[i..]) else {
             return Fast::Slow;
-        }
-        let v = mantissa as f64 / POW10[dot.map_or(0, |d| digits - d)];
-        out.push(if negative { -v } else { v });
+        };
+        i += used;
+        let Some(&end) = bytes.get(i) else {
+            return Fast::Short;
+        };
+        out.push(v);
         i += 1;
         match end {
             b',' => {}

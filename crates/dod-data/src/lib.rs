@@ -15,6 +15,10 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
+// The exact short-decimal conversion the JSON reader of `dod-obs` uses
+// too: one source file, compiled into both crates.
+#[path = "../../dod-obs/src/decimal.rs"]
+mod decimal;
 pub mod distort;
 pub mod hierarchy;
 pub mod io;

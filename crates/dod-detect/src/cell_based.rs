@@ -26,7 +26,7 @@
 use crate::detector::{Detection, DetectionStats, Detector};
 use crate::partition::{Partition, Side};
 use crate::scan::{count_tile_excluding, PermutedScan};
-use dod_core::{CellId, CellMap, GridSpec, OutlierParams, PointSet};
+use dod_core::{CellId, CellMap, GridSpec, NeighborPredicate, OutlierParams, PointSet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -159,11 +159,21 @@ struct Run {
 /// hole. So the order of a cell's entries is exactly the order a
 /// per-cell `Vec` would hold. The gaps moved runs leave behind are
 /// reclaimed by the next build (a `PartitionState` compaction).
+///
+/// A removal finds its entry through `positions`, the arena position of
+/// each slot, rather than by scanning the cell's run (a cell of a dense
+/// blob holds hundreds of copies). The map is built on the tile's first
+/// removal, so an index that is only read or only grown — the batch
+/// reducer's, or a read-only server's — never pays its pass or its 4 B
+/// per copy; from then on every push, run move and swap-remove keeps it
+/// current, and a rebuild starts without one.
 #[derive(Debug, Clone, Default)]
 struct Tile {
     coords: Vec<f64>,
     slots: Vec<u32>,
     runs: Vec<Run>,
+    /// Arena position of each live slot; `None` until the first removal.
+    positions: Option<Vec<u32>>,
 }
 
 impl Tile {
@@ -190,6 +200,7 @@ impl Tile {
             coords: vec![0.0; cells.len() * dim],
             slots: vec![0; cells.len()],
             runs,
+            positions: None,
         };
         for (slot, &e) in entry_of.iter().enumerate() {
             let run = &mut tile.runs[e];
@@ -240,6 +251,12 @@ impl Tile {
                 self.coords
                     .extend_from_within(live.start * dim..live.end * dim);
                 run.start = end;
+                if let Some(positions) = &mut self.positions {
+                    let moved = end as usize..end as usize + live.len();
+                    for at in moved {
+                        positions[self.slots[at] as usize] = at as u32;
+                    }
+                }
             }
             run.cap = run
                 .cap
@@ -250,33 +267,53 @@ impl Tile {
             self.slots.resize(new_end, 0);
             self.coords.resize(new_end * dim, 0.0);
         }
-        let at = (run.start + run.len) as usize;
-        self.slots[at] = slot;
-        self.coords[at * dim..(at + 1) * dim].copy_from_slice(p);
+        let at = run.start + run.len;
+        self.slots[at as usize] = slot;
+        self.coords[at as usize * dim..(at as usize + 1) * dim].copy_from_slice(p);
         run.len += 1;
         self.runs[e] = run;
+        if let Some(positions) = &mut self.positions {
+            if positions.len() <= slot as usize {
+                positions.resize(slot as usize + 1, 0);
+            }
+            positions[slot as usize] = at;
+        }
+    }
+
+    /// The arena position of each live slot, built on first use.
+    fn positions(&mut self) -> &mut Vec<u32> {
+        self.positions.get_or_insert_with(|| {
+            let live = self.runs.iter().map(|run| run.len as usize).sum();
+            let mut positions = vec![0; live];
+            for run in &self.runs {
+                for at in run.start..run.start + run.len {
+                    positions[self.slots[at as usize] as usize] = at;
+                }
+            }
+            positions
+        })
     }
 
     /// Removes `slot` from entry `e`'s run, moving the run's last live
-    /// entry into its place.
-    fn swap_remove(&mut self, e: usize, slot: u32, dim: usize) {
-        let live = self.live(e);
-        let Some(pos) = self.slots[live.clone()].iter().position(|&s| s == slot) else {
-            return;
-        };
-        let (at, last) = (live.start + pos, live.end - 1);
-        self.slots[at] = self.slots[last];
+    /// entry into its place, then gives the side's last slot `last` the
+    /// number `slot` — the partition's own swap-remove. `slot` must be
+    /// live in the run.
+    fn swap_remove(&mut self, e: usize, slot: u32, last: u32, dim: usize) {
+        let at = self.positions()[slot as usize] as usize;
+        let end = self.live(e).end - 1;
+        let tail = self.slots[end];
+        self.slots[at] = tail;
         self.coords
-            .copy_within(last * dim..(last + 1) * dim, at * dim);
+            .copy_within(end * dim..(end + 1) * dim, at * dim);
         self.runs[e].len -= 1;
-    }
-
-    /// Rewrites the stored slot `from` of entry `e` to `to`.
-    fn renumber(&mut self, e: usize, from: u32, to: u32) {
-        let live = self.live(e);
-        if let Some(s) = self.slots[live].iter_mut().find(|s| **s == from) {
-            *s = to;
+        let positions = self.positions.as_mut().expect("built above");
+        positions[tail as usize] = at as u32;
+        if slot != last {
+            let moved = positions[last as usize];
+            self.slots[moved as usize] = slot;
+            positions[slot as usize] = moved;
         }
+        positions.truncate(last as usize);
     }
 
     /// Arena length in entries, as a run position.
@@ -380,17 +417,14 @@ impl CellIndex {
     /// was inserted with — the index side of [`Partition::swap_remove`].
     /// `moved` is the slot and the coordinates of the point that the
     /// partition's swap-remove moves into `slot` (none when `slot` was
-    /// the side's last); its entry is re-pointed at `slot`.
+    /// the side's last); its entry is re-pointed at `slot`. Neither entry
+    /// is searched for: the tile keeps each slot's arena position.
     pub fn swap_remove(&mut self, side: Side, slot: u32, p: &[f64], moved: Option<(u32, &[f64])>) {
-        let tile = &mut self.tiles[side];
-        if let Some(e) = self.directory.entry(self.grid.cell_of(p)) {
-            tile.swap_remove(e, slot, p.len());
-        }
-        if let Some((from, mp)) = moved {
-            if let Some(e) = self.directory.entry(self.grid.cell_of(mp)) {
-                tile.renumber(e, from, slot);
-            }
-        }
+        let Some(e) = self.directory.entry(self.grid.cell_of(p)) else {
+            return;
+        };
+        let last = moved.map_or(slot, |(from, _)| from);
+        self.tiles[side].swap_remove(e, slot, last, p.len());
     }
 
     /// Resident core points in `cell`.
@@ -408,11 +442,10 @@ impl CellIndex {
         &self,
         partition: &Partition,
         q: &[f64],
-        params: OutlierParams,
+        pred: NeighborPredicate,
         cap: usize,
     ) -> usize {
-        self.count_core_neighbors_traced(partition, q, params, cap)
-            .0
+        self.count_core_neighbors_traced(partition, q, pred, cap).0
     }
 
     /// [`CellIndex::count_core_neighbors`] that also returns the work
@@ -436,11 +469,14 @@ impl CellIndex {
     /// as the build lays them out — are scanned as one tile; the order,
     /// and so the early-exit position and the work, is the cell-by-cell
     /// order.
+    ///
+    /// `pred` is the caller's predicate for the index's parameters — a
+    /// resident state builds it once and lends it to every query.
     pub fn count_core_neighbors_traced(
         &self,
         partition: &Partition,
         q: &[f64],
-        params: OutlierParams,
+        pred: NeighborPredicate,
         cap: usize,
     ) -> (usize, u64) {
         if cap == 0 {
@@ -467,7 +503,6 @@ impl CellIndex {
                 return (cap, 0);
             }
         }
-        let pred = params.predicate();
         let mut count = 0usize;
         let mut work = 0u64;
         let core = &self.tiles[Side::Core];
@@ -479,7 +514,7 @@ impl CellIndex {
             count < cap
         };
         grid.visit_box_rows(
-            |i| (q[i] - params.r, q[i] + params.r),
+            |i| (q[i] - pred.r(), q[i] + pred.r()),
             |row| {
                 let mut span: Option<Range<usize>> = None;
                 for cell in row {
@@ -920,7 +955,8 @@ pub(crate) mod tests {
         for q in queries {
             let truth = part.core().iter().filter(|p| prm.neighbors(q, p)).count();
             for cap in 1..=prm.k + 2 {
-                let (found, work) = index.count_core_neighbors_traced(part, q, prm, cap);
+                let (found, work) =
+                    index.count_core_neighbors_traced(part, q, prm.predicate(), cap);
                 assert_eq!(found, truth.min(cap), "query {q:?} cap {cap}");
                 if found > 0 && work == 0 {
                     assert_eq!(found, cap, "only the rule answers without work");
@@ -1018,7 +1054,7 @@ pub(crate) mod tests {
         rule_decided_probes_after_checking_exactness(&index, &part, prm, &queries);
         assert_eq!(
             index
-                .count_core_neighbors_traced(&part, &[5.02, 5.0], prm, 6)
+                .count_core_neighbors_traced(&part, &[5.02, 5.0], prm.predicate(), 6)
                 .0,
             2
         );
@@ -1038,14 +1074,77 @@ pub(crate) mod tests {
         assert!(bytes <= bound, "{kind}: {bytes} B for {points} points");
     }
 
+    /// Removes `part`'s `victim` of `side` from `index` and `part`,
+    /// re-pointing the moved-last entry the way `PartitionState` does.
+    fn swap_remove(index: &mut CellIndex, part: &mut Partition, side: Side, victim: usize) {
+        let points = part.points(side);
+        let last = points.len() - 1;
+        let moved = (victim < last).then(|| (last as u32, points.point(last)));
+        index.swap_remove(side, victim as u32, points.point(victim), moved);
+        part.swap_remove(side, victim);
+    }
+
+    /// `index` holds each of `part`'s copies once, under its slot, in
+    /// its cell's run, at the position its map (if built) names — and
+    /// answers as a fresh build over `part` does.
+    fn assert_matches_fresh_build(
+        index: &CellIndex,
+        part: &Partition,
+        prm: OutlierParams,
+        kind: &str,
+    ) {
+        for side in [Side::Core, Side::Support] {
+            let (tile, points) = (&index.tiles[side], part.points(side));
+            let mut seen = vec![false; points.len()];
+            for (e, &cell) in index.cells.iter().enumerate() {
+                for at in tile.live(e) {
+                    let slot = tile.slots[at] as usize;
+                    assert!(
+                        !std::mem::replace(&mut seen[slot], true),
+                        "{kind}: slot {slot} twice"
+                    );
+                    assert_eq!(tile.coords_of(at..at + 1, 2), points.point(slot), "{kind}");
+                    assert_eq!(index.grid.cell_of(points.point(slot)), cell, "{kind}");
+                    if let Some(positions) = &tile.positions {
+                        assert_eq!(positions[slot] as usize, at, "{kind}: slot {slot}");
+                    }
+                }
+            }
+            assert!(seen.iter().all(|&s| s), "{kind}: a slot is missing");
+            let mapped = tile.positions.as_ref().map_or(points.len(), Vec::len);
+            assert_eq!(mapped, points.len(), "{kind}");
+        }
+        let fresh = CellIndex::build(part, prm, CellBased::DEFAULT_MAX_CELLS_PER_DIM).unwrap();
+        assert_directory(&fresh, kind, part.total_len());
+        let via_mutations = CellBased::default().detect_with_index(part, prm, index);
+        let via_fresh = CellBased::default().detect_with_index(part, prm, &fresh);
+        assert_eq!(via_mutations.outliers, via_fresh.outliers, "{kind}");
+        let pred = prm.predicate();
+        for q in [&[0.5, 0.5][..], &[4.0, 4.0], &[7.9, 0.1], &[-3.0, 2.0]] {
+            assert_eq!(
+                index.count_core_neighbors(part, q, pred, usize::MAX),
+                fresh.count_core_neighbors(part, q, pred, usize::MAX),
+                "{kind}: query {q:?}"
+            );
+        }
+        for q in part.core().iter().chain(part.support().iter()) {
+            assert_eq!(
+                index.count_core_neighbors(part, q, pred, usize::MAX),
+                fresh.count_core_neighbors(part, q, pred, usize::MAX),
+                "{kind}: query {q:?}"
+            );
+        }
+    }
+
     #[test]
     fn incremental_mutations_match_fresh_build() {
         // Build an index over a prefix, splice the remaining points in
         // via push, remove a few via swap_remove (mirroring
-        // Partition::swap_remove), and check the
-        // detection and count answers against a fresh build of the same
-        // surviving partition — over a dense directory, and over a keyed
-        // one that two far corners stretch the grid into.
+        // Partition::swap_remove) — then one right after a run move, and
+        // more after a compaction — and check the detection and count
+        // answers against a fresh build of the same surviving partition
+        // after each, over a dense directory, and over a keyed one that
+        // two far corners stretch the grid into.
         let prm = params(1.0, 3);
         for (corners, kind) in [(None, "dense"), (Some(150.0), "keyed")] {
             let mut full = random_partition(7, 60, 20, 8.0);
@@ -1092,25 +1191,41 @@ pub(crate) mod tests {
                 (Side::Support, &[5, 0]),
             ] {
                 for &victim in victims {
-                    let points = part.points(side);
-                    let last = points.len() - 1;
-                    let moved = (victim < last).then(|| (last as u32, points.point(last)));
-                    index.swap_remove(side, victim as u32, points.point(victim), moved);
-                    part.swap_remove(side, victim);
+                    swap_remove(&mut index, &mut part, side, victim);
                 }
             }
-            let fresh = CellIndex::build(&part, prm, CellBased::DEFAULT_MAX_CELLS_PER_DIM).unwrap();
-            assert_directory(&fresh, kind, part.total_len());
-            let via_mutations = CellBased::default().detect_with_index(&part, prm, &index);
-            let via_fresh = CellBased::default().detect_with_index(&part, prm, &fresh);
-            assert_eq!(via_mutations.outliers, via_fresh.outliers, "{kind}");
-            for q in [&[0.5, 0.5][..], &[4.0, 4.0], &[7.9, 0.1], &[-3.0, 2.0]] {
-                assert_eq!(
-                    index.count_core_neighbors(&part, q, prm, usize::MAX),
-                    fresh.count_core_neighbors(&part, q, prm, usize::MAX),
-                    "{kind}: query {q:?}"
-                );
+            assert!(index.tiles[Side::Core].positions.is_some());
+            assert_matches_fresh_build(&index, &part, prm, kind);
+            // A removal right after a run move: copies of a core point
+            // fill its cell's run until the run moves to the arena's end,
+            // then the point itself goes.
+            let core = &index.tiles[Side::Core];
+            let victim = (0..part.core().len())
+                .find(|&i| {
+                    let p = part.core().point(i);
+                    let run = core.runs[index.directory.entry(index.grid.cell_of(p)).unwrap()];
+                    run.start + run.cap != core.arena_len()
+                })
+                .expect("a run short of the arena's end");
+            let p = part.core().point(victim).to_vec();
+            let e = index.directory.entry(index.grid.cell_of(&p)).unwrap();
+            let start = index.tiles[Side::Core].runs[e].start;
+            let mut id = 200;
+            while index.tiles[Side::Core].runs[e].start == start {
+                let slot = part.push(Side::Core, &p, id).unwrap();
+                assert!(index.push(Side::Core, slot as u32, &p));
+                id += 1;
             }
+            swap_remove(&mut index, &mut part, Side::Core, victim);
+            assert_matches_fresh_build(&index, &part, prm, kind);
+            // A removal after a compaction: the rebuilt index has no
+            // position map until its first removal builds one.
+            index = CellIndex::build(&part, prm, CellBased::DEFAULT_MAX_CELLS_PER_DIM).unwrap();
+            assert!(index.tiles.iter().all(|t| t.positions.is_none()));
+            for (side, victim) in [(Side::Support, 1), (Side::Core, 7), (Side::Core, 0)] {
+                swap_remove(&mut index, &mut part, side, victim);
+            }
+            assert_matches_fresh_build(&index, &part, prm, kind);
             // Out-of-domain insert is refused, signalling a rebuild.
             assert!(!index.push(Side::Core, 999, &[1e6, 1e6]));
             assert!(!index.push(Side::Support, 999, &[-1e6, 0.0]));

@@ -311,7 +311,7 @@ impl PartitionState {
     pub fn count_core_neighbors_traced(&self, q: &[f64], cap: usize) -> (usize, u64) {
         match &self.index {
             StateIndex::Cells(cells) => {
-                cells.count_core_neighbors_traced(&self.partition, q, self.params, cap)
+                cells.count_core_neighbors_traced(&self.partition, q, self.pred, cap)
             }
             StateIndex::Tree(tree) => {
                 tree.count_core_neighbors_traced(&self.partition, q, self.params, cap)

@@ -81,8 +81,9 @@ impl EngineBuilder {
     /// min 1): the routing pass of the initial build and of every epoch
     /// swap runs on up to this many (never more than there are points),
     /// and a score of at least [`FAN_OUT_MIN_QUERIES`](crate::FAN_OUT_MIN_QUERIES)
-    /// points is split into this many slices. The calling thread is one of
-    /// them; the rest are spawned for the call and joined before it returns. Mutations and detects run on the
+    /// points has its query groups claimed by this many threads. The
+    /// calling thread is one of them; the rest are spawned for the call
+    /// and joined before it returns. Mutations and detects run on the
     /// thread that calls [`Engine::execute`] alone. No answer, work
     /// counter, cost audit or drift reading depends on this count.
     pub fn workers(mut self, n: usize) -> Self {

@@ -36,9 +36,9 @@
 //! A request runs on the thread that calls [`Engine::execute`], under the
 //! one lock [`Engine`] describes, and nothing inside the engine queues or
 //! rejects it. A large score is the one request that borrows threads: a
-//! batch of at least [`FAN_OUT_MIN_QUERIES`] points is split over
-//! [`EngineBuilder::workers`] threads (the caller's among them) for the
-//! length of the call, with the same answer on any count.
+//! batch of at least [`FAN_OUT_MIN_QUERIES`] points has its query groups
+//! claimed by [`EngineBuilder::workers`] threads (the caller's among them)
+//! for the length of the call, with the same answer on any count.
 //! An engine-wide deadline ([`EngineBuilder::default_deadline`]) bounds
 //! each request ([`EngineError::DeadlineExceeded`]).
 //!

@@ -1,8 +1,9 @@
-//! The read path over one resident plan: query points scored in slices
-//! of whole query groups spread over helper threads, and the plan's own
-//! outliers detected partition by partition.
+//! The read path over one resident plan: query points scored in groups
+//! that the calling thread and its helpers claim from one counter, and
+//! the plan's own outliers detected partition by partition.
 
 use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use dod_core::PointId;
@@ -16,13 +17,13 @@ use crate::request::ScorePoint;
 /// is visited once per group of this many queries.
 pub const SCORE_GROUP: usize = 8;
 
-/// The smallest [`Request::Score`](crate::Request::Score) batch that is
-/// split over the engine's [`workers`](crate::EngineBuilder::workers)
-/// threads; a smaller batch is scored on the calling thread alone. Set at
-/// the measured crossover of one and two threads, where the helper's
-/// wake-up onto an idle core stops costing more than its half of the
-/// batch saves (DESIGN.md §6b *Steadiness*).
-pub const FAN_OUT_MIN_QUERIES: usize = 256;
+/// The smallest [`Request::Score`](crate::Request::Score) batch whose
+/// groups the engine's [`workers`](crate::EngineBuilder::workers) threads
+/// claim together; a smaller batch is scored on the calling thread alone.
+/// Set at the measured crossover of one and two threads, where the
+/// helper's spawn and wake-up onto an idle core stop costing more than
+/// the groups it takes save (DESIGN.md §6b *Steadiness*).
+pub const FAN_OUT_MIN_QUERIES: usize = 192;
 
 /// Calls `f(0)`, …, `f(threads - 1)` concurrently — `f(0)` on the calling
 /// thread, so one thread means no spawn — and returns the results in
@@ -52,75 +53,94 @@ pub(crate) fn fan_out<T: Send>(threads: usize, f: impl Fn(usize) -> T + Sync) ->
     })
 }
 
-/// What [`score`] and [`score_slice`] hand back.
-pub(crate) struct ScoredSlice {
-    /// One verdict per query of the slice, in order.
+/// What [`score`] hands back.
+pub(crate) struct Scored {
+    /// One verdict per query, in request order.
     pub(crate) verdicts: Vec<ScorePoint>,
-    /// Per partition: the slice's queries located in it.
+    /// Per partition: the queries located in it.
     pub(crate) traffic: Vec<u64>,
-    /// Per partition: the kernel work the slice did in it.
+    /// Per partition: the kernel work done in it.
     pub(crate) work: Vec<u64>,
 }
 
-impl ScoredSlice {
-    /// Appends the batch's next slice: its verdicts after these, its
-    /// traffic and work added per partition.
-    fn append(&mut self, next: ScoredSlice) {
-        self.verdicts.extend(next.verdicts);
-        for (sum, t) in self.traffic.iter_mut().zip(next.traffic) {
-            *sum += t;
-        }
-        for (sum, w) in self.work.iter_mut().zip(next.work) {
-            *sum += w;
-        }
-    }
+/// What one thread of a [`score`] call scored: the groups it claimed, in
+/// claim order (so ascending), their verdicts back to back, and its
+/// traffic and work.
+struct Claimed {
+    groups: Vec<usize>,
+    verdicts: Vec<ScorePoint>,
+    traffic: Vec<u64>,
+    work: Vec<u64>,
 }
 
 /// Scores a batch against `plan` (`None` for an empty resident dataset).
 ///
-/// Partitions are independent (Lemma 3.1), and so are queries: a batch
-/// of at least [`FAN_OUT_MIN_QUERIES`] points is cut into `workers`
-/// contiguous slices on [`SCORE_GROUP`] boundaries, each scored by
-/// [`score_slice`] on its own thread ([`fan_out`]; the first on the
-/// calling thread) against the one `plan` the caller's read guard holds.
-/// A smaller batch is one slice on the calling thread. Verdicts are
-/// concatenated in request order and traffic and work summed per
-/// partition, so nothing in the result depends on the worker count.
+/// Partitions are independent (Lemma 3.1), and so are queries. The batch
+/// is cut into groups of [`SCORE_GROUP`] queries (the last may be
+/// short), and the calling thread and — for a batch of at least
+/// [`FAN_OUT_MIN_QUERIES`] points — `workers - 1` helpers ([`fan_out`])
+/// claim groups from one shared counter until none is left, all against
+/// the one `plan` the caller's read guard holds. The caller starts on the
+/// first group at once, and a helper that starts late takes fewer groups
+/// rather than holding the request for a fixed half of it. Verdicts are
+/// put back in request order by group index, and traffic and work are
+/// integer sums per partition, so nothing in the result depends on the
+/// worker count or on which thread claimed which group.
 pub(crate) fn score(
     plan: Option<&ResidentPlan>,
     k: usize,
     points: &[Vec<f64>],
     deadline: Option<Instant>,
     workers: usize,
-) -> Result<ScoredSlice, EngineError> {
+) -> Result<Scored, EngineError> {
+    let groups = points.len().div_ceil(SCORE_GROUP);
     let threads = if points.len() >= FAN_OUT_MIN_QUERIES {
-        workers
+        workers.clamp(1, groups)
     } else {
         1
     };
-    // At most `threads` contiguous slices of whole groups; only the
-    // last may end in a short group, as it does unsplit.
-    let n = points.len();
-    let per_slice = n.div_ceil(SCORE_GROUP).div_ceil(threads).max(1) * SCORE_GROUP;
-    let mut scored = fan_out(n.div_ceil(per_slice).max(1), |s| {
-        let slice = &points[(s * per_slice).min(n)..((s + 1) * per_slice).min(n)];
-        score_slice(plan, k, slice, deadline)
-    })
-    .into_iter();
-    let mut total = scored.next().expect("fan_out calls f(0)")?;
-    for slice in scored {
-        total.append(slice?);
+    let next = AtomicUsize::new(0);
+    let claimed = fan_out(threads, |_| claim_groups(plan, k, points, deadline, &next));
+    let n_parts = plan.map_or(0, |p| p.mt.num_partitions());
+    let mut total = Scored {
+        verdicts: vec![
+            ScorePoint {
+                neighbors: 0,
+                outlier: true,
+            };
+            points.len()
+        ],
+        traffic: vec![0; n_parts],
+        work: vec![0; n_parts],
+    };
+    for part in claimed {
+        let part = part?;
+        let mut verdicts = part.verdicts.as_slice();
+        for g in part.groups {
+            let span = g * SCORE_GROUP..((g + 1) * SCORE_GROUP).min(points.len());
+            let (group, rest) = verdicts.split_at(span.len());
+            total.verdicts[span].copy_from_slice(group);
+            verdicts = rest;
+        }
+        for (sum, t) in total.traffic.iter_mut().zip(part.traffic) {
+            *sum += t;
+        }
+        for (sum, w) in total.work.iter_mut().zip(part.work) {
+            *sum += w;
+        }
     }
     Ok(total)
 }
 
-/// Scores one contiguous slice of a score batch against `plan` (`None`
-/// for an empty resident dataset), [`SCORE_GROUP`] queries at a time.
+/// One thread's share of a [`score`] call: claims group after group of
+/// `points` from `next` and scores each against `plan` (`None` for an
+/// empty resident dataset), until no group is left or the deadline has
+/// passed.
 ///
 /// It takes no lock: the caller holds the state lock's read side for
 /// the whole request and lends `plan` to the helper threads.
 ///
-/// Queries run in groups with the partition loop outside the group: the
+/// Within a group the partition loop is outside the query loop: the
 /// union of the group's lists is walked in ascending partition id, and
 /// each partition is visited once per group, scanning for each query that
 /// lists it and still needs neighbors. The order swap is
@@ -130,15 +150,17 @@ pub(crate) fn score(
 /// identically — so per-query results, per-partition work, and traffic
 /// counters all match scoring one query at a time against every partition
 /// within `r` of it.
-fn score_slice(
+fn claim_groups(
     plan: Option<&ResidentPlan>,
     k: usize,
     points: &[Vec<f64>],
     deadline: Option<Instant>,
-) -> Result<ScoredSlice, EngineError> {
+    next: &AtomicUsize,
+) -> Result<Claimed, EngineError> {
     let n_parts = plan.map_or(0, |p| p.mt.num_partitions());
-    let mut scored = ScoredSlice {
-        verdicts: Vec::with_capacity(points.len()),
+    let mut claimed = Claimed {
+        groups: Vec::new(),
+        verdicts: Vec::new(),
         traffic: vec![0; n_parts],
         work: vec![0; n_parts],
     };
@@ -148,13 +170,23 @@ fn score_slice(
     let mut ends = [0usize; SCORE_GROUP];
     let mut cursors = [0usize; SCORE_GROUP];
     let mut neighbors = [0usize; SCORE_GROUP];
-    for group in points.chunks(SCORE_GROUP) {
+    loop {
+        // The counter hands out group numbers and publishes nothing else:
+        // `points` and `plan` were shared before the threads started, and
+        // each thread's results reach the caller through its join.
+        let g = next.fetch_add(1, Ordering::Relaxed);
+        let start = g * SCORE_GROUP;
+        if start >= points.len() {
+            return Ok(claimed);
+        }
+        let group = &points[start..(start + SCORE_GROUP).min(points.len())];
         if deadline.is_some_and(|d| Instant::now() > d) {
             return Err(EngineError::DeadlineExceeded);
         }
+        claimed.groups.push(g);
         let Some(plan) = plan else {
             // Empty resident dataset: zero neighbors, always outlier.
-            scored.verdicts.extend(group.iter().map(|_| ScorePoint {
+            claimed.verdicts.extend(group.iter().map(|_| ScorePoint {
                 neighbors: 0,
                 outlier: true,
             }));
@@ -162,7 +194,7 @@ fn score_slice(
         };
         lists.clear();
         for (j, q) in group.iter().enumerate() {
-            scored.traffic[plan.mt.plan.locate(q) as usize] += 1;
+            claimed.traffic[plan.mt.plan.locate(q) as usize] += 1;
             cursors[j] = lists.len();
             plan.router.within_r_into(q, &mut lists);
             ends[j] = lists.len();
@@ -183,19 +215,18 @@ fn score_slice(
                     if live {
                         let (found, w) = state.count_core_neighbors_traced(q, k - neighbors[j]);
                         neighbors[j] += found;
-                        scored.work[pid as usize] += w;
+                        claimed.work[pid as usize] += w;
                     }
                 }
             }
         }
-        scored
+        claimed
             .verdicts
             .extend(neighbors[..group.len()].iter().map(|&nb| ScorePoint {
                 neighbors: nb,
                 outlier: nb < k,
             }));
     }
-    Ok(scored)
 }
 
 /// Runs full detection over every partition of `plan`, recording each

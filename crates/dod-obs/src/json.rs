@@ -5,9 +5,12 @@
 //! trace writer, the flight recorder's dump path, the `dod serve`
 //! response loop, checkpoint records) uses the writing primitives here,
 //! and everything that reads it — protocol-v1 requests, checkpoint
-//! manifests, task records and the DLQ, trace replay — goes through
-//! [`parse`]. Each caller layers only its own schema on the [`Json`]
-//! tree; none scans bytes itself.
+//! manifests, task records and the DLQ, trace replay — goes through one
+//! tokenizer, the pull [`Reader`]. Most callers take the [`Json`] tree
+//! [`parse`] builds from its tokens and layer their schema on that; the
+//! `dod serve` request loop, whose lines carry hundreds of coordinates,
+//! reads the tokens straight into its own types. None scans bytes
+//! itself.
 //!
 //! # Writer
 //!
@@ -24,20 +27,24 @@
 //!
 //! # Reader contract
 //!
-//! [`parse`] takes bytes from outside the program — a socket, a file an
-//! operator may have truncated — so every rule below ends in a
-//! [`ParseError`], never a panic:
+//! The reader takes bytes from outside the program — a socket, a file
+//! an operator may have truncated — so every rule below ends in a
+//! [`ParseError`], never a panic, whether the tokens build a tree or
+//! not:
 //!
-//! 1. **Nesting is bounded by [`MAX_DEPTH`].** The reader recurses once
+//! 1. **Nesting is bounded by [`MAX_DEPTH`].** [`parse`] recurses once
 //!    per open `[` or `{`, so the bound is what keeps a line of 100,000
 //!    `[` from overflowing the stack. It is a constant, not an option:
 //!    the deepest document any writer in this workspace emits has fewer
 //!    than ten levels, so no caller needs another value.
 //! 2. **Numbers follow the JSON grammar** (`-`? digits, optional
-//!    fraction, optional exponent; no `+1`, `.5`, `01` or `1.`), are
-//!    converted with `str::parse::<f64>`, and are rejected when the
-//!    result is not finite: JSON has no infinity, so `1e999` is an
-//!    error rather than a coordinate.
+//!    fraction, optional exponent; no `+1`, `.5`, `01` or `1.`). A token
+//!    of at most 19 digits, a mantissa below 2^53 and no exponent — every
+//!    six-decimal coordinate — is converted by the exact short-decimal
+//!    fast path the CSV reader shares (`decimal.rs`: Clinger's
+//!    `m / 10^f`, which returns `str::parse`'s bits); any other token by
+//!    `str::parse::<f64>`. A result that is not finite is rejected: JSON
+//!    has no infinity, so `1e999` is an error rather than a coordinate.
 //! 3. **A number keeps what each caller needs, with no allocation.**
 //!    [`Json::as_f64`] is bit-identical to `str::parse::<f64>` on the
 //!    token, so `-0`, subnormals and Rust's shortest `Display` output
@@ -49,14 +56,18 @@
 //!    which is how replay tells `U64`/`I64`/`F64` labels apart.
 //! 4. **Strings** know the escapes `\" \\ \/ \n \r \t \b \f \uXXXX`;
 //!    a surrogate pair decodes to its scalar and a lone surrogate is an
-//!    error. Runs between escapes are copied by slice.
+//!    error. Runs between escapes are copied by slice, and a string
+//!    with no escape is lent from the input.
 //! 5. **The whole input is one value.** Anything but whitespace after
 //!    it is an error.
 //!
 //! Objects keep their fields in source order and [`Json::get`] returns
 //! the first match; duplicate keys are not an error.
 
+use std::borrow::Cow;
 use std::io::{self, Write};
+
+use crate::decimal;
 
 /// Writes `s` as a JSON string literal with escaping.
 pub fn write_str(out: &mut impl Write, s: &str) -> io::Result<()> {
@@ -105,6 +116,23 @@ pub fn push_str(out: &mut String, s: &str) {
     out.push('"');
     out.push_str(&escape(s));
     out.push('"');
+}
+
+/// Appends `v` in decimal, the digits `Display` writes, without going
+/// through `fmt`: for the reply loops that write hundreds of counts a
+/// line.
+pub fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Serializes an `f64` as a JSON value in its shortest form; non-finite
@@ -157,6 +185,31 @@ enum Int {
     Negative(i64),
 }
 
+impl Num {
+    /// The number's value: what `str::parse::<f64>` gives for its token,
+    /// always finite.
+    pub fn as_f64(self) -> f64 {
+        self.float
+    }
+
+    /// The exact value of an integer token without a `-` that fits.
+    pub fn as_u64(self) -> Option<u64> {
+        match self.int {
+            Int::Unsigned(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The exact value of an integer token that fits.
+    pub fn as_i64(self) -> Option<i64> {
+        match self.int {
+            Int::Unsigned(v) => i64::try_from(v).ok(),
+            Int::Negative(v) => Some(v),
+            Int::No => None,
+        }
+    }
+}
+
 impl Json {
     /// Looks up a key in an object (the first match, in source order).
     pub fn get(&self, key: &str) -> Option<&Json> {
@@ -182,37 +235,27 @@ impl Json {
         }
     }
 
-    /// A number's value: what `str::parse::<f64>` gives for its token,
-    /// always finite.
+    /// A number's value ([`Num::as_f64`]).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Json::Num(n) => Some(n.float),
+            Json::Num(n) => Some(n.as_f64()),
             _ => None,
         }
     }
 
-    /// The exact integer of a number token, if it was one.
-    fn int(&self) -> Int {
-        match self {
-            Json::Num(n) => n.int,
-            _ => Int::No,
-        }
-    }
-
-    /// The exact value of an integer token without a `-` that fits.
+    /// A number's exact value as a `u64` ([`Num::as_u64`]).
     pub fn as_u64(&self) -> Option<u64> {
-        match self.int() {
-            Int::Unsigned(v) => Some(v),
+        match self {
+            Json::Num(n) => n.as_u64(),
             _ => None,
         }
     }
 
-    /// The exact value of an integer token that fits.
+    /// A number's exact value as an `i64` ([`Num::as_i64`]).
     pub fn as_i64(&self) -> Option<i64> {
-        match self.int() {
-            Int::Unsigned(v) => i64::try_from(v).ok(),
-            Int::Negative(v) => Some(v),
-            Int::No => None,
+        match self {
+            Json::Num(n) => n.as_i64(),
+            _ => None,
         }
     }
 
@@ -222,7 +265,7 @@ impl Json {
     }
 }
 
-/// Why [`parse`] refused its input.
+/// Why [`parse`] or a [`Reader`] refused its input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset into the input where the problem was found.
@@ -240,23 +283,197 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Parses `text` as exactly one JSON value, under the module's reader
-/// contract.
+/// contract: a [`Json`] tree built from a [`Reader`]'s tokens.
 pub fn parse(text: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { text, pos: 0 };
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != text.len() {
-        return Err(p.error("trailing characters"));
-    }
+    let mut reader = Reader::new(text);
+    let first = reader.next_token()?;
+    let value = tree(&mut reader, first)?;
+    reader.finish()?;
     Ok(value)
 }
 
-struct Parser<'a> {
-    text: &'a str,
-    pos: usize,
+/// The value that begins with `token`, read to its end.
+fn tree(reader: &mut Reader<'_>, token: Token<'_>) -> Result<Json, ParseError> {
+    Ok(match token {
+        Token::Null => Json::Null,
+        Token::Bool(b) => Json::Bool(b),
+        Token::Num(n) => Json::Num(n),
+        Token::Str(s) => Json::Str(s.into_owned()),
+        Token::ArrStart => {
+            let mut items = Vec::new();
+            loop {
+                match reader.next_token()? {
+                    Token::ArrEnd => break Json::Arr(items),
+                    item => items.push(tree(reader, item)?),
+                }
+            }
+        }
+        Token::ObjStart => {
+            let mut fields = Vec::new();
+            loop {
+                match reader.next_token()? {
+                    Token::ObjEnd => break Json::Obj(fields),
+                    Token::Key(key) => {
+                        let value = reader.next_token()?;
+                        fields.push((key.into_owned(), tree(reader, value)?));
+                    }
+                    other => unreachable!("an object holds keys, not {other:?}"),
+                }
+            }
+        }
+        Token::Key(_) | Token::ArrEnd | Token::ObjEnd => {
+            unreachable!("a value does not begin with {token:?}")
+        }
+    })
 }
 
-impl Parser<'_> {
+/// One token of a JSON document, in the order a [`Reader`] meets them.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Token<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number.
+    Num(Num),
+    /// A string value, unescaped; borrowed from the input when it had no
+    /// escape.
+    Str(Cow<'a, str>),
+    /// An object key, unescaped; its `:` is consumed.
+    Key(Cow<'a, str>),
+    /// `[`.
+    ArrStart,
+    /// `]`.
+    ArrEnd,
+    /// `{`.
+    ObjStart,
+    /// `}`.
+    ObjEnd,
+}
+
+impl Token<'_> {
+    /// Whether the token opens an array or an object.
+    fn opens(&self) -> bool {
+        matches!(self, Token::ArrStart | Token::ObjStart)
+    }
+}
+
+/// What a [`Reader`] reads next.
+#[derive(Debug, Clone, Copy)]
+enum Expect {
+    /// A value.
+    Value,
+    /// The first item of an array, or its `]`.
+    FirstItem,
+    /// The first key of an object, or its `}`.
+    FirstKey,
+    /// A `,` and the next item or key, or the container's close.
+    Next,
+    /// Nothing: the document's one value has ended.
+    Done,
+}
+
+// Open containers are kept one bit per level in a `u128`.
+const _: () = assert!(MAX_DEPTH <= 128);
+
+/// The workspace's one JSON tokenizer: a pull reader over one document,
+/// yielding [`Token`]s under the module's reader contract. [`parse`]
+/// builds its tree from these tokens; a caller that wants its own types
+/// (the `dod serve` request loop) reads them directly and never builds a
+/// tree.
+///
+/// Containers arrive as `ArrStart … ArrEnd` and `ObjStart (Key value)* ObjEnd`;
+/// the reader checks the commas, colons and nesting between them. After
+/// the document's value, [`Reader::finish`] refuses trailing bytes. An
+/// error ends the document: the reader's state after one is unspecified.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Containers open around the cursor.
+    depth: usize,
+    /// Bit `i` is set when the container at depth `i + 1` is an object.
+    objects: u128,
+    expect: Expect,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`, which should hold one value.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+            objects: 0,
+            expect: Expect::Value,
+        }
+    }
+
+    /// The next token of the document.
+    pub fn next_token(&mut self) -> Result<Token<'a>, ParseError> {
+        match self.expect {
+            Expect::Value => self.value(),
+            Expect::FirstItem => {
+                self.skip_ws();
+                if self.eat(b']') {
+                    return Ok(self.close(Token::ArrEnd));
+                }
+                self.value()
+            }
+            Expect::FirstKey => {
+                self.skip_ws();
+                if self.eat(b'}') {
+                    return Ok(self.close(Token::ObjEnd));
+                }
+                self.key()
+            }
+            Expect::Next => {
+                self.skip_ws();
+                let object = (self.objects >> (self.depth - 1)) & 1 == 1;
+                let (close, token, message) = if object {
+                    (b'}', Token::ObjEnd, "expected ',' or '}'")
+                } else {
+                    (b']', Token::ArrEnd, "expected ',' or ']'")
+                };
+                if self.eat(close) {
+                    return Ok(self.close(token));
+                }
+                if !self.eat(b',') {
+                    return Err(self.error(message));
+                }
+                if object {
+                    self.key()
+                } else {
+                    self.value()
+                }
+            }
+            Expect::Done => Err(self.error("the document's value has ended")),
+        }
+    }
+
+    /// Reads past the rest of the value that began with `first`: nothing
+    /// more for a scalar, through the matching close for a container.
+    pub fn skip(&mut self, first: &Token<'_>) -> Result<(), ParseError> {
+        let mut open = usize::from(first.opens());
+        while open > 0 {
+            match self.next_token()? {
+                Token::ArrEnd | Token::ObjEnd => open -= 1,
+                token => open += usize::from(token.opens()),
+            }
+        }
+        Ok(())
+    }
+
+    /// Ends the document: anything but whitespace after its value is an
+    /// error.
+    pub fn finish(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.error("trailing characters"));
+        }
+        Ok(())
+    }
+
     fn error(&self, message: &'static str) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -280,78 +497,76 @@ impl Parser<'_> {
         }
     }
 
-    /// One value, with `depth` containers already open around it.
-    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
+    /// A value, with `depth` containers already open around it.
+    fn value(&mut self) -> Result<Token<'a>, ParseError> {
         self.skip_ws();
-        match self.peek() {
-            None => Err(self.error("unexpected end of input")),
-            Some(b'[' | b'{') if depth == MAX_DEPTH => {
-                Err(self.error("nesting deeper than MAX_DEPTH"))
+        let token = match self.peek() {
+            None => return Err(self.error("unexpected end of input")),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                return Err(self.error("nesting deeper than MAX_DEPTH"))
             }
-            Some(b'[') => self.array(depth + 1),
-            Some(b'{') => self.object(depth + 1),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.error("expected a value")),
-        }
+            Some(b'[') => return Ok(self.open(false)),
+            Some(b'{') => return Ok(self.open(true)),
+            Some(b'"') => Token::Str(self.string()?),
+            Some(b't') => self.literal("true", Token::Bool(true))?,
+            Some(b'f') => self.literal("false", Token::Bool(false))?,
+            Some(b'n') => self.literal("null", Token::Null)?,
+            Some(b'-' | b'0'..=b'9') => Token::Num(self.number()?),
+            Some(_) => return Err(self.error("expected a value")),
+        };
+        self.end_value();
+        Ok(token)
     }
 
-    /// An array; `peek()` is its `[`.
-    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
+    /// Opens the container whose bracket `peek()` is.
+    fn open(&mut self, object: bool) -> Token<'a> {
         self.pos += 1;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.eat(b']') {
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth)?);
-            self.skip_ws();
-            if self.eat(b']') {
-                return Ok(Json::Arr(items));
-            }
-            if !self.eat(b',') {
-                return Err(self.error("expected ',' or ']'"));
-            }
+        self.objects = (self.objects & !(1 << self.depth)) | (u128::from(object) << self.depth);
+        self.depth += 1;
+        if object {
+            self.expect = Expect::FirstKey;
+            Token::ObjStart
+        } else {
+            self.expect = Expect::FirstItem;
+            Token::ArrStart
         }
     }
 
-    /// An object; `peek()` is its `{`.
-    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
-        self.pos += 1;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.eat(b'}') {
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            if self.peek() != Some(b'"') {
-                return Err(self.error("expected a string key"));
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            if !self.eat(b':') {
-                return Err(self.error("expected ':'"));
-            }
-            fields.push((key, self.value(depth)?));
-            self.skip_ws();
-            if self.eat(b'}') {
-                return Ok(Json::Obj(fields));
-            }
-            if !self.eat(b',') {
-                return Err(self.error("expected ',' or '}'"));
-            }
-        }
+    /// Closes the innermost container, whose bracket is consumed.
+    fn close(&mut self, token: Token<'a>) -> Token<'a> {
+        self.depth -= 1;
+        self.end_value();
+        token
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
+    /// Moves past a complete value.
+    fn end_value(&mut self) {
+        self.expect = if self.depth == 0 {
+            Expect::Done
+        } else {
+            Expect::Next
+        };
+    }
+
+    /// A key and its `:`.
+    fn key(&mut self) -> Result<Token<'a>, ParseError> {
+        self.skip_ws();
+        if self.peek() != Some(b'"') {
+            return Err(self.error("expected a string key"));
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        if !self.eat(b':') {
+            return Err(self.error("expected ':'"));
+        }
+        self.expect = Expect::Value;
+        Ok(Token::Key(key))
+    }
+
+    fn literal(&mut self, word: &str, token: Token<'a>) -> Result<Token<'a>, ParseError> {
         if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
-            Ok(value)
+            Ok(token)
         } else {
             Err(self.error("expected a value"))
         }
@@ -366,7 +581,7 @@ impl Parser<'_> {
         self.pos - start
     }
 
-    fn number(&mut self) -> Result<Json, ParseError> {
+    fn number(&mut self) -> Result<Num, ParseError> {
         let start = self.pos;
         let negative = self.eat(b'-');
         let leading_zero = self.peek() == Some(b'0');
@@ -397,10 +612,13 @@ impl Parser<'_> {
             offset: start,
             message: "number out of range",
         };
-        let float: f64 = token.parse().map_err(|_| out_of_range)?;
-        if !float.is_finite() {
-            return Err(out_of_range);
-        }
+        let float = match decimal::prefix(token.as_bytes()) {
+            Some((v, used)) if used == token.len() => v,
+            _ => match token.parse::<f64>() {
+                Ok(v) if v.is_finite() => v,
+                _ => return Err(out_of_range),
+            },
+        };
         let int = if !integer {
             Int::No
         } else if negative {
@@ -408,13 +626,15 @@ impl Parser<'_> {
         } else {
             token.parse().map_or(Int::No, Int::Unsigned)
         };
-        Ok(Json::Num(Num { float, int }))
+        Ok(Num { float, int })
     }
 
-    /// A string literal; `peek()` is its opening quote.
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// A string literal; `peek()` is its opening quote. Borrowed from the
+    /// input unless it holds an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.pos += 1;
-        let mut out = String::new();
+        let start = self.pos;
+        let mut unescaped: Option<String> = None;
         loop {
             // `"` and `\` are ASCII, so a byte scan for them stops on a
             // character boundary and the run before it is a valid slice.
@@ -422,14 +642,22 @@ impl Parser<'_> {
             while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
                 self.pos += 1;
             }
-            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    let tail = &self.text[run..self.pos - 1];
+                    return Ok(match unescaped {
+                        None => Cow::Borrowed(&self.text[start..self.pos - 1]),
+                        Some(mut out) => {
+                            out.push_str(tail);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(_) => {
+                    let out = unescaped.get_or_insert_with(String::new);
+                    out.push_str(&self.text[run..self.pos]);
                     self.pos += 1;
                     out.push(self.escape()?);
                 }
@@ -584,6 +812,77 @@ mod tests {
         }
         assert_eq!(parse("7").unwrap().as_usize(), Some(7));
         assert_eq!(parse("\"7\"").unwrap().as_f64(), None);
+    }
+
+    /// Rule 2's fast path: every token it converts reads to the bits
+    /// `str::parse` gives — six-decimal coordinates, 15 to 19 digits,
+    /// mantissas around 2^53, long zero runs — and the tokens it declines
+    /// (exponents, 20+ digits, mantissas at or past 2^53) still do.
+    #[test]
+    fn short_decimals_read_to_str_parse_bits() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut tokens: Vec<String> = "0.1 0.2 0.3 1.000001 -0.000001 0.000000000000000001              9007199254740991 9007199254740992 9007199254740993 900719925474099.1              0.9007199254740993 1234567890123456789 12345678901234567890 -0 -0.0 1e308              2.5e-3 123456789012345.6 1234567890123456.7 12345678901234567.8"
+            .split_whitespace()
+            .map(String::from)
+            .collect();
+        for _ in 0..20_000 {
+            let r = next();
+            let digits = 1 + (r % 19) as usize;
+            let int: String = (0..digits)
+                .map(|i| char::from(b'0' + ((next() >> (i % 8)) % 10) as u8))
+                .collect();
+            let int = int.trim_start_matches('0');
+            let int = if int.is_empty() { "0" } else { int };
+            let dot = (r >> 8) as usize % (int.len() + 1);
+            let sign = if r >> 20 & 1 == 1 { "-" } else { "" };
+            tokens.push(match dot {
+                0 => format!("{sign}{int}"),
+                d if d == int.len() => format!("{sign}0.{int}"),
+                d => format!("{sign}{}.{}", &int[..d], &int[d..]),
+            });
+            tokens.push(format!(
+                "{:.6}",
+                (next() % 2_000_000_000) as f64 / 1e6 - 1000.0
+            ));
+        }
+        for token in &tokens {
+            let got = parse(token).unwrap().as_f64().map(f64::to_bits);
+            assert_eq!(
+                got,
+                Some(token.parse::<f64>().unwrap().to_bits()),
+                "{token}"
+            );
+        }
+    }
+
+    /// The tokens of a document in order, `skip` past a container, and
+    /// the writer's integers.
+    #[test]
+    fn the_reader_yields_tokens_in_document_order() {
+        let mut r = Reader::new(r#" {"a": [1, {"b": null}], "k\u0041": "v", "c": true} "#);
+        assert_eq!(r.next_token(), Ok(Token::ObjStart));
+        assert_eq!(r.next_token(), Ok(Token::Key("a".into())));
+        let open = r.next_token().unwrap();
+        assert_eq!(open, Token::ArrStart);
+        r.skip(&open).unwrap();
+        assert_eq!(r.next_token(), Ok(Token::Key("kA".into())));
+        assert!(matches!(r.next_token(), Ok(Token::Str(Cow::Borrowed("v")))));
+        assert_eq!(r.next_token(), Ok(Token::Key("c".into())));
+        assert_eq!(r.next_token(), Ok(Token::Bool(true)));
+        assert_eq!(r.next_token(), Ok(Token::ObjEnd));
+        assert_eq!(r.finish(), Ok(()));
+        let mut s = String::new();
+        for v in [0, 7, 10, 1234567890, u64::MAX] {
+            push_u64(&mut s, v);
+            s.push(' ');
+        }
+        assert_eq!(s, format!("0 7 10 1234567890 {} ", u64::MAX));
     }
 
     /// Reader rule 4.

@@ -38,6 +38,7 @@
 //! event stream into the human-readable table behind `dod --profile`.
 
 pub mod atomic;
+mod decimal;
 mod event;
 mod flight;
 mod hist;

@@ -563,15 +563,22 @@ fn window_expiry_follows_arrival_order_through_compaction() {
 
 /// Source audit: removal stays a lookup. The non-test portion of the
 /// resident state finds a point by its id map — no `.position(` over the
-/// id column, no coordinate compare over the support tile — and the
-/// engine keeps no id → slot map beside its sorted `ids` column.
+/// id column, no coordinate compare over the support tile — the
+/// Cell-Based tiles find an entry by their slot → position map, with no
+/// `.position(` or `.find(` over a cell's run, and the engine keeps no
+/// id → slot map beside its sorted `ids` column.
 #[test]
 fn removal_paths_hold_no_linear_search() {
-    let audits: [(&str, &str, &[&str]); 2] = [
+    let audits: [(&str, &str, &[&str]); 3] = [
         (
             "state.rs",
             include_str!("../../crates/dod-detect/src/state.rs"),
             &[".position(", "support.point(i) =="],
+        ),
+        (
+            "cell_based.rs",
+            include_str!("../../crates/dod-detect/src/cell_based.rs"),
+            &[".position(", ".find("],
         ),
         (
             "engine.rs",
