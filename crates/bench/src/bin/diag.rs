@@ -17,18 +17,20 @@ use dod_data::region::{region_dataset, Region};
 use dod_data::tiger_analog;
 use dod_obs::Value;
 
+const USAGE: &str = "diag [region|hierarchy|tiger] [--trace <path>] [--profile]";
+
 fn main() {
-    let (args, session) = match trace::from_args(std::env::args().skip(1).collect()) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let (args, session) = trace::from_args(std::env::args().skip(1).collect(), &[])
+        .unwrap_or_else(|e| trace::usage_error(&e, USAGE));
+    if let Some(extra) = args.get(1) {
+        trace::usage_error(&format!("unexpected argument {extra}"), USAGE);
+    }
+    let which = args.first().map_or("region", String::as_str);
+    trace::check_name("dataset", which, &trace::DATASETS)
+        .unwrap_or_else(|e| trace::usage_error(&e, USAGE));
     let obs = session.obs();
-    let which = args.first().cloned().unwrap_or_else(|| "region".into());
     let scale = Scale::paper();
-    let (data, params) = match which.as_str() {
+    let (data, params) = match which {
         "hierarchy" => {
             let (d, _) = hierarchy_dataset(HierarchyLevel::Planet, scale.hierarchy_base, 81);
             (d, OutlierParams::new(2.0, 4).unwrap())
@@ -40,10 +42,11 @@ fn main() {
                 OutlierParams::new(0.4, 4).unwrap(),
             )
         }
-        _ => {
+        "region" => {
             let (d, _) = region_dataset(Region::Ohio, scale.region_n, 71);
             (d, OutlierParams::new(1.8, 4).unwrap())
         }
+        _ => unreachable!("checked against DATASETS"),
     };
     println!(
         "dataset: {which}, {} points, r={}, k={}",
@@ -108,5 +111,5 @@ fn main() {
             );
         }
     }
-    session.finish();
+    print!("{}", session.finish());
 }

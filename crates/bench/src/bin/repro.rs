@@ -207,6 +207,22 @@ fn run_ablations(scale: &Scale) {
         );
     }
 
+    section("Ablation: DSHC mini-bucket resolution (result set must be invariant)");
+    println!(
+        "{:<8} {:>10} {:>14} {:>14} {:>9}",
+        "buckets", "partitions", "preprocess", "total", "outliers"
+    );
+    for r in experiments::ablation_dshc_buckets(scale) {
+        println!(
+            "{:<8} {:>10} {} {} {:>9}",
+            r.buckets,
+            r.partitions,
+            fmt(r.preprocess),
+            fmt(r.total),
+            r.outliers
+        );
+    }
+
     section("Ablation: partition->reducer packing policy");
     println!("{:<14} {:>14}", "policy", "reduce stage");
     for r in experiments::ablation_packing(scale) {
@@ -228,50 +244,52 @@ fn run_ablations(scale: &Scale) {
     }
 }
 
+type Experiment = (&'static str, fn(&Scale));
+
+/// Every experiment, in the order a full run prints them.
+const EXPERIMENTS: [Experiment; 7] = [
+    ("fig4", run_fig4),
+    ("fig5", run_fig5),
+    ("fig7", run_fig7),
+    ("fig8", run_fig8),
+    ("fig9", run_fig9),
+    ("fig10", run_fig10),
+    ("ablations", run_ablations),
+];
+
+const USAGE: &str = "repro [--small] [--trace <path>] [--profile] \
+                     [fig4|fig5|fig7|fig8|fig9|fig10|ablations]...";
+
 fn main() {
-    let (args, session) = match trace::from_args(std::env::args().skip(1).collect()) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let (wanted, session) = trace::from_args(std::env::args().skip(1).collect(), &["--small"])
+        .unwrap_or_else(|e| trace::usage_error(&e, USAGE));
+    let small = wanted.iter().any(|a| a == "--small");
+    let wanted: Vec<&str> = (wanted.iter())
+        .filter(|a| *a != "--small")
+        .map(String::as_str)
+        .collect();
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    for name in &wanted {
+        trace::check_name("experiment", name, &names)
+            .unwrap_or_else(|e| trace::usage_error(&e, USAGE));
+    }
     let obs = session.obs();
-    let small = args.iter().any(|a| a == "--small");
     let scale = if small {
         Scale::small()
     } else {
         Scale::paper()
     };
-    let wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|s| s.as_str())
-        .collect();
-    let all = wanted.is_empty();
-    let want = |name: &str| all || wanted.contains(&name);
 
     println!(
         "DOD reproduction harness (scale: {})",
         if small { "small" } else { "paper" }
     );
-
-    type Experiment = (&'static str, fn(&Scale));
-    let experiments: [Experiment; 7] = [
-        ("fig4", run_fig4),
-        ("fig5", run_fig5),
-        ("fig7", run_fig7),
-        ("fig8", run_fig8),
-        ("fig9", run_fig9),
-        ("fig10", run_fig10),
-        ("ablations", run_ablations),
-    ];
-    for (name, run) in experiments {
-        if want(name) {
+    for (name, run) in EXPERIMENTS {
+        if wanted.is_empty() || wanted.contains(&name) {
             let scope = obs.scope("bench.experiment").with_label("experiment", name);
             run(&scale);
             drop(scope);
         }
     }
-    session.finish();
+    print!("{}", session.finish());
 }

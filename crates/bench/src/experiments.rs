@@ -13,7 +13,7 @@ use dod_data::hierarchy::{hierarchy_dataset, HierarchyLevel};
 use dod_data::region::{region_dataset, Region};
 use dod_data::uniform::{sparse_dense_pair, uniform_with_density_measure};
 use dod_data::{distort, tiger_analog};
-use dod_detect::cost::CostModel;
+use dod_detect::cost::{CostModel, PAPER_VARIANT_CANDIDATES};
 use dod_detect::{CellBased, Detector, NestedLoop, Partition};
 use dod_obs::{names, MemoryRecorder, Obs};
 use dod_partition::AllocationSpec;
@@ -550,6 +550,46 @@ pub fn ablation_packing(scale: &Scale) -> Vec<PackingRow> {
     .collect()
 }
 
+/// One DSHC mini-bucket resolution (Section V-A stage 1).
+#[derive(Debug, Clone)]
+pub struct DshcBucketRow {
+    /// Mini buckets per dimension handed to [`Dmt::new`].
+    pub buckets: usize,
+    /// Partitions the DSHC plan produced.
+    pub partitions: usize,
+    /// Preprocessing time.
+    pub preprocess: Duration,
+    /// End-to-end time.
+    pub total: Duration,
+    /// Number of outliers (identical across resolutions).
+    pub outliers: usize,
+}
+
+/// Sweeps DMT's mini-bucket resolution: a coarser grid plans fewer,
+/// larger partitions; the result set must not change.
+pub fn ablation_dshc_buckets(scale: &Scale) -> Vec<DshcBucketRow> {
+    let params = OutlierParams::new(2.0, 4).expect("valid parameters");
+    let (data, _) = hierarchy_dataset(HierarchyLevel::NewEngland, scale.hierarchy_base, 141);
+    [8, 16, 32, 64]
+        .into_iter()
+        .map(|buckets| {
+            let runner = DodRunner::builder()
+                .config(experiment_config(params))
+                .strategy(Dmt::new(buckets))
+                .candidates(PAPER_VARIANT_CANDIDATES.to_vec())
+                .build();
+            let outcome = runner.run(&data).expect("pipeline runs");
+            DshcBucketRow {
+                buckets,
+                partitions: outcome.report.num_partitions,
+                preprocess: outcome.report.breakdown.preprocess,
+                total: outcome.report.breakdown.total(),
+                outliers: outcome.outliers.len(),
+            }
+        })
+        .collect()
+}
+
 /// Cell-Based fallback-scan comparison: the paper-faithful full scan vs
 /// the block-restricted optimization, at an intermediate density where
 /// the fallback dominates.
@@ -688,6 +728,17 @@ mod tests {
     #[test]
     fn sampling_rate_never_changes_the_answer() {
         let rows = ablation_sampling(&tiny());
+        assert!(
+            rows.windows(2).all(|w| w[0].outliers == w[1].outliers),
+            "{rows:?}"
+        );
+    }
+
+    #[test]
+    fn dshc_resolution_never_changes_the_answer() {
+        let rows = ablation_dshc_buckets(&tiny());
+        let buckets: Vec<usize> = rows.iter().map(|r| r.buckets).collect();
+        assert_eq!(buckets, [8, 16, 32, 64]);
         assert!(
             rows.windows(2).all(|w| w[0].outliers == w[1].outliers),
             "{rows:?}"

@@ -9,7 +9,7 @@
 //!   through `PointSet::point` and calls `Metric::within` per pair (the
 //!   pre-kernel inner loop, bounds-checked random access and re-derived
 //!   `r²` included); the kernel side scans the same candidates gathered
-//!   into one contiguous columnar tile via
+//!   into one contiguous row-major tile via
 //!   [`NeighborPredicate::count_within_tile`].
 //! * **columns** — the same single-query scan over the candidates stored
 //!   one dimension after another, via
@@ -54,7 +54,7 @@ pub struct KernelBenchResult {
 }
 
 /// Candidate-set size for the microbenchmark tiles.
-pub const MICRO_POINTS: usize = 4096;
+const MICRO_POINTS: usize = 4096;
 
 fn uniform_set(seed: u64, n: usize, dim: usize, side: f64) -> PointSet {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -96,13 +96,7 @@ pub fn throughput(pairs_per_call: usize, min_time_s: f64, mut work: impl FnMut()
 /// The pre-kernel inner loop: follow a permuted index order through
 /// `PointSet::point` (bounds-checked random access per candidate) and
 /// apply `Metric::within` with `r` re-derived every call.
-pub fn scalar_pair_scan(
-    metric: Metric,
-    r: f64,
-    q: &[f64],
-    data: &PointSet,
-    order: &[u32],
-) -> usize {
+fn scalar_pair_scan(metric: Metric, r: f64, q: &[f64], data: &PointSet, order: &[u32]) -> usize {
     let mut found = 0usize;
     for &j in order {
         if metric.within(q, data.point(j as usize), r) {
@@ -112,27 +106,22 @@ pub fn scalar_pair_scan(
     found
 }
 
-/// The kernel path over the same candidates gathered contiguously.
-pub fn kernel_tile_scan(pred: &NeighborPredicate, q: &[f64], tile: &[f64]) -> usize {
-    pred.count_within_tile(q, tile, usize::MAX).found
-}
-
 /// Builds the shared fixture for one micro row: dataset, permuted order,
 /// the order-gathered contiguous tile, and a query point.
-pub struct MicroFixture {
+struct MicroFixture {
     /// Candidate points in storage order.
-    pub data: PointSet,
+    data: PointSet,
     /// Random permutation of candidate indices (the nested-loop idiom).
-    pub order: Vec<u32>,
+    order: Vec<u32>,
     /// Candidates gathered into permutation order, back to back.
-    pub tile: Vec<f64>,
+    tile: Vec<f64>,
     /// The query point.
-    pub query: Vec<f64>,
+    query: Vec<f64>,
 }
 
 impl MicroFixture {
     /// Fixture for `n` points in `dim` dimensions.
-    pub fn new(seed: u64, n: usize, dim: usize) -> Self {
+    fn new(seed: u64, n: usize, dim: usize) -> Self {
         let data = uniform_set(seed, n, dim, 10.0);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
         let mut order: Vec<u32> = (0..n as u32).collect();
@@ -206,7 +195,11 @@ fn micro_rows(name: &str, metric: Metric, dim: usize, min_time_s: f64) -> Vec<Ke
     let r = half_hit_radius(metric, dim);
     let fx = MicroFixture::new(11 + dim as u64, MICRO_POINTS, dim);
     let pred = NeighborPredicate::with_metric(metric, r);
-    let scan = || kernel_tile_scan(&pred, &fx.query, &fx.tile);
+    // The kernel path over the same candidates gathered contiguously.
+    let scan = || {
+        pred.count_within_tile(&fx.query, &fx.tile, usize::MAX)
+            .found
+    };
     rows_per_backend(
         name,
         min_time_s,

@@ -1,12 +1,12 @@
 //! Experiment harness regenerating every figure of the paper's
 //! evaluation (Section VI).
 //!
-//! Each `figN_*` function in [`experiments`] reproduces one figure's
-//! series at a configurable [`Scale`]; the `repro` binary prints them as
-//! tables, and the Criterion benches in `benches/` time the underlying
-//! workloads. The absolute numbers differ from the paper's 40-node
-//! Hadoop cluster — what must match is the *shape*: who wins, by roughly
-//! what factor, and where the crossovers fall (see EXPERIMENTS.md).
+//! Each `figN*` function in [`experiments`] reproduces one figure's
+//! series, and each `ablation_*` function one ablation, at a configurable
+//! [`Scale`]; the `repro` binary prints them as tables. The absolute
+//! numbers differ from the paper's 40-node Hadoop cluster — what must
+//! match is the *shape*: who wins, by roughly what factor, and where the
+//! crossovers fall (see EXPERIMENTS.md).
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

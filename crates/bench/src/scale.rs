@@ -2,9 +2,9 @@
 //!
 //! The paper's datasets range from 30 million to 4 billion points; the
 //! reproduction runs the same experiment *structure* at laptop scale.
-//! Two presets are provided: [`Scale::small`] keeps `cargo bench` fast,
-//! [`Scale::paper`] is the default of the `repro` binary and large enough
-//! for the trends to be unambiguous.
+//! Two presets are provided: [`Scale::small`] (`repro --small`) runs
+//! every experiment in seconds, [`Scale::paper`] is the default of the
+//! `repro` binary and large enough for the trends to be unambiguous.
 
 /// Dataset sizes for one experiment sweep.
 #[derive(Debug, Clone, Copy)]
@@ -24,7 +24,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Fast preset for Criterion benches.
+    /// Quick preset (`repro --small`, `planviz`).
     pub fn small() -> Self {
         Scale {
             region_n: 8_000,

@@ -16,33 +16,9 @@ mod serve;
 
 use args::{ArgError, Args, Command, ModeArg, StrategyArg, USAGE};
 use dod::prelude::*;
-use dod_obs::{FanoutRecorder, JsonlRecorder, MemoryRecorder, Obs};
+use dod_obs::{Obs, Session};
 use std::io::Write;
 use std::process::ExitCode;
-use std::sync::Arc;
-
-/// Builds the observability handle requested by `--trace` / `--profile`.
-/// Returns the memory recorder too when `--profile` asks for the
-/// post-run summary.
-fn build_obs(args: &Args) -> Result<(Obs, Option<Arc<MemoryRecorder>>), String> {
-    let memory = args.profile.then(|| Arc::new(MemoryRecorder::new()));
-    let jsonl = match &args.trace {
-        Some(path) => {
-            Some(JsonlRecorder::create(path).map_err(|e| format!("creating {path}: {e}"))?)
-        }
-        None => None,
-    };
-    let obs = match (jsonl, &memory) {
-        (None, None) => Obs::null(),
-        (Some(j), None) => Obs::new(Arc::new(j)),
-        (None, Some(m)) => Obs::new(Arc::clone(m) as Arc<dyn dod_obs::Recorder>),
-        (Some(j), Some(m)) => Obs::new(Arc::new(FanoutRecorder::new(vec![
-            Box::new(j),
-            Box::new(Arc::clone(m)),
-        ]))),
-    };
-    Ok((obs, memory))
-}
 
 fn build_runner(args: &Args, obs: Obs) -> Result<DodRunner, String> {
     let mut builder = DodConfig::builder(args.params)
@@ -105,8 +81,8 @@ fn run(args: &Args) -> Result<(), String> {
         println!("0 points, 0 outliers");
         return Ok(());
     }
-    let (obs, memory) = build_obs(args)?;
-    let runner = build_runner(args, obs)?;
+    let session = Session::open(args.trace.as_deref(), args.profile)?;
+    let runner = build_runner(args, session.obs())?;
     let outcome = runner.run(&data).map_err(|e| e.to_string())?;
 
     println!(
@@ -163,13 +139,7 @@ fn run(args: &Args) -> Result<(), String> {
         println!("simulated total:   {:?}", r.breakdown.total());
     }
 
-    if let Some(mem) = &memory {
-        println!("\n-- profile --");
-        print!("{}", dod_obs::render::render_summary(&mem.events()));
-    }
-    if let Some(path) = &args.trace {
-        println!("trace written to {path}");
-    }
+    print!("{}", session.finish());
     Ok(())
 }
 

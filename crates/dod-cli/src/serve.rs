@@ -109,7 +109,7 @@ use std::time::Duration;
 use dod_engine::{Engine, EngineError, EngineHealth, Request, Response, WindowConfig};
 use dod_obs::json::{self, ParseError, Reader, Token};
 use dod_obs::prom::PromWriter;
-use dod_obs::{FanoutRecorder, MetricsRecorder, Obs, Recorder};
+use dod_obs::{FanoutRecorder, MetricsRecorder, Obs, Recorder, Session};
 
 use crate::args::ServeArgs;
 
@@ -860,7 +860,7 @@ pub fn serve(args: &ServeArgs) -> Result<(), String> {
         .map_err(|e| format!("reading {}: {e}", args.run.input))?;
     // `--profile` is refused at parse time, so there is no memory
     // recorder to keep a copy of every event.
-    let (user_obs, _) = crate::build_obs(&args.run)?;
+    let user_obs = Session::open(args.run.trace.as_deref(), false)?.obs();
     // The metrics aggregator sees every event the user's sinks see.
     let metrics = Arc::new(MetricsRecorder::new());
     let mut sinks: Vec<Box<dyn Recorder>> = vec![Box::new(Arc::clone(&metrics))];

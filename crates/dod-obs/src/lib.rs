@@ -52,6 +52,7 @@ pub mod prom;
 mod recorder;
 pub mod render;
 pub mod replay;
+mod session;
 pub mod sync;
 
 pub use atomic::write_atomic;
@@ -63,3 +64,4 @@ pub use memory::MemoryRecorder;
 pub use metrics::{MetricsRecorder, MetricsSnapshot};
 pub use obs::{Obs, ObsScope};
 pub use recorder::{FanoutRecorder, NullRecorder, Recorder};
+pub use session::Session;

@@ -28,6 +28,10 @@ use dod_detect::cost::{AlgorithmKind, CostModel, CostTerms};
 /// expressed in distance-evaluation equivalents.
 pub const PARTITION_OVERHEAD_OPS: f64 = 20_000.0;
 
+/// Mini buckets per dimension of the density grid every estimate reads,
+/// before [`clamp_buckets_per_dim`] reduces it in high dimensions.
+pub const ESTIMATOR_BUCKETS_PER_DIM: usize = 32;
+
 /// Per-partition cost estimates for every candidate algorithm.
 #[derive(Debug, Clone)]
 pub struct PartitionEstimate {
@@ -63,19 +67,11 @@ pub struct LocalCostEstimator {
 }
 
 impl LocalCostEstimator {
-    /// Builds the estimator from the preprocessing sample.
-    ///
-    /// `buckets_per_dim` bounds the density-estimation resolution (the
-    /// same mini buckets DSHC uses, clamped the same way by
-    /// [`clamp_buckets_per_dim`]; 32 is a good default in 2-d).
-    pub fn new(
-        domain: &Rect,
-        sample: &PointSet,
-        sample_rate: f64,
-        params: OutlierParams,
-        buckets_per_dim: usize,
-    ) -> Self {
-        let per_dim = clamp_buckets_per_dim(buckets_per_dim, domain.dim());
+    /// Builds the estimator from the preprocessing sample, over a grid of
+    /// [`ESTIMATOR_BUCKETS_PER_DIM`] mini buckets per dimension (the same
+    /// mini buckets DSHC uses, clamped the same way).
+    pub fn new(domain: &Rect, sample: &PointSet, sample_rate: f64, params: OutlierParams) -> Self {
+        let per_dim = clamp_buckets_per_dim(ESTIMATOR_BUCKETS_PER_DIM, domain.dim());
         let buckets = MiniBucketGrid::build(domain, per_dim, sample)
             .expect("sample and domain dimensions agree");
         let scale = if sample_rate > 0.0 {
@@ -326,7 +322,7 @@ mod tests {
     #[test]
     fn estimates_cover_every_partition_and_candidate() {
         let (sample, domain) = skewed_sample(1);
-        let est = LocalCostEstimator::new(&domain, &sample, 1.0, params(1.0, 4), 32);
+        let est = LocalCostEstimator::new(&domain, &sample, 1.0, params(1.0, 4));
         let plan = PartitionPlan::from_grid(GridSpec::uniform(domain, 4).unwrap());
         let out = est.estimate(
             &plan,
@@ -348,7 +344,7 @@ mod tests {
     #[test]
     fn dense_partition_cheaper_than_sparse_for_nested_loop() {
         let (sample, domain) = skewed_sample(2);
-        let est = LocalCostEstimator::new(&domain, &sample, 1.0, params(1.0, 4), 32);
+        let est = LocalCostEstimator::new(&domain, &sample, 1.0, params(1.0, 4));
         let plan = PartitionPlan::from_grid(GridSpec::uniform(domain, 4).unwrap());
         let out = est.estimate(&plan, &sample, &[AlgorithmKind::NestedLoop]);
         // Partition containing the dense blob (cell 0) vs a moderate
@@ -367,7 +363,7 @@ mod tests {
     #[test]
     fn cell_based_prunes_dense_blob() {
         let (sample, domain) = skewed_sample(3);
-        let est = LocalCostEstimator::new(&domain, &sample, 1.0, params(1.0, 4), 32);
+        let est = LocalCostEstimator::new(&domain, &sample, 1.0, params(1.0, 4));
         let plan = PartitionPlan::from_grid(GridSpec::uniform(domain, 4).unwrap());
         let out = est.estimate(&plan, &sample, &[AlgorithmKind::CellBased]);
         let blob = &out[plan.locate(&[2.0, 2.0]) as usize];
@@ -398,7 +394,7 @@ mod tests {
                 .unwrap();
         }
         let domain = Rect::new(vec![0.0, 0.0], vec![40.0, 40.0]).unwrap();
-        let est = LocalCostEstimator::new(&domain, &sample, 1.0, params(1.0, 4), 32);
+        let est = LocalCostEstimator::new(&domain, &sample, 1.0, params(1.0, 4));
         let plan = PartitionPlan::from_grid(GridSpec::uniform(domain.clone(), 8).unwrap());
         let out = est.estimate(
             &plan,
@@ -416,7 +412,7 @@ mod tests {
     fn sampling_rate_scales_estimates() {
         let (sample, domain) = skewed_sample(5);
         // Pretend the sample is a 10% draw: n_est should scale 10x.
-        let est = LocalCostEstimator::new(&domain, &sample, 0.1, params(1.0, 4), 32);
+        let est = LocalCostEstimator::new(&domain, &sample, 0.1, params(1.0, 4));
         let plan = PartitionPlan::from_grid(GridSpec::uniform(domain, 2).unwrap());
         let out = est.estimate(&plan, &sample, &[AlgorithmKind::NestedLoop]);
         let total: f64 = out.iter().map(|e| e.n_est).sum();
@@ -442,7 +438,7 @@ mod tests {
     #[test]
     fn pruning_probability_shape() {
         let (sample, domain) = skewed_sample(8);
-        let est = LocalCostEstimator::new(&domain, &sample, 1.0, params(2.0, 4), 32);
+        let est = LocalCostEstimator::new(&domain, &sample, 1.0, params(2.0, 4));
         // Extremes prune with near-certainty; the middle survives.
         let p_sparse = est.unpruned_probability(1e-6, 2.0);
         let p_dense = est.unpruned_probability(1e6, 2.0);
@@ -461,7 +457,7 @@ mod tests {
             sample.push(&[5.0, 5.0]).unwrap();
         }
         let domain = Rect::new(vec![5.0, 5.0], vec![5.0, 5.0]).unwrap();
-        let est = LocalCostEstimator::new(&domain, &sample, 1.0, params(1.0, 4), 32);
+        let est = LocalCostEstimator::new(&domain, &sample, 1.0, params(1.0, 4));
         let plan = PartitionPlan::from_grid(GridSpec::uniform(domain, 1).unwrap());
         let out = est.estimate(
             &plan,
@@ -507,7 +503,7 @@ mod tests {
         // summed over a 4x4 grid, pins the estimator's arithmetic bit for
         // bit.
         let (sample, domain) = skewed_sample(6);
-        let est = LocalCostEstimator::new(&domain, &sample, 1.0, params(1.0, 4), 32);
+        let est = LocalCostEstimator::new(&domain, &sample, 1.0, params(1.0, 4));
         let plan = PartitionPlan::from_grid(GridSpec::uniform(domain, 4).unwrap());
         let candidates = [
             AlgorithmKind::NestedLoop,

@@ -579,7 +579,7 @@ mod tests {
         num_reducers: usize,
         spec: AllocationSpec,
     ) -> MultiTacticPlan {
-        let estimator = LocalCostEstimator::new(plan.domain(), sample, 1.0, params(), 32);
+        let estimator = LocalCostEstimator::new(plan.domain(), sample, 1.0, params());
         let estimates = estimator.estimate(&plan, sample, candidates);
         MultiTacticPlan::from_estimates(plan, estimates, num_reducers, spec)
     }

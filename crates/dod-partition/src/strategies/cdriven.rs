@@ -46,7 +46,7 @@ impl PartitionStrategy for CDriven {
 
     fn build_plan(&self, sample: &PointSet, domain: &Rect, ctx: &PlanContext) -> PartitionPlan {
         let kind = self.kind;
-        let estimator = LocalCostEstimator::new(domain, sample, ctx.sample_rate, ctx.params, 32);
+        let estimator = LocalCostEstimator::new(domain, sample, ctx.sample_rate, ctx.params);
         splitter::recursive_split(sample, domain, ctx.target_partitions, &move |idxs, rect| {
             estimator
                 .subset_cost(sample, idxs, kind, rect.volume())
@@ -89,7 +89,7 @@ mod tests {
 
         // Evaluate predicted cost balance of CDriven vs DDriven under the
         // same estimator CDriven optimizes.
-        let estimator = LocalCostEstimator::new(&domain, &sample, 1.0, params, 32);
+        let estimator = LocalCostEstimator::new(&domain, &sample, 1.0, params);
         let costs_of = |plan: &PartitionPlan| -> Vec<f64> {
             estimator
                 .estimate(plan, &sample, &[AlgorithmKind::NestedLoop])

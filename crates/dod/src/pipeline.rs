@@ -320,7 +320,7 @@ impl DodRunner {
         let allocation = cfg
             .allocation
             .unwrap_or_else(|| self.strategy.default_allocation());
-        let estimator = LocalCostEstimator::new(&domain, &sample, cfg.sample_rate, cfg.params, 32);
+        let estimator = LocalCostEstimator::new(&domain, &sample, cfg.sample_rate, cfg.params);
         let estimates = estimator.estimate(&plan, &sample, &self.candidates);
         let mt = MultiTacticPlan::from_estimates(plan, estimates, cfg.num_reducers, allocation);
         let t_estimated = Instant::now();
