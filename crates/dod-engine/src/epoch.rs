@@ -2,6 +2,7 @@
 //! built over the dataset, and the splice that keeps them in step with
 //! a streaming mutation.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -30,12 +31,16 @@ pub(crate) struct Materialized {
     pub(crate) plan: Option<ResidentPlan>,
     /// Per-partition core counts, the seed of the observed distribution.
     pub(crate) counts: Vec<f64>,
-    /// Wall time of sample + plan, of the routing pass, and of gathering
-    /// the tiles and building the states.
+    /// Wall time of sample + plan, of the routing pass, and of scattering
+    /// the copies into their tiles and building the states.
     pub(crate) preprocess: Duration,
     pub(crate) route: Duration,
     pub(crate) build: Duration,
 }
+
+/// Marks a route record's core entry; the point's support entries follow
+/// it, each a bare partition id.
+const CORE: u32 = 1 << 31;
 
 /// Preprocesses and materializes per-partition detector state for the
 /// points `data` (with ids `point_ids`): one routing pass (Definition 3.3)
@@ -43,14 +48,25 @@ pub(crate) struct Materialized {
 /// every partition whose rectangle it is within `r` of, then each
 /// partition gets the plan's chosen algorithm's index built once.
 ///
-/// The routing pass runs on up to `threads` threads, never more than
-/// there are points, and the result does not depend on the count:
-/// contiguous slot ranges are routed independently, and a partition's
-/// tile is its ranges' slot lists laid end to end in range order — the
-/// order one pass over the dataset produces. Gathering the tiles and
-/// building the states stays on the calling thread although partitions
-/// are independent (Lemma 3.1): what a short-lived thread allocates lives
-/// in that thread's malloc arena, and an epoch's worth of state scattered
+/// The dataset is cut into contiguous slot ranges, one per thread of up
+/// to `threads` (never more than there are points), and the tiles are
+/// built by count and scatter in three passes:
+///
+/// 1. *Route* (the range threads): each range routes its points in slot
+///    order into one route record — a `u32` per copy, the core entry
+///    first — and counts its copies per tile.
+/// 2. *Allocate* (the calling thread): every partition's core and support
+///    coordinate buffer and id column is allocated at its exact size and
+///    split into one chunk per range at the ranges' prefix counts.
+/// 3. *Scatter* (the range threads): each range reads its slots and its
+///    route record in order and writes every copy at its chunk's cursor.
+///
+/// A tile is therefore its ranges' copies laid end to end in range order,
+/// the order one pass over the dataset produces, whatever the thread
+/// count; and a helper thread writes only into buffers the caller sized.
+/// The states are built on the calling thread although partitions are
+/// independent (Lemma 3.1): what a short-lived thread allocates lives in
+/// that thread's malloc arena, and an epoch's worth of state scattered
 /// over arenas whose threads are gone cost more resident memory (+10 MB
 /// at the first swap of 250k points, +30 MB after fourteen) than the
 /// second thread saved time (~25 ms a swap).
@@ -72,46 +88,93 @@ pub(crate) fn build(
         u32::try_from(n).is_ok(),
         "resident indexes address points with u32 slots"
     );
+    assert!(
+        n_parts < CORE as usize,
+        "partition ids leave the core bit free"
+    );
     // No thread gets an empty range.
     let per_thread = n.div_ceil(threads.clamp(1, n));
+    let ranges: Vec<Range<usize>> = (0..n)
+        .step_by(per_thread)
+        .map(|lo| lo..(lo + per_thread).min(n))
+        .collect();
     let router = &pre.router;
-    // `[pid]` lists the range's core slots of partition `pid`,
-    // `[n_parts + pid]` its support slots, ascending.
-    let routed: Vec<Vec<Vec<u32>>> = fan_out(n.div_ceil(per_thread), |t| {
-        let mut lists = vec![Vec::new(); 2 * n_parts];
-        let mut support = Vec::new();
-        for slot in t * per_thread..((t + 1) * per_thread).min(n) {
-            let core = router.route_into(data.point(slot), &mut support) as usize;
-            lists[core].push(slot as u32);
-            for &pid in &support {
-                lists[n_parts + pid as usize].push(slot as u32);
+    // Per range: its route record, and its copies per tile — `[pid]` the
+    // core tile of partition `pid`, `[n_parts + pid]` its support tile.
+    let routed: Vec<(Vec<u32>, Vec<usize>)> = fan_out(ranges.clone(), |range| {
+        let mut routes = Vec::with_capacity(range.len());
+        let mut counts = vec![0; 2 * n_parts];
+        for slot in range {
+            let (core, support) = router.route_iter(data.point(slot));
+            routes.push(core | CORE);
+            counts[core as usize] += 1;
+            for pid in support {
+                routes.push(pid);
+                counts[n_parts + pid as usize] += 1;
             }
         }
-        lists
+        (routes, counts)
     });
     let t_route = Instant::now();
-    let params = runner.config().params;
     let dim = data.dim();
-    let tile = |list: usize| {
-        let len = routed.iter().map(|lists| lists[list].len()).sum();
-        let mut points = PointSet::with_capacity(dim, len).expect("dataset dimension is valid");
-        let mut ids = Vec::with_capacity(len);
-        for &slot in routed.iter().flat_map(|lists| &lists[list]) {
-            points
-                .push(data.point(slot as usize))
-                .expect("same dimension");
-            ids.push(point_ids[slot as usize]);
+    let mut tiles: Vec<(Vec<f64>, Vec<PointId>)> = (0..2 * n_parts)
+        .map(|tile| {
+            let len: usize = routed.iter().map(|(_, counts)| counts[tile]).sum();
+            (vec![0.0; len * dim], vec![0; len])
+        })
+        .collect();
+    // Per range, per tile: the range's chunk of the coordinates and ids.
+    let mut chunks: Vec<Vec<(&mut [f64], &mut [PointId])>> = routed
+        .iter()
+        .map(|_| Vec::with_capacity(2 * n_parts))
+        .collect();
+    for (tile, (mut coords, mut ids)) in tiles
+        .iter_mut()
+        .map(|(coords, ids)| (coords.as_mut_slice(), ids.as_mut_slice()))
+        .enumerate()
+    {
+        for (range_chunks, (_, counts)) in chunks.iter_mut().zip(&routed) {
+            let (chunk_coords, rest_coords) = coords.split_at_mut(counts[tile] * dim);
+            let (chunk_ids, rest_ids) = ids.split_at_mut(counts[tile]);
+            range_chunks.push((chunk_coords, chunk_ids));
+            (coords, ids) = (rest_coords, rest_ids);
         }
-        (points, ids)
-    };
+    }
+    let scatter: Vec<_> = ranges.into_iter().zip(&routed).zip(chunks).collect();
+    fan_out(scatter, |((range, (routes, _)), mut chunks)| {
+        let mut copies = routes.iter().peekable();
+        for slot in range {
+            let (p, id) = (data.point(slot), point_ids[slot]);
+            let mut write = |tile: usize| {
+                let (coords, ids) = &mut chunks[tile];
+                let (at, rest) = std::mem::take(coords).split_at_mut(dim);
+                at.copy_from_slice(p);
+                *coords = rest;
+                let (at, rest) = std::mem::take(ids)
+                    .split_first_mut()
+                    .expect("one id per counted copy");
+                *at = id;
+                *ids = rest;
+            };
+            let core = copies.next().expect("one core entry per slot");
+            write((core & !CORE) as usize);
+            while let Some(pid) = copies.next_if(|&&route| route & CORE == 0) {
+                write(n_parts + *pid as usize);
+            }
+        }
+    });
+    drop(routed);
+    let params = runner.config().params;
+    let supports = tiles.split_off(n_parts);
     let mut counts = Vec::with_capacity(n_parts);
     let mut states = Vec::with_capacity(n_parts);
-    for pid in 0..n_parts {
-        let (core, core_ids) = tile(pid);
-        let (support, support_ids) = tile(n_parts + pid);
-        counts.push(core.len() as f64);
-        let partition =
-            Partition::new(core, core_ids, support, support_ids).expect("one id per routed point");
+    for (pid, ((core, core_ids), (support, support_ids))) in
+        tiles.into_iter().zip(supports).enumerate()
+    {
+        counts.push(core_ids.len() as f64);
+        let tile = |coords| PointSet::from_flat(dim, coords).expect("dataset dimension is valid");
+        let partition = Partition::new(tile(core), core_ids, tile(support), support_ids)
+            .expect("one id per routed point");
         let state = PartitionState::build(pre.mt.algorithms[pid], Arc::new(partition), params);
         states.push(state);
     }
@@ -203,6 +266,132 @@ impl<'a> Splice<'a> {
         match self {
             Splice::Insert(points, ids) => (&points[i], ids[i]),
             Splice::Remove(removed) => (&removed[i].1, removed[i].0),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dod::DodConfig;
+    use dod_core::OutlierParams;
+
+    fn runner() -> DodRunner {
+        let config = DodConfig::builder(OutlierParams::new(1.5, 4).unwrap())
+            .sample_rate(0.5)
+            .num_reducers(3)
+            .target_partitions(24)
+            .build()
+            .unwrap();
+        DodRunner::builder().config(config).multi_tactic().build()
+    }
+
+    /// Per partition, per side: the coordinate bits and the ids.
+    type Tiles = Vec<[(Vec<u64>, Vec<PointId>); 2]>;
+
+    fn bits(set: &PointSet) -> Vec<u64> {
+        set.as_flat().iter().map(|c| c.to_bits()).collect()
+    }
+
+    /// The tiles of one serial pass: every point routed with
+    /// `Router::route_into` in slot order and pushed onto its copies'
+    /// tiles.
+    fn serial_tiles(router: &Router, n_parts: usize, data: &PointSet, ids: &[PointId]) -> Tiles {
+        let side = || (PointSet::new(data.dim()).unwrap(), Vec::new());
+        let mut tiles: Vec<[(PointSet, Vec<PointId>); 2]> =
+            (0..n_parts).map(|_| [side(), side()]).collect();
+        let mut support = Vec::new();
+        for (slot, &id) in ids.iter().enumerate() {
+            let p = data.point(slot);
+            let core = router.route_into(p, &mut support) as usize;
+            let copies = std::iter::once((core, Side::Core))
+                .chain(support.iter().map(|&pid| (pid as usize, Side::Support)));
+            for (pid, side) in copies {
+                let (points, tile_ids) = &mut tiles[pid][side];
+                points.push(p).unwrap();
+                tile_ids.push(id);
+            }
+        }
+        tiles
+            .iter()
+            .map(|sides| {
+                [Side::Core, Side::Support].map(|side| {
+                    let (points, ids) = &sides[side];
+                    (bits(points), ids.clone())
+                })
+            })
+            .collect()
+    }
+
+    fn built_tiles(plan: &ResidentPlan) -> Tiles {
+        plan.states
+            .iter()
+            .map(|state| {
+                let partition = state.partition();
+                [Side::Core, Side::Support].map(|side| {
+                    let points = match side {
+                        Side::Core => partition.core(),
+                        Side::Support => partition.support(),
+                    };
+                    (bits(points), partition.ids(side).to_vec())
+                })
+            })
+            .collect()
+    }
+
+    /// Two blobs far apart, one after the other in slot order, so on two
+    /// threads each range holds the copies of one blob's partitions only.
+    fn two_blobs() -> PointSet {
+        let mut data = PointSet::new(2).unwrap();
+        for i in 0..400u64 {
+            let p = if i < 200 {
+                [0.05 * (i % 20) as f64, 0.05 * (i / 20) as f64]
+            } else {
+                [30.0 + 0.07 * (i % 17) as f64, 30.0 + 0.07 * (i / 17) as f64]
+            };
+            data.push(&p).unwrap();
+        }
+        data
+    }
+
+    /// `build` lays every tile out, coordinate bits and ids, as routing
+    /// the points one by one in slot order and pushing each copy does, on
+    /// any thread count: over ranges that hold no copy of some partition,
+    /// for partitions with no core point, and on more threads than points.
+    #[test]
+    fn the_scatter_lays_tiles_out_as_one_serial_pass() {
+        let runner = runner();
+        let blobs = two_blobs();
+        let few = PointSet::from_xy(&[(0.0, 0.0), (0.5, 0.1), (9.0, 9.0)]);
+        for data in [blobs, few] {
+            let ids: Vec<PointId> = (0..data.len() as u64).map(|i| 1000 + 3 * i).collect();
+            let slot = |id: PointId| (id - 1000) / 3;
+            for threads in [1, 2, 3, 7] {
+                let plan = build(&runner, &data, &ids, threads).unwrap().plan.unwrap();
+                let tiles = built_tiles(&plan);
+                let serial = serial_tiles(&plan.router, plan.mt.num_partitions(), &data, &ids);
+                assert!(
+                    tiles == serial,
+                    "threads({threads}) diverged from one serial pass"
+                );
+                if data.len() < 400 {
+                    continue;
+                }
+                assert!(
+                    tiles
+                        .iter()
+                        .any(|[core, support]| core.1.is_empty() && !support.1.is_empty()),
+                    "a partition with support copies only"
+                );
+                let in_first_half = |t: &[(Vec<u64>, Vec<PointId>); 2]| {
+                    let mut slots = t.iter().flat_map(|side| side.1.iter().map(|&id| slot(id)));
+                    slots.all(|s| s < 200)
+                };
+                assert!(
+                    tiles.iter().any(|t| !t[0].1.is_empty() && in_first_half(t)),
+                    "on two threads, the second range holds no copy of some partition"
+                );
+            }
         }
     }
 }

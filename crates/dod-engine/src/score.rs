@@ -4,6 +4,7 @@
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::Instant;
 
 use dod_core::PointId;
@@ -25,28 +26,40 @@ pub const SCORE_GROUP: usize = 8;
 /// the groups it takes save (DESIGN.md §6b *Steadiness*).
 pub const FAN_OUT_MIN_QUERIES: usize = 192;
 
-/// Calls `f(0)`, …, `f(threads - 1)` concurrently — `f(0)` on the calling
-/// thread, so one thread means no spawn — and returns the results in
-/// argument order. A call whose thread cannot be spawned runs on the
-/// caller after `f(0)`. A panic in any call resumes on the caller.
-pub(crate) fn fan_out<T: Send>(threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    if threads <= 1 {
-        return vec![f(0)];
+/// Calls `f` on each of `inputs` concurrently — on the first on the
+/// calling thread, so one input means no spawn — and returns the results
+/// in input order. An input whose thread cannot be spawned runs on the
+/// caller after the first. A panic in any call resumes on the caller.
+pub(crate) fn fan_out<I: Send, T: Send>(inputs: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
+    let mut inputs = inputs.into_iter();
+    let Some(first) = inputs.next() else {
+        return Vec::new();
+    };
+    if inputs.len() == 0 {
+        return vec![f(first)];
     }
     std::thread::scope(|scope| {
         let f = &f;
-        let spawned: Vec<_> = (1..threads)
-            .map(|t| {
-                std::thread::Builder::new()
-                    .spawn_scoped(scope, move || f(t))
-                    .map_err(|_| t)
+        // A helper is handed its input once it has been spawned, so the
+        // input of a failed spawn is still the caller's to run.
+        let spawned: Vec<_> = inputs
+            .map(|input| {
+                let (send, recv) = mpsc::sync_channel(1);
+                let helper = move || f(recv.recv().expect("sent once spawned"));
+                match std::thread::Builder::new().spawn_scoped(scope, helper) {
+                    Ok(handle) => {
+                        send.send(input).expect("the helper waits for its input");
+                        Ok(handle)
+                    }
+                    Err(_) => Err(input),
+                }
             })
             .collect();
-        let mut out = vec![f(0)];
+        let mut out = vec![f(first)];
         for handle in spawned {
             out.push(match handle {
                 Ok(handle) => handle.join().unwrap_or_else(|panic| resume_unwind(panic)),
-                Err(t) => f(t),
+                Err(input) => f(input),
             });
         }
         out
@@ -100,7 +113,9 @@ pub(crate) fn score(
         1
     };
     let next = AtomicUsize::new(0);
-    let claimed = fan_out(threads, |_| claim_groups(plan, k, points, deadline, &next));
+    let claimed = fan_out(vec![(); threads], |()| {
+        claim_groups(plan, k, points, deadline, &next)
+    });
     let n_parts = plan.map_or(0, |p| p.mt.num_partitions());
     let mut total = Scored {
         verdicts: vec![

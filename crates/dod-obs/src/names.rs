@@ -27,8 +27,10 @@ pub const ENGINE_REFRESH: &str = "engine.refresh";
 /// add up to its [`ENGINE_REFRESH`] span. Labels: `epoch`, `stage` —
 /// `compact` (drop the dataset's dead slots; the rebuild then reads the
 /// dataset in place), `preprocess` (sample + plan), `route` (assign every
-/// point its core and support partitions), `build` (gather tiles, build
-/// detector states), `swap` (install the epoch, free the old one).
+/// point its core and support partitions and count each tile's copies),
+/// `build` (allocate every tile at its counted size, scatter the copies
+/// into it, build detector states), `swap` (install the epoch, free the
+/// old one).
 pub const ENGINE_REFRESH_STAGE: &str = "engine.refresh.stage";
 
 /// Counter: requests that panicked; the panic was contained to the
