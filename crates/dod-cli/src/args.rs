@@ -192,9 +192,11 @@ the next run with the same arguments.
 
 SERVE OPTIONS:
     --workers <int>         threads one request or one epoch rebuild may  [2]
-                            use: a score of 192 points or more is split
-                            over them; other requests run on the stdin
-                            loop's thread. Replies do not depend on it
+                            use: a score of 64 points or more is split
+                            over the stdin loop's thread and helpers
+                            started with the server; other requests run
+                            on the loop's thread. Replies do not depend
+                            on it
     --deadline-ms <int>     default per-request deadline          [unbounded]
     --metrics-addr <addr>   serve Prometheus /metrics and /healthz over
                             HTTP on this address (e.g. 127.0.0.1:9100)

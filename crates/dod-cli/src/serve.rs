@@ -55,8 +55,10 @@
 //!
 //! `stats` is the full [`dod_engine::EngineHealth`] snapshot; `workers`
 //! is the threads one request or one epoch rebuild may use: a `score` of
-//! at least [`dod_engine::FAN_OUT_MIN_QUERIES`] points is split over
-//! them, every other request runs on the loop's own thread. `metrics`
+//! at least [`dod_engine::FAN_OUT_MIN_QUERIES`] points is split between
+//! the loop's thread and `workers - 1` helpers that start with the engine
+//! and park between scores, and every other request runs on the loop's
+//! own thread. `metrics`
 //! returns the Prometheus text-format exposition (the same document the
 //! optional `--metrics-addr` HTTP listener serves at `/metrics`) as one
 //! JSON-escaped string. Non-finite numbers (`NaN`, `±Inf`) serialize as

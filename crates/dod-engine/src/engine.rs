@@ -15,11 +15,12 @@ use crate::audit::{CostAudit, CostAuditState};
 use crate::dataset::DatasetState;
 use crate::epoch::{self, Materialized, ResidentPlan, Splice};
 use crate::error::EngineError;
+use crate::helpers::Helpers;
 use crate::request::{
     EngineHealth, InsertReceipt, Pending, RemoveReceipt, Request, RequestId, Response, ScorePoint,
     WindowConfig, WindowStatus,
 };
-use crate::score;
+use crate::score::{self, ScoreJob};
 
 /// Default staleness threshold: once incremental mutations since the
 /// last epoch exceed this fraction of the epoch's resident size, a
@@ -38,8 +39,19 @@ pub const PARTITION_WORK_TOP_K: usize = 16;
 struct State {
     dataset: DatasetState,
     epoch: u64,
-    /// `None` for an empty dataset (nothing to plan over).
-    plan: Option<ResidentPlan>,
+    /// `None` for an empty dataset (nothing to plan over). A score
+    /// clones the `Arc` for its helpers; a writer takes it by
+    /// [`epoch_mut`].
+    plan: Option<Arc<ResidentPlan>>,
+}
+
+/// The epoch, for a writer: a writer holds the state lock's write side,
+/// and every score drops its clones of the epoch before its read side
+/// goes, so the `Arc` is unshared. A copy of a 1M-point epoch is never
+/// the right answer to a clone that outlived its request, so a shared one
+/// panics rather than being copied.
+fn epoch_mut(plan: &mut Arc<ResidentPlan>) -> &mut ResidentPlan {
+    Arc::get_mut(plan).expect("no score holds the epoch past its read guard")
 }
 
 /// What [`Engine::health`] reads without taking the state lock. The
@@ -78,14 +90,17 @@ pub struct EngineBuilder {
 
 impl EngineBuilder {
     /// Threads one request or one epoch rebuild may use (default 2,
-    /// min 1): the routing pass of the initial build and of every epoch
-    /// swap runs on up to this many (never more than there are points),
-    /// and a score of at least [`FAN_OUT_MIN_QUERIES`](crate::FAN_OUT_MIN_QUERIES)
-    /// points has its query groups claimed by this many threads. The
-    /// calling thread is one of them; the rest are spawned for the call
-    /// and joined before it returns. Mutations and detects run on the
-    /// thread that calls [`Engine::execute`] alone. No answer, work
-    /// counter, cost audit or drift reading depends on this count.
+    /// min 1): the routing and scatter passes of the initial build and of
+    /// every epoch swap run on up to this many (never more than there are
+    /// points; the calling thread and scoped threads spawned for the
+    /// pass), and a score of at least
+    /// [`FAN_OUT_MIN_QUERIES`](crate::FAN_OUT_MIN_QUERIES) points has its
+    /// query groups claimed by the calling thread and `n - 1` helper
+    /// threads. The helpers are started with the engine, park between
+    /// scores, and are joined when it drops; a score never spawns one.
+    /// Mutations and detects run on the thread that calls
+    /// [`Engine::execute`] alone. No answer, work counter, cost audit or
+    /// drift reading depends on this count.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
         self
@@ -170,7 +185,7 @@ impl EngineBuilder {
         let state = State {
             dataset,
             epoch: 0,
-            plan,
+            plan: plan.map(Arc::new),
         };
         let gauges = Gauges::default();
         gauges.publish(&state);
@@ -181,6 +196,7 @@ impl EngineBuilder {
             observed: Mutex::new(counts),
             staleness_threshold: self.staleness_threshold,
             workers: self.workers,
+            helpers: Helpers::start(self.workers - 1),
             default_deadline: self.default_deadline,
             obs,
             in_flight: AtomicUsize::new(0),
@@ -189,6 +205,8 @@ impl EngineBuilder {
             cost_audit: Mutex::new(CostAuditState::default()),
             flight,
             flight_dump: Mutex::new(self.flight_dump),
+            #[cfg(test)]
+            probe: Arc::default(),
         })
     }
 }
@@ -209,7 +227,9 @@ impl EngineBuilder {
 /// point core-resident in one partition but missing from a neighbor's
 /// support set). Partitions are independent (Lemma 3.1), so nothing finer
 /// is needed: a reader reaches the states through the guard, and a
-/// mutation through `&mut`.
+/// mutation through `&mut`. A large score's helper threads reach them
+/// through a clone of the epoch's `Arc` that the score takes under its
+/// guard and that every claimant drops before the guard is released.
 pub struct Engine {
     runner: DodRunner,
     /// The dataset and the plan epoch built over it.
@@ -227,6 +247,9 @@ pub struct Engine {
     /// ([`EngineBuilder::workers`]); every other request waits at the
     /// state lock while a rebuild runs.
     workers: usize,
+    /// The `workers - 1` threads that claim a large score's groups
+    /// beside its caller; joined when the engine drops.
+    helpers: Helpers,
     /// Deadline of every request, from the call to [`Engine::execute`].
     default_deadline: Option<Duration>,
     /// The engine's emitting handle: the user's recorder (if any) fanned
@@ -246,6 +269,9 @@ pub struct Engine {
     flight: Option<Arc<FlightRecorder>>,
     /// Where flight dumps go (`None` = stderr at dump time).
     flight_dump: Mutex<Option<Box<dyn Write + Send>>>,
+    /// What the tests see of the score claimants.
+    #[cfg(test)]
+    probe: Arc<score::Probe>,
 }
 
 impl Engine {
@@ -596,7 +622,7 @@ impl Engine {
         rid: RequestId,
     ) -> Result<Response, EngineError> {
         match req {
-            Request::Score { points } => self.score(&points, deadline, rid).map(Response::Score),
+            Request::Score { points } => self.score(points, deadline, rid).map(Response::Score),
             Request::Detect => self.detect_all(deadline, rid).map(Response::Outliers),
             Request::Insert { points } => self.insert(&points, deadline, rid).map(Response::Insert),
             Request::Remove { ids } => self.remove(&ids, deadline, rid).map(Response::Remove),
@@ -611,19 +637,30 @@ impl Engine {
     /// queries inside the plan's domain or not (the router's documentation
     /// carries the argument). Core sets partition the dataset (Lemma 3.1
     /// replicates only support copies), so no other partition can hold a
-    /// core neighbor. Traffic and work come back from [`score::score`]
-    /// summed over its slices, for one audit fold and one `observed` update.
+    /// core neighbor. The points move into the one [`ScoreJob`] the caller
+    /// shares with the helpers, beside a clone of the epoch's `Arc`; both
+    /// are gone from every claimant when [`score::score`] returns, with
+    /// traffic and work summed over the claimants, for one audit fold and
+    /// one `observed` update.
     fn score(
         &self,
-        points: &[Vec<f64>],
+        points: Vec<Vec<f64>>,
         deadline: Option<Instant>,
         rid: RequestId,
     ) -> Result<Vec<ScorePoint>, EngineError> {
         let st = read_recover(&self.state);
-        st.dataset.check_points(points)?;
-        let plan = st.plan.as_ref();
+        st.dataset.check_points(&points)?;
         let k = self.runner.config().params.k;
-        let total = score::score(plan, k, points, deadline, self.workers)?;
+        let job = ScoreJob::new(
+            st.plan.clone(),
+            k,
+            points,
+            deadline,
+            #[cfg(test)]
+            Arc::clone(&self.probe),
+        );
+        let total = score::score(job, &self.helpers)?;
+        let plan = st.plan.as_deref();
         self.record_partition_work(rid, "score", plan, &total.work);
         if total.traffic.iter().any(|&t| t > 0) {
             // A refresh resizes `observed` to its plan under the write
@@ -696,7 +733,7 @@ impl Engine {
             self.note_churn(rid, "insert", points.len(), expired.len());
             let refreshed = match st.plan.as_mut() {
                 Some(plan) if plan.absorbs(points) => {
-                    plan.splice(
+                    epoch_mut(plan).splice(
                         Splice::Insert(points, &ids),
                         &mut lock_recover(&self.observed),
                     );
@@ -774,7 +811,7 @@ impl Engine {
         removed: &[(PointId, Vec<f64>)],
     ) -> Result<bool, EngineError> {
         if let Some(plan) = st.plan.as_mut().filter(|_| !removed.is_empty()) {
-            plan.splice(Splice::Remove(removed), &mut lock_recover(&self.observed));
+            epoch_mut(plan).splice(Splice::Remove(removed), &mut lock_recover(&self.observed));
         }
         self.staleness_fallback(st)
     }
@@ -831,7 +868,7 @@ impl Engine {
         // The outgoing epoch serves nothing until the swap; should the
         // rebuild fail, its next removal builds the maps again.
         if let Some(plan) = &mut st.plan {
-            for state in &mut plan.states {
+            for state in &mut epoch_mut(plan).states {
                 state.release_id_slots();
             }
         }
@@ -844,7 +881,7 @@ impl Engine {
         )?;
         let t_swap = Instant::now();
         // Frees the old epoch.
-        st.plan = built.plan;
+        st.plan = built.plan.map(Arc::new);
         st.epoch = epoch;
         *lock_recover(&self.observed) = built.counts;
         for (stage, took) in [

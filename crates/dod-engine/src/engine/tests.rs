@@ -1,7 +1,9 @@
-//! Tests of the engine that reach into its lock: tile layouts, refresh
-//! stages and the epoch build on more threads than points.
+//! Tests of the engine that reach into its lock and its helpers: tile
+//! layouts, refresh stages, the epoch build on more threads than points,
+//! and the threads that claim a score's groups.
 
 use super::*;
+use crate::score::Claimant;
 use crate::FAN_OUT_MIN_QUERIES;
 use dod::DodConfig;
 use dod_core::OutlierParams;
@@ -26,6 +28,13 @@ fn skewed(n: u64) -> PointSet {
     data
 }
 
+/// `n` queries over the lattice and the blob of [`skewed`].
+fn queries(n: u64) -> Vec<Vec<f64>> {
+    (0..n)
+        .map(|i| vec![((i * 13) % 64) as f64 * 0.97, ((i * 29) % 64) as f64 * 0.95])
+        .collect()
+}
+
 fn engine(data: &PointSet, workers: usize, memory: &Arc<MemoryRecorder>) -> Engine {
     let config = DodConfig::builder(OutlierParams::new(1.5, 4).unwrap())
         .sample_rate(0.5)
@@ -35,8 +44,10 @@ fn engine(data: &PointSet, workers: usize, memory: &Arc<MemoryRecorder>) -> Engi
         .build()
         .unwrap();
     let runner = DodRunner::builder().config(config).multi_tactic().build();
+    // No test here reads a flight dump; the panic test would print two.
     Engine::builder(runner)
         .workers(workers)
+        .flight_capacity(0)
         .build(data)
         .unwrap()
 }
@@ -103,9 +114,7 @@ fn score_work(memory: &MemoryRecorder) -> WorkCounters {
 #[test]
 fn rebuild_is_deterministic_in_its_thread_count() {
     let data = skewed(3000);
-    let queries: Vec<Vec<f64>> = (0..512u64)
-        .map(|i| vec![((i * 13) % 64) as f64 * 0.97, ((i * 29) % 64) as f64 * 0.95])
-        .collect();
+    let queries = queries(512);
     let batches = [1, FAN_OUT_MIN_QUERIES - 1, FAN_OUT_MIN_QUERIES, 512];
     let mut reference = None;
     for workers in [1, 2, 5] {
@@ -186,4 +195,78 @@ fn degenerate_datasets_build_on_many_threads() {
     assert_eq!(built.iter().map(|p| p.1.len()).sum::<usize>(), 1);
     assert_eq!(one.refresh_plan().unwrap(), 1);
     assert_eq!(layout(&one), built);
+}
+
+fn score(engine: &Engine, points: &[Vec<f64>]) -> Result<Vec<ScorePoint>, EngineError> {
+    let points = points.to_vec();
+    let scored = engine.execute(Request::Score { points })?;
+    Ok(scored.into_score().unwrap())
+}
+
+/// A session of large scores is claimed by the caller and the helpers
+/// the engine started, never by a thread spawned for a request; and
+/// dropping the engine ends its helpers.
+#[test]
+fn scores_are_claimed_by_the_engines_own_threads() {
+    let data = skewed(1000);
+    let queries = queries(512);
+    for workers in [1, 2, 3] {
+        let memory = Arc::new(MemoryRecorder::new());
+        let engine = engine(&data, workers, &memory);
+        let queue = engine.helpers.watch();
+        // The engine's handle on the queue, and one per helper.
+        assert_eq!(queue.strong_count(), workers);
+        // One thread claims every group on workers(1).
+        let session = if workers > 1 { 1000 } else { 1 };
+        for _ in 0..session {
+            score(&engine, &queries).unwrap();
+        }
+        let claimants = engine.probe.claimants.lock().unwrap().len();
+        assert!(
+            claimants <= workers,
+            "{claimants} threads claimed the groups of workers({workers})"
+        );
+        assert_eq!(claimants > 1, workers > 1, "a helper claimed some group");
+        drop(engine);
+        assert_eq!(queue.strong_count(), 0, "every helper has exited");
+    }
+}
+
+/// A claimant that panics — the caller on its own groups, or a helper on
+/// the groups it took — fails its request alone: the request answers
+/// `TaskPanicked`, the same helper goes on serving, and no claimant
+/// still holds the epoch, so the next insert can splice into it.
+#[test]
+fn a_panicking_claimant_fails_its_request_alone() {
+    let memory = Arc::new(MemoryRecorder::new());
+    let engine = engine(&skewed(3000), 2, &memory);
+    let queries = queries(512);
+    let caller = std::thread::current().id();
+    let mut claimants = std::collections::HashSet::new();
+    for (i, claimant) in [Claimant::Caller, Claimant::Helper].into_iter().enumerate() {
+        let reference = score(&engine, &queries).unwrap();
+        *engine.probe.panic_in.lock().unwrap() = Some(claimant);
+        // A helper can wake after the caller has claimed every group; the
+        // caller claims the first group of every request.
+        let failed = (0..200).find_map(|_| score(&engine, &queries).err());
+        assert!(
+            matches!(failed, Some(EngineError::TaskPanicked { .. })),
+            "{claimant:?}: {failed:?}"
+        );
+        let helper_claimed = (0..200).any(|_| {
+            claimants.extend(engine.probe.claimants.lock().unwrap().drain());
+            assert_eq!(score(&engine, &queries).unwrap(), reference);
+            let claimed = engine.probe.claimants.lock().unwrap();
+            claimed.iter().any(|&t| t != caller)
+        });
+        assert!(helper_claimed, "{claimant:?}: the helper serves on");
+        let point = vec![20.5 + 0.01 * i as f64, 20.5];
+        let inserted = engine.execute(Request::Insert {
+            points: vec![point],
+        });
+        let receipt = inserted.unwrap().into_insert().unwrap();
+        assert!(!receipt.refreshed, "the insert spliced into the epoch");
+    }
+    claimants.extend(engine.probe.claimants.lock().unwrap().drain());
+    assert_eq!(claimants.len(), 2, "the caller and its one helper");
 }

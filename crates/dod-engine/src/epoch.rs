@@ -3,7 +3,8 @@
 //! a streaming mutation.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::panic::resume_unwind;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use dod::DodRunner;
@@ -12,7 +13,6 @@ use dod_detect::{Partition, PartitionState, Side};
 use dod_partition::{MultiTacticPlan, Router};
 
 use crate::error::EngineError;
-use crate::score::fan_out;
 
 /// The materialized serving state of one plan epoch.
 pub(crate) struct ResidentPlan {
@@ -36,6 +36,52 @@ pub(crate) struct Materialized {
     pub(crate) preprocess: Duration,
     pub(crate) route: Duration,
     pub(crate) build: Duration,
+}
+
+/// Calls `f` on each of `inputs` concurrently — on the first on the
+/// calling thread, so one input means no spawn — and returns the results
+/// in input order. An input whose thread cannot be spawned runs on the
+/// caller after the first. A panic in any call resumes on the caller.
+///
+/// The epoch build is its one caller, twice a build: its inputs borrow
+/// the dataset and `&mut` chunks of tiles the caller sized, which only a
+/// scoped thread can hold without `unsafe`, and its spawns cost under a
+/// thousandth of a build. Scores use the engine's resident helpers
+/// instead (`helpers.rs`).
+fn fan_out<I: Send, T: Send>(inputs: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
+    let mut inputs = inputs.into_iter();
+    let Some(first) = inputs.next() else {
+        return Vec::new();
+    };
+    if inputs.len() == 0 {
+        return vec![f(first)];
+    }
+    std::thread::scope(|scope| {
+        let f = &f;
+        // A helper is handed its input once it has been spawned, so the
+        // input of a failed spawn is still the caller's to run.
+        let spawned: Vec<_> = inputs
+            .map(|input| {
+                let (send, recv) = mpsc::sync_channel(1);
+                let helper = move || f(recv.recv().expect("sent once spawned"));
+                match std::thread::Builder::new().spawn_scoped(scope, helper) {
+                    Ok(handle) => {
+                        send.send(input).expect("the helper waits for its input");
+                        Ok(handle)
+                    }
+                    Err(_) => Err(input),
+                }
+            })
+            .collect();
+        let mut out = vec![f(first)];
+        for handle in spawned {
+            out.push(match handle {
+                Ok(handle) => handle.join().unwrap_or_else(|panic| resume_unwind(panic)),
+                Err(input) => f(input),
+            });
+        }
+        out
+    })
 }
 
 /// Marks a route record's core entry; the point's support entries follow

@@ -37,16 +37,18 @@
 //! one lock [`Engine`] describes, and nothing inside the engine queues or
 //! rejects it. A large score is the one request that borrows threads: a
 //! batch of at least [`FAN_OUT_MIN_QUERIES`] points has its query groups
-//! claimed by [`EngineBuilder::workers`] threads (the caller's among them)
-//! for the length of the call, with the same answer on any count.
+//! claimed by the caller and the `workers - 1` helper threads
+//! ([`EngineBuilder::workers`]) that start with the engine, park between
+//! scores and are joined when it drops, with the same answer on any
+//! count.
 //! An engine-wide deadline ([`EngineBuilder::default_deadline`]) bounds
 //! each request ([`EngineError::DeadlineExceeded`]).
 //!
 //! Modules: `request` (the types a caller sends and gets back),
 //! `dataset` (ids, liveness, window, compaction), `score` (the read path
 //! over one plan), `epoch` (building a plan epoch, splicing a mutation into
-//! it) and `engine` (the lock and the request lifecycle); only `engine`
-//! takes the engine.
+//! it), `helpers` (the score helpers' queue and lifetime) and `engine`
+//! (the lock and the request lifecycle); only `engine` takes the engine.
 //!
 //! The engine is hardened against misbehaving requests: a panicking
 //! request fails alone ([`EngineError::TaskPanicked`]) and the calling
@@ -109,6 +111,7 @@ mod dataset;
 mod engine;
 mod epoch;
 mod error;
+mod helpers;
 mod request;
 mod score;
 

@@ -1,10 +1,10 @@
 //! The read path over one resident plan: query points scored in groups
-//! that the calling thread and its helpers claim from one counter, and
-//! the plan's own outliers detected partition by partition.
+//! that the calling thread and the engine's parked helpers claim from one
+//! counter, and the plan's own outliers detected partition by partition.
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::Arc;
 use std::time::Instant;
 
 use dod_core::PointId;
@@ -12,6 +12,7 @@ use dod_obs::Obs;
 
 use crate::epoch::ResidentPlan;
 use crate::error::EngineError;
+use crate::helpers::Helpers;
 use crate::request::ScorePoint;
 
 /// Queries scored per partition pass of a score request: each partition
@@ -21,49 +22,46 @@ pub const SCORE_GROUP: usize = 8;
 /// The smallest [`Request::Score`](crate::Request::Score) batch whose
 /// groups the engine's [`workers`](crate::EngineBuilder::workers) threads
 /// claim together; a smaller batch is scored on the calling thread alone.
-/// Set at the measured crossover of one and two threads, where the
-/// helper's spawn and wake-up onto an idle core stop costing more than
-/// the groups it takes save (DESIGN.md §6b *Steadiness*).
-pub const FAN_OUT_MIN_QUERIES: usize = 192;
+/// Set at the measured crossover of one and two threads, where waking a
+/// parked helper onto an idle core stops costing more than the groups it
+/// takes save (DESIGN.md §6b *Claimed groups*).
+pub const FAN_OUT_MIN_QUERIES: usize = 64;
 
-/// Calls `f` on each of `inputs` concurrently — on the first on the
-/// calling thread, so one input means no spawn — and returns the results
-/// in input order. An input whose thread cannot be spawned runs on the
-/// caller after the first. A panic in any call resumes on the caller.
-pub(crate) fn fan_out<I: Send, T: Send>(inputs: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
-    let mut inputs = inputs.into_iter();
-    let Some(first) = inputs.next() else {
-        return Vec::new();
-    };
-    if inputs.len() == 0 {
-        return vec![f(first)];
-    }
-    std::thread::scope(|scope| {
-        let f = &f;
-        // A helper is handed its input once it has been spawned, so the
-        // input of a failed spawn is still the caller's to run.
-        let spawned: Vec<_> = inputs
-            .map(|input| {
-                let (send, recv) = mpsc::sync_channel(1);
-                let helper = move || f(recv.recv().expect("sent once spawned"));
-                match std::thread::Builder::new().spawn_scoped(scope, helper) {
-                    Ok(handle) => {
-                        send.send(input).expect("the helper waits for its input");
-                        Ok(handle)
-                    }
-                    Err(_) => Err(input),
-                }
-            })
-            .collect();
-        let mut out = vec![f(first)];
-        for handle in spawned {
-            out.push(match handle {
-                Ok(handle) => handle.join().unwrap_or_else(|panic| resume_unwind(panic)),
-                Err(input) => f(input),
-            });
+/// One score request as its claimants share it: the epoch it reads, its
+/// queries, and the counter that hands out their groups. The caller and
+/// the helpers it posts the job to each hold an `Arc` of it, so it owns
+/// everything it reads; its `Arc` of the epoch is gone from every helper
+/// before the caller has all their replies.
+pub(crate) struct ScoreJob {
+    /// `None` for an empty resident dataset.
+    plan: Option<Arc<ResidentPlan>>,
+    k: usize,
+    points: Vec<Vec<f64>>,
+    deadline: Option<Instant>,
+    /// The next group no claimant has taken.
+    next: AtomicUsize,
+    #[cfg(test)]
+    probe: Arc<Probe>,
+}
+
+impl ScoreJob {
+    pub(crate) fn new(
+        plan: Option<Arc<ResidentPlan>>,
+        k: usize,
+        points: Vec<Vec<f64>>,
+        deadline: Option<Instant>,
+        #[cfg(test)] probe: Arc<Probe>,
+    ) -> ScoreJob {
+        ScoreJob {
+            plan,
+            k,
+            points,
+            deadline,
+            next: AtomicUsize::new(0),
+            #[cfg(test)]
+            probe,
         }
-        out
-    })
+    }
 }
 
 /// What [`score`] hands back.
@@ -76,63 +74,66 @@ pub(crate) struct Scored {
     pub(crate) work: Vec<u64>,
 }
 
-/// What one thread of a [`score`] call scored: the groups it claimed, in
+/// What one claimant of a [`ScoreJob`] scored: the groups it claimed, in
 /// claim order (so ascending), their verdicts back to back, and its
 /// traffic and work.
-struct Claimed {
+pub(crate) struct Claimed {
     groups: Vec<usize>,
     verdicts: Vec<ScorePoint>,
     traffic: Vec<u64>,
     work: Vec<u64>,
 }
 
-/// Scores a batch against `plan` (`None` for an empty resident dataset).
+/// Scores `job`'s batch against its plan.
 ///
 /// Partitions are independent (Lemma 3.1), and so are queries. The batch
 /// is cut into groups of [`SCORE_GROUP`] queries (the last may be
-/// short), and the calling thread and — for a batch of at least
-/// [`FAN_OUT_MIN_QUERIES`] points — `workers - 1` helpers ([`fan_out`])
-/// claim groups from one shared counter until none is left, all against
-/// the one `plan` the caller's read guard holds. The caller starts on the
-/// first group at once, and a helper that starts late takes fewer groups
-/// rather than holding the request for a fixed half of it. Verdicts are
-/// put back in request order by group index, and traffic and work are
-/// integer sums per partition, so nothing in the result depends on the
-/// worker count or on which thread claimed which group.
-pub(crate) fn score(
-    plan: Option<&ResidentPlan>,
-    k: usize,
-    points: &[Vec<f64>],
-    deadline: Option<Instant>,
-    workers: usize,
-) -> Result<Scored, EngineError> {
-    let groups = points.len().div_ceil(SCORE_GROUP);
-    let threads = if points.len() >= FAN_OUT_MIN_QUERIES {
-        workers.clamp(1, groups)
+/// short). For a batch of at least [`FAN_OUT_MIN_QUERIES`] points over a
+/// non-empty dataset the job is posted to the engine's parked `helpers`,
+/// and the calling thread and every helper that takes a post claim groups
+/// from the job's one counter ([`claim_groups`]) until none is left.
+/// The caller starts on the first group at once, and a helper that wakes
+/// late takes fewer groups rather than holding the request for a fixed
+/// share of it; the caller then takes back every post no helper started
+/// and waits only for those one did. Verdicts are put back in request
+/// order by group index, and traffic and work are integer sums per
+/// partition, so nothing in the result depends on the worker count or on
+/// which thread claimed which group.
+pub(crate) fn score(job: ScoreJob, helpers: &Helpers) -> Result<Scored, EngineError> {
+    let n = job.points.len();
+    let n_parts = job.plan.as_ref().map_or(0, |p| p.mt.num_partitions());
+    let posts = if job.plan.is_some() && n >= FAN_OUT_MIN_QUERIES {
+        n.div_ceil(SCORE_GROUP) - 1
     } else {
-        1
+        0
     };
-    let next = AtomicUsize::new(0);
-    let claimed = fan_out(vec![(); threads], |()| {
-        claim_groups(plan, k, points, deadline, &next)
-    });
-    let n_parts = plan.map_or(0, |p| p.mt.num_partitions());
+    let job = Arc::new(job);
+    // Should the caller's own share panic, dropping `posted` takes back
+    // the untaken posts and waits out the taken ones before the unwind
+    // leaves this frame.
+    let posted = helpers.post(&job, posts);
+    let mine = claim_groups(&job);
+    let theirs = posted.settle();
     let mut total = Scored {
         verdicts: vec![
             ScorePoint {
                 neighbors: 0,
                 outlier: true,
             };
-            points.len()
+            n
         ],
         traffic: vec![0; n_parts],
         work: vec![0; n_parts],
     };
-    for part in claimed {
+    let theirs: Vec<_> = theirs
+        .into_iter()
+        .map(|reply| reply.unwrap_or_else(|panic| resume_unwind(panic)))
+        .collect();
+    for part in std::iter::once(mine).chain(theirs) {
         let part = part?;
         let mut verdicts = part.verdicts.as_slice();
         for g in part.groups {
-            let span = g * SCORE_GROUP..((g + 1) * SCORE_GROUP).min(points.len());
+            let span = g * SCORE_GROUP..((g + 1) * SCORE_GROUP).min(n);
             let (group, rest) = verdicts.split_at(span.len());
             total.verdicts[span].copy_from_slice(group);
             verdicts = rest;
@@ -147,13 +148,13 @@ pub(crate) fn score(
     Ok(total)
 }
 
-/// One thread's share of a [`score`] call: claims group after group of
-/// `points` from `next` and scores each against `plan` (`None` for an
-/// empty resident dataset), until no group is left or the deadline has
-/// passed.
+/// One claimant's share of `job`: claims group after group from its
+/// counter and scores each against its plan, until no group is left or
+/// the deadline has passed.
 ///
-/// It takes no lock: the caller holds the state lock's read side for
-/// the whole request and lends `plan` to the helper threads.
+/// It takes no lock: the job owns its queries and its `Arc` of the
+/// epoch, and no writer changes an epoch while a score's read guard
+/// is held, which the caller's is until every claimant is done.
 ///
 /// Within a group the partition loop is outside the query loop: the
 /// union of the group's lists is walked in ascending partition id, and
@@ -165,13 +166,8 @@ pub(crate) fn score(
 /// identically — so per-query results, per-partition work, and traffic
 /// counters all match scoring one query at a time against every partition
 /// within `r` of it.
-fn claim_groups(
-    plan: Option<&ResidentPlan>,
-    k: usize,
-    points: &[Vec<f64>],
-    deadline: Option<Instant>,
-    next: &AtomicUsize,
-) -> Result<Claimed, EngineError> {
+pub(crate) fn claim_groups(job: &ScoreJob) -> Result<Claimed, EngineError> {
+    let (plan, k, points) = (job.plan.as_deref(), job.k, &job.points);
     let n_parts = plan.map_or(0, |p| p.mt.num_partitions());
     let mut claimed = Claimed {
         groups: Vec::new(),
@@ -186,16 +182,18 @@ fn claim_groups(
     let mut cursors = [0usize; SCORE_GROUP];
     let mut neighbors = [0usize; SCORE_GROUP];
     loop {
-        // The counter hands out group numbers and publishes nothing else:
-        // `points` and `plan` were shared before the threads started, and
-        // each thread's results reach the caller through its join.
-        let g = next.fetch_add(1, Ordering::Relaxed);
+        // The counter hands out group numbers and publishes nothing
+        // else: the job was built before it was posted, and each
+        // claimant's results reach the caller through its reply.
+        let g = job.next.fetch_add(1, Ordering::Relaxed);
         let start = g * SCORE_GROUP;
         if start >= points.len() {
             return Ok(claimed);
         }
+        #[cfg(test)]
+        job.probe.claimed();
         let group = &points[start..(start + SCORE_GROUP).min(points.len())];
-        if deadline.is_some_and(|d| Instant::now() > d) {
+        if job.deadline.is_some_and(|d| Instant::now() > d) {
             return Err(EngineError::DeadlineExceeded);
         }
         claimed.groups.push(g);
@@ -241,6 +239,43 @@ fn claim_groups(
                 neighbors: nb,
                 outlier: nb < k,
             }));
+    }
+}
+
+/// The thread a claimant runs on.
+#[cfg(test)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Claimant {
+    Caller,
+    Helper,
+}
+
+/// What a test sees of the claimants of an engine's scores: which
+/// threads claimed a group, and a one-shot panic in the next group a
+/// claimant of one kind claims.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct Probe {
+    pub(crate) claimants: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    /// Disarmed when it fires.
+    pub(crate) panic_in: std::sync::Mutex<Option<Claimant>>,
+}
+
+#[cfg(test)]
+impl Probe {
+    fn claimed(&self) {
+        let thread = std::thread::current();
+        self.claimants.lock().unwrap().insert(thread.id());
+        let claimant = match thread.name() {
+            Some(crate::helpers::HELPER_THREAD) => Claimant::Helper,
+            _ => Claimant::Caller,
+        };
+        let mut armed = self.panic_in.lock().unwrap();
+        if *armed == Some(claimant) {
+            *armed = None;
+            drop(armed);
+            panic!("injected claimant panic");
+        }
     }
 }
 
