@@ -431,26 +431,6 @@ impl GridSpec {
         );
         out
     }
-
-    /// Ids of the cells within `radius_cells` grid steps of cell `id`
-    /// (Chebyshev neighborhood), excluding `id` itself when
-    /// `include_self == false`. Used by the Cell-Based detector's L1/L2
-    /// neighborhoods.
-    pub fn neighborhood(&self, id: CellId, radius_cells: usize, include_self: bool) -> Vec<CellId> {
-        let idx = self.delinearize(id);
-        let mut out = Vec::new();
-        self.visit_around(
-            |i| idx[i],
-            |_| radius_cells,
-            |cid| {
-                if include_self || cid != id {
-                    out.push(cid);
-                }
-                true
-            },
-        );
-        out
-    }
 }
 
 #[cfg(test)]
@@ -548,26 +528,6 @@ mod tests {
         let g = unit_grid(3, 3);
         let ids = g.cells_intersecting(g.domain());
         assert_eq!(ids.len(), 9);
-    }
-
-    #[test]
-    fn neighborhood_center_cell() {
-        let g = unit_grid(5, 5);
-        let center = g.linearize(&[2, 2]);
-        let n1 = g.neighborhood(center, 1, false);
-        assert_eq!(n1.len(), 8);
-        let n1_with_self = g.neighborhood(center, 1, true);
-        assert_eq!(n1_with_self.len(), 9);
-        let n2 = g.neighborhood(center, 2, true);
-        assert_eq!(n2.len(), 25);
-    }
-
-    #[test]
-    fn neighborhood_corner_cell_truncated() {
-        let g = unit_grid(5, 5);
-        let corner = g.linearize(&[0, 0]);
-        assert_eq!(g.neighborhood(corner, 1, true).len(), 4);
-        assert_eq!(g.neighborhood(corner, 2, true).len(), 9);
     }
 
     #[test]

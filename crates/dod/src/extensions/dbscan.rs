@@ -29,12 +29,12 @@
 //! The result matches centralized DBSCAN exactly on noise and on the
 //! core-point partition structure (see the equivalence tests).
 
-use crate::framework::{gather_rows, load_points, DodMapper, TaggedPoint};
+use crate::framework::{gather_rows, NeighborIndex, TaggedPoint};
 use crate::pipeline::{DodConfig, DodError};
-use dod_core::{GridSpec, PointId, PointSet};
+use dod_core::{PointId, PointSet};
 use dod_obs::json::Json;
-use dod_partition::{sample_points, PartitionStrategy, PlanContext};
-use mapreduce::{run, Durable, EstimateSize, JobMetrics, JobOptions, Reducer};
+use dod_partition::PartitionStrategy;
+use mapreduce::{Durable, EstimateSize, JobMetrics, Reducer};
 use std::collections::HashMap;
 
 /// Final label of a point.
@@ -87,15 +87,12 @@ impl Durable for LabelRecord {
     }
 }
 
-/// Runs DBSCAN over the points of one partition (core + support).
-/// Returns, per unified index: `(local cluster or None, is_core_point)`.
+/// Runs DBSCAN over the points of one partition (core + support) under
+/// `metric`. Returns, per unified index: `(local cluster or None,
+/// is_core_point)`.
 ///
-/// Grid-accelerated: ε-range queries scan only the neighboring cells.
-pub fn dbscan_local(points: &PointSet, eps: f64, min_pts: usize) -> (Vec<Option<u32>>, Vec<bool>) {
-    dbscan_local_metric(points, eps, min_pts, dod_core::Metric::Euclidean)
-}
-
-/// [`dbscan_local`] under an arbitrary metric.
+/// ε-range queries go through the framework's neighbour index, so they
+/// scan only the cells around the point.
 pub fn dbscan_local_metric(
     points: &PointSet,
     eps: f64,
@@ -105,54 +102,21 @@ pub fn dbscan_local_metric(
     let n = points.len();
     let mut cluster: Vec<Option<u32>> = vec![None; n];
     let mut is_core = vec![false; n];
-    if n == 0 {
-        return (cluster, is_core);
-    }
-    let bounds = points.bounding_rect().expect("non-empty");
-    let grid = GridSpec::with_cell_side(bounds, eps, 512).expect("valid grid");
-    let mut buckets: HashMap<usize, Vec<u32>> = HashMap::new();
-    for i in 0..n {
-        buckets
-            .entry(grid.cell_of(points.point(i)))
-            .or_default()
-            .push(i as u32);
-    }
-    let radius: usize = (0..points.dim())
-        .map(|i| {
-            let w = grid.width(i);
-            if w == 0.0 {
-                0
-            } else {
-                (eps / w).ceil() as usize
-            }
-        })
-        .max()
-        .unwrap_or(1);
-    let neighbors_of = |i: usize| -> Vec<u32> {
-        let cell = grid.cell_of(points.point(i));
-        let mut out = Vec::new();
-        for ncid in grid.neighborhood(cell, radius, true) {
-            if let Some(b) = buckets.get(&ncid) {
-                for &j in b {
-                    if j as usize != i
-                        && metric.within(points.point(i), points.point(j as usize), eps)
-                    {
-                        out.push(j);
-                    }
-                }
-            }
-        }
-        out
+    let index = NeighborIndex::build(points, eps, metric);
+    let for_each_neighbor = |i: usize, visit: &mut dyn FnMut(usize)| {
+        let other = |j: u32| j as usize != i;
+        index.for_each_within(points.point(i), eps, other, |j| visit(j as usize));
     };
 
     // Mark core points.
-    for (i, core) in is_core.iter_mut().enumerate().take(n) {
-        if neighbors_of(i).len() >= min_pts {
-            *core = true;
-        }
+    for (i, core) in is_core.iter_mut().enumerate() {
+        let mut neighbors = 0;
+        for_each_neighbor(i, &mut |_| neighbors += 1);
+        *core = neighbors >= min_pts;
     }
     // Expand clusters from core points (BFS over core connectivity).
     let mut next_cluster = 0u32;
+    let mut queue = Vec::new();
     for i in 0..n {
         if !is_core[i] || cluster[i].is_some() {
             continue;
@@ -160,17 +124,16 @@ pub fn dbscan_local_metric(
         let cid = next_cluster;
         next_cluster += 1;
         cluster[i] = Some(cid);
-        let mut queue = vec![i as u32];
+        queue.push(i);
         while let Some(cur) = queue.pop() {
-            for j in neighbors_of(cur as usize) {
-                let j = j as usize;
+            for_each_neighbor(cur, &mut |j| {
                 if cluster[j].is_none() {
                     cluster[j] = Some(cid);
                     if is_core[j] {
-                        queue.push(j as u32);
+                        queue.push(j);
                     }
                 }
-            }
+            });
         }
     }
     (cluster, is_core)
@@ -272,39 +235,14 @@ pub fn dbscan(
     config: &DodConfig,
     strategy: &dyn PartitionStrategy,
 ) -> Result<DbscanOutcome, DodError> {
-    if data.is_empty() {
-        return Ok(DbscanOutcome {
-            labels: Vec::new(),
-            num_clusters: 0,
-            metrics: JobMetrics::default(),
-        });
-    }
-    let eps = config.params.r;
-    let min_pts = config.params.k;
-    let domain = data.bounding_rect()?;
-    let sample = sample_points(data, config.sample_rate, config.seed);
-    let ctx = PlanContext::new(config.params, config.target_partitions, config.sample_rate);
-    let plan = strategy.build_plan(&sample, &domain, &ctx);
-    let router = plan.router_with_metric(eps, config.params.metric);
-
-    let store = load_points(data, config.block_size, config.replication);
-    let mapper = DodMapper::new(&router);
-    let reducer = DbscanReducer::new(data, eps, min_pts, config.params.metric);
-    let partitioner = |k: &u32, n: usize| (*k as usize) % n;
-    let out = run(
-        &config.cluster,
-        &store,
-        &mapper,
-        &reducer,
-        &partitioner,
-        config.num_reducers,
-        JobOptions::default(),
-    )?;
+    let (eps, metric) = (config.params.r, config.params.metric);
+    let reducer = DbscanReducer::new(data, eps, config.params.k, metric);
+    let (outputs, metrics) = super::run_job(data, config, strategy, (eps, metric), &reducer)?;
 
     // ---- Global merge (driver side). ----
     // Intern local cluster labels.
     let mut label_ids: HashMap<(u32, u32), u32> = HashMap::new();
-    for rec in &out.outputs {
+    for rec in &outputs {
         if let Some(local) = rec.cluster {
             let next = label_ids.len() as u32;
             label_ids.entry(local).or_insert(next);
@@ -313,7 +251,7 @@ pub fn dbscan(
     let mut uf = UnionFind::new(label_ids.len());
     // Group records by point.
     let mut by_point: HashMap<PointId, Vec<&LabelRecord>> = HashMap::new();
-    for rec in &out.outputs {
+    for rec in &outputs {
         by_point.entry(rec.id).or_default().push(rec);
     }
     for recs in by_point.values() {
@@ -366,32 +304,56 @@ pub fn dbscan(
     Ok(DbscanOutcome {
         labels,
         num_clusters,
-        metrics: out.metrics,
+        metrics,
     })
 }
 
-/// Centralized reference DBSCAN, for tests.
-pub fn dbscan_reference(data: &PointSet, eps: f64, min_pts: usize) -> (Vec<Label>, usize) {
-    let (cluster, _) = dbscan_local(data, eps, min_pts);
-    let mut remap: HashMap<u32, u32> = HashMap::new();
-    let mut labels = Vec::with_capacity(data.len());
-    for c in cluster {
-        match c {
-            Some(local) => {
-                let next = remap.len() as u32;
-                let gid = *remap.entry(local).or_insert(next);
-                labels.push(Label::Cluster(gid));
+/// Centralized reference DBSCAN under `metric`, for tests: brute-force
+/// ε-neighbourhoods, O(n²), sharing no code with the jobs' index.
+/// Returns the label and the core flag of every point, and the number
+/// of clusters.
+pub fn dbscan_reference(
+    data: &PointSet,
+    eps: f64,
+    min_pts: usize,
+    metric: dod_core::Metric,
+) -> (Vec<Label>, Vec<bool>, usize) {
+    let n = data.len();
+    let neighbors: Vec<Vec<usize>> = (0..n)
+        .map(|i| {
+            let near = |&j: &usize| j != i && metric.within(data.point(i), data.point(j), eps);
+            (0..n).filter(near).collect()
+        })
+        .collect();
+    let is_core: Vec<bool> = neighbors.iter().map(|near| near.len() >= min_pts).collect();
+    let mut labels = vec![Label::Noise; n];
+    let mut clusters = 0;
+    for i in (0..n).filter(|&i| is_core[i]) {
+        if labels[i] != Label::Noise {
+            continue;
+        }
+        let label = Label::Cluster(clusters);
+        clusters += 1;
+        labels[i] = label;
+        let mut queue = vec![i];
+        while let Some(cur) = queue.pop() {
+            for &j in &neighbors[cur] {
+                if labels[j] == Label::Noise {
+                    labels[j] = label;
+                    if is_core[j] {
+                        queue.push(j);
+                    }
+                }
             }
-            None => labels.push(Label::Noise),
         }
     }
-    (labels, remap.len())
+    (labels, is_core, clusters as usize)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dod_core::OutlierParams;
+    use dod_core::{Metric, OutlierParams};
     use dod_partition::{Dmt, UniSpace};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -442,7 +404,7 @@ mod tests {
     #[test]
     fn local_dbscan_finds_two_blobs() {
         let data = two_blobs_and_noise();
-        let (labels, n) = dbscan_reference(&data, 0.5, 4);
+        let (labels, _, n) = dbscan_reference(&data, 0.5, 4, Metric::Euclidean);
         assert_eq!(n, 2);
         assert_eq!(labels[400], Label::Noise);
         // All of blob 1 in one cluster.
@@ -456,7 +418,7 @@ mod tests {
     #[test]
     fn distributed_matches_reference_on_blobs() {
         let data = two_blobs_and_noise();
-        let (expected, n_ref) = dbscan_reference(&data, 0.5, 4);
+        let (expected, _, n_ref) = dbscan_reference(&data, 0.5, 4, Metric::Euclidean);
         for strategy in [&UniSpace as &dyn PartitionStrategy, &Dmt::default()] {
             let out = dbscan(&data, &config(0.5, 4), strategy).unwrap();
             assert_eq!(out.num_clusters, n_ref);
@@ -493,8 +455,7 @@ mod tests {
             data.push(&[rng.gen_range(0.0..12.0), rng.gen_range(0.0..12.0)])
                 .unwrap();
         }
-        let (expected, n_ref) = dbscan_reference(&data, eps, min_pts);
-        let (_, is_core) = dbscan_local(&data, eps, min_pts);
+        let (expected, is_core, n_ref) = dbscan_reference(&data, eps, min_pts, Metric::Euclidean);
         let out = dbscan(&data, &config(eps, min_pts), &UniSpace).unwrap();
         assert_eq!(out.num_clusters, n_ref);
 

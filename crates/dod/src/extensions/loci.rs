@@ -24,11 +24,11 @@
 //! each partition self-sufficient (the Lemma 3.1 argument verbatim), and
 //! the distributed result is bit-identical to a centralized run.
 
-use crate::framework::{gather_rows, load_points, DodMapper, TaggedPoint};
+use crate::framework::{gather_rows, NeighborIndex, TaggedPoint};
 use crate::pipeline::{DodConfig, DodError};
-use dod_core::{GridSpec, Metric, PointId, PointSet};
-use dod_partition::{sample_points, PartitionStrategy, PlanContext};
-use mapreduce::{run, JobMetrics, JobOptions, Reducer};
+use dod_core::{Metric, PointId, PointSet};
+use dod_partition::PartitionStrategy;
+use mapreduce::{JobMetrics, Reducer};
 
 /// LOCI parameters.
 #[derive(Debug, Clone, Copy)]
@@ -73,88 +73,32 @@ impl LociConfig {
     }
 }
 
-/// Grid-accelerated range counting within one partition.
-struct RangeCounter<'a> {
-    points: &'a PointSet,
-    grid: GridSpec,
-    buckets: std::collections::HashMap<usize, Vec<u32>>,
-    radius_cells: usize,
-    metric: Metric,
-}
-
-impl<'a> RangeCounter<'a> {
-    fn build(points: &'a PointSet, r: f64, metric: Metric) -> Self {
-        let bounds = points.bounding_rect().expect("non-empty");
-        let grid = GridSpec::with_cell_side(bounds, r, 256).expect("valid grid");
-        let mut buckets: std::collections::HashMap<usize, Vec<u32>> = Default::default();
-        for i in 0..points.len() {
-            buckets
-                .entry(grid.cell_of(points.point(i)))
-                .or_default()
-                .push(i as u32);
-        }
-        let radius_cells = (0..points.dim())
-            .map(|i| {
-                let w = grid.width(i);
-                if w == 0.0 {
-                    0
-                } else {
-                    (r / w).ceil() as usize
-                }
-            })
-            .max()
-            .unwrap_or(1);
-        RangeCounter {
-            points,
-            grid,
-            buckets,
-            radius_cells,
-            metric,
-        }
-    }
-
-    /// Indices within `r` of point `i`, **including `i` itself** (LOCI's
-    /// counts are inclusive).
-    fn neighbors_within(&self, i: usize, r: f64) -> Vec<u32> {
-        let p = self.points.point(i);
-        let cell = self.grid.cell_of(p);
-        let mut out = Vec::new();
-        for ncid in self.grid.neighborhood(cell, self.radius_cells, true) {
-            if let Some(b) = self.buckets.get(&ncid) {
-                for &j in b {
-                    if self.metric.within(p, self.points.point(j as usize), r) {
-                        out.push(j);
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
 /// Runs bounded LOCI over one materialized point set; returns the flag
 /// per point (index order). Exactness of the distributed run is checked
 /// against this same function run centrally.
 pub fn loci_local(points: &PointSet, cfg: &LociConfig) -> Vec<bool> {
     let n = points.len();
     let mut flagged = vec![false; n];
-    if n == 0 {
-        return flagged;
-    }
+    let mut sampling = Vec::new();
     for r in cfg.radii() {
         let alpha_r = cfg.alpha * r;
         // Counting neighborhoods n(·, αr) for every point, then sampling
-        // statistics over N(·, r).
-        let counter_small = RangeCounter::build(points, alpha_r, cfg.metric);
+        // statistics over N(·, r); both counts include the point itself.
+        let counting = NeighborIndex::build(points, alpha_r, cfg.metric);
         let counts: Vec<f64> = (0..n)
-            .map(|i| counter_small.neighbors_within(i, alpha_r).len() as f64)
+            .map(|i| {
+                let mut count = 0usize;
+                counting.for_each_within(points.point(i), alpha_r, |_| true, |_| count += 1);
+                count as f64
+            })
             .collect();
-        let counter_big = RangeCounter::build(points, r, cfg.metric);
+        let sampler = NeighborIndex::build(points, r, cfg.metric);
         for i in 0..n {
             if flagged[i] {
                 continue;
             }
-            let sampling = counter_big.neighbors_within(i, r);
+            sampling.clear();
+            sampler.for_each_within(points.point(i), r, |_| true, |q| sampling.push(q));
             if sampling.len() < cfg.n_min {
                 continue;
             }
@@ -230,38 +174,12 @@ pub fn loci(
     config: &DodConfig,
     strategy: &dyn PartitionStrategy,
 ) -> Result<LociOutcome, DodError> {
-    if data.is_empty() {
-        return Ok(LociOutcome {
-            outliers: Vec::new(),
-            metrics: JobMetrics::default(),
-        });
-    }
-    let domain = data.bounding_rect()?;
-    let sample = sample_points(data, config.sample_rate, config.seed);
-    let ctx = PlanContext::new(config.params, config.target_partitions, config.sample_rate);
-    let plan = strategy.build_plan(&sample, &domain, &ctx);
     // The wider supporting radius is what makes LOCI exact per partition.
-    let router = plan.router_with_metric(cfg.support_radius(), cfg.metric);
-
-    let store = load_points(data, config.block_size, config.replication);
-    let mapper = DodMapper::new(&router);
+    let routing = (cfg.support_radius(), cfg.metric);
     let reducer = LociReducer::new(data, *cfg);
-    let partitioner = |k: &u32, n: usize| (*k as usize) % n;
-    let out = run(
-        &config.cluster,
-        &store,
-        &mapper,
-        &reducer,
-        &partitioner,
-        config.num_reducers,
-        JobOptions::default(),
-    )?;
-    let mut outliers = out.outputs;
+    let (mut outliers, metrics) = super::run_job(data, config, strategy, routing, &reducer)?;
     outliers.sort_unstable();
-    Ok(LociOutcome {
-        outliers,
-        metrics: out.metrics,
-    })
+    Ok(LociOutcome { outliers, metrics })
 }
 
 #[cfg(test)]

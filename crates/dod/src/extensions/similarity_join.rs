@@ -9,11 +9,11 @@
 //! core or support by Definition 3.3), so every qualifying pair appears
 //! exactly once.
 
-use crate::framework::{gather_rows, load_points, DodMapper, TaggedPoint};
+use crate::framework::{gather_rows, NeighborIndex, TaggedPoint};
 use crate::pipeline::{DodConfig, DodError};
-use dod_core::{GridSpec, PointId, PointSet};
-use dod_partition::{sample_points, PartitionStrategy, PlanContext};
-use mapreduce::{run, JobMetrics, JobOptions, Reducer};
+use dod_core::{PointId, PointSet};
+use dod_partition::PartitionStrategy;
+use mapreduce::{JobMetrics, Reducer};
 
 /// Reducer of the join job: emits qualifying pairs with the
 /// smaller-id-core deduplication rule.
@@ -29,78 +29,27 @@ impl<'a> JoinReducer<'a> {
     pub fn new(data: &'a PointSet, r: f64, metric: dod_core::Metric) -> Self {
         JoinReducer { data, r, metric }
     }
-
-    fn join_partition(&self, values: &[TaggedPoint], emit: &mut dyn FnMut((PointId, PointId))) {
-        if values.len() < 2 {
-            return;
-        }
-        // Bucket all points into a grid of cell side r; candidates for a
-        // point live in the 3^d neighborhood.
-        let points = gather_rows(self.data, values);
-        let bounds = points.bounding_rect().expect("non-empty");
-        let grid = GridSpec::with_cell_side(bounds, self.r, 512).expect("valid grid");
-        let mut buckets: std::collections::HashMap<usize, Vec<u32>> = Default::default();
-        for (i, p) in points.iter().enumerate() {
-            buckets.entry(grid.cell_of(p)).or_default().push(i as u32);
-        }
-        // Cells wider than r when clamped: neighborhood radius adapts.
-        let radius: usize = (0..points.dim())
-            .map(|i| {
-                let w = grid.width(i);
-                if w == 0.0 {
-                    0
-                } else {
-                    (self.r / w).ceil() as usize
-                }
-            })
-            .max()
-            .unwrap_or(1);
-
-        let mut cell_ids: Vec<usize> = buckets.keys().copied().collect();
-        cell_ids.sort_unstable();
-        for &cid in &cell_ids {
-            for &ncid in grid.neighborhood(cid, radius, true).iter() {
-                if ncid < cid {
-                    continue; // each cell pair handled once
-                }
-                let Some(cell_pts) = buckets.get(&cid) else {
-                    continue;
-                };
-                let Some(other_pts) = buckets.get(&ncid) else {
-                    continue;
-                };
-                for (ai, &a) in cell_pts.iter().enumerate() {
-                    let start = if ncid == cid { ai + 1 } else { 0 };
-                    for &b in &other_pts[start..] {
-                        let (va, vb) = (values[a as usize], values[b as usize]);
-                        if va.id() == vb.id() {
-                            continue; // same point seen as core+support
-                        }
-                        let (lo, hi) = if va.id() < vb.id() {
-                            (va, vb)
-                        } else {
-                            (vb, va)
-                        };
-                        // Dedup rule: the smaller id must be core here.
-                        if lo.is_support() {
-                            continue;
-                        }
-                        let (pa, pb) = (points.point(a as usize), points.point(b as usize));
-                        if self.metric.within(pa, pb, self.r) {
-                            emit((lo.id(), hi.id()));
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 impl Reducer<u32, TaggedPoint> for JoinReducer<'_> {
     type Out = (PointId, PointId);
 
     fn reduce(&self, _key: &u32, values: &[TaggedPoint], emit: &mut dyn FnMut((PointId, PointId))) {
-        self.join_partition(values, emit);
+        let points = gather_rows(self.data, values);
+        let index = NeighborIndex::build(&points, self.r, self.metric);
+        for (i, a) in values.iter().enumerate() {
+            // Each unordered pair once, from its lower index; the pair
+            // belongs here only if its smaller id is core here.
+            let admit = |j: u32| {
+                let b = values[j as usize];
+                let lo = if a.id() < b.id() { *a } else { b };
+                j as usize > i && a.id() != b.id() && !lo.is_support()
+            };
+            index.for_each_within(points.point(i), self.r, admit, |j| {
+                let b = values[j as usize].id();
+                emit((a.id().min(b), a.id().max(b)));
+            });
+        }
     }
 }
 
@@ -123,38 +72,12 @@ pub fn similarity_join(
     config: &DodConfig,
     strategy: &dyn PartitionStrategy,
 ) -> Result<JoinOutcome, DodError> {
-    if data.is_empty() {
-        return Ok(JoinOutcome {
-            pairs: Vec::new(),
-            metrics: JobMetrics::default(),
-        });
-    }
-    let domain = data.bounding_rect()?;
-    let sample = sample_points(data, config.sample_rate, config.seed);
-    let ctx = PlanContext::new(config.params, config.target_partitions, config.sample_rate);
-    let plan = strategy.build_plan(&sample, &domain, &ctx);
-    let router = plan.router_with_metric(config.params.r, config.params.metric);
-
-    let store = load_points(data, config.block_size, config.replication);
-    let mapper = DodMapper::new(&router);
-    let reducer = JoinReducer::new(data, config.params.r, config.params.metric);
-    let partitioner = |k: &u32, n: usize| (*k as usize) % n;
-    let out = run(
-        &config.cluster,
-        &store,
-        &mapper,
-        &reducer,
-        &partitioner,
-        config.num_reducers,
-        JobOptions::default(),
-    )?;
-    let mut pairs = out.outputs;
+    let (r, metric) = (config.params.r, config.params.metric);
+    let reducer = JoinReducer::new(data, r, metric);
+    let (mut pairs, metrics) = super::run_job(data, config, strategy, (r, metric), &reducer)?;
     pairs.sort_unstable();
     debug_assert!(pairs.windows(2).all(|w| w[0] != w[1]), "pair emitted twice");
-    Ok(JoinOutcome {
-        pairs,
-        metrics: out.metrics,
-    })
+    Ok(JoinOutcome { pairs, metrics })
 }
 
 /// Brute-force reference join, for tests and small data.

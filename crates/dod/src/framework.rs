@@ -12,7 +12,9 @@
 //! reducer writes the partition's tile from the rows (DESIGN.md, *Batch
 //! record path*).
 
-use dod_core::{OutlierParams, PointId, PointSet};
+use dod_core::{
+    CellId, GridSpec, Metric, NeighborPredicate, OutlierParams, PointId, PointSet, Rect,
+};
 use dod_detect::cost::AlgorithmKind;
 use dod_detect::{Detection, Partition, PartitionState, Side};
 use dod_obs::json::Json;
@@ -121,6 +123,85 @@ pub fn gather_rows(data: &PointSet, values: &[TaggedPoint]) -> PointSet {
         rows.push(data.point(v.id() as usize)).expect("same dim");
     }
     rows
+}
+
+/// The fixed-radius neighbour index the framework's listing jobs share:
+/// the similarity join, DBSCAN, LOCI and the Domain baseline's verify
+/// job (DESIGN.md, *One neighbour index*).
+///
+/// A grid of the build's cell side over the points' bounding box, at
+/// most [`NeighborIndex::MAX_CELLS_PER_DIM`] cells a dimension, and the
+/// `(cell, index)` pair of every point, sorted: one run per occupied
+/// cell, its points in index order. Only occupied cells cost memory,
+/// however many cells the grid has.
+pub(crate) struct NeighborIndex<'a> {
+    points: &'a PointSet,
+    grid: GridSpec,
+    by_cell: Vec<(CellId, u32)>,
+    metric: Metric,
+}
+
+impl<'a> NeighborIndex<'a> {
+    /// The cap on cells per dimension. A clamped grid has cells wider
+    /// than the side asked for, which costs candidates, never answers.
+    const MAX_CELLS_PER_DIM: usize = 1024;
+
+    /// Indexes `points` on a grid of cell side `side` for queries under
+    /// `metric`. An empty set gets one cell at the origin.
+    pub(crate) fn build(points: &'a PointSet, side: f64, metric: Metric) -> Self {
+        let bounds = if points.is_empty() {
+            Rect::new(vec![0.0; points.dim()], vec![0.0; points.dim()])
+        } else {
+            points.bounding_rect()
+        };
+        let grid = bounds
+            .and_then(|b| GridSpec::with_cell_side(b, side, Self::MAX_CELLS_PER_DIM))
+            .expect("a grid over the points' finite bounds");
+        let mut by_cell: Vec<(CellId, u32)> = (0..points.len())
+            .map(|i| (grid.cell_of(points.point(i)), i as u32))
+            .collect();
+        by_cell.sort_unstable();
+        NeighborIndex {
+            points,
+            grid,
+            by_cell,
+            metric,
+        }
+    }
+
+    /// Calls `visit(j)` for every indexed point `j` that `admit(j)` lets
+    /// through and that lies within `r` of `q` (the kernels' predicate),
+    /// in ascending `(cell, index)` order. `admit` runs before the
+    /// distance test, so a point it turns away costs no evaluation. Any
+    /// `r` is answered exactly, whatever the build's cell side; `q` may
+    /// lie outside the indexed points' box. Allocation-free: the walk
+    /// covers the cells meeting `[q − r, q + r]` a grid row at a time,
+    /// one binary search a row.
+    pub(crate) fn for_each_within(
+        &self,
+        q: &[f64],
+        r: f64,
+        mut admit: impl FnMut(u32) -> bool,
+        mut visit: impl FnMut(u32),
+    ) {
+        let pred = NeighborPredicate::with_metric(self.metric, r);
+        let mut from = 0;
+        self.grid.visit_box_rows(
+            |i| (q[i] - r, q[i] + r),
+            |row| {
+                // Rows come in ascending cell order: each search starts
+                // where the last row's cells end.
+                from += self.by_cell[from..].partition_point(|&(c, _)| c < *row.start());
+                let run = self.by_cell[from..].iter();
+                for &(_, j) in run.take_while(|&&(c, _)| c <= *row.end()) {
+                    if admit(j) && pred.within(q, self.points.point(j as usize)) {
+                        visit(j);
+                    }
+                }
+                true
+            },
+        );
+    }
 }
 
 /// Map function of the detection job: supporting-area routing
@@ -278,8 +359,10 @@ impl Reducer<u32, TaggedPoint> for DodReducer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dod_core::{GridSpec, Rect};
     use dod_partition::PartitionPlan;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn router_2x2() -> Router {
         let domain = Rect::new(vec![0.0, 0.0], vec![10.0, 10.0]).unwrap();
@@ -420,25 +503,94 @@ mod tests {
         );
     }
 
+    // The neighbour index lists exactly the points a brute-force
+    // scan finds within `r` (those `admit` lets through), in
+    // ascending `(cell, index)` order. Coordinates lie on a lattice
+    // of step 0.5, so pairs sit exactly 0.5, 1 and 1.5 apart along
+    // an axis and on the boundaries of cells of side 0.5 and 1; the
+    // sets hold duplicates and zero-extent dimensions, and sometimes
+    // a far point that clamps the grid to the cell cap. Queries are
+    // every indexed point plus points outside the box, closer and
+    // farther than the radius.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn neighbor_index_matches_a_brute_force_scan(
+            d in 1usize..9,
+            metric in 0usize..3,
+            seed in 0u64..1 << 32,
+        ) {
+            let metric = [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev][metric];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let flat: Vec<bool> = (0..d).map(|_| rng.gen_bool(0.25)).collect();
+            let mut points = PointSet::new(d).unwrap();
+            for _ in 0..rng.gen_range(1..40) {
+                let p: Vec<f64> = (0..d)
+                    .map(|i| if flat[i] { 3.0 } else { f64::from(rng.gen_range(0u8..5)) * 0.5 })
+                    .collect();
+                points.push(&p).unwrap();
+                if rng.gen_bool(0.2) {
+                    points.push(&p).unwrap();
+                }
+            }
+            let clamped = rng.gen_bool(0.3);
+            if clamped {
+                let mut far = points.point(0).to_vec();
+                far[0] += 5000.0;
+                points.push(&far).unwrap();
+            }
+            let side = [0.5, 1.0, 2.0][rng.gen_range(0..3)];
+            let index = NeighborIndex::build(&points, side, metric);
+            if clamped {
+                prop_assert_eq!(index.grid.cells_in_dim(0), NeighborIndex::MAX_CELLS_PER_DIM);
+            }
+            let bounds = points.bounding_rect().unwrap();
+            let mut queries: Vec<Vec<f64>> = points.iter().map(<[f64]>::to_vec).collect();
+            for gap in [0.5, 1.0, 1.5, 0.5, 1.0, 1.5] {
+                let mut q = points.point(rng.gen_range(0..points.len())).to_vec();
+                let i = rng.gen_range(0..d);
+                q[i] = if rng.gen_bool(0.5) { bounds.min()[i] - gap } else { bounds.max()[i] + gap };
+                queries.push(q);
+            }
+            let admit = |j: u32| j % 3 != 1;
+            for q in &queries {
+                for r in [0.5, 1.0, 1.5] {
+                    let mut got = Vec::new();
+                    index.for_each_within(q, r, admit, |j| got.push(j));
+                    let keys: Vec<(CellId, u32)> = got
+                        .iter()
+                        .map(|&j| (index.grid.cell_of(points.point(j as usize)), j))
+                        .collect();
+                    prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+                    let want: Vec<u32> = (0..points.len() as u32)
+                        .filter(|&j| admit(j) && metric.within(q, points.point(j as usize), r))
+                        .collect();
+                    got.sort_unstable();
+                    prop_assert_eq!(got, want, "q {:?} r {} side {}", q, r, side);
+                }
+            }
+        }
+    }
+
     /// Pins the record path per reducer on a fixed 3,000-point corpus:
     /// the `(key, id, support)` sequence every reduce call receives, a
     /// digest of the tile it builds (the `Partition` of the detection
     /// reducers, the gathered rows of the `extensions/` ones), the
     /// detectors' `detect.distance_evals`, and the shuffle's bytes,
     /// records and outputs. The expected values were taken from the
-    /// record that carried its coordinates.
+    /// record that carried its coordinates. Digests of each job's sorted
+    /// outputs and of the Domain verify job's cleared ids were taken
+    /// while each job still kept its own grid-bucket index.
     #[test]
     fn record_path_is_pinned() {
         use crate::extensions::dbscan::DbscanReducer;
         use crate::extensions::loci::{LociConfig, LociReducer};
         use crate::extensions::similarity_join::JoinReducer;
         use crate::pipeline::{DodConfig, DodRunner};
-        use crate::two_job::{CandidateMapper, CandidateReducer};
+        use crate::two_job::{CandidateMapper, CandidateReducer, VerifyMapper, VerifyReducer};
         use dod_obs::{Event, MemoryRecorder};
         use mapreduce::checkpoint::fingerprint_u64s;
         use mapreduce::{ClusterConfig, JobOptions};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         use std::sync::Mutex;
 
         /// Delegates to `inner`, logging `[key, records, tile]` digests.
@@ -524,7 +676,7 @@ mod tests {
             mapper: &M,
             reducer: &R,
             tile: &(dyn Fn(&[TaggedPoint]) -> u64 + Sync),
-        ) -> [u64; 5]
+        ) -> ([u64; 5], Vec<R::Out>)
         where
             M: Mapper<In = InputPoint<'d>, K = u32, V = TaggedPoint>,
             R: Reducer<u32, TaggedPoint>,
@@ -547,21 +699,37 @@ mod tests {
             let groups = log.len() as u64;
             let digest = fingerprint_u64s(log.into_iter().flatten());
             let outputs = out.outputs.len() as u64;
-            [groups, digest, m.shuffle_bytes, m.shuffle_records, outputs]
+            let got = [groups, digest, m.shuffle_bytes, m.shuffle_records, outputs];
+            (got, out.outputs)
+        }
+        /// Digest of a job's outputs, encoded and sorted, so that it does
+        /// not depend on the order the reduce tasks ran in.
+        fn sorted_digest<O: Durable>(outputs: &[O]) -> u64 {
+            let mut encoded: Vec<String> = outputs
+                .iter()
+                .map(|o| {
+                    let mut s = String::new();
+                    o.encode(&mut s);
+                    s
+                })
+                .collect();
+            encoded.sort_unstable();
+            fingerprint_u64s(encoded.join("\n").bytes().map(u64::from))
         }
 
         let mapper = DodMapper::new(&pre.router);
         let mem = Arc::new(MemoryRecorder::new());
         let detect =
             DodReducer::new(&data, params, Arc::clone(&algorithms)).with_obs(Obs::new(mem.clone()));
-        let got = pin(&store, &mapper, &detect, &partition_tile);
+        let (got, outputs) = pin(&store, &mapper, &detect, &partition_tile);
         assert_eq!(got, [85, 0x399c_387f_34f1_9374, 297_627, 10_263, 451]);
+        assert_eq!(sorted_digest(&outputs), 0x31bf_78ab_e064_1051);
         assert_eq!(evals(&mem), 1895);
 
         let mem = Arc::new(MemoryRecorder::new());
         let candidates = CandidateReducer::with_plan(&data, params, Arc::clone(&algorithms))
             .with_obs(Obs::new(mem.clone()));
-        let got = pin(
+        let (got, candidates) = pin(
             &store,
             &CandidateMapper::new(&pre.mt.plan),
             &candidates,
@@ -569,14 +737,36 @@ mod tests {
         );
         assert_eq!(got, [82, 0x7794_86bd_3479_544a, 87_000, 3000, 462]);
         assert_eq!(evals(&mem), 2235);
+        assert_eq!(sorted_digest(&candidates), 0x59fe_573c_4510_c823);
+
+        // The Domain verify job over those candidates: the ids it clears.
+        let flat = candidates.iter().flat_map(|c| c.coords.iter().copied());
+        let coords = PointSet::from_flat(2, flat.collect()).unwrap();
+        let index = NeighborIndex::build(&coords, params.r, params.metric);
+        let verify = VerifyMapper::new(&candidates, &index, params.r);
+        let by_key = |k: &u32, n: usize| (*k as usize) % n;
+        let cluster = ClusterConfig::new(2);
+        let opts = JobOptions::default();
+        let reducer = VerifyReducer::new(params.k);
+        let out = mapreduce::run(&cluster, &store, &verify, &reducer, &by_key, 4, opts).unwrap();
+        let mut cleared: Vec<u64> = out
+            .outputs
+            .iter()
+            .map(|&ci| candidates[ci as usize].id)
+            .collect();
+        cleared.sort_unstable();
+        assert_eq!(cleared.len(), 11);
+        assert_eq!(fingerprint_u64s(cleared), 0x9273_8614_4bb5_42e7);
 
         let dbscan = DbscanReducer::new(&data, 0.8, 5, params.metric);
-        let got = pin(&store, &mapper, &dbscan, &gathered_tile);
+        let (got, outputs) = pin(&store, &mapper, &dbscan, &gathered_tile);
         assert_eq!(got, [85, 0xfc7a_3a37_07b8_eb72, 297_627, 10_263, 9982]);
+        assert_eq!(sorted_digest(&outputs), 0x1b55_fa12_da9a_5cbd);
 
         let join = JoinReducer::new(&data, 0.8, params.metric);
-        let got = pin(&store, &mapper, &join, &gathered_tile);
+        let (got, outputs) = pin(&store, &mapper, &join, &gathered_tile);
         assert_eq!(got, [85, 0xfc7a_3a37_07b8_eb72, 297_627, 10_263, 204_733]);
+        assert_eq!(sorted_digest(&outputs), 0x41df_2a64_4055_d935);
 
         let loci_cfg = LociConfig::new(0.8);
         let loci_router = pre
@@ -584,7 +774,8 @@ mod tests {
             .plan
             .router_with_metric(loci_cfg.support_radius(), loci_cfg.metric);
         let loci = LociReducer::new(&data, loci_cfg);
-        let got = pin(&store, &DodMapper::new(&loci_router), &loci, &gathered_tile);
+        let (got, outputs) = pin(&store, &DodMapper::new(&loci_router), &loci, &gathered_tile);
         assert_eq!(got, [85, 0xc8d0_8333_aef4_d2d0, 427_112, 14_728, 3]);
+        assert_eq!(sorted_digest(&outputs), 0x7ee1_84a1_2120_3486);
     }
 }

@@ -16,10 +16,8 @@
 
 pub use crate::config::{ConfigError, DodConfig};
 
-use crate::framework::{load_points, DodMapper, DodReducer, InputPoint};
-use crate::two_job::{
-    Candidate, CandidateIndex, CandidateMapper, CandidateReducer, VerifyMapper, VerifyReducer,
-};
+use crate::framework::{load_points, DodMapper, DodReducer, InputPoint, NeighborIndex};
+use crate::two_job::{Candidate, CandidateMapper, CandidateReducer, VerifyMapper, VerifyReducer};
 use dod_core::{CoreError, OutlierParams, PointId, PointSet};
 use dod_detect::cost::{AlgorithmKind, PAPER_CANDIDATES};
 use dod_obs::{names, Value};
@@ -570,15 +568,17 @@ impl DodRunner {
         }
 
         // Job 2: global verification of the candidates.
-        let index = CandidateIndex::build_with_metric(candidates, cfg.params.r, cfg.params.metric);
-        let verify_mapper = VerifyMapper::new(&index);
+        let flat = candidates.iter().flat_map(|c| c.coords.iter().copied());
+        let coords = PointSet::from_flat(data.dim(), flat.collect())?;
+        let index = NeighborIndex::build(&coords, cfg.params.r, cfg.params.metric);
+        let verify_mapper = VerifyMapper::new(&candidates, &index, cfg.params.r);
         let verify_reducer = VerifyReducer::new(cfg.params.k);
         let hash_partitioner = |k: &u32, n: usize| (*k as usize) % n;
         // The verify job's work depends on which candidates job 1
         // produced, so its fingerprint hashes the candidate ids: a
         // redrive that changes the candidate set invalidates stale
         // verify checkpoints instead of restoring them.
-        let candidate_fp = fingerprint_u64s(index.candidates().iter().map(|c| c.id));
+        let candidate_fp = fingerprint_u64s(candidates.iter().map(|c| c.id));
         let tag = self.job_tag("verify", input, mt, candidate_fp);
         let ck2 = self.open_store("-verify", store.num_blocks(), tag)?;
         // Partial counts fold map-side (a Hadoop combiner), keeping the
@@ -598,8 +598,7 @@ impl DodRunner {
         )?;
         diverted += diverted_count(job2.outcome);
         let cleared: HashSet<u32> = job2.outputs.into_iter().collect();
-        let mut outliers: Vec<PointId> = index
-            .candidates()
+        let mut outliers: Vec<PointId> = candidates
             .iter()
             .enumerate()
             .filter(|(i, _)| !cleared.contains(&(*i as u32)))

@@ -16,8 +16,8 @@
 //! writing, and re-distribution of the data over a series of separate
 //! jobs") that motivates the single-pass framework.
 
-use crate::framework::{DodReducer, InputPoint, TaggedPoint};
-use dod_core::{CellId, GridSpec, OutlierParams, PointId, PointSet, Rect};
+use crate::framework::{DodReducer, InputPoint, NeighborIndex, TaggedPoint};
+use dod_core::{OutlierParams, PointId, PointSet};
 use dod_detect::cost::AlgorithmKind;
 use dod_obs::json::Json;
 use dod_partition::PartitionPlan;
@@ -130,109 +130,25 @@ impl Reducer<u32, TaggedPoint> for CandidateReducer<'_> {
     }
 }
 
-/// Spatial index over the broadcast candidate list, shared by all job-2
-/// map tasks.
-pub struct CandidateIndex {
-    candidates: Vec<Candidate>,
-    grid: Option<GridSpec>,
-    /// `(cell, candidate index)` of every candidate, sorted: one run per
-    /// occupied cell, its candidates in index order. Only occupied cells
-    /// cost memory, however many cells the grid has.
-    by_cell: Vec<(CellId, u32)>,
-    r: f64,
-    metric: dod_core::Metric,
-}
-
-impl CandidateIndex {
-    /// Builds the index with cell side ≈ `r` under the Euclidean metric.
-    pub fn build(candidates: Vec<Candidate>, r: f64) -> Self {
-        Self::build_with_metric(candidates, r, dod_core::Metric::Euclidean)
-    }
-
-    /// Builds the index for an arbitrary metric.
-    pub fn build_with_metric(candidates: Vec<Candidate>, r: f64, metric: dod_core::Metric) -> Self {
-        if candidates.is_empty() {
-            return CandidateIndex {
-                candidates,
-                grid: None,
-                by_cell: Vec::new(),
-                r,
-                metric,
-            };
-        }
-        let dim = candidates[0].coords.len();
-        let bounds = Rect::bounding(candidates.iter().map(|c| c.coords.as_slice()), dim)
-            .expect("non-empty candidates");
-        let grid = GridSpec::with_cell_side(bounds, r, 1024).expect("valid candidate grid");
-        let mut by_cell: Vec<(CellId, u32)> = candidates
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (grid.cell_of(&c.coords), i as u32))
-            .collect();
-        by_cell.sort_unstable();
-        CandidateIndex {
-            candidates,
-            grid: Some(grid),
-            by_cell,
-            r,
-            metric,
-        }
-    }
-
-    /// Number of indexed candidates.
-    pub fn len(&self) -> usize {
-        self.candidates.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.candidates.is_empty()
-    }
-
-    /// The candidate list, in index order.
-    pub fn candidates(&self) -> &[Candidate] {
-        &self.candidates
-    }
-
-    /// Indices of candidates within `r` of `x`, excluding the candidate
-    /// with id `exclude_id` (the point itself).
-    pub fn neighbors_of(&self, x: &[f64], exclude_id: PointId) -> Vec<u32> {
-        let Some(grid) = &self.grid else {
-            return Vec::new();
-        };
-        let ball = Rect::new(
-            x.iter().map(|v| v - self.r).collect(),
-            x.iter().map(|v| v + self.r).collect(),
-        )
-        .expect("finite coordinates");
-        let mut out = Vec::new();
-        for cell in grid.cells_intersecting(&ball) {
-            let from = self.by_cell.partition_point(|&(c, _)| c < cell);
-            let run = self.by_cell[from..].iter().take_while(|&&(c, _)| c == cell);
-            for &(_, ci) in run {
-                let c = &self.candidates[ci as usize];
-                if c.id == exclude_id {
-                    continue;
-                }
-                if self.metric.within(x, &c.coords, self.r) {
-                    out.push(ci);
-                }
-            }
-        }
-        out
-    }
-}
-
 /// Job-2 mapper: emits `(candidate index, 1)` for every (point, nearby
-/// candidate) pair.
+/// candidate) pair, the point and its own candidate excepted.
 pub struct VerifyMapper<'a> {
-    index: &'a CandidateIndex,
+    candidates: &'a [Candidate],
+    index: &'a NeighborIndex<'a>,
+    r: f64,
 }
 
 impl<'a> VerifyMapper<'a> {
-    /// Creates the mapper over the broadcast candidate index.
-    pub fn new(index: &'a CandidateIndex) -> Self {
-        VerifyMapper { index }
+    /// Creates the mapper over the broadcast candidate list and `index`,
+    /// the neighbour index over the candidates' coordinates in list
+    /// order, for neighbour radius `r`. Built once, shared by all map
+    /// tasks.
+    pub(crate) fn new(candidates: &'a [Candidate], index: &'a NeighborIndex<'a>, r: f64) -> Self {
+        VerifyMapper {
+            candidates,
+            index,
+            r,
+        }
     }
 }
 
@@ -243,9 +159,9 @@ impl<'a> Mapper for VerifyMapper<'a> {
 
     fn map(&self, item: &InputPoint<'a>, emit: &mut dyn FnMut(u32, u32)) {
         let (id, coords) = *item;
-        for ci in self.index.neighbors_of(coords, id) {
-            emit(ci, 1);
-        }
+        let other = |ci: u32| self.candidates[ci as usize].id != id;
+        self.index
+            .for_each_within(coords, self.r, other, |ci| emit(ci, 1));
     }
 }
 
@@ -277,40 +193,44 @@ impl Reducer<u32, u32> for VerifyReducer {
 mod tests {
     use super::*;
 
+    fn candidate(id: PointId, coords: &[f64]) -> Candidate {
+        Candidate {
+            id,
+            coords: coords.to_vec(),
+        }
+    }
+
+    /// The candidate indices the verify mapper emits for `point` (row
+    /// `id`), each with a count of one.
+    fn verify(candidates: &[Candidate], r: f64, id: PointId, point: &[f64]) -> Vec<u32> {
+        let flat = candidates.iter().flat_map(|c| c.coords.iter().copied());
+        let coords = PointSet::from_flat(point.len(), flat.collect()).unwrap();
+        let index = NeighborIndex::build(&coords, r, dod_core::Metric::Euclidean);
+        let mut out = Vec::new();
+        VerifyMapper::new(candidates, &index, r).map(&(id, point), &mut |k, v| {
+            assert_eq!(v, 1);
+            out.push(k);
+        });
+        out
+    }
+
     #[test]
     fn candidate_index_finds_neighbors() {
-        let cands = vec![
-            Candidate {
-                id: 0,
-                coords: vec![0.0, 0.0],
-            },
-            Candidate {
-                id: 1,
-                coords: vec![5.0, 5.0],
-            },
-        ];
-        let idx = CandidateIndex::build(cands, 1.0);
-        assert_eq!(idx.len(), 2);
-        assert_eq!(idx.neighbors_of(&[0.5, 0.0], 99), vec![0]);
-        assert!(idx.neighbors_of(&[2.5, 2.5], 99).is_empty());
+        let cands = [candidate(0, &[0.0, 0.0]), candidate(1, &[5.0, 5.0])];
+        assert_eq!(verify(&cands, 1.0, 99, &[0.5, 0.0]), vec![0]);
+        assert!(verify(&cands, 1.0, 99, &[2.5, 2.5]).is_empty());
     }
 
     #[test]
     fn candidate_index_excludes_self() {
-        let cands = vec![Candidate {
-            id: 7,
-            coords: vec![1.0, 1.0],
-        }];
-        let idx = CandidateIndex::build(cands, 1.0);
-        assert!(idx.neighbors_of(&[1.0, 1.0], 7).is_empty());
-        assert_eq!(idx.neighbors_of(&[1.0, 1.0], 8), vec![0]);
+        let cands = [candidate(7, &[1.0, 1.0])];
+        assert!(verify(&cands, 1.0, 7, &[1.0, 1.0]).is_empty());
+        assert_eq!(verify(&cands, 1.0, 8, &[1.0, 1.0]), vec![0]);
     }
 
     #[test]
     fn empty_candidate_index() {
-        let idx = CandidateIndex::build(vec![], 1.0);
-        assert!(idx.is_empty());
-        assert!(idx.neighbors_of(&[0.0, 0.0], 0).is_empty());
+        assert!(verify(&[], 1.0, 0, &[0.0, 0.0]).is_empty());
     }
 
     #[test]
@@ -325,32 +245,15 @@ mod tests {
 
     #[test]
     fn verify_mapper_emits_counts() {
-        let idx = CandidateIndex::build(
-            vec![Candidate {
-                id: 0,
-                coords: vec![0.0, 0.0],
-            }],
-            1.0,
-        );
-        let mapper = VerifyMapper::new(&idx);
-        let mut out = Vec::new();
-        mapper.map(&(42, &[0.5, 0.5]), &mut |k, v| out.push((k, v)));
-        assert_eq!(out, vec![(0, 1)]);
-        out.clear();
-        mapper.map(&(43, &[3.0, 3.0]), &mut |k, v| out.push((k, v)));
-        assert!(out.is_empty());
+        let cands = [candidate(0, &[0.0, 0.0])];
+        assert_eq!(verify(&cands, 1.0, 42, &[0.5, 0.5]), vec![0]);
+        assert!(verify(&cands, 1.0, 43, &[3.0, 3.0]).is_empty());
     }
 
     #[test]
     fn degenerate_candidates_all_identical() {
-        let cands: Vec<Candidate> = (0..5)
-            .map(|i| Candidate {
-                id: i,
-                coords: vec![2.0, 2.0],
-            })
-            .collect();
-        let idx = CandidateIndex::build(cands, 0.5);
+        let cands: Vec<Candidate> = (0..5).map(|i| candidate(i, &[2.0, 2.0])).collect();
         // A probe at the same spot sees all 5 except the excluded id.
-        assert_eq!(idx.neighbors_of(&[2.0, 2.0], 3).len(), 4);
+        assert_eq!(verify(&cands, 0.5, 3, &[2.0, 2.0]), vec![0, 1, 2, 4]);
     }
 }

@@ -33,11 +33,16 @@ fn main() {
     let mut planted = Vec::new();
     let mut cell = 0;
     while planted.len() < 5 && cell < grid.num_cells() {
-        let block: u32 = grid
-            .neighborhood(cell, 1, true)
-            .iter()
-            .map(|&c| counts[c])
-            .sum();
+        let idx = grid.delinearize(cell);
+        let mut block = 0u32;
+        grid.visit_around(
+            |i| idx[i],
+            |_| 1,
+            |c| {
+                block += counts[c];
+                true
+            },
+        );
         if block < 3 {
             let center = grid.cell_rect(cell).center();
             planted.push((center[0], center[1]));

@@ -140,17 +140,17 @@ fn similarity_join_exact_under_every_metric() {
 
 #[test]
 fn dbscan_exact_under_every_metric() {
-    use dod::extensions::dbscan::{dbscan, dbscan_local_metric, Label};
+    use dod::extensions::dbscan::{dbscan, dbscan_reference, Label};
     let data = mixed_density(35, 400);
     for metric in METRICS {
         let params = OutlierParams::new(0.8, 4).unwrap().with_metric(metric);
         let out = dbscan(&data, &config(params), &UniSpace).unwrap();
         // Noise set must match the centralized run exactly.
-        let (reference_clusters, _) = dbscan_local_metric(&data, 0.8, 4, metric);
-        for (i, reference) in reference_clusters.iter().enumerate() {
+        let (reference, _, _) = dbscan_reference(&data, 0.8, 4, metric);
+        for (i, reference) in reference.iter().enumerate() {
             assert_eq!(
                 out.labels[i] == Label::Noise,
-                reference.is_none(),
+                *reference == Label::Noise,
                 "noise mismatch at {i} under {metric:?}"
             );
         }
