@@ -31,5 +31,5 @@ pub use grid::{CellId, CellIdHasher, CellMap, GridSpec};
 pub use kernel::{columns_backend, KernelBackend, NeighborPredicate, TileOutcome};
 pub use metric::Metric;
 pub use params::OutlierParams;
-pub use point::{dist, dist_sq, Point};
+pub use point::{dist, dist_sq};
 pub use rect::Rect;

@@ -25,12 +25,12 @@
 
 use crate::detector::{Detection, DetectionStats, Detector};
 use crate::partition::{Partition, Side};
-use crate::scan::{count_tile_excluding, PermutedScan};
-use dod_core::{CellId, CellMap, GridSpec, NeighborPredicate, OutlierParams, PointSet};
+use crate::scan::PermutedScan;
+use crate::tile::Tile;
+use dod_core::{CellId, CellMap, GridSpec, NeighborPredicate, OutlierParams};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::ops::Range;
 
 /// The build-phase product of the Cell-Based detector: the grid plus
 /// every point of the partition laid out by cell.
@@ -39,11 +39,11 @@ use std::ops::Range;
 /// lets a resident engine (see the `dod-engine` crate) pay the layout
 /// cost once and then answer many requests — both full re-detections
 /// ([`CellBased::detect_with_index`]) and per-point neighbor counts for
-/// incoming query points ([`CellIndex::count_core_neighbors`]).
+/// incoming query points ([`CellIndex::count_core_neighbors_traced`]).
 ///
-/// Each [`Side`] is one `Tile`: an arena sorted by cell id at build,
-/// where every occupied cell owns one run of entries. A `Directory` maps
-/// a cell to its *entry number*, which indexes both sides' run tables.
+/// Each [`Side`] is one tile (`tile.rs`): an arena sorted by cell id at
+/// build, where every occupied cell owns one run. A `Directory` maps a
+/// cell to its *entry number*, which indexes both sides' run tables.
 /// Because the build lays runs out in ascending cell id, the cells of
 /// one grid row sit back to back, and a box walk scans a whole row as
 /// one tile.
@@ -140,188 +140,6 @@ impl Directory {
     }
 }
 
-/// One cell's entries in a [`Tile`]: `len` live entries at arena
-/// positions `start..start + len`, in a reserved span of `cap`.
-#[derive(Debug, Clone, Copy, Default)]
-struct Run {
-    start: u32,
-    len: u32,
-    cap: u32,
-}
-
-/// One side (core or support) of a [`CellIndex`]: a row-major coordinate
-/// arena, the partition slot of each arena entry, and each directory
-/// entry's run.
-///
-/// A run behaves as the `Vec` it replaces: an insert appends at the end
-/// of the run, moving the run to the arena's end with doubled capacity
-/// when it is full; a removal moves the run's last live entry into the
-/// hole. So the order of a cell's entries is exactly the order a
-/// per-cell `Vec` would hold. The gaps moved runs leave behind are
-/// reclaimed by the next build (a `PartitionState` compaction).
-///
-/// A removal finds its entry through `positions`, the arena position of
-/// each slot, rather than by scanning the cell's run (a cell of a dense
-/// blob holds hundreds of copies). The map is built on the tile's first
-/// removal, so an index that is only read or only grown — the batch
-/// reducer's, or a read-only server's — never pays its pass or its 4 B
-/// per copy; from then on every push, run move and swap-remove keeps it
-/// current, and a rebuild starts without one.
-#[derive(Debug, Clone, Default)]
-struct Tile {
-    coords: Vec<f64>,
-    slots: Vec<u32>,
-    runs: Vec<Run>,
-    /// Arena position of each live slot; `None` until the first removal.
-    positions: Option<Vec<u32>>,
-}
-
-impl Tile {
-    /// Lays `points` out by entry — a counting sort over the directory's
-    /// entry numbers, so each run lists its slots in ascending order.
-    /// `cells[i]` is the cell of point `i`.
-    fn sorted(directory: &Directory, entries: usize, cells: &[CellId], points: &PointSet) -> Tile {
-        let dim = points.dim();
-        u32::try_from(cells.len()).expect("arena positions fit u32");
-        let entry_of: Vec<usize> = cells
-            .iter()
-            .map(|&c| directory.entry(c).expect("every cell is numbered"))
-            .collect();
-        let mut runs = vec![Run::default(); entries];
-        for &e in &entry_of {
-            runs[e].cap += 1;
-        }
-        let mut start = 0;
-        for run in &mut runs {
-            run.start = start;
-            start += run.cap;
-        }
-        let mut tile = Tile {
-            coords: vec![0.0; cells.len() * dim],
-            slots: vec![0; cells.len()],
-            runs,
-            positions: None,
-        };
-        for (slot, &e) in entry_of.iter().enumerate() {
-            let run = &mut tile.runs[e];
-            let at = (run.start + run.len) as usize;
-            run.len += 1;
-            tile.slots[at] = slot as u32;
-            tile.coords[at * dim..(at + 1) * dim].copy_from_slice(points.point(slot));
-        }
-        tile
-    }
-
-    /// Live entries of entry `e`.
-    fn len(&self, e: usize) -> usize {
-        self.runs[e].len as usize
-    }
-
-    /// Arena positions of entry `e`'s live entries.
-    fn live(&self, e: usize) -> Range<usize> {
-        let run = self.runs[e];
-        run.start as usize..(run.start + run.len) as usize
-    }
-
-    /// Adds an empty run for a new directory entry.
-    fn open_run(&mut self) {
-        let start = self.arena_len();
-        self.runs.push(Run {
-            start,
-            len: 0,
-            cap: 0,
-        });
-    }
-
-    /// Coordinates of arena positions `range`, as one row-major tile.
-    fn coords_of(&self, range: Range<usize>, dim: usize) -> &[f64] {
-        &self.coords[range.start * dim..range.end * dim]
-    }
-
-    /// Appends `slot` at `p` to the end of entry `e`'s run.
-    fn push(&mut self, e: usize, slot: u32, p: &[f64]) {
-        let dim = p.len();
-        let mut run = self.runs[e];
-        if run.len == run.cap {
-            let end = self.arena_len();
-            if run.start + run.cap != end {
-                // Move the run to the arena's end; its old span is a gap.
-                let live = self.live(e);
-                self.slots.extend_from_within(live.clone());
-                self.coords
-                    .extend_from_within(live.start * dim..live.end * dim);
-                run.start = end;
-                if let Some(positions) = &mut self.positions {
-                    let moved = end as usize..end as usize + live.len();
-                    for at in moved {
-                        positions[self.slots[at] as usize] = at as u32;
-                    }
-                }
-            }
-            run.cap = run
-                .cap
-                .checked_mul(2)
-                .expect("run capacity fits u32")
-                .max(1);
-            let new_end = run.start as usize + run.cap as usize;
-            self.slots.resize(new_end, 0);
-            self.coords.resize(new_end * dim, 0.0);
-        }
-        let at = run.start + run.len;
-        self.slots[at as usize] = slot;
-        self.coords[at as usize * dim..(at as usize + 1) * dim].copy_from_slice(p);
-        run.len += 1;
-        self.runs[e] = run;
-        if let Some(positions) = &mut self.positions {
-            if positions.len() <= slot as usize {
-                positions.resize(slot as usize + 1, 0);
-            }
-            positions[slot as usize] = at;
-        }
-    }
-
-    /// The arena position of each live slot, built on first use.
-    fn positions(&mut self) -> &mut Vec<u32> {
-        self.positions.get_or_insert_with(|| {
-            let live = self.runs.iter().map(|run| run.len as usize).sum();
-            let mut positions = vec![0; live];
-            for run in &self.runs {
-                for at in run.start..run.start + run.len {
-                    positions[self.slots[at as usize] as usize] = at;
-                }
-            }
-            positions
-        })
-    }
-
-    /// Removes `slot` from entry `e`'s run, moving the run's last live
-    /// entry into its place, then gives the side's last slot `last` the
-    /// number `slot` — the partition's own swap-remove. `slot` must be
-    /// live in the run.
-    fn swap_remove(&mut self, e: usize, slot: u32, last: u32, dim: usize) {
-        let at = self.positions()[slot as usize] as usize;
-        let end = self.live(e).end - 1;
-        let tail = self.slots[end];
-        self.slots[at] = tail;
-        self.coords
-            .copy_within(end * dim..(end + 1) * dim, at * dim);
-        self.runs[e].len -= 1;
-        let positions = self.positions.as_mut().expect("built above");
-        positions[tail as usize] = at as u32;
-        if slot != last {
-            let moved = positions[last as usize];
-            self.slots[moved as usize] = slot;
-            positions[slot as usize] = moved;
-        }
-        positions.truncate(last as usize);
-    }
-
-    /// Arena length in entries, as a run position.
-    fn arena_len(&self) -> u32 {
-        u32::try_from(self.slots.len()).expect("arena positions fit u32")
-    }
-}
-
 impl CellIndex {
     /// Lays every point of `partition` (core and support) out by grid
     /// cell of side `r / (2√d)` (capped at `max_cells_per_dim`).
@@ -345,13 +163,15 @@ impl CellIndex {
             .map(|i| index.grid.cell_of(partition.point(i)))
             .collect();
         index.cells = index.directory.number(&cells);
-        let (core_cells, support_cells) = cells.split_at(partition.core().len());
+        let entry_of: Vec<u32> = cells
+            .into_iter()
+            .map(|c| index.directory.entry(c).expect("every cell is numbered") as u32)
+            .collect();
+        let (core, support) = entry_of.split_at(partition.core().len());
         let entries = index.cells.len();
-        let tile =
-            |cells, side| Tile::sorted(&index.directory, entries, cells, partition.points(side));
         index.tiles = [
-            tile(core_cells, Side::Core),
-            tile(support_cells, Side::Support),
+            Tile::build(partition.core(), core, entries),
+            Tile::build(partition.support(), support, entries),
         ];
         index.build_ops = total as u64;
         Some(index)
@@ -367,7 +187,7 @@ impl CellIndex {
             directory: Directory::for_grid(&grid, points),
             grid,
             cells: Vec::new(),
-            tiles: Default::default(),
+            tiles: [Tile::new(dim), Tile::new(dim)],
             build_ops: 0,
             inlier_rule_valid,
         }
@@ -424,7 +244,7 @@ impl CellIndex {
             return;
         };
         let last = moved.map_or(slot, |(from, _)| from);
-        self.tiles[side].swap_remove(e, slot, last, p.len());
+        self.tiles[side].swap_remove(e, slot, last);
     }
 
     /// Resident core points in `cell`.
@@ -435,22 +255,10 @@ impl CellIndex {
 
     /// Counts the **core** points of `partition` within distance `r` of an
     /// arbitrary query point `q` (which need not belong to the partition),
-    /// stopping early once `cap` neighbors are found.
-    ///
-    /// See [`CellIndex::count_core_neighbors_traced`] for how.
-    pub fn count_core_neighbors(
-        &self,
-        partition: &Partition,
-        q: &[f64],
-        pred: NeighborPredicate,
-        cap: usize,
-    ) -> usize {
-        self.count_core_neighbors_traced(partition, q, pred, cap).0
-    }
-
-    /// [`CellIndex::count_core_neighbors`] that also returns the work
-    /// performed: the number of candidate points examined across all
-    /// visited cells, directly chargeable to `distance_evaluations`.
+    /// stopping early once `cap` neighbors are found. Returns the count
+    /// and the work performed: the number of candidate points examined
+    /// across all visited cells, directly chargeable to
+    /// `distance_evaluations`.
     ///
     /// The paper's inlier rule (Section IV-B) decides first, with no
     /// distance computation: when `q` lies inside the grid's domain and
@@ -506,36 +314,14 @@ impl CellIndex {
         let mut count = 0usize;
         let mut work = 0u64;
         let core = &self.tiles[Side::Core];
-        let mut scan = |span: Range<usize>| {
-            let tile = core.coords_of(span, q.len());
-            let outcome = pred.count_within_tile(q, tile, cap - count);
-            count += outcome.found;
-            work += outcome.scanned as u64;
-            count < cap
-        };
         grid.visit_box_rows(
             |i| (q[i] - pred.r(), q[i] + pred.r()),
             |row| {
-                let mut span: Option<Range<usize>> = None;
-                for cell in row {
-                    let Some(live) = self.directory.entry(cell).map(|e| core.live(e)) else {
-                        continue;
-                    };
-                    if live.is_empty() {
-                        continue;
-                    }
-                    match &mut span {
-                        Some(open) if open.end == live.start => open.end = live.end,
-                        _ => {
-                            if let Some(done) = span.replace(live) {
-                                if !scan(done) {
-                                    return false;
-                                }
-                            }
-                        }
-                    }
-                }
-                span.is_none_or(&mut scan)
+                let entries = row.filter_map(|cell| self.directory.entry(cell));
+                let (found, scanned) = core.count_runs(entries, &pred, q, cap - count);
+                count += found;
+                work += scanned;
+                count < cap
             },
         );
         (count, work)
@@ -736,9 +522,8 @@ impl CellBased {
             // candidate cells' runs to the kernels. Each cell's core run
             // is scanned before its support run — the unified
             // core-then-support order of the one-shot path.
-            for (pos, &i) in own_slots.iter().enumerate() {
-                let at = own.start + pos;
-                let p = core.coords_of(at..at + 1, dim);
+            for (at, &i) in own.zip(own_slots) {
+                let p = core.point(at);
                 let mut neighbors = 0usize;
                 if let Some(full) = &full_scan {
                     // Paper-faithful: random-order scan over the whole
@@ -752,30 +537,17 @@ impl CellBased {
                         if neighbors >= params.k {
                             break;
                         }
-                        // The point itself sits at `pos` of its own cell's
-                        // core run.
-                        let skip = (ce == e).then_some(pos);
-                        let (found, scanned) = count_tile_excluding(
-                            &pred,
-                            p,
-                            core.coords_of(core.live(ce), dim),
-                            dim,
-                            skip,
-                            params.k - neighbors,
-                        );
+                        // The point itself sits at arena position `at`,
+                        // inside its own cell's core run and no other.
+                        let need = params.k - neighbors;
+                        let (found, scanned) = core.count_run(ce, &pred, p, Some(at), need);
                         stats.distance_evaluations += scanned;
                         neighbors += found;
                         if neighbors >= params.k {
                             break;
                         }
-                        let (found, scanned) = count_tile_excluding(
-                            &pred,
-                            p,
-                            support.coords_of(support.live(ce), dim),
-                            dim,
-                            None,
-                            params.k - neighbors,
-                        );
+                        let need = params.k - neighbors;
+                        let (found, scanned) = support.count_run(ce, &pred, p, None, need);
                         stats.distance_evaluations += scanned;
                         neighbors += found;
                     }
@@ -793,33 +565,12 @@ impl CellBased {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::fixtures::{params, random_partition};
     use crate::reference::Reference;
     use dod_core::PointSet;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    fn params(r: f64, k: usize) -> OutlierParams {
-        OutlierParams::new(r, k).unwrap()
-    }
-
-    fn random_partition(seed: u64, n_core: usize, n_support: usize, extent: f64) -> Partition {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut core = PointSet::new(2).unwrap();
-        for _ in 0..n_core {
-            core.push(&[rng.gen_range(0.0..extent), rng.gen_range(0.0..extent)])
-                .unwrap();
-        }
-        let mut support = PointSet::new(2).unwrap();
-        for _ in 0..n_support {
-            support
-                .push(&[rng.gen_range(0.0..extent), rng.gen_range(0.0..extent)])
-                .unwrap();
-        }
-        let ids = (0..(n_core + n_support) as u64).collect::<Vec<_>>();
-        let (core_ids, support_ids) = ids.split_at(n_core);
-        Partition::new(core, core_ids.to_vec(), support, support_ids.to_vec()).unwrap()
-    }
 
     #[test]
     fn matches_reference_on_random_data() {
@@ -1103,7 +854,7 @@ pub(crate) mod tests {
                         !std::mem::replace(&mut seen[slot], true),
                         "{kind}: slot {slot} twice"
                     );
-                    assert_eq!(tile.coords_of(at..at + 1, 2), points.point(slot), "{kind}");
+                    assert_eq!(tile.point(at), points.point(slot), "{kind}");
                     assert_eq!(index.grid.cell_of(points.point(slot)), cell, "{kind}");
                     if let Some(positions) = &tile.positions {
                         assert_eq!(positions[slot] as usize, at, "{kind}: slot {slot}");
@@ -1119,20 +870,18 @@ pub(crate) mod tests {
         let via_mutations = CellBased::default().detect_with_index(part, prm, index);
         let via_fresh = CellBased::default().detect_with_index(part, prm, &fresh);
         assert_eq!(via_mutations.outliers, via_fresh.outliers, "{kind}");
-        let pred = prm.predicate();
-        for q in [&[0.5, 0.5][..], &[4.0, 4.0], &[7.9, 0.1], &[-3.0, 2.0]] {
-            assert_eq!(
-                index.count_core_neighbors(part, q, pred, usize::MAX),
-                fresh.count_core_neighbors(part, q, pred, usize::MAX),
-                "{kind}: query {q:?}"
-            );
-        }
-        for q in part.core().iter().chain(part.support().iter()) {
-            assert_eq!(
-                index.count_core_neighbors(part, q, pred, usize::MAX),
-                fresh.count_core_neighbors(part, q, pred, usize::MAX),
-                "{kind}: query {q:?}"
-            );
+        let count = |index: &CellIndex, q: &[f64]| {
+            let (found, _) =
+                index.count_core_neighbors_traced(part, q, prm.predicate(), usize::MAX);
+            found
+        };
+        let probes = [&[0.5, 0.5][..], &[4.0, 4.0], &[7.9, 0.1], &[-3.0, 2.0]];
+        for q in probes
+            .into_iter()
+            .chain(part.core().iter())
+            .chain(part.support().iter())
+        {
+            assert_eq!(count(index, q), count(&fresh, q), "{kind}: query {q:?}");
         }
     }
 
@@ -1487,7 +1236,7 @@ pub(crate) mod tests {
                         state.insert_core(&p, next_id).unwrap();
                         core_pts.push((next_id, p.clone()));
                     } else {
-                        state.insert_support(&p, next_id).unwrap();
+                        state.insert(Side::Support, &p, next_id).unwrap();
                         support_pts.push((next_id, p.clone()));
                     }
                     next_id += 1;
@@ -1498,7 +1247,7 @@ pub(crate) mod tests {
                     p
                 } else {
                     let (id, p) = support_pts.swap_remove(rng.gen_range(0..support_pts.len()));
-                    assert!(state.remove_support(id));
+                    assert!(state.remove(Side::Support, id));
                     p
                 };
                 if state.pending_mutations() <= before {

@@ -10,8 +10,8 @@
 
 use crate::detector::{Detection, DetectionStats, Detector};
 use crate::partition::{Partition, Side};
-use crate::scan::count_tile_excluding;
-use dod_core::{Metric, NeighborPredicate, OutlierParams, PointSet};
+use crate::tile::Tile;
+use dod_core::{NeighborPredicate, OutlierParams};
 
 /// kd-tree range-counting detector.
 #[derive(Debug, Clone, Copy, Default)]
@@ -30,56 +30,10 @@ impl IndexBased {
     }
 }
 
-/// One side's entries in a leaf: partition slots, index-aligned with
-/// their coordinates gathered into a contiguous row-major tile for the
-/// kernel scans.
-#[derive(Debug, Clone, Default)]
-struct LeafTile {
-    slots: Vec<u32>,
-    coords: Vec<f64>,
-}
-
-impl LeafTile {
-    /// Gathers the points `slots` of `points` into a tile.
-    fn gather(points: &PointSet, slots: Vec<u32>) -> LeafTile {
-        let mut coords = Vec::with_capacity(slots.len() * points.dim());
-        for &j in &slots {
-            coords.extend_from_slice(points.point(j as usize));
-        }
-        LeafTile { slots, coords }
-    }
-
-    /// Swap-removes the entry holding `slot`. Returns whether it was
-    /// present.
-    fn swap_remove(&mut self, slot: u32, dim: usize) -> bool {
-        let Some(pos) = self.slots.iter().position(|&x| x == slot) else {
-            return false;
-        };
-        self.slots.swap_remove(pos);
-        let last = self.slots.len();
-        if pos < last {
-            let (head, tail) = self.coords.split_at_mut(last * dim);
-            head[pos * dim..(pos + 1) * dim].copy_from_slice(&tail[..dim]);
-        }
-        self.coords.truncate(last * dim);
-        true
-    }
-
-    /// Rewrites the stored slot `from` to `to`. Returns whether it was
-    /// present.
-    fn renumber(&mut self, from: u32, to: u32) -> bool {
-        let found = self.slots.iter_mut().find(|x| **x == from);
-        found.map(|slot| *slot = to).is_some()
-    }
-}
-
 #[derive(Debug, Clone)]
 enum Node {
-    /// The leaf's core and support entries, indexed by [`Side`]. Kept
-    /// apart so the leaf can be spliced incrementally: an insert appends
-    /// to one side, a removal swap-removes one entry, and neither
-    /// disturbs the other side's slots.
-    Leaf([LeafTile; 2]),
+    /// The leaf's entry number: its run in each side's tile.
+    Leaf(usize),
     Inner {
         split_dim: usize,
         split_val: f64,
@@ -91,14 +45,20 @@ enum Node {
 /// The build-phase product of the Index-Based detector: a balanced
 /// kd-tree over a partition's core and support points.
 ///
-/// The tree stores point *indices* only, so it can outlive the build call
-/// and serve many queries against the same partition — full
-/// re-detections ([`IndexBased::detect_with_index`]) as well as neighbor
-/// counts for external query points
-/// ([`KdIndex::count_core_neighbors`]) from a resident engine.
+/// The tree's leaves are runs of one tile per [`Side`] (`tile.rs`), the
+/// layout Cell-Based keeps per grid cell: leaf `e` owns entry `e` of
+/// both sides' tiles. The index can outlive the build call and serve
+/// many queries against the same partition — full re-detections
+/// ([`IndexBased::detect_with_index`]) as well as neighbor counts for
+/// external query points ([`KdIndex::count_core_neighbors_traced`]) from
+/// a resident engine — and is spliced as the partition is: an insert
+/// appends to one side's run, a removal swap-removes one copy, and
+/// neither disturbs the other side's slots.
 #[derive(Debug, Clone)]
 pub struct KdIndex {
     root: Node,
+    /// The core and the support tile, indexed by [`Side`].
+    tiles: [Tile; 2],
     build_ops: u64,
 }
 
@@ -109,11 +69,22 @@ impl KdIndex {
         let leaf_size = if leaf_size == 0 { 16 } else { leaf_size };
         let total = partition.total_len();
         let mut idx: Vec<u32> = (0..total as u32).collect();
-        let mut ops = 0u64;
-        let root = Self::build_node(partition, &mut idx, leaf_size, 0, &mut ops);
+        let mut build = Build {
+            partition,
+            leaf_size,
+            entry_of: vec![0; total],
+            leaves: 0,
+            ops: 0,
+        };
+        let root = build.node(&mut idx, 0);
+        let (core, support) = build.entry_of.split_at(partition.core().len());
         KdIndex {
             root,
-            build_ops: ops,
+            tiles: [
+                Tile::build(partition.core(), core, build.leaves),
+                Tile::build(partition.support(), support, build.leaves),
+            ],
+            build_ops: build.ops,
         }
     }
 
@@ -123,18 +94,14 @@ impl KdIndex {
     }
 
     /// Splices point `slot` of `side` (its index in the partition's
-    /// point set of that side) into the leaf buffer its coordinates
-    /// descend to.
+    /// point set of that side) into the leaf its coordinates descend to.
     ///
     /// The tree's balance is not restored — repeated inserts grow leaf
-    /// buffers, which stays exact but degrades query cost; callers
-    /// compact by rebuilding once enough mutations accumulate.
+    /// runs, which stays exact but degrades query cost; callers compact
+    /// by rebuilding once enough mutations accumulate.
     pub fn push(&mut self, side: Side, slot: u32, p: &[f64]) {
-        let Node::Leaf(tiles) = Self::leaf_for_mut(&mut self.root, p) else {
-            unreachable!("leaf_for_mut returns a leaf")
-        };
-        tiles[side].slots.push(slot);
-        tiles[side].coords.extend_from_slice(p);
+        let e = Self::leaf_for(&self.root, p);
+        self.tiles[side].push(e, slot, p);
         self.build_ops += 1;
     }
 
@@ -142,23 +109,24 @@ impl KdIndex {
     /// was inserted with — the index side of [`Partition::swap_remove`].
     /// `moved` is the slot and the coordinates of the point that the
     /// partition's swap-remove moves into `slot` (none when `slot` was
-    /// the side's last); its entry is re-pointed at `slot`.
+    /// the side's last); its entry is re-pointed at `slot`. Neither entry
+    /// is searched for: the tile keeps each slot's arena position, and
+    /// one descent finds the leaf whose run holds it.
     pub fn swap_remove(&mut self, side: Side, slot: u32, p: &[f64], moved: Option<(u32, &[f64])>) {
-        Self::find_leaf(&mut self.root, p, &mut |tiles| {
-            tiles[side].swap_remove(slot, p.len())
-        });
-        if let Some((from, mp)) = moved {
-            Self::find_leaf(&mut self.root, mp, &mut |tiles| {
-                tiles[side].renumber(from, slot)
-            });
-        }
+        let tile = &mut self.tiles[side];
+        let at = tile.locate(slot);
+        let Some(e) = Self::find_leaf(&self.root, p, &|e| tile.live(e).contains(&at)) else {
+            return;
+        };
+        let last = moved.map_or(slot, |(from, _)| from);
+        tile.swap_remove(e, slot, last);
     }
 
     /// The leaf `p` descends to under the build's split rule (`< split`
     /// goes left, `>= split` goes right).
-    fn leaf_for_mut<'a>(node: &'a mut Node, p: &[f64]) -> &'a mut Node {
+    fn leaf_for(node: &Node, p: &[f64]) -> usize {
         match node {
-            Node::Leaf(_) => node,
+            Node::Leaf(e) => *e,
             Node::Inner {
                 split_dim,
                 split_val,
@@ -166,24 +134,21 @@ impl KdIndex {
                 right,
             } => {
                 if p[*split_dim] < *split_val {
-                    Self::leaf_for_mut(left, p)
+                    Self::leaf_for(left, p)
                 } else {
-                    Self::leaf_for_mut(right, p)
+                    Self::leaf_for(right, p)
                 }
             }
         }
     }
 
-    /// Descends to the leaves that can hold a point stored at `p` until
-    /// `edit` reports it found its entry. A coordinate equal to a split
-    /// value must search **both** subtrees, right first: the median build
-    /// places equal values on either side.
-    fn find_leaf<F>(node: &mut Node, p: &[f64], edit: &mut F) -> bool
-    where
-        F: FnMut(&mut [LeafTile; 2]) -> bool,
-    {
+    /// The first leaf that can hold a point stored at `p` and that
+    /// `holds` accepts. A coordinate equal to a split value must search
+    /// **both** subtrees, right first: the median build places equal
+    /// values on either side.
+    fn find_leaf(node: &Node, p: &[f64], holds: &impl Fn(usize) -> bool) -> Option<usize> {
         match node {
-            Node::Leaf(tiles) => edit(tiles),
+            Node::Leaf(e) => holds(*e).then_some(*e),
             Node::Inner {
                 split_dim,
                 split_val,
@@ -192,11 +157,11 @@ impl KdIndex {
             } => {
                 let delta = p[*split_dim] - *split_val;
                 if delta < 0.0 {
-                    Self::find_leaf(left, p, edit)
+                    Self::find_leaf(left, p, holds)
                 } else if delta > 0.0 {
-                    Self::find_leaf(right, p, edit)
+                    Self::find_leaf(right, p, holds)
                 } else {
-                    Self::find_leaf(right, p, edit) || Self::find_leaf(left, p, edit)
+                    Self::find_leaf(right, p, holds).or_else(|| Self::find_leaf(left, p, holds))
                 }
             }
         }
@@ -204,75 +169,38 @@ impl KdIndex {
 
     /// Counts the **core** points of `partition` within distance `r` of an
     /// arbitrary query point `q` (not necessarily part of the partition),
-    /// stopping early once `cap` neighbors are found.
-    pub fn count_core_neighbors(
-        &self,
-        partition: &Partition,
-        q: &[f64],
-        params: OutlierParams,
-        cap: usize,
-    ) -> usize {
-        self.count_core_neighbors_traced(partition, q, params, cap)
-            .0
-    }
-
-    /// [`KdIndex::count_core_neighbors`] that also returns the work
-    /// performed: distance evaluations plus tree nodes visited — the
-    /// index-based analogue of points scanned.
+    /// stopping early once `cap` neighbors are found. Returns the count
+    /// and the work performed: distance evaluations plus tree nodes
+    /// visited — the index-based analogue of points scanned.
+    ///
+    /// `pred` is the caller's predicate for the index's parameters — a
+    /// resident state builds it once and lends it to every query.
     pub fn count_core_neighbors_traced(
         &self,
         partition: &Partition,
         q: &[f64],
-        params: OutlierParams,
+        pred: NeighborPredicate,
         cap: usize,
     ) -> (usize, u64) {
         debug_assert_eq!(q.len(), partition.dim());
-        let mut count = 0usize;
-        let mut evals = 0u64;
-        let mut visits = 0u64;
-        self.visit(
-            &self.root,
-            &Query {
-                coords: q,
-                skip: None,
-                core_only: true,
-                pred: params.predicate(),
-                cap,
-            },
-            &mut count,
-            &mut evals,
-            &mut visits,
-        );
+        let query = Query {
+            coords: q,
+            skip: None,
+            core_only: true,
+            pred,
+            cap,
+        };
+        let (count, evals, visits) = self.range_count(&query);
         (count, evals + visits)
     }
 
-    /// Counts neighbors of resident core point `qi` (core index) within
-    /// `r`, stopping early once `k` are found. Returns
-    /// `(count_capped_at_k, evals, nodes_visited)`.
-    fn count_neighbors(
-        &self,
-        partition: &Partition,
-        qi: usize,
-        r: f64,
-        k: usize,
-        metric: Metric,
-    ) -> (usize, u64, u64) {
+    /// Runs `query` from the root. Returns `(count_capped_at_cap, evals,
+    /// nodes_visited)`.
+    fn range_count(&self, query: &Query<'_>) -> (usize, u64, u64) {
         let mut count = 0usize;
         let mut evals = 0u64;
         let mut visits = 0u64;
-        self.visit(
-            &self.root,
-            &Query {
-                coords: partition.point(qi),
-                skip: Some(qi),
-                core_only: false,
-                pred: NeighborPredicate::with_metric(metric, r),
-                cap: k,
-            },
-            &mut count,
-            &mut evals,
-            &mut visits,
-        );
+        self.visit(&self.root, query, &mut count, &mut evals, &mut visits);
         (count, evals, visits)
     }
 
@@ -294,32 +222,17 @@ impl KdIndex {
         }
         *visits += 1;
         match node {
-            Node::Leaf([core, support]) => {
-                let dim = query.coords.len();
+            Node::Leaf(e) => {
+                let [core, support] = &self.tiles;
                 // The query point itself is always a core point, so only
-                // the core tile needs the self-exclusion check.
-                let skip = query
-                    .skip
-                    .and_then(|s| core.slots.iter().position(|&x| x == s as u32));
-                let (found, scanned) = count_tile_excluding(
-                    &query.pred,
-                    query.coords,
-                    &core.coords,
-                    dim,
-                    skip,
-                    query.cap - *count,
-                );
+                // the core run needs the self-exclusion.
+                let (q, pred) = (query.coords, &query.pred);
+                let (found, scanned) = core.count_run(*e, pred, q, query.skip, query.cap - *count);
                 *evals += scanned;
                 *count += found;
-                if !query.core_only && *count < query.cap && !support.slots.is_empty() {
-                    let (found, scanned) = count_tile_excluding(
-                        &query.pred,
-                        query.coords,
-                        &support.coords,
-                        dim,
-                        None,
-                        query.cap - *count,
-                    );
+                if !query.core_only && *count < query.cap && support.len(*e) > 0 {
+                    let need = query.cap - *count;
+                    let (found, scanned) = support.count_run(*e, pred, q, None, need);
                     *evals += scanned;
                     *count += found;
                 }
@@ -344,34 +257,36 @@ impl KdIndex {
             }
         }
     }
+}
 
-    /// Builds a leaf: the unified indices are sorted ascending and split
-    /// into core and support tiles (core indices come first in the
-    /// unified order).
-    fn make_leaf(partition: &Partition, idx: &[u32]) -> Node {
-        let total_core = partition.core().len() as u32;
-        let mut points = idx.to_vec();
-        points.sort_unstable();
-        let n_core = points.partition_point(|&j| j < total_core);
-        let support = points.split_off(n_core);
-        let support = support.into_iter().map(|j| j - total_core).collect();
-        Node::Leaf([
-            LeafTile::gather(partition.core(), points),
-            LeafTile::gather(partition.support(), support),
-        ])
+/// The state of one [`KdIndex::build`]: the leaves are numbered in the
+/// order the recursion closes them, and each point is given its leaf's
+/// number.
+struct Build<'a> {
+    partition: &'a Partition,
+    leaf_size: usize,
+    /// Leaf number of each point, in unified core-then-support indexing.
+    entry_of: Vec<u32>,
+    leaves: usize,
+    ops: u64,
+}
+
+impl Build<'_> {
+    fn leaf(&mut self, idx: &[u32]) -> Node {
+        let e = self.leaves;
+        self.leaves += 1;
+        for &j in idx {
+            self.entry_of[j as usize] = e as u32;
+        }
+        Node::Leaf(e)
     }
 
-    fn build_node(
-        partition: &Partition,
-        idx: &mut [u32],
-        leaf_size: usize,
-        depth: usize,
-        ops: &mut u64,
-    ) -> Node {
-        *ops += idx.len() as u64;
-        if idx.len() <= leaf_size {
-            return Self::make_leaf(partition, idx);
+    fn node(&mut self, idx: &mut [u32], depth: usize) -> Node {
+        self.ops += idx.len() as u64;
+        if idx.len() <= self.leaf_size {
+            return self.leaf(idx);
         }
+        let partition = self.partition;
         let dim = depth % partition.dim();
         let mid = idx.len() / 2;
         idx.select_nth_unstable_by(mid, |&a, &b| {
@@ -384,22 +299,13 @@ impl KdIndex {
         // Degenerate guard: if all values are equal the median split can
         // produce an empty side repeatedly; fall back to a leaf.
         if left.is_empty() || right.is_empty() {
-            let mut all = Vec::with_capacity(left.len() + right.len());
-            all.extend_from_slice(left);
-            all.extend_from_slice(right);
-            return Self::make_leaf(partition, &all);
+            return self.leaf(idx);
         }
         Node::Inner {
             split_dim: dim,
             split_val,
-            left: Box::new(Self::build_node(partition, left, leaf_size, depth + 1, ops)),
-            right: Box::new(Self::build_node(
-                partition,
-                right,
-                leaf_size,
-                depth + 1,
-                ops,
-            )),
+            left: Box::new(self.node(left, depth + 1)),
+            right: Box::new(self.node(right, depth + 1)),
         }
     }
 }
@@ -408,12 +314,12 @@ impl KdIndex {
 struct Query<'a> {
     /// Query coordinates.
     coords: &'a [f64],
-    /// **Core** index of the query point itself (excluded from its own
-    /// neighbor count), or `None` for external query points.
+    /// Core-tile arena position of the query point itself (excluded from
+    /// its own neighbor count), or `None` for external query points.
     skip: Option<usize>,
     /// Whether only core points count as neighbors.
     core_only: bool,
-    /// The neighbor predicate, built once per query.
+    /// The neighbor predicate, the caller's.
     pred: NeighborPredicate,
     /// Early-termination cap on the count.
     cap: usize,
@@ -440,30 +346,42 @@ impl IndexBased {
     /// `index` must have been built over the same partition; the outlier
     /// set is then exactly the one the one-shot [`Detector::detect`]
     /// returns.
+    ///
+    /// The core points are walked leaf by leaf in run order, so each
+    /// point's own arena position — the copy its count skips — is known
+    /// rather than searched for.
     pub fn detect_with_index(
         &self,
         partition: &Partition,
         params: OutlierParams,
         index: &KdIndex,
     ) -> Detection {
-        let n_core = partition.core().len();
-        if n_core == 0 {
+        if partition.core().is_empty() {
             return Detection::default();
         }
         let mut stats = DetectionStats {
             index_operations: index.build_ops,
             ..Default::default()
         };
+        let pred = params.predicate();
+        let core = &index.tiles[Side::Core];
         let mut outliers = Vec::new();
-        for i in 0..n_core {
-            let (count, evals, visits) =
-                index.count_neighbors(partition, i, params.r, params.k, params.metric);
-            stats.distance_evaluations += evals;
-            stats.node_visits += visits;
-            if count < params.k {
-                outliers.push(partition.core_id(i));
-            } else {
-                stats.early_terminations += 1;
+        for e in 0..core.runs.len() {
+            for at in core.live(e) {
+                let (count, evals, visits) = index.range_count(&Query {
+                    coords: core.point(at),
+                    skip: Some(at),
+                    core_only: false,
+                    pred,
+                    cap: params.k,
+                });
+                stats.distance_evaluations += evals;
+                stats.node_visits += visits;
+                if count < params.k {
+                    outliers.push(partition.core_id(core.slots[at] as usize));
+                } else {
+                    stats.early_terminations += 1;
+                }
             }
         }
         outliers.sort_unstable();
@@ -474,33 +392,12 @@ impl IndexBased {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{params, random_partition};
     use crate::reference::Reference;
     use dod_core::PointSet;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    fn params(r: f64, k: usize) -> OutlierParams {
-        OutlierParams::new(r, k).unwrap()
-    }
-
-    fn random_partition(seed: u64, n_core: usize, n_support: usize, extent: f64) -> Partition {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut core = PointSet::new(2).unwrap();
-        for _ in 0..n_core {
-            core.push(&[rng.gen_range(0.0..extent), rng.gen_range(0.0..extent)])
-                .unwrap();
-        }
-        let mut support = PointSet::new(2).unwrap();
-        for _ in 0..n_support {
-            support
-                .push(&[rng.gen_range(0.0..extent), rng.gen_range(0.0..extent)])
-                .unwrap();
-        }
-        let ids = (0..(n_core + n_support) as u64).collect::<Vec<_>>();
-        let (core_ids, support_ids) = ids.split_at(n_core);
-        Partition::new(core, core_ids.to_vec(), support, support_ids.to_vec()).unwrap()
-    }
 
     #[test]
     fn matches_reference_on_random_data() {
@@ -609,8 +506,12 @@ mod tests {
         assert_eq!(det.outliers, fresh_det.outliers);
         for q in [[0.5, 0.5], [4.0, 4.0], [7.5, 7.5]] {
             assert_eq!(
-                index.count_core_neighbors(&part, &q, prm, usize::MAX),
-                fresh.count_core_neighbors(&part, &q, prm, usize::MAX),
+                index
+                    .count_core_neighbors_traced(&part, &q, prm.predicate(), usize::MAX)
+                    .0,
+                fresh
+                    .count_core_neighbors_traced(&part, &q, prm.predicate(), usize::MAX)
+                    .0,
             );
         }
     }

@@ -40,6 +40,7 @@ pub mod partition;
 pub mod reference;
 mod scan;
 pub mod state;
+mod tile;
 
 pub use cell_based::{CellBased, CellIndex};
 pub use cost::{choose_algorithm, AlgorithmKind, CostModel, CostTerms};
@@ -49,3 +50,42 @@ pub use nested_loop::NestedLoop;
 pub use partition::{Partition, Side};
 pub use reference::Reference;
 pub use state::PartitionState;
+
+#[cfg(test)]
+pub(crate) mod fixtures {
+    //! Test data the detectors' unit tests share.
+
+    use crate::Partition;
+    use dod_core::{OutlierParams, PointSet};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    pub(crate) fn params(r: f64, k: usize) -> OutlierParams {
+        OutlierParams::new(r, k).unwrap()
+    }
+
+    /// `n_core` core and `n_support` support points drawn uniformly from
+    /// `[0, extent)²`, with ids `0..n_core + n_support`.
+    pub(crate) fn random_partition(
+        seed: u64,
+        n_core: usize,
+        n_support: usize,
+        extent: f64,
+    ) -> Partition {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut core = PointSet::new(2).unwrap();
+        for _ in 0..n_core {
+            core.push(&[rng.gen_range(0.0..extent), rng.gen_range(0.0..extent)])
+                .unwrap();
+        }
+        let mut support = PointSet::new(2).unwrap();
+        for _ in 0..n_support {
+            support
+                .push(&[rng.gen_range(0.0..extent), rng.gen_range(0.0..extent)])
+                .unwrap();
+        }
+        let ids = (0..(n_core + n_support) as u64).collect::<Vec<_>>();
+        let (core_ids, support_ids) = ids.split_at(n_core);
+        Partition::new(core, core_ids.to_vec(), support, support_ids.to_vec()).unwrap()
+    }
+}

@@ -93,33 +93,10 @@ impl Detector for NestedLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{params, random_partition};
     use crate::reference::Reference;
     use dod_core::PointSet;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn params(r: f64, k: usize) -> OutlierParams {
-        OutlierParams::new(r, k).unwrap()
-    }
-
-    fn random_partition(seed: u64, n_core: usize, n_support: usize, extent: f64) -> Partition {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut core = PointSet::new(2).unwrap();
-        for _ in 0..n_core {
-            core.push(&[rng.gen_range(0.0..extent), rng.gen_range(0.0..extent)])
-                .unwrap();
-        }
-        let mut support = PointSet::new(2).unwrap();
-        for _ in 0..n_support {
-            support
-                .push(&[rng.gen_range(0.0..extent), rng.gen_range(0.0..extent)])
-                .unwrap();
-        }
-        let ids = (0..(n_core + n_support) as u64).collect::<Vec<_>>();
-        let (core_ids, support_ids) = ids.split_at(n_core);
-        Partition::new(core, core_ids.to_vec(), support, support_ids.to_vec()).unwrap()
-    }
 
     #[test]
     fn matches_reference_on_random_data() {

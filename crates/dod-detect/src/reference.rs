@@ -67,11 +67,8 @@ impl Detector for Reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::params;
     use dod_core::PointSet;
-
-    fn params(r: f64, k: usize) -> OutlierParams {
-        OutlierParams::new(r, k).unwrap()
-    }
 
     #[test]
     fn isolated_point_is_outlier() {

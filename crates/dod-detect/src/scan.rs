@@ -1,4 +1,4 @@
-//! Contiguous-tile scan helpers shared by the detectors.
+//! The permuted scan of the randomized detectors.
 //!
 //! The randomized detectors (Nested-Loop, and Cell-Based's paper-faithful
 //! full-scan fallback) examine candidates in one global random
@@ -79,36 +79,10 @@ impl PermutedScan {
     }
 }
 
-/// Counts neighbors of `q` in the contiguous row-major `tile`, skipping
-/// the point at position `skip` (if any), early-exiting at `need`.
-///
-/// Returns `(found, scanned)` with the same exact scalar-equivalent
-/// semantics as [`PermutedScan::count_cycle`].
-pub(crate) fn count_tile_excluding(
-    pred: &NeighborPredicate,
-    q: &[f64],
-    tile: &[f64],
-    dim: usize,
-    skip: Option<usize>,
-    need: usize,
-) -> (usize, u64) {
-    let points = tile.len() / dim;
-    let mut found = 0usize;
-    let mut scanned = 0u64;
-    for (a, b) in split_excluding(0, points, skip.unwrap_or(usize::MAX)) {
-        if found >= need {
-            break;
-        }
-        let out = pred.count_within_tile(q, &tile[a * dim..b * dim], need - found);
-        scanned += out.scanned as u64;
-        found += out.found;
-    }
-    (found, scanned)
-}
-
 /// The half-open range `[lo, hi)` with position `skip` removed: up to two
 /// sub-ranges (empty ones included for uniform iteration).
-fn split_excluding(lo: usize, hi: usize, skip: usize) -> [(usize, usize); 2] {
+#[inline]
+pub(crate) fn split_excluding(lo: usize, hi: usize, skip: usize) -> [(usize, usize); 2] {
     if skip >= lo && skip < hi {
         [(lo, skip), (skip + 1, hi)]
     } else {

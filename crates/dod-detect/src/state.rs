@@ -11,8 +11,8 @@
 //!
 //! * [`PartitionState::detect`] — re-classify every core point, returning
 //!   exactly what the one-shot [`crate::Detector::detect`] would, and
-//! * [`PartitionState::count_core_neighbors`] — count resident **core**
-//!   points within `r` of an arbitrary external query point, the
+//! * [`PartitionState::count_core_neighbors_traced`] — count resident
+//!   **core** points within `r` of an arbitrary external query point, the
 //!   primitive a `score` request reduces to. Core sets partition
 //!   the dataset (Lemma 3.1 replicates only *support* copies), so
 //!   summing this count across partitions never double-counts.
@@ -22,8 +22,7 @@
 //! [`Side`] onto the partition (which names it by its global id) and onto
 //! the index, and [`PartitionState::remove`] finds the copy by id and
 //! swap-removes it from both, re-pointing the one entry the swap moved.
-//! `insert_core`, `insert_support`, `remove_core` and `remove_support`
-//! are those two with the side filled in.
+//! `insert_core` and `remove_core` are those two for a core point.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -44,7 +43,7 @@ enum StateIndex {
     /// Cell-ordered tiles for the cell-based detectors.
     Cells(Box<CellIndex>),
     /// kd-tree for the index-based detector.
-    Tree(KdIndex),
+    Tree(Box<KdIndex>),
     /// No auxiliary structure: queries scan the point set directly.
     Scan,
 }
@@ -82,7 +81,7 @@ fn build_index(kind: AlgorithmKind, partition: &Partition, params: OutlierParams
                 None => StateIndex::Scan,
             }
         }
-        AlgorithmKind::IndexBased => StateIndex::Tree(KdIndex::build(partition, 0)),
+        AlgorithmKind::IndexBased => StateIndex::Tree(Box::new(KdIndex::build(partition, 0))),
         AlgorithmKind::NestedLoop | AlgorithmKind::Reference => StateIndex::Scan,
     }
 }
@@ -194,22 +193,9 @@ impl PartitionState {
         self.insert(Side::Core, p, id)
     }
 
-    /// [`PartitionState::insert`] of a support copy.
-    ///
-    /// # Errors
-    /// Returns an error on dimensionality mismatch.
-    pub fn insert_support(&mut self, p: &[f64], id: PointId) -> Result<(), CoreError> {
-        self.insert(Side::Support, p, id)
-    }
-
     /// [`PartitionState::remove`] of a core point.
     pub fn remove_core(&mut self, id: PointId) -> bool {
         self.remove(Side::Core, id)
-    }
-
-    /// [`PartitionState::remove`] of a support copy.
-    pub fn remove_support(&mut self, id: PointId) -> bool {
-        self.remove(Side::Support, id)
     }
 
     /// Frees the id → slot maps; the next removal builds them again. For
@@ -297,16 +283,11 @@ impl PartitionState {
     /// stopping early once `cap` neighbors are found.
     ///
     /// `q` need not belong to the partition — this is the primitive for
-    /// scoring external query points against the resident dataset.
-    pub fn count_core_neighbors(&self, q: &[f64], cap: usize) -> usize {
-        self.count_core_neighbors_traced(q, cap).0
-    }
-
-    /// [`PartitionState::count_core_neighbors`] that also returns the
-    /// kernel work performed (candidate points examined, plus tree nodes
-    /// visited on the index-based path) — the per-request counterpart of
-    /// [`crate::DetectionStats::total_work`], feeding the engine's
-    /// per-partition work counters. A probe a cell-indexed state decides
+    /// scoring external query points against the resident dataset. Also
+    /// returns the kernel work performed (candidate points examined, plus
+    /// tree nodes visited on the index-based path) — the per-request
+    /// counterpart of [`crate::DetectionStats::total_work`], feeding the
+    /// engine's per-partition work counters. A probe a cell-indexed state decides
     /// by the inlier rule examines no candidate and reports `(cap, 0)`.
     pub fn count_core_neighbors_traced(&self, q: &[f64], cap: usize) -> (usize, u64) {
         match &self.index {
@@ -314,7 +295,7 @@ impl PartitionState {
                 cells.count_core_neighbors_traced(&self.partition, q, self.pred, cap)
             }
             StateIndex::Tree(tree) => {
-                tree.count_core_neighbors_traced(&self.partition, q, self.params, cap)
+                tree.count_core_neighbors_traced(&self.partition, q, self.pred, cap)
             }
             StateIndex::Scan => {
                 // The core point set is already one contiguous tile — scan
@@ -375,14 +356,19 @@ mod tests {
                     .filter(|p| params.neighbors(q, p))
                     .count();
                 assert_eq!(
-                    state.count_core_neighbors(q, usize::MAX),
+                    state.count_core_neighbors_traced(q, usize::MAX).0,
                     expected,
                     "kind {} query {q:?}",
                     kind.name()
                 );
                 // The cap is honored.
                 if expected > 1 {
-                    assert_eq!(state.count_core_neighbors(q, 1), 1, "kind {}", kind.name());
+                    assert_eq!(
+                        state.count_core_neighbors_traced(q, 1).0,
+                        1,
+                        "kind {}",
+                        kind.name()
+                    );
                 }
             }
         }
@@ -397,7 +383,10 @@ mod tests {
             // Uncapped, nothing can be decided early: every kind examines
             // at least the neighbors it reports.
             let (found, work) = state.count_core_neighbors_traced(&[0.1, 0.1], usize::MAX);
-            assert_eq!(found, state.count_core_neighbors(&[0.1, 0.1], usize::MAX));
+            assert_eq!(
+                found,
+                state.count_core_neighbors_traced(&[0.1, 0.1], usize::MAX).0
+            );
             assert_eq!(found, 3, "kind {}", kind.name());
             assert!(
                 work >= found as u64,
@@ -425,7 +414,7 @@ mod tests {
         for kind in AlgorithmKind::ALL {
             let state = PartitionState::build(kind, Arc::clone(&partition), params);
             assert!(state.detect().outliers.is_empty());
-            assert_eq!(state.count_core_neighbors(&[0.0, 0.0], 5), 0);
+            assert_eq!(state.count_core_neighbors_traced(&[0.0, 0.0], 5).0, 0);
         }
     }
 
@@ -437,14 +426,20 @@ mod tests {
             state.insert_core(&[0.15, 0.15], 14).unwrap();
             // Outside the built bounding box: cell grids must rebuild.
             state.insert_core(&[20.0, 20.0], 15).unwrap();
-            state.insert_support(&[0.25, 0.05], 21).unwrap();
+            state.insert(Side::Support, &[0.25, 0.05], 21).unwrap();
             assert!(state.remove_core(13));
             assert!(!state.remove_core(99));
-            assert!(state.remove_support(20));
-            assert!(!state.remove_support(20), "already gone");
-            assert!(!state.remove_support(10), "a core id is not a support id");
+            assert!(state.remove(Side::Support, 20));
+            assert!(!state.remove(Side::Support, 20), "already gone");
+            assert!(
+                !state.remove(Side::Support, 10),
+                "a core id is not a support id"
+            );
             assert!(state.insert_core(&[0.15], 16).is_err(), "dim mismatch");
-            assert!(state.insert_support(&[0.15], 22).is_err(), "dim mismatch");
+            assert!(
+                state.insert(Side::Support, &[0.15], 22).is_err(),
+                "dim mismatch"
+            );
 
             let fresh = PartitionState::build(kind, Arc::new(state.partition().clone()), params);
             assert_eq!(
@@ -455,8 +450,8 @@ mod tests {
             );
             for q in [[0.1, 0.1], [9.0, 9.0], [20.0, 20.0]] {
                 assert_eq!(
-                    state.count_core_neighbors(&q, usize::MAX),
-                    fresh.count_core_neighbors(&q, usize::MAX),
+                    state.count_core_neighbors_traced(&q, usize::MAX).0,
+                    fresh.count_core_neighbors_traced(&q, usize::MAX).0,
                     "kind {} query {q:?}",
                     kind.name()
                 );
@@ -478,8 +473,8 @@ mod tests {
         );
         for q in [[0.1, 0.1], [0.3, 0.3], [9.0, 9.0], [20.0, 20.0]] {
             assert_eq!(
-                state.count_core_neighbors(&q, usize::MAX),
-                fresh.count_core_neighbors(&q, usize::MAX),
+                state.count_core_neighbors_traced(&q, usize::MAX).0,
+                fresh.count_core_neighbors_traced(&q, usize::MAX).0,
                 "{context}: kind {} query {q:?}",
                 kind.name()
             );
@@ -493,7 +488,7 @@ mod tests {
             );
         }
         for &id in state.partition().ids(Side::Support) {
-            assert!(drained.remove_support(id), "{context}: support {id}");
+            assert!(drained.remove(Side::Support, id), "{context}: support {id}");
             assert!(
                 !drained.partition().ids(Side::Support).contains(&id),
                 "{context}: support {id}"
@@ -514,15 +509,18 @@ mod tests {
             let partition =
                 Partition::new(core, vec![10, 11, 12, 13], support, vec![20, 21, 22]).unwrap();
             let mut state = PartitionState::build(kind, Arc::new(partition), params);
-            assert!(state.remove_support(20));
+            assert!(state.remove(Side::Support, 20));
             let mut left = state.partition().ids(Side::Support).to_vec();
             left.sort_unstable();
             assert_eq!(left, [21, 22], "kind {}", kind.name());
             assert!(state.remove_core(10));
             assert_equivalent_to_fresh_build(&state, "after removing one of each pair");
-            assert!(state.remove_support(21), "the survivor is still removable");
+            assert!(
+                state.remove(Side::Support, 21),
+                "the survivor is still removable"
+            );
             assert!(state.remove_core(11), "the survivor is still removable");
-            assert!(!state.remove_support(20) && !state.remove_core(10));
+            assert!(!state.remove(Side::Support, 20) && !state.remove_core(10));
             assert_equivalent_to_fresh_build(&state, "after removing both of each pair");
         }
     }
@@ -546,7 +544,7 @@ mod tests {
                 for i in 0..40u64 {
                     let before = state.pending_mutations();
                     state.insert_core(&at(i), 100 + i).unwrap();
-                    state.insert_support(&at(i + 5), 200 + i).unwrap();
+                    state.insert(Side::Support, &at(i + 5), 200 + i).unwrap();
                     compactions += usize::from(state.pending_mutations() < before + 2);
                 }
                 assert!(
@@ -559,7 +557,7 @@ mod tests {
                     assert!(state.remove_core(id), "{context}: core {id}");
                 }
                 for id in [20, 200, 239] {
-                    assert!(state.remove_support(id), "{context}: support {id}");
+                    assert!(state.remove(Side::Support, id), "{context}: support {id}");
                 }
                 assert_equivalent_to_fresh_build(&state, &context);
             }
@@ -572,34 +570,34 @@ mod tests {
         for kind in AlgorithmKind::ALL {
             let context = format!("kind {}", kind.name());
             let mut state = PartitionState::build(kind, sample_partition(), params);
-            state.insert_support(&[0.2, 0.3], 21).unwrap();
-            state.insert_support(&[0.1, 0.3], 22).unwrap();
+            state.insert(Side::Support, &[0.2, 0.3], 21).unwrap();
+            state.insert(Side::Support, &[0.1, 0.3], 22).unwrap();
             // The last slot: nothing moves.
             assert!(state.remove_core(13), "{context}");
-            assert!(state.remove_support(22), "{context}");
+            assert!(state.remove(Side::Support, 22), "{context}");
             assert_equivalent_to_fresh_build(&state, &context);
             // A victim, then the id the swap just moved into its slot.
             assert_eq!(state.partition().core_ids(), [10, 11, 12]);
             assert!(state.remove_core(10), "{context}");
             assert_eq!(state.partition().core_ids(), [12, 11]);
             assert!(state.remove_core(12), "{context}");
-            assert!(state.remove_support(20), "{context}");
-            assert!(state.remove_support(21), "{context}");
+            assert!(state.remove(Side::Support, 20), "{context}");
+            assert!(state.remove(Side::Support, 21), "{context}");
             assert_equivalent_to_fresh_build(&state, &context);
             // Dead and unknown ids find nothing and change nothing.
             let pending = state.pending_mutations();
             assert!(!state.remove_core(10) && !state.remove_core(12) && !state.remove_core(77));
-            assert!(!state.remove_support(20) && !state.remove_support(11));
+            assert!(!state.remove(Side::Support, 20) && !state.remove(Side::Support, 11));
             assert_eq!(state.pending_mutations(), pending, "{context}");
             // Empty the partition, then insert into it.
             assert!(state.remove_core(11), "{context}");
             assert_eq!(state.partition().total_len(), 0, "{context}");
             state.insert_core(&[0.1, 0.1], 30).unwrap();
-            state.insert_support(&[0.2, 0.2], 31).unwrap();
+            state.insert(Side::Support, &[0.2, 0.2], 31).unwrap();
             state.insert_core(&[0.15, 0.1], 32).unwrap();
             assert_equivalent_to_fresh_build(&state, &context);
             assert!(
-                state.remove_core(30) && state.remove_support(31),
+                state.remove_core(30) && state.remove(Side::Support, 31),
                 "{context}"
             );
             assert_equivalent_to_fresh_build(&state, &context);
@@ -646,11 +644,13 @@ mod tests {
                 let before = state.pending_mutations();
                 match step % 4 {
                     0 => state.insert_core(&blob(step + 3), 100 + step).unwrap(),
-                    1 => state.insert_support(&blob(step), 1000 + step).unwrap(),
+                    1 => state
+                        .insert(Side::Support, &blob(step), 1000 + step)
+                        .unwrap(),
                     // Odd original blob ids first, then the oldest streamed ones.
                     2 if step < 40 => assert!(state.remove_core(step / 2)),
                     2 => assert!(state.remove_core(100 + step - 42)),
-                    _ => assert!(state.remove_support(1000 + step - 2)),
+                    _ => assert!(state.remove(Side::Support, 1000 + step - 2)),
                 }
                 compacted |= state.pending_mutations() <= before;
                 for q in &queries {
@@ -711,7 +711,10 @@ mod tests {
         let params = OutlierParams::new(0.05, 2).unwrap();
         for kind in AlgorithmKind::ALL {
             let state = PartitionState::build(kind, Arc::clone(&partition), params);
-            assert_eq!(state.count_core_neighbors(&[0.3, 0.3], usize::MAX), 0);
+            assert_eq!(
+                state.count_core_neighbors_traced(&[0.3, 0.3], usize::MAX).0,
+                0
+            );
         }
     }
 }

@@ -103,15 +103,18 @@ pub fn dbscan_local_metric(
     let mut cluster: Vec<Option<u32>> = vec![None; n];
     let mut is_core = vec![false; n];
     let index = NeighborIndex::build(points, eps, metric);
-    let for_each_neighbor = |i: usize, visit: &mut dyn FnMut(usize)| {
+    let for_each_neighbor = |i: usize, visit: &mut dyn FnMut(usize) -> bool| {
         let other = |j: u32| j as usize != i;
         index.for_each_within(points.point(i), eps, other, |j| visit(j as usize));
     };
 
-    // Mark core points.
+    // Mark core points: counting stops at `min_pts`.
     for (i, core) in is_core.iter_mut().enumerate() {
         let mut neighbors = 0;
-        for_each_neighbor(i, &mut |_| neighbors += 1);
+        for_each_neighbor(i, &mut |_| {
+            neighbors += 1;
+            neighbors < min_pts
+        });
         *core = neighbors >= min_pts;
     }
     // Expand clusters from core points (BFS over core connectivity).
@@ -133,6 +136,7 @@ pub fn dbscan_local_metric(
                         queue.push(j);
                     }
                 }
+                true
             });
         }
     }

@@ -88,7 +88,15 @@ pub fn loci_local(points: &PointSet, cfg: &LociConfig) -> Vec<bool> {
         let counts: Vec<f64> = (0..n)
             .map(|i| {
                 let mut count = 0usize;
-                counting.for_each_within(points.point(i), alpha_r, |_| true, |_| count += 1);
+                counting.for_each_within(
+                    points.point(i),
+                    alpha_r,
+                    |_| true,
+                    |_| {
+                        count += 1;
+                        true
+                    },
+                );
                 count as f64
             })
             .collect();
@@ -98,7 +106,15 @@ pub fn loci_local(points: &PointSet, cfg: &LociConfig) -> Vec<bool> {
                 continue;
             }
             sampling.clear();
-            sampler.for_each_within(points.point(i), r, |_| true, |q| sampling.push(q));
+            sampler.for_each_within(
+                points.point(i),
+                r,
+                |_| true,
+                |q| {
+                    sampling.push(q);
+                    true
+                },
+            );
             if sampling.len() < cfg.n_min {
                 continue;
             }

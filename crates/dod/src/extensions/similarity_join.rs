@@ -48,6 +48,7 @@ impl Reducer<u32, TaggedPoint> for JoinReducer<'_> {
             index.for_each_within(points.point(i), self.r, admit, |j| {
                 let b = values[j as usize].id();
                 emit((a.id().min(b), a.id().max(b)));
+                true
             });
         }
     }

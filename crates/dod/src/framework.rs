@@ -171,18 +171,18 @@ impl<'a> NeighborIndex<'a> {
 
     /// Calls `visit(j)` for every indexed point `j` that `admit(j)` lets
     /// through and that lies within `r` of `q` (the kernels' predicate),
-    /// in ascending `(cell, index)` order. `admit` runs before the
-    /// distance test, so a point it turns away costs no evaluation. Any
-    /// `r` is answered exactly, whatever the build's cell side; `q` may
-    /// lie outside the indexed points' box. Allocation-free: the walk
-    /// covers the cells meeting `[q − r, q + r]` a grid row at a time,
-    /// one binary search a row.
+    /// in ascending `(cell, index)` order, until `visit` returns `false`.
+    /// `admit` runs before the distance test, so a point it turns away
+    /// costs no evaluation. Any `r` is answered exactly, whatever the
+    /// build's cell side; `q` may lie outside the indexed points' box.
+    /// Allocation-free: the walk covers the cells meeting `[q − r, q + r]`
+    /// a grid row at a time, one binary search a row.
     pub(crate) fn for_each_within(
         &self,
         q: &[f64],
         r: f64,
         mut admit: impl FnMut(u32) -> bool,
-        mut visit: impl FnMut(u32),
+        mut visit: impl FnMut(u32) -> bool,
     ) {
         let pred = NeighborPredicate::with_metric(self.metric, r);
         let mut from = 0;
@@ -194,8 +194,8 @@ impl<'a> NeighborIndex<'a> {
                 from += self.by_cell[from..].partition_point(|&(c, _)| c < *row.start());
                 let run = self.by_cell[from..].iter();
                 for &(_, j) in run.take_while(|&&(c, _)| c <= *row.end()) {
-                    if admit(j) && pred.within(q, self.points.point(j as usize)) {
-                        visit(j);
+                    if admit(j) && pred.within(q, self.points.point(j as usize)) && !visit(j) {
+                        return false;
                     }
                 }
                 true
@@ -556,12 +556,23 @@ mod tests {
             for q in &queries {
                 for r in [0.5, 1.0, 1.5] {
                     let mut got = Vec::new();
-                    index.for_each_within(q, r, admit, |j| got.push(j));
+                    index.for_each_within(q, r, admit, |j| {
+                        got.push(j);
+                        true
+                    });
                     let keys: Vec<(CellId, u32)> = got
                         .iter()
                         .map(|&j| (index.grid.cell_of(points.point(j as usize)), j))
                         .collect();
                     prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+                    // A `visit` that returns `false` ends the walk there.
+                    let stop = got.len() / 2 + 1;
+                    let mut head = Vec::new();
+                    index.for_each_within(q, r, admit, |j| {
+                        head.push(j);
+                        head.len() < stop
+                    });
+                    prop_assert_eq!(&head[..], &got[..stop.min(got.len())]);
                     let want: Vec<u32> = (0..points.len() as u32)
                         .filter(|&j| admit(j) && metric.within(q, points.point(j as usize), r))
                         .collect();

@@ -160,8 +160,10 @@ impl<'a> Mapper for VerifyMapper<'a> {
     fn map(&self, item: &InputPoint<'a>, emit: &mut dyn FnMut(u32, u32)) {
         let (id, coords) = *item;
         let other = |ci: u32| self.candidates[ci as usize].id != id;
-        self.index
-            .for_each_within(coords, self.r, other, |ci| emit(ci, 1));
+        self.index.for_each_within(coords, self.r, other, |ci| {
+            emit(ci, 1);
+            true
+        });
     }
 }
 

@@ -563,21 +563,35 @@ fn window_expiry_follows_arrival_order_through_compaction() {
 
 /// Source audit: removal stays a lookup. The non-test portion of the
 /// resident state finds a point by its id map — no `.position(` over the
-/// id column, no coordinate compare over the support tile — the
-/// Cell-Based tiles find an entry by their slot → position map, with no
-/// `.position(` or `.find(` over a cell's run, and the engine keeps no
-/// id → slot map beside its sorted `ids` column.
+/// id column, no coordinate compare over the support tile — the tiles
+/// (`tile.rs`, the one home of the splice) find a copy by their slot →
+/// position map, with no `.position(` or `.find(` over a run, and
+/// neither index that keeps them searches one: Cell-Based finds the run
+/// through its cell directory, the kd-tree by one descent, and the kd
+/// detect loop walks leaves in run order, so it knows each point's own
+/// position. The engine keeps no id → slot map beside its sorted `ids`
+/// column.
 #[test]
 fn removal_paths_hold_no_linear_search() {
-    let audits: [(&str, &str, &[&str]); 3] = [
+    let audits: [(&str, &str, &[&str]); 5] = [
         (
             "state.rs",
             include_str!("../../crates/dod-detect/src/state.rs"),
             &[".position(", "support.point(i) =="],
         ),
         (
+            "tile.rs",
+            include_str!("../../crates/dod-detect/src/tile.rs"),
+            &[".position(", ".find("],
+        ),
+        (
             "cell_based.rs",
             include_str!("../../crates/dod-detect/src/cell_based.rs"),
+            &[".position(", ".find("],
+        ),
+        (
+            "index_based.rs",
+            include_str!("../../crates/dod-detect/src/index_based.rs"),
             &[".position(", ".find("],
         ),
         (
